@@ -25,6 +25,7 @@
 // metrics computed from bench-owned spans (trace.h).
 
 #include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -83,9 +84,11 @@ constexpr uint32_t kServerSweepThreads = 2;  // per range server, per sweep
 constexpr uint32_t kLoadConnections = 4;     // serving phase
 constexpr double kTrickleHz = 200.0;
 // Open-loop offered rate of the serving phase (points/s over 4
-// connections): about half the closed-loop mix capacity measured at the
-// commit that introduced the benchmark, and frozen there.
-constexpr double kOpenLoopRate = 8000.0;
+// connections), frozen: about a fifth of the closed-loop mix capacity on a
+// quiet 4-vCPU VM, so that a host taking the vCPUs away for a while slows
+// the answers without overloading the fleet. One call per connection
+// period (1 ms) also leaves room for a PointBatch(64) (~0.7 ms).
+constexpr double kOpenLoopRate = 4000.0;
 constexpr uint32_t kCheckEvery = 64;  // 1 in 64 point answers is verified
 constexpr uint32_t kBatchSize = 64;
 constexpr uint32_t kLookupTargets = 8;
@@ -133,6 +136,14 @@ double Mean(const std::vector<double>& v) {
   return s / v.size();
 }
 double Ms(uint64_t ns) { return ns / 1e6; }
+
+/// CPU time of the whole process (load generator, router and servers run in
+/// it), which leaves out the time the host keeps the VM's vCPUs away.
+uint64_t ProcessCpuNs() {
+  struct timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ULL + ts.tv_nsec;
+}
 double Us(uint64_t ns) { return ns / 1e3; }
 
 void SleepUntilNs(uint64_t t) {
@@ -199,38 +210,6 @@ uint64_t DirBytes(const std::string& dir) {
   uint64_t total = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
     if (e.is_regular_file()) total += e.file_size();
-  }
-  return total;
-}
-
-/// Expected total bottom-k sketch entries of `g` (Lemma 2.2 per node, over
-/// its connected component). One rank draw swings the actual total by about
-/// +-10% on these graphs, because all sketches share the ranks.
-double ExpectedEntries(const Graph& g) {
-  std::vector<uint32_t> component(g.num_nodes(), UINT32_MAX);
-  std::vector<uint64_t> sizes;
-  std::vector<NodeId> stack;
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    if (component[s] != UINT32_MAX) continue;
-    uint32_t id = static_cast<uint32_t>(sizes.size());
-    sizes.push_back(0);
-    component[s] = id;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      NodeId v = stack.back();
-      stack.pop_back();
-      ++sizes[id];
-      for (const Arc& a : g.OutArcs(v)) {
-        if (component[a.head] == UINT32_MAX) {
-          component[a.head] = id;
-          stack.push_back(a.head);
-        }
-      }
-    }
-  }
-  double total = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    total += ExpectedBottomKAdsSize(kK, sizes[component[v]]);
   }
   return total;
 }
@@ -324,9 +303,6 @@ BuildResult RunBuild(const Graph& g, uint64_t rank_seed,
   r.hip_ns = t3 - t2;
   r.write_ns = t4 - t3;
   r.dir_bytes = DirBytes(dir);
-  // Flush the shard files now: background writeback of a previous build
-  // would otherwise steal this VM's CPUs from whatever phase runs next.
-  ::sync();
   return r;
 }
 
@@ -376,7 +352,6 @@ Status StartFleet(const FlatAdsSet& flat, const std::string& dir,
   Status written =
       WriteShardedAdsSet(flat, dir, BalancedShardSplits(flat, kServers));
   if (!written.ok()) return written;
-  ::sync();  // as in RunBuild: no writeback during the measured phases
   auto layout = ShardedAdsSet::Open(dir, ShardedOptions{});
   if (!layout.ok()) return layout.status();
   FleetManifest manifest;
@@ -406,6 +381,9 @@ Status StartFleet(const FlatAdsSet& flat, const std::string& dir,
         FleetEntry{"127.0.0.1:" + std::to_string(fleet->servers.back()->port()),
                    shard.begin, shard.end});
   }
+  // The copy backends now hold the split in memory. Removing the files
+  // before the kernel writes them back keeps disk I/O out of the run.
+  std::filesystem::remove_all(dir);
   RouterOptions ro;  // `route` defaults: retries 1, no hedge, no coalescing
   ro.retries = 1;
   ro.hedge = false;
@@ -688,6 +666,10 @@ struct Samples {
   // serving phase
   std::vector<double> late_ms;
   uint64_t open_samples = 0;
+  // per-window figures behind the serving medians
+  std::vector<double> open_p50_windows, open_p99_windows, qps_windows,
+      batch_windows;
+  double point_cpu_us_per_op = 0, batch_cpu_us_per_entry = 0;
   double point_p50_us = 0, point_p99_us = 0;
   double point_qps = 0, point_qps_untraced = 0, batch_entries_per_s = 0;
   WireTally wire;  // serving-phase point ops (the trickle excluded)
@@ -988,7 +970,7 @@ std::vector<double> AnalyticsPhase(Run& run, double seconds,
 // Serving figures are medians over kWindows equal time windows of a phase,
 // so that a transient stall (the host taking the VM's CPUs for a moment)
 // moves one window, not the figure.
-constexpr int kWindows = 5;
+constexpr int kWindows = 10;
 
 int WindowOf(uint64_t t, uint64_t start, uint64_t end) {
   if (t <= start) return 0;
@@ -1065,7 +1047,10 @@ std::pair<double, double> OpenLoop(Run& run, const ZipfNodes& zipf,
                   run.s.late_ms.insert(run.s.late_ms.end(), late.begin(),
                                        late.end());
                 });
-  std::vector<double> p50, p99;
+  std::vector<double>& p50 = run.s.open_p50_windows;
+  std::vector<double>& p99 = run.s.open_p99_windows;
+  p50.clear();
+  p99.clear();
   for (const auto& w : windows) {
     p50.push_back(Percentile(w, 0.5));
     p99.push_back(Percentile(w, 0.99));
@@ -1077,6 +1062,8 @@ std::pair<double, double> OpenLoop(Run& run, const ZipfNodes& zipf,
 struct ClosedResult {
   double ops_per_s = 0;      // window median
   double entries_per_s = 0;  // window median
+  std::vector<double> op_rates, entry_rates;  // per window
+  double cpu_us_per_op = 0, cpu_us_per_entry = 0;  // whole loop
 };
 
 /// Closed loop: each connection sends its next op when the last returns.
@@ -1084,16 +1071,21 @@ ClosedResult ClosedLoop(Run& run, const ZipfNodes& zipf, double seconds,
                         bool batches_only, uint64_t stream) {
   std::mutex mu;
   uint64_t ops[kWindows] = {}, entries[kWindows] = {};
+  uint64_t total_ops = 0, total_entries = 0;
+  uint64_t cpu0 = ProcessCpuNs();
   uint64_t start = NowNs();
   uint64_t end = start + static_cast<uint64_t>(seconds * 1e9);
   OnConnections(run, stream, zipf,
                 [&](uint32_t, Channel& channel, MixGenerator& gen,
                     std::vector<PointSample>& samples, WireTally& tally) {
                   uint64_t my_ops[kWindows] = {}, my_entries[kWindows] = {};
+                  uint64_t my_total = 0, my_total_entries = 0;
                   for (uint64_t i = 0; NowNs() < end; ++i) {
                     PointOp op = batches_only ? gen.Batch() : gen.Next();
                     Frame response;
                     if (CallPoint(channel, op, &response, &tally)) {
+                      ++my_total;
+                      my_total_entries += op.entries;
                       uint64_t done = NowNs();
                       if (done < end) {
                         int w = WindowOf(done, start, end);
@@ -1108,14 +1100,19 @@ ClosedResult ClosedLoop(Run& run, const ZipfNodes& zipf, double seconds,
                     ops[w] += my_ops[w];
                     entries[w] += my_entries[w];
                   }
+                  total_ops += my_total;
+                  total_entries += my_total_entries;
                 });
+  double cpu_us = (ProcessCpuNs() - cpu0) / 1e3;
   double window_s = seconds / kWindows;
   std::vector<double> op_rates, entry_rates;
   for (int w = 0; w < kWindows; ++w) {
     op_rates.push_back(ops[w] / window_s);
     entry_rates.push_back(entries[w] / window_s);
   }
-  return {Median(op_rates), Median(entry_rates)};
+  return {Median(op_rates), Median(entry_rates), op_rates, entry_rates,
+          cpu_us / std::max<uint64_t>(1, total_ops),
+          cpu_us / std::max<uint64_t>(1, total_entries)};
 }
 
 struct ServingBudget {
@@ -1135,12 +1132,20 @@ void ServingPhase(Run& run, const ServingBudget& b, bool overhead_split) {
     run.s.point_qps_untraced =
         ClosedLoop(run, zipf, b.closed_s / 2, false, 4).ops_per_s;
     Tracer::Get().SetEnabled(traced);
-    run.s.point_qps = ClosedLoop(run, zipf, b.closed_s / 2, false, 2).ops_per_s;
+    ClosedResult mix = ClosedLoop(run, zipf, b.closed_s / 2, false, 2);
+    run.s.point_qps = mix.ops_per_s;
+    run.s.qps_windows = mix.op_rates;
+    run.s.point_cpu_us_per_op = mix.cpu_us_per_op;
   } else {
-    run.s.point_qps = ClosedLoop(run, zipf, b.closed_s, false, 2).ops_per_s;
+    ClosedResult mix = ClosedLoop(run, zipf, b.closed_s, false, 2);
+    run.s.point_qps = mix.ops_per_s;
+    run.s.qps_windows = mix.op_rates;
+    run.s.point_cpu_us_per_op = mix.cpu_us_per_op;
   }
-  run.s.batch_entries_per_s =
-      ClosedLoop(run, zipf, b.batch_s, true, 3).entries_per_s;
+  ClosedResult batches = ClosedLoop(run, zipf, b.batch_s, true, 3);
+  run.s.batch_entries_per_s = batches.entries_per_s;
+  run.s.batch_windows = batches.entry_rates;
+  run.s.batch_cpu_us_per_entry = batches.cpu_us_per_entry;
 }
 
 // ---------------------------------------------------------------------------
@@ -1460,7 +1465,7 @@ struct Budget {
 Budget BudgetFor(const std::string& w, double t) {
   if (w == "build") return {0.43 * t, 0.42 * t, 0.07 * t, 0.04 * t, 0.04 * t};
   if (w == "analytics") return {0, 0.80 * t, 0.08 * t, 0.06 * t, 0.06 * t};
-  return {0, 0.42 * t, 0.28 * t, 0.18 * t, 0.12 * t};
+  return {0, 0.25 * t, 0.25 * t, 0.30 * t, 0.20 * t};
 }
 
 int Main(int argc, char** argv) {
@@ -1503,20 +1508,19 @@ int Main(int argc, char** argv) {
     TheLedger().Attempt();
     if (!st.ok()) TheLedger().Fail("fleet start: " + st.ToString());
   }
+  const double rss_ready_mb = PeakRssMb();
   PrepareReference(run);
-  uint64_t accuracy_t0 = NowNs();
-  double nrmse = NeighborhoodAccuracy(run).nrmse;
-  std::fprintf(stderr, "hipads_bench: accuracy Monte Carlo took %.2f s\n",
-               (NowNs() - accuracy_t0) / 1e9);
-  double nrmse_bound = 1.0 / std::sqrt(2.0 * (kK - 1)) + kNrmseSlack;
-  if (!(nrmse <= nrmse_bound)) {
-    TheLedger().Violation("nbhd_nrmse " + JsonNumber(nrmse) +
-                          " exceeds the paper bound plus slack " +
-                          JsonNumber(nrmse_bound));
-  }
 
   if (run.fleet && run.fleet->router_server) {
     MetricsSnapshot phases_start = Snap();
+    // Serving first, then analytics, on every workload: the serving
+    // figures always follow the same set-up work.
+    ServingPhase(run, {b.open, b.closed, b.batch},
+                 a.trace && a.workload == "serving");
+    if (a.trace && a.workload == "serving") {
+      overhead_untraced = {1.0 / run.s.point_qps_untraced};
+      overhead_traced = {1.0 / run.s.point_qps};
+    }
     // Warm-up pair: page faults and first connections, not recorded.
     AnalyticsPhase(run, 0, 1, false);
     if (a.workload == "analytics" && a.trace) {
@@ -1527,12 +1531,10 @@ int Main(int argc, char** argv) {
     } else {
       AnalyticsPhase(run, b.analytics, 3, true);
     }
-    ServingPhase(run, {b.open, b.closed, b.batch},
-                 a.trace && a.workload == "serving");
-    if (a.trace && a.workload == "serving") {
-      overhead_untraced = {1.0 / run.s.point_qps_untraced};
-      overhead_traced = {1.0 / run.s.point_qps};
-    }
+    // As in StartFleet: the shard files go before they are written back.
+    run.local_traced.reset();
+    run.local.reset();
+    std::filesystem::remove_all(run.shard_dir);
     MetricsSnapshot phases_end = Snap();
     auto delta = [&](const char* name) {
       return CounterOf(phases_end, name) - CounterOf(phases_start, name);
@@ -1546,6 +1548,20 @@ int Main(int argc, char** argv) {
       TheLedger().Violation("serve.shed.* on the lock-free fleet = " +
                             std::to_string(shed));
     }
+  }
+  // Peak RSS of the library's build and serve path, read before the
+  // accuracy pass allocates the benchmark's own rank draws.
+  const double peak_rss_mb = PeakRssMb();
+
+  uint64_t accuracy_t0 = NowNs();
+  double nrmse = NeighborhoodAccuracy(run).nrmse;
+  std::fprintf(stderr, "hipads_bench: accuracy Monte Carlo took %.2f s\n",
+               (NowNs() - accuracy_t0) / 1e9);
+  double nrmse_bound = 1.0 / std::sqrt(2.0 * (kK - 1)) + kNrmseSlack;
+  if (!(nrmse <= nrmse_bound)) {
+    TheLedger().Violation("nbhd_nrmse " + JsonNumber(nrmse) +
+                          " exceeds the paper bound plus slack " +
+                          JsonNumber(nrmse_bound));
   }
   bool was_tracing = Tracer::Get().enabled();
   Tracer::Get().SetEnabled(false);
@@ -1565,25 +1581,16 @@ int Main(int argc, char** argv) {
   };
   const Samples& s = run.s;
   const BuildResult& built = *run.built;
-  // Work-proportional timings are reported at the graph's expected sketch
-  // size, so that the rank draw's swing in total entries is not mistaken
-  // for a speed change. Raw values stay in the result record.
-  const double expected_entries = ExpectedEntries(run.graph);
-  const double size_scale = expected_entries / built.flat.TotalEntries();
   if (!a.trace) {
     add("setup_s", Median(run.setup_s), "s");
-    add("peak_rss_mb", PeakRssMb(), "MiB");
-    add("build_s", Median(s.build_s) * size_scale, "s");
+    add("peak_rss_mb", peak_rss_mb, "MiB");
+    add("build_s", Median(s.build_s), "s");
     add("store_bytes_per_entry",
         static_cast<double>(built.dir_bytes) / built.flat.TotalEntries(), "B");
     add("nbhd_nrmse", nrmse, "ratio");
-    add("sweep_local_p50_ms", Median(s.sweep_local_ms) * size_scale, "ms");
-    add("sweep_fleet_p50_ms", Median(s.sweep_fleet_ms) * size_scale, "ms");
-    add("trickle_point_p99_us", Percentile(s.trickle_us, 0.99), "us");
-    add("point_p50_us", s.point_p50_us, "us");
-    add("point_p99_us", s.point_p99_us, "us");
-    add("point_qps", s.point_qps, "ops/s");
-    add("batch_entries_per_s", s.batch_entries_per_s, "entries/s");
+    add("sweep_local_p50_ms", Median(s.sweep_local_ms), "ms");
+    add("point_cpu_us_per_op", s.point_cpu_us_per_op, "us");
+    add("batch_cpu_us_per_entry", s.batch_cpu_us_per_entry, "us");
   } else {
     auto delta = [&](const char* name) {
       return static_cast<double>(CounterOf(at_end, name) -
@@ -1651,14 +1658,27 @@ int Main(int argc, char** argv) {
   };
   std::string raw =
       "{\"entries\": " + std::to_string(built.flat.TotalEntries()) +
-      ", \"expected_entries\": " + JsonNumber(expected_entries) +
+      ", \"rss_ready_mb\": " + JsonNumber(rss_ready_mb) +
+      ", \"rss_after_phases_mb\": " + JsonNumber(peak_rss_mb) +
+      ", \"rss_after_accuracy_mb\": " + JsonNumber(PeakRssMb()) +
       ", \"relaxations\": " + std::to_string(built.stats.relaxations) +
       ", \"setup_s\": " + list(run.setup_s) +
       ", \"build_s\": " + list(s.build_s) +
       ", \"sweep_local_ms\": " + list(s.sweep_local_ms) +
       ", \"sweep_fleet_ms\": " + list(s.sweep_fleet_ms) +
       ", \"trickle_samples\": " + std::to_string(s.trickle_us.size()) +
-      ", \"open_samples\": " + std::to_string(s.open_samples) + "}";
+      ", \"open_samples\": " + std::to_string(s.open_samples) +
+      ", \"sweep_fleet_p50_ms\": " + JsonNumber(Median(s.sweep_fleet_ms)) +
+      ", \"trickle_point_p99_us\": " +
+      JsonNumber(Percentile(s.trickle_us, 0.99)) +
+      ", \"point_p50_us\": " + JsonNumber(s.point_p50_us) +
+      ", \"point_p99_us\": " + JsonNumber(s.point_p99_us) +
+      ", \"point_qps\": " + JsonNumber(s.point_qps) +
+      ", \"batch_entries_per_s\": " + JsonNumber(s.batch_entries_per_s) +
+      ", \"open_p50_us_windows\": " + list(s.open_p50_windows) +
+      ", \"open_p99_us_windows\": " + list(s.open_p99_windows) +
+      ", \"qps_windows\": " + list(s.qps_windows) +
+      ", \"batch_entries_per_s_windows\": " + list(s.batch_windows) + "}";
   {
     std::ofstream record(a.work_dir + "/result-" + a.workload + "-" +
                          std::to_string(a.seed) + "-t" +
