@@ -979,10 +979,11 @@ int WindowOf(uint64_t t, uint64_t start, uint64_t end) {
 }
 
 /// Runs `body(thread, channel, gen, samples, tally)` on kLoadConnections
-/// threads, each with its own router connection and generator.
+/// threads, each with its own router connection and generator, and
+/// `meanwhile` on the calling thread until it returns.
 template <typename Body>
 void OnConnections(Run& run, uint64_t stream, const ZipfNodes& zipf,
-                   Body body) {
+                   Body body, const std::function<void()>& meanwhile = {}) {
   std::vector<std::thread> threads;
   for (uint32_t t = 0; t < kLoadConnections; ++t) {
     threads.emplace_back([&, t] {
@@ -1003,6 +1004,7 @@ void OnConnections(Run& run, uint64_t stream, const ZipfNodes& zipf,
       run.s.wire.bytes += tally.bytes;
     });
   }
+  if (meanwhile) meanwhile();
   for (auto& th : threads) th.join();
 }
 
@@ -1063,7 +1065,7 @@ struct ClosedResult {
   double ops_per_s = 0;      // window median
   double entries_per_s = 0;  // window median
   std::vector<double> op_rates, entry_rates;  // per window
-  double cpu_us_per_op = 0, cpu_us_per_entry = 0;  // whole loop
+  double cpu_us_per_op = 0, cpu_us_per_entry = 0;  // window median
 };
 
 /// Closed loop: each connection sends its next op when the last returns.
@@ -1071,21 +1073,17 @@ ClosedResult ClosedLoop(Run& run, const ZipfNodes& zipf, double seconds,
                         bool batches_only, uint64_t stream) {
   std::mutex mu;
   uint64_t ops[kWindows] = {}, entries[kWindows] = {};
-  uint64_t total_ops = 0, total_entries = 0;
-  uint64_t cpu0 = ProcessCpuNs();
+  uint64_t cpu[kWindows + 1] = {ProcessCpuNs()};
   uint64_t start = NowNs();
   uint64_t end = start + static_cast<uint64_t>(seconds * 1e9);
   OnConnections(run, stream, zipf,
                 [&](uint32_t, Channel& channel, MixGenerator& gen,
                     std::vector<PointSample>& samples, WireTally& tally) {
                   uint64_t my_ops[kWindows] = {}, my_entries[kWindows] = {};
-                  uint64_t my_total = 0, my_total_entries = 0;
                   for (uint64_t i = 0; NowNs() < end; ++i) {
                     PointOp op = batches_only ? gen.Batch() : gen.Next();
                     Frame response;
                     if (CallPoint(channel, op, &response, &tally)) {
-                      ++my_total;
-                      my_total_entries += op.entries;
                       uint64_t done = NowNs();
                       if (done < end) {
                         int w = WindowOf(done, start, end);
@@ -1100,19 +1098,26 @@ ClosedResult ClosedLoop(Run& run, const ZipfNodes& zipf, double seconds,
                     ops[w] += my_ops[w];
                     entries[w] += my_entries[w];
                   }
-                  total_ops += my_total;
-                  total_entries += my_total_entries;
+                },
+                [&] {
+                  // Process CPU at each window boundary: the same windows
+                  // as the op counts, so a host stall moves one window.
+                  for (int w = 1; w <= kWindows; ++w) {
+                    SleepUntilNs(start + (end - start) * w / kWindows);
+                    cpu[w] = ProcessCpuNs();
+                  }
                 });
-  double cpu_us = (ProcessCpuNs() - cpu0) / 1e3;
   double window_s = seconds / kWindows;
-  std::vector<double> op_rates, entry_rates;
+  std::vector<double> op_rates, entry_rates, cpu_per_op, cpu_per_entry;
   for (int w = 0; w < kWindows; ++w) {
     op_rates.push_back(ops[w] / window_s);
     entry_rates.push_back(entries[w] / window_s);
+    double cpu_us = (cpu[w + 1] - cpu[w]) / 1e3;
+    cpu_per_op.push_back(cpu_us / std::max<uint64_t>(1, ops[w]));
+    cpu_per_entry.push_back(cpu_us / std::max<uint64_t>(1, entries[w]));
   }
   return {Median(op_rates), Median(entry_rates), op_rates, entry_rates,
-          cpu_us / std::max<uint64_t>(1, total_ops),
-          cpu_us / std::max<uint64_t>(1, total_entries)};
+          Median(cpu_per_op), Median(cpu_per_entry)};
 }
 
 struct ServingBudget {
@@ -1463,8 +1468,8 @@ struct Budget {
   double build, analytics, open, closed, batch;
 };
 Budget BudgetFor(const std::string& w, double t) {
-  if (w == "build") return {0.43 * t, 0.42 * t, 0.07 * t, 0.04 * t, 0.04 * t};
-  if (w == "analytics") return {0, 0.80 * t, 0.08 * t, 0.06 * t, 0.06 * t};
+  if (w == "build") return {0.43 * t, 0.37 * t, 0.02 * t, 0.09 * t, 0.09 * t};
+  if (w == "analytics") return {0, 0.78 * t, 0.02 * t, 0.10 * t, 0.10 * t};
   return {0, 0.25 * t, 0.25 * t, 0.30 * t, 0.20 * t};
 }
 
