@@ -224,7 +224,7 @@ void BM_PointLoopbackRouter(benchmark::State& state) {
 }
 BENCHMARK(BM_PointLoopbackRouter);
 
-// CLAIM-SERVE-BATCH: wire-v3 point batching amortizes both the per-frame
+// CLAIM-SERVE-BATCH: point batching amortizes both the per-frame
 // protocol tax (encode, checksum, dispatch, response frame) and the
 // per-request backend work — the server executes a batch as ONE pass in
 // node order, sharing one estimator materialization across same-node

@@ -7,7 +7,8 @@ namespace hipads {
 uint64_t ExactNeighborhoodSize(const Graph& g, NodeId v, double d) {
   uint64_t count = 0;
   for (double dist : ShortestPathDistances(g, v)) {
-    if (dist <= d) ++count;
+    // Unreachable nodes sit at kInfDist, which `<= d` admits at d = inf.
+    if (dist != kInfDist && dist <= d) ++count;
   }
   return count;
 }

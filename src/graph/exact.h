@@ -15,7 +15,8 @@
 
 namespace hipads {
 
-/// Exact neighborhood cardinality n_d(v) = |{u : d(v,u) <= d}|.
+/// Exact neighborhood cardinality n_d(v) = |{u reachable : d(v,u) <= d}|;
+/// d = infinity counts every node reachable from v.
 uint64_t ExactNeighborhoodSize(const Graph& g, NodeId v, double d);
 
 /// Exact distance-based statistic Q_g(v) = sum over reachable u of

@@ -144,10 +144,8 @@ StatusOr<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
     }
     Status s = SetNonBlocking(fd);
     if (s.ok()) {
-      if (options.nodelay) {
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      }
+      int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       Deadline connect_deadline =
           options.connect_timeout_ms > 0
               ? Deadline::AfterMs(options.connect_timeout_ms)
@@ -179,20 +177,6 @@ StatusOr<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
   return last;
 }
 
-namespace {
-
-// Header length of a locally-encoded frame: the version field sits at
-// byte 8 of every header prefix and decides which extensions follow.
-size_t EncodedHeaderBytes(std::string_view frame) {
-  if (frame.size() < kFrameHeaderBytes) return frame.size();
-  uint32_t version = 0;
-  std::memcpy(&version, frame.data() + sizeof(kWireMagic), sizeof(version));
-  size_t header = FrameHeaderBytesForVersion(version);
-  return header > frame.size() ? frame.size() : header;
-}
-
-}  // namespace
-
 Status TcpChannel::Call(std::string_view request_frame, Frame* response,
                         const Deadline& deadline) {
   Deadline effective = deadline;
@@ -202,9 +186,6 @@ Status TcpChannel::Call(std::string_view request_frame, Frame* response,
   }
   if (effective.Expired()) {
     return Status::DeadlineExceeded("deadline expired before send");
-  }
-  if (options_.pipeline) {
-    return CallPipelined(request_frame, response, effective);
   }
   MutexLock lock(mu_);
   Status s = WriteAllBytes(fd_, request_frame.data(), request_frame.size(),
@@ -216,98 +197,18 @@ Status TcpChannel::Call(std::string_view request_frame, Frame* response,
   return Status::Ok();
 }
 
-Status TcpChannel::CallPipelined(std::string_view request_frame,
-                                 Frame* response, const Deadline& deadline) {
-  // In-flight depth of the pipeline, scraped as a gauge: incremented once
-  // the frame is on the wire, decremented when its turn resolves (response
-  // read, error, or abandoned turn — the RAII guard covers every exit).
-  static MetricGauge* in_flight =
-      MetricsRegistry::Get().Gauge("client.tcp.pipelined_in_flight");
-  struct InFlightGuard {
-    MetricGauge* gauge = nullptr;
-    ~InFlightGuard() {
-      if (gauge != nullptr) gauge->Add(-1);
-    }
-  } guard;
-  uint64_t ticket = 0;
-  {
-    // Claim a ticket and put the frame on the wire; write order is ticket
-    // order, which is the order the server will answer in.
-    MutexLock lock(write_mu_);
-    if (broken_.load(std::memory_order_acquire)) {
-      return Status::IOError(
-          "pipelined channel broken by an earlier failure; reconnect");
-    }
-    ticket = next_ticket_++;
-    size_t header = EncodedHeaderBytes(request_frame);
-    Status s = WriteFrameVectored(fd_, request_frame.substr(0, header),
-                                  request_frame.substr(header), deadline);
-    if (!s.ok()) {
-      // The peer may have seen a partial frame; nothing sent after this
-      // point can be paired up reliably.
-      broken_.store(true, std::memory_order_release);
-      MutexLock waiters(read_mu_);
-      read_cv_.NotifyAll();
-      return s;
-    }
-    in_flight->Add(1);
-    guard.gauge = in_flight;
-  }
-  MutexLock lock(read_mu_);
-  while (read_turn_ != ticket && !broken_.load(std::memory_order_acquire)) {
-    if (!deadline.has_deadline()) {
-      read_cv_.Wait(read_mu_);
-      continue;
-    }
-    if (read_cv_.WaitUntil(read_mu_, deadline.at()) ==
-            std::cv_status::timeout &&
-        read_turn_ != ticket) {
-      // The request is already on the wire and its response slot cannot
-      // be skipped (every later response would pair with the wrong
-      // caller), so an abandoned turn poisons the whole connection.
-      broken_.store(true, std::memory_order_release);
-      read_cv_.NotifyAll();
-      return Status::DeadlineExceeded(
-          "deadline expired awaiting the pipelined response turn");
-    }
-  }
-  if (broken_.load(std::memory_order_acquire)) {
-    return Status::IOError(
-        "pipelined channel broken by an earlier failure; reconnect");
-  }
-  Status s = ReadFrameInto(fd_, deadline, &read_frame_);
-  if (!s.ok()) {
-    broken_.store(true, std::memory_order_release);
-    read_cv_.NotifyAll();
-    return s;
-  }
-  response->type = read_frame_.type;
-  response->version = read_frame_.version;
-  response->deadline_ms = read_frame_.deadline_ms;
-  response->trace_hi = read_frame_.trace_hi;
-  response->trace_lo = read_frame_.trace_lo;
-  // Copy (not move) out of the connection-owned buffer, so its capacity
-  // keeps amortizing socket reads across calls.
-  response->payload = read_frame_.payload;
-  ++read_turn_;
-  read_cv_.NotifyAll();
-  return Status::Ok();
-}
-
 StatusOr<Frame> AdsClient::Call(MessageType type, std::string payload,
                                 MessageType expected_response) {
   if (deadline_.Expired()) {
     return Status::DeadlineExceeded("client deadline expired before send");
   }
   // A thread handling a traced request propagates its trace id to every
-  // downstream hop by lifting the frame to wire v4; untraced calls stay on
-  // v3 so their bytes are identical to a build with tracing compiled away.
+  // downstream hop; untraced calls carry the zero id.
   const TraceId trace = CurrentTraceId();
-  const uint32_t version = trace.active() ? kWireVersionTrace : kWireVersion;
   Frame frame;
-  Status s = channel_->Call(EncodeFrame(type, payload, deadline_.ToWireMs(),
-                                        version, trace.hi, trace.lo),
-                            &frame, deadline_);
+  Status s = channel_->Call(
+      EncodeFrame(type, payload, deadline_.ToWireMs(), trace.hi, trace.lo),
+      &frame, deadline_);
   if (!s.ok()) return s;
   if (frame.type == MessageType::kError) {
     return DecodeError(frame.payload);
@@ -337,8 +238,8 @@ StatusOr<std::vector<PointBatchResponseEntry>> AdsClient::PointBatch(
   entries.reserve(requests.size());
   // Frames are bounded at kMaxPointBatchEntries; larger batches split into
   // consecutive frames over the same channel. An empty request list still
-  // round-trips one empty frame, so the caller learns the endpoint speaks
-  // v3 rather than silently succeeding.
+  // round-trips one empty frame, so the caller learns the endpoint is
+  // reachable rather than silently succeeding.
   size_t begin = 0;
   do {
     size_t count = std::min(kMaxPointBatchEntries, requests.size() - begin);

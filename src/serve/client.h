@@ -16,7 +16,6 @@
 #ifndef HIPADS_SERVE_CLIENT_H_
 #define HIPADS_SERVE_CLIENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,7 +24,6 @@
 
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "util/annotations.h"
 #include "util/mutex.h"
 #include "util/status.h"
 
@@ -76,28 +74,14 @@ struct TcpChannelOptions {
   /// deadline; the effective deadline of a call is the earlier of the two.
   /// 0 = none.
   uint64_t io_timeout_ms = 0;
-  /// TCP_NODELAY on the connecting socket. Requests are single complete
-  /// frames, so Nagle buys nothing and costs a delayed-ACK stall on the
-  /// frame's last short segment; defaults on, toggleable so latency tests
-  /// can pin either behavior.
-  bool nodelay = true;
-  /// Pipelined mode: Call still blocks its caller, but concurrent callers
-  /// keep multiple frames in flight on the one socket instead of queueing
-  /// for an exclusive write+read pair. Writes take a ticket and go out in
-  /// ticket order (one vectored writev each); responses are read in the
-  /// same order (the server answers a connection's frames in arrival
-  /// order) into a connection-owned reused buffer. Any mid-call failure —
-  /// I/O error, or a deadline expiring after the request was already on
-  /// the wire — breaks the pairing permanently, so the channel is marked
-  /// broken and every later call fails with IOError (a router treats that
-  /// as reconnect-and-retry).
-  bool pipeline = false;
 };
 
 /// TCP transport. Connect resolves "host:port" style addresses (numeric or
 /// named hosts). The socket is kept in non-blocking mode and every
 /// transfer polls, so call deadlines cut off mid-connect, mid-write and
-/// mid-read — a stalled or half-dead peer costs bounded time.
+/// mid-read — a stalled or half-dead peer costs bounded time. Requests are
+/// single complete frames, so the socket sets TCP_NODELAY: Nagle would only
+/// stall a frame's last short segment behind the peer's delayed ACK.
 class TcpChannel : public Channel {
  public:
   ~TcpChannel() override;
@@ -119,27 +103,9 @@ class TcpChannel : public Channel {
   TcpChannel(int fd, const TcpChannelOptions& options)
       : fd_(fd), options_(options) {}
 
-  /// The pipelined Call path (options_.pipeline == true).
-  Status CallPipelined(std::string_view request_frame, Frame* response,
-                       const Deadline& deadline);
-
   const int fd_;  // owned; immutable until the destructor closes it
   TcpChannelOptions options_;
-  Mutex mu_;  // blocking mode: serializes write+read pairs on the socket
-
-  // Pipelined mode. Writers serialize on write_mu_ just long enough to
-  // claim a ticket and put their frame on the wire (write order == ticket
-  // order); readers take read_mu_ and wait on read_cv_ until read_turn_
-  // reaches their ticket, so responses are matched back to requests by
-  // position. broken_ is sticky: once the write/read pairing is lost the
-  // socket is unusable and every call fails fast.
-  Mutex write_mu_;
-  Mutex read_mu_;
-  CondVar read_cv_;
-  uint64_t next_ticket_ HIPADS_GUARDED_BY(write_mu_) = 0;
-  uint64_t read_turn_ HIPADS_GUARDED_BY(read_mu_) = 0;
-  Frame read_frame_ HIPADS_GUARDED_BY(read_mu_);  // reused receive buffer
-  std::atomic<bool> broken_{false};
+  Mutex mu_;  // serializes write+read pairs on the socket
 };
 
 /// Splits "host:port"; fails on missing / non-numeric / out-of-range port.
@@ -158,8 +124,8 @@ class AdsClient {
 
   StatusOr<ServerInfoMsg> Info();
   StatusOr<PointResponseMsg> Point(const PointRequestMsg& request);
-  /// N point requests in as few frames as possible (wire v3 batches,
-  /// split at kMaxPointBatchEntries). Returns one entry per request in
+  /// N point requests in as few frames as possible (batch frames split
+  /// at kMaxPointBatchEntries). Returns one entry per request in
   /// request order; per-entry failures come back in the entry's status
   /// while the call itself only fails on transport/protocol errors. Ok
   /// entries hold the encoded PointResponseMsg payload — byte-identical

@@ -69,9 +69,7 @@ Status FaultInjectionChannel::Call(std::string_view request_frame,
       Frame inner_frame;
       Status s = inner_->Call(request_frame, &inner_frame, deadline);
       if (!s.ok()) return s;
-      std::string wire =
-          EncodeFrame(inner_frame.type, inner_frame.payload,
-                      /*deadline_ms=*/0, inner_frame.version);
+      std::string wire = EncodeFrame(inner_frame.type, inner_frame.payload);
       wire[wire.size() / 2] = static_cast<char>(wire[wire.size() / 2] ^ 0x20);
       auto decoded = DecodeFrame(wire);
       if (!decoded.ok()) return decoded.status();
@@ -127,14 +125,10 @@ std::string FlakyFrameHandler::HandleFrame(std::string_view request,
       }
       return full;
     }
-    case FaultKind::kShed: {
-      auto frame = DecodeFrame(request);
-      uint32_t version = frame.ok() ? frame.value().version : kWireVersion;
+    case FaultKind::kShed:
       return EncodeFrame(
           MessageType::kError,
-          EncodeError(Status::Unavailable("injected fault: request shed")),
-          /*deadline_ms=*/0, version);
-    }
+          EncodeError(Status::Unavailable("injected fault: request shed")));
   }
   *close_connection = true;
   return std::string();

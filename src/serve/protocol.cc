@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -10,7 +9,6 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include "util/hash.h"
@@ -19,16 +17,17 @@ namespace hipads {
 
 namespace {
 
-// Frame header prefix layout on the wire (little-endian, like
-// hipads-ads-v2). Version 2 frames append an 8-byte deadline extension
-// (remaining milliseconds, 0 = none) after this prefix; the checksum
-// covers prefix + extension + payload with this field zeroed.
+// The frame header as it sits on the wire (little-endian, like
+// hipads-ads-v2); field meanings are documented at kWireVersion.
 struct RawFrameHeader {
   char magic[8];
   uint32_t version;
   uint32_t type;
   uint64_t payload_bytes;
   uint64_t checksum;  // FNV-1a over the header (this field zeroed) + payload
+  uint64_t deadline_ms;
+  uint64_t trace_hi;
+  uint64_t trace_lo;
 };
 static_assert(sizeof(RawFrameHeader) == kFrameHeaderBytes,
               "wire frame header layout drifted");
@@ -37,17 +36,16 @@ static_assert(std::endian::native == std::endian::little,
               "the hipads wire format is little-endian; big-endian hosts "
               "need byte swapping");
 
-// Byte offset of the checksum field inside the header prefix.
+// Byte offset of the checksum field inside the header.
 constexpr size_t kChecksumOffset = offsetof(RawFrameHeader, checksum);
 
-// Checksum over the whole raw header (any version, checksum field zeroed)
-// followed by the payload.
-uint64_t FrameChecksum(const char* raw, size_t header_bytes,
-                       std::string_view payload) {
-  char scratch[kMaxFrameHeaderBytes];
-  std::memcpy(scratch, raw, header_bytes);
+// Checksum over the raw header (checksum field zeroed) followed by the
+// payload.
+uint64_t FrameChecksum(const char* raw, std::string_view payload) {
+  char scratch[kFrameHeaderBytes];
+  std::memcpy(scratch, raw, kFrameHeaderBytes);
   std::memset(scratch + kChecksumOffset, 0, sizeof(uint64_t));
-  uint64_t sum = Fnv1a(scratch, header_bytes, kFnv1aOffsetBasis);
+  uint64_t sum = Fnv1a(scratch, kFrameHeaderBytes, kFnv1aOffsetBasis);
   return Fnv1a(payload.data(), payload.size(), sum);
 }
 
@@ -55,71 +53,27 @@ bool KnownMessageType(uint32_t type) {
   return type <= static_cast<uint32_t>(MessageType::kStatsResponse);
 }
 
-bool SupportedWireVersion(uint32_t version) {
-  return version == kWireVersion || version == kWireVersionDeadline ||
-         version == kWireVersionLegacy || version == kWireVersionTrace;
-}
-
-// The batch and stats frame pairs entered the protocol in v3; an older
-// frame naming one is structurally impossible output of a real peer,
-// i.e. corruption.
-bool TypeRequiresV3(uint32_t type) {
-  return type >= static_cast<uint32_t>(MessageType::kPointBatchRequest);
-}
-
 }  // namespace
-
-size_t FrameHeaderBytesForVersion(uint32_t version) {
-  switch (version) {
-    case kWireVersionLegacy:
-      return kFrameHeaderBytes;
-    case kWireVersionTrace:
-      return kFrameHeaderBytes + kFrameExtBytes + kFrameTraceExtBytes;
-    default:
-      return kFrameHeaderBytes + kFrameExtBytes;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
 
-std::string EncodeFrameHeader(MessageType type, std::string_view payload,
-                              uint64_t deadline_ms, uint32_t version,
-                              uint64_t trace_hi, uint64_t trace_lo) {
-  assert(SupportedWireVersion(version));
-  assert(!TypeRequiresV3(static_cast<uint32_t>(type)) ||
-         version >= kWireVersion);
-  if (version == kWireVersionLegacy) deadline_ms = 0;  // v1 cannot carry one
-  RawFrameHeader h;
+std::string EncodeFrame(MessageType type, std::string_view payload,
+                        uint64_t deadline_ms, uint64_t trace_hi,
+                        uint64_t trace_lo) {
+  RawFrameHeader h{};
   std::memcpy(h.magic, kWireMagic, sizeof(h.magic));
-  h.version = version;
+  h.version = kWireVersion;
   h.type = static_cast<uint32_t>(type);
   h.payload_bytes = payload.size();
-  h.checksum = 0;
-  char raw[kMaxFrameHeaderBytes];
-  size_t header_bytes = FrameHeaderBytesForVersion(version);
-  std::memcpy(raw, &h, sizeof(h));
-  if (header_bytes > kFrameHeaderBytes) {
-    std::memcpy(raw + kFrameHeaderBytes, &deadline_ms, sizeof(deadline_ms));
-  }
-  if (version == kWireVersionTrace) {
-    std::memcpy(raw + kFrameHeaderBytes + kFrameExtBytes, &trace_hi,
-                sizeof(trace_hi));
-    std::memcpy(raw + kFrameHeaderBytes + kFrameExtBytes + sizeof(trace_hi),
-                &trace_lo, sizeof(trace_lo));
-  }
-  uint64_t checksum = FrameChecksum(raw, header_bytes, payload);
-  std::memcpy(raw + kChecksumOffset, &checksum, sizeof(checksum));
-  return std::string(raw, header_bytes);
-}
-
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint64_t deadline_ms, uint32_t version,
-                        uint64_t trace_hi, uint64_t trace_lo) {
-  std::string frame = EncodeFrameHeader(type, payload, deadline_ms, version,
-                                        trace_hi, trace_lo);
-  frame.reserve(frame.size() + payload.size());
+  h.deadline_ms = deadline_ms;
+  h.trace_hi = trace_hi;
+  h.trace_lo = trace_lo;
+  h.checksum = FrameChecksum(reinterpret_cast<const char*>(&h), payload);
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  frame.append(reinterpret_cast<const char*>(&h), kFrameHeaderBytes);
   frame.append(payload.data(), payload.size());
   return frame;
 }
@@ -134,17 +88,13 @@ Status DecodeFrameHeaderPrefix(const char* data, size_t size,
   if (std::memcmp(h.magic, kWireMagic, sizeof(h.magic)) != 0) {
     return Status::Corruption("missing hipads wire magic");
   }
-  if (!SupportedWireVersion(h.version)) {
+  if (h.version != kWireVersion) {
     return Status::Corruption("unsupported wire version " +
                               std::to_string(h.version));
   }
   if (!KnownMessageType(h.type)) {
     return Status::Corruption("unknown message type " +
                               std::to_string(h.type));
-  }
-  if (TypeRequiresV3(h.type) && h.version < kWireVersion) {
-    return Status::Corruption("message type " + std::to_string(h.type) +
-                              " requires wire version 3");
   }
   if (h.payload_bytes > kMaxFramePayload) {
     return Status::Corruption("frame payload length " +
@@ -154,79 +104,49 @@ Status DecodeFrameHeaderPrefix(const char* data, size_t size,
   out->type = static_cast<MessageType>(h.type);
   out->payload_bytes = h.payload_bytes;
   out->checksum = h.checksum;
-  out->version = h.version;
-  out->deadline_ms = 0;
-  out->trace_hi = 0;
-  out->trace_lo = 0;
-  out->header_bytes = FrameHeaderBytesForVersion(h.version);
+  out->deadline_ms = h.deadline_ms;
+  out->trace_hi = h.trace_hi;
+  out->trace_lo = h.trace_lo;
   std::memcpy(out->raw, data, kFrameHeaderBytes);
   return Status::Ok();
 }
 
-Status DecodeFrameHeaderExt(const char* data, size_t size, FrameHeader* out) {
-  size_t ext = out->header_bytes - kFrameHeaderBytes;
-  if (size != ext) {
-    return Status::Corruption("frame header extension size mismatch");
-  }
-  if (ext == 0) return Status::Ok();
-  std::memcpy(&out->deadline_ms, data, sizeof(out->deadline_ms));
-  if (ext > kFrameExtBytes) {
-    std::memcpy(&out->trace_hi, data + kFrameExtBytes, sizeof(out->trace_hi));
-    std::memcpy(&out->trace_lo,
-                data + kFrameExtBytes + sizeof(out->trace_hi),
-                sizeof(out->trace_lo));
-  }
-  std::memcpy(out->raw + kFrameHeaderBytes, data, ext);
-  return Status::Ok();
-}
+namespace {
 
-Status DecodeFrameHeader(const char* data, size_t size, FrameHeader* out) {
-  Status s = DecodeFrameHeaderPrefix(data, size, out);
-  if (!s.ok()) return s;
-  if (size < out->header_bytes) {
-    return Status::Corruption("truncated frame header extension");
-  }
-  return DecodeFrameHeaderExt(data + kFrameHeaderBytes,
-                              out->header_bytes - kFrameHeaderBytes, out);
-}
-
-Status VerifyFramePayload(const FrameHeader& header,
-                          std::string_view payload) {
+// Checks `payload` against a validated header's length and checksum, and
+// assembles the decoded frame.
+StatusOr<Frame> FrameOf(const FrameHeader& header, std::string payload) {
   if (payload.size() != header.payload_bytes) {
     return Status::Corruption("frame payload size mismatch");
   }
-  if (FrameChecksum(header.raw, header.header_bytes, payload) !=
-      header.checksum) {
+  if (FrameChecksum(header.raw, payload) != header.checksum) {
     return Status::Corruption("frame checksum mismatch");
   }
-  return Status::Ok();
-}
-
-StatusOr<Frame> DecodeFrame(std::string_view data) {
-  FrameHeader header;
-  Status s = DecodeFrameHeader(data.data(), data.size(), &header);
-  if (!s.ok()) return s;
-  if (data.size() != header.header_bytes + header.payload_bytes) {
-    return Status::Corruption("frame length does not match its header");
-  }
-  std::string_view payload = data.substr(header.header_bytes);
-  s = VerifyFramePayload(header, payload);
-  if (!s.ok()) return s;
   Frame frame;
   frame.type = header.type;
-  frame.payload.assign(payload.data(), payload.size());
-  frame.version = header.version;
+  frame.payload = std::move(payload);
   frame.deadline_ms = header.deadline_ms;
   frame.trace_hi = header.trace_hi;
   frame.trace_lo = header.trace_lo;
   return frame;
 }
 
+}  // namespace
+
+StatusOr<Frame> DecodeFrame(std::string_view data) {
+  FrameHeader header;
+  Status s = DecodeFrameHeaderPrefix(data.data(), data.size(), &header);
+  if (!s.ok()) return s;
+  if (data.size() != kFrameHeaderBytes + header.payload_bytes) {
+    return Status::Corruption("frame length does not match its header");
+  }
+  return FrameOf(header, std::string(data.substr(kFrameHeaderBytes)));
+}
+
 namespace {
 
 // Blocks (via poll) until fd is ready for `events` or the deadline runs
-// out. With no deadline this polls forever — matching the blocking-fd
-// behavior the deadline-free entry points always had.
+// out. With no deadline this polls forever.
 Status WaitFd(int fd, short events, const Deadline& deadline) {
   for (;;) {
     int timeout_ms = -1;
@@ -302,92 +222,20 @@ Status WriteAllBytes(int fd, const char* data, size_t size,
   return Status::Ok();
 }
 
-Status WriteAllBytes(int fd, const char* data, size_t size) {
-  return WriteAllBytes(fd, data, size, Deadline());
-}
-
-Status WriteFrame(int fd, MessageType type, std::string_view payload) {
-  std::string frame = EncodeFrame(type, payload);
-  return WriteAllBytes(fd, frame.data(), frame.size());
-}
-
-Status WriteFrameVectored(int fd, std::string_view header,
-                          std::string_view payload, const Deadline& deadline) {
-  size_t done = 0;
-  const size_t total = header.size() + payload.size();
-  while (done < total) {
-    struct iovec iov[2];
-    int iovcnt = 0;
-    if (done < header.size()) {
-      iov[iovcnt].iov_base = const_cast<char*>(header.data() + done);
-      iov[iovcnt].iov_len = header.size() - done;
-      ++iovcnt;
-      if (!payload.empty()) {
-        iov[iovcnt].iov_base = const_cast<char*>(payload.data());
-        iov[iovcnt].iov_len = payload.size();
-        ++iovcnt;
-      }
-    } else {
-      size_t off = done - header.size();
-      iov[iovcnt].iov_base = const_cast<char*>(payload.data() + off);
-      iov[iovcnt].iov_len = payload.size() - off;
-      ++iovcnt;
-    }
-    ssize_t put = ::writev(fd, iov, iovcnt);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        Status s = WaitFd(fd, POLLOUT, deadline);
-        if (!s.ok()) return s;
-        continue;
-      }
-      return Status::IOError("writev failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    done += static_cast<size_t>(put);
-  }
-  return Status::Ok();
-}
-
-Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out) {
-  char raw[kMaxFrameHeaderBytes];
+StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
+  char raw[kFrameHeaderBytes];
   Status s = ReadExact(fd, raw, kFrameHeaderBytes, deadline);
   if (!s.ok()) return s;
   FrameHeader header;
   s = DecodeFrameHeaderPrefix(raw, kFrameHeaderBytes, &header);
   if (!s.ok()) return s;
-  size_t ext = header.header_bytes - kFrameHeaderBytes;
-  if (ext > 0) {
-    s = ReadExact(fd, raw + kFrameHeaderBytes, ext, deadline);
-    if (!s.ok()) return s;
-    s = DecodeFrameHeaderExt(raw + kFrameHeaderBytes, ext, &header);
+  std::string payload(header.payload_bytes, '\0');
+  if (!payload.empty()) {
+    s = ReadExact(fd, payload.data(), payload.size(), deadline);
     if (!s.ok()) return s;
   }
-  // resize() keeps the string's capacity: a long-lived Frame amortizes its
-  // receive buffer across calls instead of allocating per response.
-  out->payload.resize(header.payload_bytes);
-  if (!out->payload.empty()) {
-    s = ReadExact(fd, out->payload.data(), out->payload.size(), deadline);
-    if (!s.ok()) return s;
-  }
-  s = VerifyFramePayload(header, out->payload);
-  if (!s.ok()) return s;
-  out->type = header.type;
-  out->version = header.version;
-  out->deadline_ms = header.deadline_ms;
-  out->trace_hi = header.trace_hi;
-  out->trace_lo = header.trace_lo;
-  return Status::Ok();
+  return FrameOf(header, std::move(payload));
 }
-
-StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
-  Frame frame;
-  Status s = ReadFrameInto(fd, deadline, &frame);
-  if (!s.ok()) return s;
-  return frame;
-}
-
-StatusOr<Frame> ReadFrame(int fd) { return ReadFrame(fd, Deadline()); }
 
 // ---------------------------------------------------------------------------
 // Payload readers/writers

@@ -1,15 +1,15 @@
-// The hipads wire protocol: versioned, length-prefixed binary frames for
-// serving ADS/HIP statistics across machines.
+// The hipads wire protocol: length-prefixed binary frames for serving
+// ADS/HIP statistics across machines.
 //
 // The storage layer stops at the machine boundary — a ShardedAdsSet can
 // hold a billion-node sketch set, but every query so far ran in-process.
 // This protocol is the seam the distributed serving subsystem (server.h,
 // router.h) speaks across it. It mirrors the hipads-ads-v2 on-disk
-// conventions: a fixed little-endian header carrying an 8-byte magic,
-// version, message type and payload length, guarded by a whole-frame
-// FNV-1a checksum, so a receiver can validate structure before trusting a
-// byte of the payload and reject truncated, oversized or corrupted frames
-// deterministically.
+// conventions: one fixed 56-byte little-endian header carrying an 8-byte
+// magic, version, message type, payload length, deadline budget and trace
+// id, guarded by a whole-frame FNV-1a checksum, so a receiver can validate
+// structure before trusting a byte of the payload and reject truncated,
+// oversized or corrupted frames deterministically.
 //
 // Two request families cross the wire:
 //
@@ -119,37 +119,27 @@ class Deadline {
 /// Leading magic of every hipads wire frame ("hipadsr1": rpc format 1).
 inline constexpr char kWireMagic[8] = {'h', 'i', 'p', 'a', 'd', 's', 'r', '1'};
 
-/// Current wire version. Version 3 adds the point-batch frame pair
-/// (kPointBatchRequest / kPointBatchResponse); its header layout is
-/// identical to version 2 (32-byte prefix + 8-byte deadline extension).
-/// Version 2 appended the deadline extension (remaining milliseconds,
-/// 0 = none) to the version-1 header, covered by the frame checksum.
-/// Version 4 appends a 16-byte trace-id extension (hi/lo words of a
-/// random per-request id, 0 = untraced) after the deadline extension;
-/// encoders only emit v4 when a request actually carries a trace id, so
-/// untraced traffic stays byte-identical to v3. All versions are still
-/// decoded — the fleet can be upgraded one process at a time — and
-/// responses are encoded back in the requester's version, so older
-/// clients keep getting byte-identical answers. The batch and stats
-/// message types are only legal inside v3+ frames: a v1/v2 frame naming
-/// them is rejected as corruption at header validation.
-inline constexpr uint32_t kWireVersionTrace = 4;
-inline constexpr uint32_t kWireVersion = 3;
-inline constexpr uint32_t kWireVersionDeadline = 2;
-inline constexpr uint32_t kWireVersionLegacy = 1;
+/// The one accepted wire version. Every frame — request or response,
+/// any message type — carries the same fixed header:
+///
+///   offset  bytes  field
+///        0      8  magic "hipadsr1"
+///        8      4  version (5)
+///       12      4  message type
+///       16      8  payload length
+///       24      8  checksum: FNV-1a over the header (this field zeroed)
+///                  followed by the payload
+///       32      8  deadline: remaining milliseconds, 0 = none
+///       40      8  trace id, high word  } both 0 = untraced
+///       48      8  trace id, low word   }
+///
+/// Any other version — including 1-4, whose headers were 32 to 56 bytes —
+/// is rejected at header validation, so an older peer fails closed
+/// instead of being misread.
+inline constexpr uint32_t kWireVersion = 5;
 
-/// Fixed byte size of the common frame header prefix on the wire.
-inline constexpr size_t kFrameHeaderBytes = 32;
-/// Size of the v2 deadline extension that follows the prefix.
-inline constexpr size_t kFrameExtBytes = 8;
-/// Size of the v4 trace-id extension that follows the deadline extension.
-inline constexpr size_t kFrameTraceExtBytes = 16;
-/// Largest whole header across versions (prefix + both extensions).
-inline constexpr size_t kMaxFrameHeaderBytes =
-    kFrameHeaderBytes + kFrameExtBytes + kFrameTraceExtBytes;
-
-/// Whole header size (prefix + extensions) of a supported wire version.
-size_t FrameHeaderBytesForVersion(uint32_t version);
+/// Fixed byte size of every frame header on the wire.
+inline constexpr size_t kFrameHeaderBytes = 56;
 
 /// Hard cap on a frame's payload. A length-prefixed protocol must bound the
 /// prefix before allocating, or a corrupt/hostile 8-byte length field turns
@@ -167,83 +157,49 @@ enum class MessageType : uint32_t {
   kPointResponse = 4,
   kSweepRequest = 5,
   kSweepResponse = 6,
-  // v3: N point requests in one checksummed frame, per-entry status back.
+  // N point requests in one checksummed frame, per-entry status back.
   kPointBatchRequest = 7,
   kPointBatchResponse = 8,
-  // v3: scrape of the serving process's metrics registry (a router
-  // answers with its own snapshot plus every range server's).
+  // Scrape of the serving process's metrics registry (a router answers
+  // with its own snapshot plus every range server's).
   kStatsRequest = 9,
   kStatsResponse = 10,
 };
 
 /// One decoded frame: the message type plus its raw payload bytes, the
-/// wire version it arrived in (responses are encoded back in kind), the
-/// deadline budget it carried (v2+; 0 = none) and its trace id (v4;
-/// zero = untraced).
+/// deadline budget it carried (0 = none) and its trace id (zero =
+/// untraced).
 struct Frame {
   MessageType type = MessageType::kError;
   std::string payload;
-  uint32_t version = kWireVersion;
   uint64_t deadline_ms = 0;
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
 };
 
-/// Encodes a complete frame: header (magic, version, type, payload length,
-/// FNV-1a checksum over header-with-zeroed-checksum + payload), the
-/// version's extensions (deadline; trace id on v4), then the payload.
-/// `version` must be a supported wire version (1..4); a legacy frame
-/// cannot carry a deadline and a pre-v4 frame cannot carry a trace id
-/// (both silently dropped — the receiver could not honor them anyway).
+/// Encodes a complete frame: the fixed header (see kWireVersion), then the
+/// payload.
 std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint64_t deadline_ms = 0,
-                        uint32_t version = kWireVersion,
-                        uint64_t trace_hi = 0, uint64_t trace_lo = 0);
-
-/// Encodes just the frame header (prefix + extensions) for a payload
-/// that will be written separately. The checksum still covers the
-/// payload, so the caller must write exactly `payload` after these bytes —
-/// this is the writev seam: a pipelined channel scatter-writes header and
-/// payload without concatenating them into a fresh buffer first.
-std::string EncodeFrameHeader(MessageType type, std::string_view payload,
-                              uint64_t deadline_ms = 0,
-                              uint32_t version = kWireVersion,
-                              uint64_t trace_hi = 0, uint64_t trace_lo = 0);
+                        uint64_t deadline_ms = 0, uint64_t trace_hi = 0,
+                        uint64_t trace_lo = 0);
 
 /// Validated frame header, plus the raw header bytes the checksum needs.
 struct FrameHeader {
   MessageType type = MessageType::kError;
   uint64_t payload_bytes = 0;
   uint64_t checksum = 0;
-  uint32_t version = kWireVersion;
-  uint64_t deadline_ms = 0;       // v2 extension; 0 on v1 frames
-  uint64_t trace_hi = 0;          // v4 extension; 0 on pre-v4 frames
+  uint64_t deadline_ms = 0;
+  uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
-  size_t header_bytes = kFrameHeaderBytes;  // whole header for this version
-  char raw[kMaxFrameHeaderBytes] = {};      // first header_bytes are valid
+  char raw[kFrameHeaderBytes] = {};
 };
 
-/// Validates the fixed 32-byte header prefix of a frame: magic, supported
-/// version, known message type, payload length within kMaxFramePayload.
-/// This is what a streaming receiver runs before allocating or reading
-/// anything further; on success out->header_bytes says how many total
-/// header bytes this frame's version carries (32 for v1, 40 for v2), and
-/// the receiver feeds the bytes past the prefix to DecodeFrameHeaderExt.
+/// Validates the header held in the first kFrameHeaderBytes of `data`:
+/// magic, version, known message type, payload length within
+/// kMaxFramePayload. This is what a streaming receiver runs before
+/// allocating or reading the payload. Bytes past the header are ignored.
 Status DecodeFrameHeaderPrefix(const char* data, size_t size,
                                FrameHeader* out);
-
-/// Consumes the extension bytes of a prefix-validated header (a no-op for
-/// v1). `data`/`size` must hold exactly header_bytes - kFrameHeaderBytes
-/// bytes.
-Status DecodeFrameHeaderExt(const char* data, size_t size, FrameHeader* out);
-
-/// Prefix + extension in one step, for buffers that already hold the whole
-/// header.
-Status DecodeFrameHeader(const char* data, size_t size, FrameHeader* out);
-
-/// Verifies the whole-frame checksum of `payload` against a validated
-/// header.
-Status VerifyFramePayload(const FrameHeader& header, std::string_view payload);
 
 /// Decodes a complete frame from an in-memory buffer, which must contain
 /// exactly one frame (header + payload, nothing trailing). Truncation, bad
@@ -251,30 +207,13 @@ Status VerifyFramePayload(const FrameHeader& header, std::string_view payload);
 /// with Corruption.
 StatusOr<Frame> DecodeFrame(std::string_view data);
 
-// Blocking frame I/O over a connected socket / pipe fd. ReadFrame rejects
-// malformed headers before reading the payload; both fail with IOError on
-// EOF / socket errors. The Deadline overloads poll the fd and fail with
-// DeadlineExceeded when the budget runs out mid-transfer; enforcing a
-// finite deadline requires the fd to be in non-blocking mode (TcpChannel
-// sets it).
-Status WriteFrame(int fd, MessageType type, std::string_view payload);
-StatusOr<Frame> ReadFrame(int fd);
+// Frame I/O over a connected non-blocking socket: both poll the fd against
+// `deadline` (none = wait forever) and fail with DeadlineExceeded when the
+// budget runs out mid-transfer, or IOError on EOF / socket errors.
+// ReadFrame rejects a malformed header before reading the payload.
 StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline);
 
-/// ReadFrame into a caller-owned Frame, reusing out->payload's capacity
-/// across calls — the receive-buffer reuse a pipelined channel needs to
-/// avoid one allocation per in-flight response.
-Status ReadFrameInto(int fd, const Deadline& deadline, Frame* out);
-
-/// Vectored (writev) write of a frame split as header + payload, retrying
-/// partial writes and EINTR under the deadline. `header` must have been
-/// produced by EncodeFrameHeader over this exact payload.
-Status WriteFrameVectored(int fd, std::string_view header,
-                          std::string_view payload, const Deadline& deadline);
-
-/// Writes all of `data` to `fd`, retrying partial writes and EINTR — the
-/// one short-write loop every frame producer shares.
-Status WriteAllBytes(int fd, const char* data, size_t size);
+/// Writes all of `data` to `fd`, retrying partial writes and EINTR.
 Status WriteAllBytes(int fd, const char* data, size_t size,
                      const Deadline& deadline);
 
@@ -383,7 +322,7 @@ StatusOr<PointResponseMsg> DecodePointResponse(std::string_view payload);
 /// Clients split larger batches across multiple frames.
 inline constexpr size_t kMaxPointBatchEntries = 256;
 
-/// kPointBatchRequest (wire v3): N point requests — mixed kinds allowed —
+/// kPointBatchRequest: N point requests — mixed kinds allowed —
 /// in one checksummed frame. Each entry is carried as the canonical
 /// EncodePointRequest bytes, so a server can key its point-response cache
 /// per entry on exactly the payload a lone kPointRequest for the same
@@ -425,7 +364,7 @@ StatusOr<PointBatchResponseMsg> DecodePointBatchResponse(
 /// the response (serve/trace.h) so `hipads trace-dump` can render them.
 inline constexpr uint32_t kStatsFlagTraceSpans = 1;
 
-/// kStatsRequest (wire v3): scrape the serving process's metrics.
+/// kStatsRequest: scrape the serving process's metrics.
 struct StatsRequestMsg {
   uint32_t flags = 0;  // kStatsFlag* bits
 };

@@ -51,16 +51,13 @@ void CountServerError(const std::string& address) {
   MetricsRegistry::Get().Counter("router.server_errors." + address)->Add();
 }
 
-// Encodes a downstream request frame, lifting it to wire v4 when the
-// handling thread carries a trace id — the hop that propagates a traced
-// request's id across the fleet.
+// Encodes a downstream request frame carrying the handling thread's trace
+// id (zero when untraced) — the hop that propagates a traced request's id
+// across the fleet.
 std::string EncodeDownstreamFrame(MessageType type, const std::string& payload,
                                   const Deadline& deadline) {
   const TraceId trace = CurrentTraceId();
-  const uint32_t version =
-      trace.active() ? kWireVersionTrace : kWireVersion;
-  return EncodeFrame(type, payload, deadline.ToWireMs(), version, trace.hi,
-                     trace.lo);
+  return EncodeFrame(type, payload, deadline.ToWireMs(), trace.hi, trace.lo);
 }
 
 // Backoff jitter uses the deterministic Mix64 mixer (util/hash.h): same
@@ -844,10 +841,9 @@ std::string RouterCore::HandleFrame(std::string_view request,
     *close_connection = true;
     return EncodeFrame(MessageType::kError, EncodeError(frame.status()));
   }
-  // Respond in the request's wire version; re-anchor its deadline budget.
-  // A v4 frame's trace id is installed for the handling thread (every
-  // downstream hop then propagates it) and echoed on the response.
-  const uint32_t version = frame.value().version;
+  // Re-anchor the request's deadline budget. Its trace id is installed for
+  // the handling thread (every downstream hop then propagates it) and
+  // echoed on the response.
   const uint64_t trace_hi = frame.value().trace_hi;
   const uint64_t trace_lo = frame.value().trace_lo;
   ScopedTraceContext trace_context(trace_hi, trace_lo);
@@ -858,10 +854,10 @@ std::string RouterCore::HandleFrame(std::string_view request,
   }();
   if (!response.ok()) {
     return EncodeFrame(MessageType::kError, EncodeError(response.status()),
-                       /*deadline_ms=*/0, version, trace_hi, trace_lo);
+                       /*deadline_ms=*/0, trace_hi, trace_lo);
   }
   return EncodeFrame(response.value().type, response.value().payload,
-                     /*deadline_ms=*/0, version, trace_hi, trace_lo);
+                     /*deadline_ms=*/0, trace_hi, trace_lo);
 }
 
 StatusOr<Frame> RouterCore::Dispatch(const Frame& request,

@@ -176,11 +176,9 @@ std::string AdsServerCore::HandleFrame(std::string_view request,
     metrics.bytes_out->Add(err.size());
     return err;
   }
-  // Responses are encoded in the request's wire version, so a legacy (v1)
-  // client talking to an upgraded server keeps decoding them. A v4 frame's
-  // trace id is echoed back and installed for the handling thread, so the
-  // instrumented sections below Dispatch record spans against it.
-  const uint32_t version = frame.value().version;
+  // The request's trace id is echoed back and installed for the handling
+  // thread, so the instrumented sections below Dispatch record spans
+  // against it.
   const uint64_t trace_hi = frame.value().trace_hi;
   const uint64_t trace_lo = frame.value().trace_lo;
   ScopedTraceContext trace_context(trace_hi, trace_lo);
@@ -198,12 +196,10 @@ std::string AdsServerCore::HandleFrame(std::string_view request,
     encoded = response.ok()
                   ? EncodeFrame(response.value().type,
                                 response.value().payload,
-                                /*deadline_ms=*/0, version, trace_hi,
-                                trace_lo)
+                                /*deadline_ms=*/0, trace_hi, trace_lo)
                   : EncodeFrame(MessageType::kError,
                                 EncodeError(response.status()),
-                                /*deadline_ms=*/0, version, trace_hi,
-                                trace_lo);
+                                /*deadline_ms=*/0, trace_hi, trace_lo);
   }
   metrics.bytes_out->Add(encoded.size());
   return encoded;
@@ -695,12 +691,8 @@ void TcpServer::WorkerLoop() {
     // kernel against a stalled peer.
     int flags = ::fcntl(fd, F_GETFL, 0);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    if (options_.nodelay) {
-      // Responses are single complete frames; without this, Nagle holds
-      // the final short segment hostage to the peer's delayed ACK.
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ServeConnection(fd);
     ::close(fd);
   }
@@ -764,41 +756,27 @@ void TcpServer::ServeConnection(int fd) {
   };
 
   for (;;) {
-    char raw[kMaxFrameHeaderBytes];
+    // The whole frame lands in one buffer: header first, then (once the
+    // header validates) the payload appended after it.
+    std::string request(kFrameHeaderBytes, '\0');
     Deadline frame_deadline;  // armed once the frame's first byte arrives
-    int rc = read_exact(raw, kFrameHeaderBytes, &frame_deadline,
+    int rc = read_exact(request.data(), kFrameHeaderBytes, &frame_deadline,
                         /*at_frame_start=*/true);
     if (rc <= 0) return;  // clean EOF between frames, or failure
 
     FrameHeader header;
-    std::string request;
-    size_t header_bytes = kFrameHeaderBytes;
-    Status s = DecodeFrameHeaderPrefix(raw, kFrameHeaderBytes, &header);
-    if (s.ok() && header.header_bytes > kFrameHeaderBytes) {
-      // v2 frame: the prefix promises extension bytes (the deadline).
-      size_t ext = header.header_bytes - kFrameHeaderBytes;
-      if (read_exact(raw + kFrameHeaderBytes, ext, &frame_deadline,
-                     /*at_frame_start=*/false) != 1) {
-        return;
-      }
-      header_bytes = header.header_bytes;
-      s = DecodeFrameHeaderExt(raw + kFrameHeaderBytes, ext, &header);
-    }
-    if (s.ok()) {
+    if (DecodeFrameHeaderPrefix(request.data(), kFrameHeaderBytes, &header)
+            .ok()) {
       // Header is sane: the payload length can be trusted enough to read.
-      std::string payload(header.payload_bytes, '\0');
-      if (!payload.empty() &&
-          read_exact(payload.data(), payload.size(), &frame_deadline,
-                     /*at_frame_start=*/false) != 1) {
+      request.resize(kFrameHeaderBytes + header.payload_bytes);
+      if (header.payload_bytes > 0 &&
+          read_exact(request.data() + kFrameHeaderBytes, header.payload_bytes,
+                     &frame_deadline, /*at_frame_start=*/false) != 1) {
         return;
       }
-      request.assign(raw, header_bytes);
-      request.append(payload);
-    } else {
-      // Bad header: hand the raw bytes to the handler so the client gets
-      // the precise rejection, then close (framing is lost).
-      request.assign(raw, header_bytes);
     }
+    // A bad header goes to the handler as-is, so the client gets the
+    // precise rejection before the connection closes (framing is lost).
     bool close_connection = false;
     std::string response = handler_->HandleFrame(request, &close_connection);
     Deadline write_deadline = options_.idle_timeout_ms > 0

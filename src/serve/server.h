@@ -222,17 +222,14 @@ struct TcpServerOptions {
   /// (or a slow-loris) cannot pin a worker forever. Idle time BETWEEN
   /// frames stays unbounded. 0 = no bound.
   uint64_t idle_timeout_ms = 0;
-  /// TCP_NODELAY on accepted connections. Responses are single complete
-  /// frames — Nagle only adds a stall before the final short segment — so
-  /// this defaults on; the toggle exists for latency tests to pin either
-  /// behavior.
-  bool nodelay = true;
 };
 
 /// Thread-pooled TCP transport around a FrameHandler. Start() binds and
 /// spawns the workers; Stop() (or destruction) shuts the listener down and
-/// joins them. Connections are served frame-by-frame until the peer closes
-/// or a handler reports loss of framing.
+/// joins them. Connections are served frame-by-frame, strictly in arrival
+/// order, until the peer closes or a handler reports loss of framing.
+/// Accepted sockets set TCP_NODELAY: responses are single complete frames,
+/// and Nagle would only stall their final short segment.
 class TcpServer {
  public:
   TcpServer(FrameHandler* handler, const TcpServerOptions& options);

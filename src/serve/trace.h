@@ -1,5 +1,5 @@
-// Per-request tracing for the serving stack. A request frame may carry
-// a 16-byte trace id (wire version 4, serve/protocol.h); while a
+// Per-request tracing for the serving stack. Every frame header carries
+// a 16-byte trace id (serve/protocol.h; zero = untraced); while a
 // traced request is being handled, the handler installs the id in a
 // thread-local context and the instrumented sections on its path
 // (dispatch, backend fetch, estimator, encode) each append one span —

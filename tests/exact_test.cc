@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "graph/generators.h"
 #include "graph/traversal.h"
@@ -78,6 +79,10 @@ TEST(ExactTest, DirectedAsymmetry) {
   Graph g = Path(3, /*directed=*/true);
   EXPECT_EQ(ExactNeighborhoodSize(g, 0, 2.0), 3u);
   EXPECT_EQ(ExactNeighborhoodSize(g, 2, 2.0), 1u);
+  // An unbounded radius still counts only the reachable nodes.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(ExactNeighborhoodSize(g, 0, inf), 3u);
+  EXPECT_EQ(ExactNeighborhoodSize(g, 2, inf), 1u);
 }
 
 }  // namespace

@@ -312,8 +312,8 @@ TEST(ObservabilityTest, TracedRequestsRecordSpansUntracedDoNot) {
   ASSERT_TRUE(client.Point(point).ok());
   EXPECT_TRUE(TraceBuffer::Get().Snapshot().empty());
 
-  // Traced: the client lifts its frames to wire v4 with the thread's
-  // trace id; the server's instrumented sections each record one span.
+  // Traced: the client stamps the thread's trace id into its frame
+  // headers; the server's instrumented sections each record one span.
   {
     ScopedTraceContext trace(0x1234, 0x5678);
     point.node = 6;

@@ -426,8 +426,7 @@ class BatchSheddingHandler : public FrameHandler {
       sheds_.fetch_add(1);
       *close_connection = false;
       return EncodeFrame(MessageType::kPointBatchResponse,
-                         EncodePointBatchResponse(response),
-                         /*deadline_ms=*/0, frame.value().version);
+                         EncodePointBatchResponse(response));
     }
     return inner_->HandleFrame(request, close_connection);
   }

@@ -84,7 +84,7 @@ std::vector<std::string> ValidRequestFrames() {
   fetch.kind = PointKind::kFetchSketch;
   fetch.node = 11;
   point_frame(fetch);
-  // Wire-v3 batch frames: empty (the cheapest v3 probe), one entry, and
+  // Batch frames: empty (the cheapest batch probe), one entry, and
   // one at the kMaxPointBatchEntries bound — the truncation loop below
   // then cuts the full batch at every byte, which includes every entry
   // boundary.
@@ -141,6 +141,12 @@ std::vector<std::string> ValidRequestFrames() {
   spans.flags = kStatsFlagTraceSpans;
   frames.push_back(
       EncodeFrame(MessageType::kStatsRequest, EncodeStatsRequest(spans)));
+  // A traced request under a deadline, so the damage loops also cut and
+  // flip nonzero deadline and trace-id fields.
+  frames.push_back(EncodeFrame(MessageType::kInfoRequest, "",
+                               /*deadline_ms=*/600000,
+                               /*trace_hi=*/0x0123456789abcdefull,
+                               /*trace_lo=*/0xfedcba9876543210ull));
   return frames;
 }
 
@@ -213,12 +219,21 @@ TEST(ServeFuzzTest, BadMagicVersionAndTypeAreRejected) {
     EXPECT_FALSE(DecodeFrame(bad).ok()) << "magic byte " << i;
     ExpectCleanRejection(fx.core, bad, "magic byte " + std::to_string(i));
   }
-  // Version: every value but the supported ones (1, 2, 3 and 4).
-  for (uint32_t version : {0u, 5u, 7u, 0xffffffffu}) {
+  // Version: every value but kWireVersion — the retired layouts 1-4
+  // included — is rejected at the header, and the connection is dropped
+  // (the header length itself cannot be trusted any more).
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u, 0xffffffffu}) {
     std::string bad = frame;
     std::memcpy(bad.data() + 8, &version, sizeof(version));
-    EXPECT_FALSE(DecodeFrame(bad).ok()) << "version " << version;
+    auto decoded = DecodeFrame(bad);
+    ASSERT_FALSE(decoded.ok()) << "version " << version;
+    EXPECT_NE(decoded.status().message().find("unsupported wire version"),
+              std::string::npos)
+        << decoded.status().ToString();
     ExpectCleanRejection(fx.core, bad, "version " + std::to_string(version));
+    bool close_connection = false;
+    fx.core.HandleFrame(bad, &close_connection);
+    EXPECT_TRUE(close_connection) << "version " << version;
   }
   // Type: outside the known range (11 = first value past the stats pair).
   for (uint32_t type : {11u, 100u, 0xffffffffu}) {
@@ -227,106 +242,55 @@ TEST(ServeFuzzTest, BadMagicVersionAndTypeAreRejected) {
     EXPECT_FALSE(DecodeFrame(bad).ok()) << "type " << type;
     ExpectCleanRejection(fx.core, bad, "type " + std::to_string(type));
   }
-  // Batch message types are only legal in v3 frames: a v2 frame claiming
-  // one is rejected from the header, before the checksum is even tried.
-  {
-    std::string bad = EncodeFrame(MessageType::kPointBatchRequest,
-                                  EncodePointBatchRequest({}));
-    uint32_t v2 = 2;
-    std::memcpy(bad.data() + 8, &v2, sizeof(v2));
-    auto decoded = DecodeFrame(bad);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_NE(decoded.status().message().find("requires wire version 3"),
-              std::string::npos)
-        << decoded.status().ToString();
-    ExpectCleanRejection(fx.core, bad, "batch type in a v2 frame");
-  }
-  // The stats pair is v3+ surface too: a v2 frame claiming a stats type
-  // is rejected the same way.
-  {
-    std::string bad =
-        EncodeFrame(MessageType::kStatsRequest, EncodeStatsRequest({}));
-    uint32_t v2 = 2;
-    std::memcpy(bad.data() + 8, &v2, sizeof(v2));
-    auto decoded = DecodeFrame(bad);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_NE(decoded.status().message().find("requires wire version 3"),
-              std::string::npos)
-        << decoded.status().ToString();
-    ExpectCleanRejection(fx.core, bad, "stats type in a v2 frame");
-  }
 }
 
-TEST(ServeFuzzTest, Version4TraceIdsRoundTripAndAreEchoed) {
-  // Wire v4 appends a 16-byte trace id after the deadline extension.
+TEST(ServeFuzzTest, DeadlinesAndTraceIdsRoundTripInEveryFrame) {
+  // Every frame has the same 56-byte header, so any message type can
+  // carry a deadline and a trace id. Both survive encode/decode, and the
+  // server echoes the trace id on its response. Responses carry no
+  // deadline: the budget is the requester's, not the answer's.
   Fixture fx;
-  std::string v4 =
-      EncodeFrame(MessageType::kInfoRequest, "", /*deadline_ms=*/250,
-                  /*version=*/kWireVersionTrace, /*trace_hi=*/0x1122334455667788ull,
-                  /*trace_lo=*/0x99aabbccddeeff00ull);
-  EXPECT_EQ(v4.size(), size_t{kFrameHeaderBytes + kFrameExtBytes +
-                              kFrameTraceExtBytes});
-  auto request = DecodeFrame(v4);
-  ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request.value().version, kWireVersionTrace);
-  EXPECT_EQ(request.value().deadline_ms, 250u);
-  EXPECT_EQ(request.value().trace_hi, 0x1122334455667788ull);
-  EXPECT_EQ(request.value().trace_lo, 0x99aabbccddeeff00ull);
-  // The server answers in the requester's version, echoing the trace id.
-  bool close_connection = false;
-  std::string response = fx.core.HandleFrame(v4, &close_connection);
-  auto decoded = DecodeFrame(response);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().type, MessageType::kInfoResponse);
-  EXPECT_EQ(decoded.value().version, kWireVersionTrace);
-  EXPECT_EQ(decoded.value().trace_hi, 0x1122334455667788ull);
-  EXPECT_EQ(decoded.value().trace_lo, 0x99aabbccddeeff00ull);
-  // A v3 frame carries no trace extension and decodes with a zero id.
-  std::string v3 = EncodeFrame(MessageType::kInfoRequest, "");
-  EXPECT_EQ(v3.size(), size_t{kFrameHeaderBytes + kFrameExtBytes});
-  auto untraced = DecodeFrame(v3);
-  ASSERT_TRUE(untraced.ok());
-  EXPECT_EQ(untraced.value().trace_hi, 0u);
-  EXPECT_EQ(untraced.value().trace_lo, 0u);
-  // Truncating the trace extension off a v4 frame must not decode.
-  for (size_t cut = 1; cut <= kFrameTraceExtBytes; ++cut) {
-    EXPECT_FALSE(DecodeFrame(v4.substr(0, v4.size() - cut)).ok()) << cut;
-  }
-}
+  constexpr uint64_t kDeadlineMs = 600000;  // never expires mid-test
+  constexpr uint64_t kTraceHi = 0x1122334455667788ull;
+  constexpr uint64_t kTraceLo = 0x99aabbccddeeff00ull;
+  for (const std::string& plain : ValidRequestFrames()) {
+    auto untraced = DecodeFrame(plain);
+    ASSERT_TRUE(untraced.ok());
+    const Frame& original = untraced.value();
+    std::string traced = EncodeFrame(original.type, original.payload,
+                                     kDeadlineMs, kTraceHi, kTraceLo);
+    ASSERT_EQ(traced.size(), kFrameHeaderBytes + original.payload.size());
+    auto request = DecodeFrame(traced);
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    EXPECT_EQ(request.value().type, original.type);
+    EXPECT_EQ(request.value().payload, original.payload);
+    EXPECT_EQ(request.value().deadline_ms, kDeadlineMs);
+    EXPECT_EQ(request.value().trace_hi, kTraceHi);
+    EXPECT_EQ(request.value().trace_lo, kTraceLo);
 
-TEST(ServeFuzzTest, Version1FramesStillServedAndAnsweredInVersion1) {
-  // Wire v2 added the deadline extension; a v1 client (32-byte header, no
-  // deadline) must keep working against a v2 server, and the server must
-  // answer in the client's version so the old decoder can read it.
-  Fixture fx;
-  std::string v1 =
-      EncodeFrame(MessageType::kInfoRequest, "", /*deadline_ms=*/0,
-                  /*version=*/1);
-  EXPECT_EQ(v1.size(), size_t{kFrameHeaderBytes});  // no ext on the wire
-  auto request = DecodeFrame(v1);
-  ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request.value().version, 1u);
-  EXPECT_EQ(request.value().deadline_ms, 0u);
+    bool close_connection = false;
+    auto response =
+        DecodeFrame(fx.core.HandleFrame(traced, &close_connection));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_NE(response.value().type, MessageType::kError);
+    EXPECT_EQ(response.value().deadline_ms, 0u);
+    EXPECT_EQ(response.value().trace_hi, kTraceHi);
+    EXPECT_EQ(response.value().trace_lo, kTraceLo);
+    EXPECT_FALSE(close_connection);
+  }
+  // A rejected frame's error response echoes nothing it could not trust.
   bool close_connection = false;
-  std::string response = fx.core.HandleFrame(v1, &close_connection);
-  auto decoded = DecodeFrame(response);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().version, 1u);
-  EXPECT_EQ(decoded.value().type, MessageType::kInfoResponse);
-  // The deadline rides only in the v2 extension: v1 frames carry none
-  // (EncodeFrame zeroes it), v2 frames round-trip it.
-  std::string v1_deadline =
-      EncodeFrame(MessageType::kInfoRequest, "", /*deadline_ms=*/250,
-                  /*version=*/1);
-  auto no_deadline = DecodeFrame(v1_deadline);
-  ASSERT_TRUE(no_deadline.ok());
-  EXPECT_EQ(no_deadline.value().deadline_ms, 0u);
-  std::string v2 =
-      EncodeFrame(MessageType::kInfoRequest, "", /*deadline_ms=*/250);
-  EXPECT_EQ(v2.size(), size_t{kFrameHeaderBytes + kFrameExtBytes});
-  auto with_deadline = DecodeFrame(v2);
-  ASSERT_TRUE(with_deadline.ok());
-  EXPECT_EQ(with_deadline.value().deadline_ms, 250u);
+  std::string truncated =
+      EncodeFrame(MessageType::kInfoRequest, "", kDeadlineMs, kTraceHi,
+                  kTraceLo)
+          .substr(0, kFrameHeaderBytes - 1);
+  auto rejected =
+      DecodeFrame(fx.core.HandleFrame(truncated, &close_connection));
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected.value().type, MessageType::kError);
+  EXPECT_EQ(rejected.value().trace_hi, 0u);
+  EXPECT_EQ(rejected.value().trace_lo, 0u);
+  EXPECT_TRUE(close_connection);
 }
 
 TEST(ServeFuzzTest, OversizedLengthPrefixesAreRejectedBeforeAllocation) {
@@ -340,7 +304,7 @@ TEST(ServeFuzzTest, OversizedLengthPrefixesAreRejectedBeforeAllocation) {
     std::memcpy(bad.data() + 16, &huge, sizeof(huge));
     FrameHeader header;
     EXPECT_FALSE(
-        DecodeFrameHeader(bad.data(), kFrameHeaderBytes, &header).ok())
+        DecodeFrameHeaderPrefix(bad.data(), kFrameHeaderBytes, &header).ok())
         << huge;
     ExpectCleanRejection(fx.core, bad, "huge length");
   }

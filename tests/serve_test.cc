@@ -13,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +30,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -484,7 +489,7 @@ TEST(ServeTest, PointRequestsRouteToOwningServers) {
   EXPECT_FALSE(router.value().Point(bad).ok());
 }
 
-// Wire-v3 batches: N mixed-kind point requests in one frame answer
+// Batch frames: N mixed-kind point requests in one frame answer
 // byte-identically to N lone calls — through the fleet router (owner
 // grouping, cross-server Jaccard fallback, per-entry errors) and through
 // a single server core via AdsClient::PointBatch.
@@ -578,7 +583,7 @@ TEST(ServeTest, PointBatchMatchesSingleCallsBitwise) {
     }
   }
 
-  // An empty batch round-trips cleanly (the cheapest v3-support probe).
+  // An empty batch round-trips cleanly (the cheapest batch probe).
   auto empty = client.PointBatch({});
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_TRUE(empty.value().empty());
@@ -806,68 +811,123 @@ TEST(ServeTest, CoalesceWindowEnvKnobForcesTheBatchPath) {
   EXPECT_GE(batch_frames.load(), 1u) << "env knob did not enable coalescing";
 }
 
-// Pipelined TCP: concurrent callers keep multiple frames in flight on ONE
-// socket; ticket/turn pairing hands every response back to its caller
-// (each response is checked against an independently computed answer, so
-// any cross-matched pair would fail loudly).
-TEST(ServeTest, PipelinedTcpChannelCorrelatesConcurrentCalls) {
-  FlatAdsSet full = BuildFlat(120, 31, 8);
+// A plain client socket on a local TcpServer, for tests that control
+// exactly which bytes reach the server and when. TCP_NODELAY keeps each
+// Send its own segment; reads give up after 5 s, so a server that never
+// answers fails the test instead of hanging it.
+class RawConnection {
+ public:
+  explicit RawConnection(uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    timeval timeout{5, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool connected() const { return connected_; }
+  /// True once a read saw the server close the connection.
+  bool eof() const { return eof_; }
+
+  bool Send(std::string_view bytes) {
+    while (!bytes.empty()) {
+      ssize_t put = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (put <= 0) return false;
+      bytes.remove_prefix(static_cast<size_t>(put));
+    }
+    return true;
+  }
+
+  /// Up to `n` bytes; fewer on EOF, a socket error or the read timeout.
+  std::string Receive(size_t n) {
+    std::string out(n, '\0');
+    size_t done = 0;
+    while (done < n) {
+      ssize_t got = ::read(fd_, out.data() + done, n - done);
+      if (got == 0) eof_ = true;
+      if (got <= 0) break;
+      done += static_cast<size_t>(got);
+    }
+    out.resize(done);
+    return out;
+  }
+
+ private:
+  const int fd_;
+  bool connected_ = false;
+  bool eof_ = false;
+};
+
+// TcpServer reads each fixed-size header in one piece however its bytes
+// arrive: a request split in two at every offset inside its header, the
+// halves 1 ms apart, is answered exactly as the core answers the whole
+// frame.
+TEST(ServeTest, TcpServerReassemblesHeadersSplitAtEveryOffset) {
+  FlatAdsSet full = BuildFlat(80, 41, 4);
   FlatAdsBackend backend(&full);
   AdsServerCore core(&backend, ServerOptions{});
-  TcpServer server(&core, TcpServerOptions{0, 1});  // one worker, one pump
+  TcpServer server(&core, TcpServerOptions{0, 1});
   ASSERT_TRUE(server.Start().ok());
 
-  TcpChannelOptions options;
-  options.pipeline = true;
-  auto channel = TcpChannel::Connect("127.0.0.1", server.port(), options);
-  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
-  AdsClient client(channel.value().get());
-
-  constexpr int kThreads = 8;
-  constexpr int kCallsPerThread = 25;
-  std::vector<Status> failures(kThreads, Status::Ok());
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&full, &client, &failures, t] {
-      for (int c = 0; c < kCallsPerThread; ++c) {
-        NodeId node = static_cast<NodeId>((t * kCallsPerThread + c) % 120);
-        PointRequestMsg request;
-        request.kind = PointKind::kLookup;
-        request.node = node;
-        request.targets = {0, 5, static_cast<uint64_t>(t), 60};
-        auto response = client.Point(request);
-        if (!response.ok()) {
-          failures[t] = response.status();
-          return;
-        }
-        AdsNodeIndex index(full.of(node));
-        for (size_t i = 0; i < request.targets.size(); ++i) {
-          if (response.value().values[i] !=
-              index.DistanceOf(static_cast<NodeId>(request.targets[i]))) {
-            failures[t] = Status::Corruption(
-                "response paired to the wrong request");
-            return;
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_TRUE(failures[t].ok())
-        << "thread " << t << ": " << failures[t].ToString();
-  }
-
-  // Once the peer goes away the pairing is lost for good: the first call
-  // fails however the read fails, every later one fails fast as broken.
-  server.Stop();
   PointRequestMsg request;
   request.kind = PointKind::kNodeStats;
-  request.node = 1;
+  request.node = 17;
   request.d = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(client.Point(request).ok());
-  EXPECT_FALSE(client.Point(request).ok());
+  const std::string frame =
+      EncodeFrame(MessageType::kPointRequest, EncodePointRequest(request));
+  bool close_connection = false;
+  const std::string expected = core.HandleFrame(frame, &close_connection);
+  ASSERT_FALSE(close_connection);
+
+  RawConnection conn(server.port());
+  ASSERT_TRUE(conn.connected());
+  const std::string_view whole(frame);
+  for (size_t split = 1; split < kFrameHeaderBytes; ++split) {
+    ASSERT_TRUE(conn.Send(whole.substr(0, split)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(conn.Send(whole.substr(split)));
+    ASSERT_EQ(conn.Receive(expected.size()), expected) << "split at " << split;
+  }
+}
+
+// The mid-frame stall bound: a client that sends part of a header and
+// stops is disconnected once idle_timeout_ms passes, with no response,
+// and the freed worker goes on to serve the next connection.
+TEST(ServeTest, TcpServerDropsAStalledHeaderAfterTheIdleTimeout) {
+  FlatAdsSet full = BuildFlat(40, 43, 4);
+  FlatAdsBackend backend(&full);
+  AdsServerCore core(&backend, ServerOptions{});
+  TcpServerOptions options;
+  options.num_workers = 1;
+  options.idle_timeout_ms = 100;
+  TcpServer server(&core, options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string frame = EncodeFrame(MessageType::kInfoRequest, "");
+
+  RawConnection stalled(server.port());
+  ASSERT_TRUE(stalled.connected());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(stalled.Send(std::string_view(frame).substr(0, 20)));
+  EXPECT_EQ(stalled.Receive(1), "");
+  EXPECT_TRUE(stalled.eof()) << "connection still open past the timeout";
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+
+  bool close_connection = false;
+  const std::string expected = core.HandleFrame(frame, &close_connection);
+  RawConnection next(server.port());
+  ASSERT_TRUE(next.connected());
+  ASSERT_TRUE(next.Send(frame));
+  EXPECT_EQ(next.Receive(expected.size()), expected);
 }
 
 // A channel whose sweep calls fail (the wire analog of a server dying

@@ -28,7 +28,7 @@
 // failure retry budget with jittered backoff; attempts = N + 1),
 // `--hedge 1` (race a second fresh connection for point requests after
 // 50 ms of silence) and `--coalesce-us N` (batch concurrent same-server
-// point requests into wire-v3 batch frames, flushed every N microseconds;
+// point requests into batch frames, flushed every N microseconds;
 // mutually exclusive with hedging). `serve` and `route` accept `--timeout-ms N` as the
 // per-frame read stall bound on their listening sockets. Failures fail
 // closed with an exit status and an error naming the failing server.
@@ -67,7 +67,7 @@
 // server, labeled by address. `--watch N` re-scrapes every N seconds.
 // `serve`/`route --metrics-interval-s N` dump the local registry to
 // stderr every N seconds. `query ... --trace 1` stamps its remote
-// requests with a fresh 16-byte trace id (wire v4); every hop appends
+// frame headers with a fresh 16-byte trace id; every hop appends
 // timed spans to an in-process ring that `trace-dump --remote ADDR`
 // drains and renders as Chrome trace-event JSON (load in
 // chrome://tracing or https://ui.perfetto.dev). Metrics and traces never
@@ -221,7 +221,7 @@ TcpChannelOptions RemoteChannelOptions(const RemoteOptions& remote) {
 }
 
 // With `--trace 1`, installs a fresh nonzero trace id on this thread (so
-// every remote call below goes out as a wire-v4 traced frame) and prints
+// every remote call below carries it in its frame header) and prints
 // the id on stderr for correlation with a later `trace-dump`. Id
 // uniqueness only needs to hold across concurrent CLI runs: wall-clock
 // entropy mixed with the pid is plenty (tools may read clocks — the
