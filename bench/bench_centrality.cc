@@ -108,9 +108,9 @@ void TopTenRecovery(bool quick) {
     exact[v] = ExactHarmonicCentrality(g, v);
   }
   auto exact_top = TopKNodes(exact, 10);
-  AdsSet set = BuildAdsDp(g, k, SketchFlavor::kBottomK,
-                          RankAssignment::Uniform(3));
-  auto est_top = TopKNodes(EstimateHarmonicCentralityAll(set), 10);
+  FlatAdsBackend set(FlatAdsSet::FromAdsSet(
+      BuildAdsDp(g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(3))));
+  auto est_top = TopKNodes(EstimateHarmonicCentralityAll(set).value(), 10);
   uint32_t overlap = 0;
   for (NodeId v : est_top) {
     if (std::find(exact_top.begin(), exact_top.end(), v) != exact_top.end()) {

@@ -122,9 +122,10 @@ void BM_HarmonicAllSharded(benchmark::State& state) {
   uint32_t shards = static_cast<uint32_t>(state.range(0));
   const FlatAdsSet& set = SharedSet(4000);
   if (shards == 0) {
+    FlatAdsBackend backend(&set);
     for (auto _ : state) {
-      auto scores = EstimateHarmonicCentralityAll(set, 1);
-      benchmark::DoNotOptimize(scores.data());
+      auto scores = EstimateHarmonicCentralityAll(backend, 1);
+      benchmark::DoNotOptimize(scores.value().data());
     }
     return;
   }

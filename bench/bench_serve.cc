@@ -19,12 +19,6 @@
 //     HIP scans per node); the fused plan pays one sweep plus only the
 //     per-collector reduction — the recorded baseline justifies routing
 //     every multi-statistic caller (CLI stats, examples) through one plan.
-//   * CLAIM-SOA-LAYOUT: the per-node HIP estimator sweep over the flat
-//     AoS arena vs the same sweep over the split SoaAdsArena
-//     (dist[]/rank[]/... per-field streams). The recorded baseline shows
-//     SoA does NOT beat AoS here (the scan is dominated by the HipEntry
-//     output allocation, not input bandwidth), which is why the SoA
-//     layout stays an experiment rather than the serving default.
 
 #include <benchmark/benchmark.h>
 
@@ -238,39 +232,6 @@ void BM_MultiStatSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiStatSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Unit(
     benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// CLAIM-SOA-LAYOUT: the estimator sweep over AoS vs SoA entry layouts —
-// the same per-node HipEstimator construction + harmonic fold, reading
-// AdsEntry structs vs split per-field streams.
-// ---------------------------------------------------------------------------
-
-void BM_SweepHipAos(benchmark::State& state) {
-  const FlatAdsSet& set = SharedSet(4000);
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      HipEstimator est(set.of(v), set.k, set.flavor, set.ranks);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_SweepHipAos)->Unit(benchmark::kMillisecond);
-
-void BM_SweepHipSoa(benchmark::State& state) {
-  static const SoaAdsArena& soa =
-      *new SoaAdsArena(SoaAdsArena::FromFlat(SharedSet(4000)));
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < soa.num_nodes(); ++v) {
-      HipEstimator est(soa.of(v), soa.k, soa.flavor, soa.ranks);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_SweepHipSoa)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // CLAIM-HIP-RESIDENT: the per-node HIP estimator cost, per entry, for the

@@ -93,11 +93,10 @@ int main() {
   {
     Graph g = WattsStrogatz(/*n=*/8000, /*neighbors=*/4, /*beta=*/0.1,
                             /*seed=*/5);
-    AdsSet set = BuildAdsDp(g, /*k=*/24, SketchFlavor::kBottomK,
-                            RankAssignment::Uniform(99));
+    FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsDp(
+        g, /*k=*/24, SketchFlavor::kBottomK, RankAssignment::Uniform(99)));
     Status s = WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2);
-    Status sh =
-        WriteShardedAdsSet(FlatAdsSet::FromAdsSet(set), shard_dir, 4);
+    Status sh = WriteShardedAdsSet(set, shard_dir, 4);
     std::printf("offline: sketched %u nodes -> %s (%s), 4 shards -> %s (%s)\n",
                 g.num_nodes(), path, s.ToString().c_str(), shard_dir,
                 sh.ToString().c_str());

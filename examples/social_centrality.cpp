@@ -11,6 +11,7 @@
 // Run:  ./social_centrality
 
 #include <cstdio>
+#include <map>
 
 #include "ads/builders.h"
 #include "ads/queries.h"
@@ -47,13 +48,17 @@ int main() {
   std::printf("social graph: %u users, %llu friendships\n", g.num_nodes(),
               static_cast<unsigned long long>(g.num_arcs() / 2));
 
-  AdsSet sketches =
-      BuildAdsDp(g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(7));
+  // The builder's per-node sets are flattened once into the in-memory
+  // backend every whole-graph query reads. An in-memory backend never
+  // fails a load, so the queries' StatusOr values are always ok.
+  FlatAdsBackend sketches(FlatAdsSet::FromAdsSet(
+      BuildAdsDp(g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(7))));
   std::printf("sketches built: %.1f entries/user\n",
               static_cast<double>(sketches.TotalEntries()) / g.num_nodes());
 
   // Query 1: harmonic centrality of everyone (one sketch scan per user).
-  auto harmonic = EstimateHarmonicCentralityAll(sketches);
+  std::vector<double> harmonic =
+      EstimateHarmonicCentralityAll(sketches).value();
 
   // Exact harmonic centrality for the estimated top-5 only (cheap spot
   // check: 5 BFS instead of 20000).
@@ -64,16 +69,20 @@ int main() {
   PrintTop("Top users by harmonic centrality:", g, harmonic, exact);
 
   // Query 2: same sketches, exponential-decay kernel.
-  auto decay = EstimateClosenessAll(
-      sketches, [](double d) { return std::pow(2.0, -d); },
-      [](NodeId) { return 1.0; });
+  std::vector<double> decay =
+      EstimateClosenessAll(
+          sketches, [](double d) { return std::pow(2.0, -d); },
+          [](NodeId) { return 1.0; })
+          .value();
   PrintTop("Top users by 2^-d decay centrality:", g, decay, {});
 
   // Query 3: same sketches, restricted to premium users (beta filter chosen
   // at query time — the HIP flexibility the paper highlights over
   // beta-specific sketch computations).
-  auto premium = EstimateClosenessAll(
-      sketches, [](double d) { return 1.0 / (1.0 + d); }, PremiumWeight);
+  std::vector<double> premium =
+      EstimateClosenessAll(
+          sketches, [](double d) { return 1.0 / (1.0 + d); }, PremiumWeight)
+          .value();
   PrintTop("Top users by proximity to premium users:", g, premium, {});
 
   // Query 4: the graph's distance distribution (ANF-style), from the same
@@ -81,7 +90,8 @@ int main() {
   std::printf("\ndistance distribution (ordered pairs within d):\n");
   double total = static_cast<double>(g.num_nodes()) *
                  (g.num_nodes() - 1);
-  for (const auto& [d, pairs] : EstimateNeighborhoodFunction(sketches)) {
+  std::map<double, double> nf = EstimateNeighborhoodFunction(sketches).value();
+  for (const auto& [d, pairs] : nf) {
     std::printf("  d <= %-4.0f : %12.0f  (%.1f%% of pairs)\n", d, pairs,
                 100.0 * pairs / total);
     if (pairs / total > 0.999) break;

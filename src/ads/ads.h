@@ -177,7 +177,10 @@ class Ads {
   std::vector<AdsEntry> entries_;  // canonical (dist, rank) order
 };
 
-/// ADSs of all nodes of one graph, plus the parameters that define them.
+/// ADSs of all nodes of one graph, plus the parameters that define them:
+/// the builders' output, one owning Ads per node. Whole graphs are written,
+/// precomputed and queried as a FlatAdsSet (ads/flat_ads.h);
+/// FlatAdsSet::FromAdsSet converts.
 struct AdsSet {
   SketchFlavor flavor = SketchFlavor::kBottomK;
   uint32_t k = 0;

@@ -184,7 +184,7 @@ class MmapAdsSet : public AdsBackend {
 
   /// Opens `path` (v2 binary zero-copy; v1 text via the copying loader).
   /// `beta` is required for exponential/priority rank kinds, as in
-  /// ParseAdsSet.
+  /// ParseFlatAdsSet.
   static StatusOr<MmapAdsSet> Open(
       const std::string& path,
       std::function<double(uint64_t)> beta = nullptr);
@@ -239,7 +239,7 @@ enum class BackendMode {
 /// Options for OpenAdsBackend.
 struct AdsBackendOptions {
   BackendMode mode = BackendMode::kCopy;
-  /// Required for exponential/priority rank kinds, as in ParseAdsSet.
+  /// Required for exponential/priority rank kinds, as in ParseFlatAdsSet.
   std::function<double(uint64_t)> beta = nullptr;
   /// Sharded sets: max shard arenas resident at once (see ShardedAdsSet).
   uint32_t max_resident = 1;

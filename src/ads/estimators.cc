@@ -12,10 +12,6 @@ HipEstimator::HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
                            const RankAssignment& ranks)
     : owned_(ComputeHipWeights(ads, k, flavor, ranks)) {}
 
-HipEstimator::HipEstimator(const SoaAdsView& ads, uint32_t k,
-                           SketchFlavor flavor, const RankAssignment& ranks)
-    : owned_(ComputeHipWeights(ads, k, flavor, ranks)) {}
-
 HipEstimator::HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
                            const RankAssignment& ranks, HipScratch* scratch)
     : borrowed_(ComputeHipWeightsInto(ads, k, flavor, ranks, scratch)) {}

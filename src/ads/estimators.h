@@ -53,20 +53,14 @@ class HipEstimator {
   /// executor's reusable block buffers need before assignment.
   HipEstimator() = default;
 
-  /// Works off either storage layout: an AdsView over the per-node vectors
-  /// of an AdsSet or over a slice of a FlatAdsSet arena.
+  /// Scans an AdsView: one node's entries, owned by an Ads or sliced out
+  /// of a whole-graph arena.
   HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks);
 
   HipEstimator(const Ads& ads, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks)
       : HipEstimator(ads.view(), k, flavor, ranks) {}
-
-  /// Structure-of-arrays layout (a SoaAdsArena slice): the same HIP scan
-  /// over split per-field streams; every estimate is bitwise identical to
-  /// the AdsView overload on the same sketch.
-  HipEstimator(const SoaAdsView& ads, uint32_t k, SketchFlavor flavor,
-               const RankAssignment& ranks);
 
   /// Scratch-scan mode: the identical scan, written into `scratch` instead
   /// of a fresh allocation. The estimator (and its copies) borrows

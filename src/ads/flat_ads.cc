@@ -17,38 +17,4 @@ FlatAdsSet FlatAdsSet::FromAdsSet(const AdsSet& set) {
   return flat;
 }
 
-SoaAdsArena SoaAdsArena::FromFlat(const FlatAdsSet& set) {
-  SoaAdsArena soa;
-  soa.flavor = set.flavor;
-  soa.k = set.k;
-  soa.ranks = set.ranks;
-  soa.offsets = set.offsets;
-  size_t n = set.entries.size();
-  soa.node.reserve(n);
-  soa.part.reserve(n);
-  soa.rank.reserve(n);
-  soa.dist.reserve(n);
-  for (const AdsEntry& e : set.entries) {
-    soa.node.push_back(e.node);
-    soa.part.push_back(e.part);
-    soa.rank.push_back(e.rank);
-    soa.dist.push_back(e.dist);
-  }
-  return soa;
-}
-
-AdsSet FlatAdsSet::ToAdsSet() const {
-  AdsSet set;
-  set.flavor = flavor;
-  set.k = k;
-  set.ranks = ranks;
-  set.ads.reserve(num_nodes());
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    auto span = of(v).entries();
-    set.ads.emplace_back(
-        std::vector<AdsEntry>(span.begin(), span.end()));
-  }
-  return set;
-}
-
 }  // namespace hipads

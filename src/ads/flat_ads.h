@@ -1,17 +1,16 @@
-// Flat CSR storage for the ADSs of a whole graph.
+// Flat CSR storage for the ADSs of a whole graph — the one whole-graph
+// store the library reads, writes and precomputes HIP weights for.
 //
-// AdsSet keeps one heap-allocated std::vector<AdsEntry> per node — n + 1
-// allocations and a pointer chase per node, which is what every whole-graph
-// estimator loop (neighborhood function, centrality sweeps, HIP weighting)
-// pays on its hot path. FlatAdsSet stores the same sketches as a single
-// contiguous arena indexed CSR-style:
+// FlatAdsSet stores every node's sketch in a single contiguous arena
+// indexed CSR-style:
 //
 //   offsets[v] .. offsets[v+1]   the entries of ADS(v), canonical order
 //
 // so a whole-graph sweep is one linear pass over memory. Per-node access
-// returns an AdsView (a span), which is the query surface shared with Ads;
-// estimators, HIP weighting, serialization and the CLI all run off either
-// storage, but the flat arena is the layout the scaling path uses.
+// returns an AdsView (a span), the query surface shared with Ads. The
+// builders return the per-node-vector AdsSet; FromAdsSet flattens it once,
+// after which serialization, sharding, HIP precompute and every query
+// (through FlatAdsBackend, ads/backend.h) run off the arena.
 
 #ifndef HIPADS_ADS_FLAT_ADS_H_
 #define HIPADS_ADS_FLAT_ADS_H_
@@ -24,8 +23,7 @@
 namespace hipads {
 
 /// ADSs of all nodes of one graph in one contiguous arena, plus the
-/// parameters that define them. The members mirror AdsSet so the two are
-/// interchangeable behind the query/estimator templates.
+/// parameters that define them.
 struct FlatAdsSet {
   SketchFlavor flavor = SketchFlavor::kBottomK;
   uint32_t k = 0;
@@ -59,57 +57,6 @@ struct FlatAdsSet {
   /// Flattens a per-node-vector set into one arena. The entries are copied
   /// in node order; the source is left untouched.
   static FlatAdsSet FromAdsSet(const AdsSet& set);
-
-  /// Expands back into the per-node-vector representation (compat shim for
-  /// callers that still want owning Ads objects).
-  AdsSet ToAdsSet() const;
-};
-
-/// Non-owning structure-of-arrays view of one node's ADS: component i of
-/// each array describes the i-th entry in canonical (dist, node, part)
-/// order — the same logical sequence an AdsView spans, split into one
-/// stream per field.
-struct SoaAdsView {
-  const NodeId* node = nullptr;
-  const uint32_t* part = nullptr;
-  const double* rank = nullptr;
-  const double* dist = nullptr;
-  size_t size = 0;
-};
-
-/// Structure-of-arrays mirror of a FlatAdsSet arena: the same sketches,
-/// CSR-indexed, with each AdsEntry field in its own contiguous array. The
-/// HIP scan reads only (rank, dist) of every entry — 16 of AdsEntry's 24
-/// bytes — so splitting the fields was the ROADMAP's candidate layout for
-/// the estimator sweeps. Measured on the bench_serve sweep benchmarks it
-/// does NOT beat the AoS arena (see BENCH_serve.json and README "Query
-/// engine"), and conversion costs a full copy that the zero-copy mmap
-/// path cannot pay — so this layout is an experiment the benchmarks keep
-/// honest, not a serving default. The HIP kernels accept either layout
-/// and produce bitwise-identical weights (sweep_test).
-struct SoaAdsArena {
-  SketchFlavor flavor = SketchFlavor::kBottomK;
-  uint32_t k = 0;
-  RankAssignment ranks = RankAssignment::Uniform(0);
-  std::vector<uint64_t> offsets{0};  // size num_nodes + 1
-  std::vector<NodeId> node;
-  std::vector<uint32_t> part;
-  std::vector<double> rank;
-  std::vector<double> dist;
-
-  size_t num_nodes() const { return offsets.size() - 1; }
-  uint64_t TotalEntries() const { return dist.size(); }
-
-  /// SoA view of ADS(v).
-  SoaAdsView of(NodeId v) const {
-    uint64_t begin = offsets[v];
-    return SoaAdsView{node.data() + begin, part.data() + begin,
-                      rank.data() + begin, dist.data() + begin,
-                      static_cast<size_t>(offsets[v + 1] - begin)};
-  }
-
-  /// Splits a flat AoS arena into per-field arrays (full copy).
-  static SoaAdsArena FromFlat(const FlatAdsSet& set);
 };
 
 }  // namespace hipads

@@ -33,37 +33,14 @@ double InclusionProbability(double tau, double beta, RankKind kind) {
   return 1.0;
 }
 
-// The kernels below are templates over the entry layout: `E` exposes the
-// canonical-order entry sequence as size()/node(i)/part(i)/rank(i)/dist(i),
-// backed either by an AdsEntry array (AoS — AdsView over an Ads or a
-// FlatAdsSet slice) or by per-field arrays (SoA — SoaAdsArena slice). Both
-// instantiations execute the identical arithmetic in the identical order,
-// so the adjusted weights agree bitwise across layouts.
-//
-// They are also templates over the output `Sink`, called once per adjusted
-// weight as sink(first, end, node, dist, tau, weight) where [first, end) is
-// the run of entry indices the weight covers — a single entry for bottom-k
-// and k-partition, the same-(dist, node) run for k-mins. One sink appends
+// The kernels below scan one node's canonical-order entry span. They are
+// templates over the output `Sink`, called once per adjusted weight as
+// sink(first, end, node, dist, tau, weight) where [first, end) is the run
+// of entry indices the weight covers — a single entry for bottom-k and
+// k-partition, the same-(dist, node) run for k-mins. One sink appends
 // grouped HipEntry records (the scan API), the other writes the per-entry
 // aligned arrays the binary format stores; both see the identical call
 // sequence, which is what makes precomputed == scanned a bitwise identity.
-struct AosEntries {
-  std::span<const AdsEntry> e;
-  size_t size() const { return e.size(); }
-  NodeId node(size_t i) const { return e[i].node; }
-  uint32_t part(size_t i) const { return e[i].part; }
-  double rank(size_t i) const { return e[i].rank; }
-  double dist(size_t i) const { return e[i].dist; }
-};
-
-struct SoaEntries {
-  SoaAdsView v;
-  size_t size() const { return v.size; }
-  NodeId node(size_t i) const { return v.node[i]; }
-  uint32_t part(size_t i) const { return v.part[i]; }
-  double rank(size_t i) const { return v.rank[i]; }
-  double dist(size_t i) const { return v.dist[i]; }
-};
 
 // Appends one grouped HipEntry per weight.
 struct EntrySink {
@@ -95,56 +72,58 @@ struct AlignedSink {
   }
 };
 
-template <typename E, typename Sink>
-void BottomKHip(const E& ads, const RankAssignment& ranks,
+template <typename Sink>
+void BottomKHip(std::span<const AdsEntry> ads, const RankAssignment& ranks,
                 BottomKSketch* closer, Sink&& sink) {
   // closer holds the ranks of nodes scanned so far.
   for (size_t i = 0; i < ads.size(); ++i) {
     double tau = closer->Threshold();
-    double p = InclusionProbability(tau, ranks.beta(ads.node(i)),
+    double p = InclusionProbability(tau, ranks.beta(ads[i].node),
                                     ranks.kind());
     assert(p > 0.0);
-    sink(i, i + 1, ads.node(i), ads.dist(i), p, 1.0 / p);
-    closer->Update(ads.rank(i));
+    sink(i, i + 1, ads[i].node, ads[i].dist, p, 1.0 / p);
+    closer->Update(ads[i].rank);
   }
 }
 
-template <typename E, typename Sink>
-void KMinsHip(const E& ads, uint32_t k, const RankAssignment& ranks,
-              std::vector<double>& mins, Sink&& sink) {
+template <typename Sink>
+void KMinsHip(std::span<const AdsEntry> ads, uint32_t k,
+              const RankAssignment& ranks, std::vector<double>& mins,
+              Sink&& sink) {
   // Same-node entries (one per permutation) share a single adjusted weight.
   // In canonical (dist, node, part) order — the invariant every storage
-  // layout maintains — a node's entries form one contiguous run (they all
+  // engine maintains — a node's entries form one contiguous run (they all
   // sit at the node's distance), so runs ARE the groups and the scan needs
   // no group-membership bookkeeping at all.
   size_t i = 0;
   while (i < ads.size()) {
     size_t j = i + 1;
-    while (j < ads.size() && ads.dist(j) == ads.dist(i) &&
-           ads.node(j) == ads.node(i)) {
+    while (j < ads.size() && ads[j].dist == ads[i].dist &&
+           ads[j].node == ads[i].node) {
       ++j;
     }
     // Eq. (7): the node enters the ADS iff it beats the running minimum in
     // at least one permutation. With no closer node in permutation h the
     // miss factor (1 - P(beat)) is 0, so tau = 1.
-    double beta = ranks.beta(ads.node(i));
+    double beta = ranks.beta(ads[i].node);
     double prod = 1.0;
     for (uint32_t h = 0; h < k; ++h) {
       prod *= 1.0 - InclusionProbability(mins[h], beta, ranks.kind());
     }
     double tau = 1.0 - prod;
     assert(tau > 0.0);
-    sink(i, j, ads.node(i), ads.dist(i), tau, 1.0 / tau);
+    sink(i, j, ads[i].node, ads[i].dist, tau, 1.0 / tau);
     for (size_t idx = i; idx < j; ++idx) {
-      mins[ads.part(idx)] = std::min(mins[ads.part(idx)], ads.rank(idx));
+      mins[ads[idx].part] = std::min(mins[ads[idx].part], ads[idx].rank);
     }
     i = j;
   }
 }
 
-template <typename E, typename Sink>
-void KPartitionHip(const E& ads, uint32_t k, const RankAssignment& ranks,
-                   std::vector<double>& mins, Sink&& sink) {
+template <typename Sink>
+void KPartitionHip(std::span<const AdsEntry> ads, uint32_t k,
+                   const RankAssignment& ranks, std::vector<double>& mins,
+                   Sink&& sink) {
   const bool weighted = ranks.kind() == RankKind::kExponential ||
                         ranks.kind() == RankKind::kPriority;
   // Eq. (8): tau = (1/k) sum_h P(rank beats bucket-h minimum); an empty
@@ -155,7 +134,7 @@ void KPartitionHip(const E& ads, uint32_t k, const RankAssignment& ranks,
   for (size_t i = 0; i < ads.size(); ++i) {
     double tau;
     if (weighted) {
-      double beta = ranks.beta(ads.node(i));
+      double beta = ranks.beta(ads[i].node);
       double s = 0.0;
       for (uint32_t h = 0; h < k; ++h) {
         s += InclusionProbability(mins[h], beta, ranks.kind());
@@ -165,19 +144,19 @@ void KPartitionHip(const E& ads, uint32_t k, const RankAssignment& ranks,
       tau = uniform_sum / static_cast<double>(k);
     }
     assert(tau > 0.0);
-    sink(i, i + 1, ads.node(i), ads.dist(i), tau, 1.0 / tau);
-    if (ads.rank(i) < mins[ads.part(i)]) {
+    sink(i, i + 1, ads[i].node, ads[i].dist, tau, 1.0 / tau);
+    if (ads[i].rank < mins[ads[i].part]) {
       if (!weighted) {
-        uniform_sum -= std::min(mins[ads.part(i)], 1.0) - ads.rank(i);
+        uniform_sum -= std::min(mins[ads[i].part], 1.0) - ads[i].rank;
       }
-      mins[ads.part(i)] = ads.rank(i);
+      mins[ads[i].part] = ads[i].rank;
     }
   }
 }
 
-template <typename E, typename Sink>
-void HipScanT(const E& ads, uint32_t k, SketchFlavor flavor,
-              const RankAssignment& ranks, HipScratch* scratch, Sink&& sink) {
+template <typename Sink>
+void HipScan(std::span<const AdsEntry> ads, uint32_t k, SketchFlavor flavor,
+             const RankAssignment& ranks, HipScratch* scratch, Sink&& sink) {
   assert(ranks.kind() != RankKind::kPermutation);
   switch (flavor) {
     case SketchFlavor::kBottomK:
@@ -195,59 +174,34 @@ void HipScanT(const E& ads, uint32_t k, SketchFlavor flavor,
   }
 }
 
-template <typename E>
-std::span<const HipEntry> ComputeHipWeightsIntoT(const E& ads, uint32_t k,
-                                                 SketchFlavor flavor,
-                                                 const RankAssignment& ranks,
-                                                 HipScratch* scratch) {
-  scratch->entries.clear();
-  if (scratch->entries.capacity() < ads.size()) {
-    scratch->entries.reserve(ads.size());
-  }
-  HipScanT(ads, k, flavor, ranks, scratch, EntrySink{&scratch->entries});
-  return std::span<const HipEntry>(scratch->entries);
-}
-
 }  // namespace
-
-std::vector<HipEntry> ComputeHipWeights(AdsView ads, uint32_t k,
-                                        SketchFlavor flavor,
-                                        const RankAssignment& ranks) {
-  HipScratch scratch;
-  ComputeHipWeightsIntoT(AosEntries{ads.entries()}, k, flavor, ranks,
-                         &scratch);
-  return std::move(scratch.entries);
-}
-
-std::vector<HipEntry> ComputeHipWeights(const SoaAdsView& ads, uint32_t k,
-                                        SketchFlavor flavor,
-                                        const RankAssignment& ranks) {
-  HipScratch scratch;
-  ComputeHipWeightsIntoT(SoaEntries{ads}, k, flavor, ranks, &scratch);
-  return std::move(scratch.entries);
-}
 
 std::span<const HipEntry> ComputeHipWeightsInto(AdsView ads, uint32_t k,
                                                 SketchFlavor flavor,
                                                 const RankAssignment& ranks,
                                                 HipScratch* scratch) {
-  return ComputeHipWeightsIntoT(AosEntries{ads.entries()}, k, flavor, ranks,
-                                scratch);
+  scratch->entries.clear();
+  if (scratch->entries.capacity() < ads.size()) {
+    scratch->entries.reserve(ads.size());
+  }
+  HipScan(ads.entries(), k, flavor, ranks, scratch,
+          EntrySink{&scratch->entries});
+  return std::span<const HipEntry>(scratch->entries);
 }
 
-std::span<const HipEntry> ComputeHipWeightsInto(const SoaAdsView& ads,
-                                                uint32_t k,
-                                                SketchFlavor flavor,
-                                                const RankAssignment& ranks,
-                                                HipScratch* scratch) {
-  return ComputeHipWeightsIntoT(SoaEntries{ads}, k, flavor, ranks, scratch);
+std::vector<HipEntry> ComputeHipWeights(AdsView ads, uint32_t k,
+                                        SketchFlavor flavor,
+                                        const RankAssignment& ranks) {
+  HipScratch scratch;
+  ComputeHipWeightsInto(ads, k, flavor, ranks, &scratch);
+  return std::move(scratch.entries);
 }
 
 void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
                               const RankAssignment& ranks, HipScratch* scratch,
                               double* tau, double* weight) {
-  HipScanT(AosEntries{ads.entries()}, k, flavor, ranks, scratch,
-           AlignedSink{tau, weight});
+  HipScan(ads.entries(), k, flavor, ranks, scratch,
+          AlignedSink{tau, weight});
 }
 
 void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads) {

@@ -59,10 +59,11 @@ struct HipScratch {
 };
 
 /// Computes HIP adjusted weights for every node of an ADS (given as a view
-/// over its canonical-order entries — either storage layout), in increasing
-/// distance order. `k`, `flavor` and `ranks` must match the parameters the
-/// ADS was built with. Works for uniform, base-b and exponential ranks
-/// (permutation ranks use the dedicated permutation estimator instead).
+/// over its canonical-order entries — an Ads or a slice of any whole-graph
+/// store), in increasing distance order. `k`, `flavor` and `ranks` must
+/// match the parameters the ADS was built with. Works for uniform, base-b
+/// and exponential ranks (permutation ranks use the dedicated permutation
+/// estimator instead).
 std::vector<HipEntry> ComputeHipWeights(AdsView ads, uint32_t k,
                                         SketchFlavor flavor,
                                         const RankAssignment& ranks);
@@ -73,22 +74,10 @@ inline std::vector<HipEntry> ComputeHipWeights(const Ads& ads, uint32_t k,
   return ComputeHipWeights(ads.view(), k, flavor, ranks);
 }
 
-/// Structure-of-arrays overload: the same scan over a SoaAdsArena slice.
-/// The kernels are shared templates over the entry layout, so the output
-/// is bitwise identical to the AdsView overload on the same sketch.
-std::vector<HipEntry> ComputeHipWeights(const SoaAdsView& ads, uint32_t k,
-                                        SketchFlavor flavor,
-                                        const RankAssignment& ranks);
-
 /// Allocation-free variant of ComputeHipWeights: runs the identical scan
 /// into `scratch` and returns a view of scratch->entries, valid until the
 /// scratch is next used. Bitwise identical to the allocating API.
 std::span<const HipEntry> ComputeHipWeightsInto(AdsView ads, uint32_t k,
-                                                SketchFlavor flavor,
-                                                const RankAssignment& ranks,
-                                                HipScratch* scratch);
-std::span<const HipEntry> ComputeHipWeightsInto(const SoaAdsView& ads,
-                                                uint32_t k,
                                                 SketchFlavor flavor,
                                                 const RankAssignment& ranks,
                                                 HipScratch* scratch);

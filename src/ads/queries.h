@@ -5,9 +5,10 @@
 //
 // Every function here is a thin single-collector plan over the fused
 // sweep-execution engine (ads/sweep.h), which owns the one sweep
-// implementation in the codebase. Each query accepts any storage layout —
-// the per-node-vector AdsSet, the flat CSR arena FlatAdsSet, or any
-// AdsBackend (in-memory arena, zero-copy mmap, sharded with prefetch).
+// implementation in the codebase. Each query reads the sketches through
+// the one whole-graph read surface, AdsBackend: an in-memory arena
+// (FlatAdsBackend — wrap a FlatAdsSet with FlatAdsBackend(&set) at zero
+// cost), a zero-copy mmap, or a sharded set with prefetch.
 // `num_threads` = 0 uses the hardware count, 1 runs inline; results are
 // bit-identical for every storage engine and every thread count (the
 // executor's determinism contract, documented in ads/sweep.h).
@@ -17,8 +18,8 @@
 // SweepPlan with K collectors and RunSweep it instead: same results,
 // bitwise, for one shard sweep and one HIP scan per node.
 //
-// The AdsBackend overloads return StatusOr because a lazy range load can
-// fail (missing, truncated or corrupt shard file).
+// Every query returns StatusOr because a lazy range load can fail
+// (missing, truncated or corrupt shard file).
 
 #ifndef HIPADS_ADS_QUERIES_H_
 #define HIPADS_ADS_QUERIES_H_
@@ -27,9 +28,7 @@
 #include <map>
 #include <vector>
 
-#include "ads/ads.h"
 #include "ads/backend.h"
-#include "ads/flat_ads.h"
 #include "ads/sweep.h"  // the executor underneath; also TopKNodes
 #include "util/status.h"
 
@@ -39,64 +38,33 @@ namespace hipads {
 /// some sketch, N(d) = estimated number of ordered pairs (u,v) with
 /// d(u,v) <= d, v != u. This is what ANF/hyperANF compute; with HIP weights
 /// the estimate is unbiased and strictly more accurate (Appendix B.1).
-std::map<double, double> EstimateNeighborhoodFunction(
-    const AdsSet& set, uint32_t num_threads = 0);
-std::map<double, double> EstimateNeighborhoodFunction(
-    const FlatAdsSet& set, uint32_t num_threads = 0);
 StatusOr<std::map<double, double>> EstimateNeighborhoodFunction(
     const AdsBackend& set, uint32_t num_threads = 0);
 
 /// Estimated distance distribution: number of ordered pairs at each exact
 /// distance (the increments of the neighbourhood function).
-std::map<double, double> EstimateDistanceDistribution(
-    const AdsSet& set, uint32_t num_threads = 0);
-std::map<double, double> EstimateDistanceDistribution(
-    const FlatAdsSet& set, uint32_t num_threads = 0);
 StatusOr<std::map<double, double>> EstimateDistanceDistribution(
     const AdsBackend& set, uint32_t num_threads = 0);
 
 /// HIP estimates of C_{alpha,beta} for every node (Eq. 3).
-std::vector<double> EstimateClosenessAll(
-    const AdsSet& set, const std::function<double(double)>& alpha,
-    const std::function<double(NodeId)>& beta, uint32_t num_threads = 0);
-std::vector<double> EstimateClosenessAll(
-    const FlatAdsSet& set, const std::function<double(double)>& alpha,
-    const std::function<double(NodeId)>& beta, uint32_t num_threads = 0);
 StatusOr<std::vector<double>> EstimateClosenessAll(
     const AdsBackend& set, const std::function<double(double)>& alpha,
     const std::function<double(NodeId)>& beta, uint32_t num_threads = 0);
 
 /// HIP estimates of the sum of distances (inverse classic closeness
 /// centrality) for every node.
-std::vector<double> EstimateDistanceSumAll(const AdsSet& set,
-                                           uint32_t num_threads = 0);
-std::vector<double> EstimateDistanceSumAll(const FlatAdsSet& set,
-                                           uint32_t num_threads = 0);
 StatusOr<std::vector<double>> EstimateDistanceSumAll(
     const AdsBackend& set, uint32_t num_threads = 0);
 
 /// HIP estimates of harmonic centrality for every node.
-std::vector<double> EstimateHarmonicCentralityAll(const AdsSet& set,
-                                                  uint32_t num_threads = 0);
-std::vector<double> EstimateHarmonicCentralityAll(const FlatAdsSet& set,
-                                                  uint32_t num_threads = 0);
 StatusOr<std::vector<double>> EstimateHarmonicCentralityAll(
     const AdsBackend& set, uint32_t num_threads = 0);
 
 /// HIP estimates of the d-neighborhood cardinality for every node.
-std::vector<double> EstimateNeighborhoodSizeAll(const AdsSet& set, double d,
-                                                uint32_t num_threads = 0);
-std::vector<double> EstimateNeighborhoodSizeAll(const FlatAdsSet& set,
-                                                double d,
-                                                uint32_t num_threads = 0);
 StatusOr<std::vector<double>> EstimateNeighborhoodSizeAll(
     const AdsBackend& set, double d, uint32_t num_threads = 0);
 
 /// HIP estimates of the reachable-set size for every node.
-std::vector<double> EstimateReachableCountAll(const AdsSet& set,
-                                              uint32_t num_threads = 0);
-std::vector<double> EstimateReachableCountAll(const FlatAdsSet& set,
-                                              uint32_t num_threads = 0);
 StatusOr<std::vector<double>> EstimateReachableCountAll(
     const AdsBackend& set, uint32_t num_threads = 0);
 
@@ -104,15 +72,10 @@ StatusOr<std::vector<double>> EstimateReachableCountAll(
 /// estimated neighbourhood function reaches `quantile` (0.9 is the
 /// conventional choice; the "four degrees of separation" style statistic
 /// computed by HyperBall/hyperANF). Returns 0 for an empty set.
-double EstimateEffectiveDiameter(const AdsSet& set, double quantile = 0.9);
-double EstimateEffectiveDiameter(const FlatAdsSet& set,
-                                 double quantile = 0.9);
 StatusOr<double> EstimateEffectiveDiameter(const AdsBackend& set,
                                            double quantile = 0.9);
 
 /// Estimated mean distance between reachable ordered pairs.
-double EstimateMeanDistance(const AdsSet& set);
-double EstimateMeanDistance(const FlatAdsSet& set);
 StatusOr<double> EstimateMeanDistance(const AdsBackend& set);
 
 }  // namespace hipads

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -131,6 +132,15 @@ const char* RankKindName(RankKind kind) {
   return "?";
 }
 
+// The per-entry check both readers (v1 text, v2 binary) run: a part index
+// inside the sketch, a finite non-negative distance and a non-negative
+// rank (every RankKind draws ranks >= 0). NaN fails every comparison, so a
+// NaN distance or rank is rejected too.
+bool ValidEntry(const AdsEntry& e, uint32_t k) {
+  return e.part < k && std::isfinite(e.dist) && e.dist >= 0.0 &&
+         e.rank >= 0.0;
+}
+
 }  // namespace
 
 Status RanksFromStoredParams(RankKind kind, uint64_t seed, double base,
@@ -162,59 +172,6 @@ Status RanksFromStoredParams(RankKind kind, uint64_t seed, double base,
   }
   return Status::Corruption("unknown rank kind");
 }
-
-namespace {
-
-// Shared v1 serializer body: works for both storage layouts (set.of(v)
-// yields an Ads or an AdsView; both expose size() and entries()).
-template <typename SetT>
-std::string SerializeAnySet(const SetT& set) {
-  std::ostringstream os;
-  char buf[128];
-  os << kMagic << '\n';
-  os << SerializeAdsParams(set.flavor, set.k, set.ranks, set.num_nodes());
-  for (NodeId v = 0; v < set.num_nodes(); ++v) {
-    const auto& ads = set.of(v);
-    os << v << ' ' << ads.size() << '\n';
-    for (const AdsEntry& e : ads.entries()) {
-      std::snprintf(buf, sizeof(buf), "%u %u %.17g %.17g\n", e.node, e.part,
-                    e.rank, e.dist);
-      os << buf;
-    }
-  }
-  return os.str();
-}
-
-// Parses everything up to and including the "nodes" line into the header
-// fields shared by both set representations.
-struct ParsedHeader {
-  SketchFlavor flavor = SketchFlavor::kBottomK;
-  uint32_t k = 0;
-  RankAssignment ranks = RankAssignment::Uniform(0);
-  uint64_t num_nodes = 0;
-};
-
-Status ParseHeader(std::istream& in, std::function<double(uint64_t)> beta,
-                   ParsedHeader* out) {
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    return Status::Corruption("missing hipads-ads-v1 header");
-  }
-  return ParseAdsParams(in, std::move(beta), &out->flavor, &out->k,
-                        &out->ranks, &out->num_nodes);
-}
-
-// Rejects any non-whitespace content after the last node block: both v1
-// parsers accept exactly the files the writer produces, nothing more.
-Status RejectTrailingGarbage(std::istream& in) {
-  std::string extra;
-  if (in >> extra) {
-    return Status::Corruption("trailing garbage after last node block");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 std::string SerializeAdsParams(SketchFlavor flavor, uint32_t k,
                                const RankAssignment& ranks,
@@ -295,10 +252,21 @@ Status ParseAdsParams(std::istream& in, std::function<double(uint64_t)> beta,
   return Status::Ok();
 }
 
-std::string SerializeAdsSet(const AdsSet& set) { return SerializeAnySet(set); }
-
 std::string SerializeAdsSet(const FlatAdsSet& set) {
-  return SerializeAnySet(set);
+  std::ostringstream os;
+  char buf[128];
+  os << kMagic << '\n';
+  os << SerializeAdsParams(set.flavor, set.k, set.ranks, set.num_nodes());
+  for (NodeId v = 0; v < set.num_nodes(); ++v) {
+    AdsView ads = set.of(v);
+    os << v << ' ' << ads.size() << '\n';
+    for (const AdsEntry& e : ads.entries()) {
+      std::snprintf(buf, sizeof(buf), "%u %u %.17g %.17g\n", e.node, e.part,
+                    e.rank, e.dist);
+      os << buf;
+    }
+  }
+  return os.str();
 }
 
 std::string SerializeAdsSetBinary(const FlatAdsSet& set) {
@@ -342,10 +310,6 @@ std::string SerializeAdsSetBinary(const FlatAdsSet& set) {
     std::memcpy(out.data() + base_size, &sh, sizeof(HipSectionHeader));
   }
   return out;
-}
-
-std::string SerializeAdsSetBinary(const AdsSet& set) {
-  return SerializeAdsSetBinary(FlatAdsSet::FromAdsSet(set));
 }
 
 bool IsBinaryAdsData(const std::string& data) {
@@ -437,7 +401,7 @@ StatusOr<AdsBinaryView> ValidateAdsSetBinary(const char* data, size_t size) {
   }
   for (uint64_t i = 0; i < h.num_entries; ++i) {
     const AdsEntry& e = view.entries[i];
-    if (e.part >= view.k || e.dist < 0.0) {
+    if (!ValidEntry(e, view.k)) {
       return Status::Corruption("invalid entry at index " +
                                 std::to_string(i));
     }
@@ -534,16 +498,6 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetAny(const std::string& data,
                                : ParseFlatAdsSet(data, std::move(beta));
 }
 
-Status WriteAdsSetFile(const AdsSet& set, const std::string& path,
-                       AdsFileFormat format) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + path + " for writing");
-  f << (format == AdsFileFormat::kBinaryV2 ? SerializeAdsSetBinary(set)
-                                           : SerializeAdsSet(set));
-  if (!f.good()) return Status::IOError("write failed for " + path);
-  return Status::Ok();
-}
-
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
                        AdsFileFormat format) {
   std::ofstream f(path, std::ios::binary);
@@ -554,66 +508,27 @@ Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
   return Status::Ok();
 }
 
-StatusOr<AdsSet> ParseAdsSet(const std::string& text,
-                             std::function<double(uint64_t)> beta) {
-  std::istringstream in(text);
-  ParsedHeader header;
-  Status s = ParseHeader(in, std::move(beta), &header);
-  if (!s.ok()) return s;
-
-  AdsSet set;
-  set.flavor = header.flavor;
-  set.k = header.k;
-  set.ranks = header.ranks;
-  set.ads.resize(header.num_nodes);
-  for (uint64_t i = 0; i < header.num_nodes; ++i) {
-    uint64_t v, count;
-    if (!(in >> v >> count) || v >= header.num_nodes) {
-      return Status::Corruption("bad node header at index " +
-                                std::to_string(i));
-    }
-    if (v != i) {
-      return Status::Corruption(
-          "duplicate or out-of-order node block for node " +
-          std::to_string(v));
-    }
-    std::vector<AdsEntry> entries;
-    entries.reserve(count);
-    for (uint64_t e = 0; e < count; ++e) {
-      AdsEntry entry;
-      if (!(in >> entry.node >> entry.part >> entry.rank >> entry.dist)) {
-        return Status::Corruption("truncated entries for node " +
-                                  std::to_string(v));
-      }
-      if (entry.part >= set.k || entry.dist < 0.0) {
-        return Status::Corruption("invalid entry for node " +
-                                  std::to_string(v));
-      }
-      entries.push_back(entry);
-    }
-    set.ads[v] = Ads(std::move(entries));
-  }
-  s = RejectTrailingGarbage(in);
-  if (!s.ok()) return s;
-  return set;
-}
-
 StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
                                      std::function<double(uint64_t)> beta) {
   std::istringstream in(text);
-  ParsedHeader header;
-  Status s = ParseHeader(in, std::move(beta), &header);
-  if (!s.ok()) return s;
-
+  std::string line;
+  if (!std::getline(in, line) || line != kMagic) {
+    return Status::Corruption("missing hipads-ads-v1 header");
+  }
   FlatAdsSet set;
-  set.flavor = header.flavor;
-  set.k = header.k;
-  set.ranks = header.ranks;
+  uint64_t n = 0;
+  Status s = ParseAdsParams(in, std::move(beta), &set.flavor, &set.k,
+                            &set.ranks, &n);
+  if (!s.ok()) return s;
+  // Every node block takes at least one byte, so a larger node count is
+  // corruption — rejected before it sizes an allocation.
+  if (n > text.size()) {
+    return Status::Corruption("node count exceeds input size");
+  }
 
   // Node blocks must appear in node-id order (which is what SerializeAdsSet
   // writes), so entries land in the arena already CSR-ordered; duplicated
-  // or shuffled blocks are corruption, exactly as in ParseAdsSet.
-  uint64_t n = header.num_nodes;
+  // or shuffled blocks are corruption.
   set.offsets.reserve(n + 1);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t v, count;
@@ -632,7 +547,7 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
         return Status::Corruption("truncated entries for node " +
                                   std::to_string(v));
       }
-      if (entry.part >= set.k || entry.dist < 0.0) {
+      if (!ValidEntry(entry, set.k)) {
         return Status::Corruption("invalid entry for node " +
                                   std::to_string(v));
       }
@@ -640,8 +555,12 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
     }
     set.offsets.push_back(set.entries.size());
   }
-  s = RejectTrailingGarbage(in);
-  if (!s.ok()) return s;
+  // Accept exactly the files the writer produces: nothing but whitespace
+  // may follow the last node block.
+  std::string extra;
+  if (in >> extra) {
+    return Status::Corruption("trailing garbage after last node block");
+  }
   // Files are not required to store entries in canonical order; restore it
   // per node (a no-op for writer-produced files).
   for (uint64_t v = 0; v < n; ++v) {
@@ -652,21 +571,6 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
     }
   }
   return set;
-}
-
-StatusOr<AdsSet> ReadAdsSetFile(const std::string& path,
-                                std::function<double(uint64_t)> beta) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  std::string data = buf.str();
-  if (IsBinaryAdsData(data)) {
-    auto flat = ParseFlatAdsSetBinary(data, std::move(beta));
-    if (!flat.ok()) return flat.status();
-    return flat.value().ToAdsSet();
-  }
-  return ParseAdsSet(data, std::move(beta));
 }
 
 StatusOr<FlatAdsSet> ReadFlatAdsSetFile(const std::string& path,

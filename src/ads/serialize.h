@@ -37,38 +37,31 @@ namespace hipads {
 /// On-disk format selector for the writers. Readers auto-detect.
 enum class AdsFileFormat { kTextV1, kBinaryV2 };
 
-/// Serializes `set` into the hipads-ads-v1 text format. Both storage
-/// layouts emit byte-identical output for the same sketches, so files are
-/// freely interchangeable between the two loaders.
-std::string SerializeAdsSet(const AdsSet& set);
+// The writers take the flat arena, the one whole-graph store; flatten a
+// builder's AdsSet once with FlatAdsSet::FromAdsSet before writing it.
+
+/// Serializes `set` into the hipads-ads-v1 text format.
 std::string SerializeAdsSet(const FlatAdsSet& set);
 
-/// Serializes `set` into the hipads-ads-v2 binary format. Both storage
-/// layouts emit byte-identical output for the same sketches.
-std::string SerializeAdsSetBinary(const AdsSet& set);
+/// Serializes `set` into the hipads-ads-v2 binary format, with the
+/// optional HIP section when `set` carries precomputed weights.
 std::string SerializeAdsSetBinary(const FlatAdsSet& set);
 
 /// Writes `set` to `path` in the requested format (v1 text by default,
 /// matching the historical behavior of this API).
-Status WriteAdsSetFile(const AdsSet& set, const std::string& path,
-                       AdsFileFormat format = AdsFileFormat::kTextV1);
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
                        AdsFileFormat format = AdsFileFormat::kTextV1);
 
 /// True iff `data` begins with the hipads-ads-v2 binary magic.
 bool IsBinaryAdsData(const std::string& data);
 
-/// Parses the hipads-ads-v1 format. For sets built with exponential ranks,
-/// `beta` must be the same function used at build time (checked against
-/// the stored entry ranks only superficially; callers own consistency).
-/// Node blocks must appear exactly once each, in increasing node-id order;
-/// anything after the last block is rejected as corruption.
-StatusOr<AdsSet> ParseAdsSet(
-    const std::string& text,
-    std::function<double(uint64_t)> beta = nullptr);
-
-/// Parses the hipads-ads-v1 format directly into the flat CSR arena: the
-/// serve-path loader (two big allocations instead of one per node).
+/// Parses the hipads-ads-v1 text format into the flat CSR arena. For sets
+/// built with exponential ranks, `beta` must be the same function used at
+/// build time (checked against the stored entry ranks only superficially;
+/// callers own consistency). Node blocks must appear exactly once each, in
+/// increasing node-id order; anything after the last block, and any entry
+/// with an out-of-range part, a negative or non-finite distance or a
+/// negative rank, is rejected as corruption.
 StatusOr<FlatAdsSet> ParseFlatAdsSet(
     const std::string& text,
     std::function<double(uint64_t)> beta = nullptr);
@@ -154,11 +147,6 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetAny(
     std::function<double(uint64_t)> beta = nullptr);
 
 /// Reads an ADS-set file written by WriteAdsSetFile (either format).
-StatusOr<AdsSet> ReadAdsSetFile(
-    const std::string& path,
-    std::function<double(uint64_t)> beta = nullptr);
-
-/// Reads an ADS-set file directly into a FlatAdsSet (either format).
 StatusOr<FlatAdsSet> ReadFlatAdsSetFile(
     const std::string& path,
     std::function<double(uint64_t)> beta = nullptr);
@@ -175,7 +163,7 @@ std::string SerializeAdsParams(SketchFlavor flavor, uint32_t k,
 
 /// Parses the header lines written by SerializeAdsParams from `in`
 /// (positioned just after the magic line). `beta` is required for
-/// exponential/priority rank kinds, as in ParseAdsSet.
+/// exponential/priority rank kinds, as in ParseFlatAdsSet.
 Status ParseAdsParams(std::istream& in,
                       std::function<double(uint64_t)> beta,
                       SketchFlavor* flavor, uint32_t* k,

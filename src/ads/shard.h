@@ -85,7 +85,7 @@ Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
 
 /// Serving options for ShardedAdsSet::Open.
 struct ShardedOptions {
-  /// Required for exponential/priority rank kinds, as in ParseAdsSet.
+  /// Required for exponential/priority rank kinds, as in ParseFlatAdsSet.
   std::function<double(uint64_t)> beta = nullptr;
   /// Max shard arenas resident at once (LRU eviction past the bound).
   uint32_t max_resident = 1;

@@ -32,23 +32,10 @@ SweepCounters& Counters() {
 // the Reduce phase folds nodes in node order across block boundaries.
 constexpr size_t kSweepBlock = 4096;
 
-AdsView ViewOf(const AdsSet& set, NodeId v) { return set.of(v).view(); }
-AdsView ViewOf(const FlatAdsSet& set, NodeId v) { return set.of(v); }
-
-// Precomputed HIP weights of node v, when the set's storage carries them
-// (absent HipView = run the scan). Only the flat arena and backend ranges
-// can hold the aligned arrays; per-node-vector AdsSets never do.
-HipView HipViewOf(const AdsSet& /*set*/, NodeId /*v*/) { return HipView{}; }
-HipView HipViewOf(const FlatAdsSet& set, NodeId v) {
-  if (!set.has_hip()) return HipView{};
-  return HipView{set.hip_tau.data() + set.offsets[v],
-                 set.hip_weight.data() + set.offsets[v]};
-}
-
-// Adapter presenting one backend range to the executor with the same
-// member surface as AdsSet/FlatAdsSet (k/flavor/ranks + per-node views,
-// node ids local to the range). Sharing the executor template is what
-// makes backend results bitwise identical to the single-arena sweeps.
+// One backend range as the executor sees it: the range's arena view plus
+// the sketch parameters every node's HIP scan needs (node ids local to the
+// range). Every backend — flat, mmap, sharded — is swept through this one
+// shape, which is what makes results bitwise identical across engines.
 struct ArenaSet {
   AdsArenaView arena;
   SketchFlavor flavor;
@@ -56,24 +43,19 @@ struct ArenaSet {
   const RankAssignment& ranks;
   size_t num_nodes() const { return arena.num_nodes(); }
 };
-AdsView ViewOf(const ArenaSet& set, NodeId v) { return set.arena.of_local(v); }
-HipView HipViewOf(const ArenaSet& set, NodeId v) {
-  return set.arena.hip_of_local(v);
-}
 
 // One node's estimator, cheapest mode first: wrap the storage-resident
 // weights when present (no scan, no allocation), otherwise scan into the
 // caller's reusable scratch (no allocation after warm-up). Both modes are
 // bitwise identical to each other and to the old allocating constructor.
-template <typename SetT>
-HipEstimator MakeEstimator(const SetT& set, NodeId local,
+HipEstimator MakeEstimator(const ArenaSet& set, NodeId local,
                            HipScratch* scratch) {
-  HipView hip = HipViewOf(set, local);
+  HipView hip = set.arena.hip_of_local(local);
   if (hip.present()) {
-    return HipEstimator(ViewOf(set, local), hip.tau, hip.weight);
+    return HipEstimator(set.arena.of_local(local), hip.tau, hip.weight);
   }
-  return HipEstimator(ViewOf(set, local), set.k, set.flavor, set.ranks,
-                      scratch);
+  return HipEstimator(set.arena.of_local(local), set.k, set.flavor,
+                      set.ranks, scratch);
 }
 
 // Reusable executor state, alive across the ranges of a backend sweep:
@@ -101,8 +83,7 @@ bool AnyNeedsReduce(const SweepPlan& plan) {
 // sweeps with O(threads) peak memory instead of O(block). `global_begin`
 // offsets the arena-local node ids so a sharded backend's ranges chain
 // seamlessly.
-template <typename SetT>
-void SweepArena(const SetT& set, NodeId global_begin, SweepPlan& plan,
+void SweepArena(const ArenaSet& set, NodeId global_begin, SweepPlan& plan,
                 ThreadPool& pool, SweepBuffers& buffers) {
   size_t n = set.num_nodes();
   Counters().nodes->Add(n);
@@ -119,7 +100,7 @@ void SweepArena(const SetT& set, NodeId global_begin, SweepPlan& plan,
       for (size_t i = begin; i < end; ++i) {
         NodeId local = static_cast<NodeId>(i);
         NodeId v = global_begin + local;
-        chunk_entries += ViewOf(set, local).size();
+        chunk_entries += set.arena.of_local(local).size();
         HipEstimator est = MakeEstimator(set, local, &scratch);
         for (SweepCollector* c : plan.collectors()) c->Map(v, est);
       }
@@ -139,7 +120,7 @@ void SweepArena(const SetT& set, NodeId global_begin, SweepPlan& plan,
       for (size_t i = begin; i < end; ++i) {
         NodeId local = static_cast<NodeId>(block_begin + i);
         NodeId v = global_begin + local;
-        chunk_entries += ViewOf(set, local).size();
+        chunk_entries += set.arena.of_local(local).size();
         // A block's estimators stay live until Reduce, so each slot needs
         // its own scratch (reused across blocks — allocation-free once
         // warm). Slots are block-indexed, never thread-indexed.
@@ -153,16 +134,6 @@ void SweepArena(const SetT& set, NodeId global_begin, SweepPlan& plan,
       c->Reduce(global_begin + static_cast<NodeId>(block_begin), ests);
     }
   }
-}
-
-template <typename SetT>
-void RunSweepSingleArena(const SetT& set, SweepPlan& plan,
-                         uint32_t num_threads) {
-  for (SweepCollector* c : plan.collectors()) c->Begin(set.num_nodes());
-  if (plan.empty()) return;
-  ThreadPool pool(num_threads);
-  SweepBuffers buffers;
-  SweepArena(set, /*global_begin=*/0, plan, pool, buffers);
 }
 
 }  // namespace
@@ -399,12 +370,9 @@ SweepPlan& SweepPlan::Add(SweepCollector* collector) {
   return *this;
 }
 
-void RunSweep(const AdsSet& set, SweepPlan& plan, uint32_t num_threads) {
-  RunSweepSingleArena(set, plan, num_threads);
-}
-
 void RunSweep(const FlatAdsSet& set, SweepPlan& plan, uint32_t num_threads) {
-  RunSweepSingleArena(set, plan, num_threads);
+  // One in-memory range: the backend sweep cannot fail.
+  (void)RunSweep(FlatAdsBackend(&set), plan, num_threads);
 }
 
 Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,

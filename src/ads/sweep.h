@@ -12,10 +12,9 @@
 //   SweepPlan  — an ordered list of collectors (the statistics to fuse).
 //   Collector  — a per-node visitor with a node-order-deterministic
 //                reduction (SweepCollector below).
-//   Executor   — RunSweep: ONE pass over any storage (AdsSet, FlatAdsSet,
-//                or any AdsBackend — in-memory, mmap, sharded with
-//                prefetch), constructing each node's HipEstimator ONCE and
-//                feeding every collector from it.
+//   Executor   — RunSweep: ONE pass over an AdsBackend (in-memory, mmap,
+//                sharded with prefetch), constructing each node's
+//                HipEstimator ONCE and feeding every collector from it.
 //
 // So K statistics cost one shard sweep and one HIP scan per node instead
 // of K of each. The whole-graph query functions in ads/queries.h are thin
@@ -31,7 +30,8 @@
 //     happen in the sequential Reduce phase, which the executor calls in
 //     node order, block by block, whatever the thread count;
 //   * backends are swept one contiguous node range at a time in node
-//     order, so the per-node visit order matches the single-arena sweep.
+//     order, so a sharded sweep visits nodes in the order a one-range
+//     (flat or mmap) sweep does.
 // Between ranges the executor emits Prefetch residency hints, letting a
 // prefetching sharded backend overlap the next shard's I/O (lookahead
 // configurable, see ShardedOptions::prefetch_depth) with compute.
@@ -308,21 +308,22 @@ class SweepPlan {
 /// Executes `plan` in one pass over the sketches: every node's
 /// HipEstimator is constructed exactly once and fed to every collector.
 /// `num_threads` = 0 uses the hardware count, 1 runs inline; results are
-/// bitwise identical for every thread count. The single-arena overloads
-/// cannot fail; the AdsBackend overload sweeps the backend's ranges in
-/// node order (one shard file read per shard, whatever plan.size() is),
-/// emits Prefetch hints between ranges, and fails if a lazy range load
-/// fails — collectors are then left partially filled and must be
-/// discarded. `checkpoint`, when set, is polled before each range; a
-/// non-ok return aborts the sweep with that status (the serving layer
+/// bitwise identical for every thread count. The sweep walks the backend's
+/// ranges in node order (one shard file read per shard, whatever
+/// plan.size() is), emits Prefetch hints between ranges, and fails if a
+/// lazy range load fails — collectors are then left partially filled and
+/// must be discarded. `checkpoint`, when set, is polled before each range;
+/// a non-ok return aborts the sweep with that status (the serving layer
 /// uses it to shed sweeps whose deadline has already passed instead of
 /// finishing work nobody is waiting for).
-void RunSweep(const AdsSet& set, SweepPlan& plan, uint32_t num_threads = 0);
-void RunSweep(const FlatAdsSet& set, SweepPlan& plan,
-              uint32_t num_threads = 0);
 Status RunSweep(const AdsBackend& set, SweepPlan& plan,
                 uint32_t num_threads = 0,
                 const std::function<Status()>& checkpoint = {});
+
+/// Sweeps an in-memory arena: RunSweep over FlatAdsBackend(&set), which
+/// cannot fail.
+void RunSweep(const FlatAdsSet& set, SweepPlan& plan,
+              uint32_t num_threads = 0);
 
 }  // namespace hipads
 

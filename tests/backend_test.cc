@@ -46,24 +46,28 @@ struct ScratchDir {
 };
 
 // Runs the full whole-graph query battery through the backend surface and
-// checks every result bitwise against the plain FlatAdsSet overloads.
+// checks every result bitwise against the same queries over the in-memory
+// reference arena.
 void ExpectBitwiseEqualQueries(const AdsBackend& backend,
-                               const FlatAdsSet& reference) {
+                               const FlatAdsSet& flat) {
+  FlatAdsBackend reference(&flat);
   auto harmonic = EstimateHarmonicCentralityAll(backend, 1);
   ASSERT_TRUE(harmonic.ok()) << harmonic.status().ToString();
-  EXPECT_EQ(harmonic.value(), EstimateHarmonicCentralityAll(reference, 1));
+  EXPECT_EQ(harmonic.value(),
+            EstimateHarmonicCentralityAll(reference, 1).value());
 
   auto distsum = EstimateDistanceSumAll(backend, 1);
   ASSERT_TRUE(distsum.ok());
-  EXPECT_EQ(distsum.value(), EstimateDistanceSumAll(reference, 1));
+  EXPECT_EQ(distsum.value(), EstimateDistanceSumAll(reference, 1).value());
 
   auto reach = EstimateReachableCountAll(backend, 1);
   ASSERT_TRUE(reach.ok());
-  EXPECT_EQ(reach.value(), EstimateReachableCountAll(reference, 1));
+  EXPECT_EQ(reach.value(), EstimateReachableCountAll(reference, 1).value());
 
   auto nsize = EstimateNeighborhoodSizeAll(backend, 2.0, 1);
   ASSERT_TRUE(nsize.ok());
-  EXPECT_EQ(nsize.value(), EstimateNeighborhoodSizeAll(reference, 2.0, 1));
+  EXPECT_EQ(nsize.value(),
+            EstimateNeighborhoodSizeAll(reference, 2.0, 1).value());
 
   auto closeness = EstimateClosenessAll(
       backend, [](double d) { return 1.0 / (1.0 + d); },
@@ -72,23 +76,24 @@ void ExpectBitwiseEqualQueries(const AdsBackend& backend,
   EXPECT_EQ(closeness.value(),
             EstimateClosenessAll(
                 reference, [](double d) { return 1.0 / (1.0 + d); },
-                [](NodeId v) { return v % 2 == 0 ? 1.0 : 0.5; }, 1));
+                [](NodeId v) { return v % 2 == 0 ? 1.0 : 0.5; }, 1)
+                .value());
 
   auto dd = EstimateDistanceDistribution(backend, 1);
   ASSERT_TRUE(dd.ok());
-  EXPECT_EQ(dd.value(), EstimateDistanceDistribution(reference, 1));
+  EXPECT_EQ(dd.value(), EstimateDistanceDistribution(reference, 1).value());
 
   auto nf = EstimateNeighborhoodFunction(backend, 1);
   ASSERT_TRUE(nf.ok());
-  EXPECT_EQ(nf.value(), EstimateNeighborhoodFunction(reference, 1));
+  EXPECT_EQ(nf.value(), EstimateNeighborhoodFunction(reference, 1).value());
 
   auto eff = EstimateEffectiveDiameter(backend);
   ASSERT_TRUE(eff.ok());
-  EXPECT_EQ(eff.value(), EstimateEffectiveDiameter(reference));
+  EXPECT_EQ(eff.value(), EstimateEffectiveDiameter(reference).value());
 
   auto mean = EstimateMeanDistance(backend);
   ASSERT_TRUE(mean.ok());
-  EXPECT_EQ(mean.value(), EstimateMeanDistance(reference));
+  EXPECT_EQ(mean.value(), EstimateMeanDistance(reference).value());
 }
 
 TEST(BackendTest, FlatBackendMatchesReference) {
@@ -230,7 +235,8 @@ TEST(BackendTest, PrefetchSweepsAreDeterministic) {
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 6).ok());
 
-  std::vector<double> reference = EstimateHarmonicCentralityAll(set, 1);
+  std::vector<double> reference =
+      EstimateHarmonicCentralityAll(FlatAdsBackend(&set), 1).value();
   for (bool use_mmap : {false, true}) {
     ShardedOptions options;
     options.max_resident = 2;
@@ -496,8 +502,10 @@ TEST(BackendTest, MixedShardedSetServesResidentShardsAndScansTheRest) {
 }
 
 TEST(BackendTest, SimilarityOverBackendViewsMatchesAdsOverloads) {
-  FlatAdsSet flat = BuildFlat(150, 41, 8);
-  AdsSet owning = flat.ToAdsSet();
+  Graph g = ErdosRenyi(150, 3ULL * 150, true, 41);
+  AdsSet owning = BuildAdsPrunedDijkstra(g, 8, SketchFlavor::kBottomK,
+                                         RankAssignment::Uniform(42));
+  FlatAdsSet flat = FlatAdsSet::FromAdsSet(owning);
   ScratchDir dir("hipads_backend_test_similarity");
   std::string path = dir.file("set.ads2");
   ASSERT_TRUE(WriteAdsSetFile(flat, path, AdsFileFormat::kBinaryV2).ok());

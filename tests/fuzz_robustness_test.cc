@@ -50,15 +50,15 @@ TEST(FuzzTest, AdsParserNeverCrashesOnGarbage) {
   Rng rng(2);
   for (int trial = 0; trial < 300; ++trial) {
     std::string junk = RandomGarbage(rng, 1 + rng.NextBounded(200));
-    auto result = ParseAdsSet(junk);
+    auto result = ParseFlatAdsSet(junk);
     EXPECT_FALSE(result.ok());  // garbage never carries the magic header
   }
 }
 
 TEST(FuzzTest, AdsParserSurvivesMutationsOfValidInput) {
   Graph g = ErdosRenyi(30, 90, true, 3);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(5));
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::Uniform(5)));
   std::string valid = SerializeAdsSet(set);
   Rng rng(3);
   for (int trial = 0; trial < 300; ++trial) {
@@ -70,13 +70,13 @@ TEST(FuzzTest, AdsParserSurvivesMutationsOfValidInput) {
       size_t pos = 14 + rng.NextBounded(mutated.size() - 14);
       mutated[pos] = static_cast<char>('0' + rng.NextBounded(75));
     }
-    auto result = ParseAdsSet(mutated);
+    auto result = ParseFlatAdsSet(mutated);
     if (result.ok()) {
       // Structural sanity of whatever survived.
-      const AdsSet& s = result.value();
+      const FlatAdsSet& s = result.value();
       EXPECT_GE(s.k, 1u);
-      for (const Ads& ads : s.ads) {
-        for (const AdsEntry& e : ads.entries()) {
+      for (NodeId v = 0; v < s.num_nodes(); ++v) {
+        for (const AdsEntry& e : s.of(v).entries()) {
           EXPECT_LT(e.part, s.k);
           EXPECT_GE(e.dist, 0.0);
         }
@@ -87,11 +87,11 @@ TEST(FuzzTest, AdsParserSurvivesMutationsOfValidInput) {
 
 TEST(FuzzTest, TruncationsAlwaysFailCleanly) {
   Graph g = ErdosRenyi(25, 75, true, 7);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 3, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(9));
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+      g, 3, SketchFlavor::kBottomK, RankAssignment::Uniform(9)));
   std::string valid = SerializeAdsSet(set);
   for (size_t len = 0; len < valid.size(); len += 37) {
-    auto result = ParseAdsSet(valid.substr(0, len));
+    auto result = ParseFlatAdsSet(valid.substr(0, len));
     EXPECT_FALSE(result.ok()) << "truncation at " << len << " parsed";
   }
 }

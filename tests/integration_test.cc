@@ -110,9 +110,9 @@ TEST(IntegrationTest, NeighborhoodFunctionTracksExactOnGrid) {
   auto exact_hist = ExactDistanceDistribution(g);
   std::map<double, RunningStat> est_at;
   for (uint64_t seed = 0; seed < 25; ++seed) {
-    AdsSet set = BuildAdsDp(g, 12, SketchFlavor::kBottomK,
-                            RankAssignment::Uniform(seed));
-    auto nf = EstimateNeighborhoodFunction(set);
+    FlatAdsBackend set(FlatAdsSet::FromAdsSet(BuildAdsDp(
+        g, 12, SketchFlavor::kBottomK, RankAssignment::Uniform(seed))));
+    auto nf = EstimateNeighborhoodFunction(set).value();
     double running = 0.0;
     auto it = nf.begin();
     for (const auto& [d, cnt] : exact_hist) {

@@ -10,15 +10,20 @@
 namespace hipads {
 namespace {
 
+// The builders return per-node AdsSets; the queries read an AdsBackend.
+FlatAdsBackend Backend(const AdsSet& set) {
+  return FlatAdsBackend(FlatAdsSet::FromAdsSet(set));
+}
+
 TEST(QueriesTest, DistanceDistributionUnbiasedOnCycle) {
   Graph g = Cycle(40);
   auto exact = ExactDistanceDistribution(g);
   const uint32_t k = 8;
   std::map<double, RunningStat> sums;
   for (uint64_t seed = 0; seed < 40; ++seed) {
-    AdsSet set = BuildAdsPrunedDijkstra(g, k, SketchFlavor::kBottomK,
-                                        RankAssignment::Uniform(seed));
-    auto est = EstimateDistanceDistribution(set);
+    FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+        g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(seed)));
+    auto est = EstimateDistanceDistribution(set).value();
     for (const auto& [d, count] : exact) {
       auto it = est.find(d);
       sums[d].Add(it == est.end() ? 0.0 : it->second);
@@ -32,10 +37,10 @@ TEST(QueriesTest, DistanceDistributionUnbiasedOnCycle) {
 
 TEST(QueriesTest, NeighborhoodFunctionIsRunningSum) {
   Graph g = ErdosRenyi(60, 200, true, 3);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(1));
-  auto dist = EstimateDistanceDistribution(set);
-  auto nf = EstimateNeighborhoodFunction(set);
+  FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::Uniform(1)));
+  auto dist = EstimateDistanceDistribution(set).value();
+  auto nf = EstimateNeighborhoodFunction(set).value();
   double running = 0.0;
   for (const auto& [d, v] : dist) {
     running += v;
@@ -49,11 +54,12 @@ TEST(QueriesTest, ClosenessAllSizesAndAccuracy) {
   // Average estimates over seeds, then compare to exact for a few nodes.
   std::vector<RunningStat> acc(g.num_nodes());
   for (uint64_t seed = 0; seed < 30; ++seed) {
-    AdsSet set = BuildAdsPrunedDijkstra(g, k, SketchFlavor::kBottomK,
-                                        RankAssignment::Uniform(seed));
+    FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+        g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(seed)));
     auto est = EstimateClosenessAll(
-        set, [](double d) { return 1.0 / (1.0 + d); },
-        [](NodeId) { return 1.0; });
+                   set, [](double d) { return 1.0 / (1.0 + d); },
+                   [](NodeId) { return 1.0; })
+                   .value();
     ASSERT_EQ(est.size(), g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) acc[v].Add(est[v]);
   }
@@ -67,10 +73,10 @@ TEST(QueriesTest, ClosenessAllSizesAndAccuracy) {
 
 TEST(QueriesTest, HarmonicAndDistanceSumAll) {
   Graph g = ErdosRenyi(80, 240, true, 13);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 16, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(5));
-  auto harm = EstimateHarmonicCentralityAll(set);
-  auto ds = EstimateDistanceSumAll(set);
+  FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+      g, 16, SketchFlavor::kBottomK, RankAssignment::Uniform(5)));
+  auto harm = EstimateHarmonicCentralityAll(set).value();
+  auto ds = EstimateDistanceSumAll(set).value();
   ASSERT_EQ(harm.size(), g.num_nodes());
   ASSERT_EQ(ds.size(), g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -81,9 +87,9 @@ TEST(QueriesTest, HarmonicAndDistanceSumAll) {
 
 TEST(QueriesTest, NeighborhoodSizeAllExactBelowK) {
   Graph g = Path(20);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 8, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(7));
-  auto sizes = EstimateNeighborhoodSizeAll(set, 2.0);
+  FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+      g, 8, SketchFlavor::kBottomK, RankAssignment::Uniform(7)));
+  auto sizes = EstimateNeighborhoodSizeAll(set, 2.0).value();
   for (NodeId v = 2; v < 18; ++v) {
     EXPECT_EQ(sizes[v], 5.0);  // exact: 5 nodes within distance 2 (< k)
   }
@@ -106,32 +112,29 @@ TEST(QueriesTest, TopKNodesClampsCount) {
 TEST(QueriesTest, EffectiveDiameterOnPath) {
   // On a path of 40 nodes the 0.9-effective diameter is large; on a star
   // it is 2. Sanity-check both from sketches.
-  AdsSet path_set = BuildAdsPrunedDijkstra(Path(40), 16,
-                                           SketchFlavor::kBottomK,
-                                           RankAssignment::Uniform(3));
-  AdsSet star_set = BuildAdsPrunedDijkstra(Star(40), 16,
-                                           SketchFlavor::kBottomK,
-                                           RankAssignment::Uniform(3));
-  EXPECT_GT(EstimateEffectiveDiameter(path_set, 0.9), 15.0);
-  EXPECT_EQ(EstimateEffectiveDiameter(star_set, 0.9), 2.0);
+  FlatAdsBackend path_set = Backend(BuildAdsPrunedDijkstra(
+      Path(40), 16, SketchFlavor::kBottomK, RankAssignment::Uniform(3)));
+  FlatAdsBackend star_set = Backend(BuildAdsPrunedDijkstra(
+      Star(40), 16, SketchFlavor::kBottomK, RankAssignment::Uniform(3)));
+  EXPECT_GT(EstimateEffectiveDiameter(path_set, 0.9).value(), 15.0);
+  EXPECT_EQ(EstimateEffectiveDiameter(star_set, 0.9).value(), 2.0);
 }
 
 TEST(QueriesTest, EffectiveDiameterMonotoneInQuantile) {
   Graph g = BarabasiAlbert(300, 2, 5);
-  AdsSet set = BuildAdsDp(g, 16, SketchFlavor::kBottomK,
-                          RankAssignment::Uniform(7));
-  EXPECT_LE(EstimateEffectiveDiameter(set, 0.5),
-            EstimateEffectiveDiameter(set, 0.9));
-  EXPECT_LE(EstimateEffectiveDiameter(set, 0.9),
-            EstimateEffectiveDiameter(set, 1.0));
+  FlatAdsBackend set = Backend(BuildAdsDp(
+      g, 16, SketchFlavor::kBottomK, RankAssignment::Uniform(7)));
+  EXPECT_LE(EstimateEffectiveDiameter(set, 0.5).value(),
+            EstimateEffectiveDiameter(set, 0.9).value());
+  EXPECT_LE(EstimateEffectiveDiameter(set, 0.9).value(),
+            EstimateEffectiveDiameter(set, 1.0).value());
 }
 
 TEST(QueriesTest, MeanDistanceOnCompleteGraph) {
   // All pairs at distance 1.
-  AdsSet set = BuildAdsPrunedDijkstra(Complete(30), 8,
-                                      SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(9));
-  EXPECT_DOUBLE_EQ(EstimateMeanDistance(set), 1.0);
+  FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+      Complete(30), 8, SketchFlavor::kBottomK, RankAssignment::Uniform(9)));
+  EXPECT_DOUBLE_EQ(EstimateMeanDistance(set).value(), 1.0);
 }
 
 TEST(QueriesTest, MeanDistanceTracksExactOnCycle) {
@@ -141,18 +144,18 @@ TEST(QueriesTest, MeanDistanceTracksExactOnCycle) {
   double exact = (2.0 * (14.0 * 15.0 / 2.0) + 15.0) / 29.0;
   RunningStat est;
   for (uint64_t seed = 0; seed < 30; ++seed) {
-    AdsSet set = BuildAdsPrunedDijkstra(g, 8, SketchFlavor::kBottomK,
-                                        RankAssignment::Uniform(seed));
-    est.Add(EstimateMeanDistance(set));
+    FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+        g, 8, SketchFlavor::kBottomK, RankAssignment::Uniform(seed)));
+    est.Add(EstimateMeanDistance(set).value());
   }
   EXPECT_NEAR(est.mean() / exact, 1.0, 0.05);
 }
 
 TEST(QueriesTest, TopClosenessFindsStarCenter) {
   Graph g = Star(100);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 16, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(21));
-  auto harm = EstimateHarmonicCentralityAll(set);
+  FlatAdsBackend set = Backend(BuildAdsPrunedDijkstra(
+      g, 16, SketchFlavor::kBottomK, RankAssignment::Uniform(21)));
+  auto harm = EstimateHarmonicCentralityAll(set).value();
   EXPECT_EQ(TopKNodes(harm, 1)[0], 0u);  // the hub
 }
 

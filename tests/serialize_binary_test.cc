@@ -9,8 +9,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 
+#include "ads/backend.h"
 #include "ads/builders.h"
 #include "ads/estimators.h"
 #include "ads/hip.h"
@@ -72,14 +75,6 @@ TEST(SerializeBinaryTest, RoundTripBaseBAndWeighted) {
   ExpectBitIdentical(set, back.value());
 }
 
-TEST(SerializeBinaryTest, BothLayoutsSerializeIdentically) {
-  Graph g = BarabasiAlbert(70, 2, 23);
-  AdsSet set = BuildAdsDp(g, 8, SketchFlavor::kBottomK,
-                          RankAssignment::Uniform(29));
-  EXPECT_EQ(SerializeAdsSetBinary(set),
-            SerializeAdsSetBinary(FlatAdsSet::FromAdsSet(set)));
-}
-
 // The property suite of the issue: random sets -> v1 text and v2 binary ->
 // parse back -> bit-identical entries and identical HIP estimates.
 TEST(SerializeBinaryTest, PropertyBothFormatsRoundTripAndAgree) {
@@ -118,9 +113,10 @@ TEST(SerializeBinaryTest, FileRoundTripAndAutoDetect) {
   auto flat = ReadFlatAdsSetFile(path);  // auto-detects v2
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
   ExpectBitIdentical(set, flat.value());
-  auto as_ads = ReadAdsSetFile(path);  // v2 -> per-node layout
-  ASSERT_TRUE(as_ads.ok()) << as_ads.status().ToString();
-  ExpectBitIdentical(set, FlatAdsSet::FromAdsSet(as_ads.value()));
+  ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kTextV1).ok());
+  auto from_text = ReadFlatAdsSetFile(path);  // auto-detects v1
+  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+  ExpectBitIdentical(set, from_text.value());
   std::remove(path.c_str());
 }
 
@@ -197,6 +193,49 @@ TEST(SerializeBinaryTest, RejectsHeaderFieldMutations) {
       EXPECT_FALSE(result.ok()) << "header byte " << pos;
     }
   }
+}
+
+// Entry fields outside their domain are corruption even under a valid
+// checksum: a NaN or infinite distance, a NaN rank, or a negative rank
+// (every rank kind draws ranks >= 0). Both v2 readers — the copying parser
+// and the zero-copy mmap open — must refuse the file.
+TEST(SerializeBinaryTest, RejectsNonFiniteAndNegativeEntryFields) {
+  const FlatAdsSet valid = BuildFlat(60, 7, 4, SketchFlavor::kBottomK,
+                                     RankAssignment::Uniform(3));
+  ASSERT_GT(valid.of(1).size(), 1u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    double AdsEntry::*field;
+    double value;
+  };
+  const Case cases[] = {
+      {"NaN dist", &AdsEntry::dist, nan},
+      {"infinite dist", &AdsEntry::dist, inf},
+      {"NaN rank", &AdsEntry::rank, nan},
+      {"negative rank", &AdsEntry::rank, -0.25},
+  };
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hipads_bad_entry.ads2")
+          .string();
+  for (const Case& c : cases) {
+    FlatAdsSet bad = valid;
+    // The last entry of node 1: past the owner's own distance-0 entry.
+    bad.entries[bad.offsets[2] - 1].*c.field = c.value;
+    const std::string bytes = SerializeAdsSetBinary(bad);
+    auto parsed = ParseFlatAdsSetBinary(bytes);
+    ASSERT_FALSE(parsed.ok()) << c.name;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kCorruption) << c.name;
+    {
+      std::ofstream f(path, std::ios::binary);
+      f << bytes;
+    }
+    auto mapped = MmapAdsSet::Open(path);
+    ASSERT_FALSE(mapped.ok()) << c.name;
+    EXPECT_EQ(mapped.status().code(), Status::Code::kCorruption) << c.name;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SerializeBinaryTest, FuzzRandomMutationsNeverCrash) {

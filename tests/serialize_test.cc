@@ -11,15 +11,18 @@
 namespace hipads {
 namespace {
 
-void ExpectSameSet(const AdsSet& a, const AdsSet& b) {
+// The builders return per-node AdsSets; the writers take the flat arena.
+FlatAdsSet Flat(const AdsSet& set) { return FlatAdsSet::FromAdsSet(set); }
+
+void ExpectSameSet(const FlatAdsSet& a, const FlatAdsSet& b) {
   EXPECT_EQ(a.flavor, b.flavor);
   EXPECT_EQ(a.k, b.k);
   EXPECT_EQ(a.ranks.kind(), b.ranks.kind());
   EXPECT_EQ(a.ranks.seed(), b.ranks.seed());
-  ASSERT_EQ(a.ads.size(), b.ads.size());
-  for (NodeId v = 0; v < a.ads.size(); ++v) {
-    const auto& ea = a.of(v).entries();
-    const auto& eb = b.of(v).entries();
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto ea = a.of(v).entries();
+    const auto eb = b.of(v).entries();
     ASSERT_EQ(ea.size(), eb.size()) << "node " << v;
     for (size_t i = 0; i < ea.size(); ++i) {
       EXPECT_EQ(ea[i].node, eb[i].node);
@@ -32,9 +35,9 @@ void ExpectSameSet(const AdsSet& a, const AdsSet& b) {
 
 TEST(SerializeTest, RoundTripBottomK) {
   Graph g = ErdosRenyi(80, 240, true, 5);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 8, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(9));
-  auto back = ParseAdsSet(SerializeAdsSet(set));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 8, SketchFlavor::kBottomK, RankAssignment::Uniform(9)));
+  auto back = ParseFlatAdsSet(SerializeAdsSet(set));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectSameSet(set, back.value());
 }
@@ -43,9 +46,9 @@ TEST(SerializeTest, RoundTripAllFlavors) {
   Graph g = BarabasiAlbert(60, 2, 7);
   for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
                               SketchFlavor::kKPartition}) {
-    AdsSet set =
-        BuildAdsDp(g, 4, flavor, RankAssignment::Uniform(11));
-    auto back = ParseAdsSet(SerializeAdsSet(set));
+    FlatAdsSet set = Flat(BuildAdsDp(
+        g, 4, flavor, RankAssignment::Uniform(11)));
+    auto back = ParseFlatAdsSet(SerializeAdsSet(set));
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectSameSet(set, back.value());
   }
@@ -53,9 +56,9 @@ TEST(SerializeTest, RoundTripAllFlavors) {
 
 TEST(SerializeTest, RoundTripBaseB) {
   Graph g = ErdosRenyi(50, 150, true, 13);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
-                                      RankAssignment::BaseB(3, 2.0));
-  auto back = ParseAdsSet(SerializeAdsSet(set));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::BaseB(3, 2.0)));
+  auto back = ParseFlatAdsSet(SerializeAdsSet(set));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().ranks.base(), 2.0);
   ExpectSameSet(set, back.value());
@@ -63,18 +66,18 @@ TEST(SerializeTest, RoundTripBaseB) {
 
 TEST(SerializeTest, RoundTripWeightedGraphDistances) {
   Graph g = RandomizeWeights(ErdosRenyi(50, 150, true, 17), 0.3, 2.7, 3);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(21));
-  auto back = ParseAdsSet(SerializeAdsSet(set));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::Uniform(21)));
+  auto back = ParseFlatAdsSet(SerializeAdsSet(set));
   ASSERT_TRUE(back.ok());
   ExpectSameSet(set, back.value());
 }
 
 TEST(SerializeTest, LoadedSetAnswersSameQueries) {
   Graph g = BarabasiAlbert(150, 3, 23);
-  AdsSet set = BuildAdsDp(g, 16, SketchFlavor::kBottomK,
-                          RankAssignment::Uniform(31));
-  auto back = ParseAdsSet(SerializeAdsSet(set));
+  FlatAdsSet set = Flat(BuildAdsDp(
+      g, 16, SketchFlavor::kBottomK, RankAssignment::Uniform(31)));
+  auto back = ParseFlatAdsSet(SerializeAdsSet(set));
   ASSERT_TRUE(back.ok());
   for (NodeId v : {0u, 50u, 149u}) {
     HipEstimator a(set.of(v), set.k, set.flavor, set.ranks);
@@ -87,11 +90,11 @@ TEST(SerializeTest, LoadedSetAnswersSameQueries) {
 
 TEST(SerializeTest, FileRoundTrip) {
   Graph g = ErdosRenyi(40, 120, true, 29);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(37));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::Uniform(37)));
   std::string path = "/tmp/hipads_serialize_test.ads";
   ASSERT_TRUE(WriteAdsSetFile(set, path).ok());
-  auto back = ReadAdsSetFile(path);
+  auto back = ReadFlatAdsSetFile(path);
   ASSERT_TRUE(back.ok());
   ExpectSameSet(set, back.value());
   std::remove(path.c_str());
@@ -100,13 +103,13 @@ TEST(SerializeTest, FileRoundTrip) {
 TEST(SerializeTest, ExponentialNeedsBeta) {
   Graph g = ErdosRenyi(30, 90, true, 31);
   auto beta = [](uint64_t v) { return v % 2 ? 2.0 : 1.0; };
-  AdsSet set = BuildAdsPrunedDijkstra(
-      g, 4, SketchFlavor::kBottomK, RankAssignment::Exponential(5, beta));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::Exponential(5, beta)));
   std::string text = SerializeAdsSet(set);
-  auto without = ParseAdsSet(text);
+  auto without = ParseFlatAdsSet(text);
   EXPECT_FALSE(without.ok());
   EXPECT_EQ(without.status().code(), Status::Code::kInvalidArgument);
-  auto with = ParseAdsSet(text, beta);
+  auto with = ParseFlatAdsSet(text, beta);
   ASSERT_TRUE(with.ok());
   EXPECT_EQ(with.value().ranks.kind(), RankKind::kExponential);
   EXPECT_EQ(with.value().TotalEntries(), set.TotalEntries());
@@ -115,32 +118,38 @@ TEST(SerializeTest, ExponentialNeedsBeta) {
 TEST(SerializeTest, PriorityRoundTripWithBeta) {
   Graph g = ErdosRenyi(30, 90, true, 43);
   auto beta = [](uint64_t v) { return v % 3 == 0 ? 3.0 : 1.0; };
-  AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
-                                      RankAssignment::Priority(7, beta));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kBottomK, RankAssignment::Priority(7, beta)));
   std::string text = SerializeAdsSet(set);
-  EXPECT_FALSE(ParseAdsSet(text).ok());  // beta required
-  auto with = ParseAdsSet(text, beta);
+  EXPECT_FALSE(ParseFlatAdsSet(text).ok());  // beta required
+  auto with = ParseFlatAdsSet(text, beta);
   ASSERT_TRUE(with.ok());
   EXPECT_EQ(with.value().ranks.kind(), RankKind::kPriority);
   ExpectSameSet(set, with.value());
 }
 
 TEST(SerializeTest, RejectsGarbage) {
-  EXPECT_FALSE(ParseAdsSet("").ok());
-  EXPECT_FALSE(ParseAdsSet("not-a-sketch\n").ok());
+  EXPECT_FALSE(ParseFlatAdsSet("").ok());
+  EXPECT_FALSE(ParseFlatAdsSet("not-a-sketch\n").ok());
   EXPECT_FALSE(
-      ParseAdsSet("hipads-ads-v1\nflavor nonsense\n").ok());
+      ParseFlatAdsSet("hipads-ads-v1\nflavor nonsense\n").ok());
   EXPECT_FALSE(
-      ParseAdsSet("hipads-ads-v1\nflavor bottom-k\nk 0\n").ok());
+      ParseFlatAdsSet("hipads-ads-v1\nflavor bottom-k\nk 0\n").ok());
+  // A node count no input of this size can hold: rejected before it sizes
+  // an allocation.
+  EXPECT_FALSE(ParseFlatAdsSet("hipads-ads-v1\nflavor bottom-k\nk 2\n"
+                               "ranks uniform 1\nnodes 99999999999999\n"
+                               "0 0\n")
+                   .ok());
 }
 
 TEST(SerializeTest, RejectsTruncatedEntries) {
   Graph g = ErdosRenyi(20, 60, true, 41);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 2, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(1));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 2, SketchFlavor::kBottomK, RankAssignment::Uniform(1)));
   std::string text = SerializeAdsSet(set);
   text.resize(text.size() / 2);
-  auto result = ParseAdsSet(text);
+  auto result = ParseFlatAdsSet(text);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
 }
@@ -149,20 +158,27 @@ TEST(SerializeTest, RejectsOutOfRangePart) {
   std::string text =
       "hipads-ads-v1\nflavor bottom-k\nk 2\nranks uniform 1\nnodes 1\n"
       "0 1\n0 5 0.5 0\n";  // part 5 >= k 2
-  EXPECT_FALSE(ParseAdsSet(text).ok());
+  EXPECT_FALSE(ParseFlatAdsSet(text).ok());
+}
+
+TEST(SerializeTest, RejectsNegativeRank) {
+  // Every rank kind draws ranks >= 0, so a negative stored rank is
+  // corruption — the same entry check the v2 validator runs.
+  const std::string header =
+      "hipads-ads-v1\nflavor bottom-k\nk 2\nranks uniform 1\nnodes 1\n";
+  ASSERT_TRUE(ParseFlatAdsSet(header + "0 1\n0 0 0.5 0\n").ok());
+  auto result = ParseFlatAdsSet(header + "0 1\n0 0 -0.5 0\n");
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
 }
 
 TEST(SerializeTest, BothParsersRejectDuplicateNodeBlocks) {
-  // Two blocks for node 0 (and none for node 1): historically the AdsSet
-  // parser silently let the last block win while the flat parser rejected
-  // it; both must reject so the two loaders accept identical file sets.
+  // Two blocks for node 0 (and none for node 1): rejected, never resolved
+  // by letting the last block win.
   std::string text =
       "hipads-ads-v1\nflavor bottom-k\nk 2\nranks uniform 1\nnodes 2\n"
       "0 1\n0 0 0.5 0\n"
       "0 1\n1 0 0.25 1\n";
-  auto as_set = ParseAdsSet(text);
-  EXPECT_FALSE(as_set.ok());
-  EXPECT_EQ(as_set.status().code(), Status::Code::kCorruption);
   auto as_flat = ParseFlatAdsSet(text);
   EXPECT_FALSE(as_flat.ok());
   EXPECT_EQ(as_flat.status().code(), Status::Code::kCorruption);
@@ -173,45 +189,26 @@ TEST(SerializeTest, BothParsersRejectOutOfOrderNodeBlocks) {
       "hipads-ads-v1\nflavor bottom-k\nk 2\nranks uniform 1\nnodes 2\n"
       "1 1\n1 0 0.25 0\n"
       "0 1\n0 0 0.5 0\n";
-  EXPECT_FALSE(ParseAdsSet(text).ok());
   EXPECT_FALSE(ParseFlatAdsSet(text).ok());
 }
 
 TEST(SerializeTest, BothParsersRejectTrailingGarbage) {
   Graph g = ErdosRenyi(20, 60, true, 47);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 2, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(1));
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      g, 2, SketchFlavor::kBottomK, RankAssignment::Uniform(1)));
   std::string text = SerializeAdsSet(set);
-  ASSERT_TRUE(ParseAdsSet(text).ok());
   ASSERT_TRUE(ParseFlatAdsSet(text).ok());
   for (const char* junk : {"0", "garbage", "0 1\n0 0 0.5 0\n"}) {
-    auto as_set = ParseAdsSet(text + junk);
-    EXPECT_FALSE(as_set.ok()) << junk;
-    EXPECT_EQ(as_set.status().code(), Status::Code::kCorruption);
     auto as_flat = ParseFlatAdsSet(text + junk);
     EXPECT_FALSE(as_flat.ok()) << junk;
     EXPECT_EQ(as_flat.status().code(), Status::Code::kCorruption);
   }
   // Trailing whitespace is not garbage.
-  EXPECT_TRUE(ParseAdsSet(text + "\n \n").ok());
   EXPECT_TRUE(ParseFlatAdsSet(text + "\n \n").ok());
 }
 
-TEST(SerializeTest, ParsersAgreeOnAcceptance) {
-  // The two v1 parsers must accept/reject the same inputs.
-  Graph g = ErdosRenyi(25, 75, true, 53);
-  AdsSet set = BuildAdsPrunedDijkstra(g, 4, SketchFlavor::kBottomK,
-                                      RankAssignment::Uniform(2));
-  std::string valid = SerializeAdsSet(set);
-  for (size_t len : {valid.size(), valid.size() / 2, valid.size() - 1}) {
-    std::string text = valid.substr(0, len);
-    EXPECT_EQ(ParseAdsSet(text).ok(), ParseFlatAdsSet(text).ok())
-        << "prefix length " << len;
-  }
-}
-
 TEST(SerializeTest, ReadMissingFileFails) {
-  auto result = ReadAdsSetFile("/nonexistent/sketches.ads");
+  auto result = ReadFlatAdsSetFile("/nonexistent/sketches.ads");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kIOError);
 }

@@ -100,38 +100,39 @@ TEST(ShardTest, SweepsMatchUnshardedBitwise) {
   auto opened = ShardedAdsSet::Open(dir.path, nullptr, /*max_resident=*/1);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const ShardedAdsSet& sharded = opened.value();
+  FlatAdsBackend flat(&set);
 
   auto harmonic = EstimateHarmonicCentralityAll(sharded, 1);
   ASSERT_TRUE(harmonic.ok());
-  EXPECT_EQ(harmonic.value(), EstimateHarmonicCentralityAll(set, 1));
+  EXPECT_EQ(harmonic.value(), EstimateHarmonicCentralityAll(flat, 1).value());
 
   auto distsum = EstimateDistanceSumAll(sharded, 1);
   ASSERT_TRUE(distsum.ok());
-  EXPECT_EQ(distsum.value(), EstimateDistanceSumAll(set, 1));
+  EXPECT_EQ(distsum.value(), EstimateDistanceSumAll(flat, 1).value());
 
   auto reach = EstimateReachableCountAll(sharded, 1);
   ASSERT_TRUE(reach.ok());
-  EXPECT_EQ(reach.value(), EstimateReachableCountAll(set, 1));
+  EXPECT_EQ(reach.value(), EstimateReachableCountAll(flat, 1).value());
 
   auto nsize = EstimateNeighborhoodSizeAll(sharded, 2.0, 1);
   ASSERT_TRUE(nsize.ok());
-  EXPECT_EQ(nsize.value(), EstimateNeighborhoodSizeAll(set, 2.0, 1));
+  EXPECT_EQ(nsize.value(), EstimateNeighborhoodSizeAll(flat, 2.0, 1).value());
 
   auto dd = EstimateDistanceDistribution(sharded, 1);
   ASSERT_TRUE(dd.ok());
-  EXPECT_EQ(dd.value(), EstimateDistanceDistribution(set, 1));
+  EXPECT_EQ(dd.value(), EstimateDistanceDistribution(flat, 1).value());
 
   auto nf = EstimateNeighborhoodFunction(sharded, 1);
   ASSERT_TRUE(nf.ok());
-  EXPECT_EQ(nf.value(), EstimateNeighborhoodFunction(set, 1));
+  EXPECT_EQ(nf.value(), EstimateNeighborhoodFunction(flat, 1).value());
 
   auto eff = EstimateEffectiveDiameter(sharded);
   ASSERT_TRUE(eff.ok());
-  EXPECT_EQ(eff.value(), EstimateEffectiveDiameter(set));
+  EXPECT_EQ(eff.value(), EstimateEffectiveDiameter(flat).value());
 
   auto mean = EstimateMeanDistance(sharded);
   ASSERT_TRUE(mean.ok());
-  EXPECT_EQ(mean.value(), EstimateMeanDistance(set));
+  EXPECT_EQ(mean.value(), EstimateMeanDistance(flat).value());
 }
 
 TEST(ShardTest, SweepsThreadCountIndependent) {

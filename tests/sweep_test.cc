@@ -5,7 +5,7 @@
 // prefetch at every lookahead depth) and for every thread count — while
 // costing exactly ONE backend pass (observable through the sharded
 // backend's shard-load counter). Plus the failure contract (a truncated
-// shard fails the whole plan) and the SoA layout's bitwise equivalence.
+// shard fails the whole plan) and a plain-loop reference for the executor.
 
 #include "ads/sweep.h"
 
@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -74,37 +75,34 @@ struct SixStatPlan {
 
   // Bitwise comparison of every collected statistic against the
   // standalone whole-graph queries on the reference arena.
-  void ExpectMatchesStandalone(const FlatAdsSet& ref) const {
-    EXPECT_EQ(hist->Distribution(), EstimateDistanceDistribution(ref, 1));
+  void ExpectMatchesStandalone(const FlatAdsSet& flat) const {
+    FlatAdsBackend ref(&flat);
+    EXPECT_EQ(hist->Distribution(),
+              EstimateDistanceDistribution(ref, 1).value());
     EXPECT_EQ(hist->NeighborhoodFunction(),
-              EstimateNeighborhoodFunction(ref, 1));
-    EXPECT_EQ(hist->EffectiveDiameter(), EstimateEffectiveDiameter(ref));
-    EXPECT_EQ(hist->MeanDistance(), EstimateMeanDistance(ref));
+              EstimateNeighborhoodFunction(ref, 1).value());
+    EXPECT_EQ(hist->EffectiveDiameter(),
+              EstimateEffectiveDiameter(ref).value());
+    EXPECT_EQ(hist->MeanDistance(), EstimateMeanDistance(ref).value());
     EXPECT_EQ(closeness->values(),
-              EstimateClosenessAll(ref, AlphaFn, BetaFn, 1));
-    EXPECT_EQ(distsum->values(), EstimateDistanceSumAll(ref, 1));
-    EXPECT_EQ(harmonic->values(), EstimateHarmonicCentralityAll(ref, 1));
-    EXPECT_EQ(nsize->values(), EstimateNeighborhoodSizeAll(ref, 2.0, 1));
-    EXPECT_EQ(reach->values(), EstimateReachableCountAll(ref, 1));
+              EstimateClosenessAll(ref, AlphaFn, BetaFn, 1).value());
+    EXPECT_EQ(distsum->values(), EstimateDistanceSumAll(ref, 1).value());
+    EXPECT_EQ(harmonic->values(),
+              EstimateHarmonicCentralityAll(ref, 1).value());
+    EXPECT_EQ(nsize->values(),
+              EstimateNeighborhoodSizeAll(ref, 2.0, 1).value());
+    EXPECT_EQ(reach->values(), EstimateReachableCountAll(ref, 1).value());
     EXPECT_EQ(top->TopNodes(),
-              TopKNodes(EstimateHarmonicCentralityAll(ref, 1), 5));
+              TopKNodes(EstimateHarmonicCentralityAll(ref, 1).value(), 5));
   }
 };
 
 TEST(SweepTest, FusedPlanMatchesStandaloneOnSingleArenas) {
   FlatAdsSet flat = BuildFlat(180, 3, 8);
-  AdsSet owning = flat.ToAdsSet();
   for (uint32_t threads : {1u, 2u, 4u}) {
-    {
-      SixStatPlan fused;
-      RunSweep(flat, fused.plan, threads);
-      fused.ExpectMatchesStandalone(flat);
-    }
-    {
-      SixStatPlan fused;
-      RunSweep(owning, fused.plan, threads);
-      fused.ExpectMatchesStandalone(flat);
-    }
+    SixStatPlan fused;
+    RunSweep(flat, fused.plan, threads);
+    fused.ExpectMatchesStandalone(flat);
   }
 }
 
@@ -293,7 +291,8 @@ TEST(SweepTest, DeepPrefetchSweepsAreDeterministic) {
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 6).ok());
 
-  std::vector<double> reference = EstimateHarmonicCentralityAll(set, 1);
+  std::vector<double> reference =
+      EstimateHarmonicCentralityAll(FlatAdsBackend(&set), 1).value();
   for (bool use_mmap : {false, true}) {
     for (uint32_t depth : {2u, 3u}) {
       ShardedOptions options;
@@ -319,61 +318,56 @@ TEST(SweepTest, DeepPrefetchSweepsAreDeterministic) {
   }
 }
 
-// The SoA split: per-field streams produce bitwise-identical HIP weights
-// and estimates for every flavor (the kernels are one template).
-TEST(SweepTest, SoaLayoutMatchesAosBitwise) {
-  Graph g = ErdosRenyi(140, 3ULL * 140, true, 23);
-  struct Case {
-    SketchFlavor flavor;
-    RankAssignment ranks;
-  };
-  const Case cases[] = {
-      {SketchFlavor::kBottomK, RankAssignment::Uniform(24)},
-      {SketchFlavor::kBottomK, RankAssignment::BaseB(24, 2.0)},
-      {SketchFlavor::kKMins, RankAssignment::Uniform(25)},
-      {SketchFlavor::kKPartition, RankAssignment::Uniform(26)},
-  };
-  for (const Case& c : cases) {
-    FlatAdsSet flat = FlatAdsSet::FromAdsSet(
-        BuildAdsPrunedDijkstra(g, 8, c.flavor, c.ranks));
-    SoaAdsArena soa = SoaAdsArena::FromFlat(flat);
-    ASSERT_EQ(soa.num_nodes(), flat.num_nodes());
-    ASSERT_EQ(soa.TotalEntries(), flat.TotalEntries());
-    for (NodeId v = 0; v < flat.num_nodes(); ++v) {
-      auto aos_hip = ComputeHipWeights(flat.of(v), 8, c.flavor, c.ranks);
-      auto soa_hip = ComputeHipWeights(soa.of(v), 8, c.flavor, c.ranks);
-      ASSERT_EQ(aos_hip.size(), soa_hip.size()) << "node " << v;
-      for (size_t i = 0; i < aos_hip.size(); ++i) {
-        EXPECT_EQ(aos_hip[i].node, soa_hip[i].node);
-        EXPECT_EQ(aos_hip[i].dist, soa_hip[i].dist);
-        EXPECT_EQ(aos_hip[i].tau, soa_hip[i].tau);
-        EXPECT_EQ(aos_hip[i].weight, soa_hip[i].weight);
-      }
-      HipEstimator aos_est(flat.of(v), 8, c.flavor, c.ranks);
-      HipEstimator soa_est(soa.of(v), 8, c.flavor, c.ranks);
-      EXPECT_EQ(aos_est.HarmonicCentrality(), soa_est.HarmonicCentrality());
-      EXPECT_EQ(aos_est.ReachableCount(), soa_est.ReachableCount());
-      EXPECT_EQ(aos_est.NeighborhoodCardinality(2.0),
-                soa_est.NeighborhoodCardinality(2.0));
-    }
-  }
-}
-
-// The collector-library additions: per-node distance quantiles and custom
-// Q_g ride the fused pass and match per-node HipEstimator evaluation.
+// The executor against a plain-loop reference. The cross-engine tests
+// compare backends that all run the one executor; this checks the
+// executor itself. Every per-node collector must equal the scanning
+// HipEstimator evaluated node by node, and the distance histogram must
+// equal an exact per-distance fold of every node's HIP entries — over
+// FlatAdsBackend with and without precomputed HIP weights, and on both
+// executor paths (Map-only plans and plans with a Reduce phase).
 TEST(SweepTest, QuantileAndQgCollectorsMatchPerNodeEstimators) {
-  FlatAdsSet set = BuildFlat(150, 31, 8);
-  SweepPlan plan;
-  auto* median = plan.Emplace<DistanceQuantileCollector>(0.5);
-  auto* q90 = plan.Emplace<DistanceQuantileCollector>(0.9);
+  FlatAdsSet scanned = BuildFlat(150, 31, 8);
+  FlatAdsSet resident = scanned;
+  PrecomputeHipWeights(&resident, 2);
   auto g = [](NodeId, double d) { return std::pow(0.5, d); };
-  auto* qg = plan.Emplace<QgCollector>(g);
-  RunSweep(set, plan, 2);
-  for (NodeId v = 0; v < set.num_nodes(); ++v) {
-    HipEstimator est(set.of(v), set.k, set.flavor, set.ranks);
-    EXPECT_EQ(median->values()[v], est.DistanceQuantile(0.5)) << v;
-    EXPECT_EQ(q90->values()[v], est.DistanceQuantile(0.9)) << v;
-    EXPECT_EQ(qg->values()[v], est.Qg(g)) << v;
+  for (const FlatAdsSet* set : {&scanned, &resident}) {
+    for (bool with_histogram : {false, true}) {
+      SweepPlan plan;
+      auto* median = plan.Emplace<DistanceQuantileCollector>(0.5);
+      auto* q90 = plan.Emplace<DistanceQuantileCollector>(0.9);
+      auto* qg = plan.Emplace<QgCollector>(g);
+      auto* closeness = plan.Emplace<ClosenessCollector>(AlphaFn, BetaFn);
+      auto* distsum = plan.Emplace<DistanceSumCollector>();
+      auto* harmonic = plan.Emplace<HarmonicCentralityCollector>();
+      auto* nsize = plan.Emplace<NeighborhoodSizeCollector>(2.0);
+      auto* reach = plan.Emplace<ReachableCountCollector>();
+      DistanceHistogramCollector hist;
+      if (with_histogram) plan.Add(&hist);
+      ASSERT_TRUE(RunSweep(FlatAdsBackend(set), plan, 2).ok());
+
+      std::map<double, ExactSum> folded;
+      for (NodeId v = 0; v < set->num_nodes(); ++v) {
+        HipEstimator est(set->of(v), set->k, set->flavor, set->ranks);
+        EXPECT_EQ(median->values()[v], est.DistanceQuantile(0.5)) << v;
+        EXPECT_EQ(q90->values()[v], est.DistanceQuantile(0.9)) << v;
+        EXPECT_EQ(qg->values()[v], est.Qg(g)) << v;
+        EXPECT_EQ(closeness->values()[v], est.Closeness(AlphaFn, BetaFn))
+            << v;
+        EXPECT_EQ(distsum->values()[v], est.DistanceSum()) << v;
+        EXPECT_EQ(harmonic->values()[v], est.HarmonicCentrality()) << v;
+        EXPECT_EQ(nsize->values()[v], est.NeighborhoodCardinality(2.0)) << v;
+        EXPECT_EQ(reach->values()[v], est.ReachableCount()) << v;
+        est.ForEachEntry([&folded](const HipEntry& e) {
+          if (e.dist > 0.0) folded[e.dist].Add(e.weight);
+        });
+      }
+      if (with_histogram) {
+        std::map<double, double> expected;
+        for (const auto& [d, sum] : folded) expected[d] = sum.Round();
+        EXPECT_FALSE(expected.empty());
+        EXPECT_EQ(hist.Distribution(), expected);
+      }
+    }
   }
 }
 

@@ -349,12 +349,6 @@ int CmdSketch(const Args& args) {
   // bit-identical to the sequential builders for every thread count.
   uint32_t threads =
       static_cast<uint32_t>(args.GetInt("threads", HardwareThreads()));
-  AdsBuildStats stats;
-  AdsSet set =
-      g.IsUnitWeight()
-          ? BuildAdsDpParallel(g, k, flavor, ranks, threads, &stats)
-          : BuildAdsPrunedDijkstraParallel(g, k, flavor, ranks, threads,
-                                           &stats);
   std::string out = args.Get("out", "sketches.ads");
   uint32_t shards = static_cast<uint32_t>(args.GetInt("shards", 0));
   std::string format_name = args.Get("format", "text");
@@ -378,28 +372,25 @@ int CmdSketch(const Args& args) {
                  "no HIP section)\n");
     return 2;
   }
-  // Both layouts serialize to byte-identical bytes, so write straight from
-  // the builder output; query/stats load files into the flat arena. The
-  // HIP path goes through the flat arena, whose entry positions the stored
-  // weight arrays align with.
-  Status s;
-  if (add_hip) {
-    FlatAdsSet flat = FlatAdsSet::FromAdsSet(set);
-    PrecomputeHipWeights(&flat, threads);
-    s = shards > 0 ? WriteShardedAdsSet(flat, out, shards)
-                   : WriteAdsSetFile(flat, out, format);
-  } else {
-    s = shards > 0 ? WriteShardedAdsSet(FlatAdsSet::FromAdsSet(set), out,
-                                        shards)
-                   : WriteAdsSetFile(set, out, format);
-  }
+  // Flatten the builder output once and free it; every writer (and the
+  // HIP precompute, whose weight arrays align with the arena) takes the
+  // flat arena.
+  AdsBuildStats stats;
+  FlatAdsSet flat = FlatAdsSet::FromAdsSet(
+      g.IsUnitWeight()
+          ? BuildAdsDpParallel(g, k, flavor, ranks, threads, &stats)
+          : BuildAdsPrunedDijkstraParallel(g, k, flavor, ranks, threads,
+                                           &stats));
+  if (add_hip) PrecomputeHipWeights(&flat, threads);
+  Status s = shards > 0 ? WriteShardedAdsSet(flat, out, shards)
+                        : WriteAdsSetFile(flat, out, format);
   if (!s.ok()) return Fail(s);
   std::printf(
       "sketched %u nodes (k=%u, %s, %u threads): %llu entries (%.1f/node), "
       "%llu relaxations -> %s%s\n",
       g.num_nodes(), k, flavor_name.c_str(), threads,
-      static_cast<unsigned long long>(set.TotalEntries()),
-      static_cast<double>(set.TotalEntries()) / g.num_nodes(),
+      static_cast<unsigned long long>(flat.TotalEntries()),
+      static_cast<double>(flat.TotalEntries()) / g.num_nodes(),
       static_cast<unsigned long long>(stats.relaxations), out.c_str(),
       shards > 0 ? " (sharded)" : "");
   return 0;
