@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "ads/serialize.h"
@@ -161,28 +162,34 @@ StatusOr<MmapAdsSet> MmapAdsSet::Open(const std::string& path,
   (void)::posix_madvise(map, len, POSIX_MADV_WILLNEED);
 #endif
   const char* data = static_cast<const char*>(map);
-  std::string magic_probe(data, std::min<size_t>(len, 8));
-  if (!IsBinaryAdsData(magic_probe)) {
+  if (!IsBinaryAdsData(std::string_view(data, std::min<size_t>(len, 8)))) {
     // v1 text (or not an ADS file at all): only the copying loader can
     // parse it; it also produces the proper error for garbage input.
     ::munmap(map, len);
     return OpenFallback(path, std::move(beta));
   }
-  auto validated = ValidateAdsSetBinary(data, len);
-  if (!validated.ok()) {
-    // Corrupt v2 must fail loudly — re-parsing cannot fix a bad checksum.
+  // The same two-step validator the copying readers run, over the mapping.
+  // Corrupt v2 must fail loudly — re-parsing cannot fix a bad checksum.
+  auto header = CheckAdsBinaryHeader(data, len);
+  if (!header.ok()) {
     ::munmap(map, len);
-    return validated.status();
+    return header.status();
   }
-  const AdsBinaryView& v = validated.value();
-  if (!v.canonical_order) {
+  const AdsBinaryHeader& h = header.value();
+  const AdsBinarySections sections = MappedAdsSections(h, data);
+  auto canonical = CheckAdsBinarySections(h, sections);
+  if (!canonical.ok()) {
+    ::munmap(map, len);
+    return canonical.status();
+  }
+  if (!canonical.value()) {
     // Valid file, but a zero-copy consumer cannot re-sort node blocks into
     // canonical order; the copying loader can.
     ::munmap(map, len);
     return OpenFallback(path, std::move(beta));
   }
   MmapAdsSet set;
-  Status ranks_status = RanksFromStoredParams(v.rank_kind, v.seed, v.base,
+  Status ranks_status = RanksFromStoredParams(h.rank_kind, h.seed, h.base,
                                               std::move(beta), &set.ranks_);
   if (!ranks_status.ok()) {
     ::munmap(map, len);
@@ -190,14 +197,14 @@ StatusOr<MmapAdsSet> MmapAdsSet::Open(const std::string& path,
   }
   set.map_ = map;
   set.map_len_ = len;
-  set.flavor_ = v.flavor;
-  set.k_ = v.k;
-  set.num_nodes_ = v.num_nodes;
-  set.num_entries_ = v.num_entries;
-  set.offsets_ = v.offsets;
-  set.entries_ = v.entries;
-  set.hip_tau_ = v.hip_tau;        // null when the file has no HIP section
-  set.hip_weight_ = v.hip_weight;
+  set.flavor_ = h.flavor;
+  set.k_ = h.k;
+  set.num_nodes_ = h.num_nodes;
+  set.num_entries_ = h.num_entries;
+  set.offsets_ = sections.offsets;
+  set.entries_ = sections.entries;
+  set.hip_tau_ = sections.hip_tau;  // null when the file has no HIP section
+  set.hip_weight_ = sections.hip_weight;
   return set;
 #else
   return OpenFallback(path, std::move(beta));

@@ -166,7 +166,8 @@ class FlatAdsBackend : public AdsBackend {
 };
 
 /// A hipads-ads-v2 file opened zero-copy: the file is mapped read-only and
-/// validated in place (header, whole-file checksum, structure); AdsViews
+/// validated in place by the copying readers' validator (header, chained
+/// section checksums, structure); AdsViews
 /// point directly into the mapping, so open allocates nothing and copies
 /// nothing. When zero-copy open is impossible — v1 text input, entry blocks
 /// not in canonical order, or no mmap on the platform — Open degrades

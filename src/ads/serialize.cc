@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -22,10 +23,12 @@ constexpr char kMagic[] = "hipads-ads-v1";
 
 // Binary v2 layout: V2Header, then the raw offsets[] section, then the raw
 // AdsEntry[] arena. Everything is little-endian / host layout; the header
-// carries explicit per-section byte lengths and an FNV-1a checksum of the
-// payload so loaders can validate structure before touching a byte of it.
+// carries explicit per-section byte lengths and a chained XXH64 checksum
+// so loaders can validate structure before touching a byte of the payload.
+// Header version 3 is the XXH64 layout; version 2 files (FNV-1a, same
+// bytes otherwise) are rejected like any other unknown version.
 constexpr char kMagicV2[8] = {'h', 'i', 'p', 'a', 'd', 's', 'v', '2'};
-constexpr uint32_t kVersionV2 = 2;
+constexpr uint32_t kVersionV2 = 3;
 
 struct V2Header {
   char magic[8];
@@ -40,8 +43,8 @@ struct V2Header {
   uint64_t num_entries;
   uint64_t offsets_bytes;  // == (num_nodes + 1) * sizeof(uint64_t)
   uint64_t entries_bytes;  // == num_entries * sizeof(AdsEntry)
-  uint64_t checksum;       // FNV-1a over the header (this field zeroed)
-                           // followed by the offsets + entries sections
+  uint64_t checksum;       // XXH64 chain: header (this field zeroed, seed
+                           // 0) -> offsets -> entries
 };
 static_assert(sizeof(V2Header) == kAdsBinaryHeaderBytes,
               "v2 header layout drifted");
@@ -52,43 +55,42 @@ static_assert(std::endian::native == std::endian::little,
               "the hipads-ads-v2 format is little-endian; big-endian hosts "
               "need byte swapping");
 
-// Checksum of a v2 file image: the header with its checksum field zeroed,
-// then the payload sections (util/hash.h Fnv1a, shared with the wire
-// protocol's frame checksum). Covering the header means any single
-// corrupted parameter byte (flavor, k, seed, ...) is caught even when it
-// would still parse as a structurally valid file. The optional HIP section
-// is NOT covered — it carries its own checksum — so the base image of a
-// file is bit-identical whether or not the section follows it.
-uint64_t V2Checksum(V2Header h, const char* payload, size_t payload_size) {
-  h.checksum = 0;
-  uint64_t sum = Fnv1a(reinterpret_cast<const char*>(&h), sizeof(V2Header),
-                       kFnv1aOffsetBasis);
-  return Fnv1a(payload, payload_size, sum);
-}
-
 // Optional HIP section, appended after the entry arena: this header, then
 // tau[num_entries] + weight[num_entries] doubles (hip.h's aligned layout).
 // Every preceding section is a multiple of 8 bytes, so the double arrays
-// stay 8-byte aligned in any mapping of the file.
+// stay 8-byte aligned in any mapping of the file. Section version 2 is the
+// XXH64 layout.
 constexpr char kMagicHip[8] = {'h', 'i', 'p', 'a', 'd', 's', 'h', 'w'};
-constexpr uint32_t kHipSectionVersion = 1;
+constexpr uint32_t kHipSectionVersion = 2;
 
 struct HipSectionHeader {
   char magic[8];
   uint32_t version;
   uint32_t reserved;     // must be zero
   uint64_t num_entries;  // must equal the main header's num_entries
-  uint64_t checksum;     // FNV-1a over this header (field zeroed) + arrays
+  uint64_t checksum;     // XXH64 chain: this header (field zeroed, seed 0)
+                         // -> tau -> weight
 };
 static_assert(sizeof(HipSectionHeader) == kAdsHipSectionHeaderBytes,
               "HIP section header layout drifted");
 
-uint64_t HipSectionChecksum(HipSectionHeader h, const char* payload,
-                            size_t payload_size) {
+// Both checksums are XXH64 chains (util/hash.h): the header with its
+// checksum field zeroed hashed under seed 0, then each section hashed with
+// the chain so far as its seed. Covering the header means any single
+// corrupted parameter byte (flavor, k, seed, ...) is caught even when it
+// would still parse as a structurally valid file; chaining per section
+// lets writers hash spans of an arena and readers hash the arrays they
+// read each section into, with no contiguous image anywhere. The base
+// chain does NOT cover the HIP section — it carries its own — so the base
+// image of a file is bit-identical whether or not the section follows it.
+template <typename Header>
+uint64_t HeaderHash(Header h) {
   h.checksum = 0;
-  uint64_t sum = Fnv1a(reinterpret_cast<const char*>(&h),
-                       sizeof(HipSectionHeader), kFnv1aOffsetBasis);
-  return Fnv1a(payload, payload_size, sum);
+  return Xxh64(reinterpret_cast<const char*>(&h), sizeof(Header), 0);
+}
+
+uint64_t Chain(uint64_t chain, const void* section, uint64_t bytes) {
+  return Xxh64(static_cast<const char*>(section), bytes, chain);
 }
 
 const char* FlavorName(SketchFlavor flavor) {
@@ -269,7 +271,30 @@ std::string SerializeAdsSet(const FlatAdsSet& set) {
   return os.str();
 }
 
-std::string SerializeAdsSetBinary(const FlatAdsSet& set) {
+namespace {
+
+// Writes one v2 image of nodes [begin, end) of `set` through
+// `write(data, n)`: the header, then each section straight from the arena
+// (only the offsets are rebased, and only when the range starts past the
+// first entry), then the optional HIP section. Each checksum is computed
+// over the same spans before its header goes out, so the image is never
+// assembled in memory. The file, shard and string writers are this
+// function over different sinks.
+template <typename WriteFn>
+void WriteBinaryImage(const FlatAdsSet& set, NodeId begin, NodeId end,
+                      WriteFn&& write) {
+  const uint64_t first = set.offsets[begin];
+  const uint64_t* offsets = set.offsets.data() + begin;
+  std::vector<uint64_t> rebased;
+  if (first != 0) {
+    rebased.reserve(uint64_t{end} - begin + 1);
+    for (uint64_t v = begin; v <= end; ++v) {
+      rebased.push_back(set.offsets[v] - first);
+    }
+    offsets = rebased.data();
+  }
+  const AdsEntry* entries = set.entries.data() + first;
+
   V2Header h{};
   std::memcpy(h.magic, kMagicV2, sizeof(h.magic));
   h.version = kVersionV2;
@@ -279,40 +304,130 @@ std::string SerializeAdsSetBinary(const FlatAdsSet& set) {
   h.seed = set.ranks.seed();
   h.base = set.ranks.kind() == RankKind::kBaseB ? set.ranks.base() : 0.0;
   h.sup = set.ranks.sup();
-  h.num_nodes = set.num_nodes();
-  h.num_entries = set.entries.size();
-  h.offsets_bytes = set.offsets.size() * sizeof(uint64_t);
-  h.entries_bytes = set.entries.size() * sizeof(AdsEntry);
-
-  std::string out;
-  const size_t base_size = sizeof(V2Header) + h.offsets_bytes +
-                           h.entries_bytes;
-  out.resize(base_size);
-  char* p = out.data() + sizeof(V2Header);
-  std::memcpy(p, set.offsets.data(), h.offsets_bytes);
-  std::memcpy(p + h.offsets_bytes, set.entries.data(), h.entries_bytes);
-  h.checksum = V2Checksum(h, p, h.offsets_bytes + h.entries_bytes);
-  std::memcpy(out.data(), &h, sizeof(V2Header));
+  h.num_nodes = end - begin;
+  h.num_entries = set.offsets[end] - first;
+  h.offsets_bytes = (h.num_nodes + 1) * sizeof(uint64_t);
+  h.entries_bytes = h.num_entries * sizeof(AdsEntry);
+  h.checksum = Chain(Chain(HeaderHash(h), offsets, h.offsets_bytes), entries,
+                     h.entries_bytes);
+  write(&h, sizeof(V2Header));
+  write(offsets, h.offsets_bytes);
+  write(entries, h.entries_bytes);
 
   if (set.has_hip()) {
     assert(set.hip_tau.size() == set.entries.size() &&
            set.hip_weight.size() == set.entries.size());
+    const double* tau = set.hip_tau.data() + first;
+    const double* weight = set.hip_weight.data() + first;
+    const uint64_t array_bytes = h.num_entries * sizeof(double);
     HipSectionHeader sh{};
     std::memcpy(sh.magic, kMagicHip, sizeof(sh.magic));
     sh.version = kHipSectionVersion;
-    sh.num_entries = set.entries.size();
-    const uint64_t array_bytes = sh.num_entries * sizeof(double);
-    out.resize(base_size + sizeof(HipSectionHeader) + 2 * array_bytes);
-    char* s = out.data() + base_size + sizeof(HipSectionHeader);
-    std::memcpy(s, set.hip_tau.data(), array_bytes);
-    std::memcpy(s + array_bytes, set.hip_weight.data(), array_bytes);
-    sh.checksum = HipSectionChecksum(sh, s, 2 * array_bytes);
-    std::memcpy(out.data() + base_size, &sh, sizeof(HipSectionHeader));
+    sh.num_entries = h.num_entries;
+    sh.checksum =
+        Chain(Chain(HeaderHash(sh), tau, array_bytes), weight, array_bytes);
+    write(&sh, sizeof(HipSectionHeader));
+    write(tau, array_bytes);
+    write(weight, array_bytes);
   }
+}
+
+// Closes `f` and reports any write error, including one that surfaces only
+// when close flushes the last buffer (a full disk).
+Status CloseWritten(std::ofstream& f, const std::string& path) {
+  f.close();
+  if (!f) return Status::IOError("write failed for " + path);
+  return Status::Ok();
+}
+
+// Reads one v2 image section by section straight into a FlatAdsSet's
+// arrays — one `read(dst, n)` per section (false on a short read), the
+// only copy the payload makes — and then runs the same two-step validator
+// MmapAdsSet::Open runs on its mapping. `image_size` is the image's total
+// byte length. The file reader and the in-memory parser are this function
+// over a file and a buffer.
+template <typename ReadFn>
+StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadFn&& read,
+                                     std::function<double(uint64_t)> beta) {
+  auto short_read = [] {
+    return Status::IOError("short read of a hipads-ads-v2 image");
+  };
+  char header_bytes[kAdsBinaryHeaderBytes] = {};
+  if (image_size >= sizeof(header_bytes) &&
+      !read(header_bytes, sizeof(header_bytes))) {
+    return short_read();
+  }
+  auto header = CheckAdsBinaryHeader(header_bytes, image_size);
+  if (!header.ok()) return header.status();
+  const AdsBinaryHeader& h = header.value();
+
+  // CheckAdsBinaryHeader matched every section length to image_size, so
+  // these allocations are backed by bytes the image really holds.
+  FlatAdsSet set;
+  set.flavor = h.flavor;
+  set.k = h.k;
+  set.offsets.resize(h.num_nodes + 1);
+  set.entries.resize(h.num_entries);
+  if (!read(set.offsets.data(), h.offsets_bytes()) ||
+      !read(set.entries.data(), h.entries_bytes())) {
+    return short_read();
+  }
+  char hip_header[kAdsHipSectionHeaderBytes] = {};
+  if (h.has_hip) {
+    const uint64_t array_bytes = h.num_entries * sizeof(double);
+    set.hip_tau.resize(h.num_entries);
+    set.hip_weight.resize(h.num_entries);
+    if (!read(hip_header, sizeof(hip_header)) ||
+        !read(set.hip_tau.data(), array_bytes) ||
+        !read(set.hip_weight.data(), array_bytes)) {
+      return short_read();
+    }
+  }
+  AdsBinarySections sections;
+  sections.offsets = set.offsets.data();
+  sections.entries = set.entries.data();
+  if (h.has_hip) {
+    sections.hip_header = hip_header;
+    sections.hip_tau = set.hip_tau.data();
+    sections.hip_weight = set.hip_weight.data();
+  }
+  auto canonical = CheckAdsBinarySections(h, sections);
+  if (!canonical.ok()) return canonical.status();
+  Status ranks_status = RanksFromStoredParams(h.rank_kind, h.seed, h.base,
+                                              std::move(beta), &set.ranks);
+  if (!ranks_status.ok()) return ranks_status;
+  // The writer emits canonical per-node order; re-sort any node whose block
+  // is not. A copying reader can do what a zero-copy view cannot — this is
+  // also the fallback path the mmap backend takes for non-canonical files.
+  // The HIP arrays are positionally aligned with the arena, so a re-sort
+  // would desynchronize them: drop them instead. They are pure derived
+  // data the scan fallback recomputes.
+  if (!canonical.value()) {
+    for (uint64_t v = 0; v < h.num_nodes; ++v) {
+      std::sort(set.entries.begin() + static_cast<int64_t>(set.offsets[v]),
+                set.entries.begin() + static_cast<int64_t>(set.offsets[v + 1]),
+                AdsEntryCloser);
+    }
+    set.hip_tau = std::vector<double>();
+    set.hip_weight = std::vector<double>();
+  }
+  return set;
+}
+
+}  // namespace
+
+std::string SerializeAdsSetBinary(const FlatAdsSet& set) {
+  std::string out;
+  out.reserve(AdsBinaryFileSize(set.num_nodes(), set.TotalEntries()) +
+              (set.has_hip() ? AdsHipSectionBytes(set.TotalEntries()) : 0));
+  WriteBinaryImage(set, 0, static_cast<NodeId>(set.num_nodes()),
+                   [&out](const void* data, size_t n) {
+                     out.append(static_cast<const char*>(data), n);
+                   });
   return out;
 }
 
-bool IsBinaryAdsData(const std::string& data) {
+bool IsBinaryAdsData(std::string_view data) {
   return data.size() >= sizeof(kMagicV2) &&
          std::memcmp(data.data(), kMagicV2, sizeof(kMagicV2)) == 0;
 }
@@ -326,12 +441,13 @@ uint64_t AdsHipSectionBytes(uint64_t num_entries) {
   return sizeof(HipSectionHeader) + 2 * num_entries * sizeof(double);
 }
 
-StatusOr<AdsBinaryView> ValidateAdsSetBinary(const char* data, size_t size) {
-  if (size < sizeof(V2Header)) {
+StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
+                                               uint64_t image_size) {
+  if (image_size < sizeof(V2Header)) {
     return Status::Corruption("truncated hipads-ads-v2 header");
   }
   V2Header h;
-  std::memcpy(&h, data, sizeof(V2Header));
+  std::memcpy(&h, header, sizeof(V2Header));
   if (std::memcmp(h.magic, kMagicV2, sizeof(h.magic)) != 0) {
     return Status::Corruption("missing hipads-ads-v2 magic");
   }
@@ -346,13 +462,13 @@ StatusOr<AdsBinaryView> ValidateAdsSetBinary(const char* data, size_t size) {
     return Status::Corruption("bad rank-kind field");
   }
   if (h.k == 0) return Status::Corruption("bad k field");
-  // Structural validation before any pointer arithmetic from header fields:
+  // Structural validation before any size is derived from header fields:
   // node count must fit NodeId, section lengths must match the counts, and
-  // header + sections must cover the buffer exactly (no trailing bytes).
+  // header + sections must cover the image exactly (no trailing bytes).
   if (h.num_nodes > std::numeric_limits<NodeId>::max()) {
     return Status::Corruption("node count exceeds NodeId range");
   }
-  if (h.num_entries > size / sizeof(AdsEntry) + 1) {
+  if (h.num_entries > image_size / sizeof(AdsEntry) + 1) {
     return Status::Corruption("entry count exceeds file size");
   }
   if (h.offsets_bytes != (h.num_nodes + 1) * sizeof(uint64_t)) {
@@ -364,58 +480,55 @@ StatusOr<AdsBinaryView> ValidateAdsSetBinary(const char* data, size_t size) {
   // Exactly two lengths are valid: the base sections alone, or base plus
   // the optional HIP section. Anything else — including truncation at any
   // byte of the section — is corruption.
-  const uint64_t base_size =
-      sizeof(V2Header) + h.offsets_bytes + h.entries_bytes;
-  bool has_hip = false;
-  if (size != base_size) {
-    if (size != base_size + AdsHipSectionBytes(h.num_entries)) {
-      return Status::Corruption("file length does not match header sections");
-    }
-    has_hip = true;
+  const uint64_t base_size = AdsBinaryFileSize(h.num_nodes, h.num_entries);
+  const bool has_hip = image_size != base_size;
+  if (has_hip && image_size != base_size + AdsHipSectionBytes(h.num_entries)) {
+    return Status::Corruption("file length does not match header sections");
   }
-  const char* payload = data + sizeof(V2Header);
-  if (V2Checksum(h, payload, h.offsets_bytes + h.entries_bytes) !=
-      h.checksum) {
+  AdsBinaryHeader out;
+  out.flavor = static_cast<SketchFlavor>(h.flavor);
+  out.rank_kind = static_cast<RankKind>(h.rank_kind);
+  out.k = h.k;
+  out.seed = h.seed;
+  out.base = h.base;
+  out.num_nodes = h.num_nodes;
+  out.num_entries = h.num_entries;
+  out.has_hip = has_hip;
+  out.checksum = h.checksum;
+  out.header_hash = HeaderHash(h);
+  return out;
+}
+
+StatusOr<bool> CheckAdsBinarySections(const AdsBinaryHeader& h,
+                                      const AdsBinarySections& s) {
+  if (Chain(Chain(h.header_hash, s.offsets, h.offsets_bytes()), s.entries,
+            h.entries_bytes()) != h.checksum) {
     return Status::Corruption("checksum mismatch");
   }
-
-  AdsBinaryView view;
-  view.flavor = static_cast<SketchFlavor>(h.flavor);
-  view.rank_kind = static_cast<RankKind>(h.rank_kind);
-  view.k = h.k;
-  view.seed = h.seed;
-  view.base = h.base;
-  view.num_nodes = h.num_nodes;
-  view.num_entries = h.num_entries;
-  view.offsets = reinterpret_cast<const uint64_t*>(payload);
-  view.entries =
-      reinterpret_cast<const AdsEntry*>(payload + h.offsets_bytes);
-  if (view.offsets[0] != 0 || view.offsets[h.num_nodes] != h.num_entries) {
+  if (s.offsets[0] != 0 || s.offsets[h.num_nodes] != h.num_entries) {
     return Status::Corruption("offsets do not span the entry arena");
   }
   for (uint64_t v = 0; v < h.num_nodes; ++v) {
-    if (view.offsets[v] > view.offsets[v + 1]) {
+    if (s.offsets[v] > s.offsets[v + 1]) {
       return Status::Corruption("offsets not monotone at node " +
                                 std::to_string(v));
     }
   }
   for (uint64_t i = 0; i < h.num_entries; ++i) {
-    const AdsEntry& e = view.entries[i];
-    if (!ValidEntry(e, view.k)) {
+    if (!ValidEntry(s.entries[i], h.k)) {
       return Status::Corruption("invalid entry at index " +
                                 std::to_string(i));
     }
   }
-  view.canonical_order = true;
-  for (uint64_t v = 0; v < h.num_nodes && view.canonical_order; ++v) {
-    view.canonical_order = std::is_sorted(view.entries + view.offsets[v],
-                                          view.entries + view.offsets[v + 1],
-                                          AdsEntryCloser);
+  bool canonical_order = true;
+  for (uint64_t v = 0; v < h.num_nodes && canonical_order; ++v) {
+    canonical_order = std::is_sorted(s.entries + s.offsets[v],
+                                     s.entries + s.offsets[v + 1],
+                                     AdsEntryCloser);
   }
-  if (has_hip) {
-    const char* sec = data + base_size;
+  if (h.has_hip) {
     HipSectionHeader sh;
-    std::memcpy(&sh, sec, sizeof(HipSectionHeader));
+    std::memcpy(&sh, s.hip_header, sizeof(HipSectionHeader));
     if (std::memcmp(sh.magic, kMagicHip, sizeof(sh.magic)) != 0) {
       return Status::Corruption("missing HIP section magic");
     }
@@ -429,17 +542,16 @@ StatusOr<AdsBinaryView> ValidateAdsSetBinary(const char* data, size_t size) {
     if (sh.num_entries != h.num_entries) {
       return Status::Corruption("HIP section entry count mismatch");
     }
-    const char* sec_payload = sec + sizeof(HipSectionHeader);
     const uint64_t array_bytes = h.num_entries * sizeof(double);
-    if (HipSectionChecksum(sh, sec_payload, 2 * array_bytes) != sh.checksum) {
+    if (Chain(Chain(HeaderHash(sh), s.hip_tau, array_bytes), s.hip_weight,
+              array_bytes) != sh.checksum) {
       return Status::Corruption("HIP section checksum mismatch");
     }
-    const double* tau = reinterpret_cast<const double*>(sec_payload);
-    const double* weight =
-        reinterpret_cast<const double*>(sec_payload + array_bytes);
     // Per-entry integrity: a slot is either a k-mins run filler (both
     // zero) or a probability in (0, 1] with weight exactly its inverse.
     // NaNs fail every comparison, so they are rejected too.
+    const double* tau = s.hip_tau;
+    const double* weight = s.hip_weight;
     for (uint64_t i = 0; i < h.num_entries; ++i) {
       const bool filler = tau[i] == 0.0 && weight[i] == 0.0;
       const bool valid =
@@ -449,63 +561,64 @@ StatusOr<AdsBinaryView> ValidateAdsSetBinary(const char* data, size_t size) {
                                   std::to_string(i));
       }
     }
-    view.hip_tau = tau;
-    view.hip_weight = weight;
   }
-  return view;
+  return canonical_order;
+}
+
+AdsBinarySections MappedAdsSections(const AdsBinaryHeader& h,
+                                    const char* image) {
+  AdsBinarySections s;
+  const char* p = image + sizeof(V2Header);
+  s.offsets = reinterpret_cast<const uint64_t*>(p);
+  p += h.offsets_bytes();
+  s.entries = reinterpret_cast<const AdsEntry*>(p);
+  p += h.entries_bytes();
+  if (h.has_hip) {
+    s.hip_header = p;
+    p += sizeof(HipSectionHeader);
+    s.hip_tau = reinterpret_cast<const double*>(p);
+    s.hip_weight = s.hip_tau + h.num_entries;
+  }
+  return s;
 }
 
 StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
     const std::string& data, std::function<double(uint64_t)> beta) {
-  auto validated = ValidateAdsSetBinary(data.data(), data.size());
-  if (!validated.ok()) return validated.status();
-  const AdsBinaryView& v = validated.value();
-
-  FlatAdsSet set;
-  set.flavor = v.flavor;
-  set.k = v.k;
-  Status ranks_status = RanksFromStoredParams(v.rank_kind, v.seed, v.base,
-                                              std::move(beta), &set.ranks);
-  if (!ranks_status.ok()) return ranks_status;
-  set.offsets.assign(v.offsets, v.offsets + v.num_nodes + 1);
-  set.entries.assign(v.entries, v.entries + v.num_entries);
-  // The writer emits canonical per-node order; re-sort any node whose block
-  // is not (a no-op for writer-produced files). The copying loader can do
-  // what the zero-copy view cannot — this is also the fallback path the
-  // mmap backend takes for non-canonical files.
-  if (!v.canonical_order) {
-    for (uint64_t node = 0; node < v.num_nodes; ++node) {
-      std::sort(set.entries.begin() + static_cast<int64_t>(set.offsets[node]),
-                set.entries.begin() +
-                    static_cast<int64_t>(set.offsets[node + 1]),
-                AdsEntryCloser);
-    }
-  }
-  // Adopt the HIP section only when the entries kept their stored order:
-  // the arrays are positionally aligned with the arena, so a re-sort above
-  // would desynchronize them. Dropping them is safe — they are pure
-  // derived data the scan fallback recomputes.
-  if (v.has_hip() && v.canonical_order) {
-    set.hip_tau.assign(v.hip_tau, v.hip_tau + v.num_entries);
-    set.hip_weight.assign(v.hip_weight, v.hip_weight + v.num_entries);
-  }
-  return set;
-}
-
-StatusOr<FlatAdsSet> ParseFlatAdsSetAny(const std::string& data,
-                                        std::function<double(uint64_t)> beta) {
-  return IsBinaryAdsData(data) ? ParseFlatAdsSetBinary(data, std::move(beta))
-                               : ParseFlatAdsSet(data, std::move(beta));
+  size_t pos = 0;
+  return ReadBinaryImage(
+      data.size(),
+      [&data, &pos](void* dst, size_t n) {
+        if (n == 0) return true;
+        std::memcpy(dst, data.data() + pos, n);
+        pos += n;
+        return true;
+      },
+      std::move(beta));
 }
 
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
                        AdsFileFormat format) {
+  if (format == AdsFileFormat::kBinaryV2) {
+    return WriteAdsSetRangeFile(set, 0, static_cast<NodeId>(set.num_nodes()),
+                                path);
+  }
   std::ofstream f(path, std::ios::binary);
   if (!f) return Status::IOError("cannot open " + path + " for writing");
-  f << (format == AdsFileFormat::kBinaryV2 ? SerializeAdsSetBinary(set)
-                                           : SerializeAdsSet(set));
-  if (!f.good()) return Status::IOError("write failed for " + path);
-  return Status::Ok();
+  f << SerializeAdsSet(set);
+  return CloseWritten(f, path);
+}
+
+Status WriteAdsSetRangeFile(const FlatAdsSet& set, NodeId begin, NodeId end,
+                            const std::string& path) {
+  if (begin > end || end > set.num_nodes()) {
+    return Status::InvalidArgument("node range outside the set");
+  }
+  std::ofstream f(path, std::ios::binary);
+  if (!f) return Status::IOError("cannot open " + path + " for writing");
+  WriteBinaryImage(set, begin, end, [&f](const void* data, size_t n) {
+    f.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+  });
+  return CloseWritten(f, path);
 }
 
 StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
@@ -577,9 +690,29 @@ StatusOr<FlatAdsSet> ReadFlatAdsSetFile(const std::string& path,
                                         std::function<double(uint64_t)> beta) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return ParseFlatAdsSetAny(buf.str(), std::move(beta));
+  std::error_code ec;
+  const uint64_t size = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError("cannot size " + path + ": " + ec.message());
+  // Large reads bypass the stream buffer, so each section goes from the
+  // page cache straight into its array.
+  auto read = [&f](void* dst, size_t n) {
+    return n == 0 || static_cast<bool>(f.read(static_cast<char*>(dst),
+                                              static_cast<std::streamsize>(n)));
+  };
+  char magic[sizeof(kMagicV2)] = {};
+  const size_t probe =
+      static_cast<size_t>(std::min<uint64_t>(size, sizeof(magic)));
+  if (!read(magic, probe) || !f.seekg(0)) {
+    return Status::IOError("cannot read " + path);
+  }
+  if (IsBinaryAdsData(std::string_view(magic, probe))) {
+    return ReadBinaryImage(size, read, std::move(beta));
+  }
+  std::string text(size, '\0');
+  if (!read(text.data(), text.size())) {
+    return Status::IOError("cannot read " + path);
+  }
+  return ParseFlatAdsSet(text, std::move(beta));
 }
 
 }  // namespace hipads

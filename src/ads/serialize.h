@@ -8,13 +8,18 @@
 //     compresses well); the compatibility anchor.
 //   * hipads-ads-v2 — binary: a fixed little-endian header carrying the
 //     sketch parameters and per-section byte lengths, followed by the raw
-//     offsets[] + AdsEntry[] CSR arena and guarded by a checksum. Loading
-//     is two memcpys plus validation — orders of magnitude faster than
-//     re-tokenizing %.17g doubles, which is what the serving path wants.
+//     offsets[] + AdsEntry[] CSR arena and an optional HIP weight section.
+//     Header version 3: each part is guarded by XXH64 (util/hash.h)
+//     chained section by section. The writer streams every section
+//     straight from the arena, and the reader reads each section straight
+//     into its array (one read per section) and then verifies every byte
+//     with the same validator the zero-copy mmap open runs in place —
+//     memory speed rather than re-tokenizing %.17g doubles, which is what
+//     the serving path wants.
 //
-// Readers auto-detect the format from the leading magic, so callers never
-// have to know which one a file uses. Both formats round-trip the sketches
-// bit-identically.
+// ReadFlatAdsSetFile auto-detects the format from the leading magic, so
+// callers never have to know which one a file uses. Both formats
+// round-trip the sketches bit-identically.
 //
 // Uniform and base-b rank assignments round-trip completely (they are pure
 // functions of the stored seed). Exponential (node-weighted) assignments
@@ -27,6 +32,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "ads/ads.h"
 #include "ads/flat_ads.h"
@@ -44,16 +50,28 @@ enum class AdsFileFormat { kTextV1, kBinaryV2 };
 std::string SerializeAdsSet(const FlatAdsSet& set);
 
 /// Serializes `set` into the hipads-ads-v2 binary format, with the
-/// optional HIP section when `set` carries precomputed weights.
+/// optional HIP section when `set` carries precomputed weights. The same
+/// writer as WriteAdsSetFile, over a string.
 std::string SerializeAdsSetBinary(const FlatAdsSet& set);
 
 /// Writes `set` to `path` in the requested format (v1 text by default,
-/// matching the historical behavior of this API).
+/// matching the historical behavior of this API). The stream is closed
+/// before returning, so a write error that surfaces only when the last
+/// buffer is flushed (a full disk) is reported too.
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
                        AdsFileFormat format = AdsFileFormat::kTextV1);
 
+/// Writes nodes [begin, end) of `set` to `path` as a self-contained
+/// hipads-ads-v2 file whose local node i is node begin + i (entry target
+/// ids stay global). Entries and HIP weights are written straight from
+/// `set`'s arena; only the offsets are rebased to start at zero. The shard
+/// writer calls this once per shard; WriteAdsSetFile's binary format is
+/// the whole range.
+Status WriteAdsSetRangeFile(const FlatAdsSet& set, NodeId begin, NodeId end,
+                            const std::string& path);
+
 /// True iff `data` begins with the hipads-ads-v2 binary magic.
-bool IsBinaryAdsData(const std::string& data);
+bool IsBinaryAdsData(std::string_view data);
 
 /// Parses the hipads-ads-v1 text format into the flat CSR arena. For sets
 /// built with exponential ranks, `beta` must be the same function used at
@@ -66,16 +84,23 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(
     const std::string& text,
     std::function<double(uint64_t)> beta = nullptr);
 
-/// Parses the hipads-ads-v2 binary format into the flat CSR arena. All
-/// structural damage (truncation, bad magic, bad checksum, inconsistent
-/// section lengths, invalid offsets or entries) returns Corruption.
+/// Parses a hipads-ads-v2 image held in memory: the same reader as
+/// ReadFlatAdsSetFile, over a buffer. All structural damage (truncation,
+/// bad magic or version, bad checksum, inconsistent section lengths,
+/// invalid offsets or entries) returns Corruption.
 StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
     const std::string& data,
     std::function<double(uint64_t)> beta = nullptr);
 
 // ---------------------------------------------------------------------------
-// Zero-copy v2 access (shared by the copying parser and the mmap backend)
+// The v2 validator, shared by every reader
 // ---------------------------------------------------------------------------
+//
+// Validation is two steps. CheckAdsBinaryHeader runs on the fixed header
+// before any section is read or mapped; CheckAdsBinarySections then
+// verifies every section byte, wherever the sections live. The copying
+// readers run both over arrays they read each section into; MmapAdsSet
+// runs both over its mapping.
 
 /// Fixed byte size of the hipads-ads-v2 header.
 inline constexpr size_t kAdsBinaryHeaderBytes = 88;
@@ -91,18 +116,16 @@ inline constexpr size_t kAdsHipSectionHeaderBytes = 32;
 uint64_t AdsBinaryFileSize(uint64_t num_nodes, uint64_t num_entries);
 
 /// Byte size of the optional HIP section for `num_entries` entries: a
-/// 32-byte header ("hipadshw" magic, version, entry count, FNV-1a checksum
-/// of the section) followed by tau[num_entries] then weight[num_entries]
-/// doubles — +16 bytes per entry, aligned with the entry arena (see hip.h
-/// for the k-mins zero-slot convention). The main v2 checksum does NOT
-/// cover the section (so base files are bit-identical with or without it);
-/// the section carries its own.
+/// 32-byte header ("hipadshw" magic, version, entry count, checksum)
+/// followed by tau[num_entries] then weight[num_entries] doubles — +16
+/// bytes per entry, aligned with the entry arena (see hip.h for the k-mins
+/// zero-slot convention). The base image checksum does NOT cover the
+/// section (so base files are bit-identical with or without it); the
+/// section carries its own.
 uint64_t AdsHipSectionBytes(uint64_t num_entries);
 
-/// Non-owning view of a fully validated hipads-ads-v2 image. `offsets` and
-/// `entries` alias the caller's buffer, which must be 8-byte aligned (heap
-/// buffers and mmap regions both are) and outlive the view.
-struct AdsBinaryView {
+/// The header fields of a v2 image, as validated by CheckAdsBinaryHeader.
+struct AdsBinaryHeader {
   SketchFlavor flavor = SketchFlavor::kBottomK;
   RankKind rank_kind = RankKind::kUniform;
   uint32_t k = 0;
@@ -110,27 +133,53 @@ struct AdsBinaryView {
   double base = 0.0;  // base-b ranks only, 0 otherwise
   uint64_t num_nodes = 0;
   uint64_t num_entries = 0;
-  const uint64_t* offsets = nullptr;  // num_nodes + 1 values
-  const AdsEntry* entries = nullptr;  // num_entries values
-  /// True iff every node block is already in canonical (dist, node, part)
-  /// order — always the case for writer-produced files. A zero-copy
-  /// consumer cannot re-sort, so it must fall back to the copying loader
-  /// when this is false.
-  bool canonical_order = false;
-  /// Precomputed HIP weights when the file carries the optional HIP
-  /// section (validated: magic, count, checksum, per-entry integrity);
-  /// null otherwise. Aligned with `entries`.
-  const double* hip_tau = nullptr;
-  const double* hip_weight = nullptr;
+  /// True iff the image length includes the optional HIP section.
+  bool has_hip = false;
+  /// The stored base-image checksum, and the XXH64 of the header with that
+  /// field zeroed: the seed the offsets and entries sections chain from.
+  uint64_t checksum = 0;
+  uint64_t header_hash = 0;
 
-  bool has_hip() const { return hip_tau != nullptr; }
+  uint64_t offsets_bytes() const { return (num_nodes + 1) * sizeof(uint64_t); }
+  uint64_t entries_bytes() const { return num_entries * sizeof(AdsEntry); }
 };
 
-/// Validates a v2 image in place — header, whole-file checksum, section
-/// structure, offsets monotonicity and entry sanity — without copying a
-/// byte of the payload. This is the open path of the mmap backend; the
-/// copying ParseFlatAdsSetBinary runs the same validation and then copies.
-StatusOr<AdsBinaryView> ValidateAdsSetBinary(const char* data, size_t size);
+/// Where the sections of one v2 image live: consecutive in one mapping
+/// (MappedAdsSections) or in separate arrays (the copying readers). The
+/// array pointers must be 8-byte aligned; the hip_* pointers are used only
+/// when the header has_hip.
+struct AdsBinarySections {
+  const uint64_t* offsets = nullptr;   // num_nodes + 1 values
+  const AdsEntry* entries = nullptr;   // num_entries values
+  const char* hip_header = nullptr;    // kAdsHipSectionHeaderBytes bytes
+  const double* hip_tau = nullptr;     // num_entries values
+  const double* hip_weight = nullptr;  // num_entries values
+};
+
+/// Step one: checks the header of an image that is `image_size` bytes long
+/// — magic, version, parameter fields and section lengths — and that the
+/// image is exactly the base sections, or the base plus the HIP section.
+/// A shorter-than-header image is rejected before `header` is read;
+/// otherwise `header` must hold kAdsBinaryHeaderBytes bytes. No section
+/// size a header accepts exceeds `image_size`, so callers may size their
+/// reads and allocations from it. Every failure is Corruption.
+StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
+                                               uint64_t image_size);
+
+/// Step two: verifies every section byte against `header` — the chained
+/// checksum, offsets spanning the arena monotonically, entry sanity and,
+/// with the HIP section, its header, own checksum and per-entry integrity.
+/// Returns whether every node block is already in canonical (dist, node,
+/// part) order, as writer-produced files always are. A zero-copy consumer
+/// cannot re-sort, so it must fall back to a copying reader when false.
+StatusOr<bool> CheckAdsBinarySections(const AdsBinaryHeader& header,
+                                      const AdsBinarySections& sections);
+
+/// The section pointers of a contiguous v2 image at `image` (8-byte
+/// aligned, as heap buffers and mmap regions are) whose header passed
+/// CheckAdsBinaryHeader.
+AdsBinarySections MappedAdsSections(const AdsBinaryHeader& header,
+                                    const char* image);
 
 /// Reconstructs a RankAssignment from the stored (kind, seed, base) triple.
 /// Weighted kinds (exponential/priority) require `beta`; permutation ranks
@@ -140,13 +189,9 @@ Status RanksFromStoredParams(RankKind kind, uint64_t seed, double base,
                              std::function<double(uint64_t)> beta,
                              RankAssignment* out);
 
-/// Parses either format (auto-detected from the magic) into the flat
-/// arena.
-StatusOr<FlatAdsSet> ParseFlatAdsSetAny(
-    const std::string& data,
-    std::function<double(uint64_t)> beta = nullptr);
-
-/// Reads an ADS-set file written by WriteAdsSetFile (either format).
+/// Reads an ADS-set file written by WriteAdsSetFile, either format
+/// (auto-detected from the magic). A v2 file is read section by section
+/// straight into the arena and then validated in full.
 StatusOr<FlatAdsSet> ReadFlatAdsSetFile(
     const std::string& path,
     std::function<double(uint64_t)> beta = nullptr);

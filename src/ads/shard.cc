@@ -259,34 +259,10 @@ Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
                    : static_cast<NodeId>(n);
     info.file = ShardFileName(static_cast<uint32_t>(s));
 
-    FlatAdsSet slice;
-    slice.flavor = set.flavor;
-    slice.k = set.k;
-    slice.ranks = set.ranks;
-    uint64_t base = set.offsets[info.begin];
-    slice.offsets.reserve(info.end - info.begin + 1);
-    for (NodeId v = info.begin; v < info.end; ++v) {
-      slice.offsets.push_back(set.offsets[v + 1] - base);
-    }
-    slice.entries.assign(
-        set.entries.begin() + static_cast<int64_t>(base),
-        set.entries.begin() + static_cast<int64_t>(set.offsets[info.end]));
-    if (set.has_hip()) {
-      // Slice the aligned HIP arrays along with the entry arena, so every
-      // shard file carries its nodes' section (entries and weights use the
-      // same CSR offsets).
-      slice.hip_tau.assign(
-          set.hip_tau.begin() + static_cast<int64_t>(base),
-          set.hip_tau.begin() + static_cast<int64_t>(set.offsets[info.end]));
-      slice.hip_weight.assign(
-          set.hip_weight.begin() + static_cast<int64_t>(base),
-          set.hip_weight.begin() +
-              static_cast<int64_t>(set.offsets[info.end]));
-    }
-    info.num_entries = slice.entries.size();
-
-    Status st = WriteAdsSetFile(slice, JoinPath(dir, info.file),
-                                AdsFileFormat::kBinaryV2);
+    // Straight from the parent arena: only the shard's offsets are rebased.
+    info.num_entries = set.offsets[info.end] - set.offsets[info.begin];
+    Status st = WriteAdsSetRangeFile(set, info.begin, info.end,
+                                     JoinPath(dir, info.file));
     if (!st.ok()) return st;
     shards.push_back(std::move(info));
   }
@@ -306,7 +282,10 @@ Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
     return Status::IOError("cannot open " + manifest_path + " for writing");
   }
   f << os.str();
-  if (!f.good()) return Status::IOError("write failed for " + manifest_path);
+  // Close before reporting success: the manifest marks the directory
+  // complete, so a write error that surfaces only at close must not pass.
+  f.close();
+  if (!f) return Status::IOError("write failed for " + manifest_path);
   return Status::Ok();
 }
 

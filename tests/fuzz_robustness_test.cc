@@ -1,7 +1,9 @@
 // Robustness / failure-injection tests: the parsers must reject arbitrary
 // corrupted input with a Status (never crash, never return a malformed
 // structure), and randomized mutations of valid files must either parse to
-// something structurally sound or fail cleanly.
+// something structurally sound or fail cleanly. The v2 corpora run through
+// every reader (in-memory parser, file reader, mmap open), which must
+// agree.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "util/random.h"
+#include "v2_readers.h"
 
 namespace hipads {
 namespace {
@@ -108,7 +111,8 @@ TEST(FuzzTest, BinaryHipTruncationsFailCleanlyOrDropTheSection) {
   std::string with_hip = SerializeAdsSetBinary(set);
   const size_t base = with_hip.size() - AdsHipSectionBytes(set.TotalEntries());
   for (size_t len = 0; len <= with_hip.size(); ++len) {
-    auto result = ParseFlatAdsSetBinary(with_hip.substr(0, len));
+    auto result = ParseWithEveryReader(with_hip.substr(0, len),
+                                       "truncation at " + std::to_string(len));
     if (len == with_hip.size()) {
       ASSERT_TRUE(result.ok());
       EXPECT_TRUE(result.value().has_hip());
@@ -140,7 +144,8 @@ TEST(FuzzTest, BinaryHipMutationsNeverCrashOrCorruptStructure) {
       mutated[pos] = static_cast<char>(mutated[pos] ^
                                        (1u << rng.NextBounded(8)));
     }
-    auto result = ParseFlatAdsSetBinary(mutated);
+    auto result =
+        ParseWithEveryReader(mutated, "mutation " + std::to_string(trial));
     if (result.ok()) {
       const FlatAdsSet& s = result.value();
       if (s.has_hip()) {

@@ -1,7 +1,9 @@
 // hipads-ads-v2 binary format: round-trip fidelity (bit-identical arenas,
 // identical HIP estimates, v1/v2 interchangeability) and corruption
 // handling (every structural damage returns Status::Corruption and never
-// crashes — these suites run under the asan `serialize` ctest lane).
+// crashes — these suites run under the asan `serialize` ctest lane). The
+// hostile-byte corpora run through every reader: the in-memory parser,
+// the file reader and the mmap open must agree on each image.
 
 #include "ads/serialize.h"
 
@@ -20,6 +22,7 @@
 #include "graph/generators.h"
 #include "util/hash.h"
 #include "util/random.h"
+#include "v2_readers.h"
 
 namespace hipads {
 namespace {
@@ -144,10 +147,35 @@ std::string ValidBytes() {
   return bytes;
 }
 
-void ExpectCorruption(const std::string& bytes, const char* what) {
-  auto result = ParseFlatAdsSetBinary(bytes);
+void ExpectCorruption(const std::string& bytes, const std::string& what) {
+  auto result = ParseWithEveryReader(bytes, what);
   EXPECT_FALSE(result.ok()) << what;
   EXPECT_EQ(result.status().code(), Status::Code::kCorruption) << what;
+}
+
+// Byte offsets of the two checksum fields, for tests that corrupt a
+// section and then re-stamp it so only the deeper validators can object.
+constexpr size_t kHeaderChecksumAt = 80;
+constexpr size_t kHipChecksumAt = 24;
+
+// Re-stamps the base-image checksum the way the format defines it,
+// computed here independently of the writer: XXH64 of the 88-byte header
+// with its checksum field zeroed (seed 0), chained into the offsets
+// section, chained into the entries section.
+void RestampBaseChecksum(std::string* bytes) {
+  uint64_t num_nodes = 0;
+  uint64_t num_entries = 0;
+  std::memcpy(&num_nodes, bytes->data() + 48, sizeof(uint64_t));
+  std::memcpy(&num_entries, bytes->data() + 56, sizeof(uint64_t));
+  std::string header = bytes->substr(0, kAdsBinaryHeaderBytes);
+  std::memset(header.data() + kHeaderChecksumAt, 0, 8);
+  const size_t offsets_bytes = (num_nodes + 1) * sizeof(uint64_t);
+  const size_t entries_at = kAdsBinaryHeaderBytes + offsets_bytes;
+  uint64_t sum = Xxh64(header.data(), header.size(), 0);
+  sum = Xxh64(bytes->data() + kAdsBinaryHeaderBytes, offsets_bytes, sum);
+  sum = Xxh64(bytes->data() + entries_at, num_entries * sizeof(AdsEntry),
+              sum);
+  std::memcpy(bytes->data() + kHeaderChecksumAt, &sum, sizeof(uint64_t));
 }
 
 TEST(SerializeBinaryTest, RejectsBadMagicAndVersion) {
@@ -159,6 +187,34 @@ TEST(SerializeBinaryTest, RejectsBadMagicAndVersion) {
   bytes = ValidBytes();
   bytes[8] = 99;  // version field
   ExpectCorruption(bytes, "version");
+}
+
+// Header version 2 is the retired FNV-1a layout: byte-for-byte the same
+// sections under a different checksum. It fails closed, naming the
+// version, from every reader — never a checksum-mismatch guess.
+TEST(SerializeBinaryTest, RejectsVersion2ImagesNamingTheVersion) {
+  uint32_t version = 0;
+  std::memcpy(&version, ValidBytes().data() + 8, sizeof(version));
+  EXPECT_EQ(version, 3u);
+  std::string bytes = ValidBytes();
+  version = 2;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hipads_version2.ads2")
+          .string();
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << bytes;
+  }
+  const std::string want = "unsupported hipads-ads-v2 version 2";
+  auto parsed = ParseFlatAdsSetBinary(bytes);
+  auto read = ReadFlatAdsSetFile(path);
+  auto mapped = MmapAdsSet::Open(path);
+  std::remove(path.c_str());
+  for (const Status& st : {parsed.status(), read.status(), mapped.status()}) {
+    EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find(want), std::string::npos) << st.ToString();
+  }
 }
 
 TEST(SerializeBinaryTest, RejectsTruncationAnywhere) {
@@ -248,7 +304,9 @@ TEST(SerializeBinaryTest, FuzzRandomMutationsNeverCrash) {
       size_t pos = rng.NextBounded(bytes.size());
       bytes[pos] = static_cast<char>(rng.Next());
     }
-    auto result = ParseFlatAdsSetBinary(bytes);  // must not crash
+    // Must not crash, and every reader must reach the same verdict.
+    auto result = ParseWithEveryReader(bytes, "mutation " +
+                                                  std::to_string(trial));
     if (result.ok()) {
       // A mutation may survive (e.g. flipping a rank bit and its checksum
       // compensating is astronomically unlikely, but flipping nothing
@@ -374,13 +432,17 @@ TEST(SerializeBinaryTest, HipSectionRejectsInconsistentWeights) {
     std::memcpy(bytes.data() + tau_at, &tau, sizeof(double));
     std::memcpy(bytes.data() + tau_at + n * sizeof(double), &weight,
                 sizeof(double));
-    // Recompute the section checksum the same way the writer does: header
-    // with the field zeroed, then both arrays.
+    // Recompute the section checksum as the format defines it, not by
+    // calling the writer: XXH64 of the header with the field zeroed (seed
+    // 0), chained into tau[], chained into weight[].
     std::string header(bytes, base, kAdsHipSectionHeaderBytes);
-    std::memset(header.data() + 24, 0, 8);
-    uint64_t sum = Fnv1a(header.data(), header.size(), kFnv1aOffsetBasis);
-    sum = Fnv1a(bytes.data() + tau_at, bytes.size() - tau_at, sum);
-    std::memcpy(bytes.data() + base + 24, &sum, sizeof(uint64_t));
+    std::memset(header.data() + kHipChecksumAt, 0, 8);
+    const size_t array_bytes = n * sizeof(double);
+    uint64_t sum = Xxh64(header.data(), header.size(), 0);
+    sum = Xxh64(bytes.data() + tau_at, array_bytes, sum);
+    sum = Xxh64(bytes.data() + tau_at + array_bytes, array_bytes, sum);
+    std::memcpy(bytes.data() + base + kHipChecksumAt, &sum,
+                sizeof(uint64_t));
     return bytes;
   };
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -408,11 +470,82 @@ TEST(SerializeBinaryTest, HipSectionFuzzRandomMutationsNeverCrash) {
                        : rng.NextBounded(bytes.size());
       bytes[pos] = static_cast<char>(rng.Next());
     }
-    auto result = ParseFlatAdsSetBinary(bytes);  // must not crash
+    // Must not crash, and every reader must reach the same verdict.
+    auto result = ParseWithEveryReader(bytes, "HIP mutation " +
+                                                  std::to_string(trial));
     if (result.ok()) {
       EXPECT_EQ(result.value().num_nodes(), 40u);
     }
   }
+}
+
+// Both chained checksums together cover every bit of an image: flip any
+// single bit of a small image carrying the HIP section — header, offsets,
+// entries, section header, tau or weight — and every reader refuses it.
+TEST(SerializeBinaryTest, RejectsEverySingleBitFlipWithHipSection) {
+  FlatAdsSet set = BuildFlat(6, 5, 2, SketchFlavor::kBottomK,
+                             RankAssignment::Uniform(9));
+  PrecomputeHipWeights(&set, 1);
+  const std::string valid = SerializeAdsSetBinary(set);
+  ASSERT_EQ(valid.size(),
+            AdsBinaryFileSize(set.num_nodes(), set.TotalEntries()) +
+                AdsHipSectionBytes(set.TotalEntries()));
+  ASSERT_LT(valid.size(), 2048u);  // small: 8 flips per byte, 3 readers
+  for (size_t bit = 0; bit < 8 * valid.size(); ++bit) {
+    std::string bytes = valid;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    auto result = ParseWithEveryReader(bytes, "bit " + std::to_string(bit));
+    EXPECT_FALSE(result.ok()) << "bit " << bit << " flipped undetected";
+  }
+}
+
+// A valid image whose node block is out of canonical order — possible
+// only from a foreign writer, since ours always sorts — loads re-sorted
+// through both copying readers, with the HIP section dropped (its arrays
+// align with the stored order, not the sorted one). The zero-copy open
+// cannot re-sort, so it falls back to the copying loader.
+TEST(SerializeBinaryTest, NonCanonicalBlockLoadsResortedWithoutHip) {
+  FlatAdsSet set = BuildFlat(40, 7, 4, SketchFlavor::kBottomK,
+                             RankAssignment::Uniform(3));
+  PrecomputeHipWeights(&set, 1);
+  NodeId v = 0;
+  while (set.of(v).size() < 2) ++v;
+  std::string bytes = SerializeAdsSetBinary(set);
+  const size_t first = kAdsBinaryHeaderBytes +
+                       (set.num_nodes() + 1) * sizeof(uint64_t) +
+                       set.offsets[v] * sizeof(AdsEntry);
+  std::string block = bytes.substr(first, 2 * sizeof(AdsEntry));
+  std::memcpy(bytes.data() + first, block.data() + sizeof(AdsEntry),
+              sizeof(AdsEntry));
+  std::memcpy(bytes.data() + first + sizeof(AdsEntry), block.data(),
+              sizeof(AdsEntry));
+  RestampBaseChecksum(&bytes);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hipads_noncanonical.ads2")
+          .string();
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << bytes;
+  }
+  auto parsed = ParseFlatAdsSetBinary(bytes);
+  auto read = ReadFlatAdsSetFile(path);
+  auto mapped = MmapAdsSet::Open(path);
+  std::remove(path.c_str());
+  for (const auto* loaded : {&parsed, &read}) {
+    ASSERT_TRUE(loaded->ok()) << loaded->status().ToString();
+    ExpectBitIdentical(set, loaded->value());
+    EXPECT_FALSE(loaded->value().has_hip());
+  }
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(mapped.value().zero_copy());
+  EXPECT_FALSE(mapped.value().HipResident());
+  auto range = mapped.value().Range(0);
+  ASSERT_TRUE(range.ok());
+  ASSERT_EQ(mapped.value().TotalEntries(), set.TotalEntries());
+  EXPECT_EQ(std::memcmp(range.value().entries, set.entries.data(),
+                        set.entries.size() * sizeof(AdsEntry)),
+            0);
 }
 
 TEST(SerializeBinaryTest, ReadMissingFileFails) {

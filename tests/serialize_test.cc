@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "ads/builders.h"
 #include "ads/estimators.h"
@@ -211,6 +212,24 @@ TEST(SerializeTest, ReadMissingFileFails) {
   auto result = ReadFlatAdsSetFile("/nonexistent/sketches.ads");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kIOError);
+}
+
+// A small file fits the stream buffer, so on a full device the write fails
+// only when close flushes it. The writers close before reporting, so that
+// failure is an IOError in both formats, not a silent Ok.
+TEST(SerializeTest, WriteErrorAtCloseIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
+      ErdosRenyi(6, 12, true, 3), 2, SketchFlavor::kBottomK,
+      RankAssignment::Uniform(1)));
+  ASSERT_LT(SerializeAdsSet(set).size(), 4096u);
+  ASSERT_LT(SerializeAdsSetBinary(set).size(), 4096u);
+  for (AdsFileFormat format :
+       {AdsFileFormat::kTextV1, AdsFileFormat::kBinaryV2}) {
+    Status s = WriteAdsSetFile(set, "/dev/full", format);
+    EXPECT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+  }
 }
 
 }  // namespace

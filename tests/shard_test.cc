@@ -12,6 +12,7 @@
 
 #include "ads/builders.h"
 #include "ads/estimators.h"
+#include "ads/hip.h"
 #include "ads/queries.h"
 #include "graph/generators.h"
 
@@ -223,6 +224,55 @@ TEST(ShardTest, ShardInconsistentWithManifestRejected) {
   auto result = opened.value().Range(1);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+}
+
+// Shard files are written straight from spans of the parent arena with
+// only the offsets rebased. The bytes must equal serializing a copied
+// slice of the set — the arena, HIP weights and all.
+TEST(ShardTest, ShardFilesEqualSerializedSlices) {
+  FlatAdsSet set = BuildFlat(90, 67, 4);
+  PrecomputeHipWeights(&set, 1);
+  ScratchDir dir("hipads_shard_test_slices");
+  ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 3).ok());
+  auto opened = ShardedAdsSet::Open(dir.path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  for (const ShardInfo& info : opened.value().shards()) {
+    FlatAdsSet slice;
+    slice.flavor = set.flavor;
+    slice.k = set.k;
+    slice.ranks = set.ranks;
+    const uint64_t first = set.offsets[info.begin];
+    const uint64_t last = set.offsets[info.end];
+    for (NodeId v = info.begin + 1; v <= info.end; ++v) {
+      slice.offsets.push_back(set.offsets[v] - first);  // after the 0
+    }
+    slice.entries.assign(set.entries.begin() + first,
+                         set.entries.begin() + last);
+    slice.hip_tau.assign(set.hip_tau.begin() + first,
+                         set.hip_tau.begin() + last);
+    slice.hip_weight.assign(set.hip_weight.begin() + first,
+                            set.hip_weight.begin() + last);
+    std::ifstream f(std::filesystem::path(dir.path) / info.file,
+                    std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, SerializeAdsSetBinary(slice)) << info.file;
+  }
+}
+
+// The manifest marks a shard directory complete, so a manifest write that
+// fails only when close flushes it (here: MANIFEST is a link to a full
+// device) must fail the whole write instead of reporting Ok.
+TEST(ShardTest, ManifestWriteErrorAtCloseIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FlatAdsSet set = BuildFlat(40, 61, 4);
+  ScratchDir dir("hipads_shard_test_full_manifest");
+  std::filesystem::create_directories(dir.path);
+  std::filesystem::create_symlink(
+      "/dev/full", std::filesystem::path(dir.path) / kShardManifestName);
+  Status s = WriteShardedAdsSet(set, dir.path, 2);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
 }
 
 TEST(ShardTest, ManifestGarbageRejected) {
