@@ -11,7 +11,7 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "ads/builders.h"
+#include "ads/builder_driver.h"
 #include "util/parallel.h"
 
 namespace hipads {
@@ -24,162 +24,80 @@ struct Candidate {
   double rank;
 };
 
-// One bottom-k DP pass with ranks from assignment index `perm`, entries
-// labeled `part`. `is_source` limits which nodes seed their own ADS
-// (nullptr = all nodes); used by the k-partition flavor.
-void RunDpPass(const Graph& gt, uint32_t k, uint32_t part, uint32_t perm,
-               const RankAssignment& ranks,
-               const std::vector<bool>* is_source,
-               std::vector<std::vector<AdsEntry>>& out,
-               AdsBuildStats* stats) {
-  NodeId n = gt.num_nodes();
-  // Rank threshold state of each target ADS in this pass.
-  std::vector<BottomKSketch> threshold(n, BottomKSketch(k, ranks.sup()));
-  // Membership of (target, node) pairs inserted in this pass.
-  std::unordered_set<uint64_t> member;
-  auto key = [](NodeId target, NodeId node) {
-    return (static_cast<uint64_t>(target) << 32) | node;
-  };
-
-  // Frontier: entries inserted in the previous round, as (owner, node, rank).
-  std::vector<Candidate> frontier;
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_source != nullptr && !(*is_source)[v]) continue;
-    double rv = ranks.rank(v, perm);
-    out[v].push_back(AdsEntry{v, part, rv, 0.0});
-    threshold[v].Update(rv);
-    member.insert(key(v, v));
-    frontier.push_back(Candidate{v, v, rv});
-    if (stats != nullptr) ++stats->insertions;
-  }
-
-  double d = 0.0;
-  std::vector<Candidate> candidates;
-  while (!frontier.empty()) {
-    d += 1.0;
-    if (stats != nullptr) ++stats->rounds;
-    candidates.clear();
-    // Propagate last round's new entries across (transpose) arcs.
-    for (const Candidate& f : frontier) {
-      for (const Arc& a : gt.OutArcs(f.target)) {
-        if (stats != nullptr) ++stats->relaxations;
-        candidates.push_back(Candidate{a.head, f.node, f.rank});
-      }
-    }
-    frontier.clear();
-    // Apply candidates per target in increasing node-id order so that ties
-    // at distance d resolve by the canonical rank-independent order: a
-    // candidate's threshold counts exactly the members that are lex-closer
-    // (prior rounds, plus this round's smaller ids, already applied).
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.target != b.target) return a.target < b.target;
-                return a.node < b.node;
-              });
-    for (const Candidate& c : candidates) {
-      if (c.rank >= threshold[c.target].Threshold()) continue;
-      if (!member.insert(key(c.target, c.node)).second) continue;
-      out[c.target].push_back(AdsEntry{c.node, part, c.rank, d});
-      threshold[c.target].Update(c.rank);
-      frontier.push_back(Candidate{c.target, c.node, c.rank});
-      if (stats != nullptr) ++stats->insertions;
-    }
-  }
-}
-
-// Parallel variant of RunDpPass: candidate generation is sharded over the
-// frontier, application over contiguous target ranges of the sorted
-// candidate array, so every target's state is owned by exactly one thread
-// per round. Applying candidates in the same (target, node) order as the
-// sequential pass makes the output bit-identical. Rounds run on the shared
-// ThreadPool (spawned once per build, not per round).
-void RunDpPassParallel(const Graph& gt, uint32_t k, uint32_t part,
-                       uint32_t perm, const RankAssignment& ranks,
-                       const std::vector<bool>* is_source, ThreadPool& pool,
-                       std::vector<std::vector<AdsEntry>>& out,
-                       AdsBuildStats* stats) {
+// One bottom-k DP pass. Candidate generation is sharded over the frontier,
+// application over target-aligned ranges of the sorted candidates, so every
+// target's state is owned by exactly one chunk per round. Applying each
+// target's candidates in node-id order makes the output independent of the
+// thread count; a one-thread pool runs every round inline.
+void RunDpPass(const BottomKPass& pass, ThreadPool& pool) {
   const uint32_t num_threads = pool.num_threads();
-  NodeId n = gt.num_nodes();
-  std::vector<BottomKSketch> threshold(n, BottomKSketch(k, ranks.sup()));
+  NodeId n = pass.gt.num_nodes();
+  std::vector<BottomKSketch> threshold(n,
+                                       BottomKSketch(pass.k, pass.ranks.sup()));
   // Per-target membership: within a round each target is touched by one
-  // thread only, so no synchronization is needed.
+  // chunk only, so no synchronization is needed.
   std::vector<std::unordered_set<NodeId>> member(n);
 
   std::vector<Candidate> frontier;
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_source != nullptr && !(*is_source)[v]) continue;
-    double rv = ranks.rank(v, perm);
-    out[v].push_back(AdsEntry{v, part, rv, 0.0});
+  for (NodeId v : pass.sources) {
+    double rv = pass.ranks.rank(v, pass.perm);
+    pass.out[v].push_back(AdsEntry{v, pass.part, rv, 0.0});
     threshold[v].Update(rv);
     member[v].insert(v);
     frontier.push_back(Candidate{v, v, rv});
-    if (stats != nullptr) ++stats->insertions;
+    ++pass.stats.insertions;
   }
 
   double d = 0.0;
   std::vector<Candidate> candidates;
+  std::vector<size_t> offset;
   while (!frontier.empty()) {
     d += 1.0;
-    if (stats != nullptr) ++stats->rounds;
+    ++pass.stats.rounds;
 
-    // Phase A: generate candidates, sharded over the frontier.
-    std::vector<std::vector<Candidate>> shard_out(num_threads);
-    pool.ParallelFor(frontier.size(),
-                     [&](size_t begin, size_t end, uint32_t t) {
-                       for (size_t i = begin; i < end; ++i) {
-                         const Candidate& f = frontier[i];
-                         for (const Arc& a : gt.OutArcs(f.target)) {
-                           shard_out[t].push_back(
-                               Candidate{a.head, f.node, f.rank});
-                         }
-                       }
-                     });
-    candidates.clear();
-    for (auto& shard : shard_out) {
-      if (stats != nullptr) stats->relaxations += shard.size();
-      candidates.insert(candidates.end(), shard.begin(), shard.end());
+    // Phase A: propagate last round's new entries across (transpose) arcs;
+    // each frontier entry writes its candidates at a precomputed offset.
+    offset.assign(1, 0);
+    for (const Candidate& f : frontier) {
+      offset.push_back(offset.back() + pass.gt.OutDegree(f.target));
     }
+    candidates.resize(offset.back());
+    pool.ParallelFor(frontier.size(), [&](size_t begin, size_t end, uint32_t) {
+      for (size_t i = begin; i < end; ++i) {
+        Candidate* c = candidates.data() + offset[i];
+        for (const Arc& a : pass.gt.OutArcs(frontier[i].target)) {
+          *c++ = Candidate{a.head, frontier[i].node, frontier[i].rank};
+        }
+      }
+    });
+    pass.stats.relaxations += candidates.size();
     frontier.clear();
 
+    // Phase B: apply candidates per target in increasing node-id order so
+    // that ties at distance d resolve by the canonical rank-independent
+    // order: a candidate's threshold counts exactly the members that are
+    // lex-closer (prior rounds, plus this round's smaller ids, already
+    // applied).
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                 if (a.target != b.target) return a.target < b.target;
                 return a.node < b.node;
               });
-
-    // Phase B: apply candidates, sharded over disjoint target ranges.
-    std::vector<std::vector<Candidate>> next_frontier(num_threads);
-    std::vector<uint64_t> inserted(num_threads, 0);
-    {
-      size_t chunk = (candidates.size() + num_threads - 1) / num_threads;
-      // Align shard boundaries to target changes so no target spans two
-      // shards.
-      std::vector<size_t> bounds = {0};
-      for (uint32_t t = 1; t < num_threads; ++t) {
-        size_t b = std::min(candidates.size(), t * chunk);
-        while (b < candidates.size() && b > 0 &&
-               candidates[b].target == candidates[b - 1].target) {
-          ++b;
-        }
-        bounds.push_back(std::max(b, bounds.back()));
+    std::vector<size_t> bounds = TargetAlignedBounds(candidates, num_threads);
+    std::vector<std::vector<Candidate>> next_frontier(bounds.size() - 1);
+    pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t c) {
+      for (size_t i = begin; i < end; ++i) {
+        const Candidate& x = candidates[i];
+        if (x.rank >= threshold[x.target].Threshold()) continue;
+        if (!member[x.target].insert(x.node).second) continue;
+        pass.out[x.target].push_back(AdsEntry{x.node, pass.part, x.rank, d});
+        threshold[x.target].Update(x.rank);
+        next_frontier[c].push_back(x);
       }
-      bounds.push_back(candidates.size());
-      pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t t) {
-        for (size_t i = begin; i < end; ++i) {
-          const Candidate& c = candidates[i];
-          if (c.rank >= threshold[c.target].Threshold()) continue;
-          if (!member[c.target].insert(c.node).second) continue;
-          out[c.target].push_back(AdsEntry{c.node, part, c.rank, d});
-          threshold[c.target].Update(c.rank);
-          next_frontier[t].push_back(c);
-          ++inserted[t];
-        }
-      });
-    }
-    for (uint32_t t = 0; t < num_threads; ++t) {
-      if (stats != nullptr) stats->insertions += inserted[t];
-      frontier.insert(frontier.end(), next_frontier[t].begin(),
-                      next_frontier[t].end());
+    });
+    for (const std::vector<Candidate>& chunk : next_frontier) {
+      pass.stats.insertions += chunk.size();
+      frontier.insert(frontier.end(), chunk.begin(), chunk.end());
     }
   }
 }
@@ -189,81 +107,16 @@ void RunDpPassParallel(const Graph& gt, uint32_t k, uint32_t part,
 AdsSet BuildAdsDpParallel(const Graph& g, uint32_t k, SketchFlavor flavor,
                           const RankAssignment& ranks, uint32_t num_threads,
                           AdsBuildStats* stats) {
-  assert(k >= 1);
   assert(g.IsUnitWeight() && "the DP builder requires an unweighted graph");
   ThreadPool pool(num_threads);
-  Graph gt = g.Transpose();
-  NodeId n = g.num_nodes();
-  std::vector<std::vector<AdsEntry>> out(n);
-  ReserveExpectedAdsSize(out, k, flavor);
-
-  switch (flavor) {
-    case SketchFlavor::kBottomK:
-      RunDpPassParallel(gt, k, 0, 0, ranks, nullptr, pool, out, stats);
-      break;
-    case SketchFlavor::kKMins:
-      for (uint32_t p = 0; p < k; ++p) {
-        RunDpPassParallel(gt, 1, p, p, ranks, nullptr, pool, out, stats);
-      }
-      break;
-    case SketchFlavor::kKPartition:
-      for (uint32_t h = 0; h < k; ++h) {
-        std::vector<bool> in_bucket(n, false);
-        for (NodeId v = 0; v < n; ++v) {
-          in_bucket[v] = BucketHash(ranks.seed(), v, k) == h;
-        }
-        RunDpPassParallel(gt, 1, h, 0, ranks, &in_bucket, pool, out, stats);
-      }
-      break;
-  }
-
-  AdsSet set;
-  set.flavor = flavor;
-  set.k = k;
-  set.ranks = ranks;
-  set.ads.reserve(n);
-  for (NodeId v = 0; v < n; ++v) set.ads.emplace_back(std::move(out[v]));
-  return set;
+  return BuildAdsFromPasses(
+      g, k, flavor, ranks, stats,
+      [&](const BottomKPass& pass) { RunDpPass(pass, pool); });
 }
 
 AdsSet BuildAdsDp(const Graph& g, uint32_t k, SketchFlavor flavor,
                   const RankAssignment& ranks, AdsBuildStats* stats) {
-  assert(k >= 1);
-  assert(g.IsUnitWeight() && "the DP builder requires an unweighted graph");
-  Graph gt = g.Transpose();
-  NodeId n = g.num_nodes();
-  std::vector<std::vector<AdsEntry>> out(n);
-  ReserveExpectedAdsSize(out, k, flavor);
-
-  switch (flavor) {
-    case SketchFlavor::kBottomK:
-      RunDpPass(gt, k, /*part=*/0, /*perm=*/0, ranks, nullptr, out, stats);
-      break;
-    case SketchFlavor::kKMins:
-      for (uint32_t p = 0; p < k; ++p) {
-        RunDpPass(gt, 1, /*part=*/p, /*perm=*/p, ranks, nullptr, out, stats);
-      }
-      break;
-    case SketchFlavor::kKPartition: {
-      for (uint32_t h = 0; h < k; ++h) {
-        std::vector<bool> in_bucket(n, false);
-        for (NodeId v = 0; v < n; ++v) {
-          in_bucket[v] = BucketHash(ranks.seed(), v, k) == h;
-        }
-        RunDpPass(gt, 1, /*part=*/h, /*perm=*/0, ranks, &in_bucket, out,
-                  stats);
-      }
-      break;
-    }
-  }
-
-  AdsSet set;
-  set.flavor = flavor;
-  set.k = k;
-  set.ranks = ranks;
-  set.ads.reserve(n);
-  for (NodeId v = 0; v < n; ++v) set.ads.emplace_back(std::move(out[v]));
-  return set;
+  return BuildAdsDpParallel(g, k, flavor, ranks, /*num_threads=*/1, stats);
 }
 
 }  // namespace hipads

@@ -1,0 +1,45 @@
+#include "ads/builder_driver.h"
+
+#include <cassert>
+#include <numeric>
+
+namespace hipads {
+
+AdsSet BuildAdsFromPasses(const Graph& g, uint32_t k, SketchFlavor flavor,
+                          const RankAssignment& ranks, AdsBuildStats* stats,
+                          const std::function<void(const BottomKPass&)>& pass) {
+  assert(k >= 1);
+  const Graph gt = g.Transpose();
+  const NodeId n = g.num_nodes();
+  std::vector<std::vector<AdsEntry>> out(n);
+  ReserveExpectedAdsSize(out, k, flavor);
+  AdsBuildStats discarded;
+  AdsBuildStats& counted = stats != nullptr ? *stats : discarded;
+
+  if (flavor == SketchFlavor::kKPartition) {
+    std::vector<std::vector<NodeId>> buckets(k);
+    for (NodeId v = 0; v < n; ++v) {
+      buckets[BucketHash(ranks.seed(), v, k)].push_back(v);
+    }
+    for (uint32_t h = 0; h < k; ++h) {
+      pass({gt, ranks, 1, h, 0, buckets[h], out, counted});
+    }
+  } else {
+    std::vector<NodeId> all(n);
+    std::iota(all.begin(), all.end(), NodeId{0});
+    const bool bottom_k = flavor == SketchFlavor::kBottomK;
+    for (uint32_t p = 0; p < (bottom_k ? 1 : k); ++p) {
+      pass({gt, ranks, bottom_k ? k : 1, p, p, all, out, counted});
+    }
+  }
+
+  AdsSet set;
+  set.flavor = flavor;
+  set.k = k;
+  set.ranks = ranks;
+  set.ads.reserve(n);
+  for (NodeId v = 0; v < n; ++v) set.ads.emplace_back(std::move(out[v]));
+  return set;
+}
+
+}  // namespace hipads

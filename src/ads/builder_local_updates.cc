@@ -3,16 +3,16 @@
 // the paper targets).
 //
 // Unlike the other builders, entries here are tentative: a node may insert
-// an entry and later delete it (clean-up) when closer lower-rank entries
-// arrive, or shrink an entry's distance when a shorter path is discovered.
-// With epsilon == 0 the result is the exact canonical ADS set; with
-// epsilon > 0 it is a (1+epsilon)-approximate ADS set, which provably caps
-// the update overhead (Section 3).
+// an entry and later delete it (clean-up) when k closer entries of no
+// larger rank arrive, or shrink an entry's distance when a shorter path is
+// discovered. With epsilon == 0 the result is the exact canonical ADS set;
+// with epsilon > 0 it is a (1+epsilon)-approximate ADS set, which provably
+// caps the update overhead (Section 3).
 
 #include <algorithm>
 #include <cassert>
 
-#include "ads/builders.h"
+#include "ads/builder_driver.h"
 #include "graph/traversal.h"
 #include "util/parallel.h"
 
@@ -39,9 +39,10 @@ bool LexCloser(const AdsEntry& a, double dist, NodeId node, double slack) {
   return a.dist <= dist && (a.dist < dist || a.node < node);
 }
 
-// Removes entries dominated by >= k closer lower-rank entries. An entry e is
-// dominated by ke iff ke.rank < e.rank and ke is closer under the tie-broken
-// (distance, node id) order. In exact mode (slack == 1) this
+// Removes entries dominated by >= k closer entries. An entry e is dominated
+// by ke iff ke.rank <= e.rank and ke is closer under the tie-broken
+// (distance, node id) order: equal ranks count, as in the insertion test
+// and in Ads::CanonicalBottomK. In exact mode (slack == 1) this
 // recanonicalizes the list; with slack > 1 eviction requires dominators to
 // be decisively closer (ke.dist * slack <= e.dist), preserving the
 // (1+epsilon)-approximate invariant.
@@ -56,7 +57,7 @@ size_t CleanUp(EntryList& entries, uint32_t k, double slack) {
       bool closer = slack == 1.0
                         ? LexCloser(ke, e.dist, e.node, 1.0)
                         : ke.dist * slack <= e.dist;
-      if (closer && ke.rank < e.rank) ++dominators;
+      if (closer && ke.rank <= e.rank) ++dominators;
     }
     if (dominators >= k) {
       ++removed;
@@ -68,44 +69,16 @@ size_t CleanUp(EntryList& entries, uint32_t k, double slack) {
   return removed;
 }
 
-// Work a message-processing chunk counts locally; summed into the global
-// AdsBuildStats after the round (integer sums are order-independent, so
-// the totals match the sequential builder exactly).
-struct RoundCounters {
-  uint64_t insertions = 0;
-  uint64_t deletions = 0;
-};
-
-// Chunk boundaries for one round's sorted messages: ~`chunks_wanted` even
-// pieces, each boundary advanced to the next target-node change so no
-// target's message group ever spans two chunks. The decomposition depends
-// only on the (canonically sorted) inbox, never on thread scheduling.
-std::vector<size_t> TargetAlignedBounds(const std::vector<Message>& inbox,
-                                        uint32_t chunks_wanted) {
-  std::vector<size_t> bounds{0};
-  if (chunks_wanted > 1 && inbox.size() > 1) {
-    size_t step = (inbox.size() + chunks_wanted - 1) / chunks_wanted;
-    for (uint32_t c = 1; c < chunks_wanted; ++c) {
-      size_t pos = std::min(inbox.size(), static_cast<size_t>(c) * step);
-      while (pos < inbox.size() && inbox[pos].target == inbox[pos - 1].target)
-        ++pos;
-      if (pos > bounds.back() && pos < inbox.size()) bounds.push_back(pos);
-    }
-  }
-  bounds.push_back(inbox.size());
-  return bounds;
-}
-
 // Processes the sorted messages [begin, end) of one round — a range that
 // never splits a target's group. Mutates only ads[t] for targets t inside
-// the range and appends propagations to `outbox`, so disjoint chunks are
-// independent: running them on pool threads replays exactly the sequential
-// per-target decisions.
+// the range, appends propagations to `outbox` and counts its insertions and
+// deletions in `counters`, so disjoint chunks are independent: running them
+// on pool threads replays exactly the one-thread per-target decisions.
 void ProcessMessages(const Graph& gt, uint32_t k, uint32_t part,
                      const RankAssignment& ranks, double slack,
                      const std::vector<Message>& inbox, size_t begin,
                      size_t end, std::vector<EntryList>& ads,
-                     std::vector<Message>& outbox, RoundCounters& counters) {
+                     std::vector<Message>& outbox, AdsBuildStats& counters) {
   for (size_t idx = begin; idx < end; ++idx) {
     const Message& m = inbox[idx];
     EntryList& list = ads[m.target];
@@ -151,38 +124,31 @@ void ProcessMessages(const Graph& gt, uint32_t k, uint32_t part,
   }
 }
 
-// One pass of the synchronous simulation. With a pool, each round's
-// messages are processed in target-aligned chunks on the pool threads;
-// chunk outboxes are concatenated in chunk order and re-sorted canonically
-// next round, so the output (and every work counter) is identical to the
-// sequential pass for any thread count.
-void RunLocalUpdatesPass(const Graph& gt, uint32_t k, uint32_t part,
-                         uint32_t perm, const RankAssignment& ranks,
-                         const std::vector<bool>* is_source, double epsilon,
-                         ThreadPool* pool,
-                         std::vector<std::vector<AdsEntry>>& out,
-                         AdsBuildStats* stats) {
-  NodeId n = gt.num_nodes();
+// One pass of the synchronous simulation. Each round's messages are
+// processed in target-aligned chunks on the pool (inline on a one-thread
+// pool); chunk outboxes are concatenated in chunk order and re-sorted
+// canonically next round, so the output (and every work counter) is the
+// same for any thread count.
+void RunLocalUpdatesPass(const BottomKPass& pass, double epsilon,
+                         ThreadPool& pool) {
+  NodeId n = pass.gt.num_nodes();
   double slack = 1.0 + epsilon;
   std::vector<EntryList> ads(n);
   std::vector<Message> inbox;
 
   // Initialization: each source holds itself at distance 0 and announces it.
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_source != nullptr && !(*is_source)[v]) continue;
-    double rv = ranks.rank(v, perm);
-    ads[v].push_back(AdsEntry{v, part, rv, 0.0});
-    if (stats != nullptr) ++stats->insertions;
-    for (const Arc& a : gt.OutArcs(v)) {
-      inbox.push_back(Message{a.head, v, part, rv, a.weight});
+  for (NodeId v : pass.sources) {
+    double rv = pass.ranks.rank(v, pass.perm);
+    ads[v].push_back(AdsEntry{v, pass.part, rv, 0.0});
+    ++pass.stats.insertions;
+    for (const Arc& a : pass.gt.OutArcs(v)) {
+      inbox.push_back(Message{a.head, v, pass.part, rv, a.weight});
     }
   }
 
   while (!inbox.empty()) {
-    if (stats != nullptr) {
-      ++stats->rounds;
-      stats->relaxations += inbox.size();
-    }
+    ++pass.stats.rounds;
+    pass.stats.relaxations += inbox.size();
     // Process this round's messages grouped by target, in canonical order so
     // that ties resolve deterministically. The sort key is total over
     // distinct updates (messages equal on (target, dist, node) are fully
@@ -194,79 +160,26 @@ void RunLocalUpdatesPass(const Graph& gt, uint32_t k, uint32_t part,
                 if (a.dist != b.dist) return a.dist < b.dist;
                 return a.node < b.node;
               });
-    uint32_t chunks_wanted = pool != nullptr ? pool->num_threads() : 1;
-    std::vector<size_t> bounds = TargetAlignedBounds(inbox, chunks_wanted);
+    std::vector<size_t> bounds =
+        TargetAlignedBounds(inbox, pool.num_threads());
     size_t chunks = bounds.size() - 1;
     std::vector<std::vector<Message>> outboxes(chunks);
-    std::vector<RoundCounters> counters(chunks);
-    auto process = [&](size_t begin, size_t end, uint32_t chunk) {
-      ProcessMessages(gt, k, part, ranks, slack, inbox, begin, end, ads,
-                      outboxes[chunk], counters[chunk]);
-    };
-    if (pool != nullptr && chunks > 1) {
-      pool->ParallelRanges(bounds, process);
-    } else {
-      for (size_t c = 0; c < chunks; ++c) {
-        process(bounds[c], bounds[c + 1], static_cast<uint32_t>(c));
-      }
-    }
+    std::vector<AdsBuildStats> chunk_counted(chunks);
+    pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t c) {
+      ProcessMessages(pass.gt, pass.k, pass.part, pass.ranks, slack, inbox,
+                      begin, end, ads, outboxes[c], chunk_counted[c]);
+    });
     inbox.clear();
     for (size_t c = 0; c < chunks; ++c) {
       inbox.insert(inbox.end(), outboxes[c].begin(), outboxes[c].end());
-      if (stats != nullptr) {
-        stats->insertions += counters[c].insertions;
-        stats->deletions += counters[c].deletions;
-      }
+      pass.stats.insertions += chunk_counted[c].insertions;
+      pass.stats.deletions += chunk_counted[c].deletions;
     }
   }
 
   for (NodeId v = 0; v < n; ++v) {
-    for (const AdsEntry& e : ads[v]) out[v].push_back(e);
+    pass.out[v].insert(pass.out[v].end(), ads[v].begin(), ads[v].end());
   }
-}
-
-AdsSet BuildAdsLocalUpdatesImpl(const Graph& g, uint32_t k,
-                                SketchFlavor flavor,
-                                const RankAssignment& ranks, double epsilon,
-                                ThreadPool* pool, AdsBuildStats* stats) {
-  assert(k >= 1);
-  assert(epsilon >= 0.0);
-  Graph gt = g.Transpose();
-  NodeId n = g.num_nodes();
-  std::vector<std::vector<AdsEntry>> out(n);
-  ReserveExpectedAdsSize(out, k, flavor);
-
-  switch (flavor) {
-    case SketchFlavor::kBottomK:
-      RunLocalUpdatesPass(gt, k, /*part=*/0, /*perm=*/0, ranks, nullptr,
-                          epsilon, pool, out, stats);
-      break;
-    case SketchFlavor::kKMins:
-      for (uint32_t p = 0; p < k; ++p) {
-        RunLocalUpdatesPass(gt, 1, /*part=*/p, /*perm=*/p, ranks, nullptr,
-                            epsilon, pool, out, stats);
-      }
-      break;
-    case SketchFlavor::kKPartition: {
-      for (uint32_t h = 0; h < k; ++h) {
-        std::vector<bool> in_bucket(n, false);
-        for (NodeId v = 0; v < n; ++v) {
-          in_bucket[v] = BucketHash(ranks.seed(), v, k) == h;
-        }
-        RunLocalUpdatesPass(gt, 1, /*part=*/h, /*perm=*/0, ranks, &in_bucket,
-                            epsilon, pool, out, stats);
-      }
-      break;
-    }
-  }
-
-  AdsSet set;
-  set.flavor = flavor;
-  set.k = k;
-  set.ranks = ranks;
-  set.ads.reserve(n);
-  for (NodeId v = 0; v < n; ++v) set.ads.emplace_back(std::move(out[v]));
-  return set;
 }
 
 }  // namespace
@@ -274,8 +187,8 @@ AdsSet BuildAdsLocalUpdatesImpl(const Graph& g, uint32_t k,
 AdsSet BuildAdsLocalUpdates(const Graph& g, uint32_t k, SketchFlavor flavor,
                             const RankAssignment& ranks, double epsilon,
                             AdsBuildStats* stats) {
-  return BuildAdsLocalUpdatesImpl(g, k, flavor, ranks, epsilon,
-                                  /*pool=*/nullptr, stats);
+  return BuildAdsLocalUpdatesParallel(g, k, flavor, ranks, epsilon,
+                                      /*num_threads=*/1, stats);
 }
 
 AdsSet BuildAdsLocalUpdatesParallel(const Graph& g, uint32_t k,
@@ -283,12 +196,12 @@ AdsSet BuildAdsLocalUpdatesParallel(const Graph& g, uint32_t k,
                                     const RankAssignment& ranks,
                                     double epsilon, uint32_t num_threads,
                                     AdsBuildStats* stats) {
+  assert(epsilon >= 0.0);
   ThreadPool pool(num_threads);
-  if (pool.num_threads() <= 1) {
-    return BuildAdsLocalUpdatesImpl(g, k, flavor, ranks, epsilon,
-                                    /*pool=*/nullptr, stats);
-  }
-  return BuildAdsLocalUpdatesImpl(g, k, flavor, ranks, epsilon, &pool, stats);
+  return BuildAdsFromPasses(g, k, flavor, ranks, stats,
+                            [&](const BottomKPass& pass) {
+                              RunLocalUpdatesPass(pass, epsilon, pool);
+                            });
 }
 
 AdsSet BuildAdsReference(const Graph& g, uint32_t k, SketchFlavor flavor,

@@ -2,34 +2,39 @@
 //
 // Nodes are processed in increasing rank order; a Dijkstra on the transpose
 // graph from node u reaches every node v whose ADS u belongs to. Because all
-// previously inserted entries have smaller rank, u belongs to ADS(v) iff
+// previously inserted entries have rank at most u's, u belongs to ADS(v) iff
 // fewer than k current entries of ADS(v) are closer under the tie-broken
 // (distance, node id) order, and the search can be pruned at v otherwise
 // (anything beyond v is farther still). Every inserted entry is final:
 // later-processed nodes have larger ranks and cannot displace it.
 //
-// The parallel variant batches sources into windows of increasing rank
-// (window sizes grow geometrically, so the pruning state is at most "one
-// doubling" stale). Within a window every source runs its pruned Dijkstra
-// against the frozen state of all previous windows — a weaker pruning test,
-// so the search emits a superset of the true entries as candidates — and a
-// deterministic per-target merge then replays the sequential inclusion rule
-// over the candidates in rank order. Since the replay applies exactly the
-// test the sequential builder would have applied with exactly the same key
-// state, the accepted entries (and even their insertion order) match the
-// sequential builder entry for entry; see the window-stability argument in
-// README.md's threading-model section.
+// Sources are processed in windows of consecutive ranks. A window of one
+// source is Algorithm 1's loop: the search inserts as it goes. A larger
+// window runs one search per source against the frozen state of all
+// previous windows — a weaker pruning test, so the searches emit a superset
+// of the true entries as candidates — and then replays the inclusion test
+// per target over the candidates in (rank, distance, node id) order. The
+// replay applies exactly the test the one-source loop would apply, with
+// exactly the same key state, so the accepted entries do not depend on how
+// sources were cut into windows. A window never splits a run of equal ranks:
+// an equal-rank source that is closer to v must be counted before u is
+// tested at v, which only the replay's order guarantees. See README.md's
+// threading-model section.
 
 #include <algorithm>
-#include <cassert>
 #include <queue>
+#include <utility>
 
-#include "ads/builders.h"
+#include "ads/builder_driver.h"
 #include "util/parallel.h"
 
 namespace hipads {
 
 namespace {
+
+// The (distance, node id) keys of ADS(v)'s current entries, sorted. A test
+// only asks whether k keys are closer, so each list keeps the k closest.
+using LexKey = std::pair<double, NodeId>;
 
 struct HeapItem {
   double dist;
@@ -40,15 +45,16 @@ struct HeapItem {
   }
 };
 
-// Shared scratch buffers so the n Dijkstra runs avoid O(n) re-initialization
-// each (epoch-stamped tentative distances).
-struct Scratch {
+// One thread's search state, reused across its searches: epoch-stamped
+// tentative distances (no O(n) re-initialization per search) and the heap.
+// Cache-line aligned: the heap's pointers change on every push and pop.
+struct alignas(64) Scratch {
   explicit Scratch(NodeId n) : dist(n, 0.0), epoch_of(n, 0) {}
   std::vector<double> dist;
   std::vector<uint32_t> epoch_of;
   uint32_t epoch = 0;
+  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
 
-  void NewEpoch() { ++epoch; }
   bool Seen(NodeId v) const { return epoch_of[v] == epoch; }
   void Set(NodeId v, double d) {
     dist[v] = d;
@@ -56,321 +62,184 @@ struct Scratch {
   }
 };
 
-// One bottom-k construction pass over rank assignment index `perm`, with
-// entries labeled `part`. Sources must be sorted by increasing rank. Appends
-// final entries into `out`; `keys[v]` accumulates the sorted (distance,
-// node id) keys of current entries of ADS(v) for the pruning test.
-using LexKey = std::pair<double, NodeId>;
+// How many keys in `keys` are closer than `key`: where `key` would go.
+size_t CloserKeys(const std::vector<LexKey>& keys, const LexKey& key) {
+  return static_cast<size_t>(std::lower_bound(keys.begin(), keys.end(), key) -
+                             keys.begin());
+}
 
-void RunPass(const Graph& gt, uint32_t k, uint32_t part, uint32_t perm,
-             const RankAssignment& ranks,
-             const std::vector<NodeId>& sources_by_rank,
-             std::vector<std::vector<AdsEntry>>& out,
-             std::vector<std::vector<LexKey>>& keys, Scratch& scratch,
-             AdsBuildStats* stats) {
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-  for (NodeId u : sources_by_rank) {
-    double ru = ranks.rank(u, perm);
-    scratch.NewEpoch();
-    heap.push({0.0, u});
-    scratch.Set(u, 0.0);
-    while (!heap.empty()) {
-      auto [d, v] = heap.top();
-      heap.pop();
-      if (scratch.dist[v] < d) continue;  // stale
-      // Membership test: all existing entries have smaller rank, so u joins
-      // ADS(v) iff fewer than k of them are closer under the tie-broken
-      // (distance, node id) order. Otherwise prune the search below v
-      // (every node beyond v is farther, so the same >= k entries apply).
-      std::vector<LexKey>& kl = keys[v];
-      LexKey key{d, u};
-      auto it = std::lower_bound(kl.begin(), kl.end(), key);
-      size_t closer = static_cast<size_t>(it - kl.begin());
-      if (closer >= k) continue;  // prune: v settled but not expanded
-      kl.insert(it, key);
-      out[v].push_back(AdsEntry{u, part, ru, d});
-      if (stats != nullptr) ++stats->insertions;
-      if (stats != nullptr) stats->relaxations += gt.OutDegree(v);
-      for (const Arc& a : gt.OutArcs(v)) {
-        double nd = d + a.weight;
-        if (!scratch.Seen(a.head) || nd < scratch.dist[a.head]) {
-          scratch.Set(a.head, nd);
-          heap.push({nd, a.head});
-        }
+// The pruned Dijkstra from source `u` on the transpose. At each settled
+// node v, u passes iff fewer than k keys of ADS(v) are closer than (d, u);
+// then visit(v, d, closer) runs and the search expands v, otherwise it
+// prunes there. Returns the relaxations (out-degrees of expanded nodes).
+template <typename Visit>
+uint64_t PrunedSearch(const Graph& gt, uint32_t k, NodeId u,
+                      const std::vector<std::vector<LexKey>>& keys,
+                      Scratch& sc, const Visit& visit) {
+  uint64_t relaxations = 0;
+  ++sc.epoch;
+  sc.Set(u, 0.0);
+  auto& heap = sc.heap;
+  heap.push({0.0, u});
+  while (!heap.empty()) {
+    auto [d, v] = heap.top();
+    heap.pop();
+    if (sc.dist[v] < d) continue;  // stale
+    size_t closer = CloserKeys(keys[v], {d, u});
+    if (closer >= k) continue;  // prune: v settled but not expanded
+    visit(v, d, closer);
+    relaxations += gt.OutDegree(v);
+    for (const Arc& a : gt.OutArcs(v)) {
+      double nd = d + a.weight;
+      if (!sc.Seen(a.head) || nd < sc.dist[a.head]) {
+        sc.Set(a.head, nd);
+        heap.push({nd, a.head});
       }
     }
   }
+  return relaxations;
 }
 
-// A candidate entry emitted by a frozen-state window Dijkstra: source
-// `widx` (index into the window, i.e. rank order) reached `target` at
-// distance `dist`. (target, widx) pairs are unique within a window.
+// A window search's candidate: source `src` (its index in the pass's rank
+// order) reached `target` at distance `dist`. (target, src) is unique.
 struct WindowCandidate {
   NodeId target;
-  uint32_t widx;
+  uint32_t src;
   double dist;
 };
 
-// Parallel counterpart of RunPass (rank-window batching). Window w of
-// geometrically growing size is processed in two barrier-separated phases:
-//   A. every window source runs a pruned Dijkstra against the *frozen*
-//      keys[] of previous windows (read-only, so threads share it safely),
-//      emitting WindowCandidates; sources are dealt to threads round-robin
-//      (source w -> thread w % T) because earlier (smaller-rank) sources
-//      explore more.
-//   B. candidates are sorted by (target, widx) and split into
-//      target-aligned shards; each shard replays the sequential inclusion
-//      test per candidate in rank order, mutating only its own targets'
-//      keys[v] / out[v].
-// Both phases decompose by index, never by thread identity, so the result
-// is independent of scheduling; the replay makes it equal to RunPass.
-void RunPassParallel(const Graph& gt, uint32_t k, uint32_t part,
-                     uint32_t perm, const RankAssignment& ranks,
-                     const std::vector<NodeId>& sources_by_rank,
-                     std::vector<std::vector<AdsEntry>>& out,
-                     std::vector<std::vector<LexKey>>& keys,
-                     std::vector<Scratch>& scratch, ThreadPool& pool,
-                     AdsBuildStats* stats) {
+// Sources in the window starting at rank position `pos`. One thread gains
+// nothing from batching, so its windows hold one source and keep the live
+// pruning. T threads start at max(T, k) sources, the k cheapest unpruned
+// searches, and then each window holds as many sources as all earlier
+// ones, so the frozen state is at most one doubling stale and the extra
+// exploration stays a constant factor.
+size_t WindowSize(size_t pos, uint32_t num_threads, uint32_t k) {
+  if (num_threads < 2) return 1;
+  return std::max<size_t>({num_threads, k, pos});
+}
+
+// One bottom-k pass. Phase A deals a window's sources to the pool's tasks
+// round-robin (source i -> task i % T; earlier sources explore more);
+// phase B sorts the candidates and replays them on target-aligned ranges,
+// each range mutating only its own targets' keys and outputs. Both phases
+// decompose by index, never by thread identity.
+void RunPrunedDijkstraPass(const BottomKPass& pass, ThreadPool& pool,
+                           std::vector<Scratch>& scratch) {
   const uint32_t num_threads = pool.num_threads();
-  const size_t num_sources = sources_by_rank.size();
-  // First window = max(T, k) sources: the k cheapest unpruned searches cost
-  // about what the sequential builder pays for them anyway, and windows
-  // then double, bounding total extra exploration by a constant factor.
-  const size_t first_window =
-      std::max<size_t>(num_threads, std::max<uint32_t>(k, 1));
+  const uint32_t k = pass.k;
+  std::vector<std::pair<double, NodeId>> order;  // (rank, id), increasing
+  order.reserve(pass.sources.size());
+  for (NodeId u : pass.sources) {
+    order.emplace_back(pass.ranks.rank(u, pass.perm), u);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<std::vector<LexKey>> keys(pass.gt.num_nodes());
 
-  std::vector<std::vector<WindowCandidate>> thread_cands(num_threads);
-  std::vector<uint64_t> thread_relax(num_threads);
+  // Inserts source order[i] into ADS(v) at distance d, after `closer` keys.
+  auto insert = [&](NodeId v, double d, size_t i, size_t closer) {
+    std::vector<LexKey>& kl = keys[v];
+    kl.insert(kl.begin() + closer, LexKey{d, order[i].second});
+    if (kl.size() > k) kl.pop_back();
+    pass.out[v].push_back(AdsEntry{order[i].second, pass.part, order[i].first,
+                                   d});
+  };
+
+  std::vector<std::vector<WindowCandidate>> task_cands(num_threads);
+  std::vector<uint64_t> task_relax(num_threads);
   std::vector<WindowCandidate> candidates;
-  std::vector<double> window_ranks;
-
-  size_t pos = 0;
-  while (pos < num_sources) {
-    const size_t window =
-        std::min(num_sources - pos, std::max(first_window, pos));
-    const NodeId* window_sources = sources_by_rank.data() + pos;
-    window_ranks.resize(window);
-    for (size_t w = 0; w < window; ++w) {
-      window_ranks[w] = ranks.rank(window_sources[w], perm);
+  for (size_t pos = 0, stop = 0; pos < order.size(); pos = stop) {
+    stop = std::min(order.size(), pos + WindowSize(pos, num_threads, k));
+    while (stop < order.size() && order[stop].first == order[stop - 1].first) {
+      ++stop;
+    }
+    ++pass.stats.rounds;
+    if (stop - pos == 1) {
+      pass.stats.relaxations += PrunedSearch(
+          pass.gt, k, order[pos].second, keys, scratch[0],
+          [&](NodeId v, double d, size_t closer) {
+            insert(v, d, pos, closer);
+            ++pass.stats.insertions;
+          });
+      continue;
     }
 
-    // Phase A: frozen-state pruned Dijkstras, candidates per thread.
+    // Phase A: frozen-state searches, candidates per task.
     pool.RunTasks(num_threads, [&](size_t t) {
-      std::vector<WindowCandidate>& cands = thread_cands[t];
-      cands.clear();
-      Scratch& sc = scratch[t];
-      uint64_t relax = 0;
-      std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>
-          heap;
-      for (size_t w = t; w < window; w += num_threads) {
-        NodeId u = window_sources[w];
-        sc.NewEpoch();
-        heap.push({0.0, u});
-        sc.Set(u, 0.0);
-        while (!heap.empty()) {
-          auto [d, v] = heap.top();
-          heap.pop();
-          if (sc.dist[v] < d) continue;  // stale
-          const std::vector<LexKey>& kl = keys[v];
-          LexKey key{d, u};
-          auto it = std::lower_bound(kl.begin(), kl.end(), key);
-          if (static_cast<size_t>(it - kl.begin()) >= k) continue;  // prune
-          cands.push_back(
-              WindowCandidate{v, static_cast<uint32_t>(w), d});
-          relax += gt.OutDegree(v);
-          for (const Arc& a : gt.OutArcs(v)) {
-            double nd = d + a.weight;
-            if (!sc.Seen(a.head) || nd < sc.dist[a.head]) {
-              sc.Set(a.head, nd);
-              heap.push({nd, a.head});
-            }
-          }
-        }
+      task_cands[t].clear();
+      task_relax[t] = 0;
+      for (size_t i = pos + t; i < stop; i += num_threads) {
+        task_relax[t] += PrunedSearch(
+            pass.gt, k, order[i].second, keys, scratch[t],
+            [&](NodeId v, double d, size_t) {
+              task_cands[t].push_back(
+                  WindowCandidate{v, static_cast<uint32_t>(i), d});
+            });
       }
-      thread_relax[t] = relax;
     });
-
     candidates.clear();
     for (uint32_t t = 0; t < num_threads; ++t) {
-      if (stats != nullptr) stats->relaxations += thread_relax[t];
-      candidates.insert(candidates.end(), thread_cands[t].begin(),
-                        thread_cands[t].end());
+      pass.stats.relaxations += task_relax[t];
+      candidates.insert(candidates.end(), task_cands[t].begin(),
+                        task_cands[t].end());
     }
+    // By (target, src); src follows (rank, id).
     std::sort(candidates.begin(), candidates.end(),
               [](const WindowCandidate& a, const WindowCandidate& b) {
                 if (a.target != b.target) return a.target < b.target;
-                return a.widx < b.widx;
+                return a.src < b.src;
               });
 
-    // Phase B: replay the sequential inclusion rule per target, sharded
-    // over target-aligned candidate ranges.
-    std::vector<size_t> bounds = {0};
-    size_t chunk = (candidates.size() + num_threads - 1) / num_threads;
-    for (uint32_t t = 1; t < num_threads; ++t) {
-      size_t b = std::min(candidates.size(), t * chunk);
-      while (b < candidates.size() && b > 0 &&
-             candidates[b].target == candidates[b - 1].target) {
-        ++b;
+    // Phase B: replay the inclusion test per target in (rank, distance, id)
+    // order: a target's equal-rank candidates are first sorted by distance.
+    std::vector<size_t> bounds = TargetAlignedBounds(candidates, num_threads);
+    std::vector<uint64_t> inserted(bounds.size() - 1, 0);
+    pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t c) {
+      for (size_t j = begin; j < end;) {
+        size_t run = j + 1;  // one target's candidates of one rank
+        while (run < end && candidates[run].target == candidates[j].target &&
+               order[candidates[run].src].first ==
+                   order[candidates[j].src].first) {
+          ++run;
+        }
+        std::sort(candidates.begin() + j, candidates.begin() + run,
+                  [](const WindowCandidate& a, const WindowCandidate& b) {
+                    return a.dist != b.dist ? a.dist < b.dist : a.src < b.src;
+                  });
+        for (; j < run; ++j) {
+          const WindowCandidate& x = candidates[j];
+          size_t closer =
+              CloserKeys(keys[x.target], {x.dist, order[x.src].second});
+          if (closer >= k) continue;
+          insert(x.target, x.dist, x.src, closer);
+          ++inserted[c];
+        }
       }
-      bounds.push_back(std::max(b, bounds.back()));
-    }
-    bounds.push_back(candidates.size());
-    std::vector<uint64_t> inserted(num_threads + 1, 0);
-    pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t t) {
-      uint64_t ins = 0;
-      for (size_t i = begin; i < end; ++i) {
-        const WindowCandidate& c = candidates[i];
-        NodeId u = window_sources[c.widx];
-        std::vector<LexKey>& kl = keys[c.target];
-        LexKey key{c.dist, u};
-        auto it = std::lower_bound(kl.begin(), kl.end(), key);
-        if (static_cast<size_t>(it - kl.begin()) >= k) continue;
-        kl.insert(it, key);
-        out[c.target].push_back(
-            AdsEntry{u, part, window_ranks[c.widx], c.dist});
-        ++ins;
-      }
-      inserted[t] = ins;
     });
-    if (stats != nullptr) {
-      for (uint32_t t = 0; t <= num_threads; ++t) {
-        stats->insertions += inserted[t];
-      }
-      ++stats->rounds;
-    }
-    pos += window;
+    for (uint64_t count : inserted) pass.stats.insertions += count;
   }
-}
-
-std::vector<NodeId> SortedByRank(const Graph& g, const RankAssignment& ranks,
-                                 uint32_t perm,
-                                 const std::vector<NodeId>* subset) {
-  std::vector<NodeId> order;
-  if (subset != nullptr) {
-    order = *subset;
-  } else {
-    order.resize(g.num_nodes());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) order[v] = v;
-  }
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return ranks.rank(a, perm) < ranks.rank(b, perm);
-  });
-  return order;
 }
 
 }  // namespace
-
-AdsSet BuildAdsPrunedDijkstra(const Graph& g, uint32_t k, SketchFlavor flavor,
-                              const RankAssignment& ranks,
-                              AdsBuildStats* stats) {
-  assert(k >= 1);
-  Graph gt = g.Transpose();
-  NodeId n = g.num_nodes();
-  std::vector<std::vector<AdsEntry>> out(n);
-  ReserveExpectedAdsSize(out, k, flavor);
-  Scratch scratch(n);
-
-  switch (flavor) {
-    case SketchFlavor::kBottomK: {
-      std::vector<std::vector<LexKey>> dist_lists(n);
-      std::vector<NodeId> order = SortedByRank(g, ranks, 0, nullptr);
-      RunPass(gt, k, /*part=*/0, /*perm=*/0, ranks, order, out, dist_lists,
-              scratch, stats);
-      break;
-    }
-    case SketchFlavor::kKMins: {
-      // k independent bottom-1 ADSs over k rank assignments.
-      for (uint32_t p = 0; p < k; ++p) {
-        std::vector<std::vector<LexKey>> dist_lists(n);
-        std::vector<NodeId> order = SortedByRank(g, ranks, p, nullptr);
-        RunPass(gt, 1, /*part=*/p, /*perm=*/p, ranks, order, out, dist_lists,
-                scratch, stats);
-      }
-      break;
-    }
-    case SketchFlavor::kKPartition: {
-      // One bottom-1 pass per bucket; only bucket members are sources.
-      std::vector<std::vector<NodeId>> buckets(k);
-      for (NodeId v = 0; v < n; ++v) {
-        buckets[BucketHash(ranks.seed(), v, k)].push_back(v);
-      }
-      for (uint32_t h = 0; h < k; ++h) {
-        std::vector<std::vector<LexKey>> dist_lists(n);
-        std::vector<NodeId> order = SortedByRank(g, ranks, 0, &buckets[h]);
-        RunPass(gt, 1, /*part=*/h, /*perm=*/0, ranks, order, out, dist_lists,
-                scratch, stats);
-      }
-      break;
-    }
-  }
-
-  AdsSet set;
-  set.flavor = flavor;
-  set.k = k;
-  set.ranks = ranks;
-  set.ads.reserve(n);
-  for (NodeId v = 0; v < n; ++v) set.ads.emplace_back(std::move(out[v]));
-  return set;
-}
 
 AdsSet BuildAdsPrunedDijkstraParallel(const Graph& g, uint32_t k,
                                       SketchFlavor flavor,
                                       const RankAssignment& ranks,
                                       uint32_t num_threads,
                                       AdsBuildStats* stats) {
-  assert(k >= 1);
-  if (num_threads == 0) num_threads = HardwareThreads();
-  if (num_threads == 1) {
-    // One thread gains nothing from window batching but would pay its
-    // weaker pruning; the sequential builder is the 1-thread fast path.
-    return BuildAdsPrunedDijkstra(g, k, flavor, ranks, stats);
-  }
-  Graph gt = g.Transpose();
-  NodeId n = g.num_nodes();
-  std::vector<std::vector<AdsEntry>> out(n);
-  ReserveExpectedAdsSize(out, k, flavor);
   ThreadPool pool(num_threads);
-  std::vector<Scratch> scratch(pool.num_threads(), Scratch(n));
+  std::vector<Scratch> scratch(pool.num_threads(), Scratch(g.num_nodes()));
+  return BuildAdsFromPasses(g, k, flavor, ranks, stats,
+                            [&](const BottomKPass& pass) {
+                              RunPrunedDijkstraPass(pass, pool, scratch);
+                            });
+}
 
-  switch (flavor) {
-    case SketchFlavor::kBottomK: {
-      std::vector<std::vector<LexKey>> dist_lists(n);
-      std::vector<NodeId> order = SortedByRank(g, ranks, 0, nullptr);
-      RunPassParallel(gt, k, /*part=*/0, /*perm=*/0, ranks, order, out,
-                      dist_lists, scratch, pool, stats);
-      break;
-    }
-    case SketchFlavor::kKMins: {
-      for (uint32_t p = 0; p < k; ++p) {
-        std::vector<std::vector<LexKey>> dist_lists(n);
-        std::vector<NodeId> order = SortedByRank(g, ranks, p, nullptr);
-        RunPassParallel(gt, 1, /*part=*/p, /*perm=*/p, ranks, order, out,
-                        dist_lists, scratch, pool, stats);
-      }
-      break;
-    }
-    case SketchFlavor::kKPartition: {
-      std::vector<std::vector<NodeId>> buckets(k);
-      for (NodeId v = 0; v < n; ++v) {
-        buckets[BucketHash(ranks.seed(), v, k)].push_back(v);
-      }
-      for (uint32_t h = 0; h < k; ++h) {
-        std::vector<std::vector<LexKey>> dist_lists(n);
-        std::vector<NodeId> order = SortedByRank(g, ranks, 0, &buckets[h]);
-        RunPassParallel(gt, 1, /*part=*/h, /*perm=*/0, ranks, order, out,
-                        dist_lists, scratch, pool, stats);
-      }
-      break;
-    }
-  }
-
-  AdsSet set;
-  set.flavor = flavor;
-  set.k = k;
-  set.ranks = ranks;
-  set.ads.reserve(n);
-  for (NodeId v = 0; v < n; ++v) set.ads.emplace_back(std::move(out[v]));
-  return set;
+AdsSet BuildAdsPrunedDijkstra(const Graph& g, uint32_t k, SketchFlavor flavor,
+                              const RankAssignment& ranks,
+                              AdsBuildStats* stats) {
+  return BuildAdsPrunedDijkstraParallel(g, k, flavor, ranks,
+                                        /*num_threads=*/1, stats);
 }
 
 }  // namespace hipads

@@ -1,7 +1,7 @@
 // ADS construction algorithms (paper Section 3, Appendix B).
 //
 // Three builders, all producing the same canonical sketches on the same
-// (graph, ranks, k, flavor) inputs:
+// (graph, ranks, k, flavor) inputs, for every rank kind and thread count:
 //
 //   * PrunedDijkstra (Algorithm 1): processes nodes by increasing rank, runs
 //     a pruned Dijkstra from each on the transpose graph. Works on weighted
@@ -13,6 +13,16 @@
 //     graphs (MapReduce/Pregel model). Entries may be inserted and later
 //     deleted; supports (1+epsilon)-approximate mode that bounds the
 //     overhead (Section 3).
+//
+// Each builder has one bottom-k pass, used at every thread count; a shared
+// driver runs it once per pass of the flavor (one for bottom-k, k for
+// k-mins and k-partition) and assembles the AdsSet. The un-suffixed entry
+// points are the *Parallel ones at one thread.
+//
+// Ties: the sketches follow Ads::CanonicalBottomK. An entry is kept iff
+// fewer than k kept entries that are closer under the (distance, node id)
+// order have a rank at or below its own, so equal ranks count against each
+// other. Base-b ranks (Section 4.4) tie often.
 //
 // All builders produce *forward* ADSs (entries are nodes reachable FROM the
 // owner); pass Graph::Transpose() to obtain backward ADSs of a directed
@@ -38,23 +48,23 @@ struct AdsBuildStats {
   uint64_t rounds = 0;
 };
 
-/// Algorithm 1. Weighted or unweighted graphs, all three flavors.
+/// Algorithm 1. Weighted or unweighted graphs, all three flavors. The
+/// one-thread BuildAdsPrunedDijkstraParallel.
 AdsSet BuildAdsPrunedDijkstra(const Graph& g, uint32_t k, SketchFlavor flavor,
                               const RankAssignment& ranks,
                               AdsBuildStats* stats = nullptr);
 
-/// BuildAdsPrunedDijkstra with rank-window batching: sources are processed
-/// in windows of increasing rank; within a window, independent pruned
-/// Dijkstras run on per-thread scratch against the (frozen) sketch state of
-/// all previous windows, then the candidate entries are merged per target
-/// by replaying the canonical bottom-k inclusion rule in rank order. The
-/// frozen-state pruning is weaker than the sequential builder's (a bounded
-/// amount of extra exploration, the price of parallelism), but the merge
-/// replays the exact sequential decisions, so the output is bit-identical
-/// to BuildAdsPrunedDijkstra for all flavors and rank kinds. `num_threads`
-/// = 0 uses the hardware count; 1 falls back to the sequential builder.
-/// `stats->relaxations` counts the parallel run's actual (larger)
-/// exploration; insertions match the sequential builder; `rounds` counts
+/// Algorithm 1 over windows of sources in increasing rank. At one thread a
+/// window is one source whose search inserts as it goes. At T threads the
+/// first window holds max(T, k) sources and each later one as many as all
+/// earlier ones; its sources search in parallel against the frozen state of
+/// the previous windows, and the candidate entries are then replayed per
+/// target in (rank, distance, node id) order through the inclusion test.
+/// No window splits a run of equal ranks. The frozen-state pruning explores
+/// a bounded amount more, but the replay makes the same decisions, so the
+/// output is bit-identical for every thread count. `num_threads` = 0 uses
+/// the hardware count. `stats->relaxations` counts the actual exploration
+/// (larger at T > 1); insertions do not depend on T; `rounds` counts
 /// windows.
 AdsSet BuildAdsPrunedDijkstraParallel(const Graph& g, uint32_t k,
                                       SketchFlavor flavor,
@@ -62,14 +72,16 @@ AdsSet BuildAdsPrunedDijkstraParallel(const Graph& g, uint32_t k,
                                       uint32_t num_threads = 0,
                                       AdsBuildStats* stats = nullptr);
 
-/// Dynamic-programming builder; requires unit arc weights.
+/// Dynamic-programming builder; requires unit arc weights. The one-thread
+/// BuildAdsDpParallel.
 AdsSet BuildAdsDp(const Graph& g, uint32_t k, SketchFlavor flavor,
                   const RankAssignment& ranks, AdsBuildStats* stats = nullptr);
 
-/// BuildAdsDp with round-level parallelism (candidate generation sharded
-/// over the frontier, candidate application sharded over disjoint target
-/// ranges — the node-centric decomposition of Section 3). Produces output
-/// identical to BuildAdsDp. `num_threads` = 0 uses the hardware count.
+/// The DP builder with round-level parallelism (candidate generation
+/// sharded over the frontier, candidate application sharded over disjoint
+/// target ranges — the node-centric decomposition of Section 3). Output and
+/// work counters are identical for every thread count. `num_threads` = 0
+/// uses the hardware count.
 AdsSet BuildAdsDpParallel(const Graph& g, uint32_t k, SketchFlavor flavor,
                           const RankAssignment& ranks,
                           uint32_t num_threads = 0,
@@ -77,21 +89,21 @@ AdsSet BuildAdsDpParallel(const Graph& g, uint32_t k, SketchFlavor flavor,
 
 /// Algorithm 2 (synchronous simulation). `epsilon` > 0 switches to
 /// (1+epsilon)-approximate ADSs that trade exactness for fewer updates.
+/// The one-thread BuildAdsLocalUpdatesParallel.
 AdsSet BuildAdsLocalUpdates(const Graph& g, uint32_t k, SketchFlavor flavor,
                             const RankAssignment& ranks, double epsilon = 0.0,
                             AdsBuildStats* stats = nullptr);
 
-/// BuildAdsLocalUpdates with round-level parallelism on the shared
-/// ThreadPool. Each synchronous round's (canonically sorted) message batch
-/// is partitioned into contiguous chunks aligned to target-node boundaries
-/// — the node-centric decomposition the algorithm's Pregel framing
-/// prescribes: processing target t's messages touches only ADS(t), so
-/// disjoint target chunks are independent, and preserving the in-chunk
-/// message order preserves the sequential tie-break decisions. Outboxes
-/// are concatenated in chunk order and re-sorted canonically next round.
-/// Output AND work counters are identical to the sequential builder for
-/// every thread count and epsilon. `num_threads` = 0 uses the hardware
-/// count.
+/// Algorithm 2 with round-level parallelism on the shared ThreadPool. Each
+/// synchronous round's (canonically sorted) message batch is partitioned
+/// into contiguous chunks aligned to target-node boundaries — the
+/// node-centric decomposition the algorithm's Pregel framing prescribes:
+/// processing target t's messages touches only ADS(t), so disjoint target
+/// chunks are independent, and preserving the in-chunk message order
+/// preserves the per-target tie-break decisions. Outboxes are concatenated
+/// in chunk order and re-sorted canonically next round. Output AND work
+/// counters are identical for every thread count and epsilon.
+/// `num_threads` = 0 uses the hardware count.
 AdsSet BuildAdsLocalUpdatesParallel(const Graph& g, uint32_t k,
                                     SketchFlavor flavor,
                                     const RankAssignment& ranks,

@@ -1,11 +1,15 @@
 // Equivalence and correctness tests for the three ADS builders: all must
 // produce the brute-force reference ADS set (PrunedDijkstra and LocalUpdates
 // on weighted graphs too, DP on unweighted), across flavors and graph
-// shapes. Parameterized sweeps cover the (flavor, k, graph) matrix.
+// shapes. Parameterized sweeps cover the (flavor, k, rank kind, graph)
+// matrix, for every entry point of every builder.
 
 #include "ads/builders.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 #include "graph/generators.h"
 #include "graph/traversal.h"
@@ -14,7 +18,8 @@
 namespace hipads {
 namespace {
 
-// Compares two ADS sets entry-by-entry (node, part, dist).
+// Compares two ADS sets entry-by-entry: node, part and rank exactly, dist
+// as doubles (the reference sums weighted paths in another order).
 void ExpectSameAdsSet(const AdsSet& a, const AdsSet& b,
                       const std::string& label) {
   ASSERT_EQ(a.ads.size(), b.ads.size()) << label;
@@ -25,6 +30,7 @@ void ExpectSameAdsSet(const AdsSet& a, const AdsSet& b,
     for (size_t i = 0; i < ea.size(); ++i) {
       EXPECT_EQ(ea[i].node, eb[i].node) << label << " node " << v << " #" << i;
       EXPECT_EQ(ea[i].part, eb[i].part) << label << " node " << v << " #" << i;
+      EXPECT_EQ(ea[i].rank, eb[i].rank) << label << " node " << v << " #" << i;
       EXPECT_DOUBLE_EQ(ea[i].dist, eb[i].dist)
           << label << " node " << v << " #" << i;
     }
@@ -36,74 +42,128 @@ struct BuilderCase {
   uint32_t k;
 };
 
-class BuilderEquivalenceTest
-    : public ::testing::TestWithParam<BuilderCase> {};
+// Base-b ranks tie often; exponential and priority ranks carry a per-node
+// beta and an infinite sup.
+RankAssignment MakeRanks(RankKind kind, uint64_t seed) {
+  auto beta = [](uint64_t v) { return 0.5 + static_cast<double>(v % 3); };
+  switch (kind) {
+    case RankKind::kBaseB:
+      return RankAssignment::BaseB(seed, 2.0);
+    case RankKind::kExponential:
+      return RankAssignment::Exponential(seed, beta);
+    case RankKind::kPriority:
+      return RankAssignment::Priority(seed, beta);
+    default:
+      return RankAssignment::Uniform(seed);
+  }
+}
+
+using BuilderParam = std::tuple<BuilderCase, RankKind>;
+
+class BuilderEquivalenceTest : public ::testing::TestWithParam<BuilderParam> {
+ protected:
+  SketchFlavor flavor() const { return std::get<0>(GetParam()).flavor; }
+  uint32_t k() const { return std::get<0>(GetParam()).k; }
+  RankAssignment ranks(uint64_t seed) const {
+    return MakeRanks(std::get<1>(GetParam()), seed);
+  }
+
+  // Every entry point of each builder against the reference: the
+  // un-suffixed one and the *Parallel one at 1 and 3 threads.
+  void ExpectDijkstraMatches(const Graph& g, const RankAssignment& r,
+                             const AdsSet& ref, const std::string& label) {
+    ExpectSameAdsSet(BuildAdsPrunedDijkstra(g, k(), flavor(), r), ref, label);
+    for (uint32_t threads : {1u, 3u}) {
+      ExpectSameAdsSet(
+          BuildAdsPrunedDijkstraParallel(g, k(), flavor(), r, threads), ref,
+          label + " threads " + std::to_string(threads));
+    }
+  }
+  void ExpectDpMatches(const Graph& g, const RankAssignment& r,
+                       const AdsSet& ref, const std::string& label) {
+    ExpectSameAdsSet(BuildAdsDp(g, k(), flavor(), r), ref, label);
+    for (uint32_t threads : {1u, 3u}) {
+      ExpectSameAdsSet(BuildAdsDpParallel(g, k(), flavor(), r, threads), ref,
+                       label + " threads " + std::to_string(threads));
+    }
+  }
+  void ExpectLocalUpdatesMatches(const Graph& g, const RankAssignment& r,
+                                 const AdsSet& ref,
+                                 const std::string& label) {
+    ExpectSameAdsSet(BuildAdsLocalUpdates(g, k(), flavor(), r), ref, label);
+    for (uint32_t threads : {1u, 3u}) {
+      ExpectSameAdsSet(BuildAdsLocalUpdatesParallel(g, k(), flavor(), r,
+                                                    /*epsilon=*/0.0, threads),
+                       ref, label + " threads " + std::to_string(threads));
+    }
+  }
+};
 
 TEST_P(BuilderEquivalenceTest, DijkstraMatchesReferenceOnErdosRenyi) {
-  auto [flavor, k] = GetParam();
   Graph g = ErdosRenyi(80, 200, /*undirected=*/true, 17);
-  auto ranks = RankAssignment::Uniform(5);
-  ExpectSameAdsSet(BuildAdsPrunedDijkstra(g, k, flavor, ranks),
-                   BuildAdsReference(g, k, flavor, ranks), "dijkstra-er");
+  auto r = ranks(5);
+  ExpectDijkstraMatches(g, r, BuildAdsReference(g, k(), flavor(), r),
+                        "dijkstra-er");
 }
 
 TEST_P(BuilderEquivalenceTest, DpMatchesReferenceOnErdosRenyi) {
-  auto [flavor, k] = GetParam();
   Graph g = ErdosRenyi(80, 200, true, 17);
-  auto ranks = RankAssignment::Uniform(5);
-  ExpectSameAdsSet(BuildAdsDp(g, k, flavor, ranks),
-                   BuildAdsReference(g, k, flavor, ranks), "dp-er");
+  auto r = ranks(5);
+  ExpectDpMatches(g, r, BuildAdsReference(g, k(), flavor(), r), "dp-er");
 }
 
 TEST_P(BuilderEquivalenceTest, LocalUpdatesMatchesReferenceOnErdosRenyi) {
-  auto [flavor, k] = GetParam();
   Graph g = ErdosRenyi(60, 150, true, 19);
-  auto ranks = RankAssignment::Uniform(5);
-  ExpectSameAdsSet(BuildAdsLocalUpdates(g, k, flavor, ranks),
-                   BuildAdsReference(g, k, flavor, ranks), "lu-er");
+  auto r = ranks(5);
+  ExpectLocalUpdatesMatches(g, r, BuildAdsReference(g, k(), flavor(), r),
+                            "lu-er");
 }
 
 TEST_P(BuilderEquivalenceTest, DijkstraMatchesReferenceWeighted) {
-  auto [flavor, k] = GetParam();
   Graph g = RandomizeWeights(ErdosRenyi(60, 150, true, 23), 0.2, 3.0, 7);
-  auto ranks = RankAssignment::Uniform(5);
-  ExpectSameAdsSet(BuildAdsPrunedDijkstra(g, k, flavor, ranks),
-                   BuildAdsReference(g, k, flavor, ranks), "dijkstra-w");
+  auto r = ranks(5);
+  ExpectDijkstraMatches(g, r, BuildAdsReference(g, k(), flavor(), r),
+                        "dijkstra-w");
 }
 
 TEST_P(BuilderEquivalenceTest, LocalUpdatesMatchesReferenceWeighted) {
-  auto [flavor, k] = GetParam();
   Graph g = RandomizeWeights(ErdosRenyi(50, 120, true, 29), 0.2, 3.0, 7);
-  auto ranks = RankAssignment::Uniform(5);
-  ExpectSameAdsSet(BuildAdsLocalUpdates(g, k, flavor, ranks),
-                   BuildAdsReference(g, k, flavor, ranks), "lu-w");
+  auto r = ranks(5);
+  ExpectLocalUpdatesMatches(g, r, BuildAdsReference(g, k(), flavor(), r),
+                            "lu-w");
 }
 
 TEST_P(BuilderEquivalenceTest, DirectedGraph) {
-  auto [flavor, k] = GetParam();
   Graph g = ErdosRenyi(70, 250, /*undirected=*/false, 31);
-  auto ranks = RankAssignment::Uniform(9);
-  AdsSet ref = BuildAdsReference(g, k, flavor, ranks);
-  ExpectSameAdsSet(BuildAdsPrunedDijkstra(g, k, flavor, ranks), ref,
-                   "dijkstra-dir");
-  ExpectSameAdsSet(BuildAdsDp(g, k, flavor, ranks), ref, "dp-dir");
+  auto r = ranks(9);
+  AdsSet ref = BuildAdsReference(g, k(), flavor(), r);
+  ExpectDijkstraMatches(g, r, ref, "dijkstra-dir");
+  ExpectDpMatches(g, r, ref, "dp-dir");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllFlavors, BuilderEquivalenceTest,
-    ::testing::Values(BuilderCase{SketchFlavor::kBottomK, 1},
-                      BuilderCase{SketchFlavor::kBottomK, 3},
-                      BuilderCase{SketchFlavor::kBottomK, 8},
-                      BuilderCase{SketchFlavor::kKMins, 2},
-                      BuilderCase{SketchFlavor::kKMins, 4},
-                      BuilderCase{SketchFlavor::kKPartition, 2},
-                      BuilderCase{SketchFlavor::kKPartition, 4}),
-    [](const ::testing::TestParamInfo<BuilderCase>& test_param) {
-      std::string flavor =
-          test_param.param.flavor == SketchFlavor::kBottomK ? "BottomK"
-          : test_param.param.flavor == SketchFlavor::kKMins ? "KMins"
-                                                            : "KPartition";
-      return flavor + "_k" + std::to_string(test_param.param.k);
+    ::testing::Combine(
+        ::testing::Values(BuilderCase{SketchFlavor::kBottomK, 1},
+                          BuilderCase{SketchFlavor::kBottomK, 3},
+                          BuilderCase{SketchFlavor::kBottomK, 8},
+                          BuilderCase{SketchFlavor::kKMins, 2},
+                          BuilderCase{SketchFlavor::kKMins, 4},
+                          BuilderCase{SketchFlavor::kKPartition, 2},
+                          BuilderCase{SketchFlavor::kKPartition, 4}),
+        ::testing::Values(RankKind::kUniform, RankKind::kBaseB,
+                          RankKind::kExponential, RankKind::kPriority)),
+    [](const ::testing::TestParamInfo<BuilderParam>& test_param) {
+      const BuilderCase& c = std::get<0>(test_param.param);
+      RankKind kind = std::get<1>(test_param.param);
+      std::string flavor = c.flavor == SketchFlavor::kBottomK ? "BottomK"
+                           : c.flavor == SketchFlavor::kKMins ? "KMins"
+                                                              : "KPartition";
+      std::string ranks = kind == RankKind::kUniform       ? "Uniform"
+                          : kind == RankKind::kBaseB       ? "BaseB"
+                          : kind == RankKind::kExponential ? "Exponential"
+                                                           : "Priority";
+      return flavor + "_k" + std::to_string(c.k) + "_" + ranks;
     });
 
 TEST(BuilderTest, PathGraphBottom1AdsIsPrefixMinima) {
@@ -295,12 +355,23 @@ TEST(BuilderTest, ParallelDpIdenticalToSequential) {
 TEST(BuilderTest, ParallelDpStatsMatchSequential) {
   Graph g = ErdosRenyi(300, 900, true, 71);
   auto ranks = RankAssignment::Uniform(17);
-  AdsBuildStats seq, par;
-  BuildAdsDp(g, 8, SketchFlavor::kBottomK, ranks, &seq);
-  BuildAdsDpParallel(g, 8, SketchFlavor::kBottomK, ranks, 4, &par);
-  EXPECT_EQ(seq.insertions, par.insertions);
-  EXPECT_EQ(seq.relaxations, par.relaxations);
-  EXPECT_EQ(seq.rounds, par.rounds);
+  for (SketchFlavor flavor :
+       {SketchFlavor::kBottomK, SketchFlavor::kKMins,
+        SketchFlavor::kKPartition}) {
+    uint32_t k = flavor == SketchFlavor::kBottomK ? 8 : 4;
+    AdsBuildStats seq;
+    BuildAdsDp(g, k, flavor, ranks, &seq);
+    EXPECT_GT(seq.rounds, 0u);
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      AdsBuildStats par;
+      BuildAdsDpParallel(g, k, flavor, ranks, threads, &par);
+      std::string label = "threads " + std::to_string(threads);
+      EXPECT_EQ(seq.insertions, par.insertions) << label;
+      EXPECT_EQ(seq.relaxations, par.relaxations) << label;
+      EXPECT_EQ(seq.deletions, par.deletions) << label;
+      EXPECT_EQ(seq.rounds, par.rounds) << label;
+    }
+  }
 }
 
 TEST(BuilderTest, ParallelDpDirectedGraph) {

@@ -1,6 +1,6 @@
 // Determinism suite for the parallel ADS machinery: the rank-window
 // pruned-Dijkstra builder and the round-sharded DP builder must produce
-// entry-for-entry (bit-identical) copies of their sequential counterparts
+// entry-for-entry (bit-identical) copies of their one-thread entry points
 // for every thread count, flavor, seed, and weighted/unweighted graph; the
 // flat CSR storage must be an exact re-packaging of the per-node-vector
 // builder output.

@@ -42,6 +42,7 @@
 #include "ads/shard.h"
 #include "ads/similarity.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -1218,6 +1219,33 @@ TEST(ServeTest, CliRemoteMatchesLocalByteForByte) {
     EXPECT_EQ(sa.str(), sb.str()) << c.name;
   }
   server.Stop();
+}
+
+// `sketch --k` takes 1 .. 2^32 - 1. Zero and values that would wrap in
+// uint32_t exit 2 and write no file, on both builder paths: DP for
+// unit-weight graphs, pruned Dijkstra for weighted ones.
+TEST(ServeTest, CliSketchRejectsInvalidK) {
+  ScratchDir dir("hipads_serve_test_cli_k");
+  const std::string unit = dir.file("unit.txt");
+  const std::string weighted = dir.file("weighted.txt");
+  Graph g = ErdosRenyi(50, 120, /*undirected=*/true, 3);
+  ASSERT_TRUE(WriteEdgeListFile(g, unit).ok());
+  ASSERT_TRUE(
+      WriteEdgeListFile(RandomizeWeights(g, 0.5, 2.0, 5), weighted).ok());
+  const std::string out = dir.file("s.ads");
+  for (const std::string& graph : {unit, weighted}) {
+    for (const char* k : {"0", "4294967296"}) {
+      int rc = RunCli(
+          "sketch --graph " + graph + " --k " + k + " --out " + out,
+          dir.file("stdout.txt"));
+      EXPECT_EQ(rc, 2) << graph << " --k " << k;
+      EXPECT_FALSE(std::filesystem::exists(out)) << graph << " --k " << k;
+    }
+  }
+  ASSERT_EQ(RunCli("sketch --graph " + unit + " --k 4 --out " + out,
+                   dir.file("stdout.txt")),
+            0);
+  EXPECT_TRUE(std::filesystem::exists(out));
 }
 
 #endif  // HIPADS_CLI_PATH

@@ -326,12 +326,19 @@ int CmdSketch(const Args& args) {
     std::fprintf(stderr, "sketch requires --graph FILE\n");
     return 2;
   }
+  // Every builder needs k >= 1, and a wider value would wrap in uint32_t.
+  const uint64_t k_arg = args.GetInt("k", 16);
+  if (k_arg == 0 || k_arg > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "--k must be between 1 and %u\n",
+                 std::numeric_limits<uint32_t>::max());
+    return 2;
+  }
+  const uint32_t k = static_cast<uint32_t>(k_arg);
   bool directed = args.Has("directed");
   auto graph = ReadEdgeListFile(graph_path, /*undirected=*/!directed);
   if (!graph.ok()) return Fail(graph.status());
   const Graph& g = graph.value();
 
-  uint32_t k = static_cast<uint32_t>(args.GetInt("k", 16));
   uint64_t seed = args.GetInt("seed", 42);
   std::string flavor_name = args.Get("flavor", "bottom-k");
   SketchFlavor flavor = SketchFlavor::kBottomK;
@@ -345,8 +352,8 @@ int CmdSketch(const Args& args) {
   RankAssignment ranks = base > 1.0 ? RankAssignment::BaseB(seed, base)
                                     : RankAssignment::Uniform(seed);
 
-  // --threads N: parallel builders (0 = hardware count). Output is
-  // bit-identical to the sequential builders for every thread count.
+  // --threads N: builder threads (0 = hardware count). Output is
+  // bit-identical for every thread count.
   uint32_t threads =
       static_cast<uint32_t>(args.GetInt("threads", HardwareThreads()));
   std::string out = args.Get("out", "sketches.ads");
