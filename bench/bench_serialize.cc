@@ -1,10 +1,11 @@
 // CLAIM-SERVE: load-path cost of the two on-disk formats. The v1 text
 // parser re-tokenizes two %.17g doubles per entry; the v2 binary reader
 // copies each section once into its array, then runs the shared validator
-// (chained XXH64 checksums, offsets, entry sanity, canonical order). In
-// the recorded baseline (BENCH_serialize.json: Release build, 4 vCPUs,
-// --benchmark_repetitions=5) the n=4000 binary parse takes 4.78 ms against
-// 369 ms for the text parse, ~63x its byte throughput (medians of
+// (chained XXH64 checksums, offsets, entry sanity, canonical order), both
+// on every hardware thread for images of 1 MiB or more. In the recorded
+// baseline (BENCH_serialize.json: Release build, 4 vCPUs,
+// --benchmark_repetitions=5) the n=4000 binary parse takes 2.97 ms against
+// 271 ms for the text parse, ~78x its byte throughput (medians of
 // BM_ParseBinaryV2/4000 and BM_ParseTextV1/4000) — the number that
 // justifies v2 as the serving format. Also measured: serialization cost
 // both ways and the sharded whole-graph sweep overhead vs the single

@@ -49,10 +49,6 @@ namespace hipads {
 /// single bit of any estimate.
 class HipEstimator {
  public:
-  /// An empty estimator (every estimate 0) — the state the sweep
-  /// executor's reusable block buffers need before assignment.
-  HipEstimator() = default;
-
   /// Scans an AdsView: one node's entries, owned by an Ads or sliced out
   /// of a whole-graph arena.
   HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,

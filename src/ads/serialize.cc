@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -13,7 +14,11 @@
 #include <sstream>
 #include <type_traits>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include "util/hash.h"
+#include "util/parallel.h"
 
 namespace hipads {
 
@@ -141,6 +146,147 @@ const char* RankKindName(RankKind kind) {
 bool ValidEntry(const AdsEntry& e, uint32_t k) {
   return e.part < k && std::isfinite(e.dist) && e.dist >= 0.0 &&
          e.rank >= 0.0;
+}
+
+// The width of one load's pool: every hardware thread, or the calling
+// thread alone for an image too small to repay starting workers.
+uint32_t LoadThreads(const AdsBinaryHeader& h) {
+  const uint64_t image_bytes =
+      AdsBinaryFileSize(h.num_nodes, h.num_entries) +
+      (h.has_hip ? AdsHipSectionBytes(h.num_entries) : 0);
+  return image_bytes < kAdsInlineLoadBytes ? 1 : HardwareThreads();
+}
+
+// What one slice of the per-entry checks found: the lowest failing node or
+// entry index of each check inside the slice (kNone: none), and whether
+// the slice's node blocks are all in canonical order.
+constexpr uint64_t kNone = std::numeric_limits<uint64_t>::max();
+struct SliceFindings {
+  uint64_t nonmonotone = kNone;
+  uint64_t bad_entry = kNone;
+  uint64_t bad_weight = kNone;
+  bool canonical = true;
+};
+
+// The per-entry checks over nodes [node_begin, node_end) and entries
+// [entry_begin, entry_end), each stopping at its first failure. The
+// offsets are not trusted yet: a node block is examined only when it lies
+// inside the arena, and a block that does not implies a failure
+// CheckSections reports first (offsets[n] is checked against the entry
+// count, so a block past it is followed by a non-monotone offset).
+SliceFindings CheckSlice(const AdsBinaryHeader& h, const AdsBinarySections& s,
+                         uint64_t node_begin, uint64_t node_end,
+                         uint64_t entry_begin, uint64_t entry_end) {
+  SliceFindings f;
+  for (uint64_t v = node_begin; v < node_end; ++v) {
+    const uint64_t lo = s.offsets[v];
+    const uint64_t hi = s.offsets[v + 1];
+    if (lo > hi) {
+      f.nonmonotone = v;
+      break;
+    }
+    if (f.canonical && hi <= h.num_entries) {
+      f.canonical =
+          std::is_sorted(s.entries + lo, s.entries + hi, AdsEntryCloser);
+    }
+  }
+  for (uint64_t i = entry_begin; i < entry_end; ++i) {
+    if (!ValidEntry(s.entries[i], h.k)) {
+      f.bad_entry = i;
+      break;
+    }
+  }
+  if (!h.has_hip) return f;
+  // Per-entry integrity: a slot is either a k-mins run filler (both zero)
+  // or a probability in (0, 1] with weight exactly its inverse. NaNs fail
+  // every comparison, so they are rejected too.
+  for (uint64_t i = entry_begin; i < entry_end; ++i) {
+    const double tau = s.hip_tau[i];
+    const double weight = s.hip_weight[i];
+    const bool filler = tau == 0.0 && weight == 0.0;
+    const bool valid = tau > 0.0 && tau <= 1.0 && weight == 1.0 / tau;
+    if (!filler && !valid) {
+      f.bad_weight = i;
+      break;
+    }
+  }
+  return f;
+}
+
+// CheckAdsBinarySections on `pool`. The two checksum chains are sequential
+// by definition, so each is one task; the per-entry checks run on slices
+// beside them. Every task runs to its end and the failures are then
+// reported in one fixed order, each naming the lowest failing index, so a
+// damaged image gets the same Status whatever the pool's width.
+StatusOr<bool> CheckSections(const AdsBinaryHeader& h,
+                             const AdsBinarySections& s, ThreadPool& pool) {
+  const uint64_t n = h.num_nodes;
+  const uint64_t array_bytes = h.num_entries * sizeof(double);
+  HipSectionHeader sh{};
+  if (h.has_hip) std::memcpy(&sh, s.hip_header, sizeof(HipSectionHeader));
+  uint64_t base_sum = 0;
+  uint64_t hip_sum = 0;
+  const uint64_t slices = 4 * uint64_t{pool.num_threads()};
+  std::vector<SliceFindings> found(slices);
+  pool.RunTasks(2 + slices, [&](size_t task) {
+    if (task == 0) {
+      base_sum = Chain(Chain(h.header_hash, s.offsets, h.offsets_bytes()),
+                       s.entries, h.entries_bytes());
+    } else if (task == 1) {
+      if (h.has_hip) {
+        hip_sum = Chain(Chain(HeaderHash(sh), s.hip_tau, array_bytes),
+                        s.hip_weight, array_bytes);
+      }
+    } else {
+      const uint64_t j = task - 2;
+      found[j] = CheckSlice(h, s, n * j / slices, n * (j + 1) / slices,
+                            h.num_entries * j / slices,
+                            h.num_entries * (j + 1) / slices);
+    }
+  });
+
+  if (base_sum != h.checksum) return Status::Corruption("checksum mismatch");
+  if (s.offsets[0] != 0 || s.offsets[n] != h.num_entries) {
+    return Status::Corruption("offsets do not span the entry arena");
+  }
+  for (const SliceFindings& f : found) {
+    if (f.nonmonotone != kNone) {
+      return Status::Corruption("offsets not monotone at node " +
+                                std::to_string(f.nonmonotone));
+    }
+  }
+  for (const SliceFindings& f : found) {
+    if (f.bad_entry != kNone) {
+      return Status::Corruption("invalid entry at index " +
+                                std::to_string(f.bad_entry));
+    }
+  }
+  bool canonical_order = true;
+  for (const SliceFindings& f : found) canonical_order &= f.canonical;
+  if (!h.has_hip) return canonical_order;
+  if (std::memcmp(sh.magic, kMagicHip, sizeof(sh.magic)) != 0) {
+    return Status::Corruption("missing HIP section magic");
+  }
+  if (sh.version != kHipSectionVersion) {
+    return Status::Corruption("unsupported HIP section version " +
+                              std::to_string(sh.version));
+  }
+  if (sh.reserved != 0) {
+    return Status::Corruption("bad HIP section reserved field");
+  }
+  if (sh.num_entries != h.num_entries) {
+    return Status::Corruption("HIP section entry count mismatch");
+  }
+  if (hip_sum != sh.checksum) {
+    return Status::Corruption("HIP section checksum mismatch");
+  }
+  for (const SliceFindings& f : found) {
+    if (f.bad_weight != kNone) {
+      return Status::Corruption("invalid HIP weight at index " +
+                                std::to_string(f.bad_weight));
+    }
+  }
+  return canonical_order;
 }
 
 }  // namespace
@@ -340,21 +486,59 @@ Status CloseWritten(std::ofstream& f, const std::string& path) {
   return Status::Ok();
 }
 
-// Reads one v2 image section by section straight into a FlatAdsSet's
-// arrays — one `read(dst, n)` per section (false on a short read), the
-// only copy the payload makes — and then runs the same two-step validator
-// MmapAdsSet::Open runs on its mapping. `image_size` is the image's total
-// byte length. The file reader and the in-memory parser are this function
-// over a file and a buffer.
-template <typename ReadFn>
-StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadFn&& read,
+// A file opened for positional reads, closed on destruction. ReadAt goes
+// from the page cache straight into the caller's buffer and may run on
+// several threads at once: pread shares no file offset.
+class PositionalFile {
+ public:
+  explicit PositionalFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~PositionalFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  PositionalFile(const PositionalFile&) = delete;
+  PositionalFile& operator=(const PositionalFile&) = delete;
+
+  bool is_open() const { return fd_ >= 0; }
+
+  /// Reads exactly `n` bytes at offset `at`; false on end of file or error.
+  bool ReadAt(uint64_t at, void* dst, uint64_t n) const {
+    char* out = static_cast<char*>(dst);
+    while (n > 0) {
+      const ssize_t got = ::pread(fd_, out, n, static_cast<off_t>(at));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return false;
+      out += got;
+      at += static_cast<uint64_t>(got);
+      n -= static_cast<uint64_t>(got);
+    }
+    return true;
+  }
+
+ private:
+  const int fd_;
+};
+
+// The largest read one load task makes.
+constexpr uint64_t kReadPieceBytes = uint64_t{1} << 20;
+
+// Reads one v2 image straight into a FlatAdsSet's arrays through
+// `read_at(offset, dst, n)` (false on a short read; called from several
+// threads at once) — the only copy the payload makes — and then runs the
+// validator MmapAdsSet::Open runs on its mapping. One pool, sized to the
+// image, does both: the sections are read as pieces of at most
+// kReadPieceBytes in parallel, then hashed and checked (CheckSections).
+// `image_size` is the image's total byte length. The file reader and the
+// in-memory parser are this function over pread and memcpy.
+template <typename ReadAtFn>
+StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
                                      std::function<double(uint64_t)> beta) {
   auto short_read = [] {
     return Status::IOError("short read of a hipads-ads-v2 image");
   };
   char header_bytes[kAdsBinaryHeaderBytes] = {};
   if (image_size >= sizeof(header_bytes) &&
-      !read(header_bytes, sizeof(header_bytes))) {
+      !read_at(0, header_bytes, sizeof(header_bytes))) {
     return short_read();
   }
   auto header = CheckAdsBinaryHeader(header_bytes, image_size);
@@ -368,30 +552,50 @@ StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadFn&& read,
   set.k = h.k;
   set.offsets.resize(h.num_nodes + 1);
   set.entries.resize(h.num_entries);
-  if (!read(set.offsets.data(), h.offsets_bytes()) ||
-      !read(set.entries.data(), h.entries_bytes())) {
-    return short_read();
-  }
   char hip_header[kAdsHipSectionHeaderBytes] = {};
-  if (h.has_hip) {
-    const uint64_t array_bytes = h.num_entries * sizeof(double);
-    set.hip_tau.resize(h.num_entries);
-    set.hip_weight.resize(h.num_entries);
-    if (!read(hip_header, sizeof(hip_header)) ||
-        !read(set.hip_tau.data(), array_bytes) ||
-        !read(set.hip_weight.data(), array_bytes)) {
-      return short_read();
-    }
-  }
   AdsBinarySections sections;
   sections.offsets = set.offsets.data();
   sections.entries = set.entries.data();
   if (h.has_hip) {
+    set.hip_tau.resize(h.num_entries);
+    set.hip_weight.resize(h.num_entries);
     sections.hip_header = hip_header;
     sections.hip_tau = set.hip_tau.data();
     sections.hip_weight = set.hip_weight.data();
   }
-  auto canonical = CheckAdsBinarySections(h, sections);
+
+  // Every section in file order, cut into pieces.
+  struct Piece {
+    uint64_t at;
+    char* dst;
+    uint64_t bytes;
+  };
+  std::vector<Piece> pieces;
+  uint64_t at = kAdsBinaryHeaderBytes;
+  auto add = [&](void* dst, uint64_t bytes) {
+    char* base = static_cast<char*>(dst);
+    for (uint64_t done = 0; done < bytes; done += kReadPieceBytes) {
+      pieces.push_back(
+          {at + done, base + done, std::min(kReadPieceBytes, bytes - done)});
+    }
+    at += bytes;
+  };
+  add(set.offsets.data(), h.offsets_bytes());
+  add(set.entries.data(), h.entries_bytes());
+  if (h.has_hip) {
+    add(hip_header, sizeof(hip_header));
+    add(set.hip_tau.data(), h.num_entries * sizeof(double));
+    add(set.hip_weight.data(), h.num_entries * sizeof(double));
+  }
+  ThreadPool pool(LoadThreads(h));
+  std::vector<char> read_ok(pieces.size(), 0);  // indexed by piece
+  pool.RunTasks(pieces.size(), [&](size_t i) {
+    read_ok[i] = read_at(pieces[i].at, pieces[i].dst, pieces[i].bytes);
+  });
+  if (std::find(read_ok.begin(), read_ok.end(), 0) != read_ok.end()) {
+    return short_read();
+  }
+  auto canonical = CheckSections(h, sections, pool);
   if (!canonical.ok()) return canonical.status();
   Status ranks_status = RanksFromStoredParams(h.rank_kind, h.seed, h.base,
                                               std::move(beta), &set.ranks);
@@ -501,68 +705,8 @@ StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
 
 StatusOr<bool> CheckAdsBinarySections(const AdsBinaryHeader& h,
                                       const AdsBinarySections& s) {
-  if (Chain(Chain(h.header_hash, s.offsets, h.offsets_bytes()), s.entries,
-            h.entries_bytes()) != h.checksum) {
-    return Status::Corruption("checksum mismatch");
-  }
-  if (s.offsets[0] != 0 || s.offsets[h.num_nodes] != h.num_entries) {
-    return Status::Corruption("offsets do not span the entry arena");
-  }
-  for (uint64_t v = 0; v < h.num_nodes; ++v) {
-    if (s.offsets[v] > s.offsets[v + 1]) {
-      return Status::Corruption("offsets not monotone at node " +
-                                std::to_string(v));
-    }
-  }
-  for (uint64_t i = 0; i < h.num_entries; ++i) {
-    if (!ValidEntry(s.entries[i], h.k)) {
-      return Status::Corruption("invalid entry at index " +
-                                std::to_string(i));
-    }
-  }
-  bool canonical_order = true;
-  for (uint64_t v = 0; v < h.num_nodes && canonical_order; ++v) {
-    canonical_order = std::is_sorted(s.entries + s.offsets[v],
-                                     s.entries + s.offsets[v + 1],
-                                     AdsEntryCloser);
-  }
-  if (h.has_hip) {
-    HipSectionHeader sh;
-    std::memcpy(&sh, s.hip_header, sizeof(HipSectionHeader));
-    if (std::memcmp(sh.magic, kMagicHip, sizeof(sh.magic)) != 0) {
-      return Status::Corruption("missing HIP section magic");
-    }
-    if (sh.version != kHipSectionVersion) {
-      return Status::Corruption("unsupported HIP section version " +
-                                std::to_string(sh.version));
-    }
-    if (sh.reserved != 0) {
-      return Status::Corruption("bad HIP section reserved field");
-    }
-    if (sh.num_entries != h.num_entries) {
-      return Status::Corruption("HIP section entry count mismatch");
-    }
-    const uint64_t array_bytes = h.num_entries * sizeof(double);
-    if (Chain(Chain(HeaderHash(sh), s.hip_tau, array_bytes), s.hip_weight,
-              array_bytes) != sh.checksum) {
-      return Status::Corruption("HIP section checksum mismatch");
-    }
-    // Per-entry integrity: a slot is either a k-mins run filler (both
-    // zero) or a probability in (0, 1] with weight exactly its inverse.
-    // NaNs fail every comparison, so they are rejected too.
-    const double* tau = s.hip_tau;
-    const double* weight = s.hip_weight;
-    for (uint64_t i = 0; i < h.num_entries; ++i) {
-      const bool filler = tau[i] == 0.0 && weight[i] == 0.0;
-      const bool valid =
-          tau[i] > 0.0 && tau[i] <= 1.0 && weight[i] == 1.0 / tau[i];
-      if (!filler && !valid) {
-        return Status::Corruption("invalid HIP weight at index " +
-                                  std::to_string(i));
-      }
-    }
-  }
-  return canonical_order;
+  ThreadPool pool(LoadThreads(h));
+  return CheckSections(h, s, pool);
 }
 
 AdsBinarySections MappedAdsSections(const AdsBinaryHeader& h,
@@ -584,13 +728,10 @@ AdsBinarySections MappedAdsSections(const AdsBinaryHeader& h,
 
 StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
     const std::string& data, std::function<double(uint64_t)> beta) {
-  size_t pos = 0;
   return ReadBinaryImage(
       data.size(),
-      [&data, &pos](void* dst, size_t n) {
-        if (n == 0) return true;
-        std::memcpy(dst, data.data() + pos, n);
-        pos += n;
+      [&data](uint64_t at, void* dst, uint64_t n) {
+        std::memcpy(dst, data.data() + at, n);
         return true;
       },
       std::move(beta));
@@ -688,28 +829,23 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
 
 StatusOr<FlatAdsSet> ReadFlatAdsSetFile(const std::string& path,
                                         std::function<double(uint64_t)> beta) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + path);
+  const PositionalFile file(path);
+  if (!file.is_open()) return Status::IOError("cannot open " + path);
   std::error_code ec;
   const uint64_t size = std::filesystem::file_size(path, ec);
   if (ec) return Status::IOError("cannot size " + path + ": " + ec.message());
-  // Large reads bypass the stream buffer, so each section goes from the
-  // page cache straight into its array.
-  auto read = [&f](void* dst, size_t n) {
-    return n == 0 || static_cast<bool>(f.read(static_cast<char*>(dst),
-                                              static_cast<std::streamsize>(n)));
+  auto read_at = [&file](uint64_t at, void* dst, uint64_t n) {
+    return file.ReadAt(at, dst, n);
   };
   char magic[sizeof(kMagicV2)] = {};
   const size_t probe =
       static_cast<size_t>(std::min<uint64_t>(size, sizeof(magic)));
-  if (!read(magic, probe) || !f.seekg(0)) {
-    return Status::IOError("cannot read " + path);
-  }
+  if (!read_at(0, magic, probe)) return Status::IOError("cannot read " + path);
   if (IsBinaryAdsData(std::string_view(magic, probe))) {
-    return ReadBinaryImage(size, read, std::move(beta));
+    return ReadBinaryImage(size, read_at, std::move(beta));
   }
   std::string text(size, '\0');
-  if (!read(text.data(), text.size())) {
+  if (!read_at(0, text.data(), text.size())) {
     return Status::IOError("cannot read " + path);
   }
   return ParseFlatAdsSet(text, std::move(beta));

@@ -12,10 +12,10 @@
 //     Header version 3: each part is guarded by XXH64 (util/hash.h)
 //     chained section by section. The writer streams every section
 //     straight from the arena, and the reader reads each section straight
-//     into its array (one read per section) and then verifies every byte
-//     with the same validator the zero-copy mmap open runs in place —
-//     memory speed rather than re-tokenizing %.17g doubles, which is what
-//     the serving path wants.
+//     into its array and then verifies every byte with the same validator
+//     the zero-copy mmap open runs in place — memory speed rather than
+//     re-tokenizing %.17g doubles, which is what the serving path wants.
+//     A large image is read and verified on every hardware thread.
 //
 // ReadFlatAdsSetFile auto-detects the format from the leading magic, so
 // callers never have to know which one a file uses. Both formats
@@ -101,6 +101,22 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
 // verifies every section byte, wherever the sections live. The copying
 // readers run both over arrays they read each section into; MmapAdsSet
 // runs both over its mapping.
+//
+// Each load of an image of kAdsInlineLoadBytes or more runs on one
+// ThreadPool of HardwareThreads() (util/parallel.h): the copying readers
+// read the sections as ~1 MiB pieces in parallel, and the section checks
+// run as two checksum tasks (the base chain offsets -> entries and the HIP
+// chain tau -> weight, each sequential by definition) beside the
+// per-entry checks cut into slices. Smaller images load on the calling
+// thread. Either way every byte is checked, and failures are reported in
+// one fixed order — checksum, offset span, offset order, entries, then
+// the HIP header fields, checksum and weights — each naming the lowest
+// failing index, so a damaged image gets the same Status from every
+// reader at every thread count.
+
+/// Images below this many bytes load and validate on the calling thread:
+/// starting a pool's workers would cost more than it saves.
+inline constexpr uint64_t kAdsInlineLoadBytes = uint64_t{1} << 20;
 
 /// Fixed byte size of the hipads-ads-v2 header.
 inline constexpr size_t kAdsBinaryHeaderBytes = 88;
@@ -168,7 +184,8 @@ StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
 
 /// Step two: verifies every section byte against `header` — the chained
 /// checksum, offsets spanning the arena monotonically, entry sanity and,
-/// with the HIP section, its header, own checksum and per-entry integrity.
+/// with the HIP section, its header, own checksum and per-entry integrity
+/// — on a pool sized to the image, failures in the order described above.
 /// Returns whether every node block is already in canonical (dist, node,
 /// part) order, as writer-produced files always are. A zero-copy consumer
 /// cannot re-sort, so it must fall back to a copying reader when false.
@@ -190,7 +207,7 @@ Status RanksFromStoredParams(RankKind kind, uint64_t seed, double base,
                              RankAssignment* out);
 
 /// Reads an ADS-set file written by WriteAdsSetFile, either format
-/// (auto-detected from the magic). A v2 file is read section by section
+/// (auto-detected from the magic). A v2 file is read with positional reads
 /// straight into the arena and then validated in full.
 StatusOr<FlatAdsSet> ReadFlatAdsSetFile(
     const std::string& path,

@@ -1,6 +1,7 @@
 #include "ads/sweep.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -24,13 +25,6 @@ SweepCounters& Counters() {
                          MetricsRegistry::Get().Counter("ads.sweep.entries")};
   return c;
 }
-
-// Nodes per executor block: large enough to amortize pool scheduling,
-// small enough to bound the block's live HipEstimator buffers (a block's
-// estimators are reduced and recycled before the next block starts). The
-// value does not affect results — per-node outputs are independent and
-// the Reduce phase folds nodes in node order across block boundaries.
-constexpr size_t kSweepBlock = 4096;
 
 // One backend range as the executor sees it: the range's arena view plus
 // the sketch parameters every node's HIP scan needs (node ids local to the
@@ -58,82 +52,50 @@ HipEstimator MakeEstimator(const ArenaSet& set, NodeId local,
                       set.ranks, scratch);
 }
 
-// Reusable executor state, alive across the ranges of a backend sweep:
-// the reduce path's block of estimators plus the per-slot scratches that
-// back their scan fallback, and the no-reduce path's per-chunk scratches.
-struct SweepBuffers {
-  std::vector<HipEstimator> block;
-  std::vector<HipScratch> block_scratch;  // parallel to `block`
-  std::vector<HipScratch> chunk_scratch;  // indexed by ParallelFor chunk
+// The slot the calling thread publishes to collectors (SweepSlot).
+struct SlotState {
+  uint32_t slot = 0;
+  uint32_t count = 1;
+};
+thread_local SlotState tl_slot;
+
+// Publishes (slot, count) for the enclosing scope and restores the
+// previous value on exit, so nested sweeps on one thread compose.
+class ScopedSlot {
+ public:
+  ScopedSlot(uint32_t slot, uint32_t count) : saved_(tl_slot) {
+    tl_slot = {slot, count};
+  }
+  ~ScopedSlot() { tl_slot = saved_; }
+  ScopedSlot(const ScopedSlot&) = delete;
+  ScopedSlot& operator=(const ScopedSlot&) = delete;
+
+ private:
+  SlotState saved_;
 };
 
-bool AnyNeedsReduce(const SweepPlan& plan) {
-  for (SweepCollector* c : plan.collectors()) {
-    if (c->NeedsReduce()) return true;
-  }
-  return false;
-}
-
-// The fused sweep over one arena: per block, construct each node's
-// HipEstimator once (in parallel, outputs indexed by block slot), feed
-// every collector's Map from it, then hand the block's estimators to
-// every collector's Reduce in node order. When no collector reduces, the
-// block buffer is skipped entirely: each estimator lives on the stack
-// just long enough for the Map calls, so a plan of per-node collectors
-// sweeps with O(threads) peak memory instead of O(block). `global_begin`
-// offsets the arena-local node ids so a sharded backend's ranges chain
-// seamlessly.
+// The fused sweep over one arena: the pool's static chunks each build
+// their nodes' HipEstimators once, into the chunk's reusable scratch, and
+// feed every collector's Map under the chunk's slot. Each estimator lives
+// just long enough for the Map calls, so a sweep holds O(threads)
+// estimators whatever the plan. `global_begin` offsets the arena-local
+// node ids so a sharded backend's ranges chain seamlessly.
 void SweepArena(const ArenaSet& set, NodeId global_begin, SweepPlan& plan,
-                ThreadPool& pool, SweepBuffers& buffers) {
+                ThreadPool& pool, std::vector<HipScratch>& scratch) {
   size_t n = set.num_nodes();
   Counters().nodes->Add(n);
-  if (!AnyNeedsReduce(plan)) {
-    // Each chunk reuses one scratch: the estimator is consumed by the Map
-    // calls before the next node's scan overwrites the scratch. Chunk
-    // decomposition is static, so scratch reuse cannot change results.
-    if (buffers.chunk_scratch.size() < pool.num_threads()) {
-      buffers.chunk_scratch.resize(pool.num_threads());
+  pool.ParallelFor(n, [&](size_t begin, size_t end, uint32_t chunk) {
+    ScopedSlot slot(chunk, pool.num_threads());
+    uint64_t chunk_entries = 0;
+    for (size_t i = begin; i < end; ++i) {
+      NodeId local = static_cast<NodeId>(i);
+      NodeId v = global_begin + local;
+      chunk_entries += set.arena.of_local(local).size();
+      HipEstimator est = MakeEstimator(set, local, &scratch[chunk]);
+      for (SweepCollector* c : plan.collectors()) c->Map(v, est);
     }
-    pool.ParallelFor(n, [&](size_t begin, size_t end, uint32_t chunk) {
-      HipScratch& scratch = buffers.chunk_scratch[chunk];
-      uint64_t chunk_entries = 0;
-      for (size_t i = begin; i < end; ++i) {
-        NodeId local = static_cast<NodeId>(i);
-        NodeId v = global_begin + local;
-        chunk_entries += set.arena.of_local(local).size();
-        HipEstimator est = MakeEstimator(set, local, &scratch);
-        for (SweepCollector* c : plan.collectors()) c->Map(v, est);
-      }
-      Counters().entries->Add(chunk_entries);
-    });
-    return;
-  }
-  std::vector<HipEstimator>& block = buffers.block;
-  for (size_t block_begin = 0; block_begin < n; block_begin += kSweepBlock) {
-    size_t count = std::min(n - block_begin, kSweepBlock);
-    if (block.size() < count) block.resize(count);
-    if (buffers.block_scratch.size() < count) {
-      buffers.block_scratch.resize(count);
-    }
-    pool.ParallelFor(count, [&](size_t begin, size_t end, uint32_t) {
-      uint64_t chunk_entries = 0;
-      for (size_t i = begin; i < end; ++i) {
-        NodeId local = static_cast<NodeId>(block_begin + i);
-        NodeId v = global_begin + local;
-        chunk_entries += set.arena.of_local(local).size();
-        // A block's estimators stay live until Reduce, so each slot needs
-        // its own scratch (reused across blocks — allocation-free once
-        // warm). Slots are block-indexed, never thread-indexed.
-        block[i] = MakeEstimator(set, local, &buffers.block_scratch[i]);
-        for (SweepCollector* c : plan.collectors()) c->Map(v, block[i]);
-      }
-      Counters().entries->Add(chunk_entries);
-    });
-    std::span<const HipEstimator> ests(block.data(), count);
-    for (SweepCollector* c : plan.collectors()) {
-      c->Reduce(global_begin + static_cast<NodeId>(block_begin), ests);
-    }
-  }
+    Counters().entries->Add(chunk_entries);
+  });
 }
 
 }  // namespace
@@ -143,7 +105,7 @@ void SweepCollector::Begin(size_t /*num_nodes*/) {}
 void SweepCollector::Map(NodeId /*v*/, const HipEstimator& /*est*/) {}
 void SweepCollector::Reduce(NodeId /*first*/,
                             std::span<const HipEstimator> /*ests*/) {}
-bool SweepCollector::NeedsReduce() const { return true; }
+bool SweepCollector::NeedsReduce() const { return false; }
 
 Status SweepCollector::EncodePartial(NodeId /*begin*/, NodeId /*end*/,
                                      std::string* /*out*/) const {
@@ -164,8 +126,6 @@ void PerNodeCollector::Begin(size_t num_nodes) {
 void PerNodeCollector::Map(NodeId v, const HipEstimator& est) {
   values_[v] = fn_(est);
 }
-
-bool PerNodeCollector::NeedsReduce() const { return false; }
 
 Status PerNodeCollector::EncodePartial(NodeId begin, NodeId end,
                                        std::string* out) const {
@@ -249,24 +209,43 @@ std::vector<NodeId> TopKCollector::TopNodes() const {
   return TopKNodes(values(), count_);
 }
 
+uint32_t SweepSlot() { return tl_slot.slot; }
+uint32_t SweepSlotCount() { return tl_slot.count; }
+
 void DistanceHistogramCollector::Begin(size_t /*num_nodes*/) {
-  acc_.clear();
+  slots_.assign(SweepSlotCount(), Sums());
 }
 
-void DistanceHistogramCollector::Fold(double dist, double weight) {
-  acc_[dist].Add(weight);
+void DistanceHistogramCollector::Map(NodeId /*v*/, const HipEstimator& est) {
+  // A node's entries arrive in distance order, so runs of one distance
+  // (every hop count on a unit-weight graph) hit the cached cell instead
+  // of the map.
+  assert(SweepSlot() < slots_.size());
+  Sums& sums = slots_[SweepSlot()];
+  double last_dist = 0.0;
+  ExactSum* last = nullptr;
+  est.ForEachEntry([&](const HipEntry& e) {
+    if (!(e.dist > 0.0)) return;
+    if (last == nullptr || e.dist != last_dist) {
+      last_dist = e.dist;
+      last = &sums[e.dist];
+    }
+    last->Add(e.weight);
+  });
 }
 
-void DistanceHistogramCollector::Reduce(NodeId /*first*/,
-                                        std::span<const HipEstimator> ests) {
-  // Node-order fold of each node's HIP entries. Accumulation is exact, so
-  // the order is immaterial to results; keeping the fold in the
-  // sequential Reduce phase is what makes the shared acc_ map safe.
-  for (const HipEstimator& est : ests) {
-    est.ForEachEntry([this](const HipEntry& e) {
-      if (e.dist > 0.0) Fold(e.dist, e.weight);
-    });
+template <typename Fn>
+void DistanceHistogramCollector::ForEachMerged(Fn&& fn) const {
+  if (slots_.size() == 1) {
+    for (const auto& [dist, sum] : slots_.front()) fn(dist, sum);
+    return;
   }
+  // Exact merges: which slot folded which node cannot show in the sums.
+  Sums merged;
+  for (const Sums& sums : slots_) {
+    for (const auto& [dist, sum] : sums) merged[dist].Merge(sum);
+  }
+  for (const auto& [dist, sum] : merged) fn(dist, sum);
 }
 
 Status DistanceHistogramCollector::EncodePartial(NodeId /*begin*/,
@@ -274,13 +253,14 @@ Status DistanceHistogramCollector::EncodePartial(NodeId /*begin*/,
                                                  std::string* out) const {
   // u64 distance count, then per distance: f64 dist + the exact sum's
   // digit window. O(distinct distances), not O(HIP entries).
-  out->clear();
-  uint64_t count = acc_.size();
-  out->append(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& [dist, sum] : acc_) {
+  uint64_t count = 0;
+  out->assign(sizeof(count), '\0');  // patched once the merge has counted
+  ForEachMerged([&](double dist, const ExactSum& sum) {
     out->append(reinterpret_cast<const char*>(&dist), sizeof(double));
     sum.EncodeTo(out);
-  }
+    ++count;
+  });
+  std::memcpy(out->data(), &count, sizeof(count));
   return Status::Ok();
 }
 
@@ -301,7 +281,7 @@ Status DistanceHistogramCollector::AbsorbPartial(NodeId /*begin*/,
   // Exact merges commute, but the absorbed bytes come from the network:
   // stage into a scratch map and install only if the whole partial parses,
   // so a corrupt tail cannot leave half-merged state behind.
-  std::map<double, ExactSum> staged;
+  Sums staged;
   double prev = 0.0;
   for (uint64_t i = 0; i < count; ++i) {
     if (data.size() < sizeof(double)) {
@@ -323,15 +303,15 @@ Status DistanceHistogramCollector::AbsorbPartial(NodeId /*begin*/,
   if (!data.empty()) {
     return Status::Corruption("histogram partial has trailing bytes");
   }
-  for (const auto& [dist, sum] : staged) acc_[dist].Merge(sum);
+  for (const auto& [dist, sum] : staged) slots_.front()[dist].Merge(sum);
   return Status::Ok();
 }
 
 std::map<double, double> DistanceHistogramCollector::Distribution() const {
   std::map<double, double> hist;
-  for (const auto& [dist, sum] : acc_) {
+  ForEachMerged([&hist](double dist, const ExactSum& sum) {
     hist.emplace_hint(hist.end(), dist, sum.Round());
-  }
+  });
   return hist;
 }
 
@@ -377,10 +357,13 @@ void RunSweep(const FlatAdsSet& set, SweepPlan& plan, uint32_t num_threads) {
 
 Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
                 const std::function<Status()>& checkpoint) {
-  for (SweepCollector* c : plan.collectors()) c->Begin(set.num_nodes());
   if (plan.empty()) return Status::Ok();
   ThreadPool pool(num_threads);
-  SweepBuffers buffers;
+  {
+    ScopedSlot slot(0, pool.num_threads());
+    for (SweepCollector* c : plan.collectors()) c->Begin(set.num_nodes());
+  }
+  std::vector<HipScratch> scratch(pool.num_threads());  // one per chunk
   for (uint32_t r = 0; r < set.NumRanges(); ++r) {
     if (checkpoint) {
       Status abort = checkpoint();
@@ -390,7 +373,7 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
     if (!range.ok()) return range.status();
     if (r + 1 < set.NumRanges()) set.Prefetch(r + 1);
     ArenaSet arena{range.value(), set.flavor(), set.k(), set.ranks()};
-    SweepArena(arena, range.value().begin, plan, pool, buffers);
+    SweepArena(arena, range.value().begin, plan, pool, scratch);
   }
   return Status::Ok();
 }

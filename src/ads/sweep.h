@@ -10,11 +10,11 @@
 // query engines applied to sketch serving:
 //
 //   SweepPlan  — an ordered list of collectors (the statistics to fuse).
-//   Collector  — a per-node visitor with a node-order-deterministic
-//                reduction (SweepCollector below).
-//   Executor   — RunSweep: ONE pass over an AdsBackend (in-memory, mmap,
-//                sharded with prefetch), constructing each node's
-//                HipEstimator ONCE and feeding every collector from it.
+//   Collector  — a per-node visitor (SweepCollector below).
+//   Executor   — RunSweep: ONE parallel pass over an AdsBackend (in-memory,
+//                mmap, sharded with prefetch), constructing each node's
+//                HipEstimator ONCE and feeding every collector's Map
+//                from it.
 //
 // So K statistics cost one shard sweep and one HIP scan per node instead
 // of K of each. The whole-graph query functions in ads/queries.h are thin
@@ -24,11 +24,12 @@
 //
 // Determinism contract: results are bitwise identical to running each
 // statistic standalone, on every storage engine, for every thread count.
-// The executor guarantees it by construction —
+// The executor and its collectors guarantee it by construction —
 //   * per-node outputs are written indexed by node (never by thread);
-//   * order-sensitive reductions (the distance-distribution histogram)
-//     happen in the sequential Reduce phase, which the executor calls in
-//     node order, block by block, whatever the thread count;
+//   * accumulating collectors (the distance-distribution histogram) fold
+//     into per-slot state (SweepSlot below) with exact arithmetic, and
+//     merge the slots exactly when read, so neither the fold order nor
+//     the slot a node landed in can change a bit of the result;
 //   * backends are swept one contiguous node range at a time in node
 //     order, so a sharded sweep visits nodes in the order a one-range
 //     (flat or mmap) sweep does.
@@ -58,22 +59,28 @@
 
 namespace hipads {
 
-/// One fused statistic: a per-node visitor plus a node-order reduction.
+/// The calling thread's collector slot inside a running sweep, and the
+/// sweep's slot count. The executor publishes both through a sweep-scoped
+/// thread-local, set around every collector's Begin (slot 0) and around
+/// each parallel chunk of nodes (the chunk's index). Slots are below the
+/// count, and no two threads hold the same slot at the same time, so
+/// state indexed by SweepSlot() has one writer. Outside a sweep — a
+/// router or client gather calling Begin and AbsorbPartial itself — they
+/// return slot 0 of 1.
+uint32_t SweepSlot();
+uint32_t SweepSlotCount();
+
+/// One fused statistic: a per-node visitor.
 ///
-/// The executor drives each block of nodes through two phases:
-///   1. Map(v, est) — parallel. Called once per node from pool threads;
-///      `est` is node v's HipEstimator (shared by every collector in the
-///      plan). Implementations must only write state indexed by v —
-///      never shared accumulators — so any thread interleaving produces
-///      the same memory image.
-///   2. Reduce(first, ests) — sequential, in node order. `ests[i]` is node
-///      (first + i)'s estimator, the same object Map saw, kept alive for
-///      the whole block. This is where order-sensitive folds (histogram
-///      accumulation) happen; the executor's node-ordered calls make the
-///      floating-point accumulation order — and hence the result, bitwise
-///      — independent of the thread count.
-/// Collectors that only produce independent per-node values override Map
-/// and leave Reduce empty; purely accumulating collectors do the opposite.
+/// RunSweep calls Begin(num_nodes) once, then Map(v, est) once per node
+/// from pool threads, in no particular order; `est` is node v's
+/// HipEstimator, shared by every collector in the plan and valid only for
+/// the duration of the call. Map may write only state indexed by v, or
+/// per-slot state indexed by SweepSlot() (sized from SweepSlotCount() in
+/// Begin) — never a shared accumulator. Collectors whose results depend
+/// on how nodes were split across slots must merge the slots exactly when
+/// read (DistanceHistogramCollector does); per-node collectors are
+/// independent of the split by construction.
 class SweepCollector {
  public:
   virtual ~SweepCollector();
@@ -84,15 +91,10 @@ class SweepCollector {
   /// Parallel phase; see the class comment for the threading contract.
   virtual void Map(NodeId v, const HipEstimator& est);
 
-  /// Sequential node-order phase over one block of estimators.
+  /// No-op hooks the executor never calls: every collector does its work
+  /// in Map. They remain so that existing wrappers overriding them still
+  /// compile.
   virtual void Reduce(NodeId first, std::span<const HipEstimator> ests);
-
-  /// Whether this collector's Reduce does anything. When every collector
-  /// in a plan returns false, the executor constructs each node's
-  /// estimator on the stack and discards it after Map — O(threads) peak
-  /// memory — instead of keeping a block of estimators alive for the
-  /// Reduce phase. Defaults to true (safe for any subclass that
-  /// overrides Reduce); Map-only collectors override it to false.
   virtual bool NeedsReduce() const;
 
   // --- Partial-state seam for distributed scatter/gather (src/serve/) ---
@@ -138,7 +140,6 @@ class PerNodeCollector : public SweepCollector {
 
   void Begin(size_t num_nodes) override;
   void Map(NodeId v, const HipEstimator& est) override;
-  bool NeedsReduce() const override;  // false: everything happens in Map
 
   /// Partial state: the raw little-endian doubles of values_[begin, end)
   /// in node order. Absorb copies them back into values_[begin, end) —
@@ -234,20 +235,28 @@ class TopKCollector : public PerNodeCollector {
 /// held in a superaccumulator (util/exact_sum.h) and rounded once when
 /// read, so the result is independent of fold order, thread count, and —
 /// crucially for the distributed gather — of how node ranges were
-/// partitioned across servers. The shared acc_ map still makes the fold
-/// single-writer, so it stays in the sequential Reduce phase.
+/// partitioned across servers.
+///
+/// Map folds each node's entries into its sweep slot's own map, so the
+/// fold runs on every sweep thread with no shared writer; Distribution
+/// and EncodePartial merge the slots exactly when they are read. Memory
+/// is at most SweepSlotCount() x distinct distances cells of ~600 bytes
+/// (one ExactSum each). In practice that is about one map's worth: a
+/// graph has either few distinct distances (unit weights: one per hop
+/// count) or nearly all distinct (real weights), where each slot holds
+/// only the distances of its own nodes.
 class DistanceHistogramCollector : public SweepCollector {
  public:
   void Begin(size_t num_nodes) override;
-  void Reduce(NodeId first, std::span<const HipEstimator> ests) override;
+  void Map(NodeId v, const HipEstimator& est) override;
 
   /// Partial state for the distributed gather: O(distinct distances) —
-  /// each distance with its exact superaccumulator digits. Absorbing is
-  /// one exact merge per distance; because per-distance sums are
-  /// error-free until the final rounding, a router merging any partition
-  /// of ranges reproduces the single-process sweep bitwise. (The previous
-  /// design shipped the O(HIP entries) (dist, weight) replay stream;
-  /// exactness makes the summary form lossless.)
+  /// each distance with its exact superaccumulator digits, the slots
+  /// merged. Absorbing is one exact merge per distance; because
+  /// per-distance sums are error-free until the final rounding, a router
+  /// merging any partition of ranges reproduces the single-process sweep
+  /// bitwise. A partial is staged whole and installed only if it all
+  /// parses, so malformed bytes leave the collector unchanged.
   Status EncodePartial(NodeId begin, NodeId end,
                        std::string* out) const override;  // range-free state
   Status AbsorbPartial(NodeId begin, NodeId end,
@@ -268,9 +277,14 @@ class DistanceHistogramCollector : public SweepCollector {
   double MeanDistance() const;
 
  private:
-  void Fold(double dist, double weight);
+  using Sums = std::map<double, ExactSum>;
 
-  std::map<double, ExactSum> acc_;
+  /// Calls fn(dist, sum) for every distance in ascending order, `sum`
+  /// being the exact total over all slots.
+  template <typename Fn>
+  void ForEachMerged(Fn&& fn) const;
+
+  std::vector<Sums> slots_ = std::vector<Sums>(1);  // indexed by SweepSlot
 };
 
 /// An ordered list of collectors to fuse into one sweep. The plan does not

@@ -757,8 +757,8 @@ Status FleetRouter::ExecuteSweep(
   }
   for (std::thread& t : calls) t.join();
 
-  // Gather: absorb in node order — the fleet-level replay of the sweep
-  // executor's sequential node-order Reduce.
+  // Gather: absorb in node order, each range's partial merged exactly as
+  // the sweep executor's slots are.
   for (SweepCollector* c : collectors) c->Begin(manifest_.num_nodes);
   for (size_t i = 0; i < n; ++i) {
     const FleetEntry& entry = manifest_.servers[i];

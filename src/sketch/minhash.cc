@@ -7,7 +7,7 @@ namespace hipads {
 
 BottomKSketch::BottomKSketch(uint32_t k, double sup) : k_(k), sup_(sup) {
   assert(k >= 1);
-  ranks_.reserve(k);
+  ranks_.reserve(InitialCapacity(k));
 }
 
 bool BottomKSketch::Update(double rank) {

@@ -42,7 +42,7 @@ class BottomKSketch {
     k_ = k;
     sup_ = sup;
     ranks_.clear();
-    if (ranks_.capacity() < k) ranks_.reserve(k);
+    ranks_.reserve(InitialCapacity(k));
   }
 
   /// kth smallest rank seen, or sup() while the sketch holds < k ranks.
@@ -64,6 +64,14 @@ class BottomKSketch {
   void Merge(const BottomKSketch& other);
 
  private:
+  // Ranks reserved up front: all k for a typical sketch, capped so that a
+  // huge k (up to 2^32 - 1) costs memory only for the ranks actually seen
+  // — the vector grows past the cap on demand.
+  static uint32_t InitialCapacity(uint32_t k) {
+    constexpr uint32_t kMaxInitialCapacity = 4096;
+    return k < kMaxInitialCapacity ? k : kMaxInitialCapacity;
+  }
+
   uint32_t k_;
   double sup_;
   std::vector<double> ranks_;  // sorted ascending, size <= k

@@ -48,19 +48,21 @@ class ExactSum {
   void Add(double v) {
     assert(std::isfinite(v) && v >= 0.0);
     if (!(v > 0.0) || !std::isfinite(v)) return;
-    int e;
-    double f = std::frexp(v, &e);  // v = f * 2^e, f in [0.5, 1)
-    auto m = static_cast<uint64_t>(std::ldexp(f, 53));  // 53-bit integer
-    // v = m * 2^(e - 53); m's unit bit sits at position e - 53 relative to
-    // 2^0, i.e. offset e - 53 + 1074 from the accumulator's lowest bit.
-    int off = e + 1021;
-    if (off < 0) {
-      // Subnormal v: the low -off bits of m are zero, so the shift is exact.
-      m >>= -off;
-      off = 0;
+    // Read the IEEE fields directly (v > 0, so the sign bit is clear). A
+    // normal v with biased exponent E is m * 2^(E - 1075) with the implicit
+    // bit restored in m, so m's unit bit sits E - 1 bits above the
+    // accumulator's lowest bit, 2^-1074; a subnormal v (E = 0) is its raw
+    // fraction times 2^-1074, offset 0.
+    const auto bits = std::bit_cast<uint64_t>(v);
+    const auto biased = static_cast<uint32_t>(bits >> 52);
+    uint64_t m = bits & ((uint64_t{1} << 52) - 1);
+    uint32_t off = 0;
+    if (biased != 0) {
+      m |= uint64_t{1} << 52;
+      off = biased - 1;
     }
-    uint32_t limb = static_cast<uint32_t>(off) / 32;
-    uint32_t shift = static_cast<uint32_t>(off) % 32;
+    uint32_t limb = off / 32;
+    uint32_t shift = off % 32;
     auto wide = static_cast<unsigned __int128>(m) << shift;  // <= 84 bits
     limbs_[limb] += static_cast<uint64_t>(wide) & 0xffffffffu;
     limbs_[limb + 1] += static_cast<uint64_t>(wide >> 32) & 0xffffffffu;

@@ -6,6 +6,7 @@
 #include "util/exact_sum.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -167,6 +168,88 @@ TEST(ExactSumTest, WireRoundTripsAndRejectsMalformed) {
   std::memcpy(bad_count.data() + 4, &huge, 4);
   EXPECT_FALSE(sink.DecodeAndMerge(bad_count, &consumed));
   EXPECT_TRUE(sink.IsZero());
+}
+
+// The frexp/ldexp decomposition Add used before it read the IEEE fields
+// directly, kept as the reference: v = m * 2^(e - 53) with a 53-bit m,
+// shifted down exactly for subnormals, added through the wire form as the
+// same three-digit window the old Add wrote into its limbs.
+void ReferenceAdd(ExactSum* sum, double v) {
+  if (!(v > 0.0) || !std::isfinite(v)) return;
+  int e;
+  double f = std::frexp(v, &e);
+  auto m = static_cast<uint64_t>(std::ldexp(f, 53));
+  int off = e + 1021;
+  if (off < 0) {
+    m >>= -off;
+    off = 0;
+  }
+  auto wide = static_cast<unsigned __int128>(m) << (off % 32);
+  const uint32_t window[5] = {static_cast<uint32_t>(off / 32), 3,
+                              static_cast<uint32_t>(wide),
+                              static_cast<uint32_t>(wide >> 32),
+                              static_cast<uint32_t>(wide >> 64)};
+  std::string wire(reinterpret_cast<const char*>(window), sizeof(window));
+  size_t consumed = 0;
+  ASSERT_TRUE(sum->DecodeAndMerge(wire, &consumed));
+}
+
+void ExpectMatchesReference(const std::vector<double>& values,
+                            const std::string& what) {
+  ExactSum sum, reference;
+  for (double v : values) {
+    sum.Add(v);
+    ReferenceAdd(&reference, v);
+  }
+  EXPECT_EQ(Encoded(sum), Encoded(reference)) << what;
+  EXPECT_EQ(sum.Round(), reference.Round()) << what;
+}
+
+TEST(ExactSumTest, BitFieldAddMatchesTheFrexpReference) {
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double max = std::numeric_limits<double>::max();
+  const double largest_subnormal = std::nextafter(min_normal, 0.0);
+  for (double v : {denorm_min, largest_subnormal, min_normal, max}) {
+    ExpectMatchesReference({v}, "single " + std::to_string(v));
+    ExactSum alone;
+    alone.Add(v);
+    EXPECT_EQ(alone.Round(), v);  // one value rounds back to itself
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    ExpectMatchesReference({std::ldexp(1.0, e)}, "2^" + std::to_string(e));
+  }
+  // Seeded random doubles, each exponent field (subnormals included)
+  // equally likely: every value alone, and all of them in one sum.
+  std::mt19937_64 rng(2024);
+  std::vector<double> values;
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t exponent = rng() % 2047;  // 0 .. 2046: finite only
+    const uint64_t fraction = rng() & ((uint64_t{1} << 52) - 1);
+    const double v = std::bit_cast<double>((exponent << 52) | fraction);
+    values.push_back(v);
+    if (i % 100 == 0) {
+      ExpectMatchesReference({v}, "random " + std::to_string(i));
+    }
+  }
+  ExpectMatchesReference(values, "100000 random doubles");
+}
+
+// Out-of-domain values trip the assert in debug builds and are ignored in
+// release builds; zero is in the domain and adds nothing.
+TEST(ExactSumTest, OutOfDomainValuesAreIgnoredInReleaseBuilds) {
+  ExactSum sum;
+  sum.Add(1.5);
+  const std::string before = Encoded(sum);
+  sum.Add(0.0);
+  sum.Add(-0.0);
+  EXPECT_EQ(Encoded(sum), before);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {-1.0, -std::numeric_limits<double>::denorm_min(),
+                     std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_DEBUG_DEATH(sum.Add(bad), "");
+    EXPECT_EQ(Encoded(sum), before) << bad;
+  }
 }
 
 // Delayed carries must normalize transparently: enough same-limb adds to

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <tuple>
+#include <vector>
 
 #include "ads/backend.h"
 #include "ads/builders.h"
@@ -176,6 +180,21 @@ void RestampBaseChecksum(std::string* bytes) {
   sum = Xxh64(bytes->data() + entries_at, num_entries * sizeof(AdsEntry),
               sum);
   std::memcpy(bytes->data() + kHeaderChecksumAt, &sum, sizeof(uint64_t));
+}
+
+// Re-stamps the HIP section checksum of an image whose section starts at
+// `base`, as the format defines it: XXH64 of the section header with its
+// checksum field zeroed (seed 0), chained into tau[], chained into
+// weight[].
+void RestampHipChecksum(std::string* bytes, size_t base) {
+  const size_t tau_at = base + kAdsHipSectionHeaderBytes;
+  const size_t array_bytes = (bytes->size() - tau_at) / 2;
+  std::string header(*bytes, base, kAdsHipSectionHeaderBytes);
+  std::memset(header.data() + kHipChecksumAt, 0, 8);
+  uint64_t sum = Xxh64(header.data(), header.size(), 0);
+  sum = Xxh64(bytes->data() + tau_at, array_bytes, sum);
+  sum = Xxh64(bytes->data() + tau_at + array_bytes, array_bytes, sum);
+  std::memcpy(bytes->data() + base + kHipChecksumAt, &sum, sizeof(uint64_t));
 }
 
 TEST(SerializeBinaryTest, RejectsBadMagicAndVersion) {
@@ -433,16 +452,8 @@ TEST(SerializeBinaryTest, HipSectionRejectsInconsistentWeights) {
     std::memcpy(bytes.data() + tau_at + n * sizeof(double), &weight,
                 sizeof(double));
     // Recompute the section checksum as the format defines it, not by
-    // calling the writer: XXH64 of the header with the field zeroed (seed
-    // 0), chained into tau[], chained into weight[].
-    std::string header(bytes, base, kAdsHipSectionHeaderBytes);
-    std::memset(header.data() + kHipChecksumAt, 0, 8);
-    const size_t array_bytes = n * sizeof(double);
-    uint64_t sum = Xxh64(header.data(), header.size(), 0);
-    sum = Xxh64(bytes.data() + tau_at, array_bytes, sum);
-    sum = Xxh64(bytes.data() + tau_at + array_bytes, array_bytes, sum);
-    std::memcpy(bytes.data() + base + kHipChecksumAt, &sum,
-                sizeof(uint64_t));
+    // calling the writer.
+    RestampHipChecksum(&bytes, base);
     return bytes;
   };
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -454,6 +465,149 @@ TEST(SerializeBinaryTest, HipSectionRejectsInconsistentWeights) {
   // Sanity: the re-stamping helper itself round-trips a legal pair.
   auto untouched = ParseFlatAdsSetBinary(corrupt_first_tau(1.0, 1.0));
   EXPECT_TRUE(untouched.ok()) << untouched.status().ToString();
+}
+
+// --- images loaded on a pool -----------------------------------------------
+
+// A v2+HIP image above kAdsInlineLoadBytes, so every reader loads and
+// checks it on a pool: 4096 nodes of 16 canonical entries, each slot a
+// valid (tau, 1 / tau) pair. Returns the image and the byte offsets of its
+// entries, tau and weight arrays.
+struct LargeImage {
+  std::string bytes;
+  uint64_t num_entries = 0;
+  size_t entries_at = 0;
+  size_t hip_at = 0;  // the HIP section header
+  size_t tau_at = 0;
+  size_t weight_at = 0;
+};
+
+const LargeImage& LargeHipImage() {
+  static const LargeImage image = [] {
+    constexpr uint32_t kNodes = 4096;
+    constexpr uint32_t kPerNode = 16;
+    FlatAdsSet set;
+    set.flavor = SketchFlavor::kBottomK;
+    set.k = kPerNode;
+    set.ranks = RankAssignment::Uniform(5);
+    for (NodeId v = 0; v < kNodes; ++v) {
+      std::vector<AdsEntry> entries;
+      for (uint32_t j = 0; j < kPerNode; ++j) {
+        entries.push_back(
+            AdsEntry{(v + j) % kNodes, 0, 1.0 / (2.0 + j), 0.5 * j});
+      }
+      set.AppendNode(entries);
+    }
+    for (uint64_t i = 0; i < set.TotalEntries(); ++i) {
+      set.hip_tau.push_back(1.0 / (1.0 + static_cast<double>(i % 7)));
+      set.hip_weight.push_back(1.0 / set.hip_tau.back());
+    }
+    LargeImage out;
+    out.bytes = SerializeAdsSetBinary(set);
+    out.num_entries = set.TotalEntries();
+    out.entries_at = kAdsBinaryHeaderBytes + (kNodes + 1) * sizeof(uint64_t);
+    out.hip_at = out.entries_at + out.num_entries * sizeof(AdsEntry);
+    out.tau_at = out.hip_at + kAdsHipSectionHeaderBytes;
+    out.weight_at = out.tau_at + out.num_entries * sizeof(double);
+    return out;
+  }();
+  return image;
+}
+
+TEST(SerializeBinaryTest, LargeImageLoadsIdenticallyThroughEveryReader) {
+  const LargeImage& image = LargeHipImage();
+  ASSERT_GE(image.bytes.size(), 2 * kAdsInlineLoadBytes);
+  auto loaded = ParseWithEveryReader(image.bytes, "large image", true);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().TotalEntries(), image.num_entries);
+  EXPECT_TRUE(loaded.value().has_hip());
+  EXPECT_EQ(SerializeAdsSetBinary(loaded.value()), image.bytes);
+}
+
+// Damage in the first, a middle and the last slice of each checked array,
+// alone and together, under re-stamped checksums so the per-entry checks
+// are what object. Every reader must return the same Status code and
+// message, naming the lowest failing index — and the fixed precedence
+// (checksum, offsets, entries, HIP header, HIP checksum, HIP weights)
+// must hold across arrays.
+TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
+  const LargeImage& image = LargeHipImage();
+  const uint64_t n = image.num_entries;
+  const uint64_t first = 0;
+  const uint64_t middle = n / 2 + 3;
+  const uint64_t last = n - 1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto put = [](std::string* bytes, size_t at, double value) {
+    std::memcpy(bytes->data() + at, &value, sizeof(double));
+  };
+  auto bad_entry = [&](std::string* bytes, uint64_t i) {
+    put(bytes, image.entries_at + i * sizeof(AdsEntry) + 16, nan);  // dist
+  };
+  auto bad_tau = [&](std::string* bytes, uint64_t i) {
+    put(bytes, image.tau_at + i * sizeof(double), 1.5);
+  };
+  auto bad_weight = [&](std::string* bytes, uint64_t i) {
+    put(bytes, image.weight_at + i * sizeof(double), 3.0);
+  };
+  auto expect = [](const std::string& bytes, const std::string& message,
+                   const std::string& what) {
+    auto result = ParseWithEveryReader(bytes, what, true);
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), Status::Code::kCorruption) << what;
+    EXPECT_EQ(result.status().message(), message) << what;
+  };
+  using Damage = std::function<void(std::string*, uint64_t)>;
+  const std::vector<std::tuple<const char*, Damage, std::string>> arrays = {
+      {"entries", bad_entry, "invalid entry at index "},
+      {"tau", bad_tau, "invalid HIP weight at index "},
+      {"weight", bad_weight, "invalid HIP weight at index "},
+  };
+  const std::vector<std::vector<uint64_t>> index_sets = {
+      {first}, {middle}, {last}, {middle, last}, {last, first, middle}};
+  for (const auto& [name, damage, prefix] : arrays) {
+    for (const std::vector<uint64_t>& indices : index_sets) {
+      std::string bytes = image.bytes;
+      for (uint64_t i : indices) damage(&bytes, i);
+      RestampBaseChecksum(&bytes);
+      RestampHipChecksum(&bytes, image.hip_at);
+      const uint64_t lowest =
+          *std::min_element(indices.begin(), indices.end());
+      expect(bytes, prefix + std::to_string(lowest),
+             std::string(name) + " @" + std::to_string(lowest) + " of " +
+                 std::to_string(indices.size()));
+    }
+  }
+  {
+    // Entry damage outranks weight damage at a lower index.
+    std::string bytes = image.bytes;
+    bad_weight(&bytes, first);
+    bad_entry(&bytes, last);
+    RestampBaseChecksum(&bytes);
+    RestampHipChecksum(&bytes, image.hip_at);
+    expect(bytes, "invalid entry at index " + std::to_string(last),
+           "entries before HIP weights");
+  }
+  {
+    // A non-monotone offset in a middle slice outranks entry damage.
+    std::string bytes = image.bytes;
+    const uint64_t node = 2049;
+    const uint64_t huge = uint64_t{1} << 40;
+    std::memcpy(bytes.data() + kAdsBinaryHeaderBytes + node * 8, &huge, 8);
+    bad_entry(&bytes, first);
+    RestampBaseChecksum(&bytes);
+    expect(bytes, "offsets not monotone at node " + std::to_string(node),
+           "offsets before entries");
+  }
+  {
+    // Without re-stamping, each chain's checksum objects first.
+    std::string bytes = image.bytes;
+    bad_entry(&bytes, last);
+    bad_weight(&bytes, first);
+    expect(bytes, "checksum mismatch", "base checksum");
+    bytes = image.bytes;
+    bad_weight(&bytes, middle);
+    expect(bytes, "HIP section checksum mismatch", "HIP checksum");
+  }
 }
 
 TEST(SerializeBinaryTest, HipSectionFuzzRandomMutationsNeverCrash) {

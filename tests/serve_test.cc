@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -39,6 +40,7 @@
 #include "ads/builders.h"
 #include "ads/estimators.h"
 #include "ads/hip.h"
+#include "ads/serialize.h"
 #include "ads/shard.h"
 #include "ads/similarity.h"
 #include "graph/generators.h"
@@ -1246,6 +1248,52 @@ TEST(ServeTest, CliSketchRejectsInvalidK) {
                    dir.file("stdout.txt")),
             0);
   EXPECT_TRUE(std::filesystem::exists(out));
+}
+
+// The largest `--k` builds bottom-k sketches without reserving k ranks up
+// front: on a 50-node graph every sketch holds all reachable nodes, so the
+// entries and HIP weights equal a `--k 50` build — through DP (unit
+// weights) and pruned Dijkstra (weighted), with and without the HIP
+// section.
+TEST(ServeTest, CliSketchHugeKMatchesKEqualToTheNodeCount) {
+  ScratchDir dir("hipads_serve_test_cli_huge_k");
+  const std::string unit = dir.file("unit.txt");
+  const std::string weighted = dir.file("weighted.txt");
+  Graph g = ErdosRenyi(50, 120, /*undirected=*/true, 3);
+  ASSERT_TRUE(WriteEdgeListFile(g, unit).ok());
+  ASSERT_TRUE(
+      WriteEdgeListFile(RandomizeWeights(g, 0.5, 2.0, 5), weighted).ok());
+  for (const std::string& graph : {unit, weighted}) {
+    for (const char* hip : {"0", "1"}) {
+      const std::string what = graph + " --hip " + hip;
+      auto sketch = [&](const std::string& k) {
+        const std::string out = dir.file("k" + k + ".ads2");
+        EXPECT_EQ(RunCli("sketch --graph " + graph + " --k " + k +
+                             " --format binary --hip " + hip + " --out " +
+                             out,
+                         dir.file("stdout.txt")),
+                  0)
+            << what << " --k " << k;
+        return ReadFlatAdsSetFile(out);
+      };
+      auto huge = sketch("4294967295");
+      auto exact = sketch("50");
+      ASSERT_TRUE(huge.ok()) << what << ": " << huge.status().ToString();
+      ASSERT_TRUE(exact.ok()) << what << ": " << exact.status().ToString();
+      const FlatAdsSet& a = huge.value();
+      const FlatAdsSet& b = exact.value();
+      EXPECT_EQ(a.k, 4294967295u) << what;
+      EXPECT_EQ(a.offsets, b.offsets) << what;
+      ASSERT_EQ(a.entries.size(), b.entries.size()) << what;
+      EXPECT_EQ(std::memcmp(a.entries.data(), b.entries.data(),
+                            a.entries.size() * sizeof(AdsEntry)),
+                0)
+          << what;
+      EXPECT_EQ(a.has_hip(), hip[0] == '1') << what;
+      EXPECT_EQ(a.hip_tau, b.hip_tau) << what;
+      EXPECT_EQ(a.hip_weight, b.hip_weight) << what;
+    }
+  }
 }
 
 #endif  // HIPADS_CLI_PATH

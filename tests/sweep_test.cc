@@ -14,6 +14,7 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -323,8 +324,8 @@ TEST(SweepTest, DeepPrefetchSweepsAreDeterministic) {
 // executor itself. Every per-node collector must equal the scanning
 // HipEstimator evaluated node by node, and the distance histogram must
 // equal an exact per-distance fold of every node's HIP entries — over
-// FlatAdsBackend with and without precomputed HIP weights, and on both
-// executor paths (Map-only plans and plans with a Reduce phase).
+// FlatAdsBackend with and without precomputed HIP weights, and with and
+// without the histogram in the plan.
 TEST(SweepTest, QuantileAndQgCollectorsMatchPerNodeEstimators) {
   FlatAdsSet scanned = BuildFlat(150, 31, 8);
   FlatAdsSet resident = scanned;
@@ -433,6 +434,18 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
   EXPECT_LE(full_partial.size(),
             sizeof(uint64_t) + distinct * (sizeof(double) + 8 + 70 * 4));
 
+  // The bound holds however many slots folded the sweep: the partial
+  // merges them first, into the same bytes.
+  SweepPlan wide_plan;
+  auto* wide_hist = wide_plan.Emplace<DistanceHistogramCollector>();
+  RunSweep(set, wide_plan, 8);
+  std::string wide_partial;
+  ASSERT_TRUE(
+      wide_hist->EncodePartial(0, static_cast<NodeId>(n), &wide_partial).ok());
+  EXPECT_LE(wide_partial.size(),
+            sizeof(uint64_t) + distinct * (sizeof(double) + 8 + 70 * 4));
+  EXPECT_EQ(wide_partial, full_partial);
+
   // A per-node slice outside the collected range must be rejected.
   std::string ignored;
   EXPECT_FALSE(full_harmonic
@@ -453,6 +466,64 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
   EXPECT_FALSE(
       absorber.AbsorbPartial(0, static_cast<NodeId>(n), trailing).ok());
   EXPECT_EQ(absorber.Distribution(), before);
+}
+
+// The histogram's worst case for per-slot folding: a real-weighted graph
+// where nearly every HIP entry sits at its own distance, so every sweep
+// slot grows its own large map. The merged result — Distribution() and
+// the partial's bytes — must not depend on the thread count or engine.
+TEST(SweepTest, WeightedHistogramIsIdenticalAtEveryThreadCount) {
+  Graph g = RandomizeWeights(ErdosRenyi(600, 2400, true, 9), 0.5, 2.0, 4);
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+      g, 16, SketchFlavor::kBottomK, RankAssignment::Uniform(3)));
+  // 43,459 entries at 35,379 distinct positive distances.
+  std::set<double> distances;
+  for (const AdsEntry& e : set.entries) {
+    if (e.dist > 0.0) distances.insert(e.dist);
+  }
+  EXPECT_GT(distances.size(), set.TotalEntries() * 3 / 4);
+
+  ScratchDir dir("hipads_sweep_test_weighted");
+  std::string file_path = dir.file("set.ads2");
+  std::string shard_dir = dir.file("shards");
+  ASSERT_TRUE(WriteAdsSetFile(set, file_path, AdsFileFormat::kBinaryV2).ok());
+  ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 5).ok());
+  auto mapped = MmapAdsSet::Open(file_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ShardedOptions options;
+  options.max_resident = 1;
+  options.prefetch = true;
+  auto sharded = ShardedAdsSet::Open(shard_dir, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  FlatAdsBackend flat(&set);
+
+  auto sweep = [](const AdsBackend& backend, uint32_t threads,
+                  std::map<double, double>* distribution,
+                  std::string* partial) {
+    DistanceHistogramCollector hist;
+    SweepPlan plan;
+    plan.Add(&hist);
+    ASSERT_TRUE(RunSweep(backend, plan, threads).ok());
+    *distribution = hist.Distribution();
+    ASSERT_TRUE(hist.EncodePartial(0, 0, partial).ok());
+  };
+  std::map<double, double> expected;
+  std::string expected_partial;
+  sweep(flat, 1, &expected, &expected_partial);
+  EXPECT_EQ(expected.size(), distances.size());
+  const std::vector<std::pair<const char*, const AdsBackend*>> backends = {
+      {"flat", &flat},
+      {"mmap", &mapped.value()},
+      {"sharded", &sharded.value()}};
+  for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (const auto& [name, backend] : backends) {
+      std::map<double, double> distribution;
+      std::string partial;
+      sweep(*backend, threads, &distribution, &partial);
+      EXPECT_EQ(distribution, expected) << name << " threads=" << threads;
+      EXPECT_EQ(partial, expected_partial) << name << " threads=" << threads;
+    }
+  }
 }
 
 // Borrowed collectors (Add) and owned collectors (Emplace) behave

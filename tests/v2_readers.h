@@ -22,10 +22,12 @@ namespace hipads {
 
 /// Parses `bytes` with ParseFlatAdsSetBinary, then writes them to a temp
 /// file read back by ReadFlatAdsSetFile and MmapAdsSet::Open. Expects all
-/// three to agree on acceptance and Status code and, when they accept, on
+/// three to agree on acceptance and Status code — and with
+/// `same_message`, on the failure message too — and, when they accept, on
 /// the loaded nodes, entries and HIP weights. Returns the parser's result.
 inline StatusOr<FlatAdsSet> ParseWithEveryReader(const std::string& bytes,
-                                                 const std::string& what) {
+                                                 const std::string& what,
+                                                 bool same_message = false) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("hipads_v2_readers_" + std::to_string(::getpid()) + ".ads2"))
@@ -50,6 +52,11 @@ inline StatusOr<FlatAdsSet> ParseWithEveryReader(const std::string& bytes,
     if (!mapped.ok()) {
       EXPECT_EQ(mapped.status().code(), code)
           << what << ": " << mapped.status().ToString();
+    }
+    if (same_message) {
+      EXPECT_EQ(read.status().message(), parsed.status().message()) << what;
+      EXPECT_EQ(mapped.status().message(), parsed.status().message())
+          << what;
     }
     return parsed;
   }
