@@ -102,21 +102,18 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
 // readers run both over arrays they read each section into; MmapAdsSet
 // runs both over its mapping.
 //
-// Each load of an image of kAdsInlineLoadBytes or more runs on one
-// ThreadPool of HardwareThreads() (util/parallel.h): the copying readers
-// read the sections as ~1 MiB pieces in parallel, and the section checks
-// run as two checksum tasks (the base chain offsets -> entries and the HIP
-// chain tau -> weight, each sequential by definition) beside the
-// per-entry checks cut into slices. Smaller images load on the calling
-// thread. Either way every byte is checked, and failures are reported in
-// one fixed order — checksum, offset span, offset order, entries, then
-// the HIP header fields, checksum and weights — each naming the lowest
-// failing index, so a damaged image gets the same Status from every
-// reader at every thread count.
-
-/// Images below this many bytes load and validate on the calling thread:
-/// starting a pool's workers would cost more than it saves.
-inline constexpr uint64_t kAdsInlineLoadBytes = uint64_t{1} << 20;
+// Each load runs on one ThreadPool (util/parallel.h) of its own, sized to
+// the image: one thread per 256 KiB of image, at most HardwareThreads(),
+// so small images load on the calling thread. The width does not follow
+// any caller's sweep or build thread count. The copying readers read the
+// sections as pieces in parallel, and the section checks run as two
+// checksum tasks (the base chain offsets -> entries and the HIP chain
+// tau -> weight, each sequential by definition) beside the per-entry
+// checks cut into slices. Every byte is checked at every width, and
+// failures are reported in one fixed order — checksum, offset span,
+// offset order, entries, then the HIP header fields, checksum and
+// weights — each naming the lowest failing index, so a damaged image gets
+// the same Status from every reader at every width.
 
 /// Fixed byte size of the hipads-ads-v2 header.
 inline constexpr size_t kAdsBinaryHeaderBytes = 88;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "util/metrics.h"
 #include "util/parallel.h"
@@ -61,17 +62,11 @@ thread_local SlotState tl_slot;
 
 // Publishes (slot, count) for the enclosing scope and restores the
 // previous value on exit, so nested sweeps on one thread compose.
-class ScopedSlot {
- public:
-  ScopedSlot(uint32_t slot, uint32_t count) : saved_(tl_slot) {
-    tl_slot = {slot, count};
-  }
-  ~ScopedSlot() { tl_slot = saved_; }
-  ScopedSlot(const ScopedSlot&) = delete;
-  ScopedSlot& operator=(const ScopedSlot&) = delete;
-
- private:
-  SlotState saved_;
+struct ScopedSlot {
+  ScopedSlot(uint32_t slot, uint32_t count)
+      : saved(std::exchange(tl_slot, SlotState{slot, count})) {}
+  ~ScopedSlot() { tl_slot = saved; }
+  SlotState saved;
 };
 
 // The fused sweep over one arena: the pool's static chunks each build
@@ -236,16 +231,32 @@ void DistanceHistogramCollector::Map(NodeId /*v*/, const HipEstimator& est) {
 
 template <typename Fn>
 void DistanceHistogramCollector::ForEachMerged(Fn&& fn) const {
-  if (slots_.size() == 1) {
-    for (const auto& [dist, sum] : slots_.front()) fn(dist, sum);
-    return;
+  // A k-way merge over the slots' sorted maps. A distance that several
+  // slots hold is merged exactly into one accumulator, so which slot
+  // folded which node cannot show in the sums, and reading allocates
+  // nothing sized by the distance count.
+  std::vector<std::pair<Sums::const_iterator, Sums::const_iterator>> live;
+  for (const Sums& sums : slots_) live.emplace_back(sums.begin(), sums.end());
+  ExactSum merged;
+  for (;;) {
+    std::erase_if(live, [](const auto& c) { return c.first == c.second; });
+    if (live.empty()) return;
+    double dist = live.front().first->first;
+    for (const auto& c : live) dist = std::min(dist, c.first->first);
+    const ExactSum* sum = nullptr;
+    for (auto& c : live) {
+      if (c.first->first != dist) continue;
+      if (sum == nullptr) {
+        sum = &c.first->second;  // one slot's cell is read in place
+      } else {
+        if (sum != &merged) merged = *sum;
+        merged.Merge(c.first->second);
+        sum = &merged;
+      }
+      ++c.first;
+    }
+    fn(dist, *sum);
   }
-  // Exact merges: which slot folded which node cannot show in the sums.
-  Sums merged;
-  for (const Sums& sums : slots_) {
-    for (const auto& [dist, sum] : sums) merged[dist].Merge(sum);
-  }
-  for (const auto& [dist, sum] : merged) fn(dist, sum);
 }
 
 Status DistanceHistogramCollector::EncodePartial(NodeId /*begin*/,

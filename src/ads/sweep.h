@@ -239,12 +239,16 @@ class TopKCollector : public PerNodeCollector {
 ///
 /// Map folds each node's entries into its sweep slot's own map, so the
 /// fold runs on every sweep thread with no shared writer; Distribution
-/// and EncodePartial merge the slots exactly when they are read. Memory
-/// is at most SweepSlotCount() x distinct distances cells of ~600 bytes
-/// (one ExactSum each). In practice that is about one map's worth: a
-/// graph has either few distinct distances (unit weights: one per hop
-/// count) or nearly all distinct (real weights), where each slot holds
-/// only the distances of its own nodes.
+/// and EncodePartial merge the slots exactly in one streaming pass that
+/// allocates nothing per distance. Memory is one cell of ~600 bytes (an
+/// ExactSum) per distance per slot that saw it: for D distinct distances
+/// among E HIP entries, at most min(SweepSlotCount() x D, E) cells, where
+/// one shared map would hold D. Both kinds of graph stay near D. A
+/// unit-weight graph has one distance per hop count. On a real-weighted
+/// graph nearly every entry has a distance of its own, so few distances
+/// reach two slots: an 8-shard scale-16 R-MAT with U[0.5, 2) weights and
+/// k = 16 has 5.35M distances among 5.57M entries, and a 4-thread sweep
+/// peaks at 3647 MiB RSS against 3576 MiB with one map.
 class DistanceHistogramCollector : public SweepCollector {
  public:
   void Begin(size_t num_nodes) override;

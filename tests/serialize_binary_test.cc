@@ -469,10 +469,11 @@ TEST(SerializeBinaryTest, HipSectionRejectsInconsistentWeights) {
 
 // --- images loaded on a pool -----------------------------------------------
 
-// A v2+HIP image above kAdsInlineLoadBytes, so every reader loads and
-// checks it on a pool: 4096 nodes of 16 canonical entries, each slot a
-// valid (tau, 1 / tau) pair. Returns the image and the byte offsets of its
-// entries, tau and weight arrays.
+// A v2+HIP image of ~2.6 MB, so every reader loads and checks it on a
+// pool (one thread per 256 KiB of image, as many as the host has): 4096
+// nodes of 16 canonical entries, each slot a valid (tau, 1 / tau) pair.
+// Returns the image and the byte offsets of its entries, tau and weight
+// arrays.
 struct LargeImage {
   std::string bytes;
   uint64_t num_entries = 0;
@@ -516,7 +517,7 @@ const LargeImage& LargeHipImage() {
 
 TEST(SerializeBinaryTest, LargeImageLoadsIdenticallyThroughEveryReader) {
   const LargeImage& image = LargeHipImage();
-  ASSERT_GE(image.bytes.size(), 2 * kAdsInlineLoadBytes);
+  ASSERT_GE(image.bytes.size(), size_t{2} << 20);
   auto loaded = ParseWithEveryReader(image.bytes, "large image", true);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().TotalEntries(), image.num_entries);
