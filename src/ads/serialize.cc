@@ -150,19 +150,25 @@ bool ValidEntry(const AdsEntry& e, uint32_t k) {
 
 // The unit of a v2 load's work. The copying readers read the sections in
 // pieces of at most this size, and a load's pool gets one thread per whole
-// piece of image, at most every hardware thread, so an image smaller than
-// two pieces loads on the calling thread alone. On 4 vCPUs a pool of 4
-// costs ~90 us to start; against it, an inline load of a v2+HIP image
-// was faster up to 256 KiB, tied at 512 KiB, and was 1.3-1.7x slower at
-// 1 MiB.
+// piece of image, so an image smaller than two pieces loads on the calling
+// thread alone. On 4 vCPUs a pool of 4 costs ~90 us to start; against it,
+// an inline load of a v2+HIP image was faster up to 256 KiB, tied at
+// 512 KiB, and was 1.3-1.7x slower at 1 MiB.
 constexpr uint64_t kLoadPieceBytes = uint64_t{1} << 18;
+
+// The widest load pool. The base XXH64 chain is sequential and about a
+// seventh of a load's check work (a 28 MB v2+HIP shard on 4 vCPUs: 12.1 ms
+// to mmap-open on one thread, 1.8 ms for the chain alone), so past ~7
+// threads the checks wait on the chain. Not measured above 4 vCPUs.
+constexpr uint32_t kMaxLoadThreads = 8;
 
 uint32_t LoadThreads(const AdsBinaryHeader& h) {
   const uint64_t image_bytes =
       AdsBinaryFileSize(h.num_nodes, h.num_entries) +
       (h.has_hip ? AdsHipSectionBytes(h.num_entries) : 0);
-  return static_cast<uint32_t>(std::clamp<uint64_t>(
-      image_bytes / kLoadPieceBytes, 1, HardwareThreads()));
+  return static_cast<uint32_t>(
+      std::clamp<uint64_t>(image_bytes / kLoadPieceBytes, 1,
+                           std::min(HardwareThreads(), kMaxLoadThreads)));
 }
 
 // What one slice of the per-entry checks found: the lowest failing node or

@@ -103,8 +103,8 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
 // runs both over its mapping.
 //
 // Each load runs on one ThreadPool (util/parallel.h) of its own, sized to
-// the image: one thread per 256 KiB of image, at most HardwareThreads(),
-// so small images load on the calling thread. The width does not follow
+// the image: one thread per 256 KiB of image, at most 8 and at most
+// HardwareThreads(), so small images load on the calling thread. The width does not follow
 // any caller's sweep or build thread count. The copying readers read the
 // sections as pieces in parallel, and the section checks run as two
 // checksum tasks (the base chain offsets -> entries and the HIP chain

@@ -470,8 +470,9 @@ TEST(SerializeBinaryTest, HipSectionRejectsInconsistentWeights) {
 // --- images loaded on a pool -----------------------------------------------
 
 // A v2+HIP image of ~2.6 MB, so every reader loads and checks it on a
-// pool (one thread per 256 KiB of image, as many as the host has): 4096
-// nodes of 16 canonical entries, each slot a valid (tau, 1 / tau) pair.
+// pool (one thread per 256 KiB of image, up to 8 and the host's count):
+// 4096 nodes of 16 canonical entries, each slot a valid (tau, 1 / tau)
+// pair.
 // Returns the image and the byte offsets of its entries, tau and weight
 // arrays.
 struct LargeImage {
