@@ -2,8 +2,9 @@
 // parser re-tokenizes two %.17g doubles per entry; the v2 binary reader
 // copies each section once into its array, then runs the shared validator
 // (chained XXH64 checksums, offsets, entry sanity, canonical order), both
-// on every hardware thread for images of 1 MiB or more. In the recorded
-// baseline (BENCH_serialize.json: Release build, 4 vCPUs,
+// on a pool of one thread per 256 KiB of image, up to 8 and the hardware
+// count (every image here is over 1 MiB: 4 threads on 4 vCPUs). In the
+// recorded baseline (BENCH_serialize.json: Release build, 4 vCPUs,
 // --benchmark_repetitions=5) the n=4000 binary parse takes 2.97 ms against
 // 271 ms for the text parse, ~78x its byte throughput (medians of
 // BM_ParseBinaryV2/4000 and BM_ParseTextV1/4000) — the number that

@@ -15,7 +15,7 @@
 //     into its array and then verifies every byte with the same validator
 //     the zero-copy mmap open runs in place — memory speed rather than
 //     re-tokenizing %.17g doubles, which is what the serving path wants.
-//     A large image is read and verified on every hardware thread.
+//     A large image is read and verified on a pool sized to it.
 //
 // ReadFlatAdsSetFile auto-detects the format from the leading magic, so
 // callers never have to know which one a file uses. Both formats
