@@ -234,10 +234,10 @@ BENCHMARK(BM_PointLoopbackRouter);
 // compute). requests/sec = items_per_second. Arg 0: batch size (1 = the
 // single kPointRequest baseline; 512 exceeds kMaxPointBatchEntries so the
 // client splits it into two frames). Arg 1: transport (0 = loopback,
-// 1 = TCP on 127.0.0.1). Caveat: the recorded baseline ran in a 1-core
-// container, where the TCP server thread contends with the client — the
-// TCP rows understate real hardware; the loopback rows are the honest
-// protocol-tax comparison.
+// 1 = TCP on 127.0.0.1). The TCP server thread shares the host with the
+// client, so the TCP rows depend on the core count (BENCH_router.json is
+// a 4-vCPU recording); the loopback rows are the honest protocol-tax
+// comparison.
 void BM_PointThroughputBatched(benchmark::State& state) {
   const FlatAdsSet& set = SharedSet(4000);
   FlatAdsBackend backend(&set);

@@ -139,7 +139,7 @@ void BM_HarmonicAllSharded(benchmark::State& state) {
       (std::filesystem::temp_directory_path() / "bench_serialize_shards")
           .string();
   WriteShardedAdsSet(set, dir, shards);
-  auto opened = ShardedAdsSet::Open(dir, nullptr, /*max_resident=*/1);
+  auto opened = ShardedAdsSet::Open(dir, ShardedOptions{.max_resident = 1});
   for (auto _ : state) {
     auto scores = EstimateHarmonicCentralityAll(opened.value(), 1);
     benchmark::DoNotOptimize(scores.value().data());

@@ -7,9 +7,7 @@
 //   * MmapAdsSet     — a hipads-ads-v2 file mapped read-only into the
 //     address space. The v2 layout (fixed header + raw offsets[] +
 //     AdsEntry[] sections) is consumed in place: open is validation only,
-//     with zero allocation and zero copying of the payload. Falls back to
-//     the copying loader for v1 text files, non-canonical entry order, or
-//     platforms without mmap.
+//     with zero allocation and zero copying of the payload.
 //   * ShardedAdsSet  — a directory of v2 shard files (ads/shard.h), loaded
 //     lazily with bounded residency and, optionally, a background prefetch
 //     thread that loads (or maps) shard s+1 while a sweep consumes shard s.
@@ -22,6 +20,9 @@
 // range's I/O with the current range's compute. Every backend hands the
 // estimator kernels the same canonical entry spans in the same node order,
 // so query results are bitwise identical across backends.
+//
+// Every engine opens canonical hipads-ads-v2 only (ads/serialize.h). v1
+// text is a convert-only input: `hipads_cli convert` migrates it once.
 
 #ifndef HIPADS_ADS_BACKEND_H_
 #define HIPADS_ADS_BACKEND_H_
@@ -167,13 +168,9 @@ class FlatAdsBackend : public AdsBackend {
 
 /// A hipads-ads-v2 file opened zero-copy: the file is mapped read-only and
 /// validated in place by the copying readers' validator (header, chained
-/// section checksums, structure); AdsViews
-/// point directly into the mapping, so open allocates nothing and copies
-/// nothing. When zero-copy open is impossible — v1 text input, entry blocks
-/// not in canonical order, or no mmap on the platform — Open degrades
-/// gracefully to the copying loader and owns a FlatAdsSet instead
-/// (zero_copy() reports which path was taken). Corrupt v2 input always
-/// fails; it is never silently re-parsed.
+/// section checksums, structure, canonical order); AdsViews point directly
+/// into the mapping, so open allocates nothing and copies nothing. Every
+/// input the copying readers reject fails here with the same Status.
 class MmapAdsSet : public AdsBackend {
  public:
   MmapAdsSet();
@@ -183,58 +180,42 @@ class MmapAdsSet : public AdsBackend {
   MmapAdsSet& operator=(const MmapAdsSet&) = delete;
   ~MmapAdsSet() override;
 
-  /// Opens `path` (v2 binary zero-copy; v1 text via the copying loader).
-  /// `beta` is required for exponential/priority rank kinds, as in
-  /// ParseFlatAdsSet.
+  /// Maps and validates `path`. A file that cannot be mapped fails with
+  /// IOError. `beta` is required for exponential/priority rank kinds, as
+  /// in ParseFlatAdsSet.
   static StatusOr<MmapAdsSet> Open(
       const std::string& path,
       std::function<double(uint64_t)> beta = nullptr);
 
-  /// True if the sketches are served from the file mapping; false if the
-  /// copying-loader fallback owns them in heap memory.
-  bool zero_copy() const { return map_ != nullptr; }
-
   SketchFlavor flavor() const override { return flavor_; }
   uint32_t k() const override { return k_; }
   const RankAssignment& ranks() const override { return ranks_; }
-  size_t num_nodes() const override { return num_nodes_; }
-  uint64_t TotalEntries() const override { return num_entries_; }
+  size_t num_nodes() const override { return arena_.num_nodes(); }
+  uint64_t TotalEntries() const override { return arena_.num_entries(); }
   uint32_t NumRanges() const override { return 1; }
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  bool HipResident() const override { return hip_tau_ != nullptr; }
+  bool HipResident() const override { return arena_.has_hip(); }
   bool ImmutableReads() const override { return true; }
 
  private:
-  static StatusOr<MmapAdsSet> OpenFallback(
-      const std::string& path, std::function<double(uint64_t)> beta);
-
-  // Points offsets_/entries_ and the parameters at the fallback arena.
-  void AdoptFallback();
   void Unmap();
 
-  void* map_ = nullptr;  // non-null iff serving from the file mapping
+  void* map_ = nullptr;  // null only when empty (default or moved-from)
   size_t map_len_ = 0;
   SketchFlavor flavor_ = SketchFlavor::kBottomK;
   uint32_t k_ = 0;
   RankAssignment ranks_ = RankAssignment::Uniform(0);
-  uint64_t num_nodes_ = 0;
-  uint64_t num_entries_ = 0;
-  const uint64_t* offsets_ = nullptr;
-  const AdsEntry* entries_ = nullptr;
-  // Precomputed HIP weights when the file carries the optional section
-  // (mapped in place, or aliasing the fallback arena's arrays); null when
-  // the file has none and point/sweep paths scan instead.
-  const double* hip_tau_ = nullptr;
-  const double* hip_weight_ = nullptr;
-  FlatAdsSet fallback_;  // storage when !zero_copy()
+  // The mapped arena, HIP arrays included when the file carries the
+  // optional section; an empty arena while map_ is null.
+  AdsArenaView arena_;
 };
 
 /// How OpenAdsBackend materializes single-file sets and shard arenas.
 enum class BackendMode {
-  kCopy,  // copying loader: heap arena, works everywhere
-  kMmap,  // zero-copy mmap of v2 files (with the documented fallbacks)
+  kCopy,  // copying loader: heap arena
+  kMmap,  // zero-copy mmap
 };
 
 /// Options for OpenAdsBackend.
@@ -250,16 +231,16 @@ struct AdsBackendOptions {
   /// Sharded sets: prefetch lookahead — how many upcoming shards a sweep's
   /// residency hint enqueues (ShardedOptions::prefetch_depth).
   uint32_t prefetch_depth = 1;
-  /// Sharded sets: verify up front that every manifest-referenced shard
-  /// file exists with exactly the byte size the manifest implies, so a
-  /// missing or truncated shard fails at open instead of mid-sweep.
-  bool validate_files = true;
 };
 
-/// Opens `path` — a v1/v2 ADS file or a shard directory/manifest — behind
-/// the one AdsBackend query surface, dispatching on the path contents:
-/// sharded sets get a ShardedAdsSet (honoring mode/max_resident/prefetch),
-/// plain files a MmapAdsSet (kMmap) or a loaded FlatAdsBackend (kCopy).
+/// Opens `path` — a v2 ADS file or a shard directory/manifest — behind the
+/// one AdsBackend query surface, dispatching on the path contents: sharded
+/// sets get a ShardedAdsSet (honoring mode/max_resident/prefetch), plain
+/// files a MmapAdsSet (kMmap) or a loaded FlatAdsBackend (kCopy). A
+/// sharded open checks up front that every manifest-referenced shard file
+/// exists with exactly the byte size the manifest implies
+/// (ShardedAdsSet::ValidateFiles), so a missing or truncated shard fails
+/// here instead of mid-sweep.
 StatusOr<std::unique_ptr<AdsBackend>> OpenAdsBackend(
     const std::string& path, const AdsBackendOptions& options = {});
 

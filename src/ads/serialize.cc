@@ -172,14 +172,13 @@ uint32_t LoadThreads(const AdsBinaryHeader& h) {
 }
 
 // What one slice of the per-entry checks found: the lowest failing node or
-// entry index of each check inside the slice (kNone: none), and whether
-// the slice's node blocks are all in canonical order.
+// entry index of each check inside the slice (kNone: none).
 constexpr uint64_t kNone = std::numeric_limits<uint64_t>::max();
 struct SliceFindings {
   uint64_t nonmonotone = kNone;
   uint64_t bad_entry = kNone;
+  uint64_t noncanonical = kNone;
   uint64_t bad_weight = kNone;
-  bool canonical = true;
 };
 
 // The per-entry checks over nodes [node_begin, node_end) and entries
@@ -199,9 +198,9 @@ SliceFindings CheckSlice(const AdsBinaryHeader& h, const AdsBinarySections& s,
       f.nonmonotone = v;
       break;
     }
-    if (f.canonical && hi <= h.num_entries) {
-      f.canonical =
-          std::is_sorted(s.entries + lo, s.entries + hi, AdsEntryCloser);
+    if (f.noncanonical == kNone && hi <= h.num_entries &&
+        !std::is_sorted(s.entries + lo, s.entries + hi, AdsEntryCloser)) {
+      f.noncanonical = v;
     }
   }
   for (uint64_t i = entry_begin; i < entry_end; ++i) {
@@ -232,8 +231,8 @@ SliceFindings CheckSlice(const AdsBinaryHeader& h, const AdsBinarySections& s,
 // beside them. Every task runs to its end and the failures are then
 // reported in one fixed order, each naming the lowest failing index, so a
 // damaged image gets the same Status whatever the pool's width.
-StatusOr<bool> CheckSections(const AdsBinaryHeader& h,
-                             const AdsBinarySections& s, ThreadPool& pool) {
+Status CheckSections(const AdsBinaryHeader& h, const AdsBinarySections& s,
+                     ThreadPool& pool) {
   const uint64_t n = h.num_nodes;
   const uint64_t array_bytes = h.num_entries * sizeof(double);
   HipSectionHeader sh{};
@@ -275,9 +274,14 @@ StatusOr<bool> CheckSections(const AdsBinaryHeader& h,
                                 std::to_string(f.bad_entry));
     }
   }
-  bool canonical_order = true;
-  for (const SliceFindings& f : found) canonical_order &= f.canonical;
-  if (!h.has_hip) return canonical_order;
+  for (const SliceFindings& f : found) {
+    if (f.noncanonical != kNone) {
+      return Status::Corruption("entries of node " +
+                                std::to_string(f.noncanonical) +
+                                " not in canonical order");
+    }
+  }
+  if (!h.has_hip) return Status::Ok();
   if (std::memcmp(sh.magic, kMagicHip, sizeof(sh.magic)) != 0) {
     return Status::Corruption("missing HIP section magic");
   }
@@ -300,7 +304,7 @@ StatusOr<bool> CheckSections(const AdsBinaryHeader& h,
                                 std::to_string(f.bad_weight));
     }
   }
-  return canonical_order;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -548,8 +552,8 @@ StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
     return Status::IOError("short read of a hipads-ads-v2 image");
   };
   char header_bytes[kAdsBinaryHeaderBytes] = {};
-  if (image_size >= sizeof(header_bytes) &&
-      !read_at(0, header_bytes, sizeof(header_bytes))) {
+  if (!read_at(0, header_bytes,
+               std::min<uint64_t>(image_size, sizeof(header_bytes)))) {
     return short_read();
   }
   auto header = CheckAdsBinaryHeader(header_bytes, image_size);
@@ -606,26 +610,11 @@ StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
   if (std::find(read_ok.begin(), read_ok.end(), 0) != read_ok.end()) {
     return short_read();
   }
-  auto canonical = CheckSections(h, sections, pool);
-  if (!canonical.ok()) return canonical.status();
+  Status valid = CheckSections(h, sections, pool);
+  if (!valid.ok()) return valid;
   Status ranks_status = RanksFromStoredParams(h.rank_kind, h.seed, h.base,
                                               std::move(beta), &set.ranks);
   if (!ranks_status.ok()) return ranks_status;
-  // The writer emits canonical per-node order; re-sort any node whose block
-  // is not. A copying reader can do what a zero-copy view cannot — this is
-  // also the fallback path the mmap backend takes for non-canonical files.
-  // The HIP arrays are positionally aligned with the arena, so a re-sort
-  // would desynchronize them: drop them instead. They are pure derived
-  // data the scan fallback recomputes.
-  if (!canonical.value()) {
-    for (uint64_t v = 0; v < h.num_nodes; ++v) {
-      std::sort(set.entries.begin() + static_cast<int64_t>(set.offsets[v]),
-                set.entries.begin() + static_cast<int64_t>(set.offsets[v + 1]),
-                AdsEntryCloser);
-    }
-    set.hip_tau = std::vector<double>();
-    set.hip_weight = std::vector<double>();
-  }
   return set;
 }
 
@@ -658,6 +647,14 @@ uint64_t AdsHipSectionBytes(uint64_t num_entries) {
 
 StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
                                                uint64_t image_size) {
+  // Checked first, so a v1 file shorter than a v2 header gets this message
+  // too rather than "truncated".
+  if (image_size >= sizeof(kMagic) - 1 &&
+      std::memcmp(header, kMagic, sizeof(kMagic) - 1) == 0) {
+    return Status::Corruption(
+        "hipads-ads-v1 text is not a serving input; convert it to "
+        "hipads-ads-v2 with `hipads_cli convert`");
+  }
   if (image_size < sizeof(V2Header)) {
     return Status::Corruption("truncated hipads-ads-v2 header");
   }
@@ -714,8 +711,8 @@ StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
   return out;
 }
 
-StatusOr<bool> CheckAdsBinarySections(const AdsBinaryHeader& h,
-                                      const AdsBinarySections& s) {
+Status CheckAdsBinarySections(const AdsBinaryHeader& h,
+                              const AdsBinarySections& s) {
   ThreadPool pool(LoadThreads(h));
   return CheckSections(h, s, pool);
 }
@@ -845,21 +842,12 @@ StatusOr<FlatAdsSet> ReadFlatAdsSetFile(const std::string& path,
   std::error_code ec;
   const uint64_t size = std::filesystem::file_size(path, ec);
   if (ec) return Status::IOError("cannot size " + path + ": " + ec.message());
-  auto read_at = [&file](uint64_t at, void* dst, uint64_t n) {
-    return file.ReadAt(at, dst, n);
-  };
-  char magic[sizeof(kMagicV2)] = {};
-  const size_t probe =
-      static_cast<size_t>(std::min<uint64_t>(size, sizeof(magic)));
-  if (!read_at(0, magic, probe)) return Status::IOError("cannot read " + path);
-  if (IsBinaryAdsData(std::string_view(magic, probe))) {
-    return ReadBinaryImage(size, read_at, std::move(beta));
-  }
-  std::string text(size, '\0');
-  if (!read_at(0, text.data(), text.size())) {
-    return Status::IOError("cannot read " + path);
-  }
-  return ParseFlatAdsSet(text, std::move(beta));
+  return ReadBinaryImage(
+      size,
+      [&file](uint64_t at, void* dst, uint64_t n) {
+        return file.ReadAt(at, dst, n);
+      },
+      std::move(beta));
 }
 
 }  // namespace hipads

@@ -2,13 +2,15 @@
 //
 // The sketches of a billion-edge graph take hours to build but milliseconds
 // to query; any real deployment computes them offline and serves queries
-// from a stored copy. Two on-disk formats are supported:
+// from a stored copy. Two on-disk formats exist:
 //
 //   * hipads-ads-v1 — versioned, line-oriented text (portable, diffable,
-//     compresses well); the compatibility anchor.
-//   * hipads-ads-v2 — binary: a fixed little-endian header carrying the
-//     sketch parameters and per-section byte lengths, followed by the raw
-//     offsets[] + AdsEntry[] CSR arena and an optional HIP weight section.
+//     compresses well); the archival and compatibility format, read only
+//     by ParseFlatAdsSet (`hipads_cli convert` migrates v1 files to v2).
+//   * hipads-ads-v2 — binary, the one format every serving reader opens:
+//     a fixed little-endian header carrying the sketch parameters and
+//     per-section byte lengths, followed by the raw offsets[] + AdsEntry[]
+//     CSR arena and an optional HIP weight section.
 //     Header version 3: each part is guarded by XXH64 (util/hash.h)
 //     chained section by section. The writer streams every section
 //     straight from the arena, and the reader reads each section straight
@@ -17,9 +19,12 @@
 //     re-tokenizing %.17g doubles, which is what the serving path wants.
 //     A large image is read and verified on a pool sized to it.
 //
-// ReadFlatAdsSetFile auto-detects the format from the leading magic, so
-// callers never have to know which one a file uses. Both formats
-// round-trip the sketches bit-identically.
+// Every v2 reader rejects v1 text with one Corruption that names
+// `hipads_cli convert`. A stored sketch is in canonical (dist, node, part)
+// order: HIP reads it in one increasing-distance scan, and the optional
+// HIP section is aligned to that order. The v1 parser restores the order
+// of a text file; a v2 image whose node block is out of order is corrupt.
+// Both formats round-trip the sketches bit-identically.
 //
 // Uniform and base-b rank assignments round-trip completely (they are pure
 // functions of the stored seed). Exponential (node-weighted) assignments
@@ -40,7 +45,7 @@
 
 namespace hipads {
 
-/// On-disk format selector for the writers. Readers auto-detect.
+/// On-disk format selector for the writers.
 enum class AdsFileFormat { kTextV1, kBinaryV2 };
 
 // The writers take the flat arena, the one whole-graph store; flatten a
@@ -54,12 +59,11 @@ std::string SerializeAdsSet(const FlatAdsSet& set);
 /// writer as WriteAdsSetFile, over a string.
 std::string SerializeAdsSetBinary(const FlatAdsSet& set);
 
-/// Writes `set` to `path` in the requested format (v1 text by default,
-/// matching the historical behavior of this API). The stream is closed
-/// before returning, so a write error that surfaces only when the last
-/// buffer is flushed (a full disk) is reported too.
+/// Writes `set` to `path` in `format`. The stream is closed before
+/// returning, so a write error that surfaces only when the last buffer is
+/// flushed (a full disk) is reported too.
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
-                       AdsFileFormat format = AdsFileFormat::kTextV1);
+                       AdsFileFormat format);
 
 /// Writes nodes [begin, end) of `set` to `path` as a self-contained
 /// hipads-ads-v2 file whose local node i is node begin + i (entry target
@@ -73,13 +77,16 @@ Status WriteAdsSetRangeFile(const FlatAdsSet& set, NodeId begin, NodeId end,
 /// True iff `data` begins with the hipads-ads-v2 binary magic.
 bool IsBinaryAdsData(std::string_view data);
 
-/// Parses the hipads-ads-v1 text format into the flat CSR arena. For sets
-/// built with exponential ranks, `beta` must be the same function used at
-/// build time (checked against the stored entry ranks only superficially;
-/// callers own consistency). Node blocks must appear exactly once each, in
-/// increasing node-id order; anything after the last block, and any entry
-/// with an out-of-range part, a negative or non-finite distance or a
-/// negative rank, is rejected as corruption.
+/// Parses the hipads-ads-v1 text format into the flat CSR arena, the one
+/// reader of v1 text (`hipads_cli convert` migrates a v1 file with it).
+/// For sets built with exponential ranks, `beta` must be the same function
+/// used at build time (checked against the stored entry ranks only
+/// superficially; callers own consistency). Node blocks must appear
+/// exactly once each, in increasing node-id order; anything after the last
+/// block, and any entry with an out-of-range part, a negative or
+/// non-finite distance or a negative rank, is rejected as corruption.
+/// Entries of a node block may come in any order; the parser restores
+/// canonical order.
 StatusOr<FlatAdsSet> ParseFlatAdsSet(
     const std::string& text,
     std::function<double(uint64_t)> beta = nullptr);
@@ -87,7 +94,8 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(
 /// Parses a hipads-ads-v2 image held in memory: the same reader as
 /// ReadFlatAdsSetFile, over a buffer. All structural damage (truncation,
 /// bad magic or version, bad checksum, inconsistent section lengths,
-/// invalid offsets or entries) returns Corruption.
+/// invalid offsets or entries, a node block out of canonical order) and
+/// v1 text return Corruption.
 StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
     const std::string& data,
     std::function<double(uint64_t)> beta = nullptr);
@@ -111,9 +119,9 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
 // tau -> weight, each sequential by definition) beside the per-entry
 // checks cut into slices. Every byte is checked at every width, and
 // failures are reported in one fixed order — checksum, offset span,
-// offset order, entries, then the HIP header fields, checksum and
-// weights — each naming the lowest failing index, so a damaged image gets
-// the same Status from every reader at every width.
+// offset order, entries, canonical entry order, then the HIP header
+// fields, checksum and weights — each naming the lowest failing index, so
+// a damaged image gets the same Status from every reader at every width.
 
 /// Fixed byte size of the hipads-ads-v2 header.
 inline constexpr size_t kAdsBinaryHeaderBytes = 88;
@@ -172,22 +180,22 @@ struct AdsBinarySections {
 /// Step one: checks the header of an image that is `image_size` bytes long
 /// — magic, version, parameter fields and section lengths — and that the
 /// image is exactly the base sections, or the base plus the HIP section.
-/// A shorter-than-header image is rejected before `header` is read;
-/// otherwise `header` must hold kAdsBinaryHeaderBytes bytes. No section
-/// size a header accepts exceeds `image_size`, so callers may size their
-/// reads and allocations from it. Every failure is Corruption.
+/// `header` must hold the image's first min(image_size,
+/// kAdsBinaryHeaderBytes) bytes. v1 text is recognised by its magic and
+/// rejected with a message that names `hipads_cli convert`; any other
+/// shorter-than-header image is rejected as truncated. No section size a
+/// header accepts exceeds `image_size`, so callers may size their reads
+/// and allocations from it. Every failure is Corruption.
 StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
                                                uint64_t image_size);
 
 /// Step two: verifies every section byte against `header` — the chained
-/// checksum, offsets spanning the arena monotonically, entry sanity and,
-/// with the HIP section, its header, own checksum and per-entry integrity
-/// — on a pool sized to the image, failures in the order described above.
-/// Returns whether every node block is already in canonical (dist, node,
-/// part) order, as writer-produced files always are. A zero-copy consumer
-/// cannot re-sort, so it must fall back to a copying reader when false.
-StatusOr<bool> CheckAdsBinarySections(const AdsBinaryHeader& header,
-                                      const AdsBinarySections& sections);
+/// checksum, offsets spanning the arena monotonically, entry sanity, every
+/// node block in canonical (dist, node, part) order and, with the HIP
+/// section, its header, own checksum and per-entry integrity — on a pool
+/// sized to the image, failures in the order described above.
+Status CheckAdsBinarySections(const AdsBinaryHeader& header,
+                              const AdsBinarySections& sections);
 
 /// The section pointers of a contiguous v2 image at `image` (8-byte
 /// aligned, as heap buffers and mmap regions are) whose header passed
@@ -203,9 +211,9 @@ Status RanksFromStoredParams(RankKind kind, uint64_t seed, double base,
                              std::function<double(uint64_t)> beta,
                              RankAssignment* out);
 
-/// Reads an ADS-set file written by WriteAdsSetFile, either format
-/// (auto-detected from the magic). A v2 file is read with positional reads
-/// straight into the arena and then validated in full.
+/// Reads a hipads-ads-v2 file with positional reads straight into the
+/// arena and then validates it in full. v1 text fails with the same
+/// Corruption as every v2 reader; convert it first.
 StatusOr<FlatAdsSet> ReadFlatAdsSetFile(
     const std::string& path,
     std::function<double(uint64_t)> beta = nullptr);

@@ -365,15 +365,6 @@ StatusOr<ShardedAdsSet> ShardedAdsSet::Open(const std::string& path,
   return set;
 }
 
-StatusOr<ShardedAdsSet> ShardedAdsSet::Open(
-    const std::string& path, std::function<double(uint64_t)> beta,
-    uint32_t max_resident) {
-  ShardedOptions options;
-  options.beta = std::move(beta);
-  options.max_resident = max_resident;
-  return Open(path, options);
-}
-
 uint64_t ShardedAdsSet::TotalEntries() const {
   uint64_t total = 0;
   for (const ShardInfo& info : shards_) total += info.num_entries;

@@ -31,8 +31,10 @@
 //   shard-00000.ads2    hipads-ads-v2 arena of nodes [begin_0, end_0)
 //   shard-00001.ads2    ...
 //
-// Each shard file is a complete, independently loadable ADS file whose
-// local node i is global node begin + i; entry target ids stay global.
+// Each shard file is a complete, independently loadable hipads-ads-v2 file
+// whose local node i is global node begin + i; entry target ids stay
+// global. Shards load through the same v2 readers as a single file
+// (ReadFlatAdsSetFile or MmapAdsSet), so they accept exactly what those do.
 
 #ifndef HIPADS_ADS_SHARD_H_
 #define HIPADS_ADS_SHARD_H_
@@ -61,8 +63,8 @@ struct ShardInfo {
 inline constexpr char kShardManifestName[] = "MANIFEST";
 
 /// True iff `path` is a shard directory (contains a manifest) or a
-/// manifest file itself — the dispatch test serving front ends use to pick
-/// ShardedAdsSet::Open over ReadFlatAdsSetFile.
+/// manifest file itself — the dispatch test OpenAdsBackend uses to pick
+/// ShardedAdsSet::Open over a single-file engine.
 bool IsShardedAdsPath(const std::string& path);
 
 /// Split points for `num_shards` contiguous shards balanced by entry count
@@ -126,15 +128,10 @@ class ShardedAdsSet : public AdsBackend {
   ShardedAdsSet& operator=(ShardedAdsSet&&) noexcept;
   ~ShardedAdsSet() override;
 
-  /// Opens `path`, which may be the manifest file or its directory.
+  /// Opens `path`, which may be the manifest file or its directory. Only
+  /// the manifest is read here; shard files are opened as v2 on first use.
   static StatusOr<ShardedAdsSet> Open(const std::string& path,
-                                      const ShardedOptions& options);
-
-  /// Back-compat overload: copying loader, no prefetch.
-  static StatusOr<ShardedAdsSet> Open(
-      const std::string& path,
-      std::function<double(uint64_t)> beta = nullptr,
-      uint32_t max_resident = 1);
+                                      const ShardedOptions& options = {});
 
   SketchFlavor flavor() const override { return flavor_; }
   uint32_t k() const override { return k_; }

@@ -164,7 +164,7 @@ StatusOr<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
       static MetricCounter* connects =
           MetricsRegistry::Get().Counter("client.tcp.connects");
       connects->Add();
-      return std::unique_ptr<TcpChannel>(new TcpChannel(fd, options));
+      return std::unique_ptr<TcpChannel>(new TcpChannel(fd));
     }
     std::string msg =
         "cannot connect to " + host + ":" + port_str + ": " + s.message();
@@ -179,19 +179,14 @@ StatusOr<std::unique_ptr<TcpChannel>> TcpChannel::Connect(
 
 Status TcpChannel::Call(std::string_view request_frame, Frame* response,
                         const Deadline& deadline) {
-  Deadline effective = deadline;
-  if (options_.io_timeout_ms > 0) {
-    effective =
-        Deadline::Min(effective, Deadline::AfterMs(options_.io_timeout_ms));
-  }
-  if (effective.Expired()) {
+  if (deadline.Expired()) {
     return Status::DeadlineExceeded("deadline expired before send");
   }
   MutexLock lock(mu_);
   Status s = WriteAllBytes(fd_, request_frame.data(), request_frame.size(),
-                           effective);
+                           deadline);
   if (!s.ok()) return s;
-  auto frame = ReadFrame(fd_, effective);
+  auto frame = ReadFrame(fd_, deadline);
   if (!frame.ok()) return frame.status();
   *response = std::move(frame).value();
   return Status::Ok();

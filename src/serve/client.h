@@ -66,14 +66,11 @@ class LoopbackChannel : public Channel {
   FrameHandler* handler_;
 };
 
-/// Socket-level robustness knobs of a TcpChannel.
+/// Socket-level robustness knobs of a TcpChannel, used while connecting.
+/// Each call is bounded by its own deadline.
 struct TcpChannelOptions {
   /// Bound on connection establishment (DNS excluded). 0 = block forever.
   uint64_t connect_timeout_ms = 5000;
-  /// Per-call I/O bound applied even when the request carries no
-  /// deadline; the effective deadline of a call is the earlier of the two.
-  /// 0 = none.
-  uint64_t io_timeout_ms = 0;
 };
 
 /// TCP transport. Connect resolves "host:port" style addresses (numeric or
@@ -100,11 +97,9 @@ class TcpChannel : public Channel {
               const Deadline& deadline) override;
 
  private:
-  TcpChannel(int fd, const TcpChannelOptions& options)
-      : fd_(fd), options_(options) {}
+  explicit TcpChannel(int fd) : fd_(fd) {}
 
   const int fd_;  // owned; immutable until the destructor closes it
-  TcpChannelOptions options_;
   Mutex mu_;  // serializes write+read pairs on the socket
 };
 

@@ -19,6 +19,11 @@ namespace hipads {
 
 namespace {
 
+// A coalesced batch flushes once it holds this many entries, before its
+// window ends.
+constexpr size_t kCoalesceMaxBatch = 64;
+static_assert(kCoalesceMaxBatch <= kMaxPointBatchEntries);
+
 // Instrument pointers resolved once (the registry lookup takes a mutex);
 // per-server error counters are looked up on the failure path, where the
 // lookup cost is noise.
@@ -220,13 +225,6 @@ StatusOr<FleetRouter> FleetRouter::Connect(FleetManifest manifest,
       router.options_.coalesce_window_us = std::strtoull(env, nullptr, 10);
     }
   }
-  if (router.options_.coalesce_max_batch == 0) {
-    router.options_.coalesce_max_batch = 1;
-  }
-  if (router.options_.coalesce_max_batch > kMaxPointBatchEntries) {
-    router.options_.coalesce_max_batch =
-        static_cast<uint32_t>(kMaxPointBatchEntries);
-  }
   router.slots_.reserve(router.manifest_.servers.size());
   router.batchers_.reserve(router.manifest_.servers.size());
   Deadline handshake_deadline = router.EffectiveDeadline(Deadline());
@@ -328,8 +326,7 @@ StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
                              ? options_.backoff_max_ms
                              : options_.backoff_base_ms << shift;
       if (backoff > options_.backoff_max_ms) backoff = options_.backoff_max_ms;
-      uint64_t h = Mix64(options_.backoff_seed ^
-                         (idx * 0x100000001b3ull) ^ attempt);
+      uint64_t h = Mix64((idx * 0x100000001b3ull) ^ attempt);
       uint64_t sleep_ms = backoff / 2 + (backoff ? h % (backoff / 2 + 1) : 0);
       if (deadline.has_deadline() && deadline.RemainingMs() <= sleep_ms) {
         return Status::DeadlineExceeded(
@@ -476,7 +473,6 @@ StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
                                                 const std::string& payload,
                                                 const Deadline& deadline) {
   PointBatcher& batcher = *batchers_[idx];
-  const size_t batch_limit = options_.coalesce_max_batch;
   PendingPoint me;
   me.payload = &payload;
   me.deadline = deadline;
@@ -497,7 +493,7 @@ StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
           std::chrono::microseconds(options_.coalesce_window_us);
       {
         ScopedLatencyTimer wait_timer(Metrics().coalesce_flush_wait_us);
-        while (batcher.queue.size() < batch_limit) {
+        while (batcher.queue.size() < kCoalesceMaxBatch) {
           if (batcher.cv.WaitUntil(batcher.mu, flush_at) ==
               std::cv_status::timeout) {
             break;
@@ -510,7 +506,7 @@ StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
       // batch while this one is on the wire.
       batcher.leader_active = false;
     } else {
-      if (batcher.queue.size() >= batch_limit) batcher.cv.NotifyAll();
+      if (batcher.queue.size() >= kCoalesceMaxBatch) batcher.cv.NotifyAll();
       // Safe to wait unboundedly: the leader always distributes — its
       // batch call is bounded by the members' minimum deadline, which
       // includes ours.

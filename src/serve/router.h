@@ -87,8 +87,7 @@ Status ValidateFleetManifest(const FleetManifest& manifest);
 using ChannelFactory =
     std::function<StatusOr<std::unique_ptr<Channel>>(const std::string&)>;
 ChannelFactory TcpChannelFactory();
-/// A TCP factory whose channels carry the given socket options (connect /
-/// per-call I/O timeouts).
+/// A TCP factory whose channels connect with the given socket options.
 ChannelFactory TcpChannelFactory(const TcpChannelOptions& options);
 
 /// Robustness policy of a FleetRouter. Defaults are production-shaped:
@@ -114,16 +113,15 @@ struct RouterOptions {
   uint64_t hedge_delay_ms = 50;
   /// Jittered exponential backoff between retries: attempt a sleeps a
   /// deterministic value in [b/2, b] where b = min(backoff_base_ms << a,
-  /// backoff_max_ms), seeded per (server, attempt) so a fleet-wide
+  /// backoff_max_ms), hashed from (server, attempt) so a fleet-wide
   /// failure does not resynchronize every client into a retry stampede.
   uint64_t backoff_base_ms = 10;
   uint64_t backoff_max_ms = 1000;
-  uint64_t backoff_seed = 0;
   /// Same-server point-request coalescing across concurrent callers: with
   /// a window > 0 (and hedging off — the two policies are mutually
   /// exclusive), the first caller bound for a server becomes the batch
   /// leader, collects followers for up to this many microseconds (or until
-  /// the batch is full), and sends ONE kPointBatchRequest; per-entry
+  /// the batch holds 64 entries), and sends ONE kPointBatchRequest; per-entry
   /// results are handed back to each caller in arrival order. Answers are
   /// bitwise identical to uncoalesced calls; a caller whose entry comes
   /// back shed/failed falls back to its own single-request call, so the
@@ -131,9 +129,6 @@ struct RouterOptions {
   /// HIPADS_COALESCE_WINDOW_US environment variable (read at Connect)
   /// supplies the window — CI forces the flush path on with it.
   uint64_t coalesce_window_us = 0;
-  /// Entries per coalesced batch frame (clamped to
-  /// kMaxPointBatchEntries); a full batch flushes before the window ends.
-  uint32_t coalesce_max_batch = 64;
 };
 
 /// A connected fleet. Movable, not copyable.

@@ -547,12 +547,9 @@ StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
   auto collectors = BuildPlanFromSpec(msg.collectors, &plan);
   if (!collectors.ok()) return collectors.status();
   // The thread count is wire-controlled: clamp it to this host's hardware
-  // so a hostile request cannot drive ThreadPool into spawning billions of
-  // workers (results are bitwise thread-count independent, so clamping is
-  // invisible to the client).
-  uint32_t threads =
-      msg.num_threads != 0 ? msg.num_threads : options_.num_threads;
-  threads = std::min(threads, HardwareThreads());
+  // (invisible to the client, whose answer never depends on it).
+  const uint32_t threads = ClampThreads(
+      msg.num_threads != 0 ? msg.num_threads : options_.num_threads);
   // Between node ranges the sweep polls its request's deadline: once it
   // passes, the remaining compute would produce an answer nobody awaits.
   std::function<Status()> checkpoint;

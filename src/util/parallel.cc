@@ -8,6 +8,11 @@ uint32_t HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+uint32_t ClampThreads(uint64_t requested) {
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(requested, HardwareThreads()));
+}
+
 ThreadPool::ThreadPool(uint32_t num_threads)
     : num_threads_(num_threads == 0 ? HardwareThreads() : num_threads) {
   workers_.reserve(num_threads_ - 1);

@@ -27,6 +27,14 @@ namespace hipads {
 /// Number of hardware threads, at least 1.
 uint32_t HardwareThreads();
 
+/// A thread count asked for from outside — a wire request or a
+/// command-line flag — bounded to min(requested, HardwareThreads()); 0
+/// stays 0, which ThreadPool reads as HardwareThreads(). Without the bound
+/// a hostile or mistyped value would make ThreadPool spawn billions of
+/// workers. Results never depend on the thread count, so the bound never
+/// changes an answer.
+uint32_t ClampThreads(uint64_t requested);
+
 /// Fixed-size pool. The calling thread participates in every batch, so a
 /// pool of T threads holds T-1 workers; a pool of 1 runs everything inline.
 class ThreadPool {

@@ -3,8 +3,8 @@
 // and the sharded set (ShardedAdsSet, with and without the background
 // prefetch thread, copying and mmap shard opens) produce bitwise identical
 // query and estimator results on the same sketch set — plus the failure
-// contract: missing/truncated/corrupt backing files surface as errors, not
-// partial results.
+// contract: missing/truncated/corrupt backing files and v1 text surface as
+// errors, not partial results.
 
 #include "ads/backend.h"
 
@@ -116,7 +116,6 @@ TEST(BackendTest, MmapOpenIsZeroCopyAndBitwiseEqual) {
   auto opened = MmapAdsSet::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const MmapAdsSet& mapped = opened.value();
-  EXPECT_TRUE(mapped.zero_copy());
   EXPECT_EQ(mapped.num_nodes(), set.num_nodes());
   EXPECT_EQ(mapped.TotalEntries(), set.TotalEntries());
   EXPECT_EQ(mapped.k(), set.k);
@@ -146,19 +145,49 @@ TEST(BackendTest, MmapMoveKeepsServing) {
   auto opened = MmapAdsSet::Open(path);
   ASSERT_TRUE(opened.ok());
   MmapAdsSet moved = std::move(opened).value();
-  EXPECT_TRUE(moved.zero_copy());
   ExpectBitwiseEqualQueries(moved, set);
+  // The moved-from set is a valid empty one.
+  EXPECT_EQ(opened.value().num_nodes(), 0u);
+  EXPECT_EQ(opened.value().TotalEntries(), 0u);
 }
 
-TEST(BackendTest, MmapFallsBackToCopyLoaderForTextFiles) {
+// v1 text is convert-only: every engine refuses it with the one message
+// the v2 readers share, which names `hipads_cli convert`.
+TEST(BackendTest, EveryEngineRejectsV1Text) {
   FlatAdsSet set = BuildFlat(100, 13, 4);
-  ScratchDir dir("hipads_backend_test_mmap_text");
+  ScratchDir dir("hipads_backend_test_v1_text");
   std::string path = dir.file("set.ads");
   ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kTextV1).ok());
-  auto opened = MmapAdsSet::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_FALSE(opened.value().zero_copy());  // graceful copying fallback
-  ExpectBitwiseEqualQueries(opened.value(), set);
+  const std::string expected =
+      ParseFlatAdsSetBinary(SerializeAdsSet(set)).status().message();
+  EXPECT_NE(expected.find("hipads_cli convert"), std::string::npos);
+  for (BackendMode mode : {BackendMode::kCopy, BackendMode::kMmap}) {
+    AdsBackendOptions options;
+    options.mode = mode;
+    auto opened = OpenAdsBackend(path, options);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(opened.status().message(), expected);
+  }
+
+  // A shard file holding v1 text fails to load the same way.
+  std::string shard_dir = dir.file("shards");
+  ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 2).ok());
+  ASSERT_TRUE(WriteAdsSetFile(
+                  set,
+                  (std::filesystem::path(shard_dir) / "shard-00001.ads2")
+                      .string(),
+                  AdsFileFormat::kTextV1)
+                  .ok());
+  for (bool use_mmap : {false, true}) {
+    ShardedOptions options;
+    options.use_mmap = use_mmap;
+    auto opened = ShardedAdsSet::Open(shard_dir, options);
+    ASSERT_TRUE(opened.ok());
+    auto range = opened.value().Range(1);
+    ASSERT_FALSE(range.ok()) << "mmap=" << use_mmap;
+    EXPECT_EQ(range.status().message(), expected);
+  }
 }
 
 TEST(BackendTest, MmapRejectsCorruptAndTruncatedV2) {
@@ -308,10 +337,8 @@ TEST(BackendTest, ShardedValidateFilesCatchesMissingAndTruncated) {
     EXPECT_EQ(swept.status().code(), Status::Code::kIOError);
   }
 
-  // The factory refuses the whole open when validation is requested.
-  AdsBackendOptions factory_options;
-  factory_options.validate_files = true;
-  auto refused = OpenAdsBackend(shard_dir, factory_options);
+  // The factory checks shard file sizes, so it refuses the whole open.
+  auto refused = OpenAdsBackend(shard_dir);
   EXPECT_FALSE(refused.ok());
 }
 
@@ -431,7 +458,6 @@ TEST(BackendTest, EveryEngineServesStoredHipWeights) {
 
   auto mapped = MmapAdsSet::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped.value().zero_copy());  // hip section mmap-served
   EXPECT_TRUE(mapped.value().HipResident());
   ExpectHipMatchesReference(mapped.value(), set);
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -285,6 +286,17 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
   int counter = 0;
   pool.RunTasks(17, [&](size_t) { ++counter; });
   EXPECT_EQ(counter, 17);
+}
+
+// Wire and command-line thread counts are bounded by the hardware count
+// before any pool sees them; 0 keeps meaning "the hardware count". No pool
+// is created here, so the extreme values start no thread.
+TEST(ThreadPoolTest, ClampThreadsBoundsRequestsToTheHardwareCount) {
+  const uint32_t hw = HardwareThreads();
+  EXPECT_EQ(ClampThreads(0), 0u);
+  EXPECT_EQ(ClampThreads(1), 1u);
+  EXPECT_EQ(ClampThreads(uint64_t{hw} + 1), hw);
+  EXPECT_EQ(ClampThreads(UINT64_MAX), hw);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // hipads-ads-v2 binary format: round-trip fidelity (bit-identical arenas,
-// identical HIP estimates, v1/v2 interchangeability) and corruption
-// handling (every structural damage returns Status::Corruption and never
-// crashes — these suites run under the asan `serialize` ctest lane). The
-// hostile-byte corpora run through every reader: the in-memory parser,
-// the file reader and the mmap open must agree on each image.
+// identical HIP estimates, v1/v2 interchangeability through the parsers)
+// and corruption handling (every structural damage returns
+// Status::Corruption and never crashes — these suites run under the asan
+// `serialize` ctest lane). The hostile-byte corpora run through every
+// reader: the in-memory parser, the file reader and the mmap open must
+// agree on each image, v1 text and non-canonical blocks included.
 
 #include "ads/serialize.h"
 
@@ -111,19 +112,20 @@ TEST(SerializeBinaryTest, PropertyBothFormatsRoundTripAndAgree) {
   }
 }
 
-TEST(SerializeBinaryTest, FileRoundTripAndAutoDetect) {
+TEST(SerializeBinaryTest, FileRoundTripReadsV2Only) {
   FlatAdsSet set = BuildFlat(50, 31, 4, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(37));
   std::string path = "/tmp/hipads_serialize_binary_test.ads2";
   ASSERT_TRUE(
       WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2).ok());
-  auto flat = ReadFlatAdsSetFile(path);  // auto-detects v2
+  auto flat = ReadFlatAdsSetFile(path);
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
   ExpectBitIdentical(set, flat.value());
+  // v1 text is convert-only: the file reader refuses it.
   ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kTextV1).ok());
-  auto from_text = ReadFlatAdsSetFile(path);  // auto-detects v1
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  ExpectBitIdentical(set, from_text.value());
+  auto from_text = ReadFlatAdsSetFile(path);
+  ASSERT_FALSE(from_text.ok());
+  EXPECT_EQ(from_text.status().code(), Status::Code::kCorruption);
   std::remove(path.c_str());
 }
 
@@ -476,6 +478,7 @@ TEST(SerializeBinaryTest, HipSectionRejectsInconsistentWeights) {
 // Returns the image and the byte offsets of its entries, tau and weight
 // arrays.
 struct LargeImage {
+  static constexpr uint32_t kPerNode = 16;
   std::string bytes;
   uint64_t num_entries = 0;
   size_t entries_at = 0;
@@ -487,7 +490,7 @@ struct LargeImage {
 const LargeImage& LargeHipImage() {
   static const LargeImage image = [] {
     constexpr uint32_t kNodes = 4096;
-    constexpr uint32_t kPerNode = 16;
+    constexpr uint32_t kPerNode = LargeImage::kPerNode;
     FlatAdsSet set;
     set.flavor = SketchFlavor::kBottomK;
     set.k = kPerNode;
@@ -530,8 +533,8 @@ TEST(SerializeBinaryTest, LargeImageLoadsIdenticallyThroughEveryReader) {
 // alone and together, under re-stamped checksums so the per-entry checks
 // are what object. Every reader must return the same Status code and
 // message, naming the lowest failing index — and the fixed precedence
-// (checksum, offsets, entries, HIP header, HIP checksum, HIP weights)
-// must hold across arrays.
+// (checksum, offsets, entries, canonical order, HIP header, HIP checksum,
+// HIP weights) must hold across arrays.
 TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
   const LargeImage& image = LargeHipImage();
   const uint64_t n = image.num_entries;
@@ -588,6 +591,27 @@ TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
     RestampHipChecksum(&bytes, image.hip_at);
     expect(bytes, "invalid entry at index " + std::to_string(last),
            "entries before HIP weights");
+  }
+  {
+    // Blocks out of canonical order in a middle and the last slice: the
+    // lower node is named, after entry damage and before weight damage.
+    auto swap_first_two = [&](std::string* bytes, uint64_t node) {
+      char* at = bytes->data() + image.entries_at +
+                 node * LargeImage::kPerNode * sizeof(AdsEntry);
+      std::swap_ranges(at, at + sizeof(AdsEntry), at + sizeof(AdsEntry));
+    };
+    std::string bytes = image.bytes;
+    swap_first_two(&bytes, 4095);
+    swap_first_two(&bytes, 2049);
+    bad_weight(&bytes, first);
+    RestampBaseChecksum(&bytes);
+    RestampHipChecksum(&bytes, image.hip_at);
+    expect(bytes, "entries of node 2049 not in canonical order",
+           "order before HIP weights");
+    bad_entry(&bytes, last);
+    RestampBaseChecksum(&bytes);
+    expect(bytes, "invalid entry at index " + std::to_string(last),
+           "entries before order");
   }
   {
     // A non-monotone offset in a middle slice outranks entry damage.
@@ -656,52 +680,50 @@ TEST(SerializeBinaryTest, RejectsEverySingleBitFlipWithHipSection) {
 }
 
 // A valid image whose node block is out of canonical order — possible
-// only from a foreign writer, since ours always sorts — loads re-sorted
-// through both copying readers, with the HIP section dropped (its arrays
-// align with the stored order, not the sorted one). The zero-copy open
-// cannot re-sort, so it falls back to the copying loader.
-TEST(SerializeBinaryTest, NonCanonicalBlockLoadsResortedWithoutHip) {
+// only from a foreign writer, since ours always sorts — is corrupt: HIP
+// reads a sketch in one increasing-distance scan, and the HIP section is
+// aligned to that order. Every reader names the node.
+TEST(SerializeBinaryTest, NonCanonicalBlockFailsInEveryReader) {
   FlatAdsSet set = BuildFlat(40, 7, 4, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(3));
   PrecomputeHipWeights(&set, 1);
   NodeId v = 0;
   while (set.of(v).size() < 2) ++v;
   std::string bytes = SerializeAdsSetBinary(set);
-  const size_t first = kAdsBinaryHeaderBytes +
-                       (set.num_nodes() + 1) * sizeof(uint64_t) +
-                       set.offsets[v] * sizeof(AdsEntry);
-  std::string block = bytes.substr(first, 2 * sizeof(AdsEntry));
-  std::memcpy(bytes.data() + first, block.data() + sizeof(AdsEntry),
-              sizeof(AdsEntry));
-  std::memcpy(bytes.data() + first + sizeof(AdsEntry), block.data(),
-              sizeof(AdsEntry));
+  char* first = bytes.data() + kAdsBinaryHeaderBytes +
+                (set.num_nodes() + 1) * sizeof(uint64_t) +
+                set.offsets[v] * sizeof(AdsEntry);
+  std::swap_ranges(first, first + sizeof(AdsEntry), first + sizeof(AdsEntry));
   RestampBaseChecksum(&bytes);
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "hipads_noncanonical.ads2")
-          .string();
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << bytes;
+  auto result = ParseWithEveryReader(bytes, "non-canonical block", true);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+  EXPECT_EQ(result.status().message(),
+            "entries of node " + std::to_string(v) + " not in canonical order");
+}
+
+// v1 text is convert-only: every v2 reader rejects it with one message
+// that names the format and the command that migrates it — also when the
+// text is shorter than a v2 header. The v1 parser still reads it.
+TEST(SerializeBinaryTest, V1TextIsRejectedByEveryReader) {
+  FlatAdsSet set = BuildFlat(30, 11, 4, SketchFlavor::kBottomK,
+                             RankAssignment::Uniform(5));
+  FlatAdsSet no_nodes;
+  no_nodes.k = 4;
+  no_nodes.ranks = RankAssignment::Uniform(5);
+  const std::string short_text = SerializeAdsSet(no_nodes);
+  ASSERT_LT(short_text.size(), kAdsBinaryHeaderBytes);
+  for (const std::string& text : {SerializeAdsSet(set), short_text}) {
+    ASSERT_TRUE(ParseFlatAdsSet(text).ok());
+    auto result = ParseWithEveryReader(text, "v1 text", true);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), Status::Code::kCorruption);
+    const std::string& message = result.status().message();
+    EXPECT_NE(message.find("hipads-ads-v1"), std::string::npos) << message;
+    EXPECT_NE(message.find("hipads_cli convert"), std::string::npos)
+        << message;
   }
-  auto parsed = ParseFlatAdsSetBinary(bytes);
-  auto read = ReadFlatAdsSetFile(path);
-  auto mapped = MmapAdsSet::Open(path);
-  std::remove(path.c_str());
-  for (const auto* loaded : {&parsed, &read}) {
-    ASSERT_TRUE(loaded->ok()) << loaded->status().ToString();
-    ExpectBitIdentical(set, loaded->value());
-    EXPECT_FALSE(loaded->value().has_hip());
-  }
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(mapped.value().zero_copy());
-  EXPECT_FALSE(mapped.value().HipResident());
-  auto range = mapped.value().Range(0);
-  ASSERT_TRUE(range.ok());
-  ASSERT_EQ(mapped.value().TotalEntries(), set.TotalEntries());
-  EXPECT_EQ(std::memcmp(range.value().entries, set.entries.data(),
-                        set.entries.size() * sizeof(AdsEntry)),
-            0);
 }
 
 TEST(SerializeBinaryTest, ReadMissingFileFails) {

@@ -93,8 +93,8 @@ TEST(SerializeTest, FileRoundTrip) {
   Graph g = ErdosRenyi(40, 120, true, 29);
   FlatAdsSet set = Flat(BuildAdsPrunedDijkstra(
       g, 4, SketchFlavor::kBottomK, RankAssignment::Uniform(37)));
-  std::string path = "/tmp/hipads_serialize_test.ads";
-  ASSERT_TRUE(WriteAdsSetFile(set, path).ok());
+  std::string path = "/tmp/hipads_serialize_test.ads2";
+  ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2).ok());
   auto back = ReadFlatAdsSetFile(path);
   ASSERT_TRUE(back.ok());
   ExpectSameSet(set, back.value());

@@ -48,6 +48,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/parallel.h"
 
 namespace hipads {
 namespace {
@@ -1108,6 +1109,13 @@ int RunCli(const std::string& args, const std::string& stdout_path) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::stringstream contents;
+  contents << f.rdbuf();
+  return contents.str();
+}
+
 uint64_t FileSize(const std::string& path) {
   std::error_code ec;
   uint64_t size = std::filesystem::file_size(path, ec);
@@ -1171,14 +1179,20 @@ TEST(ServeTest, CliRemoteFailuresExitNonzeroWithNoOutput) {
   }
 }
 
-// Positive CLI end-to-end: `stats`/`query --remote` against an in-process
-// TCP server print byte-identical output to the local commands.
+// Positive CLI end-to-end: `stats`/`query` print byte-identical output
+// from a flat file, from its 4-shard directory and with `--remote` against
+// an in-process TCP server — point queries included, which answer through
+// the same router and server code locally (over a loopback channel) as
+// remotely. An out-of-range node fails alike everywhere: exit 1 with the
+// router's NotFound and nothing on stdout.
 TEST(ServeTest, CliRemoteMatchesLocalByteForByte) {
   FlatAdsSet full = BuildFlat(150, 19, 8);
   ScratchDir dir("hipads_serve_test_cli_ok");
   std::string set_path = dir.file("set.ads2");
+  std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(
       WriteAdsSetFile(full, set_path, AdsFileFormat::kBinaryV2).ok());
+  ASSERT_TRUE(WriteShardedAdsSet(full, shard_dir, 4).ok());
 
   FlatAdsBackend backend(&full);
   AdsServerCore core(&backend, ServerOptions{});
@@ -1188,39 +1202,56 @@ TEST(ServeTest, CliRemoteMatchesLocalByteForByte) {
 
   struct Case {
     const char* name;
-    std::string local;
-    std::string remote_args;
+    std::string command;  // run against each source below
+    int exit_code = 0;
   };
   const std::vector<Case> cases = {
       {"stats",
-       "stats --sketches " + set_path +
-           " --top 4 --distance-quantile 0.5 --qg exp --qg-param 0.5",
-       "stats --remote " + remote +
-           " --top 4 --distance-quantile 0.5 --qg exp --qg-param 0.5"},
-      {"query-top", "query --sketches " + set_path + " --top 3",
-       "query --remote " + remote + " --top 3"},
-      {"query-node", "query --sketches " + set_path + " --node 7",
-       "query --remote " + remote + " --node 7"},
-      {"query-lookup",
-       "query --sketches " + set_path + " --node 7 --lookup 1,2,140",
-       "query --remote " + remote + " --node 7 --lookup 1,2,140"},
-      {"query-jaccard",
-       "query --sketches " + set_path + " --node 7 --jaccard 9 --distance 3",
-       "query --remote " + remote + " --node 7 --jaccard 9 --distance 3"},
+       "stats --top 4 --distance-quantile 0.5 --qg exp --qg-param 0.5"},
+      {"query-top", "query --top 3"},
+      {"query-node", "query --node 7"},
+      {"query-distance", "query --node 7 --distance 2"},
+      {"query-distance-inf", "query --node 7 --distance inf"},
+      {"query-lookup", "query --node 7 --lookup 1,2,140"},
+      {"query-jaccard", "query --node 7 --jaccard 9 --distance 3"},
+      {"query-node-out-of-range", "query --node 150", 1},
   };
+  const std::vector<std::string> sources = {
+      "--sketches " + set_path, "--sketches " + shard_dir,
+      "--remote " + remote};
   for (const Case& c : cases) {
-    std::string local_out = dir.file(std::string(c.name) + ".local");
-    std::string remote_out = dir.file(std::string(c.name) + ".remote");
-    ASSERT_EQ(RunCli(c.local, local_out), 0) << c.name;
-    ASSERT_EQ(RunCli(c.remote_args, remote_out), 0) << c.name;
-    std::ifstream a(local_out), b(remote_out);
-    std::stringstream sa, sb;
-    sa << a.rdbuf();
-    sb << b.rdbuf();
-    EXPECT_GT(sa.str().size(), 0u) << c.name;
-    EXPECT_EQ(sa.str(), sb.str()) << c.name;
+    std::vector<std::string> outputs;
+    for (const std::string& source : sources) {
+      std::string out =
+          dir.file(std::string(c.name) + "." +
+                   std::to_string(outputs.size()));
+      ASSERT_EQ(RunCli(c.command + " " + source, out), c.exit_code)
+          << c.name << " " << source;
+      outputs.push_back(ReadFile(out));
+    }
+    EXPECT_EQ(outputs[0].empty(), c.exit_code != 0) << c.name;
+    EXPECT_EQ(outputs[1], outputs[0]) << c.name << ": shards";
+    EXPECT_EQ(outputs[2], outputs[0]) << c.name << ": remote";
   }
   server.Stop();
+}
+
+// `--threads` is clamped to the hardware count, as a sweep request's
+// thread count is on the wire, and no output depends on it.
+TEST(ServeTest, CliThreadsOverTheHardwareCountMatchOneThread) {
+  FlatAdsSet full = BuildFlat(150, 19, 8);
+  ScratchDir dir("hipads_serve_test_cli_threads");
+  const std::string set_path = dir.file("set.ads2");
+  ASSERT_TRUE(
+      WriteAdsSetFile(full, set_path, AdsFileFormat::kBinaryV2).ok());
+  const std::string stats =
+      "stats --sketches " + set_path + " --top 4 --threads ";
+  const std::string over = std::to_string(uint64_t{HardwareThreads()} + 1);
+  ASSERT_EQ(RunCli(stats + "1", dir.file("one.out")), 0);
+  ASSERT_EQ(RunCli(stats + over, dir.file("over.out")), 0);
+  const std::string one = ReadFile(dir.file("one.out"));
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(ReadFile(dir.file("over.out")), one);
 }
 
 // `sketch --k` takes 1 .. 2^32 - 1. Zero and values that would wrap in

@@ -81,7 +81,8 @@ TEST(ShardTest, LazyLoadingBoundsResidentShards) {
   FlatAdsSet set = BuildFlat(120, 13, 4);
   ScratchDir dir("hipads_shard_test_lazy");
   ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 6).ok());
-  auto opened = ShardedAdsSet::Open(dir.path, nullptr, /*max_resident=*/2);
+  auto opened =
+      ShardedAdsSet::Open(dir.path, ShardedOptions{.max_resident = 2});
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const ShardedAdsSet& sharded = opened.value();
   EXPECT_EQ(sharded.NumResident(), 0u);  // nothing loaded at open
@@ -98,7 +99,8 @@ TEST(ShardTest, SweepsMatchUnshardedBitwise) {
   ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 5).ok());
   // max_resident = 1: every sweep must still match with only one shard
   // arena in memory at a time.
-  auto opened = ShardedAdsSet::Open(dir.path, nullptr, /*max_resident=*/1);
+  auto opened =
+      ShardedAdsSet::Open(dir.path, ShardedOptions{.max_resident = 1});
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const ShardedAdsSet& sharded = opened.value();
   FlatAdsBackend flat(&set);

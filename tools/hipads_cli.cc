@@ -33,15 +33,25 @@
 // per-frame read stall bound on their listening sockets. Failures fail
 // closed with an exit status and an error naming the failing server.
 //
-// `query` and `stats` accept a plain ADS file (v1 or v2, auto-detected) or
-// a shard directory / manifest written by `shard`; every input is served
-// through the unified AdsBackend storage layer. `--backend=copy` (default)
+// Storage: `sketch` writes hipads-ads-v2 unless `--format text` asks for an
+// archival v1 copy. `shard`, `query`, `stats` and `serve` open v2 only — a
+// file, or a shard directory / manifest written by `shard` — through the
+// unified AdsBackend storage layer; `convert` is the one command that
+// reads v1 text, and migrates it to v2 once. `--backend=copy` (default)
 // loads into a heap arena; `--backend=mmap` maps v2 files zero-copy.
 // Sharded sets honor `--resident N` (max shard arenas in memory) and
 // prefetch upcoming shards during whole-graph sweeps (`--prefetch D` sets
 // the lookahead depth, 0 disables). A manifest referencing a missing or
 // truncated shard file fails at open with a nonzero exit, before any
 // partial output.
+//
+// Point queries: without `--remote`, `query --node` answers through the same
+// code as `--remote` — an in-process range server behind a one-server
+// fleet router, over a loopback channel — so local and remote answers are
+// the same bytes and fail the same way.
+//
+// `--threads N` (0 = hardware count) is clamped to the hardware count, as
+// a server clamps a sweep request's thread count; no output depends on it.
 //
 // Whole-graph statistics run on the fused sweep engine (ads/sweep.h): all
 // statistics a command needs are collected in ONE pass over the backend —
@@ -76,9 +86,10 @@
 //
 // Examples:
 //   hipads_cli generate --model ba --nodes 100000 --out graph.txt
-//   hipads_cli sketch --graph graph.txt --k 32 --format binary --out s.ads2
-//   hipads_cli sketch --graph g.txt --format binary --hip 1 --out sh.ads2
+//   hipads_cli sketch --graph graph.txt --k 32 --out s.ads2
+//   hipads_cli sketch --graph g.txt --hip 1 --out sh.ads2
 //   hipads_cli convert --in s.ads2 --format text --out s.ads
+//   hipads_cli convert --in old.ads --out old.ads2
 //   hipads_cli convert --in s.ads2 --hip 1 --out s-hip.ads2
 //   hipads_cli convert --in s-hip.ads2 --strip-hip 1 --out s.ads2
 //   hipads_cli shard --in s.ads2 --shards 8 --out-dir shards/
@@ -102,11 +113,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -114,12 +127,10 @@
 
 #include "ads/backend.h"
 #include "ads/builders.h"
-#include "ads/estimators.h"
 #include "ads/flat_ads.h"
 #include "ads/hip.h"
 #include "ads/serialize.h"
 #include "ads/shard.h"
-#include "ads/similarity.h"
 #include "ads/sweep.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -240,10 +251,35 @@ void MaybeStartTrace(const Args& args,
                static_cast<unsigned long long>(lo));
 }
 
-// Opens `--remote ADDRESS` as a single-server fleet, which buys every
-// remote command the router's whole robustness stack — deadlines on each
-// hop, reconnect-with-backoff retries, optional hedging — and failure
-// messages that name the failing server.
+RouterOptions RemoteRouterOptions(const RemoteOptions& remote) {
+  RouterOptions options;
+  options.timeout_ms = remote.timeout_ms;
+  options.retries = remote.retries;
+  options.hedge = remote.hedge;
+  options.coalesce_window_us = remote.coalesce_us;
+  return options;
+}
+
+// Wraps the one endpoint `info` describes, reached at `address` through
+// `factory`, in a single-server fleet: every command that talks to it gets
+// the router's whole robustness stack — deadlines on each hop,
+// reconnect-with-backoff retries, optional hedging — and failure messages
+// that name the failing server.
+StatusOr<FleetRouter> SingleServerFleet(const std::string& address,
+                                        const ServerInfoMsg& info,
+                                        const ChannelFactory& factory,
+                                        const RouterOptions& options) {
+  FleetManifest manifest;
+  manifest.num_nodes = info.node_end;
+  FleetEntry entry;
+  entry.address = address;
+  entry.begin = static_cast<NodeId>(info.node_begin);
+  entry.end = static_cast<NodeId>(info.node_end);
+  manifest.servers.push_back(std::move(entry));
+  return FleetRouter::Connect(std::move(manifest), factory, options);
+}
+
+// Opens `--remote ADDRESS` as a single-server fleet.
 StatusOr<FleetRouter> ConnectSingleServerFleet(const std::string& address,
                                                const RemoteOptions& remote) {
   TcpChannelOptions channel_options = RemoteChannelOptions(remote);
@@ -258,21 +294,9 @@ StatusOr<FleetRouter> ConnectSingleServerFleet(const std::string& address,
     return Status::IOError("remote " + address + ": " +
                            info.status().ToString());
   }
-  FleetManifest manifest;
-  manifest.num_nodes = info.value().node_end;
-  FleetEntry entry;
-  entry.address = address;
-  entry.begin = static_cast<NodeId>(info.value().node_begin);
-  entry.end = static_cast<NodeId>(info.value().node_end);
-  manifest.servers.push_back(std::move(entry));
-  RouterOptions router_options;
-  router_options.timeout_ms = remote.timeout_ms;
-  router_options.retries = remote.retries;
-  router_options.hedge = remote.hedge;
-  router_options.coalesce_window_us = remote.coalesce_us;
-  return FleetRouter::Connect(std::move(manifest),
-                              TcpChannelFactory(channel_options),
-                              router_options);
+  return SingleServerFleet(address, info.value(),
+                           TcpChannelFactory(channel_options),
+                           RemoteRouterOptions(remote));
 }
 
 bool ParseFormatFlag(const std::string& name, AdsFileFormat* out) {
@@ -354,11 +378,11 @@ int CmdSketch(const Args& args) {
 
   // --threads N: builder threads (0 = hardware count). Output is
   // bit-identical for every thread count.
-  uint32_t threads =
-      static_cast<uint32_t>(args.GetInt("threads", HardwareThreads()));
-  std::string out = args.Get("out", "sketches.ads");
+  const uint32_t threads =
+      ClampThreads(args.GetInt("threads", HardwareThreads()));
+  std::string out = args.Get("out", "sketches.ads2");
   uint32_t shards = static_cast<uint32_t>(args.GetInt("shards", 0));
-  std::string format_name = args.Get("format", "text");
+  std::string format_name = args.Get("format", "binary");
   AdsFileFormat format;
   if (!ParseFormatFlag(format_name, &format)) return 2;
   if (shards > 0 && args.Has("format") &&
@@ -403,6 +427,18 @@ int CmdSketch(const Args& args) {
   return 0;
 }
 
+// `convert` is the one reader of both formats: the v2 magic tells them
+// apart.
+StatusOr<FlatAdsSet> ReadEitherFormat(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return Status::IOError("cannot open " + path);
+  std::ostringstream buf;
+  buf << f.rdbuf();
+  const std::string bytes = buf.str();
+  return IsBinaryAdsData(bytes) ? ParseFlatAdsSetBinary(bytes)
+                                : ParseFlatAdsSet(bytes);
+}
+
 int CmdConvert(const Args& args) {
   std::string in = args.Get("in", "");
   std::string out = args.Get("out", "");
@@ -424,15 +460,14 @@ int CmdConvert(const Args& args) {
                  "no HIP section)\n");
     return 2;
   }
-  auto loaded = ReadFlatAdsSetFile(in);
+  auto loaded = ReadEitherFormat(in);
   if (!loaded.ok()) return Fail(loaded.status());
   FlatAdsSet set = std::move(loaded).value();
   if (strip_hip) {
     set.hip_tau.clear();
     set.hip_weight.clear();
   } else if (add_hip && !set.has_hip()) {
-    PrecomputeHipWeights(&set,
-                         static_cast<uint32_t>(args.GetInt("threads", 0)));
+    PrecomputeHipWeights(&set, ClampThreads(args.GetInt("threads", 0)));
   }
   Status s = WriteAdsSetFile(set, out, format);
   if (!s.ok()) return Fail(s);
@@ -479,23 +514,8 @@ void PrintTopTable(const TopKCollector& top, const std::string& kind) {
   t.PrintText(std::cout);
 }
 
-void PrintNodeQuery(const Args& args, uint64_t node,
-                    const HipEstimator& est) {
-  if (args.Has("distance")) {
-    double d = args.GetDouble("distance", 1.0);
-    std::printf("|N_%g(%llu)| ~ %.1f\n", d,
-                static_cast<unsigned long long>(node),
-                est.NeighborhoodCardinality(d));
-  } else {
-    std::printf("node %llu: reachable ~ %.1f, harmonic ~ %.2f, "
-                "distance sum ~ %.1f\n",
-                static_cast<unsigned long long>(node), est.ReachableCount(),
-                est.HarmonicCentrality(), est.DistanceSum());
-  }
-}
-
-// One open path for every input kind (plain v1/v2 file or shard
-// directory) and both storage modes. Sharded opens validate the manifest's
+// One open path for every input kind (v2 file or shard directory) and both
+// storage modes. Sharded opens validate the manifest's
 // file list up front, so a missing/truncated shard fails here — with a
 // clear message and nonzero exit — never as a partial sweep.
 StatusOr<std::unique_ptr<AdsBackend>> OpenServingBackend(const Args& args) {
@@ -516,7 +536,7 @@ StatusOr<std::unique_ptr<AdsBackend>> OpenServingBackend(const Args& args) {
   options.prefetch = prefetch != 0;
   options.prefetch_depth =
       prefetch == 0 ? 1 : static_cast<uint32_t>(prefetch);
-  return OpenAdsBackend(args.Get("sketches", "sketches.ads"), options);
+  return OpenAdsBackend(args.Get("sketches", "sketches.ads2"), options);
 }
 
 // Parses a comma-separated node list ("4,8,15"); nullopt on anything that
@@ -564,7 +584,7 @@ int ExecuteSpec(const Args& args, const std::vector<CollectorSpec>& spec,
   auto built = BuildPlanFromSpec(spec, plan);
   if (!built.ok()) return Fail(built.status());
   out->collectors = built.value();
-  uint32_t threads = static_cast<uint32_t>(args.GetInt("threads", 0));
+  const uint32_t threads = ClampThreads(args.GetInt("threads", 0));
   if (args.Has("remote")) {
     RemoteOptions remote = GetRemoteOptions(args);
     std::optional<ScopedTraceContext> trace_scope;
@@ -601,18 +621,12 @@ int ExecuteSpec(const Args& args, const std::vector<CollectorSpec>& spec,
   return 0;
 }
 
-// `query --remote`: point requests answered by a range server or fleet
-// router; the output format matches the local paths line for line. The
-// call goes through the single-server fleet wrapper, so --timeout-ms,
-// --retries and --hedge all apply.
-int RemotePointQuery(const Args& args, uint64_t node) {
-  RemoteOptions remote = GetRemoteOptions(args);
-  std::optional<ScopedTraceContext> trace_scope;
-  MaybeStartTrace(args, &trace_scope);
-  auto connected = ConnectSingleServerFleet(args.Get("remote", ""), remote);
-  if (!connected.ok()) return Fail(connected.status());
-  FleetRouter router = std::move(connected).value();
-  Deadline deadline = RemoteDeadline(remote);
+// `query --node`: one point request through a single-server fleet router
+// — over TCP with `--remote` (so --timeout-ms, --retries and --hedge all
+// apply), otherwise over a loopback channel into an in-process server —
+// printed the same way on both paths.
+int PointQuery(const Args& args, uint64_t node, FleetRouter& router,
+               const Deadline& deadline) {
   auto point = [&](const PointRequestMsg& request) {
     return router.Point(request, deadline);
   };
@@ -677,9 +691,8 @@ int RemotePointQuery(const Args& args, uint64_t node) {
   if (!response.ok()) return Fail(response.status());
   const std::vector<double>& values = response.value().values;
   // The server dispatches on whether d is infinite (the triple vs the
-  // single cardinality), so mirror that here — not the flag — to keep
-  // `--distance inf` byte-identical to the local path, where N_inf is the
-  // reachable count.
+  // single cardinality), so mirror that here — not the flag — and print
+  // `--distance inf` as N_inf, the reachable count.
   if (std::isinf(request.d)) {
     if (values.size() != 3) {
       return Fail(Status::Corruption("node-stats response size mismatch"));
@@ -722,73 +735,26 @@ int CmdQuery(const Args& args) {
     return 0;
   }
 
-  uint64_t node = args.GetInt("node", 0);
-  if (args.Has("remote")) return RemotePointQuery(args, node);
-
+  const uint64_t node = args.GetInt("node", 0);
+  if (args.Has("remote")) {
+    RemoteOptions remote = GetRemoteOptions(args);
+    std::optional<ScopedTraceContext> trace_scope;
+    MaybeStartTrace(args, &trace_scope);
+    auto connected = ConnectSingleServerFleet(args.Get("remote", ""), remote);
+    if (!connected.ok()) return Fail(connected.status());
+    return PointQuery(args, node, connected.value(), RemoteDeadline(remote));
+  }
   auto opened = OpenServingBackend(args);
   if (!opened.ok()) return Fail(opened.status());
-  const AdsBackend& set = *opened.value();
-  if (node >= set.num_nodes()) {
-    std::fprintf(stderr, "node %llu out of range (%zu nodes)\n",
-                 static_cast<unsigned long long>(node), set.num_nodes());
-    return 2;
-  }
-  auto view = set.ViewOf(static_cast<NodeId>(node));
-  if (!view.ok()) return Fail(view.status());
-
-  if (args.Has("lookup")) {
-    auto targets = ParseNodeList(args.Get("lookup", ""));
-    if (!targets.has_value()) {
-      std::fprintf(stderr, "bad --lookup list '%s' (want n1,n2,...)\n",
-                   args.Get("lookup", "").c_str());
-      return 2;
-    }
-    // Point lookups against ADS(node) through the node-sorted index
-    // (binary search instead of a linear sketch scan per target).
-    AdsNodeIndex index(view.value());
-    for (NodeId target : targets.value()) {
-      double d = index.DistanceOf(target);
-      if (d < 0.0) {
-        std::printf("node %llu: %u not sketched\n",
-                    static_cast<unsigned long long>(node), target);
-      } else {
-        std::printf("node %llu: d(%u) = %g\n",
-                    static_cast<unsigned long long>(node), target, d);
-      }
-    }
-    return 0;
-  }
-
-  if (args.Has("jaccard")) {
-    uint64_t other = args.GetInt("jaccard", 0);
-    if (other >= set.num_nodes()) {
-      std::fprintf(stderr, "node %llu out of range (%zu nodes)\n",
-                   static_cast<unsigned long long>(other), set.num_nodes());
-      return 2;
-    }
-    // Fetching the other node's view may evict the shard backing the
-    // first one (bounded residency), so pin a copy of the first sketch.
-    std::vector<AdsEntry> pinned(view.value().entries().begin(),
-                                 view.value().entries().end());
-    AdsView u_view{std::span<const AdsEntry>(pinned)};
-    auto other_view = set.ViewOf(static_cast<NodeId>(other));
-    if (!other_view.ok()) return Fail(other_view.status());
-    double d = args.GetDouble("distance",
-                              std::numeric_limits<double>::infinity());
-    double sup = set.ranks().sup();
-    double jaccard =
-        JaccardSimilarity(u_view, other_view.value(), d, set.k(), sup);
-    double uni = UnionCardinality(u_view, other_view.value(), d, set.k(), sup);
-    std::printf("J(%llu, %llu; d=%g) ~ %.4f, |intersection| ~ %.1f\n",
-                static_cast<unsigned long long>(node),
-                static_cast<unsigned long long>(other), d, jaccard,
-                jaccard * uni);
-    return 0;
-  }
-
-  HipEstimator est(view.value(), set.k(), set.flavor(), set.ranks());
-  PrintNodeQuery(args, node, est);
-  return 0;
+  AdsServerCore core(opened.value().get(), ServerOptions{});
+  const ChannelFactory loopback =
+      [&core](const std::string&) -> StatusOr<std::unique_ptr<Channel>> {
+    return std::unique_ptr<Channel>(std::make_unique<LoopbackChannel>(&core));
+  };
+  auto local = SingleServerFleet(args.Get("sketches", "sketches.ads2"),
+                                 core.Info(), loopback, RouterOptions{});
+  if (!local.ok()) return Fail(local.status());
+  return PointQuery(args, node, local.value(), Deadline());
 }
 
 double MeanOf(const std::vector<double>& values) {
@@ -1033,7 +999,7 @@ int CmdServe(const Args& args) {
   if (!opened.ok()) return Fail(opened.status());
   ServerOptions options;
   options.node_begin = static_cast<NodeId>(args.GetInt("node-begin", 0));
-  options.num_threads = static_cast<uint32_t>(args.GetInt("threads", 0));
+  options.num_threads = ClampThreads(args.GetInt("threads", 0));
   AdsServerCore core(opened.value().get(), options);
   TcpServerOptions tcp;
   tcp.port = static_cast<uint16_t>(args.GetInt("port", 7470));
@@ -1062,14 +1028,10 @@ int CmdRoute(const Args& args) {
   auto manifest = ReadFleetManifestFile(args.Get("fleet", "fleet.txt"));
   if (!manifest.ok()) return Fail(manifest.status());
   RemoteOptions remote = GetRemoteOptions(args);
-  RouterOptions router_options;
-  router_options.timeout_ms = remote.timeout_ms;
-  router_options.retries = remote.retries;
-  router_options.hedge = remote.hedge;
-  router_options.coalesce_window_us = remote.coalesce_us;
   auto connected = FleetRouter::Connect(
       std::move(manifest).value(),
-      TcpChannelFactory(RemoteChannelOptions(remote)), router_options);
+      TcpChannelFactory(RemoteChannelOptions(remote)),
+      RemoteRouterOptions(remote));
   if (!connected.ok()) return Fail(connected.status());
   FleetRouter router = std::move(connected).value();
   RouterCore core(&router);
