@@ -29,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -369,36 +370,30 @@ BENCHMARK(BM_PointLookupIndexed);
 // full benchmark run — and compares the K=6/K=1 CPU *ratios* against the
 // recorded baseline's. Ratios cancel out absolute machine speed, so the
 // check is safe on a slow 1-core CI box; a >30% ratio regression means the
-// per-statistic sweep cost genuinely grew and the step fails. On a shared
-// multi-core host one sweep's time drifts by tens of percent from run to
-// run, so both sides use a middle value: the baseline's median over its
-// repetitions, and here the median of per-round ratios, each round timing
-// all three sweeps back to back so a drift moves both sides of a ratio.
+// per-statistic sweep cost genuinely grew and the step fails.
 // ---------------------------------------------------------------------------
 
-// Wall time of one single-threaded fused sweep; negative on failure.
-double FusedSweepMs(const ShardedAdsSet& set, int64_t stats) {
-  SweepPlan plan;
-  AddCollectors(plan, stats);
-  auto start = std::chrono::steady_clock::now();
-  Status swept = RunSweep(set, plan, 1);
-  auto stop = std::chrono::steady_clock::now();
-  if (!swept.ok()) return -1.0;
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
+double TimeFusedSweepMs(const ShardedAdsSet& set, int64_t stats) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    SweepPlan plan;
+    AddCollectors(plan, stats);
+    auto start = std::chrono::steady_clock::now();
+    Status swept = RunSweep(set, plan, 1);
+    auto stop = std::chrono::steady_clock::now();
+    if (!swept.ok()) return -1.0;
+    best = std::min(
+        best,
+        std::chrono::duration<double, std::milli>(stop - start).count());
+  }
+  return best;
 }
 
 // Minimal extraction from google-benchmark's JSON output: the cpu_time
 // (already in ms; every bench here records with kMillisecond) of the named
-// benchmark — its median row when the baseline was recorded with
-// repetitions — or a negative value when absent.
+// benchmark, or a negative value when absent.
 double BaselineCpuMs(const std::string& json, const std::string& name) {
-  size_t pos = json.find("\"name\": \"" + name + "_median\"");
-  if (pos == std::string::npos) pos = json.find("\"name\": \"" + name + "\"");
+  size_t pos = json.find("\"name\": \"" + name + "\"");
   if (pos == std::string::npos) return -1.0;
   size_t cpu = json.find("\"cpu_time\":", pos);
   if (cpu == std::string::npos) return -1.0;
@@ -429,23 +424,14 @@ int PerfSmoke(const char* baseline_path) {
 
   const ShardedAdsSet& scan = SharedShardedSet();
   const ShardedAdsSet& hip = SharedShardedHipSet();
-  FusedSweepMs(scan, 1);  // warm the page cache and shard arenas
-  FusedSweepMs(hip, 1);
-  constexpr int kRounds = 9;
-  std::vector<double> t1s, t6s, th6s, ratio6, ratiohip6;
-  for (int round = 0; round < kRounds; ++round) {
-    const double t1 = FusedSweepMs(scan, 1);
-    const double t6 = FusedSweepMs(scan, 6);
-    const double th6 = FusedSweepMs(hip, 6);
-    if (t1 <= 0.0 || t6 <= 0.0 || th6 <= 0.0) {
-      std::fprintf(stderr, "perf-smoke: fused sweep failed\n");
-      return 2;
-    }
-    t1s.push_back(t1);
-    t6s.push_back(t6);
-    th6s.push_back(th6);
-    ratio6.push_back(t6 / t1);
-    ratiohip6.push_back(th6 / t1);
+  TimeFusedSweepMs(scan, 1);  // warm the page cache and shard arenas
+  TimeFusedSweepMs(hip, 1);
+  const double t1 = TimeFusedSweepMs(scan, 1);
+  const double t6 = TimeFusedSweepMs(scan, 6);
+  const double th6 = TimeFusedSweepMs(hip, 6);
+  if (t1 <= 0.0 || t6 <= 0.0 || th6 <= 0.0) {
+    std::fprintf(stderr, "perf-smoke: fused sweep failed\n");
+    return 2;
   }
 
   constexpr double kTolerance = 1.30;  // fail past a 30% ratio regression
@@ -456,8 +442,8 @@ int PerfSmoke(const char* baseline_path) {
     double baseline;
   };
   const Check checks[] = {
-      {"fused6/fused1", Median(ratio6), b6 / b1},
-      {"fusedhip6/fused1", Median(ratiohip6), bh6 / b1},
+      {"fused6/fused1", t6 / t1, b6 / b1},
+      {"fusedhip6/fused1", th6 / t1, bh6 / b1},
   };
   for (const Check& c : checks) {
     const bool ok = c.measured <= c.baseline * kTolerance;
@@ -466,9 +452,8 @@ int PerfSmoke(const char* baseline_path) {
     if (!ok) ++failures;
   }
   std::printf(
-      "perf-smoke: fused1 %.2fms fused6 %.2fms fusedhip6 %.2fms (wall, "
-      "medians of %d rounds)\n",
-      Median(t1s), Median(t6s), Median(th6s), kRounds);
+      "perf-smoke: fused1 %.2fms fused6 %.2fms fusedhip6 %.2fms (wall)\n",
+      t1, t6, th6);
   return failures == 0 ? 0 : 1;
 }
 

@@ -1254,6 +1254,39 @@ TEST(ServeTest, CliThreadsOverTheHardwareCountMatchOneThread) {
   EXPECT_EQ(ReadFile(dir.file("over.out")), one);
 }
 
+// `convert` is the one command that reads v1 text: a v2 sketch converted
+// to v1 and back is byte-equal to the original, and a serving command
+// refuses the v1 copy with exit 1 and nothing on stdout. A text `sketch`
+// without `--out` does not take the default `--sketches` name.
+TEST(ServeTest, CliConvertIsTheOnlyReaderOfV1Text) {
+  ScratchDir dir("hipads_serve_test_cli_convert");
+  const std::string graph = dir.file("g.txt");
+  ASSERT_TRUE(
+      WriteEdgeListFile(ErdosRenyi(50, 120, /*undirected=*/true, 3), graph)
+          .ok());
+  const std::string v2 = dir.file("s.ads2");
+  const std::string v1 = dir.file("s.ads");
+  const std::string back = dir.file("back.ads2");
+  const std::string out = dir.file("stdout.txt");
+  ASSERT_EQ(RunCli("sketch --graph " + graph + " --k 4 --out " + v2, out),
+            0);
+  ASSERT_EQ(RunCli("convert --in " + v2 + " --format text --out " + v1, out),
+            0);
+  ASSERT_EQ(RunCli("convert --in " + v1 + " --out " + back, out), 0);
+  const std::string original = ReadFile(v2);
+  EXPECT_FALSE(original.empty());
+  EXPECT_EQ(ReadFile(back), original);
+  EXPECT_EQ(RunCli("stats --sketches " + v1, out), 1);
+  EXPECT_EQ(FileSize(out), 0u);
+
+  const std::string in_dir = "cd " + dir.path + " && " + HIPADS_CLI_PATH +
+                             " sketch --graph g.txt --k 4 --format text" +
+                             " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(in_dir.c_str()), 0);
+  EXPECT_TRUE(std::filesystem::exists(dir.file("sketches.ads")));
+  EXPECT_FALSE(std::filesystem::exists(dir.file("sketches.ads2")));
+}
+
 // `sketch --k` takes 1 .. 2^32 - 1. Zero and values that would wrap in
 // uint32_t exit 2 and write no file, on both builder paths: DP for
 // unit-weight graphs, pruned Dijkstra for weighted ones.

@@ -119,8 +119,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <filesystem>
@@ -380,11 +380,15 @@ int CmdSketch(const Args& args) {
   // bit-identical for every thread count.
   const uint32_t threads =
       ClampThreads(args.GetInt("threads", HardwareThreads()));
-  std::string out = args.Get("out", "sketches.ads2");
   uint32_t shards = static_cast<uint32_t>(args.GetInt("shards", 0));
   std::string format_name = args.Get("format", "binary");
   AdsFileFormat format;
   if (!ParseFormatFlag(format_name, &format)) return 2;
+  // A v1 text copy is not a serving input, so it never takes the default
+  // --sketches name.
+  std::string out = args.Get(
+      "out", format == AdsFileFormat::kBinaryV2 ? "sketches.ads2"
+                                                : "sketches.ads");
   if (shards > 0 && args.Has("format") &&
       format != AdsFileFormat::kBinaryV2) {
     std::fprintf(stderr,
@@ -428,15 +432,26 @@ int CmdSketch(const Args& args) {
 }
 
 // `convert` is the one reader of both formats: the v2 magic tells them
-// apart.
+// apart. A v2 file goes to ReadFlatAdsSetFile, which reads it straight
+// into the arena; only v1 text is read into memory to be parsed.
 StatusOr<FlatAdsSet> ReadEitherFormat(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  const std::string bytes = buf.str();
-  return IsBinaryAdsData(bytes) ? ParseFlatAdsSetBinary(bytes)
-                                : ParseFlatAdsSet(bytes);
+  char magic[8];  // the v2 magic's length
+  f.read(magic, sizeof(magic));
+  if (IsBinaryAdsData(std::string_view(magic, f.gcount()))) {
+    return ReadFlatAdsSetFile(path);
+  }
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError("cannot read " + path);
+  std::string text(size, '\0');
+  f.clear();
+  f.seekg(0);
+  if (!f.read(text.data(), text.size())) {
+    return Status::IOError("cannot read " + path);
+  }
+  return ParseFlatAdsSet(text);
 }
 
 int CmdConvert(const Args& args) {
