@@ -102,20 +102,21 @@ BENCHMARK(BM_LocalUpdates)
     ->Args({1000, 16, 25})
     ->Unit(benchmark::kMillisecond);
 
-// Thread-count sweep for the rank-window pruned-Dijkstra builder. The
-// one-thread baselines are BM_PrunedDijkstra/4000/16 and /16000/16 (the
-// un-suffixed builder is the one-thread call); the determinism suite
-// guarantees every row computes the same sketches, so the timings are
-// directly comparable. Weighted graphs so the DP builder is not an option
-// (Algorithm 1's home turf). Run with --benchmark_out for the JSON
-// baseline. Scaling stays well below T: the frozen-window searches relax
-// ~1.36x as many arcs as the one-thread run, the price of their
-// independence.
-void BM_PrunedDijkstraParallel(benchmark::State& state) {
+// Thread-count sweep for the rank-window pruned builder. The one-thread
+// baselines of the weighted rows are BM_PrunedDijkstra/4000/16 and
+// /16000/16 (the un-suffixed builder is the one-thread call); the
+// determinism suite guarantees every row computes the same sketches, so the
+// timings are directly comparable. The weighted rows search by pruned
+// Dijkstra; the unweighted rows search by pruned BFS on the graph
+// BM_DpParallel uses, so the two unit-weight builders compare on one input.
+// Run with --benchmark_out for the JSON baseline. The frozen-window
+// searches relax more arcs than the one-thread run (the `relaxations`
+// counter), the price of their independence.
+void BM_PrunedDijkstraParallel(benchmark::State& state, bool weighted) {
   uint32_t threads = static_cast<uint32_t>(state.range(0));
   uint32_t n = static_cast<uint32_t>(state.range(1));
   uint32_t k = 16;
-  Graph g = MakeEr(n, 8, /*weighted=*/true);
+  Graph g = MakeEr(n, 8, weighted);
   auto ranks = RankAssignment::Uniform(1);
   AdsBuildStats stats;
   for (auto _ : state) {
@@ -128,11 +129,18 @@ void BM_PrunedDijkstraParallel(benchmark::State& state) {
   state.counters["exp entries/node"] = benchmark::Counter(
       ExpectedBottomKAdsSize(k, g.num_nodes()));
 }
+void BM_PrunedDijkstraParallel(benchmark::State& state) {
+  BM_PrunedDijkstraParallel(state, /*weighted=*/true);
+}
 BENCHMARK(BM_PrunedDijkstraParallel)
     ->Args({2, 4000})
     ->Args({4, 4000})
     ->Args({8, 4000})
     ->Args({4, 16000})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PrunedDijkstraParallel, unweighted, /*weighted=*/false)
+    ->Args({1, 8000})
+    ->Args({4, 8000})
     ->Unit(benchmark::kMillisecond);
 
 void BM_DpParallel(benchmark::State& state) {

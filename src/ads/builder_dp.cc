@@ -110,7 +110,7 @@ AdsSet BuildAdsDpParallel(const Graph& g, uint32_t k, SketchFlavor flavor,
   assert(g.IsUnitWeight() && "the DP builder requires an unweighted graph");
   ThreadPool pool(num_threads);
   return BuildAdsFromPasses(
-      g, k, flavor, ranks, stats,
+      g, k, flavor, ranks, stats, pool,
       [&](const BottomKPass& pass) { RunDpPass(pass, pool); });
 }
 

@@ -3,10 +3,13 @@
 #include <cassert>
 #include <numeric>
 
+#include "util/parallel.h"
+
 namespace hipads {
 
 AdsSet BuildAdsFromPasses(const Graph& g, uint32_t k, SketchFlavor flavor,
                           const RankAssignment& ranks, AdsBuildStats* stats,
+                          ThreadPool& pool,
                           const std::function<void(const BottomKPass&)>& pass) {
   assert(k >= 1);
   const Graph gt = g.Transpose();
@@ -37,8 +40,11 @@ AdsSet BuildAdsFromPasses(const Graph& g, uint32_t k, SketchFlavor flavor,
   set.flavor = flavor;
   set.k = k;
   set.ranks = ranks;
-  set.ads.reserve(n);
-  for (NodeId v = 0; v < n; ++v) set.ads.emplace_back(std::move(out[v]));
+  set.ads.resize(n);
+  // Each Ads sorts its node's entries into canonical order.
+  pool.ParallelFor(n, [&](size_t begin, size_t end, uint32_t) {
+    for (size_t v = begin; v < end; ++v) set.ads[v] = Ads(std::move(out[v]));
+  });
   return set;
 }
 

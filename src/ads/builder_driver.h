@@ -9,7 +9,7 @@
 // A builder supplies one bottom-k pass; BuildAdsFromPasses owns the rest:
 // the transpose the passes search, the Lemma 2.2 reservation of the
 // per-node outputs, each pass's source list, the pass loop and the AdsSet
-// assembly. Internal to the builder sources.
+// assembly on the builder's pool. Internal to the builder sources.
 
 #ifndef HIPADS_ADS_BUILDER_DRIVER_H_
 #define HIPADS_ADS_BUILDER_DRIVER_H_
@@ -23,6 +23,8 @@
 
 namespace hipads {
 
+class ThreadPool;
+
 /// One bottom-k pass: what it reads and where it appends its entries.
 struct BottomKPass {
   const Graph& gt;  // transpose of the input graph
@@ -35,9 +37,11 @@ struct BottomKPass {
   AdsBuildStats& stats;  // the caller's, or a discarded one; added to
 };
 
-/// Runs `pass` once per bottom-k pass of `flavor` and returns the sketches.
+/// Runs `pass` once per bottom-k pass of `flavor` and returns the sketches,
+/// each node's sorted into canonical order on `pool`.
 AdsSet BuildAdsFromPasses(const Graph& g, uint32_t k, SketchFlavor flavor,
                           const RankAssignment& ranks, AdsBuildStats* stats,
+                          ThreadPool& pool,
                           const std::function<void(const BottomKPass&)>& pass);
 
 /// Boundaries cutting `sorted` (items ordered by `.target`) into about

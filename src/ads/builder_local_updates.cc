@@ -198,7 +198,7 @@ AdsSet BuildAdsLocalUpdatesParallel(const Graph& g, uint32_t k,
                                     AdsBuildStats* stats) {
   assert(epsilon >= 0.0);
   ThreadPool pool(num_threads);
-  return BuildAdsFromPasses(g, k, flavor, ranks, stats,
+  return BuildAdsFromPasses(g, k, flavor, ranks, stats, pool,
                             [&](const BottomKPass& pass) {
                               RunLocalUpdatesPass(pass, epsilon, pool);
                             });

@@ -1,12 +1,18 @@
-// Algorithm 1: ADS construction via pruned Dijkstra searches.
+// Algorithm 1: ADS construction via pruned shortest-path searches.
 //
-// Nodes are processed in increasing rank order; a Dijkstra on the transpose
+// Nodes are processed in increasing rank order; a search on the transpose
 // graph from node u reaches every node v whose ADS u belongs to. Because all
 // previously inserted entries have rank at most u's, u belongs to ADS(v) iff
 // fewer than k current entries of ADS(v) are closer under the tie-broken
 // (distance, node id) order, and the search can be pruned at v otherwise
 // (anything beyond v is farther still). Every inserted entry is final:
 // later-processed nodes have larger ranks and cannot displace it.
+//
+// The search is a pruned Dijkstra on weighted graphs and a pruned BFS on
+// unit-weight ones. Whether u passes at v depends only on ADS(v)'s keys and
+// on (d, u), never on the order in which the nodes at one distance settle,
+// so the FIFO search settles, expands and prunes exactly the nodes the heap
+// would, at the same distances.
 //
 // Sources are processed in windows of consecutive ranks. A window of one
 // source is Algorithm 1's loop: the search inserts as it goes. A larger
@@ -18,14 +24,17 @@
 // exactly the same key state, so the accepted entries do not depend on how
 // sources were cut into windows. A window never splits a run of equal ranks:
 // an equal-rank source that is closer to v must be counted before u is
-// tested at v, which only the replay's order guarantees. See README.md's
-// threading-model section.
+// tested at v, which only the replay's order guarantees. The candidates are
+// grouped by target on the pool (a counting sort into buckets of
+// consecutive target ids), and each bucket sorts and replays its own
+// targets. See README.md's threading-model section.
 
 #include <algorithm>
 #include <queue>
 #include <utility>
 
 #include "ads/builder_driver.h"
+#include "graph/traversal.h"
 #include "util/parallel.h"
 
 namespace hipads {
@@ -36,6 +45,11 @@ namespace {
 // only asks whether k keys are closer, so each list keeps the k closest.
 using LexKey = std::pair<double, NodeId>;
 
+// Replay buckets per pool thread: enough that a bucket holding a hub's
+// candidates does not hold up the window, few enough that the per-(task,
+// bucket) counters stay O(threads^2), never O(threads x nodes).
+constexpr size_t kBucketsPerThread = 256;
+
 struct HeapItem {
   double dist;
   NodeId node;
@@ -45,22 +59,29 @@ struct HeapItem {
   }
 };
 
-// One thread's search state, reused across its searches: epoch-stamped
-// tentative distances (no O(n) re-initialization per search) and the heap.
-// Cache-line aligned: the heap's pointers change on every push and pop.
+// One task's search state, reused across its searches. `dist` is +inf for
+// every node outside a search; `reached` lists the nodes a search gave a
+// distance (the BFS queue itself, Dijkstra's touched list), and Reset puts
+// exactly those back, so no O(n) re-initialization and no counter to wrap.
+// Cache-line aligned: the heap's and the list's pointers change on every
+// push and pop.
 struct alignas(64) Scratch {
-  explicit Scratch(NodeId n) : dist(n, 0.0), epoch_of(n, 0) {}
+  explicit Scratch(NodeId n) : dist(n, kInfDist) {}
   std::vector<double> dist;
-  std::vector<uint32_t> epoch_of;
-  uint32_t epoch = 0;
+  std::vector<NodeId> reached;
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
 
-  bool Seen(NodeId v) const { return epoch_of[v] == epoch; }
-  void Set(NodeId v, double d) {
-    dist[v] = d;
-    epoch_of[v] = epoch;
+  void Reset() {
+    for (NodeId v : reached) dist[v] = kInfDist;
+    reached.clear();
   }
 };
+
+// True iff k keys of a key list are closer than `key`. A list keeps only
+// its k closest keys, so that is a test of its k-th key alone.
+bool Pruned(const std::vector<LexKey>& keys, uint32_t k, const LexKey& key) {
+  return keys.size() >= k && keys[k - 1] < key;
+}
 
 // How many keys in `keys` are closer than `key`: where `key` would go.
 size_t CloserKeys(const std::vector<LexKey>& keys, const LexKey& key) {
@@ -68,35 +89,64 @@ size_t CloserKeys(const std::vector<LexKey>& keys, const LexKey& key) {
                              keys.begin());
 }
 
-// The pruned Dijkstra from source `u` on the transpose. At each settled
+// The pruned searches from source `u` on the transpose. At each settled
 // node v, u passes iff fewer than k keys of ADS(v) are closer than (d, u);
-// then visit(v, d, closer) runs and the search expands v, otherwise it
-// prunes there. Returns the relaxations (out-degrees of expanded nodes).
+// then visit(v, d) runs and the search expands v, otherwise it prunes
+// there. Both return the relaxations (out-degrees of expanded nodes).
+
+// Unit weights: nodes settle in FIFO order, one distance level at a time.
 template <typename Visit>
-uint64_t PrunedSearch(const Graph& gt, uint32_t k, NodeId u,
-                      const std::vector<std::vector<LexKey>>& keys,
-                      Scratch& sc, const Visit& visit) {
+uint64_t PrunedBfs(const Graph& gt, uint32_t k, NodeId u,
+                   const std::vector<std::vector<LexKey>>& keys, Scratch& sc,
+                   const Visit& visit) {
   uint64_t relaxations = 0;
-  ++sc.epoch;
-  sc.Set(u, 0.0);
+  std::vector<NodeId>& queue = sc.reached;
+  sc.dist[u] = 0.0;
+  queue.push_back(u);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    const double d = sc.dist[v];
+    if (Pruned(keys[v], k, {d, u})) continue;  // settled but not expanded
+    visit(v, d);
+    relaxations += gt.OutDegree(v);
+    for (const Arc& a : gt.OutArcs(v)) {
+      if (sc.dist[a.head] == kInfDist) {
+        sc.dist[a.head] = d + 1.0;
+        queue.push_back(a.head);
+      }
+    }
+  }
+  sc.Reset();
+  return relaxations;
+}
+
+// Any non-negative weights.
+template <typename Visit>
+uint64_t PrunedDijkstra(const Graph& gt, uint32_t k, NodeId u,
+                        const std::vector<std::vector<LexKey>>& keys,
+                        Scratch& sc, const Visit& visit) {
+  uint64_t relaxations = 0;
   auto& heap = sc.heap;
+  sc.dist[u] = 0.0;
+  sc.reached.push_back(u);
   heap.push({0.0, u});
   while (!heap.empty()) {
     auto [d, v] = heap.top();
     heap.pop();
     if (sc.dist[v] < d) continue;  // stale
-    size_t closer = CloserKeys(keys[v], {d, u});
-    if (closer >= k) continue;  // prune: v settled but not expanded
-    visit(v, d, closer);
+    if (Pruned(keys[v], k, {d, u})) continue;  // settled but not expanded
+    visit(v, d);
     relaxations += gt.OutDegree(v);
     for (const Arc& a : gt.OutArcs(v)) {
       double nd = d + a.weight;
-      if (!sc.Seen(a.head) || nd < sc.dist[a.head]) {
-        sc.Set(a.head, nd);
+      if (nd < sc.dist[a.head]) {
+        if (sc.dist[a.head] == kInfDist) sc.reached.push_back(a.head);
+        sc.dist[a.head] = nd;
         heap.push({nd, a.head});
       }
     }
   }
+  sc.Reset();
   return relaxations;
 }
 
@@ -119,35 +169,54 @@ size_t WindowSize(size_t pos, uint32_t num_threads, uint32_t k) {
   return std::max<size_t>({num_threads, k, pos});
 }
 
-// One bottom-k pass. Phase A deals a window's sources to the pool's tasks
-// round-robin (source i -> task i % T; earlier sources explore more);
-// phase B sorts the candidates and replays them on target-aligned ranges,
-// each range mutating only its own targets' keys and outputs. Both phases
-// decompose by index, never by thread identity.
-void RunPrunedDijkstraPass(const BottomKPass& pass, ThreadPool& pool,
-                           std::vector<Scratch>& scratch) {
+// One bottom-k pass, searching by BFS iff `unit_weight`. Phase A deals a
+// window's sources to the pool's tasks round-robin (its j-th source ->
+// task j % T; earlier sources explore more), and each task counts its
+// candidates per bucket of consecutive targets. The grouping then scatters
+// every task's candidates to bucket-major offsets, and phase B sorts each
+// bucket by (target, rank, distance, source) and replays it, each bucket
+// mutating only its own targets' keys and outputs. Every step decomposes
+// by task or bucket index, never by thread identity.
+void RunPrunedDijkstraPass(const BottomKPass& pass, bool unit_weight,
+                           ThreadPool& pool, std::vector<Scratch>& scratch) {
   const uint32_t num_threads = pool.num_threads();
   const uint32_t k = pass.k;
+  const NodeId n = pass.gt.num_nodes();
   std::vector<std::pair<double, NodeId>> order;  // (rank, id), increasing
   order.reserve(pass.sources.size());
   for (NodeId u : pass.sources) {
     order.emplace_back(pass.ranks.rank(u, pass.perm), u);
   }
   std::sort(order.begin(), order.end());
-  std::vector<std::vector<LexKey>> keys(pass.gt.num_nodes());
+  std::vector<std::vector<LexKey>> keys(n);
 
-  // Inserts source order[i] into ADS(v) at distance d, after `closer` keys.
-  auto insert = [&](NodeId v, double d, size_t i, size_t closer) {
+  auto search = [&](size_t i, Scratch& sc, const auto& visit) {
+    const NodeId u = order[i].second;
+    return unit_weight ? PrunedBfs(pass.gt, k, u, keys, sc, visit)
+                       : PrunedDijkstra(pass.gt, k, u, keys, sc, visit);
+  };
+  // Inserts source order[i] into ADS(v) at distance d, unless k keys of
+  // ADS(v) are closer. Returns whether it did.
+  auto insert = [&](NodeId v, double d, size_t i) {
+    const LexKey key{d, order[i].second};
     std::vector<LexKey>& kl = keys[v];
-    kl.insert(kl.begin() + closer, LexKey{d, order[i].second});
+    if (Pruned(kl, k, key)) return false;
+    kl.insert(kl.begin() + CloserKeys(kl, key), key);
     if (kl.size() > k) kl.pop_back();
     pass.out[v].push_back(AdsEntry{order[i].second, pass.part, order[i].first,
                                    d});
+    return true;
   };
 
+  const size_t num_buckets = kBucketsPerThread * num_threads;
+  const NodeId bucket_width = static_cast<NodeId>(n / num_buckets + 1);
   std::vector<std::vector<WindowCandidate>> task_cands(num_threads);
   std::vector<uint64_t> task_relax(num_threads);
-  std::vector<WindowCandidate> candidates;
+  // Row t holds task t's count per bucket, then its scatter cursors.
+  std::vector<size_t> cursor(size_t{num_threads} * num_buckets);
+  std::vector<size_t> bucket_begin(num_buckets + 1);
+  std::vector<uint64_t> inserted(num_buckets);
+  std::vector<WindowCandidate> grouped;
   for (size_t pos = 0, stop = 0; pos < order.size(); pos = stop) {
     stop = std::min(order.size(), pos + WindowSize(pos, num_threads, k));
     while (stop < order.size() && order[stop].first == order[stop - 1].first) {
@@ -155,66 +224,68 @@ void RunPrunedDijkstraPass(const BottomKPass& pass, ThreadPool& pool,
     }
     ++pass.stats.rounds;
     if (stop - pos == 1) {
-      pass.stats.relaxations += PrunedSearch(
-          pass.gt, k, order[pos].second, keys, scratch[0],
-          [&](NodeId v, double d, size_t closer) {
-            insert(v, d, pos, closer);
-            ++pass.stats.insertions;
+      pass.stats.relaxations +=
+          search(pos, scratch[0], [&](NodeId v, double d) {
+            if (insert(v, d, pos)) ++pass.stats.insertions;
           });
       continue;
     }
 
-    // Phase A: frozen-state searches, candidates per task.
+    // Phase A: frozen-state searches, candidates and bucket counts per task.
     pool.RunTasks(num_threads, [&](size_t t) {
-      task_cands[t].clear();
+      std::vector<WindowCandidate>& cands = task_cands[t];
+      cands.clear();
       task_relax[t] = 0;
       for (size_t i = pos + t; i < stop; i += num_threads) {
-        task_relax[t] += PrunedSearch(
-            pass.gt, k, order[i].second, keys, scratch[t],
-            [&](NodeId v, double d, size_t) {
-              task_cands[t].push_back(
-                  WindowCandidate{v, static_cast<uint32_t>(i), d});
-            });
+        task_relax[t] += search(i, scratch[t], [&](NodeId v, double d) {
+          cands.push_back(WindowCandidate{v, static_cast<uint32_t>(i), d});
+        });
+      }
+      size_t* count = cursor.data() + t * num_buckets;
+      std::fill(count, count + num_buckets, 0);
+      for (const WindowCandidate& c : cands) ++count[c.target / bucket_width];
+    });
+    for (uint64_t relax : task_relax) pass.stats.relaxations += relax;
+
+    // Bucket-major offsets: bucket b holds task 0's candidates for it, then
+    // task 1's, and so on.
+    size_t total = 0;
+    for (size_t b = 0; b < num_buckets; ++b) {
+      bucket_begin[b] = total;
+      for (uint32_t t = 0; t < num_threads; ++t) {
+        size_t& at = cursor[t * num_buckets + b];
+        const size_t count = at;
+        at = total;
+        total += count;
+      }
+    }
+    bucket_begin[num_buckets] = total;
+    grouped.resize(total);
+    pool.RunTasks(num_threads, [&](size_t t) {
+      size_t* at = cursor.data() + t * num_buckets;
+      for (const WindowCandidate& c : task_cands[t]) {
+        grouped[at[c.target / bucket_width]++] = c;
       }
     });
-    candidates.clear();
-    for (uint32_t t = 0; t < num_threads; ++t) {
-      pass.stats.relaxations += task_relax[t];
-      candidates.insert(candidates.end(), task_cands[t].begin(),
-                        task_cands[t].end());
-    }
-    // By (target, src); src follows (rank, id).
-    std::sort(candidates.begin(), candidates.end(),
-              [](const WindowCandidate& a, const WindowCandidate& b) {
-                if (a.target != b.target) return a.target < b.target;
-                return a.src < b.src;
-              });
 
     // Phase B: replay the inclusion test per target in (rank, distance, id)
-    // order: a target's equal-rank candidates are first sorted by distance.
-    std::vector<size_t> bounds = TargetAlignedBounds(candidates, num_threads);
-    std::vector<uint64_t> inserted(bounds.size() - 1, 0);
-    pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t c) {
-      for (size_t j = begin; j < end;) {
-        size_t run = j + 1;  // one target's candidates of one rank
-        while (run < end && candidates[run].target == candidates[j].target &&
-               order[candidates[run].src].first ==
-                   order[candidates[j].src].first) {
-          ++run;
-        }
-        std::sort(candidates.begin() + j, candidates.begin() + run,
-                  [](const WindowCandidate& a, const WindowCandidate& b) {
-                    return a.dist != b.dist ? a.dist < b.dist : a.src < b.src;
-                  });
-        for (; j < run; ++j) {
-          const WindowCandidate& x = candidates[j];
-          size_t closer =
-              CloserKeys(keys[x.target], {x.dist, order[x.src].second});
-          if (closer >= k) continue;
-          insert(x.target, x.dist, x.src, closer);
-          ++inserted[c];
-        }
+    // order; source indices follow (rank, id).
+    pool.RunTasks(num_buckets, [&](size_t b) {
+      auto first = grouped.begin() + bucket_begin[b];
+      auto last = grouped.begin() + bucket_begin[b + 1];
+      std::sort(first, last,
+                [&](const WindowCandidate& x, const WindowCandidate& y) {
+                  if (x.target != y.target) return x.target < y.target;
+                  if (order[x.src].first != order[y.src].first) {
+                    return x.src < y.src;
+                  }
+                  return x.dist != y.dist ? x.dist < y.dist : x.src < y.src;
+                });
+      uint64_t count = 0;
+      for (; first != last; ++first) {
+        if (insert(first->target, first->dist, first->src)) ++count;
       }
+      inserted[b] = count;
     });
     for (uint64_t count : inserted) pass.stats.insertions += count;
   }
@@ -229,9 +300,11 @@ AdsSet BuildAdsPrunedDijkstraParallel(const Graph& g, uint32_t k,
                                       AdsBuildStats* stats) {
   ThreadPool pool(num_threads);
   std::vector<Scratch> scratch(pool.num_threads(), Scratch(g.num_nodes()));
-  return BuildAdsFromPasses(g, k, flavor, ranks, stats,
+  const bool unit_weight = g.IsUnitWeight();
+  return BuildAdsFromPasses(g, k, flavor, ranks, stats, pool,
                             [&](const BottomKPass& pass) {
-                              RunPrunedDijkstraPass(pass, pool, scratch);
+                              RunPrunedDijkstraPass(pass, unit_weight, pool,
+                                                    scratch);
                             });
 }
 

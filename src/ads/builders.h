@@ -4,8 +4,9 @@
 // (graph, ranks, k, flavor) inputs, for every rank kind and thread count:
 //
 //   * PrunedDijkstra (Algorithm 1): processes nodes by increasing rank, runs
-//     a pruned Dijkstra from each on the transpose graph. Works on weighted
-//     and unweighted graphs; every inserted entry is final.
+//     a pruned search from each on the transpose graph: BFS when every arc
+//     weight is 1, Dijkstra otherwise. Works on weighted and unweighted
+//     graphs; every inserted entry is final.
 //   * DP (Palmer et al. / Boldi et al. style): synchronized Bellman-Ford
 //     rounds; unweighted graphs only; entries inserted by increasing
 //     distance are final.
@@ -16,8 +17,8 @@
 //
 // Each builder has one bottom-k pass, used at every thread count; a shared
 // driver runs it once per pass of the flavor (one for bottom-k, k for
-// k-mins and k-partition) and assembles the AdsSet. The un-suffixed entry
-// points are the *Parallel ones at one thread.
+// k-mins and k-partition) and assembles the AdsSet on the builder's thread
+// pool. The un-suffixed entry points are the *Parallel ones at one thread.
 //
 // Ties: the sketches follow Ads::CanonicalBottomK. An entry is kept iff
 // fewer than k kept entries that are closer under the (distance, node id)
@@ -54,12 +55,15 @@ AdsSet BuildAdsPrunedDijkstra(const Graph& g, uint32_t k, SketchFlavor flavor,
                               const RankAssignment& ranks,
                               AdsBuildStats* stats = nullptr);
 
-/// Algorithm 1 over windows of sources in increasing rank. At one thread a
-/// window is one source whose search inserts as it goes. At T threads the
-/// first window holds max(T, k) sources and each later one as many as all
-/// earlier ones; its sources search in parallel against the frozen state of
-/// the previous windows, and the candidate entries are then replayed per
-/// target in (rank, distance, node id) order through the inclusion test.
+/// Algorithm 1 over windows of sources in increasing rank. The searches are
+/// BFS on a unit-weight graph and Dijkstra otherwise; both settle the same
+/// nodes at the same distances. At one thread a window is one source whose
+/// search inserts as it goes. At T threads the first window holds max(T, k)
+/// sources and each later one as many as all earlier ones; its sources
+/// search in parallel against the frozen state of the previous windows, and
+/// the candidate entries are then grouped by target on the pool and
+/// replayed per target in (rank, distance, node id) order through the
+/// inclusion test.
 /// No window splits a run of equal ranks. The frozen-state pruning explores
 /// a bounded amount more, but the replay makes the same decisions, so the
 /// output is bit-identical for every thread count. `num_threads` = 0 uses

@@ -131,6 +131,58 @@ TEST(ParallelPrunedDijkstraTest, InsertionCountMatchesSequential) {
   EXPECT_GT(par_stats.rounds, 0u);
 }
 
+// A unit-weight graph is searched by pruned BFS, the same topology with
+// every arc weight 2.0 by pruned Dijkstra. Both must keep the same entries
+// (distances doubled, exactly) after the same work, at every thread count.
+// R-MAT's hubs give targets candidates from every task of a window.
+TEST(ParallelPrunedDijkstraTest, UnitWeightBfsMatchesDijkstraOnTheSameTopology) {
+  const Graph unit = Rmat(10, 8, 5, /*undirected=*/true);
+  ASSERT_TRUE(unit.IsUnitWeight());
+  std::vector<Edge> edges = unit.ToEdgeList();
+  for (Edge& e : edges) e.weight = 2.0;
+  const Graph doubled(unit.num_nodes(), edges, /*undirected=*/false);
+  ASSERT_EQ(doubled.num_arcs(), unit.num_arcs());
+
+  for (SketchFlavor flavor : AllFlavors()) {
+    const uint32_t k = flavor == SketchFlavor::kBottomK ? 16 : 4;
+    for (bool base2 : {false, true}) {
+      auto ranks = base2 ? RankAssignment::BaseB(3, 2.0)
+                         : RankAssignment::Uniform(3);
+      AdsSet one_thread;
+      for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+        const std::string label = std::string(FlavorName(flavor)) +
+                                  (base2 ? " base-2" : " uniform") +
+                                  " threads " + std::to_string(threads);
+        AdsBuildStats bfs_stats, dijkstra_stats;
+        AdsSet bfs = BuildAdsPrunedDijkstraParallel(unit, k, flavor, ranks,
+                                                    threads, &bfs_stats);
+        AdsSet dijkstra = BuildAdsPrunedDijkstraParallel(
+            doubled, k, flavor, ranks, threads, &dijkstra_stats);
+        ASSERT_EQ(bfs.ads.size(), dijkstra.ads.size()) << label;
+        for (NodeId v = 0; v < bfs.ads.size(); ++v) {
+          const auto& eb = bfs.of(v).entries();
+          const auto& ed = dijkstra.of(v).entries();
+          ASSERT_EQ(eb.size(), ed.size()) << label << " node " << v;
+          for (size_t i = 0; i < eb.size(); ++i) {
+            EXPECT_EQ(eb[i].node, ed[i].node) << label << " node " << v;
+            EXPECT_EQ(eb[i].part, ed[i].part) << label << " node " << v;
+            EXPECT_EQ(eb[i].rank, ed[i].rank) << label << " node " << v;
+            EXPECT_EQ(2.0 * eb[i].dist, ed[i].dist) << label << " node " << v;
+          }
+        }
+        EXPECT_EQ(bfs_stats.relaxations, dijkstra_stats.relaxations) << label;
+        EXPECT_EQ(bfs_stats.insertions, dijkstra_stats.insertions) << label;
+        EXPECT_EQ(bfs_stats.rounds, dijkstra_stats.rounds) << label;
+        if (threads == 1) {
+          one_thread = std::move(bfs);
+        } else {
+          ExpectIdenticalAdsSet(one_thread, bfs, label);
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelLocalUpdatesTest, BitIdenticalAcrossThreadCounts) {
   for (const TestGraph& tg : TestGraphs()) {
     for (SketchFlavor flavor : AllFlavors()) {

@@ -411,11 +411,8 @@ int CmdSketch(const Args& args) {
   // HIP precompute, whose weight arrays align with the arena) takes the
   // flat arena.
   AdsBuildStats stats;
-  FlatAdsSet flat = FlatAdsSet::FromAdsSet(
-      g.IsUnitWeight()
-          ? BuildAdsDpParallel(g, k, flavor, ranks, threads, &stats)
-          : BuildAdsPrunedDijkstraParallel(g, k, flavor, ranks, threads,
-                                           &stats));
+  FlatAdsSet flat = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstraParallel(
+      g, k, flavor, ranks, threads, &stats));
   if (add_hip) PrecomputeHipWeights(&flat, threads);
   Status s = shards > 0 ? WriteShardedAdsSet(flat, out, shards)
                         : WriteAdsSetFile(flat, out, format);
