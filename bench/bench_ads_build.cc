@@ -9,8 +9,8 @@
 #include <cmath>
 
 #include "ads/builders.h"
+#include "ads/estimators.h"
 #include "ads/flat_ads.h"
-#include "ads/hip.h"
 #include "ads/queries.h"
 #include "bench_common.h"
 #include "graph/generators.h"
@@ -184,8 +184,8 @@ void BM_HipQueryThroughput(benchmark::State& state) {
   AdsSet set = BuildAdsDp(g, k, SketchFlavor::kBottomK, ranks);
   NodeId v = 0;
   for (auto _ : state) {
-    auto hip = ComputeHipWeights(set.of(v), k, SketchFlavor::kBottomK, ranks);
-    benchmark::DoNotOptimize(hip.data());
+    HipEstimator hip(set.of(v), k, SketchFlavor::kBottomK, ranks);
+    benchmark::DoNotOptimize(hip.ReachableCount());
     v = (v + 1) % g.num_nodes();
   }
   state.counters["ads entries"] = benchmark::Counter(

@@ -235,12 +235,13 @@ BENCHMARK(BM_MultiStatSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Unit(
 
 // ---------------------------------------------------------------------------
 // CLAIM-HIP-RESIDENT: the per-node HIP estimator cost, per entry, for the
-// three ways of obtaining the adjusted weights — a fresh allocating scan
-// (what the estimator did before HipScratch), the allocation-free scan
-// into a reusable scratch, and wrapping precomputed storage-resident
-// arrays (tentpole: no scan at all, just pointer arithmetic). All three
-// produce bitwise identical statistics; the recorded baseline quantifies
-// what precomputation saves per query.
+// three ways of obtaining the adjusted weights — the owning scan (copies
+// the entries and allocates its arrays per node), the scan into a reused
+// scratch (the sweep's and server's fallback when a store has no HIP
+// section), and wrapping precomputed storage-resident arrays (no scan at
+// all, just pointer arithmetic). All three produce bitwise identical
+// statistics; the recorded baseline quantifies what precomputation saves
+// per query.
 // ---------------------------------------------------------------------------
 
 const FlatAdsSet& SharedHipSet(uint32_t n) {
@@ -275,7 +276,8 @@ void BM_HipScanScratch(benchmark::State& state) {
   for (auto _ : state) {
     double sum = 0.0;
     for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      HipEstimator est(set.of(v), set.k, set.flavor, set.ranks, &scratch);
+      HipEstimator est(set.of(v), HipView{}, set.k, set.flavor, set.ranks,
+                       &scratch);
       sum += est.HarmonicCentrality();
     }
     benchmark::DoNotOptimize(sum);

@@ -127,8 +127,10 @@ class Ads {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Read view of this ADS (the interface all estimators consume).
+  /// Read view of this ADS (the interface all estimators consume). An Ads
+  /// converts to it implicitly, so every AdsView function takes an Ads.
   AdsView view() const { return AdsView(entries_); }
+  operator AdsView() const { return view(); }
 
   /// Appends an entry that is known to follow all current entries in
   /// canonical order (builders emit entries in scan order).

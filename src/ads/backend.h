@@ -33,21 +33,10 @@
 #include <string>
 
 #include "ads/flat_ads.h"
+#include "ads/hip.h"
 #include "util/status.h"
 
 namespace hipads {
-
-/// Pointers to one node's precomputed HIP weights: tau[i]/weight[i] belong
-/// to entry i of the node's AdsView (hip.h's aligned layout, including the
-/// k-mins zero-slot convention). present() is false when the backing store
-/// carries no HIP section — callers then fall back to the scan. Pointer
-/// validity follows the producing backend's residency rules.
-struct HipView {
-  const double* tau = nullptr;
-  const double* weight = nullptr;
-
-  bool present() const { return tau != nullptr; }
-};
 
 /// Non-owning CSR view of one contiguous node range's sketches: local node
 /// i (global node begin + i) owns entries [offsets[i], offsets[i+1]) of the

@@ -8,28 +8,32 @@
 
 namespace hipads {
 
-HipEstimator::HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
-                           const RankAssignment& ranks)
-    : owned_(ComputeHipWeights(ads, k, flavor, ranks)) {}
+struct HipEstimator::Owned {
+  std::vector<AdsEntry> entries;
+  HipScratch scan;  // its arrays are the estimator's
+};
 
 HipEstimator::HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
-                           const RankAssignment& ranks, HipScratch* scratch)
-    : borrowed_(ComputeHipWeightsInto(ads, k, flavor, ranks, scratch)) {}
+                           const RankAssignment& ranks) {
+  auto owned = std::make_shared<Owned>();
+  owned->entries.assign(ads.entries().begin(), ads.entries().end());
+  *this = HipEstimator(AdsView(owned->entries), HipView{}, k, flavor, ranks,
+                       &owned->scan);
+  owned_ = std::move(owned);
+}
 
-HipEstimator::HipEstimator(AdsView ads, const double* tau,
-                           const double* weight)
-    : pre_entries_(ads.entries().data()),
-      pre_tau_(tau),
-      pre_weight_(weight),
-      pre_size_(ads.entries().size()) {}
-
-size_t HipEstimator::NumEntries() const {
-  size_t n = 0;
-  ForEachUntil([&n](const HipEntry&) {
-    ++n;
-    return true;
-  });
-  return n;
+HipEstimator::HipEstimator(AdsView ads, HipView hip, uint32_t k,
+                           SketchFlavor flavor, const RankAssignment& ranks,
+                           HipScratch* scratch)
+    : entries_(ads.entries().data()), size_(ads.size()) {
+  if (!hip.present()) {
+    scratch->arrays.resize(2 * size_);
+    double* tau = scratch->arrays.data();
+    ComputeHipWeightsAligned(ads, k, flavor, ranks, scratch, tau, tau + size_);
+    hip = HipView{tau, tau + size_};
+  }
+  tau_ = hip.tau;
+  weight_ = hip.weight;
 }
 
 std::vector<HipEntry> HipEstimator::CopyEntries() const {
@@ -42,9 +46,6 @@ std::vector<HipEntry> HipEstimator::CopyEntries() const {
 }
 
 double HipEstimator::NeighborhoodCardinality(double d) const {
-  // Ordered fold over entries with dist <= d: the additions happen in the
-  // exact sequence the scan emits weights, so the partial sum equals the
-  // old prefix-sum lookup bit for bit.
   double sum = 0.0;
   ForEachUntil([&sum, d](const HipEntry& e) {
     if (e.dist > d) return false;
@@ -143,7 +144,7 @@ double AdsSizeCardinality(AdsView ads, double d, uint32_t k) {
 }
 
 PermutationCardinalityEstimator::PermutationCardinalityEstimator(
-    const Ads& ads, uint32_t k, uint64_t n)
+    AdsView ads, uint32_t k, uint64_t n)
     : k_(k), n_(n) {
   // Replay the ADS entries as the stream of sketch updates they are
   // (Section 5.4): the first k updates have weight 1; afterwards each update
@@ -194,7 +195,7 @@ double PermutationCardinalityEstimator::NeighborhoodCardinality(
   return estimate;
 }
 
-double NaiveQgEstimate(const Ads& ads, uint32_t k,
+double NaiveQgEstimate(AdsView ads, uint32_t k,
                        const std::function<double(NodeId, double)>& g) {
   // The k smallest-rank entries of the ADS (over all distances) are the
   // bottom-k MinHash sample of the reachable set.

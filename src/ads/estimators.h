@@ -18,35 +18,33 @@
 #define HIPADS_ADS_ESTIMATORS_H_
 
 #include <functional>
-#include <span>
+#include <memory>
+#include <vector>
 
 #include "ads/ads.h"
 #include "ads/hip.h"
 
 namespace hipads {
 
-/// HIP estimates over one ADS. Three construction modes share one query
-/// surface and produce bitwise-identical estimates:
+/// HIP estimates over one ADS. The estimator walks the node's entries
+/// beside per-entry tau/weight arrays aligned with them (hip.h's layout:
+/// a k-mins run's weight sits at its first entry, zeros at the rest) and
+/// skips tau == 0 slots, so it visits one adjusted weight per sketched node
+/// in increasing distance order. Three constructors supply the arrays, and
+/// all three give bitwise-identical estimates:
 ///
-///   * scan (owning)     — runs the increasing-distance scan and owns the
-///                         resulting HipEntry vector (the original API).
-///   * scan (scratch)    — the same scan into a caller-owned HipScratch;
-///                         allocation-free in the steady state. The
-///                         estimator borrows the scratch's entries, so it
-///                         is valid only until the scratch's next scan.
-///   * precomputed       — wraps per-entry tau/weight arrays aligned with
-///                         the ADS entries (a file's HIP section or
-///                         PrecomputeHipWeights output): no scan, no
-///                         allocation, construction is three pointer
-///                         assignments. Iteration skips tau == 0 sentinel
-///                         slots (non-first members of a k-mins run), which
-///                         reproduces the scan's grouped entry sequence
-///                         exactly.
+///   * (ads, k, flavor, ranks) scans, and owns a copy of the entries and
+///     the arrays, so it may outlive `ads`; its copies share them.
+///   * (ads, tau, weight) wraps stored arrays (a file's HIP section or
+///     PrecomputeHipWeights output): no scan, no allocation.
+///   * (ads, hip, k, flavor, ranks, scratch) wraps `hip` when present and
+///     otherwise scans into `scratch` (allocation-free once warm). It is
+///     the one place the stored-or-scan choice is made.
 ///
-/// Queries are one ordered pass over the adjusted weights (cardinalities
-/// early-exit at the distance bound). Every query folds weights in the
-/// same order the scan emits them, so switching modes never changes a
-/// single bit of any estimate.
+/// The last two borrow: the view's entries, the arrays and the scratch must
+/// stay valid, and the scratch unscanned, while the estimator or a copy of
+/// it is used. Queries are one ordered fold over the adjusted weights
+/// (cardinalities early-exit at the distance bound).
 class HipEstimator {
  public:
   /// Scans an AdsView: one node's entries, owned by an Ads or sliced out
@@ -54,24 +52,18 @@ class HipEstimator {
   HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks);
 
-  HipEstimator(const Ads& ads, uint32_t k, SketchFlavor flavor,
-               const RankAssignment& ranks)
-      : HipEstimator(ads.view(), k, flavor, ranks) {}
+  /// Wraps per-entry tau/weight arrays aligned with `ads`'s entries,
+  /// produced by ComputeHipWeightsAligned for the SAME build parameters.
+  HipEstimator(AdsView ads, const double* tau, const double* weight)
+      : entries_(ads.entries().data()),
+        tau_(tau),
+        weight_(weight),
+        size_(ads.size()) {}
 
-  /// Scratch-scan mode: the identical scan, written into `scratch` instead
-  /// of a fresh allocation. The estimator (and its copies) borrows
-  /// scratch->entries — valid until the scratch is scanned again or
-  /// destroyed.
-  HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
+  /// Wraps the node's stored weights when `hip.present()`, else scans
+  /// `ads` into `scratch` and borrows its arrays.
+  HipEstimator(AdsView ads, HipView hip, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks, HipScratch* scratch);
-
-  /// Precomputed mode: adopts per-entry tau/weight arrays aligned with
-  /// `ads`'s entries (hip.h's aligned layout). No scan runs; the arrays
-  /// and the view's entries must stay valid for the estimator's lifetime
-  /// (they do for mmap'd sections and FlatAdsSet arrays). The arrays must
-  /// have been produced by ComputeHipWeightsAligned for the SAME build
-  /// parameters — estimates are then bitwise equal to a fresh scan.
-  HipEstimator(AdsView ads, const double* tau, const double* weight);
 
   /// Estimate of the d-neighborhood cardinality n_d = |N_d(v)| — the sum of
   /// adjusted weights of sketched nodes within distance d (Section 5).
@@ -108,9 +100,7 @@ class HipEstimator {
   double DistanceQuantile(double q) const;
 
   /// Applies fn(const HipEntry&) to every adjusted weight in increasing
-  /// distance order — the one iteration surface all modes share (the
-  /// precomputed walk synthesizes the grouped entries on the fly, so there
-  /// is no stored vector to hand out).
+  /// distance order.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
     ForEachUntil([&fn](const HipEntry& e) {
@@ -119,45 +109,29 @@ class HipEstimator {
     });
   }
 
-  /// Number of adjusted weights (grouped entries, not raw ADS entries).
-  size_t NumEntries() const;
-
-  /// Materializes the grouped entry sequence (test/debug convenience; the
+  /// Materializes the walked entry sequence (test/debug convenience; the
   /// query paths never need it).
   std::vector<HipEntry> CopyEntries() const;
 
  private:
-  /// Ordered walk with early exit: fn returns false to stop. Precomputed
-  /// mode skips tau == 0 slots; the other modes iterate the grouped
-  /// vector/span directly.
+  /// The one walk, with early exit: fn returns false to stop.
   template <typename Fn>
   void ForEachUntil(Fn&& fn) const {
-    if (pre_tau_ != nullptr) {
-      for (size_t i = 0; i < pre_size_; ++i) {
-        if (pre_tau_[i] == 0.0) continue;
-        if (!fn(HipEntry{pre_entries_[i].node, pre_entries_[i].dist,
-                         pre_tau_[i], pre_weight_[i]})) {
-          return;
-        }
+    for (size_t i = 0; i < size_; ++i) {
+      if (tau_[i] == 0.0) continue;
+      if (!fn(HipEntry{entries_[i].node, entries_[i].dist, tau_[i],
+                       weight_[i]})) {
+        return;
       }
-      return;
-    }
-    std::span<const HipEntry> entries =
-        borrowed_.data() != nullptr ? borrowed_
-                                    : std::span<const HipEntry>(owned_);
-    for (const HipEntry& e : entries) {
-      if (!fn(e)) return;
     }
   }
 
-  // Scan modes: the grouped entries, owned or borrowed from a HipScratch.
-  std::vector<HipEntry> owned_;          // increasing distance
-  std::span<const HipEntry> borrowed_;   // non-null data() = scratch mode
-  // Precomputed mode: entry arena + aligned weight arrays (borrowed).
-  const AdsEntry* pre_entries_ = nullptr;
-  const double* pre_tau_ = nullptr;      // non-null = precomputed mode
-  const double* pre_weight_ = nullptr;
-  size_t pre_size_ = 0;
+  struct Owned;                         // the scanning constructor's copies
+  std::shared_ptr<const Owned> owned_;  // null when borrowing
+  const AdsEntry* entries_ = nullptr;
+  const double* tau_ = nullptr;
+  const double* weight_ = nullptr;
+  size_t size_ = 0;
 };
 
 /// Basic (pre-HIP) neighborhood cardinality estimate: the Section 4
@@ -165,11 +139,6 @@ class HipEstimator {
 /// N_d(v). Requires uniform ranks.
 double AdsBasicCardinality(AdsView ads, double d, uint32_t k,
                            SketchFlavor flavor, double sup = 1.0);
-
-inline double AdsBasicCardinality(const Ads& ads, double d, uint32_t k,
-                                  SketchFlavor flavor, double sup = 1.0) {
-  return AdsBasicCardinality(ads.view(), d, k, flavor, sup);
-}
 
 /// The unique unbiased cardinality estimator based only on the number of
 /// ADS entries within distance d (Lemma 8.1):
@@ -180,16 +149,12 @@ double SizeEstimatorValue(uint64_t s, uint32_t k);
 /// Applies SizeEstimatorValue to |{entries with dist <= d}|.
 double AdsSizeCardinality(AdsView ads, double d, uint32_t k);
 
-inline double AdsSizeCardinality(const Ads& ads, double d, uint32_t k) {
-  return AdsSizeCardinality(ads.view(), d, k);
-}
-
 /// Section 5.4 permutation cardinality estimator. The ADS must have been
 /// built with RankAssignment::Permutation over all n nodes (bottom-k
 /// flavor). Tighter than HIP when the queried cardinality exceeds ~0.2 n.
 class PermutationCardinalityEstimator {
  public:
-  PermutationCardinalityEstimator(const Ads& ads, uint32_t k, uint64_t n);
+  PermutationCardinalityEstimator(AdsView ads, uint32_t k, uint64_t n);
 
   /// Estimate of n_d(v).
   double NeighborhoodCardinality(double d) const;
@@ -209,7 +174,7 @@ class PermutationCardinalityEstimator {
 /// smallest-rank reachable nodes form a uniform sample; each of the k-1
 /// retained samples is weighted by 1/tau_k. Unbiased, but its variance is
 /// ~ (n/k) sum g^2 instead of HIP's distance-local bound (Cor. 5.3).
-double NaiveQgEstimate(const Ads& ads, uint32_t k,
+double NaiveQgEstimate(AdsView ads, uint32_t k,
                        const std::function<double(NodeId, double)>& g);
 
 }  // namespace hipads

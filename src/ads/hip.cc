@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "util/parallel.h"
 
@@ -33,63 +34,27 @@ double InclusionProbability(double tau, double beta, RankKind kind) {
   return 1.0;
 }
 
-// The kernels below scan one node's canonical-order entry span. They are
-// templates over the output `Sink`, called once per adjusted weight as
-// sink(first, end, node, dist, tau, weight) where [first, end) is the run
-// of entry indices the weight covers — a single entry for bottom-k and
-// k-partition, the same-(dist, node) run for k-mins. One sink appends
-// grouped HipEntry records (the scan API), the other writes the per-entry
-// aligned arrays the binary format stores; both see the identical call
-// sequence, which is what makes precomputed == scanned a bitwise identity.
+// The kernels below scan one node's canonical-order entry span and write
+// each adjusted weight into the aligned arrays at the first entry it
+// covers: every entry for bottom-k and k-partition, the first of each
+// same-(dist, node) run for k-mins, whose other members get zeros.
 
-// Appends one grouped HipEntry per weight.
-struct EntrySink {
-  std::vector<HipEntry>* out;
-  void operator()(size_t first, size_t end, NodeId node, double dist,
-                  double tau, double weight) const {
-    (void)first;
-    (void)end;
-    out->push_back(HipEntry{node, dist, tau, weight});
-  }
-};
-
-// Writes per-entry arrays aligned with the entry sequence: the weight at
-// the run's first index, explicit zeros at the remaining members (k-mins
-// only; other flavors always get single-entry runs).
-struct AlignedSink {
-  double* tau;
-  double* weight;
-  void operator()(size_t first, size_t end, NodeId node, double dist,
-                  double t, double w) const {
-    (void)node;
-    (void)dist;
-    tau[first] = t;
-    weight[first] = w;
-    for (size_t i = first + 1; i < end; ++i) {
-      tau[i] = 0.0;
-      weight[i] = 0.0;
-    }
-  }
-};
-
-template <typename Sink>
 void BottomKHip(std::span<const AdsEntry> ads, const RankAssignment& ranks,
-                BottomKSketch* closer, Sink&& sink) {
+                BottomKSketch* closer, double* tau, double* weight) {
   // closer holds the ranks of nodes scanned so far.
   for (size_t i = 0; i < ads.size(); ++i) {
-    double tau = closer->Threshold();
-    double p = InclusionProbability(tau, ranks.beta(ads[i].node),
-                                    ranks.kind());
+    double p = InclusionProbability(closer->Threshold(),
+                                    ranks.beta(ads[i].node), ranks.kind());
     assert(p > 0.0);
-    sink(i, i + 1, ads[i].node, ads[i].dist, p, 1.0 / p);
+    tau[i] = p;
+    weight[i] = 1.0 / p;
     closer->Update(ads[i].rank);
   }
 }
 
-template <typename Sink>
 void KMinsHip(std::span<const AdsEntry> ads, uint32_t k,
               const RankAssignment& ranks, std::vector<double>& mins,
-              Sink&& sink) {
+              double* tau, double* weight) {
   // Same-node entries (one per permutation) share a single adjusted weight.
   // In canonical (dist, node, part) order — the invariant every storage
   // engine maintains — a node's entries form one contiguous run (they all
@@ -110,9 +75,12 @@ void KMinsHip(std::span<const AdsEntry> ads, uint32_t k,
     for (uint32_t h = 0; h < k; ++h) {
       prod *= 1.0 - InclusionProbability(mins[h], beta, ranks.kind());
     }
-    double tau = 1.0 - prod;
-    assert(tau > 0.0);
-    sink(i, j, ads[i].node, ads[i].dist, tau, 1.0 / tau);
+    double t = 1.0 - prod;
+    assert(t > 0.0);
+    tau[i] = t;
+    weight[i] = 1.0 / t;
+    std::fill(tau + i + 1, tau + j, 0.0);
+    std::fill(weight + i + 1, weight + j, 0.0);
     for (size_t idx = i; idx < j; ++idx) {
       mins[ads[idx].part] = std::min(mins[ads[idx].part], ads[idx].rank);
     }
@@ -120,10 +88,9 @@ void KMinsHip(std::span<const AdsEntry> ads, uint32_t k,
   }
 }
 
-template <typename Sink>
 void KPartitionHip(std::span<const AdsEntry> ads, uint32_t k,
                    const RankAssignment& ranks, std::vector<double>& mins,
-                   Sink&& sink) {
+                   double* tau, double* weight) {
   const bool weighted = ranks.kind() == RankKind::kExponential ||
                         ranks.kind() == RankKind::kPriority;
   // Eq. (8): tau = (1/k) sum_h P(rank beats bucket-h minimum); an empty
@@ -132,19 +99,20 @@ void KPartitionHip(std::span<const AdsEntry> ads, uint32_t k,
   // weighted ranks recompute the per-node sum.
   double uniform_sum = static_cast<double>(k);
   for (size_t i = 0; i < ads.size(); ++i) {
-    double tau;
+    double t;
     if (weighted) {
       double beta = ranks.beta(ads[i].node);
       double s = 0.0;
       for (uint32_t h = 0; h < k; ++h) {
         s += InclusionProbability(mins[h], beta, ranks.kind());
       }
-      tau = s / static_cast<double>(k);
+      t = s / static_cast<double>(k);
     } else {
-      tau = uniform_sum / static_cast<double>(k);
+      t = uniform_sum / static_cast<double>(k);
     }
-    assert(tau > 0.0);
-    sink(i, i + 1, ads[i].node, ads[i].dist, tau, 1.0 / tau);
+    assert(t > 0.0);
+    tau[i] = t;
+    weight[i] = 1.0 / t;
     if (ads[i].rank < mins[ads[i].part]) {
       if (!weighted) {
         uniform_sum -= std::min(mins[ads[i].part], 1.0) - ads[i].rank;
@@ -154,54 +122,26 @@ void KPartitionHip(std::span<const AdsEntry> ads, uint32_t k,
   }
 }
 
-template <typename Sink>
-void HipScan(std::span<const AdsEntry> ads, uint32_t k, SketchFlavor flavor,
-             const RankAssignment& ranks, HipScratch* scratch, Sink&& sink) {
-  assert(ranks.kind() != RankKind::kPermutation);
-  switch (flavor) {
-    case SketchFlavor::kBottomK:
-      scratch->closer.Reset(k, ranks.sup());
-      BottomKHip(ads, ranks, &scratch->closer, sink);
-      return;
-    case SketchFlavor::kKMins:
-      scratch->mins.assign(k, ranks.sup());
-      KMinsHip(ads, k, ranks, scratch->mins, sink);
-      return;
-    case SketchFlavor::kKPartition:
-      scratch->mins.assign(k, ranks.sup());
-      KPartitionHip(ads, k, ranks, scratch->mins, sink);
-      return;
-  }
-}
-
 }  // namespace
-
-std::span<const HipEntry> ComputeHipWeightsInto(AdsView ads, uint32_t k,
-                                                SketchFlavor flavor,
-                                                const RankAssignment& ranks,
-                                                HipScratch* scratch) {
-  scratch->entries.clear();
-  if (scratch->entries.capacity() < ads.size()) {
-    scratch->entries.reserve(ads.size());
-  }
-  HipScan(ads.entries(), k, flavor, ranks, scratch,
-          EntrySink{&scratch->entries});
-  return std::span<const HipEntry>(scratch->entries);
-}
-
-std::vector<HipEntry> ComputeHipWeights(AdsView ads, uint32_t k,
-                                        SketchFlavor flavor,
-                                        const RankAssignment& ranks) {
-  HipScratch scratch;
-  ComputeHipWeightsInto(ads, k, flavor, ranks, &scratch);
-  return std::move(scratch.entries);
-}
 
 void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
                               const RankAssignment& ranks, HipScratch* scratch,
                               double* tau, double* weight) {
-  HipScan(ads.entries(), k, flavor, ranks, scratch,
-          AlignedSink{tau, weight});
+  assert(ranks.kind() != RankKind::kPermutation);
+  switch (flavor) {
+    case SketchFlavor::kBottomK:
+      scratch->closer.Reset(k, ranks.sup());
+      BottomKHip(ads.entries(), ranks, &scratch->closer, tau, weight);
+      return;
+    case SketchFlavor::kKMins:
+      scratch->mins.assign(k, ranks.sup());
+      KMinsHip(ads.entries(), k, ranks, scratch->mins, tau, weight);
+      return;
+    case SketchFlavor::kKPartition:
+      scratch->mins.assign(k, ranks.sup());
+      KPartitionHip(ads.entries(), k, ranks, scratch->mins, tau, weight);
+      return;
+  }
 }
 
 void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads) {

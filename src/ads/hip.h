@@ -20,18 +20,17 @@
 //   k-partition: tau = (1/k) sum_h min_h, Eq. (8).
 //
 // Because the weights are a pure function of the sketch and its build
-// parameters, they can be computed ONCE and stored: ComputeHipWeightsAligned
-// emits them as per-entry tau/weight arrays aligned with the canonical entry
-// sequence (the hipads-ads-v2 optional HIP section's layout), and
-// PrecomputeHipWeights fills a whole FlatAdsSet's arrays in parallel. For
-// callers that still scan, ComputeHipWeightsInto reuses a caller-owned
-// HipScratch arena so the steady state allocates nothing. All paths run the
-// same kernels in the same order, so every variant is bitwise identical.
+// parameters, they can be computed ONCE and stored. The one scan,
+// ComputeHipWeightsAligned, writes them as per-entry tau/weight arrays
+// aligned with the canonical entry sequence — the hipads-ads-v2 optional
+// HIP section's layout — and PrecomputeHipWeights fills a whole
+// FlatAdsSet's arrays in parallel. HipEstimator (ads/estimators.h) walks
+// the same layout whether the arrays were stored or just scanned, so every
+// path is bitwise identical.
 
 #ifndef HIPADS_ADS_HIP_H_
 #define HIPADS_ADS_HIP_H_
 
-#include <span>
 #include <vector>
 
 #include "ads/ads.h"
@@ -40,8 +39,9 @@
 
 namespace hipads {
 
-/// One sketched node with its HIP adjusted weight. For k-mins ADSs, a node
-/// appearing under several permutations yields a single HipEntry.
+/// One sketched node with its HIP adjusted weight, as HipEstimator walks
+/// them. For k-mins ADSs, a node appearing under several permutations
+/// yields a single HipEntry.
 struct HipEntry {
   NodeId node;
   double dist;
@@ -53,43 +53,38 @@ struct HipEntry {
 /// consecutive scans (one per node of a sweep, say); after warm-up no scan
 /// allocates. Not thread-safe — use one per thread.
 struct HipScratch {
-  std::vector<HipEntry> entries;  ///< output of ComputeHipWeightsInto
-  BottomKSketch closer{1};        ///< bottom-k running threshold
-  std::vector<double> mins;       ///< k-mins / k-partition bucket minima
+  BottomKSketch closer{1};   ///< bottom-k running threshold
+  std::vector<double> mins;  ///< k-mins / k-partition bucket minima
+  /// The aligned arrays HipEstimator's scan fallback writes and borrows:
+  /// tau in [0, n), weight in [n, 2n) for an n-entry sketch.
+  std::vector<double> arrays;
 };
 
-/// Computes HIP adjusted weights for every node of an ADS (given as a view
-/// over its canonical-order entries — an Ads or a slice of any whole-graph
-/// store), in increasing distance order. `k`, `flavor` and `ranks` must
-/// match the parameters the ADS was built with. Works for uniform, base-b
-/// and exponential ranks (permutation ranks use the dedicated permutation
-/// estimator instead).
-std::vector<HipEntry> ComputeHipWeights(AdsView ads, uint32_t k,
-                                        SketchFlavor flavor,
-                                        const RankAssignment& ranks);
+/// Pointers to one node's precomputed HIP weights: tau[i]/weight[i] belong
+/// to entry i of the node's AdsView (the aligned layout below, including
+/// the k-mins zero-slot convention). present() is false when the backing
+/// store carries no HIP section — HipEstimator then scans instead. Pointer
+/// validity follows the producing backend's residency rules.
+struct HipView {
+  const double* tau = nullptr;
+  const double* weight = nullptr;
 
-inline std::vector<HipEntry> ComputeHipWeights(const Ads& ads, uint32_t k,
-                                               SketchFlavor flavor,
-                                               const RankAssignment& ranks) {
-  return ComputeHipWeights(ads.view(), k, flavor, ranks);
-}
+  bool present() const { return tau != nullptr; }
+};
 
-/// Allocation-free variant of ComputeHipWeights: runs the identical scan
-/// into `scratch` and returns a view of scratch->entries, valid until the
-/// scratch is next used. Bitwise identical to the allocating API.
-std::span<const HipEntry> ComputeHipWeightsInto(AdsView ads, uint32_t k,
-                                                SketchFlavor flavor,
-                                                const RankAssignment& ranks,
-                                                HipScratch* scratch);
-
-/// Emits the scan's results as per-entry arrays aligned with the canonical
-/// entry sequence: tau[i]/weight[i] belong to entry i. For k-mins, where one
-/// adjusted weight covers a whole same-(dist, node) run of entries, the
-/// group's values are stored at the run's FIRST entry and the remaining
-/// members get explicit zeros — iterating the arrays and skipping tau == 0
-/// reproduces the grouped HipEntry sequence exactly. This is the layout of
-/// the binary format's optional HIP section. `tau` and `weight` must each
-/// have room for ads.size() doubles.
+/// The HIP scan: computes the adjusted weight of every node of an ADS
+/// (given as a view over its canonical-order entries — an Ads or a slice of
+/// any whole-graph store) in increasing distance order, and writes them as
+/// per-entry arrays aligned with the entries: tau[i]/weight[i] belong to
+/// entry i. For k-mins, where one adjusted weight covers a whole
+/// same-(dist, node) run of entries, the run's values are stored at its
+/// FIRST entry and the remaining members get explicit zeros, so iterating
+/// the arrays and skipping tau == 0 visits one weight per sketched node.
+/// This is the layout of the binary format's optional HIP section. `tau`
+/// and `weight` must each have room for ads.size() doubles. `k`, `flavor`
+/// and `ranks` must match the parameters the ADS was built with. Works for
+/// uniform, base-b, exponential and priority ranks (permutation ranks use
+/// the dedicated permutation estimator instead).
 void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
                               const RankAssignment& ranks, HipScratch* scratch,
                               double* tau, double* weight);
@@ -109,12 +104,6 @@ void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads = 0);
 /// with CV at most 1/sqrt(k-2).
 std::vector<HipEntry> ComputeModifiedHipWeights(AdsView ads, uint32_t k,
                                                 double sup = 1.0);
-
-inline std::vector<HipEntry> ComputeModifiedHipWeights(const Ads& ads,
-                                                       uint32_t k,
-                                                       double sup = 1.0) {
-  return ComputeModifiedHipWeights(ads.view(), k, sup);
-}
 
 }  // namespace hipads
 

@@ -13,8 +13,7 @@
 //
 // All estimators take AdsViews, the query surface every storage backend
 // (in-memory, mmap, sharded — ads/backend.h) hands out, so similarity
-// serving never copies a sketch; the owning-Ads overloads are kept as
-// inline wrappers.
+// serving never copies a sketch; an owning Ads converts implicitly.
 
 #ifndef HIPADS_ADS_SIMILARITY_H_
 #define HIPADS_ADS_SIMILARITY_H_
@@ -30,39 +29,19 @@ namespace hipads {
 double JaccardSimilarity(AdsView u, AdsView v, double d, uint32_t k,
                          double sup = 1.0);
 
-inline double JaccardSimilarity(const Ads& u, const Ads& v, double d,
-                                uint32_t k, double sup = 1.0) {
-  return JaccardSimilarity(u.view(), v.view(), d, k, sup);
-}
-
 /// Estimate of the union cardinality |N_d(u) ∪ N_d(v)| via the basic
 /// bottom-k estimator on the merged sketch.
 double UnionCardinality(AdsView u, AdsView v, double d, uint32_t k,
                         double sup = 1.0);
-
-inline double UnionCardinality(const Ads& u, const Ads& v, double d,
-                               uint32_t k, double sup = 1.0) {
-  return UnionCardinality(u.view(), v.view(), d, k, sup);
-}
 
 /// Estimate of the intersection cardinality |N_d(u) ∩ N_d(v)| =
 /// J * |union|.
 double IntersectionCardinality(AdsView u, AdsView v, double d, uint32_t k,
                                double sup = 1.0);
 
-inline double IntersectionCardinality(const Ads& u, const Ads& v, double d,
-                                      uint32_t k, double sup = 1.0) {
-  return IntersectionCardinality(u.view(), v.view(), d, k, sup);
-}
-
 /// Closeness similarity: Jaccard of the reachable sets (d = infinity).
 double ReachabilityJaccard(AdsView u, AdsView v, uint32_t k,
                            double sup = 1.0);
-
-inline double ReachabilityJaccard(const Ads& u, const Ads& v, uint32_t k,
-                                  double sup = 1.0) {
-  return ReachabilityJaccard(u.view(), v.view(), k, sup);
-}
 
 }  // namespace hipads
 

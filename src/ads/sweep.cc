@@ -39,20 +39,6 @@ struct ArenaSet {
   size_t num_nodes() const { return arena.num_nodes(); }
 };
 
-// One node's estimator, cheapest mode first: wrap the storage-resident
-// weights when present (no scan, no allocation), otherwise scan into the
-// caller's reusable scratch (no allocation after warm-up). Both modes are
-// bitwise identical to each other and to the old allocating constructor.
-HipEstimator MakeEstimator(const ArenaSet& set, NodeId local,
-                           HipScratch* scratch) {
-  HipView hip = set.arena.hip_of_local(local);
-  if (hip.present()) {
-    return HipEstimator(set.arena.of_local(local), hip.tau, hip.weight);
-  }
-  return HipEstimator(set.arena.of_local(local), set.k, set.flavor,
-                      set.ranks, scratch);
-}
-
 // The slot the calling thread publishes to collectors (SweepSlot).
 struct SlotState {
   uint32_t slot = 0;
@@ -70,7 +56,8 @@ struct ScopedSlot {
 };
 
 // The fused sweep over one arena: the pool's static chunks each build
-// their nodes' HipEstimators once, into the chunk's reusable scratch, and
+// their nodes' HipEstimators once — wrapping the range's stored weights,
+// or scanning into the chunk's reusable scratch when it has none — and
 // feed every collector's Map under the chunk's slot. Each estimator lives
 // just long enough for the Map calls, so a sweep holds O(threads)
 // estimators whatever the plan. `global_begin` offsets the arena-local
@@ -85,8 +72,10 @@ void SweepArena(const ArenaSet& set, NodeId global_begin, SweepPlan& plan,
     for (size_t i = begin; i < end; ++i) {
       NodeId local = static_cast<NodeId>(i);
       NodeId v = global_begin + local;
-      chunk_entries += set.arena.of_local(local).size();
-      HipEstimator est = MakeEstimator(set, local, &scratch[chunk]);
+      AdsView ads = set.arena.of_local(local);
+      chunk_entries += ads.size();
+      HipEstimator est(ads, set.arena.hip_of_local(local), set.k, set.flavor,
+                       set.ranks, &scratch[chunk]);
       for (SweepCollector* c : plan.collectors()) c->Map(v, est);
     }
     Counters().entries->Add(chunk_entries);

@@ -329,21 +329,16 @@ StatusOr<std::string> AdsServerCore::ComputePointWithView(
     case PointKind::kNodeStats: {
       if (!est->has_value()) {
         ScopedTraceSpan estimator_span("server.estimator");
-        if (hip.present()) {
-          // Storage-resident weights: materialization is a pointer wrap.
-          Metrics().hip_resident->Add();
-          est->emplace(view, hip.tau, hip.weight);
-        } else {
-          Metrics().hip_scan->Add();
-          // Scan fallback into a per-thread arena — allocation-free once
-          // warm. The estimator borrows the scratch, which is safe for
-          // both request paths: a request's estimator never outlives the
-          // dispatch call that created it, and the batch path resets the
-          // cached estimator before the scratch is scanned again.
-          thread_local HipScratch scratch;
-          est->emplace(view, backend_->k(), backend_->flavor(),
-                       backend_->ranks(), &scratch);
-        }
+        (hip.present() ? Metrics().hip_resident : Metrics().hip_scan)->Add();
+        // Storage-resident weights make this a pointer wrap; without them
+        // the estimator scans into a per-thread scratch, allocation-free
+        // once warm. It borrows the scratch, which is safe for both
+        // request paths: a request's estimator never outlives the dispatch
+        // call that created it, and the batch path resets the cached
+        // estimator before the scratch is scanned again.
+        thread_local HipScratch scratch;
+        est->emplace(view, hip, backend_->k(), backend_->flavor(),
+                     backend_->ranks(), &scratch);
       }
       if (std::isinf(msg.d)) {
         response.values = {(*est)->ReachableCount(),

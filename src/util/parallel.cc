@@ -113,17 +113,4 @@ void ThreadPool::ParallelRanges(
   });
 }
 
-void ThreadPool::ParallelForDynamic(
-    size_t n, size_t grain,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  size_t num_blocks = (n + grain - 1) / grain;
-  RunTasks(num_blocks, [&](size_t b) {
-    size_t begin = b * grain;
-    size_t end = std::min(n, begin + grain);
-    fn(begin, end, b);
-  });
-}
-
 }  // namespace hipads

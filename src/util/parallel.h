@@ -67,13 +67,6 @@ class ThreadPool {
   void ParallelRanges(const std::vector<size_t>& bounds,
                       const std::function<void(size_t, size_t, uint32_t)>& fn);
 
-  /// Dynamic-schedule variant of ParallelFor for irregular work: [0, n) is
-  /// cut into ceil(n/grain) blocks claimed greedily. fn(begin, end,
-  /// block_index); outputs must be indexed by block, not thread.
-  void ParallelForDynamic(
-      size_t n, size_t grain,
-      const std::function<void(size_t, size_t, size_t)>& fn);
-
  private:
   // One RunTasks invocation. Heap-allocated and shared with workers so a
   // worker that wakes late only ever sees a fully-published, immutable

@@ -8,8 +8,10 @@
 
 #include <bit>
 #include <cmath>
+#include <optional>
 
 #include "ads/ads.h"
+#include "ads/estimators.h"
 #include "ads/flat_ads.h"
 #include "sketch/cardinality.h"
 #include "util/hash.h"
@@ -59,6 +61,12 @@ Ads StreamAds(uint64_t n, uint32_t k, const RankAssignment& ranks,
   return Ads(std::move(kept));
 }
 
+// The adjusted weights of a fresh scan, one per sketched node.
+std::vector<HipEntry> HipWeights(AdsView ads, uint32_t k, SketchFlavor flavor,
+                                 const RankAssignment& ranks) {
+  return HipEstimator(ads, k, flavor, ranks).CopyEntries();
+}
+
 double HipCardinalityAt(const std::vector<HipEntry>& entries, double d) {
   double sum = 0.0;
   for (const HipEntry& e : entries) {
@@ -71,7 +79,7 @@ TEST(HipTest, FirstKEntriesHaveWeightOne) {
   const uint32_t k = 5;
   auto ranks = RankAssignment::Uniform(3);
   Ads ads = StreamAds(100, k, ranks, SketchFlavor::kBottomK);
-  auto hip = ComputeHipWeights(ads, k, SketchFlavor::kBottomK, ranks);
+  auto hip = HipWeights(ads, k, SketchFlavor::kBottomK, ranks);
   for (uint32_t i = 0; i < k; ++i) {
     EXPECT_EQ(hip[i].tau, 1.0);
     EXPECT_EQ(hip[i].weight, 1.0);
@@ -84,7 +92,7 @@ TEST(HipTest, ExactBelowK) {
   const uint32_t k = 10;
   auto ranks = RankAssignment::Uniform(5);
   Ads ads = StreamAds(7, k, ranks, SketchFlavor::kBottomK);
-  auto hip = ComputeHipWeights(ads, k, SketchFlavor::kBottomK, ranks);
+  auto hip = HipWeights(ads, k, SketchFlavor::kBottomK, ranks);
   EXPECT_EQ(HipCardinalityAt(hip, 6.0), 7.0);
   EXPECT_EQ(HipCardinalityAt(hip, 2.0), 3.0);
 }
@@ -94,7 +102,7 @@ TEST(HipTest, WeightsIncreaseWithDistanceBottomK) {
   const uint32_t k = 4;
   auto ranks = RankAssignment::Uniform(7);
   Ads ads = StreamAds(500, k, ranks, SketchFlavor::kBottomK);
-  auto hip = ComputeHipWeights(ads, k, SketchFlavor::kBottomK, ranks);
+  auto hip = HipWeights(ads, k, SketchFlavor::kBottomK, ranks);
   for (size_t i = 1; i < hip.size(); ++i) {
     EXPECT_GE(hip[i].weight, hip[i - 1].weight - 1e-12);
   }
@@ -106,7 +114,7 @@ TEST(HipTest, TauComputableAndPositive) {
   for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
                               SketchFlavor::kKPartition}) {
     Ads ads = StreamAds(200, k, ranks, flavor);
-    auto hip = ComputeHipWeights(ads, k, flavor, ranks);
+    auto hip = HipWeights(ads, k, flavor, ranks);
     for (const HipEntry& e : hip) {
       EXPECT_GT(e.tau, 0.0);
       EXPECT_LE(e.tau, 1.0 + 1e-12);
@@ -130,7 +138,7 @@ TEST_P(HipUnbiasednessTest, CardinalityEstimateIsUnbiased) {
   for (uint32_t run = 0; run < runs; ++run) {
     auto ranks = RankAssignment::Uniform(HashCombine(999, run));
     Ads ads = StreamAds(n, k, ranks, GetParam().flavor);
-    auto hip = ComputeHipWeights(ads, k, GetParam().flavor, ranks);
+    auto hip = HipWeights(ads, k, GetParam().flavor, ranks);
     at_n.Add(HipCardinalityAt(hip, static_cast<double>(n)));
     at_mid.Add(HipCardinalityAt(hip, static_cast<double>(n / 2)));
   }
@@ -158,7 +166,7 @@ TEST(HipTest, CvWithinTheoreticalBound) {
   for (uint32_t run = 0; run < runs; ++run) {
     auto ranks = RankAssignment::Uniform(HashCombine(1234, run));
     Ads ads = StreamAds(n, k, ranks, SketchFlavor::kBottomK);
-    auto hip = ComputeHipWeights(ads, k, SketchFlavor::kBottomK, ranks);
+    auto hip = HipWeights(ads, k, SketchFlavor::kBottomK, ranks);
     err.Add(HipCardinalityAt(hip, static_cast<double>(n)),
             static_cast<double>(n));
   }
@@ -176,7 +184,7 @@ TEST(HipTest, FactorTwoVarianceImprovementOverBasic) {
   for (uint32_t run = 0; run < runs; ++run) {
     auto ranks = RankAssignment::Uniform(HashCombine(777, run));
     Ads ads = StreamAds(n, k, ranks, SketchFlavor::kBottomK);
-    auto hip = ComputeHipWeights(ads, k, SketchFlavor::kBottomK, ranks);
+    auto hip = HipWeights(ads, k, SketchFlavor::kBottomK, ranks);
     hip_err.Add(HipCardinalityAt(hip, static_cast<double>(n)),
                 static_cast<double>(n));
     basic_err.Add(BottomKBasicEstimate(ads.BottomKAt(
@@ -203,8 +211,8 @@ TEST(HipTest, BaseBRanksStayUnbiasedWithHigherVariance) {
     auto bb = RankAssignment::BaseB(seed, base);
     Ads ads_f = StreamAds(n, k, full, SketchFlavor::kBottomK);
     Ads ads_b = StreamAds(n, k, bb, SketchFlavor::kBottomK);
-    auto hip_f = ComputeHipWeights(ads_f, k, SketchFlavor::kBottomK, full);
-    auto hip_b = ComputeHipWeights(ads_b, k, SketchFlavor::kBottomK, bb);
+    auto hip_f = HipWeights(ads_f, k, SketchFlavor::kBottomK, full);
+    auto hip_b = HipWeights(ads_b, k, SketchFlavor::kBottomK, bb);
     double est_b = HipCardinalityAt(hip_b, static_cast<double>(n));
     mean.Add(est_b);
     err_full.Add(HipCardinalityAt(hip_f, static_cast<double>(n)),
@@ -230,7 +238,7 @@ TEST(HipTest, ExponentialRanksEstimateNeighborhoodWeight) {
     auto ranks =
         RankAssignment::Exponential(HashCombine(4242, run), beta);
     Ads ads = StreamAds(n, k, ranks, SketchFlavor::kBottomK);
-    auto hip = ComputeHipWeights(ads, k, SketchFlavor::kBottomK, ranks);
+    auto hip = HipWeights(ads, k, SketchFlavor::kBottomK, ranks);
     double sum = 0.0;
     for (const HipEntry& e : hip) sum += e.weight * beta(e.node);
     est.Add(sum);
@@ -251,7 +259,7 @@ TEST(HipTest, PriorityRanksEstimateNeighborhoodWeight) {
   for (uint32_t run = 0; run < runs; ++run) {
     auto ranks = RankAssignment::Priority(HashCombine(5151, run), beta);
     Ads ads = StreamAds(n, k, ranks, SketchFlavor::kBottomK);
-    auto hip = ComputeHipWeights(ads, k, SketchFlavor::kBottomK, ranks);
+    auto hip = HipWeights(ads, k, SketchFlavor::kBottomK, ranks);
     double c = 0.0, w = 0.0;
     for (const HipEntry& e : hip) {
       c += e.weight;
@@ -273,7 +281,7 @@ TEST(HipTest, PriorityRanksKPartitionUnbiased) {
   for (uint32_t run = 0; run < runs; ++run) {
     auto ranks = RankAssignment::Priority(HashCombine(6161, run), beta);
     Ads ads = StreamAds(n, k, ranks, SketchFlavor::kKPartition);
-    auto hip = ComputeHipWeights(ads, k, SketchFlavor::kKPartition, ranks);
+    auto hip = HipWeights(ads, k, SketchFlavor::kKPartition, ranks);
     card.Add(HipCardinalityAt(hip, static_cast<double>(n)));
   }
   EXPECT_NEAR(card.mean() / n, 1.0, 0.025);
@@ -298,11 +306,10 @@ TEST(HipTest, ExponentialRanksFavorHeavyNodes) {
 TEST(HipTest, EmptyAdsYieldsNoEntries) {
   Ads empty;
   auto ranks = RankAssignment::Uniform(1);
-  EXPECT_TRUE(
-      ComputeHipWeights(empty, 4, SketchFlavor::kBottomK, ranks).empty());
+  EXPECT_TRUE(HipWeights(empty, 4, SketchFlavor::kBottomK, ranks).empty());
 }
 
-// --- Scratch and precomputed (aligned) variants: all bitwise identical ---
+// --- Owning, scratch and stored weights: one layout, bitwise identical ---
 
 // Field-by-field bitwise equality (memcmp over whole HipEntry records would
 // also compare the struct's padding bytes, which are indeterminate).
@@ -322,54 +329,94 @@ bool SameHipEntries(std::span<const HipEntry> a, std::span<const HipEntry> b) {
   return true;
 }
 
-TEST(HipVariantsTest, ScratchScanBitwiseEqualsAllocatingScan) {
+TEST(HipVariantsTest, OwningScratchAndStoredWalksAreBitwiseEqual) {
   const uint32_t k = 6;
-  HipScratch scratch;  // deliberately shared across flavors and nodes
+  HipScratch scratch;  // deliberately shared across flavors and sizes
   for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
                               SketchFlavor::kKPartition}) {
     for (uint64_t n : {0ull, 3ull, 50ull, 400ull}) {
       auto ranks = RankAssignment::Uniform(HashCombine(71, n));
       Ads ads = StreamAds(n, k, ranks, flavor);
-      auto owned = ComputeHipWeights(ads, k, flavor, ranks);
-      auto borrowed =
-          ComputeHipWeightsInto(ads.view(), k, flavor, ranks, &scratch);
-      EXPECT_TRUE(SameHipEntries(owned, borrowed))
+      FlatAdsSet stored;
+      stored.flavor = flavor;
+      stored.k = k;
+      stored.ranks = ranks;
+      stored.AppendNode(ads.entries());
+      PrecomputeHipWeights(&stored, 2);
+      const HipView hip{stored.hip_tau.data(), stored.hip_weight.data()};
+
+      auto owned = HipEstimator(ads, k, flavor, ranks).CopyEntries();
+      auto scanned =
+          HipEstimator(ads, HipView{}, k, flavor, ranks, &scratch)
+              .CopyEntries();
+      auto wrapped =
+          HipEstimator(stored.of(0), hip.tau, hip.weight).CopyEntries();
+      auto chosen = HipEstimator(stored.of(0), hip, k, flavor, ranks,
+                                 &scratch)
+                        .CopyEntries();
+      EXPECT_EQ(owned.empty(), n == 0);
+      EXPECT_TRUE(SameHipEntries(owned, scanned))
+          << "flavor " << static_cast<int>(flavor) << " n " << n;
+      EXPECT_TRUE(SameHipEntries(owned, wrapped))
+          << "flavor " << static_cast<int>(flavor) << " n " << n;
+      EXPECT_TRUE(SameHipEntries(owned, chosen))
           << "flavor " << static_cast<int>(flavor) << " n " << n;
     }
   }
 }
 
-TEST(HipVariantsTest, AlignedLayoutReproducesGroupedScan) {
-  // Skipping tau == 0 slots of the aligned arrays must reproduce the
-  // grouped HipEntry sequence bitwise — including for k-mins, where a node
-  // sketched under several permutations spans a same-(dist, node) run that
-  // carries its weight at the first member and zeros at the rest.
+TEST(HipVariantsTest, KMinsWeightSitsAtFirstEntryOfEachRun) {
+  // A node sketched under several permutations spans a same-(dist, node)
+  // run of entries; its one adjusted weight sits at the run's first entry
+  // and the rest of the run holds zeros.
   const uint32_t k = 5;
+  auto ranks = RankAssignment::Uniform(17);
+  Ads ads = StreamAds(300, k, ranks, SketchFlavor::kKMins);
+  std::vector<double> tau(ads.size()), weight(ads.size());
   HipScratch scratch;
+  ComputeHipWeightsAligned(ads, k, SketchFlavor::kKMins, ranks, &scratch,
+                           tau.data(), weight.data());
+  const auto& e = ads.entries();
+  size_t runs = 0;
+  for (size_t i = 0; i < e.size(); ++i) {
+    const bool first =
+        i == 0 || e[i].dist != e[i - 1].dist || e[i].node != e[i - 1].node;
+    if (first) ++runs;
+    EXPECT_EQ(tau[i] != 0.0, first) << "entry " << i;
+    EXPECT_EQ(weight[i] != 0.0, first) << "entry " << i;
+  }
+  // The convention must actually trigger on this stream.
+  EXPECT_LT(runs, ads.size());
+  EXPECT_EQ(HipWeights(ads, k, SketchFlavor::kKMins, ranks).size(), runs);
+}
+
+TEST(HipVariantsTest, OwningEstimatorOutlivesItsSourceAndAds) {
+  // The scanning constructor owns its entries and arrays: copies and moves
+  // keep answering after the source estimator and the Ads it scanned are
+  // gone (a borrowed entry would be a use-after-free, which ASan reports).
+  const uint32_t k = 4;
+  auto ranks = RankAssignment::Uniform(29);
   for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
                               SketchFlavor::kKPartition}) {
-    auto ranks = RankAssignment::Uniform(17);
-    Ads ads = StreamAds(300, k, ranks, flavor);
-    auto grouped = ComputeHipWeights(ads, k, flavor, ranks);
-    std::vector<double> tau(ads.size()), weight(ads.size());
-    ComputeHipWeightsAligned(ads.view(), k, flavor, ranks, &scratch,
-                             tau.data(), weight.data());
-    std::vector<HipEntry> rebuilt;
-    for (size_t i = 0; i < ads.size(); ++i) {
-      if (tau[i] == 0.0) {
-        EXPECT_EQ(weight[i], 0.0);
-        continue;
-      }
-      rebuilt.push_back(HipEntry{ads.entries()[i].node, ads.entries()[i].dist,
-                                 tau[i], weight[i]});
+    std::vector<HipEntry> expect;
+    double reach = 0.0;
+    std::optional<HipEstimator> copied, moved;
+    {
+      std::optional<Ads> ads(StreamAds(200, k, ranks, flavor));
+      HipEstimator source(*ads, k, flavor, ranks);
+      ads.reset();
+      expect = source.CopyEntries();
+      reach = source.ReachableCount();
+      copied.emplace(source);
+      moved.emplace(std::move(source));
     }
-    EXPECT_TRUE(SameHipEntries(grouped, rebuilt))
+    ASSERT_FALSE(expect.empty());
+    EXPECT_TRUE(SameHipEntries(copied->CopyEntries(), expect))
         << "flavor " << static_cast<int>(flavor);
-    if (flavor == SketchFlavor::kKMins) {
-      // The zero-slot convention must actually trigger: a 300-node k-mins
-      // stream has nodes sketched under more than one permutation.
-      EXPECT_LT(rebuilt.size(), ads.size());
-    }
+    EXPECT_TRUE(SameHipEntries(moved->CopyEntries(), expect))
+        << "flavor " << static_cast<int>(flavor);
+    EXPECT_EQ(copied->ReachableCount(), reach);
+    EXPECT_EQ(moved->ReachableCount(), reach);
   }
 }
 

@@ -1360,6 +1360,37 @@ TEST(ServeTest, CliSketchHugeKMatchesKEqualToTheNodeCount) {
   }
 }
 
+// `shard` reports the number of shards it wrote, which can differ from
+// `--shards`: a split never holds more shards than nodes, nor fewer than
+// one. On a 5-node set, `--shards 8` writes 5 and `--shards 0` writes 1;
+// the printed count must be the MANIFEST's `shards` line either way.
+TEST(ServeTest, CliShardPrintsTheShardCountItWrote) {
+  FlatAdsSet full = BuildFlat(5, 23, 4);
+  ScratchDir dir("hipads_serve_test_cli_shard_count");
+  const std::string set_path = dir.file("set.ads2");
+  ASSERT_TRUE(
+      WriteAdsSetFile(full, set_path, AdsFileFormat::kBinaryV2).ok());
+  for (const auto& [requested, written] :
+       {std::pair<std::string, std::string>{"8", "5"}, {"0", "1"}}) {
+    const std::string out_dir = dir.file("shards" + requested);
+    const std::string out = dir.file("stdout" + requested + ".txt");
+    ASSERT_EQ(RunCli("shard --in " + set_path + " --shards " + requested +
+                         " --out-dir " + out_dir,
+                     out),
+              0)
+        << "--shards " << requested;
+    std::istringstream manifest(ReadFile(out_dir + "/" + kShardManifestName));
+    std::string line, count;
+    while (std::getline(manifest, line)) {
+      if (line.rfind("shards ", 0) == 0) count = line.substr(7);
+    }
+    EXPECT_EQ(count, written) << "--shards " << requested;
+    EXPECT_NE(ReadFile(out).find(": " + count + " shards, 5 nodes"),
+              std::string::npos)
+        << "--shards " << requested << " printed: " << ReadFile(out);
+  }
+}
+
 #endif  // HIPADS_CLI_PATH
 
 }  // namespace

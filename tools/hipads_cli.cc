@@ -506,10 +506,14 @@ int CmdShard(const Args& args) {
   uint32_t shards = static_cast<uint32_t>(args.GetInt("shards", 4));
   auto loaded = ReadFlatAdsSetFile(in);
   if (!loaded.ok()) return Fail(loaded.status());
-  Status s = WriteShardedAdsSet(loaded.value(), dir, shards);
+  // The split can differ from --shards (at most one shard per node, at
+  // least one shard), so report the count written.
+  std::vector<NodeId> splits = BalancedShardSplits(loaded.value(), shards);
+  Status s = WriteShardedAdsSet(loaded.value(), dir, splits);
   if (!s.ok()) return Fail(s);
-  std::printf("sharded %s -> %s: %u shards, %zu nodes, %llu entries\n",
-              in.c_str(), dir.c_str(), shards, loaded.value().num_nodes(),
+  std::printf("sharded %s -> %s: %zu shards, %zu nodes, %llu entries\n",
+              in.c_str(), dir.c_str(), splits.size(),
+              loaded.value().num_nodes(),
               static_cast<unsigned long long>(loaded.value().TotalEntries()));
   return 0;
 }
