@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -402,69 +403,59 @@ StatusOr<Frame> FleetRouter::HedgeAttempt(size_t idx,
   return frame;
 }
 
+std::vector<std::optional<PointBatchResponseEntry>>
+FleetRouter::SendPointBatch(size_t idx,
+                            const std::vector<std::string>& payloads,
+                            const Deadline& deadline) {
+  std::vector<std::optional<PointBatchResponseEntry>> answers(
+      payloads.size());
+  auto frame = CallServer(idx, MessageType::kPointBatchRequest,
+                          EncodePointBatchRequestRaw(payloads),
+                          MessageType::kPointBatchResponse, deadline);
+  StatusOr<PointBatchResponseMsg> decoded =
+      frame.ok() ? DecodePointBatchResponse(frame.value().payload)
+                 : frame.status();
+  if (!decoded.ok() || decoded.value().entries.size() != payloads.size()) {
+    // Whole-batch failure (transport, protocol, count mismatch): every
+    // entry re-sends alone — the batch was an optimization, never a
+    // change to any caller's contract.
+    return answers;
+  }
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    // A shed/retryable entry re-sends alone through the single-request
+    // retry policy; semantic errors are final and byte-identical to the
+    // unbatched answer.
+    PointBatchResponseEntry& entry = decoded.value().entries[i];
+    if (!Retryable(entry.status)) answers[i] = std::move(entry);
+  }
+  return answers;
+}
+
 void FleetRouter::ExecuteCoalescedBatch(
     size_t idx, const std::vector<PendingPoint*>& batch) {
   PointBatcher& batcher = *batchers_[idx];
   Metrics().coalesce_batch_fill->Record(batch.size());
-  if (batch.size() == 1) {
-    // No follower showed up inside the window: exactly the plain single
-    // call, no batch frame on the wire.
-    auto result =
-        CallServer(idx, MessageType::kPointRequest, *batch[0]->payload,
-                   MessageType::kPointResponse, batch[0]->deadline);
-    MutexLock lock(batcher.mu);
-    batch[0]->result = std::move(result);
-    batch[0]->done = true;
-    batcher.cv.NotifyAll();
-    return;
+  // A lone member (no follower showed up inside the window) re-sends
+  // alone at once: exactly the plain single call, no batch frame on the
+  // wire.
+  std::vector<std::optional<PointBatchResponseEntry>> answers(batch.size());
+  if (batch.size() > 1) {
+    // The batch is bounded by the tightest member deadline; a member whose
+    // own budget is looser re-sends alone if that tight bound fails the
+    // whole frame.
+    Deadline batch_deadline;
+    std::vector<std::string> encoded;
+    encoded.reserve(batch.size());
+    for (const PendingPoint* p : batch) {
+      batch_deadline = Deadline::Min(batch_deadline, p->deadline);
+      encoded.push_back(*p->payload);
+    }
+    answers = SendPointBatch(idx, encoded, batch_deadline);
   }
-  // The batch is bounded by the tightest member deadline; a member whose
-  // own budget is looser falls back to a single call if that tight bound
-  // fails the whole frame.
-  Deadline batch_deadline;
-  std::vector<std::string> encoded;
-  encoded.reserve(batch.size());
-  for (const PendingPoint* p : batch) {
-    batch_deadline = Deadline::Min(batch_deadline, p->deadline);
-    encoded.push_back(*p->payload);
-  }
-  auto frame =
-      CallServer(idx, MessageType::kPointBatchRequest,
-                 EncodePointBatchRequestRaw(encoded),
-                 MessageType::kPointBatchResponse, batch_deadline);
-  StatusOr<PointBatchResponseMsg> decoded =
-      frame.ok() ? DecodePointBatchResponse(frame.value().payload)
-                 : frame.status();
   MutexLock lock(batcher.mu);
-  if (!decoded.ok() || decoded.value().entries.size() != batch.size()) {
-    // Whole-batch failure (transport, protocol, count mismatch): every
-    // member re-runs its own single call — the batch was an optimization,
-    // never a change to any caller's contract.
-    Status failure =
-        decoded.ok()
-            ? Status::Corruption(
-                  "batch response entry count does not match the request")
-            : decoded.status();
-    for (PendingPoint* p : batch) {
-      p->result = failure;
-      p->retry_single = true;
-      p->done = true;
-    }
-  } else {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      PointBatchResponseEntry& entry = decoded.value().entries[i];
-      if (entry.status.ok()) {
-        batch[i]->result =
-            Frame{MessageType::kPointResponse, std::move(entry.payload)};
-      } else {
-        // A shed/retryable entry goes back through the caller's own
-        // single-request retry policy; semantic errors are final and
-        // byte-identical to the unbatched answer.
-        batch[i]->result = entry.status;
-        batch[i]->retry_single = Retryable(entry.status);
-      }
-      batch[i]->done = true;
-    }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i]->answer = std::move(answers[i]);
+    batch[i]->done = true;
   }
   batcher.cv.NotifyAll();
 }
@@ -513,15 +504,18 @@ StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
       while (!me.done) batcher.cv.Wait(batcher.mu);
     }
   }
-  if (leader) {
-    ExecuteCoalescedBatch(idx, batch);
-    MutexLock lock(batcher.mu);  // me.result was written under it
-    if (!me.retry_single) return std::move(me.result);
-  } else if (!me.retry_single) {
-    return std::move(me.result);
+  if (leader) ExecuteCoalescedBatch(idx, batch);
+  std::optional<PointBatchResponseEntry> answer;
+  {
+    MutexLock lock(batcher.mu);  // me.answer was written under it
+    answer = std::move(me.answer);
   }
-  // Fallback: the caller's own single-request call, full retry policy —
-  // semantics identical to never having coalesced.
+  if (answer.has_value()) {
+    if (!answer->status.ok()) return answer->status;
+    return Frame{MessageType::kPointResponse, std::move(answer->payload)};
+  }
+  // Re-send alone: the caller's own single-request call, full retry
+  // policy — semantics identical to never having coalesced.
   return CallServer(idx, MessageType::kPointRequest, payload,
                     MessageType::kPointResponse, deadline);
 }
@@ -688,25 +682,14 @@ std::vector<PointBatchResponseEntry> FleetRouter::PointBatch(
       for (size_t j = 0; j < count; ++j) {
         encoded.push_back(EncodePointRequest(requests[group[begin + j]]));
       }
-      auto frame = CallServer(s, MessageType::kPointBatchRequest,
-                              EncodePointBatchRequestRaw(encoded),
-                              MessageType::kPointBatchResponse, deadline);
-      StatusOr<PointBatchResponseMsg> decoded =
-          frame.ok() ? DecodePointBatchResponse(frame.value().payload)
-                     : frame.status();
-      if (!decoded.ok() || decoded.value().entries.size() != count) {
-        for (size_t j = 0; j < count; ++j) fill_single(group[begin + j]);
-        continue;
-      }
+      auto answers = SendPointBatch(s, encoded, deadline);
       for (size_t j = 0; j < count; ++j) {
-        PointBatchResponseEntry& entry = decoded.value().entries[j];
         size_t i = group[begin + j];
-        if (entry.status.ok()) {
-          entries[i].payload = std::move(entry.payload);
-        } else if (Retryable(entry.status)) {
-          fill_single(i);
+        std::optional<PointBatchResponseEntry>& answer = answers[j];
+        if (answer.has_value()) {
+          entries[i] = std::move(*answer);
         } else {
-          entries[i].status = entry.status;
+          fill_single(i);
         }
       }
     }

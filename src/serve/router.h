@@ -30,7 +30,9 @@
 //     transport, or per-server thread counts.
 //   * Point queries — routed to the owning server by range; Jaccard pairs
 //     that span two servers are evaluated by fetching both raw sketches
-//     and running the same similarity estimator router-side.
+//     and running the same similarity estimator router-side. Batch frames
+//     (PointBatch, coalesced callers) leave through one sender; an entry
+//     the batch could not answer for good re-sends alone.
 //
 // RouterCore wraps a FleetRouter in the wire protocol's FrameHandler
 // surface, so a router process is itself just another protocol endpoint
@@ -45,6 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,7 +130,8 @@ struct RouterOptions {
   /// back shed/failed falls back to its own single-request call, so the
   /// retry contract is unchanged. 0 disables coalescing. When 0, the
   /// HIPADS_COALESCE_WINDOW_US environment variable (read at Connect)
-  /// supplies the window — CI forces the flush path on with it.
+  /// supplies the window — CI's tsan lane runs the serving suites once
+  /// without it and once with it, forcing the flush path on.
   uint64_t coalesce_window_us = 0;
 };
 
@@ -213,19 +217,18 @@ class FleetRouter {
   };
 
   /// One caller's parked request inside a coalescing batch. Lives on the
-  /// caller's stack; the leader writes result/done under the batcher mutex
+  /// caller's stack; the leader writes answer/done under the batcher mutex
   /// and the caller reads them back under it, so no field outlives its
   /// caller's wait.
   struct PendingPoint {
     const std::string* payload = nullptr;  // encoded single point request
     Deadline deadline;
-    StatusOr<Frame> result{Status::Unavailable("coalesced call pending")};
+    /// The batched answer, or nullopt for "re-send alone" (see
+    /// SendPointBatch; a batch of one also re-sends alone): the caller then
+    /// runs its own single-request CallServer, preserving the uncoalesced
+    /// retry contract exactly.
+    std::optional<PointBatchResponseEntry> answer;
     bool done = false;
-    /// Set when the batched answer was transport-shaped (whole-batch
-    /// failure or a retryable per-entry status): the caller re-runs its
-    /// own single-request CallServer, preserving the uncoalesced retry
-    /// contract exactly.
-    bool retry_single = false;
   };
 
   /// Per-server coalescing state (leader/follower): the first caller to
@@ -263,13 +266,21 @@ class FleetRouter {
   /// The single-shot fresh-connection attempt a hedge runs.
   StatusOr<Frame> HedgeAttempt(size_t idx, const std::string& payload,
                                const Deadline& deadline);
+  /// The one batch sender: `payloads` (encoded single point requests,
+  /// all owned by server `idx`) go out as one kPointBatchRequest under the
+  /// full retry policy. Returns one answer per payload — its response
+  /// payload or its final semantic error — or nullopt for "re-send alone":
+  /// the whole frame failed, or the entry came back retryable (a shed).
+  std::vector<std::optional<PointBatchResponseEntry>> SendPointBatch(
+      size_t idx, const std::vector<std::string>& payloads,
+      const Deadline& deadline);
   /// The coalescing point path (coalesce_window_us > 0, hedge off): joins
   /// or leads the server's batch, then waits for its entry's answer.
   StatusOr<Frame> CallPointCoalesced(size_t idx, const std::string& payload,
                                      const Deadline& deadline);
-  /// Leader side: sends one batch frame carrying every queued request
-  /// (deadline = the members' minimum) and distributes per-entry results.
-  /// A one-entry batch degenerates to the plain single-request call.
+  /// Leader side: sends every queued request through SendPointBatch
+  /// (deadline = the members' minimum) and hands each member its answer.
+  /// A one-entry batch sends no batch frame: its member re-sends alone.
   void ExecuteCoalescedBatch(size_t idx,
                              const std::vector<PendingPoint*>& batch);
 

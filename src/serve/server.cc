@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 
 #include <arpa/inet.h>
@@ -67,6 +68,7 @@ struct ServeMetrics {
   MetricCounter* shed_busy;
   MetricCounter* hip_resident;
   MetricCounter* hip_scan;
+  MetricGauge* active_sweeps;
   MetricHistogram* batch_entries;
   MetricCounter* tcp_accepted;
 };
@@ -90,6 +92,7 @@ ServeMetrics& Metrics() {
     mm->shed_busy = reg.Counter("serve.shed.busy");
     mm->hip_resident = reg.Counter("serve.point.hip_resident");
     mm->hip_scan = reg.Counter("serve.point.hip_scan");
+    mm->active_sweeps = reg.Gauge("serve.active_sweeps");
     mm->batch_entries = reg.Histogram("serve.batch.entries");
     mm->tcp_accepted = reg.Counter("serve.tcp.accepted");
     return mm;
@@ -145,10 +148,6 @@ AdsServerCore::AdsServerCore(const AdsBackend* backend,
       point_cache_(options.point_cache_entries, "serve.cache.point"),
       sweep_cache_(options.sweep_cache_entries, "serve.cache.sweep") {}
 
-Deadline::Clock::time_point AdsServerCore::Now() const {
-  return options_.clock ? options_.clock() : Deadline::Clock::now();
-}
-
 ServerInfoMsg AdsServerCore::Info() const {
   ServerInfoMsg info;
   info.node_begin = options_.node_begin;
@@ -184,7 +183,7 @@ std::string AdsServerCore::HandleFrame(std::string_view request,
   ScopedTraceContext trace_context(trace_hi, trace_lo);
   const ServeReqKind kind = ReqKindOf(frame.value().type);
   metrics.requests[kind]->Add();
-  Deadline deadline = Deadline::FromWireMs(frame.value().deadline_ms, Now());
+  Deadline deadline = Deadline::FromWireMs(frame.value().deadline_ms);
   StatusOr<Frame> response = [&] {
     ScopedLatencyTimer timer(metrics.latency_us[kind]);
     ScopedTraceSpan span("server.dispatch");
@@ -207,7 +206,7 @@ std::string AdsServerCore::HandleFrame(std::string_view request,
 
 StatusOr<Frame> AdsServerCore::Dispatch(const Frame& request,
                                         const Deadline& deadline) {
-  if (deadline.Expired(Now())) {
+  if (deadline.Expired()) {
     // Nobody is waiting for this answer anymore: shed before any compute.
     Metrics().shed_deadline->Add();
     return Status::DeadlineExceeded("request deadline expired; shed");
@@ -266,30 +265,12 @@ StatusOr<Frame> AdsServerCore::HandleStats(const StatsRequestMsg& msg) const {
 
 StatusOr<Frame> AdsServerCore::HandlePoint(const PointRequestMsg& msg,
                                            const std::string& payload) {
-  // The request payload is a canonical encoding of the question, so it is
-  // the cache key; a hit bypasses backend and locks entirely.
-  std::string cached;
-  if (options_.point_cache_entries > 0 && point_cache_.Get(payload, &cached)) {
-    return Frame{MessageType::kPointResponse, std::move(cached)};
-  }
-  StatusOr<std::string> result = [&]() -> StatusOr<std::string> {
-    if (lock_free_) return ComputePoint(msg);
-    if (active_sweeps_.value() > 0) {
-      // A sweep owns the serialized backend for what may be minutes.
-      // Queueing a microsecond lookup behind it inverts every latency
-      // goal — shed instead and let the caller's retry budget absorb it.
-      Metrics().shed_busy->Add();
-      return Status::Unavailable(
-          "backend busy with a sweep; point lookup shed, retry");
-    }
-    MutexLock lock(mu_);
-    return ComputePoint(msg);
-  }();
-  if (!result.ok()) return result.status();
-  if (options_.point_cache_entries > 0) {
-    point_cache_.Put(payload, result.value());
-  }
-  return Frame{MessageType::kPointResponse, std::move(result).value()};
+  // A lone point is a batch of one. Its payload is a canonical encoding
+  // of the question, so it is the cache key as it stands.
+  PointBatchResponseEntry answer;
+  AnswerPoints({&msg, 1}, {&payload, 1}, {&answer, 1});
+  if (!answer.status.ok()) return answer.status;
+  return Frame{MessageType::kPointResponse, std::move(answer.payload)};
 }
 
 StatusOr<NodeId> AdsServerCore::LocalIdOf(uint64_t node) const {
@@ -300,23 +281,6 @@ StatusOr<NodeId> AdsServerCore::LocalIdOf(uint64_t node) const {
                             " is outside the served range");
   }
   return static_cast<NodeId>(node - begin);
-}
-
-StatusOr<std::string> AdsServerCore::ComputePoint(
-    const PointRequestMsg& msg) const {
-  auto local = LocalIdOf(msg.node);
-  if (!local.ok()) return local.status();
-  auto view = [&] {
-    ScopedTraceSpan span("server.backend_fetch");
-    return backend_->ViewOf(local.value());
-  }();
-  if (!view.ok()) return view.status();
-  // A HipOf failure is served by the scan fallback instead of erroring:
-  // precomputed weights are an optimization, never an answer change.
-  auto hip_or = backend_->HipOf(local.value());
-  HipView hip = hip_or.ok() ? hip_or.value() : HipView{};
-  std::optional<HipEstimator> est;
-  return ComputePointWithView(msg, view.value(), hip, &est);
 }
 
 StatusOr<std::string> AdsServerCore::ComputePointWithView(
@@ -332,10 +296,9 @@ StatusOr<std::string> AdsServerCore::ComputePointWithView(
         (hip.present() ? Metrics().hip_resident : Metrics().hip_scan)->Add();
         // Storage-resident weights make this a pointer wrap; without them
         // the estimator scans into a per-thread scratch, allocation-free
-        // once warm. It borrows the scratch, which is safe for both
-        // request paths: a request's estimator never outlives the dispatch
-        // call that created it, and the batch path resets the cached
-        // estimator before the scratch is scanned again.
+        // once warm. It borrows the scratch, which is safe: an estimator
+        // never outlives the pass that created it, and the pass resets it
+        // before the scratch is scanned again.
         thread_local HipScratch scratch;
         est->emplace(view, hip, backend_->k(), backend_->flavor(),
                      backend_->ranks(), &scratch);
@@ -396,8 +359,8 @@ StatusOr<std::string> AdsServerCore::ComputePointWithView(
 
 namespace {
 
-// Exact request equality — the dedup guard for reusing a computed batch
-// entry. `d` compares with operator== (NaN never equals, so a NaN entry is
+// Exact request equality — the dedup guard for reusing a computed entry.
+// `d` compares with operator== (NaN never equals, so a NaN entry is
 // simply recomputed; ±0.0 compare equal and yield identical responses since
 // the payload never echoes d and every distance comparison treats them
 // alike).
@@ -408,62 +371,98 @@ bool SamePointRequest(const PointRequestMsg& a, const PointRequestMsg& b) {
 
 }  // namespace
 
-void AdsServerCore::ComputeBatchEntries(const PointBatchRequestMsg& msg,
-                                        const std::vector<size_t>& order,
-                                        bool share_scans,
-                                        PointBatchResponseMsg* response) const {
-  uint64_t current_node = 0;
-  bool have_node = false;
-  std::optional<AdsView> view;
-  HipView hip;
-  Status view_status;
-  std::optional<HipEstimator> est;
-  // Hot working sets repeat whole requests, not just nodes: after the
-  // node-order sort, identical entries are adjacent, and responses are
-  // deterministic, so the previous entry's result (payload or status) IS
-  // this entry's result — one copy instead of a recomputed scan.
-  size_t prev_idx = 0;
-  bool have_prev = false;
-  for (size_t idx : order) {
-    const PointRequestMsg& entry = msg.entries[idx];
-    PointBatchResponseEntry& out = response->entries[idx];
-    if (share_scans && have_prev &&
-        SamePointRequest(entry, msg.entries[prev_idx])) {
-      out = response->entries[prev_idx];
-      continue;
-    }
-    prev_idx = idx;
-    have_prev = true;
-    auto local = LocalIdOf(entry.node);
-    if (!local.ok()) {
-      out.status = local.status();
-      continue;
-    }
-    if (!share_scans || !have_node || entry.node != current_node) {
-      est.reset();
-      view.reset();
-      hip = HipView{};
-      auto fetched = backend_->ViewOf(local.value());
-      if (fetched.ok()) {
-        view = fetched.value();
-        view_status = Status::Ok();
-        auto hip_or = backend_->HipOf(local.value());
-        if (hip_or.ok()) hip = hip_or.value();
-      } else {
-        view_status = fetched.status();
+void AdsServerCore::AnswerPoints(std::span<const PointRequestMsg> requests,
+                                 std::span<const std::string> keys,
+                                 std::span<PointBatchResponseEntry> out) {
+  const bool use_cache = options_.point_cache_entries > 0;
+  std::vector<size_t> misses;
+  misses.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    // A hit bypasses backend and locks entirely (entry status stays Ok).
+    if (use_cache && point_cache_.Get(keys[i], &out[i].payload)) continue;
+    misses.push_back(i);
+  }
+  if (misses.empty()) return;
+  // One pass in node order. stable_sort keeps equal-node entries in
+  // request order; results land by original index either way, so the
+  // reorder is invisible on the wire.
+  if (misses.size() > 1) {
+    std::stable_sort(misses.begin(), misses.end(),
+                     [&requests](size_t a, size_t b) {
+                       return requests[a].node < requests[b].node;
+                     });
+  }
+  auto compute = [&] {
+    // The node whose view, HIP weights and estimator the pass holds.
+    std::optional<uint64_t> shared_node;
+    StatusOr<AdsView> view = AdsView{};
+    HipView hip;
+    std::optional<HipEstimator> est;
+    std::optional<size_t> prev;  // the entry computed last
+    for (size_t i : misses) {
+      const PointRequestMsg& entry = requests[i];
+      // Identical entries are adjacent after the sort, and responses are
+      // deterministic, so the previous result (payload or status) IS this
+      // entry's result: one copy instead of a recomputed scan.
+      if (prev.has_value() && SamePointRequest(entry, requests[*prev])) {
+        out[i] = out[*prev];
+        continue;
       }
-      current_node = entry.node;
-      have_node = true;
+      prev = i;
+      auto local = LocalIdOf(entry.node);
+      if (!local.ok()) {
+        out[i].status = local.status();
+        continue;
+      }
+      if (shared_node != entry.node) {
+        est.reset();
+        {
+          ScopedTraceSpan span("server.backend_fetch");
+          view = backend_->ViewOf(local.value());
+        }
+        hip = HipView{};
+        if (view.ok()) {
+          // A HipOf failure is served by the scan fallback instead of
+          // erroring: precomputed weights are an optimization, never an
+          // answer change.
+          auto hip_or = backend_->HipOf(local.value());
+          if (hip_or.ok()) hip = hip_or.value();
+        }
+        shared_node = entry.node;
+      }
+      if (!view.ok()) {
+        out[i].status = view.status();
+        continue;
+      }
+      auto result = ComputePointWithView(entry, view.value(), hip, &est);
+      if (result.ok()) {
+        out[i].payload = std::move(result).value();
+      } else {
+        out[i].status = result.status();
+      }
+      // A Jaccard entry's second fetch may evict the shard backing `view`
+      // (bounded residency), so the share ends with it.
+      if (entry.kind == PointKind::kJaccard) shared_node.reset();
     }
-    if (!view.has_value()) {
-      out.status = view_status;
-      continue;
+  };
+  if (lock_free_) {
+    compute();
+  } else if (active_sweeps_.load() > 0) {
+    // A sweep owns the serialized backend for what may be minutes.
+    // Queueing a microsecond lookup behind it inverts every latency goal —
+    // shed instead and let the caller's retry budget absorb it.
+    Metrics().shed_busy->Add(misses.size());
+    for (size_t i : misses) {
+      out[i].status = Status::Unavailable(
+          "backend busy with a sweep; point lookup shed, retry");
     }
-    auto result = ComputePointWithView(entry, *view, hip, &est);
-    if (result.ok()) {
-      out.payload = std::move(result).value();
-    } else {
-      out.status = result.status();
+  } else {
+    MutexLock lock(mu_);  // once for the whole pass
+    compute();
+  }
+  if (use_cache) {
+    for (size_t i : misses) {
+      if (out[i].status.ok()) point_cache_.Put(keys[i], out[i].payload);
     }
   }
 }
@@ -472,59 +471,20 @@ StatusOr<Frame> AdsServerCore::HandlePointBatch(
     const PointBatchRequestMsg& msg) {
   const size_t n = msg.entries.size();
   Metrics().batch_entries->Record(n);
-  PointBatchResponseMsg response;
-  response.entries.resize(n);
   // Per-entry cache keys are the canonical single-request bytes: a batch
   // reads and fills exactly the cache lone kPointRequests use, so either
   // shape warms the other. With the cache disabled the keys are never
   // consulted, so skip the per-entry re-encode entirely.
-  const bool use_cache = options_.point_cache_entries > 0;
   std::vector<std::string> keys;
-  if (use_cache) keys.resize(n);
-  std::vector<size_t> misses;
-  misses.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (use_cache) {
-      keys[i] = EncodePointRequest(msg.entries[i]);
-      if (point_cache_.Get(keys[i], &response.entries[i].payload)) {
-        continue;  // entry status defaults to Ok
-      }
-    }
-    misses.push_back(i);
-  }
-  if (!misses.empty()) {
-    if (lock_free_) {
-      // One pass in node order: consecutive same-node entries share one
-      // backend fetch and one estimator materialization. stable_sort keeps
-      // equal-node entries in request order; results land by original
-      // index either way, so the reorder is invisible on the wire.
-      std::stable_sort(misses.begin(), misses.end(),
-                       [&msg](size_t a, size_t b) {
-                         return msg.entries[a].node < msg.entries[b].node;
-                       });
-      ComputeBatchEntries(msg, misses, /*share_scans=*/true, &response);
-    } else if (active_sweeps_.value() > 0) {
-      // Same shedding contract as single lookups, applied per entry.
-      Metrics().shed_busy->Add(misses.size());
-      for (size_t i : misses) {
-        response.entries[i].status = Status::Unavailable(
-            "backend busy with a sweep; point lookup shed, retry");
-      }
-    } else {
-      // Serialized engine: ONE lock acquisition for the whole batch, but
-      // per-entry fetches — a shared view could be evicted by a kJaccard
-      // entry's second fetch under bounded shard residency.
-      MutexLock lock(mu_);
-      ComputeBatchEntries(msg, misses, /*share_scans=*/false, &response);
-    }
-    if (use_cache) {
-      for (size_t i : misses) {
-        if (response.entries[i].status.ok()) {
-          point_cache_.Put(keys[i], response.entries[i].payload);
-        }
-      }
+  if (options_.point_cache_entries > 0) {
+    keys.reserve(n);
+    for (const PointRequestMsg& entry : msg.entries) {
+      keys.push_back(EncodePointRequest(entry));
     }
   }
+  PointBatchResponseMsg response;
+  response.entries.resize(n);
+  AnswerPoints(msg.entries, keys, response.entries);
   return Frame{MessageType::kPointBatchResponse,
                EncodePointBatchResponse(response)};
 }
@@ -549,8 +509,8 @@ StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
   // passes, the remaining compute would produce an answer nobody awaits.
   std::function<Status()> checkpoint;
   if (deadline.has_deadline()) {
-    checkpoint = [this, deadline] {
-      return deadline.Expired(Now())
+    checkpoint = [deadline] {
+      return deadline.Expired()
                  ? Status::DeadlineExceeded(
                        "sweep aborted: request deadline expired")
                  : Status::Ok();
@@ -560,12 +520,14 @@ StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
   if (lock_free_) {
     swept = RunSweep(*backend_, plan, threads, checkpoint);
   } else {
-    active_sweeps_.Add(1);
+    ++active_sweeps_;
+    Metrics().active_sweeps->Add(1);
     {
       MutexLock lock(mu_);
       swept = RunSweep(*backend_, plan, threads, checkpoint);
     }
-    active_sweeps_.Add(-1);
+    Metrics().active_sweeps->Add(-1);
+    --active_sweeps_;
   }
   if (!swept.ok()) return swept;
 

@@ -24,6 +24,10 @@
 // Both modes sit behind small LRU response caches, so repeated cheap
 // lookups never touch the backend at all.
 //
+// Points have one path: a lone kPointRequest is answered as a batch of
+// one, so a lone point and a batch entry share the cache, the shedding
+// decision and the computation, and answer with the same bytes.
+//
 // The node-id split: a range server launched with node_begin B serves
 // global nodes [B, B + backend.num_nodes()). Shard files written by
 // WriteShardedAdsSet are complete, independently loadable ADS files whose
@@ -38,10 +42,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -127,10 +131,6 @@ struct ServerOptions {
   /// Entries in the sweep-response LRU, keyed by the canonical spec
   /// encoding (SweepSpecCacheKey, thread-count excluded; 0 disables).
   uint32_t sweep_cache_entries = 4;
-  /// Time source for deadline evaluation. Null = the real steady clock;
-  /// tests inject a fake to exercise expired-deadline shedding
-  /// deterministically.
-  std::function<Deadline::Clock::time_point()> clock;
 };
 
 /// The request dispatcher of a range server. Borrows the backend, which
@@ -169,42 +169,44 @@ class AdsServerCore : public FrameHandler {
   /// out-of-range answer — single and batched paths must fail with
   /// identical bytes).
   StatusOr<NodeId> LocalIdOf(uint64_t node) const;
-  /// The actual point computation (lock, if any, held by the caller).
-  StatusOr<std::string> ComputePoint(const PointRequestMsg& msg) const;
-  /// Point computation against an already-fetched view. `hip` carries the
+  /// The one point engine: fills out[i] with the answer to requests[i]
+  /// (a lone request is a batch of one). keys[i] is requests[i]'s
+  /// point-cache key, its canonical single-request encoding — a lone
+  /// request's own payload bytes; `keys` is read only when the cache is
+  /// on. Hits bypass the backend and its lock. The misses are computed in
+  /// one pass in node order: consecutive same-node entries share one
+  /// backend fetch and one estimator — until a Jaccard entry, whose second
+  /// fetch can evict the shared view's shard — and consecutive identical
+  /// entries reuse the previous result (responses are deterministic, so
+  /// the copy is bitwise-equal to a recompute). A serialized backend is
+  /// locked once for the pass or, while a sweep holds it, every miss is
+  /// shed with Unavailable.
+  void AnswerPoints(std::span<const PointRequestMsg> requests,
+                    std::span<const std::string> keys,
+                    std::span<PointBatchResponseEntry> out);
+  /// One entry's answer from its node's fetched view. `hip` carries the
   /// node's storage-resident HIP weights when the backend has them
   /// (estimator materialization is then a pointer wrap); when absent the
-  /// scan fallback runs into a per-thread scratch — both produce byte-
-  /// identical responses. `est` caches the node's HipEstimator across
-  /// consecutive same-node entries of a sorted batch (one materialization
-  /// per distinct node).
+  /// scan runs into a per-thread scratch — both produce byte-identical
+  /// responses. `est` caches the node's HipEstimator across the node's
+  /// consecutive entries.
   StatusOr<std::string> ComputePointWithView(
       const PointRequestMsg& msg, const AdsView& view, const HipView& hip,
       std::optional<HipEstimator>* est) const;
-  /// Computes the `order`-listed entries of a batch (lock, if any, held by
-  /// the caller). With share_scans set, `order` must be sorted by node:
-  /// consecutive same-node entries then share one backend fetch and one
-  /// estimator materialization, and consecutive *identical* entries reuse
-  /// the previous result outright (responses are deterministic, so the
-  /// copy is bitwise-equal to a recompute) — only safe on immutable-read
-  /// backends, where a view survives fetching another node's.
-  void ComputeBatchEntries(const PointBatchRequestMsg& msg,
-                           const std::vector<size_t>& order, bool share_scans,
-                           PointBatchResponseMsg* response) const;
-  Deadline::Clock::time_point Now() const;
 
   const AdsBackend* backend_;
   ServerOptions options_;
   const bool lock_free_;  // backend_->ImmutableReads()
   // Serializes backend access on serialized engines. It guards the
   // *pointee* of backend_ — and only when !lock_free_, a runtime property
-  // — so the guarded relation is enforced by the Dispatch call structure
-  // (and the tsan lane), not by a GUARDED_BY the analysis could check.
+  // — so the guarded relation is enforced by the call structure of
+  // AnswerPoints and HandleSweep (and the tsan lane), not by a GUARDED_BY
+  // the analysis could check.
   mutable Mutex mu_;
-  // Admission signal for shedding; a registry gauge ("serve.active_sweeps")
-  // so a scrape sees in-flight sweeps. NEVER gated on MetricsEnabled —
-  // shedding decisions read it, so it is control flow, not telemetry.
-  RegisteredGauge active_sweeps_{"serve.active_sweeps"};
+  // Sweeps holding the serialized backend: points arriving while it is
+  // nonzero are shed. This core's own count — the registry gauge
+  // "serve.active_sweeps" sums every core in the process.
+  std::atomic<int> active_sweeps_{0};
   ResponseCache point_cache_;
   ResponseCache sweep_cache_;
 };

@@ -145,31 +145,10 @@ void MetricsRegistry::DetachCounter(const std::string& name,
   if (list.empty()) attached_counters_.erase(it);
 }
 
-void MetricsRegistry::AttachGauge(const std::string& name,
-                                  const MetricGauge* gauge) {
-  MutexLock lock(mu_);
-  attached_gauges_[name].push_back(gauge);
-}
-
-void MetricsRegistry::DetachGauge(const std::string& name,
-                                  const MetricGauge* gauge) {
-  MutexLock lock(mu_);
-  auto it = attached_gauges_.find(name);
-  if (it == attached_gauges_.end()) return;
-  auto& list = it->second;
-  for (size_t i = 0; i < list.size(); ++i) {
-    if (list[i] == gauge) {
-      list.erase(list.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  if (list.empty()) attached_gauges_.erase(it);
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MutexLock lock(mu_);
   MetricsSnapshot snap;
-  // Merge owned and attached instruments name by name; both maps are
+  // Merge owned and attached counters name by name; both maps are
   // ordered, so the result is sorted without a second pass.
   std::map<std::string, uint64_t> counter_totals;
   for (const auto& [name, counter] : counters_) {
@@ -182,16 +161,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, value] : counter_totals) {
     snap.counters.push_back({name, value});
   }
-  std::map<std::string, int64_t> gauge_totals;
   for (const auto& [name, gauge] : gauges_) {
-    gauge_totals[name] += gauge->value();
-  }
-  for (const auto& [name, list] : attached_gauges_) {
-    int64_t& total = gauge_totals[name];
-    for (const MetricGauge* g : list) total += g->value();
-  }
-  for (const auto& [name, value] : gauge_totals) {
-    snap.gauges.push_back({name, value});
+    snap.gauges.push_back({name, gauge->value()});
   }
   for (const auto& [name, hist] : histograms_) {
     MetricsSnapshot::HistogramValue h;

@@ -8,12 +8,13 @@
 //     Registration (name -> instrument) takes a mutex, so call sites
 //     resolve their instrument pointer once (instrument addresses are
 //     stable for the life of the process) and record through it.
-//   * Metrics never influence responses. Counters and histograms are
-//     samples — a build with HIPADS_DISABLE_METRICS, or a process with
-//     SetMetricsEnabled(false), must produce bitwise-identical response
-//     bytes. Gauges are exempt from both switches: code is allowed to
-//     base control flow on a gauge (sweep admission reads the
-//     active-sweeps gauge), so a gauge always tracks its real state.
+//   * Metrics never influence responses, and no code branches on an
+//     instrument. Counters and histograms are samples — a build with
+//     HIPADS_DISABLE_METRICS, or a process with SetMetricsEnabled(false),
+//     must produce bitwise-identical response bytes. Gauges are exempt
+//     from both switches so that a level stays balanced: an Add(1) made
+//     before the kill switch flips and its Add(-1) made after it still
+//     cancel.
 //   * Determinism: the deterministic estimator trees (src/ads, ...)
 //     may record COUNTS only — totals there are thread-count invariant.
 //     Wall-clock instruments (MetricHistogram fed by
@@ -25,12 +26,11 @@
 //   * Registry-owned: MetricsRegistry::Get().Counter("name") creates on
 //     first use and returns a stable pointer — for process-global call
 //     sites (resolve once into a static, record forever).
-//   * Instance-owned: RegisteredCounter / RegisteredGauge members
-//     attach themselves under a shared name and detach on destruction —
-//     for per-object counts that tests read through the owning object
-//     (cache hit counts, shard load counts). Snapshot() sums every
-//     instrument registered under a name, so N caches named
-//     "serve.cache.point" scrape as one total.
+//   * Instance-owned: RegisteredCounter members attach themselves under
+//     a shared name and detach on destruction — for per-object counts
+//     that tests read through the owning object (cache hit counts, shard
+//     load counts). Snapshot() sums every counter registered under a
+//     name, so N caches named "serve.cache.point" scrape as one total.
 
 #ifndef HIPADS_UTIL_METRICS_H_
 #define HIPADS_UTIL_METRICS_H_
@@ -78,7 +78,7 @@ class MetricCounter {
 };
 
 /// Signed level (in-flight requests, active sweeps). NOT gated on
-/// MetricsEnabled(): a gauge is state, and code may branch on it.
+/// MetricsEnabled(), so paired Adds balance across the kill switch.
 class MetricGauge {
  public:
   void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
@@ -177,13 +177,11 @@ class MetricsRegistry {
   MetricGauge* Gauge(const std::string& name);
   MetricHistogram* Histogram(const std::string& name);
 
-  /// Registers an instance-owned instrument under `name`; Snapshot()
-  /// sums it with everything else of that name. The caller must Detach
-  /// before the instrument is destroyed (RegisteredCounter/-Gauge do).
+  /// Registers an instance-owned counter under `name`; Snapshot() sums it
+  /// with everything else of that name. The caller must Detach before the
+  /// counter is destroyed (RegisteredCounter does).
   void AttachCounter(const std::string& name, const MetricCounter* counter);
   void DetachCounter(const std::string& name, const MetricCounter* counter);
-  void AttachGauge(const std::string& name, const MetricGauge* gauge);
-  void DetachGauge(const std::string& name, const MetricGauge* gauge);
 
   MetricsSnapshot Snapshot() const;
 
@@ -204,8 +202,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_
       HIPADS_GUARDED_BY(mu_);
   std::map<std::string, std::vector<const MetricCounter*>> attached_counters_
-      HIPADS_GUARDED_BY(mu_);
-  std::map<std::string, std::vector<const MetricGauge*>> attached_gauges_
       HIPADS_GUARDED_BY(mu_);
 };
 
@@ -255,50 +251,6 @@ class RegisteredCounter {
  private:
   std::string name_;  // empty after being moved from
   MetricCounter counter_;
-};
-
-/// RegisteredCounter's gauge twin (instance-owned level, shared name).
-class RegisteredGauge {
- public:
-  explicit RegisteredGauge(std::string name) : name_(std::move(name)) {
-    MetricsRegistry::Get().AttachGauge(name_, &gauge_);
-  }
-  ~RegisteredGauge() {
-    if (!name_.empty()) MetricsRegistry::Get().DetachGauge(name_, &gauge_);
-  }
-  RegisteredGauge(RegisteredGauge&& other) noexcept
-      : name_(std::move(other.name_)) {
-    gauge_.Set(other.gauge_.value());
-    if (!name_.empty()) {
-      MetricsRegistry::Get().DetachGauge(name_, &other.gauge_);
-      MetricsRegistry::Get().AttachGauge(name_, &gauge_);
-    }
-    other.name_.clear();
-    other.gauge_.Set(0);
-  }
-  RegisteredGauge& operator=(RegisteredGauge&& other) noexcept {
-    if (this != &other) {
-      if (!name_.empty()) MetricsRegistry::Get().DetachGauge(name_, &gauge_);
-      name_ = std::move(other.name_);
-      gauge_.Set(other.gauge_.value());
-      if (!name_.empty()) {
-        MetricsRegistry::Get().DetachGauge(name_, &other.gauge_);
-        MetricsRegistry::Get().AttachGauge(name_, &gauge_);
-      }
-      other.name_.clear();
-      other.gauge_.Set(0);
-    }
-    return *this;
-  }
-  RegisteredGauge(const RegisteredGauge&) = delete;
-  RegisteredGauge& operator=(const RegisteredGauge&) = delete;
-
-  void Add(int64_t d) { gauge_.Add(d); }
-  int64_t value() const { return gauge_.value(); }
-
- private:
-  std::string name_;  // empty after being moved from
-  MetricGauge gauge_;
 };
 
 /// Records the scope's wall-clock duration (microseconds) into a

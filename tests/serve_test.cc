@@ -29,6 +29,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -48,6 +49,8 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/metrics.h"
+#include "util/mutex.h"
 #include "util/parallel.h"
 
 namespace hipads {
@@ -703,6 +706,161 @@ TEST(ServeTest, PointBatchSharesTheSingleRequestCache) {
   EXPECT_EQ(core.point_cache_hits(), 3u);
 }
 
+// A serialized batch shares one fetch across a node's consecutive
+// entries, but a Jaccard entry's second fetch evicts the first node's
+// shard at max_resident = 1, so the share must end there: the entries
+// after it (same node, another d; a lookup) fetch again. Each answer
+// equals the lone call's bytes (under ASan, a kept share reads the
+// evicted arena).
+TEST(ServeTest, SerializedBatchEndsTheShareAtAJaccardEntry) {
+  FlatAdsSet full = BuildFlat(120, 47, 8);
+  ScratchDir dir("hipads_serve_test_jaccard_share");
+  const std::string shard_dir = dir.file("shards");
+  ASSERT_TRUE(WriteShardedAdsSet(full, shard_dir, 2).ok());
+  ShardedOptions sharded_options;
+  sharded_options.max_resident = 1;
+  auto sharded = ShardedAdsSet::Open(shard_dir, sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded.value().shards().size(), 2u);
+  ASSERT_FALSE(sharded.value().ImmutableReads());
+  const NodeId u = sharded.value().shards()[0].begin + 3;
+  const NodeId w = sharded.value().shards()[1].begin + 5;
+  ServerOptions options;
+  options.point_cache_entries = 0;
+  AdsServerCore core(&sharded.value(), options);
+  LoopbackChannel channel(&core);
+  AdsClient client(&channel);
+
+  std::vector<PointRequestMsg> batch(4);
+  batch[0].kind = PointKind::kNodeStats;
+  batch[0].node = u;
+  batch[0].d = 2.0;
+  batch[1].kind = PointKind::kJaccard;
+  batch[1].node = u;
+  batch[1].other = w;
+  batch[1].d = 3.0;
+  batch[2].kind = PointKind::kNodeStats;
+  batch[2].node = u;
+  batch[2].d = std::numeric_limits<double>::infinity();
+  batch[3].kind = PointKind::kLookup;
+  batch[3].node = u;
+  batch[3].targets = {0, u, w, 119};
+  auto batched = client.PointBatch(batch);
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  ASSERT_EQ(batched.value().size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto lone = client.Point(batch[i]);
+    ASSERT_TRUE(lone.ok()) << "entry " << i << ": " << lone.status().ToString();
+    ASSERT_TRUE(batched.value()[i].status.ok())
+        << "entry " << i << ": " << batched.value()[i].status.ToString();
+    EXPECT_EQ(batched.value()[i].payload, EncodePointResponse(lone.value()))
+        << "entry " << i;
+  }
+}
+
+// A serialized backend (ImmutableReads() false) over a flat set whose
+// Range() parks until the test releases it, so a sweep holds the core for
+// as long as the test needs.
+class ParkingBackend : public AdsBackend {
+ public:
+  explicit ParkingBackend(const FlatAdsSet* set) : inner_(set) {}
+
+  SketchFlavor flavor() const override { return inner_.flavor(); }
+  uint32_t k() const override { return inner_.k(); }
+  const RankAssignment& ranks() const override { return inner_.ranks(); }
+  size_t num_nodes() const override { return inner_.num_nodes(); }
+  uint64_t TotalEntries() const override { return inner_.TotalEntries(); }
+  uint32_t NumRanges() const override { return inner_.NumRanges(); }
+  StatusOr<AdsView> ViewOf(NodeId v) const override {
+    return inner_.ViewOf(v);
+  }
+  StatusOr<AdsArenaView> Range(uint32_t r) const override {
+    MutexLock lock(mu_);
+    parked_ = true;
+    cv_.NotifyAll();
+    while (!released_) cv_.Wait(mu_);
+    return inner_.Range(r);
+  }
+
+  void WaitUntilParked() const {
+    MutexLock lock(mu_);
+    while (!parked_) cv_.Wait(mu_);
+  }
+  void Release() {
+    MutexLock lock(mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  FlatAdsBackend inner_;
+  mutable Mutex mu_;
+  mutable CondVar cv_;
+  mutable bool parked_ HIPADS_GUARDED_BY(mu_) = false;
+  bool released_ HIPADS_GUARDED_BY(mu_) = false;
+};
+
+// The real shed path: while a sweep holds a serialized core, a lone point
+// and every entry of a batch come back Unavailable, and serve.shed.busy
+// rises by the number of requests shed. Once the sweep is done, the same
+// point answers with the bytes an immutable core gives.
+TEST(ServeTest, SerializedCoreShedsPointsWhileASweepHoldsIt) {
+  FlatAdsSet full = BuildFlat(60, 31, 4);
+  ParkingBackend parking(&full);
+  ASSERT_FALSE(parking.ImmutableReads());
+  AdsServerCore core(&parking, ServerOptions{});
+  FlatAdsBackend flat(&full);
+  AdsServerCore immutable(&flat, ServerOptions{});
+  LoopbackChannel channel(&core);
+  AdsClient client(&channel);
+
+  PointRequestMsg point;
+  point.kind = PointKind::kNodeStats;
+  point.node = 17;
+  point.d = std::numeric_limits<double>::infinity();
+  std::vector<PointRequestMsg> batch(3, point);
+  batch[1].node = 23;
+  batch[2].kind = PointKind::kLookup;
+  batch[2].targets = {1, 2, 3};
+
+  SweepRequestMsg sweep;
+  sweep.collectors = {{CollectorKind::kHarmonic, 0, 0, 0.0}};
+  sweep.num_threads = 1;
+  const std::string sweep_frame =
+      EncodeFrame(MessageType::kSweepRequest, EncodeSweepRequest(sweep));
+  std::string sweep_response;
+  std::thread sweeper([&] {
+    bool close_connection = false;
+    sweep_response = core.HandleFrame(sweep_frame, &close_connection);
+  });
+  parking.WaitUntilParked();
+
+  MetricCounter* shed_busy = MetricsRegistry::Get().Counter("serve.shed.busy");
+  const uint64_t shed_before = shed_busy->value();
+  auto lone = client.Point(point);
+  EXPECT_EQ(lone.status().code(), Status::Code::kUnavailable)
+      << lone.status().ToString();
+  auto batched = client.PointBatch(batch);
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  ASSERT_EQ(batched.value().size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batched.value()[i].status.code(), Status::Code::kUnavailable)
+        << "entry " << i << ": " << batched.value()[i].status.ToString();
+  }
+  EXPECT_EQ(shed_busy->value() - shed_before, 1 + batch.size());
+
+  parking.Release();
+  sweeper.join();
+  auto swept = DecodeFrame(sweep_response);
+  ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+  EXPECT_EQ(swept.value().type, MessageType::kSweepResponse);
+  const std::string point_frame =
+      EncodeFrame(MessageType::kPointRequest, EncodePointRequest(point));
+  bool close_connection = false;
+  EXPECT_EQ(core.HandleFrame(point_frame, &close_connection),
+            immutable.HandleFrame(point_frame, &close_connection));
+}
+
 // A channel wrapper counting batch request frames — how the coalescing
 // tests observe that concurrent calls actually traveled batched.
 class BatchCountingChannel : public Channel {
@@ -804,9 +962,18 @@ TEST(ServeTest, CoalesceWindowEnvKnobForcesTheBatchPath) {
     return std::unique_ptr<Channel>(std::make_unique<BatchCountingChannel>(
         std::move(inner).value(), &batch_frames));
   };
+  // Restore the variable's previous value afterwards (CI's second tsan run
+  // sets it for the whole suite), so later cases run under the same one.
+  const char* prev = std::getenv("HIPADS_COALESCE_WINDOW_US");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
   ASSERT_EQ(setenv("HIPADS_COALESCE_WINDOW_US", "200000", 1), 0);
   auto router = FleetRouter::Connect(fleet.manifest, counting);
-  unsetenv("HIPADS_COALESCE_WINDOW_US");
+  if (saved.has_value()) {
+    setenv("HIPADS_COALESCE_WINDOW_US", saved->c_str(), 1);
+  } else {
+    unsetenv("HIPADS_COALESCE_WINDOW_US");
+  }
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   auto plain = FleetRouter::Connect(fleet.manifest, fleet.Factory());
   ASSERT_TRUE(plain.ok());
@@ -1102,9 +1269,10 @@ TEST(ServeTest, TcpFleetEndToEnd) {
 
 #ifdef HIPADS_CLI_PATH
 
-int RunCli(const std::string& args, const std::string& stdout_path) {
+int RunCli(const std::string& args, const std::string& stdout_path,
+           const std::string& stderr_path = "/dev/null") {
   std::string command = std::string(HIPADS_CLI_PATH) + " " + args + " > " +
-                        stdout_path + " 2>/dev/null";
+                        stdout_path + " 2>" + stderr_path;
   int rc = std::system(command.c_str());
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
@@ -1389,6 +1557,69 @@ TEST(ServeTest, CliShardPrintsTheShardCountItWrote) {
               std::string::npos)
         << "--shards " << requested << " printed: " << ReadFile(out);
   }
+}
+
+// Numeric flags fail closed: a sign, non-digits, trailing bytes or a
+// value above what the option holds exit 2 with a message naming the
+// flag, print nothing and write nothing. The `serve` and `route` cases
+// name missing inputs, so a CLI that let the bad value through fails to
+// open them instead of binding a socket.
+TEST(ServeTest, CliNumericFlagsFailClosed) {
+  FlatAdsSet full = BuildFlat(5, 23, 4);
+  ScratchDir dir("hipads_serve_test_cli_flags");
+  const std::string set_path = dir.file("set.ads2");
+  ASSERT_TRUE(
+      WriteAdsSetFile(full, set_path, AdsFileFormat::kBinaryV2).ok());
+  const std::string graph = dir.file("g.txt");
+  ASSERT_TRUE(
+      WriteEdgeListFile(ErdosRenyi(5, 8, /*undirected=*/true, 3), graph)
+          .ok());
+  const std::string out = dir.file("out");  // what a bad run must not write
+  const std::string missing = dir.file("missing");
+  const std::string query = "query --sketches " + set_path;
+  struct Case {
+    const char* flag;
+    std::string command;
+  };
+  const std::vector<Case> cases = {
+      {"shards",
+       "shard --in " + set_path + " --out-dir " + out + " --shards 4294967297"},
+      {"shards", "shard --in " + set_path + " --out-dir " + out + " --shards -3"},
+      {"shards", "sketch --graph " + graph + " --out " + out + " --shards -1"},
+      {"nodes", "generate --nodes 4294967296 --out " + out},
+      {"attach", "generate --model ba --nodes 3 --attach 5 --out " + out},
+      {"attach", "generate --model ba --nodes 0 --out " + out},
+      {"node", query + " --node abc"},
+      {"top", query + " --top -1"},
+      {"top", "stats --sketches " + set_path + " --top 3x"},
+      {"resident", query + " --node 1 --resident 1.5"},
+      {"distance", query + " --node 1 --distance 2x"},
+      {"port", "serve --sketches " + missing + " --port 65536"},
+      {"workers", "serve --sketches " + missing + " --workers +4"},
+      {"node-begin", "serve --sketches " + missing + " --node-begin 4294967296"},
+      {"port", "route --fleet " + missing + " --port 70000"},
+      {"retries", "route --fleet " + missing + " --retries=-1"},
+  };
+  const std::string stdout_path = dir.file("stdout.txt");
+  const std::string stderr_path = dir.file("stderr.txt");
+  for (const Case& c : cases) {
+    EXPECT_EQ(RunCli(c.command, stdout_path, stderr_path), 2) << c.command;
+    EXPECT_EQ(FileSize(stdout_path), 0u) << c.command;
+    const std::string err = ReadFile(stderr_path);
+    EXPECT_NE(err.find("--" + std::string(c.flag) + " "), std::string::npos)
+        << c.command << " printed: " << err;
+    EXPECT_FALSE(std::filesystem::exists(out)) << c.command;
+  }
+  // Values the options hold still pass: the largest shard count (a 5-node
+  // set writes 5 shards) and an infinite distance.
+  EXPECT_EQ(RunCli(query + " --node 1 --distance inf", stdout_path), 0);
+  EXPECT_EQ(RunCli("shard --in " + set_path + " --out-dir " + out +
+                       " --shards 4294967295",
+                   stdout_path),
+            0);
+  EXPECT_NE(ReadFile(stdout_path).find(": 5 shards, 5 nodes"),
+            std::string::npos)
+      << ReadFile(stdout_path);
 }
 
 #endif  // HIPADS_CLI_PATH

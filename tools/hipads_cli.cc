@@ -53,6 +53,12 @@
 // `--threads N` (0 = hardware count) is clamped to the hardware count, as
 // a server clamps a sweep request's thread count; no output depends on it.
 //
+// Flags fail closed: an integer flag that is not plain decimal digits, or
+// exceeds what its option holds (`--port` 65535, `--shards` 2^32 - 1, ...),
+// and a number flag with trailing bytes exit 2 with a message naming the
+// flag and nothing on stdout; `serve` and `route` read every flag before
+// they open their input or bind a socket.
+//
 // Whole-graph statistics run on the fused sweep engine (ads/sweep.h): all
 // statistics a command needs are collected in ONE pass over the backend —
 // `stats` derives the neighbourhood function, effective diameter and mean
@@ -108,6 +114,8 @@
 //   hipads_cli query --remote 127.0.0.1:7480 --node 17 --distance 3 --trace 1
 //   hipads_cli trace-dump --remote 127.0.0.1:7480 --out trace.json
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -121,6 +129,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include <filesystem>
@@ -176,15 +185,42 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
   }
-  uint64_t GetInt(const std::string& key, uint64_t def) const {
+  // The integer value of --key in [0, max], or `def` when the flag is
+  // absent. Fails closed: anything but plain decimal digits (a sign,
+  // spaces, trailing bytes) or a value above `max` exits 2 naming the
+  // flag, so a bad value never wraps, truncates or reads as 0. `max`
+  // defaults to the largest T, the type the caller stores it in.
+  template <typename T = uint64_t>
+  T GetInt(const std::string& key, std::type_identity_t<T> def,
+           std::type_identity_t<T> max = std::numeric_limits<T>::max()) const {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::strtoull(it->second.c_str(),
-                                                     nullptr, 10);
+    if (it == values_.end()) return def;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const uint64_t value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || value > max) {
+      std::fprintf(stderr, "--%s must be an integer in [0, %llu], got '%s'\n",
+                   key.c_str(), static_cast<unsigned long long>(max), text);
+      std::exit(2);
+    }
+    return static_cast<T>(value);
   }
+  // The value of --key in strtod's syntax (so `inf` is accepted), or `def`
+  // when the flag is absent; trailing bytes exit 2 naming the flag.
   double GetDouble(const std::string& key, double def) const {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::strtod(it->second.c_str(),
-                                                   nullptr);
+    if (it == values_.end()) return def;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0') {
+      std::fprintf(stderr, "--%s must be a number, got '%s'\n", key.c_str(),
+                   text);
+      std::exit(2);
+    }
+    return value;
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -214,8 +250,8 @@ struct RemoteOptions {
 RemoteOptions GetRemoteOptions(const Args& args) {
   RemoteOptions remote;
   remote.timeout_ms = args.GetInt("timeout-ms", 0);
-  remote.retries = static_cast<uint32_t>(args.GetInt("retries", 1));
-  remote.hedge = args.GetInt("hedge", 0) != 0;
+  remote.retries = args.GetInt<uint32_t>("retries", 1);
+  remote.hedge = args.GetInt("hedge", 0, 1) != 0;
   remote.coalesce_us = args.GetInt("coalesce-us", 0);
   return remote;
 }
@@ -239,7 +275,7 @@ TcpChannelOptions RemoteChannelOptions(const RemoteOptions& remote) {
 // HL001 determinism ban covers the library trees, not this binary).
 void MaybeStartTrace(const Args& args,
                      std::optional<ScopedTraceContext>* scope) {
-  if (args.GetInt("trace", 0) == 0) return;
+  if (args.GetInt("trace", 0, 1) == 0) return;
   uint64_t t = static_cast<uint64_t>(
       std::chrono::system_clock::now().time_since_epoch().count());
   uint64_t hi = t * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
@@ -313,13 +349,19 @@ bool ParseFormatFlag(const std::string& name, AdsFileFormat* out) {
 
 int CmdGenerate(const Args& args) {
   std::string model = args.Get("model", "ba");
-  uint32_t n = static_cast<uint32_t>(args.GetInt("nodes", 10000));
+  // 2^31 keeps the rmat scale and the grid side search from overflowing.
+  const NodeId n = args.GetInt<NodeId>("nodes", 10000, NodeId{1} << 31);
   uint64_t seed = args.GetInt("seed", 1);
   std::string out = args.Get("out", "graph.txt");
   Graph g;
   if (model == "ba") {
-    g = BarabasiAlbert(n, static_cast<uint32_t>(args.GetInt("attach", 3)),
-                       seed);
+    // The seed clique needs attach + 1 <= n nodes.
+    const uint32_t attach = args.GetInt<uint32_t>("attach", 3);
+    if (attach == 0 || attach >= n) {
+      std::fprintf(stderr, "--model ba needs 1 <= --attach < --nodes\n");
+      return 2;
+    }
+    g = BarabasiAlbert(n, attach, seed);
   } else if (model == "er") {
     g = ErdosRenyi(n, args.GetInt("edges", 4ULL * n), /*undirected=*/true,
                    seed);
@@ -350,14 +392,13 @@ int CmdSketch(const Args& args) {
     std::fprintf(stderr, "sketch requires --graph FILE\n");
     return 2;
   }
-  // Every builder needs k >= 1, and a wider value would wrap in uint32_t.
-  const uint64_t k_arg = args.GetInt("k", 16);
-  if (k_arg == 0 || k_arg > std::numeric_limits<uint32_t>::max()) {
+  // Every builder needs k >= 1.
+  const uint32_t k = args.GetInt<uint32_t>("k", 16);
+  if (k == 0) {
     std::fprintf(stderr, "--k must be between 1 and %u\n",
                  std::numeric_limits<uint32_t>::max());
     return 2;
   }
-  const uint32_t k = static_cast<uint32_t>(k_arg);
   bool directed = args.Has("directed");
   auto graph = ReadEdgeListFile(graph_path, /*undirected=*/!directed);
   if (!graph.ok()) return Fail(graph.status());
@@ -380,7 +421,7 @@ int CmdSketch(const Args& args) {
   // bit-identical for every thread count.
   const uint32_t threads =
       ClampThreads(args.GetInt("threads", HardwareThreads()));
-  uint32_t shards = static_cast<uint32_t>(args.GetInt("shards", 0));
+  const uint32_t shards = args.GetInt<uint32_t>("shards", 0);
   std::string format_name = args.Get("format", "binary");
   AdsFileFormat format;
   if (!ParseFormatFlag(format_name, &format)) return 2;
@@ -400,7 +441,7 @@ int CmdSketch(const Args& args) {
   // --hip 1: precompute the HIP estimator weights once, at build time, and
   // store them in the v2 binary's optional HIP section so every serving
   // engine materializes estimators as a pointer wrap instead of a scan.
-  const bool add_hip = args.GetInt("hip", 0) != 0;
+  const bool add_hip = args.GetInt("hip", 0, 1) != 0;
   if (add_hip && shards == 0 && format != AdsFileFormat::kBinaryV2) {
     std::fprintf(stderr,
                  "--hip requires the v2 binary format (the text format has "
@@ -460,8 +501,8 @@ int CmdConvert(const Args& args) {
   }
   AdsFileFormat format;
   if (!ParseFormatFlag(args.Get("format", "binary"), &format)) return 2;
-  const bool add_hip = args.GetInt("hip", 0) != 0;
-  const bool strip_hip = args.GetInt("strip-hip", 0) != 0;
+  const bool add_hip = args.GetInt("hip", 0, 1) != 0;
+  const bool strip_hip = args.GetInt("strip-hip", 0, 1) != 0;
   if (add_hip && strip_hip) {
     std::fprintf(stderr, "--hip and --strip-hip conflict\n");
     return 2;
@@ -503,7 +544,7 @@ int CmdShard(const Args& args) {
                  "shard requires --in FILE --out-dir DIR [--shards N]\n");
     return 2;
   }
-  uint32_t shards = static_cast<uint32_t>(args.GetInt("shards", 4));
+  const uint32_t shards = args.GetInt<uint32_t>("shards", 4);
   auto loaded = ReadFlatAdsSetFile(in);
   if (!loaded.ok()) return Fail(loaded.status());
   // The split can differ from --shards (at most one shard per node, at
@@ -545,13 +586,12 @@ StatusOr<std::unique_ptr<AdsBackend>> OpenServingBackend(const Args& args) {
     return Status::InvalidArgument("unknown --backend " + backend +
                                    " (copy|mmap)");
   }
-  options.max_resident = static_cast<uint32_t>(args.GetInt("resident", 1));
+  options.max_resident = args.GetInt<uint32_t>("resident", 1);
   // --prefetch D: lookahead depth of the sharded prefetch pipeline
   // (0 disables the background thread entirely).
-  uint64_t prefetch = args.GetInt("prefetch", 1);
+  const uint32_t prefetch = args.GetInt<uint32_t>("prefetch", 1);
   options.prefetch = prefetch != 0;
-  options.prefetch_depth =
-      prefetch == 0 ? 1 : static_cast<uint32_t>(prefetch);
+  options.prefetch_depth = prefetch == 0 ? 1 : prefetch;
   return OpenAdsBackend(args.Get("sketches", "sketches.ads2"), options);
 }
 
@@ -741,7 +781,7 @@ int CmdQuery(const Args& args) {
     }
     std::vector<CollectorSpec> spec{
         {CollectorKind::kTopK, static_cast<uint32_t>(score),
-         static_cast<uint32_t>(args.GetInt("top", 10)), 0.0}};
+         args.GetInt<uint32_t>("top", 10), 0.0}};
     SweepPlan plan;
     std::unique_ptr<AdsBackend> backend;
     SweepOutcome out;
@@ -801,7 +841,7 @@ int CmdStats(const Args& args) {
     }
     top_at = spec.size();
     spec.push_back({CollectorKind::kTopK, static_cast<uint32_t>(score),
-                    static_cast<uint32_t>(args.GetInt("top", 10)), 0.0});
+                    args.GetInt<uint32_t>("top", 10), 0.0});
   }
   size_t quant_at = 0;
   double quant_q = args.GetDouble("distance-quantile", 0.5);
@@ -904,13 +944,13 @@ int CmdStatsScrape(const Args& args) {
   auto channel =
       TcpChannel::ConnectAddress(address, RemoteChannelOptions(remote));
   if (!channel.ok()) return Fail(channel.status());
-  uint64_t watch_s = args.GetInt("watch", 0);
+  const unsigned watch_s = args.GetInt<unsigned>("watch", 0);
   for (;;) {
     Status s = ScrapeOnce(channel.value().get(), RemoteDeadline(remote));
     if (!s.ok()) return Fail(s);
     if (watch_s == 0) return 0;
     std::printf("\n");
-    sleep(static_cast<unsigned>(watch_s));
+    sleep(watch_s);
   }
 }
 
@@ -997,12 +1037,12 @@ int CmdTraceDump(const Args& args) {
 // Blocks under a serving loop forever; with an interval, dumps the local
 // metrics registry to stderr every `metrics_interval_s` seconds in the
 // scrape text format.
-[[noreturn]] void ServeForever(uint64_t metrics_interval_s) {
+[[noreturn]] void ServeForever(unsigned metrics_interval_s) {
   if (metrics_interval_s == 0) {
     for (;;) pause();
   }
   for (;;) {
-    sleep(static_cast<unsigned>(metrics_interval_s));
+    sleep(metrics_interval_s);
     std::string text = MetricsRegistry::Get().Snapshot().ToText();
     std::fprintf(stderr, "-- metrics --\n%s", text.c_str());
     std::fflush(stderr);
@@ -1010,19 +1050,23 @@ int CmdTraceDump(const Args& args) {
 }
 
 // `serve`: expose one backend — any engine, any node range — over TCP.
+// Every flag is read before the backend opens or a socket binds, so a bad
+// value exits 2 having started nothing.
 int CmdServe(const Args& args) {
-  auto opened = OpenServingBackend(args);
-  if (!opened.ok()) return Fail(opened.status());
   ServerOptions options;
-  options.node_begin = static_cast<NodeId>(args.GetInt("node-begin", 0));
+  options.node_begin = args.GetInt<NodeId>("node-begin", 0);
   options.num_threads = ClampThreads(args.GetInt("threads", 0));
-  AdsServerCore core(opened.value().get(), options);
   TcpServerOptions tcp;
-  tcp.port = static_cast<uint16_t>(args.GetInt("port", 7470));
-  tcp.num_workers = static_cast<uint32_t>(args.GetInt("workers", 4));
+  tcp.port = args.GetInt<uint16_t>("port", 7470);
+  tcp.num_workers = args.GetInt<uint32_t>("workers", 4);
   // --timeout-ms bounds how long a connection may dribble one frame in
   // (slow-loris defense); idle connections between frames are unbounded.
   tcp.idle_timeout_ms = args.GetInt("timeout-ms", 0);
+  const unsigned metrics_interval_s =
+      args.GetInt<unsigned>("metrics-interval-s", 0);
+  auto opened = OpenServingBackend(args);
+  if (!opened.ok()) return Fail(opened.status());
+  AdsServerCore core(opened.value().get(), options);
   TcpServer server(&core, tcp);
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
@@ -1034,16 +1078,23 @@ int CmdServe(const Args& args) {
       static_cast<unsigned long long>(info.total_entries),
       opened.value()->HipResident() ? "resident" : "scan", server.port());
   std::fflush(stdout);
-  ServeForever(args.GetInt("metrics-interval-s", 0));
+  ServeForever(metrics_interval_s);
 }
 
 // `route`: the scatter/gather front end over a fleet manifest. Connects
 // (and validates) the whole fleet before binding its own port, so a dead
-// or misconfigured range server fails startup with a nonzero exit.
+// or misconfigured range server fails startup with a nonzero exit; every
+// flag is read before that, as in `serve`.
 int CmdRoute(const Args& args) {
+  RemoteOptions remote = GetRemoteOptions(args);
+  TcpServerOptions tcp;
+  tcp.port = args.GetInt<uint16_t>("port", 7480);
+  tcp.num_workers = args.GetInt<uint32_t>("workers", 4);
+  tcp.idle_timeout_ms = args.GetInt("timeout-ms", 0);
+  const unsigned metrics_interval_s =
+      args.GetInt<unsigned>("metrics-interval-s", 0);
   auto manifest = ReadFleetManifestFile(args.Get("fleet", "fleet.txt"));
   if (!manifest.ok()) return Fail(manifest.status());
-  RemoteOptions remote = GetRemoteOptions(args);
   auto connected = FleetRouter::Connect(
       std::move(manifest).value(),
       TcpChannelFactory(RemoteChannelOptions(remote)),
@@ -1051,10 +1102,6 @@ int CmdRoute(const Args& args) {
   if (!connected.ok()) return Fail(connected.status());
   FleetRouter router = std::move(connected).value();
   RouterCore core(&router);
-  TcpServerOptions tcp;
-  tcp.port = static_cast<uint16_t>(args.GetInt("port", 7480));
-  tcp.num_workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  tcp.idle_timeout_ms = args.GetInt("timeout-ms", 0);
   TcpServer server(&core, tcp);
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
@@ -1063,7 +1110,7 @@ int CmdRoute(const Args& args) {
               static_cast<unsigned long long>(router.num_nodes()), router.k(),
               server.port());
   std::fflush(stdout);
-  ServeForever(args.GetInt("metrics-interval-s", 0));
+  ServeForever(metrics_interval_s);
 }
 
 int Main(int argc, char** argv) {
