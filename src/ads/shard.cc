@@ -52,18 +52,19 @@ struct ShardedAdsSet::LoadContext {
 
   // Shard-file loads performed through this context, whichever thread did
   // them. Per-context so tests can observe that a K-statistic fused sweep
-  // costs exactly one load per shard; registered so scrapes see the
-  // process total under "ads.shard.loads". The context is heap-owned
-  // behind a shared_ptr, so the instrument address stays stable across
-  // ShardedAdsSet moves.
-  mutable RegisteredCounter num_loads{"ads.shard.loads"};
+  // costs exactly one load per shard; scrapes see the process total under
+  // "ads.shard.loads".
+  mutable std::atomic<uint64_t> num_loads{0};
 
   // Loads shard s (copying or mmap per use_mmap) and verifies it against
-  // its manifest entry. Pure function of the context (the load counter
+  // its manifest entry. Pure function of the context (the load counters
   // aside): safe to call from the prefetch worker and the consumer
   // concurrently (for different s).
   StatusOr<std::unique_ptr<AdsBackend>> Load(uint32_t s) const {
-    num_loads.Add();
+    static MetricCounter* loads =
+        MetricsRegistry::Get().Counter("ads.shard.loads");
+    num_loads.fetch_add(1, std::memory_order_relaxed);
+    loads->Add();
     const ShardInfo& info = shards[s];
     std::string path = JoinPath(dir, info.file);
     std::unique_ptr<AdsBackend> arena;
@@ -518,7 +519,9 @@ void ShardedAdsSet::Prefetch(uint32_t r) const {
 }
 
 uint64_t ShardedAdsSet::NumShardLoads() const {
-  return load_ctx_ == nullptr ? 0 : load_ctx_->num_loads.value();
+  return load_ctx_ == nullptr
+             ? 0
+             : load_ctx_->num_loads.load(std::memory_order_relaxed);
 }
 
 uint32_t ShardedAdsSet::NumResident() const {

@@ -24,7 +24,7 @@ struct RawFrameHeader {
   uint32_t version;
   uint32_t type;
   uint64_t payload_bytes;
-  uint64_t checksum;  // FNV-1a over the header (this field zeroed) + payload
+  uint64_t checksum;  // XXH64 chain: header (this field zeroed), payload
   uint64_t deadline_ms;
   uint64_t trace_hi;
   uint64_t trace_lo;
@@ -39,14 +39,15 @@ static_assert(std::endian::native == std::endian::little,
 // Byte offset of the checksum field inside the header.
 constexpr size_t kChecksumOffset = offsetof(RawFrameHeader, checksum);
 
-// Checksum over the raw header (checksum field zeroed) followed by the
-// payload.
+// Checksum chained the way the v2 file sections are: the raw header with
+// its checksum field zeroed under seed 0, then the payload seeded with
+// that hash.
 uint64_t FrameChecksum(const char* raw, std::string_view payload) {
   char scratch[kFrameHeaderBytes];
   std::memcpy(scratch, raw, kFrameHeaderBytes);
   std::memset(scratch + kChecksumOffset, 0, sizeof(uint64_t));
-  uint64_t sum = Fnv1a(scratch, kFrameHeaderBytes, kFnv1aOffsetBasis);
-  return Fnv1a(payload.data(), payload.size(), sum);
+  return Xxh64(payload.data(), payload.size(),
+               Xxh64(scratch, kFrameHeaderBytes, /*seed=*/0));
 }
 
 bool KnownMessageType(uint32_t type) {

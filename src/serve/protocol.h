@@ -7,9 +7,12 @@
 // router.h) speaks across it. It mirrors the hipads-ads-v2 on-disk
 // conventions: one fixed 56-byte little-endian header carrying an 8-byte
 // magic, version, message type, payload length, deadline budget and trace
-// id, guarded by a whole-frame FNV-1a checksum, so a receiver can validate
-// structure before trusting a byte of the payload and reject truncated,
-// oversized or corrupted frames deterministically.
+// id, guarded by a whole-frame XXH64 checksum chained like the v2 file
+// sections, so a receiver can validate structure before trusting a byte
+// of the payload and reject truncated, oversized or corrupted frames
+// deterministically. Deadline budgets are clamped to
+// Deadline::kMaxBudgetMs where they become time points, so no budget a
+// peer or a flag sends can overflow the clock.
 //
 // Two request families cross the wire:
 //
@@ -32,6 +35,7 @@
 #ifndef HIPADS_SERVE_PROTOCOL_H_
 #define HIPADS_SERVE_PROTOCOL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -62,9 +66,15 @@ class Deadline {
   /// No deadline: never expires, encodes as 0 on the wire.
   Deadline() = default;
 
+  /// The longest budget a deadline holds: 2^40 ms, about 35 years. Every
+  /// budget becomes a time point through AfterMs, which clamps it here,
+  /// so a huge budget from a frame header or a flag is a far deadline,
+  /// never an overflowed (expired or undefined) one.
+  static constexpr uint64_t kMaxBudgetMs = uint64_t{1} << 40;
+
   static Deadline At(Clock::time_point at) { return Deadline(at, true); }
   static Deadline AfterMs(uint64_t ms, Clock::time_point now = Clock::now()) {
-    return At(now + std::chrono::milliseconds(ms));
+    return At(now + std::chrono::milliseconds(std::min(ms, kMaxBudgetMs)));
   }
   /// Decodes a wire value (0 = none) relative to the receiver's clock.
   static Deadline FromWireMs(uint64_t ms,
@@ -124,19 +134,19 @@ inline constexpr char kWireMagic[8] = {'h', 'i', 'p', 'a', 'd', 's', 'r', '1'};
 ///
 ///   offset  bytes  field
 ///        0      8  magic "hipadsr1"
-///        8      4  version (5)
+///        8      4  version (6)
 ///       12      4  message type
 ///       16      8  payload length
-///       24      8  checksum: FNV-1a over the header (this field zeroed)
-///                  followed by the payload
+///       24      8  checksum: XXH64 of the payload, seeded with the
+///                  XXH64 (seed 0) of the header with this field zeroed
 ///       32      8  deadline: remaining milliseconds, 0 = none
 ///       40      8  trace id, high word  } both 0 = untraced
 ///       48      8  trace id, low word   }
 ///
-/// Any other version — including 1-4, whose headers were 32 to 56 bytes —
-/// is rejected at header validation, so an older peer fails closed
-/// instead of being misread.
-inline constexpr uint32_t kWireVersion = 5;
+/// Any other version — including 1-4, whose headers were 32 to 56 bytes,
+/// and 5, this layout under an FNV-1a checksum — is rejected at header
+/// validation, so an older peer fails closed instead of being misread.
+inline constexpr uint32_t kWireVersion = 6;
 
 /// Fixed byte size of every frame header on the wire.
 inline constexpr size_t kFrameHeaderBytes = 56;

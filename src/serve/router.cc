@@ -1,6 +1,8 @@
 #include "serve/router.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -223,8 +225,23 @@ StatusOr<FleetRouter> FleetRouter::Connect(FleetManifest manifest,
     // coalescing path on without recompiling anything.
     const char* env = std::getenv("HIPADS_COALESCE_WINDOW_US");
     if (env != nullptr && *env != '\0') {
-      router.options_.coalesce_window_us = std::strtoull(env, nullptr, 10);
+      char* end = nullptr;
+      errno = 0;
+      router.options_.coalesce_window_us = std::strtoull(env, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+          errno == ERANGE) {
+        return Status::InvalidArgument(
+            "HIPADS_COALESCE_WINDOW_US must be a decimal integer, got '" +
+            std::string(env) + "'");
+      }
     }
+  }
+  if (router.options_.coalesce_window_us > kMaxCoalesceWindowUs) {
+    return Status::InvalidArgument(
+        "coalescing window of " +
+        std::to_string(router.options_.coalesce_window_us) +
+        " us exceeds the bound of " + std::to_string(kMaxCoalesceWindowUs) +
+        " us");
   }
   router.slots_.reserve(router.manifest_.servers.size());
   router.batchers_.reserve(router.manifest_.servers.size());
@@ -265,18 +282,18 @@ StatusOr<FleetRouter> FleetRouter::Connect(FleetManifest manifest,
           ") but the manifest assigns [" + std::to_string(entry.begin) +
           ", " + std::to_string(entry.end) + ")");
     }
+    ServerInfoMsg& fleet = router.info_;
     if (i == 0) {
-      router.k_ = reported.k;
-      router.flavor_ = reported.flavor;
-      router.rank_sup_ = reported.rank_sup;
-    } else if (reported.k != router.k_ ||
-               reported.flavor != router.flavor_ ||
-               reported.rank_sup != router.rank_sup_) {
+      fleet = reported;
+      fleet.node_end = router.manifest_.num_nodes;
+      fleet.total_entries = 0;
+    } else if (reported.k != fleet.k || reported.flavor != fleet.flavor ||
+               reported.rank_sup != fleet.rank_sup) {
       return Status::InvalidArgument(
           "fleet server " + entry.address +
           " disagrees on sketch parameters (k/flavor/rank sup)");
     }
-    router.total_entries_ += reported.total_entries;
+    fleet.total_entries += reported.total_entries;
     router.slots_.push_back(std::move(slot));
     router.batchers_.push_back(std::make_unique<PointBatcher>());
   }
@@ -478,7 +495,8 @@ StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
     batcher.queue.push_back(&me);
     if (leader) {
       // Collect followers for the flush window — or until the batch is
-      // full, whichever comes first.
+      // full, whichever comes first. Connect bounded the window, so this
+      // sum cannot overflow.
       auto flush_at =
           Deadline::Clock::now() +
           std::chrono::microseconds(options_.coalesce_window_us);
@@ -547,8 +565,7 @@ StatusOr<Frame> FleetRouter::CallPoint(size_t idx, const std::string& payload,
   });
   bool fire_hedge = false;
   {
-    auto hedge_at = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(options_.hedge_delay_ms);
+    auto hedge_at = Deadline::AfterMs(options_.hedge_delay_ms).at();
     MutexLock lock(mu);
     while (!primary_done) {
       if (cv.WaitUntil(mu, hedge_at) == std::cv_status::timeout) break;
@@ -622,9 +639,10 @@ StatusOr<PointResponseMsg> FleetRouter::Point(const PointRequestMsg& request,
       AdsView u_view{std::span<const AdsEntry>(u.value())};
       AdsView v_view{std::span<const AdsEntry>(v.value())};
       PointResponseMsg response;
-      response.values = {
-          JaccardSimilarity(u_view, v_view, request.d, k_, rank_sup_),
-          UnionCardinality(u_view, v_view, request.d, k_, rank_sup_)};
+      response.values = {JaccardSimilarity(u_view, v_view, request.d,
+                                           info_.k, info_.rank_sup),
+                         UnionCardinality(u_view, v_view, request.d, info_.k,
+                                          info_.rank_sup)};
       return response;
     }
   }
@@ -762,23 +780,7 @@ Status FleetRouter::ExecuteSweep(
 StatusOr<StatsResponseMsg> FleetRouter::Stats(uint32_t flags,
                                               const Deadline& deadline_in) {
   Deadline deadline = EffectiveDeadline(deadline_in);
-  StatsResponseMsg result;
-  StatsSnapshotMsg own;
-  own.label = "router";
-  own.metrics = MetricsRegistry::Get().Snapshot();
-  result.snapshots.push_back(std::move(own));
-  if ((flags & kStatsFlagTraceSpans) != 0) {
-    for (TraceSpan& span : TraceBuffer::Get().Snapshot()) {
-      TraceSpanMsg out;
-      out.label = "router";
-      out.name = std::move(span.name);
-      out.trace_hi = span.trace_hi;
-      out.trace_lo = span.trace_lo;
-      out.start_us = span.start_us;
-      out.dur_us = span.dur_us;
-      result.spans.push_back(std::move(out));
-    }
-  }
+  StatsResponseMsg result = ProcessStats("router", flags);
   const std::string payload = EncodeStatsRequest(StatsRequestMsg{flags});
   for (size_t i = 0; i < slots_.size(); ++i) {
     const std::string& address = manifest_.servers[i].address;
@@ -812,105 +814,56 @@ StatusOr<StatsResponseMsg> FleetRouter::Stats(uint32_t flags,
 // RouterCore
 // ---------------------------------------------------------------------------
 
-std::string RouterCore::HandleFrame(std::string_view request,
-                                    bool* close_connection) {
-  *close_connection = false;
-  auto frame = DecodeFrame(request);
-  if (!frame.ok()) {
-    *close_connection = true;
-    return EncodeFrame(MessageType::kError, EncodeError(frame.status()));
-  }
-  // Re-anchor the request's deadline budget. Its trace id is installed for
-  // the handling thread (every downstream hop then propagates it) and
-  // echoed on the response.
-  const uint64_t trace_hi = frame.value().trace_hi;
-  const uint64_t trace_lo = frame.value().trace_lo;
-  ScopedTraceContext trace_context(trace_hi, trace_lo);
-  Deadline deadline = Deadline::FromWireMs(frame.value().deadline_ms);
-  StatusOr<Frame> response = [&] {
-    ScopedTraceSpan span("router.dispatch");
-    return Dispatch(frame.value(), deadline);
-  }();
-  if (!response.ok()) {
-    return EncodeFrame(MessageType::kError, EncodeError(response.status()),
-                       /*deadline_ms=*/0, trace_hi, trace_lo);
-  }
-  return EncodeFrame(response.value().type, response.value().payload,
-                     /*deadline_ms=*/0, trace_hi, trace_lo);
+RouterCore::RouterCore(FleetRouter* router)
+    : ServingCore("router", "router"), router_(router) {}
+
+std::string RouterCore::AnswerInfo() {
+  return EncodeServerInfo(router_->info());
 }
 
-StatusOr<Frame> RouterCore::Dispatch(const Frame& request,
-                                     const Deadline& deadline) {
-  if (deadline.Expired()) {
-    return Status::DeadlineExceeded("request deadline expired; shed");
+StatusOr<std::string> RouterCore::AnswerPoint(const PointRequestMsg& msg,
+                                              const std::string&,
+                                              const Deadline& deadline) {
+  auto response = router_->Point(msg, deadline);
+  if (!response.ok()) return response.status();
+  return EncodePointResponse(response.value());
+}
+
+StatusOr<std::string> RouterCore::AnswerPointBatch(
+    const PointBatchRequestMsg& msg, const Deadline& deadline) {
+  PointBatchResponseMsg response;
+  response.entries = router_->PointBatch(msg.entries, deadline);
+  return EncodePointBatchResponse(response);
+}
+
+StatusOr<std::string> RouterCore::AnswerSweep(const SweepRequestMsg& msg,
+                                              const Deadline& deadline) {
+  SweepPlan plan;
+  auto collectors = BuildPlanFromSpec(msg.collectors, &plan);
+  if (!collectors.ok()) return collectors.status();
+  Status swept = router_->ExecuteSweep(msg, collectors.value(), deadline);
+  if (!swept.ok()) return swept;
+  SweepResponseMsg response;
+  response.begin = router_->node_begin();
+  response.end = router_->num_nodes();
+  response.partials.resize(collectors.value().size());
+  for (size_t i = 0; i < collectors.value().size(); ++i) {
+    // Router collectors are globally indexed but only cover this
+    // fleet's range: slice exactly [node_begin, N) so the next tier's
+    // gather absorbs it at the same global offsets.
+    Status s = collectors.value()[i]->EncodePartial(
+        static_cast<NodeId>(router_->node_begin()),
+        static_cast<NodeId>(router_->num_nodes()), &response.partials[i]);
+    if (!s.ok()) return s;
   }
-  switch (request.type) {
-    case MessageType::kInfoRequest: {
-      if (!request.payload.empty()) {
-        return Status::Corruption("info request carries a payload");
-      }
-      ServerInfoMsg info;
-      info.node_begin = router_->node_begin();
-      info.node_end = router_->num_nodes();
-      info.total_entries = router_->total_entries();
-      info.k = router_->k();
-      info.flavor = router_->flavor();
-      info.rank_sup = router_->rank_sup();
-      return Frame{MessageType::kInfoResponse, EncodeServerInfo(info)};
-    }
-    case MessageType::kPointRequest: {
-      auto msg = DecodePointRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      auto response = router_->Point(msg.value(), deadline);
-      if (!response.ok()) return response.status();
-      return Frame{MessageType::kPointResponse,
-                   EncodePointResponse(response.value())};
-    }
-    case MessageType::kPointBatchRequest: {
-      auto msg = DecodePointBatchRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      PointBatchResponseMsg response;
-      response.entries = router_->PointBatch(msg.value().entries, deadline);
-      return Frame{MessageType::kPointBatchResponse,
-                   EncodePointBatchResponse(response)};
-    }
-    case MessageType::kSweepRequest: {
-      auto msg = DecodeSweepRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      SweepPlan plan;
-      auto collectors = BuildPlanFromSpec(msg.value().collectors, &plan);
-      if (!collectors.ok()) return collectors.status();
-      Status swept =
-          router_->ExecuteSweep(msg.value(), collectors.value(), deadline);
-      if (!swept.ok()) return swept;
-      SweepResponseMsg response;
-      response.begin = router_->node_begin();
-      response.end = router_->num_nodes();
-      response.partials.resize(collectors.value().size());
-      for (size_t i = 0; i < collectors.value().size(); ++i) {
-        // Router collectors are globally indexed but only cover this
-        // fleet's range: slice exactly [node_begin, N) so the next tier's
-        // gather absorbs it at the same global offsets.
-        Status s = collectors.value()[i]->EncodePartial(
-            static_cast<NodeId>(router_->node_begin()),
-            static_cast<NodeId>(router_->num_nodes()),
-            &response.partials[i]);
-        if (!s.ok()) return s;
-      }
-      return Frame{MessageType::kSweepResponse,
-                   EncodeSweepResponse(response)};
-    }
-    case MessageType::kStatsRequest: {
-      auto msg = DecodeStatsRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      auto stats = router_->Stats(msg.value().flags, deadline);
-      if (!stats.ok()) return stats.status();
-      return Frame{MessageType::kStatsResponse,
-                   EncodeStatsResponse(stats.value())};
-    }
-    default:
-      return Status::InvalidArgument("frame type is not a request");
-  }
+  return EncodeSweepResponse(response);
+}
+
+StatusOr<std::string> RouterCore::AnswerStats(const StatsRequestMsg& msg,
+                                              const Deadline& deadline) {
+  auto stats = router_->Stats(msg.flags, deadline);
+  if (!stats.ok()) return stats.status();
+  return EncodeStatsResponse(stats.value());
 }
 
 }  // namespace hipads

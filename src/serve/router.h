@@ -34,9 +34,11 @@
 //     (PointBatch, coalesced callers) leave through one sender; an entry
 //     the batch could not answer for good re-sends alone.
 //
-// RouterCore wraps a FleetRouter in the wire protocol's FrameHandler
-// surface, so a router process is itself just another protocol endpoint
-// serving its fleet's [node_begin, N): clients cannot tell a router from a
+// RouterCore supplies a FleetRouter's answers to the request path every
+// serving process shares (ServingCore, serve/server.h), so a router
+// process is itself just another protocol endpoint serving its fleet's
+// [node_begin, N), with the same deadline shed and the same request
+// instruments under `router.*` names: clients cannot tell a router from a
 // single big server, and routers stack on routers for multi-level fan-out
 // — an outer manifest lists inner routers at their sub-fleet ranges
 // (tested down to two levels in serve_test).
@@ -131,9 +133,15 @@ struct RouterOptions {
   /// retry contract is unchanged. 0 disables coalescing. When 0, the
   /// HIPADS_COALESCE_WINDOW_US environment variable (read at Connect)
   /// supplies the window — CI's tsan lane runs the serving suites once
-  /// without it and once with it, forcing the flush path on.
+  /// without it and once with it, forcing the flush path on. Connect
+  /// rejects a window above kMaxCoalesceWindowUs, and an environment value
+  /// that is not a plain decimal integer.
   uint64_t coalesce_window_us = 0;
 };
+
+/// The longest coalescing window: one second. A caller parked longer than
+/// that has waited out any point budget the window could save.
+inline constexpr uint64_t kMaxCoalesceWindowUs = 1000000;
 
 /// A connected fleet. Movable, not copyable.
 class FleetRouter {
@@ -151,17 +159,15 @@ class FleetRouter {
                                        const ChannelFactory& factory,
                                        const RouterOptions& options = {});
 
+  /// The whole fleet as one server: its global range [node_begin, N), the
+  /// summed entry count, and the sketch parameters every server agreed on.
+  const ServerInfoMsg& info() const { return info_; }
   /// Exclusive end of the served global range (== the global node count
   /// for a root fleet).
-  uint64_t num_nodes() const { return manifest_.num_nodes; }
+  uint64_t num_nodes() const { return info_.node_end; }
   /// First global node this fleet serves (0 for a root fleet).
-  uint64_t node_begin() const {
-    return manifest_.servers.empty() ? 0 : manifest_.servers.front().begin;
-  }
-  uint64_t total_entries() const { return total_entries_; }
-  uint32_t k() const { return k_; }
-  uint32_t flavor() const { return flavor_; }
-  double rank_sup() const { return rank_sup_; }
+  uint64_t node_begin() const { return info_.node_begin; }
+  uint64_t total_entries() const { return info_.total_entries; }
   size_t num_servers() const { return manifest_.servers.size(); }
 
   /// Scatters `request` to every range server, gathers the partial states
@@ -194,7 +200,7 @@ class FleetRouter {
       const std::vector<PointRequestMsg>& requests,
       const Deadline& deadline = Deadline());
 
-  /// Scrapes the whole fleet: this process's registry snapshot (labeled
+  /// Scrapes the whole fleet: this process's ProcessStats (labeled
   /// "router") followed by every server's, gathered over the wire and
   /// relabeled with the server's manifest address (nested routers keep
   /// their own labels as an "address/label" suffix, so a stacked tree
@@ -285,31 +291,35 @@ class FleetRouter {
                              const std::vector<PendingPoint*>& batch);
 
   FleetManifest manifest_;
+  ServerInfoMsg info_;  // built by Connect from the servers' handshakes
   std::vector<std::unique_ptr<ServerSlot>> slots_;  // parallel to servers
   std::vector<std::unique_ptr<PointBatcher>> batchers_;  // parallel to servers
   ChannelFactory factory_;
   RouterOptions options_;
-  uint64_t total_entries_ = 0;
-  uint32_t k_ = 0;
-  uint32_t flavor_ = 0;
-  double rank_sup_ = 1.0;
 };
 
-/// The wire surface of a router process: info reports the whole fleet's
-/// [0, N); sweeps scatter/gather and respond with the merged state as a
-/// single [0, N) partial (collector partial states are partition-
-/// independent, so the re-encoded merge is exactly what a single server
-/// covering the whole range would have sent). Request deadlines are
-/// re-anchored and propagated to the fleet; expired requests are shed.
-class RouterCore : public FrameHandler {
+/// The answers of a router process: info reports the whole fleet's
+/// [node_begin, N); sweeps scatter/gather and respond with the merged
+/// state as a single [node_begin, N) partial (collector partial states
+/// are partition-independent, so the re-encoded merge is exactly what a
+/// single server covering the whole range would have sent). Request
+/// deadlines are re-anchored by ServingCore and propagated to the fleet.
+/// Borrows the router, which must outlive the core.
+class RouterCore : public ServingCore {
  public:
-  explicit RouterCore(FleetRouter* router) : router_(router) {}
-
-  std::string HandleFrame(std::string_view request,
-                          bool* close_connection) override;
+  explicit RouterCore(FleetRouter* router);
 
  private:
-  StatusOr<Frame> Dispatch(const Frame& request, const Deadline& deadline);
+  std::string AnswerInfo() override;
+  StatusOr<std::string> AnswerPoint(const PointRequestMsg& msg,
+                                    const std::string& payload,
+                                    const Deadline& deadline) override;
+  StatusOr<std::string> AnswerPointBatch(const PointBatchRequestMsg& msg,
+                                         const Deadline& deadline) override;
+  StatusOr<std::string> AnswerSweep(const SweepRequestMsg& msg,
+                                    const Deadline& deadline) override;
+  StatusOr<std::string> AnswerStats(const StatsRequestMsg& msg,
+                                    const Deadline& deadline) override;
 
   FleetRouter* router_;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 
 #include <arpa/inet.h>
@@ -27,18 +28,17 @@ FrameHandler::~FrameHandler() = default;
 
 namespace {
 
-// Request kinds with dedicated request/latency instruments.
-enum ServeReqKind {
+// Request kinds with their own request and latency instruments.
+enum RequestKind {
   kReqInfo,
   kReqPoint,
   kReqBatch,
   kReqSweep,
   kReqStats,
   kReqOther,
-  kNumReqKinds,
 };
 
-ServeReqKind ReqKindOf(MessageType type) {
+RequestKind RequestKindOf(MessageType type) {
   switch (type) {
     case MessageType::kInfoRequest:
       return kReqInfo;
@@ -55,16 +55,13 @@ ServeReqKind ReqKindOf(MessageType type) {
   }
 }
 
-// Instrument pointers resolved once: the registry lookup takes a mutex,
-// so hot paths record through cached raw pointers (the registry owns the
-// instruments and never frees them).
+constexpr const char* kRequestKindNames[] = {
+    "info", "point", "point_batch", "sweep", "stats", "other"};
+
+// The range server's own instruments, resolved once: the registry lookup
+// takes a mutex, so hot paths record through cached raw pointers (the
+// registry owns the instruments and never frees them).
 struct ServeMetrics {
-  MetricCounter* requests[kNumReqKinds];
-  MetricHistogram* latency_us[kNumReqKinds];
-  MetricCounter* bytes_in;
-  MetricCounter* bytes_out;
-  MetricCounter* undecodable;
-  MetricCounter* shed_deadline;
   MetricCounter* shed_busy;
   MetricCounter* hip_resident;
   MetricCounter* hip_scan;
@@ -75,20 +72,8 @@ struct ServeMetrics {
 
 ServeMetrics& Metrics() {
   static ServeMetrics* m = [] {
-    static const char* const kNames[kNumReqKinds] = {
-        "info", "point", "point_batch", "sweep", "stats", "other"};
     auto* mm = new ServeMetrics();
     MetricsRegistry& reg = MetricsRegistry::Get();
-    for (int i = 0; i < kNumReqKinds; ++i) {
-      mm->requests[i] =
-          reg.Counter(std::string("serve.requests.") + kNames[i]);
-      mm->latency_us[i] =
-          reg.Histogram(std::string("serve.latency_us.") + kNames[i]);
-    }
-    mm->bytes_in = reg.Counter("serve.bytes_in");
-    mm->bytes_out = reg.Counter("serve.bytes_out");
-    mm->undecodable = reg.Counter("serve.undecodable_frames");
-    mm->shed_deadline = reg.Counter("serve.shed.deadline");
     mm->shed_busy = reg.Counter("serve.shed.busy");
     mm->hip_resident = reg.Counter("serve.point.hip_resident");
     mm->hip_scan = reg.Counter("serve.point.hip_scan");
@@ -103,19 +88,168 @@ ServeMetrics& Metrics() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// ServingCore
+// ---------------------------------------------------------------------------
+
+ServingCore::ServingCore(const std::string& metric_prefix, std::string label)
+    : bytes_in_(MetricsRegistry::Get().Counter(metric_prefix + ".bytes_in")),
+      bytes_out_(MetricsRegistry::Get().Counter(metric_prefix + ".bytes_out")),
+      undecodable_(MetricsRegistry::Get().Counter(metric_prefix +
+                                                  ".undecodable_frames")),
+      shed_deadline_(
+          MetricsRegistry::Get().Counter(metric_prefix + ".shed.deadline")),
+      label_(std::move(label)),
+      dispatch_span_(label_ + ".dispatch"),
+      encode_span_(label_ + ".encode") {
+  static_assert(std::size(kRequestKindNames) == kNumKinds);
+  const std::string requests = metric_prefix + ".requests.";
+  const std::string latency_us = metric_prefix + ".latency_us.";
+  for (size_t i = 0; i < kNumKinds; ++i) {
+    requests_[i] =
+        MetricsRegistry::Get().Counter(requests + kRequestKindNames[i]);
+    latency_us_[i] =
+        MetricsRegistry::Get().Histogram(latency_us + kRequestKindNames[i]);
+  }
+}
+
+std::string ServingCore::HandleFrame(std::string_view request,
+                                     bool* close_connection) {
+  bytes_in_->Add(request.size());
+  *close_connection = false;
+  auto frame = DecodeFrame(request);
+  if (!frame.ok()) {
+    // Undecodable bytes: answer with the reason, then drop the stream —
+    // after a framing failure there is no trustworthy record boundary.
+    *close_connection = true;
+    undecodable_->Add();
+    std::string err =
+        EncodeFrame(MessageType::kError, EncodeError(frame.status()));
+    bytes_out_->Add(err.size());
+    return err;
+  }
+  // The request's trace id is echoed back and installed for the handling
+  // thread, so the instrumented sections below Dispatch (and every
+  // downstream hop a router makes) record spans against it.
+  const uint64_t trace_hi = frame.value().trace_hi;
+  const uint64_t trace_lo = frame.value().trace_lo;
+  ScopedTraceContext trace_context(trace_hi, trace_lo);
+  const RequestKind kind = RequestKindOf(frame.value().type);
+  requests_[kind]->Add();
+  Deadline deadline = Deadline::FromWireMs(frame.value().deadline_ms);
+  StatusOr<Frame> response = [&] {
+    ScopedLatencyTimer timer(latency_us_[kind]);
+    ScopedTraceSpan span(dispatch_span_.c_str());
+    return Dispatch(frame.value(), deadline);
+  }();
+  std::string encoded;
+  {
+    ScopedTraceSpan span(encode_span_.c_str());
+    encoded = response.ok()
+                  ? EncodeFrame(response.value().type,
+                                response.value().payload,
+                                /*deadline_ms=*/0, trace_hi, trace_lo)
+                  : EncodeFrame(MessageType::kError,
+                                EncodeError(response.status()),
+                                /*deadline_ms=*/0, trace_hi, trace_lo);
+  }
+  bytes_out_->Add(encoded.size());
+  return encoded;
+}
+
+StatusOr<Frame> ServingCore::Dispatch(const Frame& request,
+                                      const Deadline& deadline) {
+  if (deadline.Expired()) {
+    // Nobody is waiting for this answer anymore: shed before any compute.
+    shed_deadline_->Add();
+    return Status::DeadlineExceeded("request deadline expired; shed");
+  }
+  // The answer to a decoded request, as a frame of `type`.
+  auto respond = [](MessageType type,
+                    StatusOr<std::string> payload) -> StatusOr<Frame> {
+    if (!payload.ok()) return payload.status();
+    return Frame{type, std::move(payload).value()};
+  };
+  switch (request.type) {
+    case MessageType::kInfoRequest:
+      if (!request.payload.empty()) {
+        return Status::Corruption("info request carries a payload");
+      }
+      return Frame{MessageType::kInfoResponse, AnswerInfo()};
+    case MessageType::kPointRequest: {
+      auto msg = DecodePointRequest(request.payload);
+      if (!msg.ok()) return msg.status();
+      return respond(MessageType::kPointResponse,
+                     AnswerPoint(msg.value(), request.payload, deadline));
+    }
+    case MessageType::kPointBatchRequest: {
+      auto msg = DecodePointBatchRequest(request.payload);
+      if (!msg.ok()) return msg.status();
+      return respond(MessageType::kPointBatchResponse,
+                     AnswerPointBatch(msg.value(), deadline));
+    }
+    case MessageType::kSweepRequest: {
+      auto msg = DecodeSweepRequest(request.payload);
+      if (!msg.ok()) return msg.status();
+      return respond(MessageType::kSweepResponse,
+                     AnswerSweep(msg.value(), deadline));
+    }
+    case MessageType::kStatsRequest: {
+      auto msg = DecodeStatsRequest(request.payload);
+      if (!msg.ok()) return msg.status();
+      return respond(MessageType::kStatsResponse,
+                     AnswerStats(msg.value(), deadline));
+    }
+    default:
+      return Status::InvalidArgument("frame type is not a request");
+  }
+}
+
+StatsResponseMsg ProcessStats(const std::string& label, uint32_t flags) {
+  StatsResponseMsg response;
+  StatsSnapshotMsg snap;
+  snap.label = label;
+  snap.metrics = MetricsRegistry::Get().Snapshot();
+  response.snapshots.push_back(std::move(snap));
+  if ((flags & kStatsFlagTraceSpans) != 0) {
+    for (TraceSpan& span : TraceBuffer::Get().Snapshot()) {
+      TraceSpanMsg out;
+      out.label = label;
+      out.name = std::move(span.name);
+      out.trace_hi = span.trace_hi;
+      out.trace_lo = span.trace_lo;
+      out.start_us = span.start_us;
+      out.dur_us = span.dur_us;
+      response.spans.push_back(std::move(out));
+    }
+  }
+  return response;
+}
+
+// ---------------------------------------------------------------------------
 // ResponseCache
 // ---------------------------------------------------------------------------
+
+ResponseCache::ResponseCache(size_t capacity, const std::string& metric_prefix)
+    : hit_counter_(MetricsRegistry::Get().Counter(metric_prefix + ".hits")),
+      miss_counter_(MetricsRegistry::Get().Counter(metric_prefix + ".misses")),
+      capacity_(capacity) {}
+
+uint64_t ResponseCache::hits() const {
+  MutexLock lock(mu_);
+  return hits_;
+}
 
 bool ResponseCache::Get(const std::string& key, std::string* value) {
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    misses_.Add();
+    miss_counter_->Add();
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   *value = it->second->second;
-  hits_.Add();
+  ++hits_;
+  hit_counter_->Add();
   return true;
 }
 
@@ -142,7 +276,8 @@ void ResponseCache::Put(const std::string& key, std::string value) {
 
 AdsServerCore::AdsServerCore(const AdsBackend* backend,
                              const ServerOptions& options)
-    : backend_(backend),
+    : ServingCore("serve", "server"),
+      backend_(backend),
       options_(options),
       lock_free_(backend->ImmutableReads()),
       point_cache_(options.point_cache_entries, "serve.cache.point"),
@@ -159,118 +294,22 @@ ServerInfoMsg AdsServerCore::Info() const {
   return info;
 }
 
-std::string AdsServerCore::HandleFrame(std::string_view request,
-                                       bool* close_connection) {
-  ServeMetrics& metrics = Metrics();
-  metrics.bytes_in->Add(request.size());
-  *close_connection = false;
-  auto frame = DecodeFrame(request);
-  if (!frame.ok()) {
-    // Undecodable bytes: answer with the reason, then drop the stream —
-    // after a framing failure there is no trustworthy record boundary.
-    *close_connection = true;
-    metrics.undecodable->Add();
-    std::string err =
-        EncodeFrame(MessageType::kError, EncodeError(frame.status()));
-    metrics.bytes_out->Add(err.size());
-    return err;
-  }
-  // The request's trace id is echoed back and installed for the handling
-  // thread, so the instrumented sections below Dispatch record spans
-  // against it.
-  const uint64_t trace_hi = frame.value().trace_hi;
-  const uint64_t trace_lo = frame.value().trace_lo;
-  ScopedTraceContext trace_context(trace_hi, trace_lo);
-  const ServeReqKind kind = ReqKindOf(frame.value().type);
-  metrics.requests[kind]->Add();
-  Deadline deadline = Deadline::FromWireMs(frame.value().deadline_ms);
-  StatusOr<Frame> response = [&] {
-    ScopedLatencyTimer timer(metrics.latency_us[kind]);
-    ScopedTraceSpan span("server.dispatch");
-    return Dispatch(frame.value(), deadline);
-  }();
-  std::string encoded;
-  {
-    ScopedTraceSpan span("server.encode");
-    encoded = response.ok()
-                  ? EncodeFrame(response.value().type,
-                                response.value().payload,
-                                /*deadline_ms=*/0, trace_hi, trace_lo)
-                  : EncodeFrame(MessageType::kError,
-                                EncodeError(response.status()),
-                                /*deadline_ms=*/0, trace_hi, trace_lo);
-  }
-  metrics.bytes_out->Add(encoded.size());
-  return encoded;
+std::string AdsServerCore::AnswerInfo() { return EncodeServerInfo(Info()); }
+
+StatusOr<std::string> AdsServerCore::AnswerStats(const StatsRequestMsg& msg,
+                                                 const Deadline&) {
+  return EncodeStatsResponse(ProcessStats(label(), msg.flags));
 }
 
-StatusOr<Frame> AdsServerCore::Dispatch(const Frame& request,
-                                        const Deadline& deadline) {
-  if (deadline.Expired()) {
-    // Nobody is waiting for this answer anymore: shed before any compute.
-    Metrics().shed_deadline->Add();
-    return Status::DeadlineExceeded("request deadline expired; shed");
-  }
-  switch (request.type) {
-    case MessageType::kInfoRequest:
-      if (!request.payload.empty()) {
-        return Status::Corruption("info request carries a payload");
-      }
-      return Frame{MessageType::kInfoResponse, EncodeServerInfo(Info())};
-    case MessageType::kPointRequest: {
-      auto msg = DecodePointRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      return HandlePoint(msg.value(), request.payload);
-    }
-    case MessageType::kPointBatchRequest: {
-      auto msg = DecodePointBatchRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      return HandlePointBatch(msg.value());
-    }
-    case MessageType::kSweepRequest: {
-      auto msg = DecodeSweepRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      return HandleSweep(msg.value(), deadline);
-    }
-    case MessageType::kStatsRequest: {
-      auto msg = DecodeStatsRequest(request.payload);
-      if (!msg.ok()) return msg.status();
-      return HandleStats(msg.value());
-    }
-    default:
-      return Status::InvalidArgument("frame type is not a request");
-  }
-}
-
-StatusOr<Frame> AdsServerCore::HandleStats(const StatsRequestMsg& msg) const {
-  StatsResponseMsg response;
-  StatsSnapshotMsg snap;
-  snap.label = "server";
-  snap.metrics = MetricsRegistry::Get().Snapshot();
-  response.snapshots.push_back(std::move(snap));
-  if ((msg.flags & kStatsFlagTraceSpans) != 0) {
-    for (TraceSpan& span : TraceBuffer::Get().Snapshot()) {
-      TraceSpanMsg out;
-      out.label = "server";
-      out.name = std::move(span.name);
-      out.trace_hi = span.trace_hi;
-      out.trace_lo = span.trace_lo;
-      out.start_us = span.start_us;
-      out.dur_us = span.dur_us;
-      response.spans.push_back(std::move(out));
-    }
-  }
-  return Frame{MessageType::kStatsResponse, EncodeStatsResponse(response)};
-}
-
-StatusOr<Frame> AdsServerCore::HandlePoint(const PointRequestMsg& msg,
-                                           const std::string& payload) {
+StatusOr<std::string> AdsServerCore::AnswerPoint(const PointRequestMsg& msg,
+                                                 const std::string& payload,
+                                                 const Deadline&) {
   // A lone point is a batch of one. Its payload is a canonical encoding
   // of the question, so it is the cache key as it stands.
   PointBatchResponseEntry answer;
   AnswerPoints({&msg, 1}, {&payload, 1}, {&answer, 1});
   if (!answer.status.ok()) return answer.status;
-  return Frame{MessageType::kPointResponse, std::move(answer.payload)};
+  return std::move(answer.payload);
 }
 
 StatusOr<NodeId> AdsServerCore::LocalIdOf(uint64_t node) const {
@@ -467,8 +506,8 @@ void AdsServerCore::AnswerPoints(std::span<const PointRequestMsg> requests,
   }
 }
 
-StatusOr<Frame> AdsServerCore::HandlePointBatch(
-    const PointBatchRequestMsg& msg) {
+StatusOr<std::string> AdsServerCore::AnswerPointBatch(
+    const PointBatchRequestMsg& msg, const Deadline&) {
   const size_t n = msg.entries.size();
   Metrics().batch_entries->Record(n);
   // Per-entry cache keys are the canonical single-request bytes: a batch
@@ -485,18 +524,17 @@ StatusOr<Frame> AdsServerCore::HandlePointBatch(
   PointBatchResponseMsg response;
   response.entries.resize(n);
   AnswerPoints(msg.entries, keys, response.entries);
-  return Frame{MessageType::kPointBatchResponse,
-               EncodePointBatchResponse(response)};
+  return EncodePointBatchResponse(response);
 }
 
-StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
-                                           const Deadline& deadline) {
+StatusOr<std::string> AdsServerCore::AnswerSweep(const SweepRequestMsg& msg,
+                                                 const Deadline& deadline) {
   // Sweep results depend only on the spec (thread counts are bitwise
   // neutral), so the canonical spec encoding keys the response cache.
   const std::string cache_key = SweepSpecCacheKey(msg.collectors);
   std::string cached;
   if (options_.sweep_cache_entries > 0 && sweep_cache_.Get(cache_key, &cached)) {
-    return Frame{MessageType::kSweepResponse, std::move(cached)};
+    return cached;
   }
   SweepPlan plan;
   auto collectors = BuildPlanFromSpec(msg.collectors, &plan);
@@ -546,7 +584,7 @@ StatusOr<Frame> AdsServerCore::HandleSweep(const SweepRequestMsg& msg,
   if (options_.sweep_cache_entries > 0) {
     sweep_cache_.Put(cache_key, encoded);
   }
-  return Frame{MessageType::kSweepResponse, std::move(encoded)};
+  return encoded;
 }
 
 // ---------------------------------------------------------------------------

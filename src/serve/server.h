@@ -5,11 +5,12 @@
 // contiguous global node range, and answers the wire protocol
 // (serve/protocol.h) over it:
 //
-//   AdsServerCore  transport-free request dispatch: one request frame in,
-//                  one response frame out. This is the piece the loopback
-//                  transport, the fuzz suite and the TCP server all share,
-//                  so the full protocol surface is testable deterministically
-//                  without a socket in sight.
+//   ServingCore    the request path every serving process shares: one
+//                  request frame in, one response frame out, transport-
+//                  free, so the loopback transport, the fuzz suite and
+//                  the TCP server all drive it.
+//   AdsServerCore  a range server's five typed answers over its backend
+//                  (RouterCore, serve/router.h, supplies a fleet's).
 //   TcpServer      a thread-pooled TCP front end: N worker threads accept
 //                  connections and pump frames through a FrameHandler.
 //
@@ -80,6 +81,63 @@ class FrameHandler {
                                   bool* close_connection) = 0;
 };
 
+/// The request path of a serving process, around the five typed answers
+/// its subclass supplies as encoded response payloads. HandleFrame
+/// rejects undecodable bytes (untraced kError, connection closed),
+/// installs the request's trace id and echoes it, re-anchors the wire
+/// deadline and sheds an expired request before any answer runs, decodes
+/// the typed request, and encodes the answer or error. It records
+/// `<prefix>.requests.<kind>` and `<prefix>.latency_us.<kind>` (kind:
+/// info, point, point_batch, sweep, stats, other), `<prefix>.bytes_in`,
+/// `.bytes_out`, `.undecodable_frames` and `.shed.deadline`, and the spans
+/// `<label>.dispatch` and `<label>.encode`. A range server's prefix is
+/// "serve" and its label "server"; a router uses "router" for both.
+class ServingCore : public FrameHandler {
+ public:
+  std::string HandleFrame(std::string_view request,
+                          bool* close_connection) final;
+
+ protected:
+  ServingCore(const std::string& metric_prefix, std::string label);
+
+  /// This process's label in stats answers and trace spans.
+  const std::string& label() const { return label_; }
+
+  // The typed answers, each an encoded response payload or the error the
+  // response frame carries. `deadline` is the request's, re-anchored.
+  virtual std::string AnswerInfo() = 0;
+  /// `payload` is the request's own bytes, the canonical encoding of `msg`.
+  virtual StatusOr<std::string> AnswerPoint(const PointRequestMsg& msg,
+                                            const std::string& payload,
+                                            const Deadline& deadline) = 0;
+  virtual StatusOr<std::string> AnswerPointBatch(
+      const PointBatchRequestMsg& msg, const Deadline& deadline) = 0;
+  virtual StatusOr<std::string> AnswerSweep(const SweepRequestMsg& msg,
+                                            const Deadline& deadline) = 0;
+  virtual StatusOr<std::string> AnswerStats(const StatsRequestMsg& msg,
+                                            const Deadline& deadline) = 0;
+
+ private:
+  StatusOr<Frame> Dispatch(const Frame& request, const Deadline& deadline);
+
+  // Indexed by request kind: info, point, point_batch, sweep, stats, other.
+  static constexpr size_t kNumKinds = 6;
+  MetricCounter* requests_[kNumKinds];
+  MetricHistogram* latency_us_[kNumKinds];
+  MetricCounter* const bytes_in_;
+  MetricCounter* const bytes_out_;
+  MetricCounter* const undecodable_;
+  MetricCounter* const shed_deadline_;
+  const std::string label_;
+  const std::string dispatch_span_;
+  const std::string encode_span_;
+};
+
+/// This process's own part of a stats answer: its registry snapshot
+/// labeled `label`, and with kStatsFlagTraceSpans in `flags` its buffered
+/// trace spans under the same label.
+StatsResponseMsg ProcessStats(const std::string& label, uint32_t flags);
+
 /// Bounded, thread-safe LRU mapping request bytes to response bytes.
 /// Every answer a serving backend can give is immutable (sketches never
 /// change once loaded), so cached responses never go stale; the cache
@@ -89,27 +147,26 @@ class FrameHandler {
 class ResponseCache {
  public:
   /// `metric_prefix` names this cache in the metrics registry: hits and
-  /// misses surface as `<prefix>.hits` / `<prefix>.misses` in scrapes.
-  ResponseCache(size_t capacity, std::string metric_prefix)
-      : hits_(metric_prefix + ".hits"),
-        misses_(metric_prefix + ".misses"),
-        capacity_(capacity) {}
+  /// misses add to `<prefix>.hits` / `<prefix>.misses`, process totals
+  /// that every cache of that name shares and that outlive the cache.
+  ResponseCache(size_t capacity, const std::string& metric_prefix);
 
   /// Copies the cached response into *value and refreshes recency.
   bool Get(const std::string& key, std::string* value);
   void Put(const std::string& key, std::string value);
 
-  /// Lifetime hit count — observability for tests asserting that batched
-  /// and single-request paths share one cache. Backed by the registry
-  /// counter, so a wire scrape and this accessor can never disagree.
-  uint64_t hits() const { return hits_.value(); }
+  /// This cache's lifetime hit count — observability for tests asserting
+  /// that batched and single-request paths share one cache. Counted
+  /// whether or not metrics are enabled.
+  uint64_t hits() const;
 
  private:
   using Entry = std::pair<std::string, std::string>;  // key, response
 
-  Mutex mu_;
-  RegisteredCounter hits_;
-  RegisteredCounter misses_;
+  mutable Mutex mu_;
+  uint64_t hits_ HIPADS_GUARDED_BY(mu_) = 0;
+  MetricCounter* const hit_counter_;
+  MetricCounter* const miss_counter_;
   // Immutable after construction: Put reads it before taking mu_ for its
   // capacity-0 fast path, which is only race-free because nothing ever
   // writes it again (const makes that a compiler guarantee, not a habit).
@@ -133,20 +190,17 @@ struct ServerOptions {
   uint32_t sweep_cache_entries = 4;
 };
 
-/// The request dispatcher of a range server. Borrows the backend, which
-/// must outlive the core. Immutable-read backends are served lock-free;
+/// The answers of a range server. Borrows the backend, which must
+/// outlive the core. Immutable-read backends are served lock-free;
 /// serialized backends are guarded by an internal mutex with point-
 /// lookup shedding (see the file comment). Requests carrying an expired
-/// deadline are shed with DeadlineExceeded before touching the backend,
-/// and an in-flight sweep aborts between node ranges once its request's
+/// deadline are shed by ServingCore before touching the backend, and an
+/// in-flight sweep aborts between node ranges once its request's
 /// deadline passes — a fleet under deadline pressure sheds load instead
 /// of computing answers nobody is waiting for.
-class AdsServerCore : public FrameHandler {
+class AdsServerCore : public ServingCore {
  public:
   AdsServerCore(const AdsBackend* backend, const ServerOptions& options);
-
-  std::string HandleFrame(std::string_view request,
-                          bool* close_connection) override;
 
   /// The info this server reports (also used by fleet validation).
   ServerInfoMsg Info() const;
@@ -156,15 +210,18 @@ class AdsServerCore : public FrameHandler {
   uint64_t point_cache_hits() const { return point_cache_.hits(); }
 
  private:
-  StatusOr<Frame> Dispatch(const Frame& request, const Deadline& deadline);
-  StatusOr<Frame> HandlePoint(const PointRequestMsg& msg,
-                              const std::string& payload);
-  StatusOr<Frame> HandlePointBatch(const PointBatchRequestMsg& msg);
-  StatusOr<Frame> HandleSweep(const SweepRequestMsg& msg,
-                              const Deadline& deadline);
-  /// Answers a kStatsRequest with this process's registry snapshot
-  /// (labeled "server") and, when asked, the buffered trace spans.
-  StatusOr<Frame> HandleStats(const StatsRequestMsg& msg) const;
+  std::string AnswerInfo() override;
+  StatusOr<std::string> AnswerPoint(const PointRequestMsg& msg,
+                                    const std::string& payload,
+                                    const Deadline& deadline) override;
+  StatusOr<std::string> AnswerPointBatch(const PointBatchRequestMsg& msg,
+                                         const Deadline& deadline) override;
+  StatusOr<std::string> AnswerSweep(const SweepRequestMsg& msg,
+                                    const Deadline& deadline) override;
+  /// This process's registry snapshot (labeled "server") and, when asked,
+  /// its buffered trace spans.
+  StatusOr<std::string> AnswerStats(const StatsRequestMsg& msg,
+                                    const Deadline& deadline) override;
   /// Maps a global node id into the served range (the NotFound here is THE
   /// out-of-range answer — single and batched paths must fail with
   /// identical bytes).
@@ -200,7 +257,7 @@ class AdsServerCore : public FrameHandler {
   // Serializes backend access on serialized engines. It guards the
   // *pointee* of backend_ — and only when !lock_free_, a runtime property
   // — so the guarded relation is enforced by the call structure of
-  // AnswerPoints and HandleSweep (and the tsan lane), not by a GUARDED_BY
+  // AnswerPoints and AnswerSweep (and the tsan lane), not by a GUARDED_BY
   // the analysis could check.
   mutable Mutex mu_;
   // Sweeps holding the serialized backend: points arriving while it is

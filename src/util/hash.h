@@ -1,4 +1,5 @@
-// Deterministic 64-bit hashing used to derive coordinated random ranks.
+// Deterministic 64-bit hashing: the mixers that derive coordinated random
+// ranks, and the XXH64 integrity checksum of files and wire frames.
 //
 // All randomness in hipads sketches flows through these functions: a sketch
 // "permutation" is (seed, node-id) -> U[0,1), so sketches of different sets
@@ -59,23 +60,6 @@ inline constexpr uint32_t BucketHash(uint64_t seed, uint64_t key, uint32_t k) {
   return static_cast<uint32_t>((static_cast<__uint128_t>(h) * k) >> 64);
 }
 
-/// FNV-1a offset basis: the starting value for Fnv1a chains.
-inline constexpr uint64_t kFnv1aOffsetBasis = 14695981039346656037ULL;
-
-/// Incremental 64-bit FNV-1a over a byte range, chaining from `h` (start
-/// chains with kFnv1aOffsetBasis). The wire protocol's frame checksum only
-/// (serve/protocol.h): frames are small, so its byte-serial multiply chain
-/// (~0.65 GB/s) is cheap there. Files use Xxh64. Not collision-resistant
-/// against an adversary, but byte-exact against corruption, trivially
-/// incremental and dependency-free.
-inline constexpr uint64_t Fnv1a(const char* data, size_t size, uint64_t h) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 namespace xxh64_internal {
 
 inline constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
@@ -112,11 +96,12 @@ inline uint64_t MergeRound(uint64_t acc, uint64_t lane) {
 /// XXH64 (Yann Collet's xxHash, 64-bit variant) of a byte range under
 /// `seed`, per the public-domain specification at
 /// https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md. The
-/// integrity checksum of the hipads-ads-v2 file format: four independent
-/// 64-bit lanes per 32-byte stripe keep the multiplier pipelines full, so
-/// it runs at memory speed where byte-serial FNV-1a is latency-bound.
-/// Sections chain by passing the previous section's hash as the next
-/// seed. Like Fnv1a, it detects corruption, not adversaries.
+/// one integrity checksum of hipads: hipads-ads-v2 file sections and wire
+/// frames (serve/protocol.h). Four independent 64-bit lanes per 32-byte
+/// stripe keep the multiplier pipelines full, so it runs at memory speed
+/// where a byte-serial hash is latency-bound. Sections chain by passing
+/// the previous section's hash as the next seed. It detects corruption,
+/// not adversaries.
 inline uint64_t Xxh64(const char* data, size_t size, uint64_t seed) {
   using namespace xxh64_internal;
   const char* p = data;

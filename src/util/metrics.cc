@@ -1,7 +1,5 @@
 #include "util/metrics.h"
 
-#include <cstddef>
-#include <cstdio>
 #include <utility>
 
 namespace hipads {
@@ -13,36 +11,6 @@ std::atomic<bool> g_enabled{true};
 void SetMetricsEnabled(bool enabled) {
   metrics_internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 std::string MetricsSnapshot::ToText() const {
   std::string out;
@@ -56,43 +24,6 @@ std::string MetricsSnapshot::ToText() const {
     out += "histogram " + h.name + " count " + std::to_string(h.count) +
            " sum " + std::to_string(h.sum) + "\n";
   }
-  return out;
-}
-
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const CounterValue& c : counters) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(c.name, &out);
-    out.push_back(':');
-    out += std::to_string(c.value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const GaugeValue& g : gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(g.name, &out);
-    out.push_back(':');
-    out += std::to_string(g.value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const HistogramValue& h : histograms) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(h.name, &out);
-    out += ":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) + ",\"buckets\":[";
-    for (size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      out += std::to_string(h.buckets[i]);
-    }
-    out += "]}";
-  }
-  out += "}}";
   return out;
 }
 
@@ -124,42 +55,11 @@ MetricHistogram* MetricsRegistry::Histogram(const std::string& name) {
   return slot.get();
 }
 
-void MetricsRegistry::AttachCounter(const std::string& name,
-                                    const MetricCounter* counter) {
-  MutexLock lock(mu_);
-  attached_counters_[name].push_back(counter);
-}
-
-void MetricsRegistry::DetachCounter(const std::string& name,
-                                    const MetricCounter* counter) {
-  MutexLock lock(mu_);
-  auto it = attached_counters_.find(name);
-  if (it == attached_counters_.end()) return;
-  auto& list = it->second;
-  for (size_t i = 0; i < list.size(); ++i) {
-    if (list[i] == counter) {
-      list.erase(list.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  if (list.empty()) attached_counters_.erase(it);
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MutexLock lock(mu_);
   MetricsSnapshot snap;
-  // Merge owned and attached counters name by name; both maps are
-  // ordered, so the result is sorted without a second pass.
-  std::map<std::string, uint64_t> counter_totals;
   for (const auto& [name, counter] : counters_) {
-    counter_totals[name] += counter->value();
-  }
-  for (const auto& [name, list] : attached_counters_) {
-    uint64_t& total = counter_totals[name];
-    for (const MetricCounter* c : list) total += c->value();
-  }
-  for (const auto& [name, value] : counter_totals) {
-    snap.counters.push_back({name, value});
+    snap.counters.push_back({name, counter->value()});
   }
   for (const auto& [name, gauge] : gauges_) {
     snap.gauges.push_back({name, gauge->value()});

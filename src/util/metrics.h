@@ -21,16 +21,15 @@
 //     ScopedLatencyTimer) are reserved for src/serve and tools;
 //     hipads-lint HL006 enforces the split.
 //
-// Two ownership modes share one namespace:
-//
-//   * Registry-owned: MetricsRegistry::Get().Counter("name") creates on
-//     first use and returns a stable pointer — for process-global call
-//     sites (resolve once into a static, record forever).
-//   * Instance-owned: RegisteredCounter members attach themselves under
-//     a shared name and detach on destruction — for per-object counts
-//     that tests read through the owning object (cache hit counts, shard
-//     load counts). Snapshot() sums every counter registered under a
-//     name, so N caches named "serve.cache.point" scrape as one total.
+// The registry owns every instrument: MetricsRegistry::Get().Counter(
+// "name") creates on first use and returns a pointer that stays valid
+// until process exit, so call sites resolve once and record forever, and
+// N objects recording under one name ("serve.cache.point.hits") add to
+// one process total. Counters therefore never decrease: destroying an
+// object leaves its counts in every later snapshot. An object whose own
+// count a test reads (a cache's hits, a sharded set's loads) keeps a
+// plain count of its own beside the registry counter. The text scrape
+// format (MetricsSnapshot::ToText) is the one renderer.
 
 #ifndef HIPADS_UTIL_METRICS_H_
 #define HIPADS_UTIL_METRICS_H_
@@ -70,7 +69,7 @@ class MetricCounter {
 #endif
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  /// Unconditional store — registry/move plumbing, not a record path.
+  /// Unconditional store — test-isolation plumbing, not a record path.
   void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
 
  private:
@@ -136,9 +135,8 @@ class MetricHistogram {
   std::atomic<uint64_t> sum_{0};
 };
 
-/// Point-in-time view of the whole registry, with every same-named
-/// instrument summed. Names are sorted, so two snapshots of identical
-/// state serialize identically.
+/// Point-in-time view of the whole registry. Names are sorted, so two
+/// snapshots of identical state serialize identically.
 struct MetricsSnapshot {
   struct CounterValue {
     std::string name;
@@ -160,13 +158,11 @@ struct MetricsSnapshot {
 
   /// "counter serve.requests.point 42" per line — the scrape format.
   std::string ToText() const;
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":...}.
-  std::string ToJson() const;
 };
 
-/// The process-wide name -> instrument table. Creation and
-/// attach/detach lock; recording through the returned pointers does
-/// not. Instrument addresses handed out are stable until process exit.
+/// The process-wide name -> instrument table. Creation locks; recording
+/// through the returned pointers does not. Instrument addresses handed
+/// out are stable until process exit.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Get();
@@ -177,17 +173,10 @@ class MetricsRegistry {
   MetricGauge* Gauge(const std::string& name);
   MetricHistogram* Histogram(const std::string& name);
 
-  /// Registers an instance-owned counter under `name`; Snapshot() sums it
-  /// with everything else of that name. The caller must Detach before the
-  /// counter is destroyed (RegisteredCounter does).
-  void AttachCounter(const std::string& name, const MetricCounter* counter);
-  void DetachCounter(const std::string& name, const MetricCounter* counter);
-
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes every registry-owned instrument and DETACHED nothing —
-  /// attached instance counters keep their owners' values. Test isolation
-  /// only; never called by serving code.
+  /// Zeroes every instrument. Test isolation only; never called by
+  /// serving code.
   void ResetForTest();
 
  private:
@@ -201,56 +190,6 @@ class MetricsRegistry {
       HIPADS_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<MetricHistogram>> histograms_
       HIPADS_GUARDED_BY(mu_);
-  std::map<std::string, std::vector<const MetricCounter*>> attached_counters_
-      HIPADS_GUARDED_BY(mu_);
-};
-
-/// A counter owned by an object but visible to the registry under a
-/// shared name. Movable because some owners are (ShardedAdsSet); a
-/// move re-attaches the new address and empties the source.
-class RegisteredCounter {
- public:
-  explicit RegisteredCounter(std::string name) : name_(std::move(name)) {
-    MetricsRegistry::Get().AttachCounter(name_, &counter_);
-  }
-  ~RegisteredCounter() {
-    if (!name_.empty()) MetricsRegistry::Get().DetachCounter(name_, &counter_);
-  }
-  RegisteredCounter(RegisteredCounter&& other) noexcept
-      : name_(std::move(other.name_)) {
-    counter_.Set(other.counter_.value());
-    if (!name_.empty()) {
-      MetricsRegistry::Get().DetachCounter(name_, &other.counter_);
-      MetricsRegistry::Get().AttachCounter(name_, &counter_);
-    }
-    other.name_.clear();
-    other.counter_.Set(0);
-  }
-  RegisteredCounter& operator=(RegisteredCounter&& other) noexcept {
-    if (this != &other) {
-      if (!name_.empty()) {
-        MetricsRegistry::Get().DetachCounter(name_, &counter_);
-      }
-      name_ = std::move(other.name_);
-      counter_.Set(other.counter_.value());
-      if (!name_.empty()) {
-        MetricsRegistry::Get().DetachCounter(name_, &other.counter_);
-        MetricsRegistry::Get().AttachCounter(name_, &counter_);
-      }
-      other.name_.clear();
-      other.counter_.Set(0);
-    }
-    return *this;
-  }
-  RegisteredCounter(const RegisteredCounter&) = delete;
-  RegisteredCounter& operator=(const RegisteredCounter&) = delete;
-
-  void Add(uint64_t n = 1) { counter_.Add(n); }
-  uint64_t value() const { return counter_.value(); }
-
- private:
-  std::string name_;  // empty after being moved from
-  MetricCounter counter_;
 };
 
 /// Records the scope's wall-clock duration (microseconds) into a

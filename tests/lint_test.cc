@@ -253,7 +253,8 @@ TEST(LintTest, HL006SilentOnCountersAndInsideServingLayer) {
           "HL006",
           LintOne("src/ads/shard.cc",
                   "#include \"util/metrics.h\"\n"
-                  "RegisteredCounter loads{\"ads.shard.loads\"};\n"
+                  "static MetricCounter* loads =\n"
+                  "    MetricsRegistry::Get().Counter(\"ads.shard.loads\");\n"
                   "MetricCounter* c = MetricsRegistry::Get().Counter(\"x\");\n"
                   "MetricGauge* g = MetricsRegistry::Get().Gauge(\"y\");\n"))
           .empty());

@@ -1,11 +1,13 @@
-// Protocol robustness: the serving core must reject every malformed frame
+// Protocol robustness: the serving cores must reject every malformed frame
 // cleanly — error response or error status, never a crash, never a partial
 // answer — because frames arrive from the network and are attacker-shaped.
-// The suite drives AdsServerCore::HandleFrame and the payload decoders
-// with systematic damage (truncation at every boundary, bad magic /
-// version / type, oversized length prefixes, corrupted checksums and
-// payload bytes) plus seeded random mutations; run under
-// -DHIPADS_SANITIZE=address via the `serialize` ctest label.
+// The suite drives the shared request handler of a range server
+// (AdsServerCore) and of a router over a two-server loopback fleet
+// (RouterCore), and the payload decoders, with systematic damage
+// (truncation at every boundary, bad magic / version / type, oversized
+// length prefixes, corrupted checksums and payload bytes) plus seeded
+// random mutations; run under -DHIPADS_SANITIZE=address via the
+// `serialize` ctest label.
 
 #include "serve/protocol.h"
 
@@ -14,35 +16,91 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ads/backend.h"
 #include "ads/builders.h"
 #include "graph/generators.h"
+#include "serve/client.h"
+#include "serve/router.h"
 #include "serve/server.h"
 
 namespace hipads {
 namespace {
 
-// A small serving core the whole suite hammers.
+// The sketches of nodes [begin, end) of `set`, as a range server holds
+// them.
+FlatAdsSet SliceOf(const FlatAdsSet& set, NodeId begin, NodeId end) {
+  FlatAdsSet slice;
+  slice.flavor = set.flavor;
+  slice.k = set.k;
+  slice.ranks = set.ranks;
+  for (NodeId v = begin; v < end; ++v) {
+    auto entries = set.of(v).entries();
+    slice.AppendNode(std::vector<AdsEntry>(entries.begin(), entries.end()));
+  }
+  return slice;
+}
+
+// A small serving core the whole suite hammers, plus a router over a
+// two-server loopback fleet of the same sketches.
 struct Fixture {
   FlatAdsSet set;
   FlatAdsBackend backend;
   AdsServerCore core;
+  FlatAdsSet lower_set, upper_set;
+  FlatAdsBackend lower_backend, upper_backend;
+  AdsServerCore lower_core, upper_core;
+  FleetRouter router;  // connected in the constructor body
+  RouterCore router_core;
 
   Fixture()
       : set(FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
             ErdosRenyi(60, 180, true, 5), 4, SketchFlavor::kBottomK,
             RankAssignment::Uniform(6)))),
         backend(&set),
-        core(&backend, ServerOptions{}) {}
+        core(&backend, ServerOptions{}),
+        lower_set(SliceOf(set, 0, 30)),
+        upper_set(SliceOf(set, 30, 60)),
+        lower_backend(&lower_set),
+        upper_backend(&upper_set),
+        lower_core(&lower_backend, ServerOptions{}),
+        upper_core(&upper_backend, ServerOptions{/*node_begin=*/30}),
+        router_core(&router) {
+    FleetManifest manifest;
+    manifest.num_nodes = 60;
+    manifest.servers = {{"lower", 0, 30}, {"upper", 30, 60}};
+    auto connected = FleetRouter::Connect(
+        manifest,
+        [this](const std::string& address)
+            -> StatusOr<std::unique_ptr<Channel>> {
+          return std::unique_ptr<Channel>(std::make_unique<LoopbackChannel>(
+              address == "lower" ? &lower_core : &upper_core));
+        });
+    EXPECT_TRUE(connected.ok()) << connected.status().ToString();
+    if (connected.ok()) router = std::move(connected).value();
+  }
+
+  // The endpoints a hostile-input case runs against, each with the labels
+  // of the snapshots its stats answer carries: a router answers its own
+  // and every server's.
+  struct Endpoint {
+    FrameHandler* handler;
+    std::vector<std::string> stats_labels;
+  };
+  std::vector<Endpoint> Endpoints() {
+    return {{&core, {"server"}},
+            {&router_core, {"router", "lower", "upper"}}};
+  }
 };
 
 // Every response HandleFrame produces must itself be a valid frame; a
 // rejected request must come back as kError.
-void ExpectCleanRejection(AdsServerCore& core, const std::string& frame,
+void ExpectCleanRejection(FrameHandler& core, const std::string& frame,
                           const std::string& label) {
   bool close_connection = false;
   std::string response = core.HandleFrame(frame, &close_connection);
@@ -152,59 +210,67 @@ std::vector<std::string> ValidRequestFrames() {
 
 TEST(ServeFuzzTest, ValidFramesAreAccepted) {
   Fixture fx;
-  for (const std::string& frame : ValidRequestFrames()) {
-    bool close_connection = false;
-    std::string response = fx.core.HandleFrame(frame, &close_connection);
-    auto decoded = DecodeFrame(response);
-    ASSERT_TRUE(decoded.ok());
-    auto request = DecodeFrame(frame);
-    ASSERT_TRUE(request.ok());
-    // Each request type must come back as its own response type.
-    switch (request.value().type) {
-      case MessageType::kInfoRequest:
-        EXPECT_EQ(decoded.value().type, MessageType::kInfoResponse);
-        break;
-      case MessageType::kPointRequest:
-        EXPECT_EQ(decoded.value().type, MessageType::kPointResponse);
-        EXPECT_TRUE(
-            DecodePointResponse(decoded.value().payload).ok());
-        break;
-      case MessageType::kPointBatchRequest: {
-        EXPECT_EQ(decoded.value().type, MessageType::kPointBatchResponse);
-        auto entries = DecodePointBatchResponse(decoded.value().payload);
-        ASSERT_TRUE(entries.ok()) << entries.status().ToString();
-        auto sent = DecodePointBatchRequest(request.value().payload);
-        ASSERT_TRUE(sent.ok());
-        EXPECT_EQ(entries.value().entries.size(),
-                  sent.value().entries.size());
-        break;
+  for (const Fixture::Endpoint& endpoint : fx.Endpoints()) {
+    for (const std::string& frame : ValidRequestFrames()) {
+      bool close_connection = false;
+      std::string response =
+          endpoint.handler->HandleFrame(frame, &close_connection);
+      auto decoded = DecodeFrame(response);
+      ASSERT_TRUE(decoded.ok());
+      auto request = DecodeFrame(frame);
+      ASSERT_TRUE(request.ok());
+      // Each request type must come back as its own response type.
+      switch (request.value().type) {
+        case MessageType::kInfoRequest:
+          EXPECT_EQ(decoded.value().type, MessageType::kInfoResponse);
+          break;
+        case MessageType::kPointRequest:
+          EXPECT_EQ(decoded.value().type, MessageType::kPointResponse);
+          EXPECT_TRUE(DecodePointResponse(decoded.value().payload).ok());
+          break;
+        case MessageType::kPointBatchRequest: {
+          EXPECT_EQ(decoded.value().type, MessageType::kPointBatchResponse);
+          auto entries = DecodePointBatchResponse(decoded.value().payload);
+          ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+          auto sent = DecodePointBatchRequest(request.value().payload);
+          ASSERT_TRUE(sent.ok());
+          EXPECT_EQ(entries.value().entries.size(),
+                    sent.value().entries.size());
+          break;
+        }
+        case MessageType::kSweepRequest:
+          EXPECT_EQ(decoded.value().type, MessageType::kSweepResponse);
+          break;
+        case MessageType::kStatsRequest: {
+          EXPECT_EQ(decoded.value().type, MessageType::kStatsResponse);
+          auto stats = DecodeStatsResponse(decoded.value().payload);
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          ASSERT_EQ(stats.value().snapshots.size(),
+                    endpoint.stats_labels.size());
+          for (size_t i = 0; i < endpoint.stats_labels.size(); ++i) {
+            EXPECT_EQ(stats.value().snapshots[i].label,
+                      endpoint.stats_labels[i]);
+          }
+          break;
+        }
+        default:
+          FAIL() << "corpus contains a non-request frame";
       }
-      case MessageType::kSweepRequest:
-        EXPECT_EQ(decoded.value().type, MessageType::kSweepResponse);
-        break;
-      case MessageType::kStatsRequest: {
-        EXPECT_EQ(decoded.value().type, MessageType::kStatsResponse);
-        auto stats = DecodeStatsResponse(decoded.value().payload);
-        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-        ASSERT_EQ(stats.value().snapshots.size(), 1u);
-        EXPECT_EQ(stats.value().snapshots[0].label, "server");
-        break;
-      }
-      default:
-        FAIL() << "corpus contains a non-request frame";
+      EXPECT_FALSE(close_connection);
     }
-    EXPECT_FALSE(close_connection);
   }
 }
 
 TEST(ServeFuzzTest, TruncatedFramesAreRejectedAtEveryLength) {
   Fixture fx;
-  for (const std::string& frame : ValidRequestFrames()) {
-    for (size_t len = 0; len < frame.size(); ++len) {
-      std::string truncated = frame.substr(0, len);
-      EXPECT_FALSE(DecodeFrame(truncated).ok()) << "length " << len;
-      ExpectCleanRejection(fx.core, truncated,
-                           "truncated to " + std::to_string(len));
+  for (const Fixture::Endpoint& endpoint : fx.Endpoints()) {
+    for (const std::string& frame : ValidRequestFrames()) {
+      for (size_t len = 0; len < frame.size(); ++len) {
+        std::string truncated = frame.substr(0, len);
+        EXPECT_FALSE(DecodeFrame(truncated).ok()) << "length " << len;
+        ExpectCleanRejection(*endpoint.handler, truncated,
+                             "truncated to " + std::to_string(len));
+      }
     }
   }
 }
@@ -219,10 +285,10 @@ TEST(ServeFuzzTest, BadMagicVersionAndTypeAreRejected) {
     EXPECT_FALSE(DecodeFrame(bad).ok()) << "magic byte " << i;
     ExpectCleanRejection(fx.core, bad, "magic byte " + std::to_string(i));
   }
-  // Version: every value but kWireVersion — the retired layouts 1-4
+  // Version: every value but kWireVersion — the retired layouts 1-5
   // included — is rejected at the header, and the connection is dropped
   // (the header length itself cannot be trusted any more).
-  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u, 0xffffffffu}) {
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 0xffffffffu}) {
     std::string bad = frame;
     std::memcpy(bad.data() + 8, &version, sizeof(version));
     auto decoded = DecodeFrame(bad);
@@ -427,9 +493,12 @@ TEST(ServeFuzzTest, MalformedPayloadsInsideValidFramesAreRejected) {
                       EncodeSweepRequest(sweep) + std::string(1, '\0'));
     return list;
   }();
-  for (size_t i = 0; i < cases.size(); ++i) {
-    std::string frame = EncodeFrame(cases[i].first, cases[i].second);
-    ExpectCleanRejection(fx.core, frame, "payload case " + std::to_string(i));
+  for (const Fixture::Endpoint& endpoint : fx.Endpoints()) {
+    for (size_t i = 0; i < cases.size(); ++i) {
+      std::string frame = EncodeFrame(cases[i].first, cases[i].second);
+      ExpectCleanRejection(*endpoint.handler, frame,
+                           "payload case " + std::to_string(i));
+    }
   }
 }
 
@@ -579,6 +648,37 @@ TEST(ServeFuzzTest, PointBatchResponsePerEntryStatusesAreValidated) {
   }
 }
 
+// The deadline budget is wire-controlled too: a budget past what the
+// clock can hold (2^64-1 ms, or 2^44 ms, whose nanoseconds overflow a
+// signed 64-bit count) is a far deadline, so both endpoints answer the
+// request instead of shedding it as expired.
+TEST(ServeFuzzTest, HostileDeadlinesAreFarNotExpired) {
+  Fixture fx;
+  PointRequestMsg point;
+  point.kind = PointKind::kNodeStats;
+  point.node = 40;  // served by the fleet's second server
+  point.d = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<MessageType, MessageType>> kinds = {
+      {MessageType::kInfoRequest, MessageType::kInfoResponse},
+      {MessageType::kPointRequest, MessageType::kPointResponse}};
+  for (const Fixture::Endpoint& endpoint : fx.Endpoints()) {
+    for (uint64_t budget_ms : {uint64_t{1} << 44, ~uint64_t{0}}) {
+      for (const auto& [request, response] : kinds) {
+        const std::string payload = request == MessageType::kPointRequest
+                                        ? EncodePointRequest(point)
+                                        : std::string();
+        bool close_connection = false;
+        auto decoded = DecodeFrame(endpoint.handler->HandleFrame(
+            EncodeFrame(request, payload, budget_ms), &close_connection));
+        ASSERT_TRUE(decoded.ok());
+        EXPECT_EQ(decoded.value().type, response)
+            << "budget " << budget_ms << ": "
+            << DecodeError(decoded.value().payload).ToString();
+      }
+    }
+  }
+}
+
 TEST(ServeFuzzTest, HostileThreadCountsAreClampedNotObeyed) {
   // num_threads is wire-controlled; a request asking for 2^32-1 threads
   // must be served (clamped to the hardware), not drive the pool into
@@ -707,30 +807,33 @@ TEST(ServeFuzzTest, MalformedSweepPartialsAreRejectedByTheGather) {
 TEST(ServeFuzzTest, RandomMutationsNeverCrashTheCore) {
   Fixture fx;
   std::vector<std::string> frames = ValidRequestFrames();
-  std::mt19937_64 rng(0xad55eedULL);
-  for (int iter = 0; iter < 3000; ++iter) {
-    std::string frame = frames[rng() % frames.size()];
-    switch (rng() % 4) {
-      case 0:  // flip 1..8 random bytes
-        for (uint64_t flips = 1 + rng() % 8; flips > 0; --flips) {
-          frame[rng() % frame.size()] ^= static_cast<char>(1 + rng() % 255);
-        }
-        break;
-      case 1:  // truncate
-        frame.resize(rng() % (frame.size() + 1));
-        break;
-      case 2:  // extend with junk
-        frame.append(1 + rng() % 64, static_cast<char>(rng()));
-        break;
-      case 3:  // pure junk of random length
-        frame.assign(rng() % 128, static_cast<char>(rng()));
-        for (char& c : frame) c = static_cast<char>(rng());
-        break;
+  for (const Fixture::Endpoint& endpoint : fx.Endpoints()) {
+    std::mt19937_64 rng(0xad55eedULL);
+    for (int iter = 0; iter < 3000; ++iter) {
+      std::string frame = frames[rng() % frames.size()];
+      switch (rng() % 4) {
+        case 0:  // flip 1..8 random bytes
+          for (uint64_t flips = 1 + rng() % 8; flips > 0; --flips) {
+            frame[rng() % frame.size()] ^= static_cast<char>(1 + rng() % 255);
+          }
+          break;
+        case 1:  // truncate
+          frame.resize(rng() % (frame.size() + 1));
+          break;
+        case 2:  // extend with junk
+          frame.append(1 + rng() % 64, static_cast<char>(rng()));
+          break;
+        case 3:  // pure junk of random length
+          frame.assign(rng() % 128, static_cast<char>(rng()));
+          for (char& c : frame) c = static_cast<char>(rng());
+          break;
+      }
+      bool close_connection = false;
+      std::string response =
+          endpoint.handler->HandleFrame(frame, &close_connection);
+      auto decoded = DecodeFrame(response);
+      ASSERT_TRUE(decoded.ok()) << "iteration " << iter;
     }
-    bool close_connection = false;
-    std::string response = fx.core.HandleFrame(frame, &close_connection);
-    auto decoded = DecodeFrame(response);
-    ASSERT_TRUE(decoded.ok()) << "iteration " << iter;
   }
 }
 

@@ -982,6 +982,42 @@ TEST(ServeTest, CoalesceWindowEnvKnobForcesTheBatchPath) {
   EXPECT_GE(batch_frames.load(), 1u) << "env knob did not enable coalescing";
 }
 
+// The coalescing window bounds the flush time a batch leader computes:
+// an option or environment value above kMaxCoalesceWindowUs, or an
+// environment value that is not a plain decimal integer, fails Connect
+// instead of overflowing the clock or reading as some other window.
+TEST(ServeTest, CoalesceWindowOutsideItsBoundFailsConnect) {
+  FlatAdsSet full = BuildFlat(40, 43, 4);
+  ScratchDir dir("hipads_serve_test_coalesce_bound");
+  LoopbackFleet fleet = MakeFleet(full, {0, 20, 40},
+                                  {Engine::kCopy, Engine::kCopy}, dir, 1);
+  RouterOptions options;
+  options.coalesce_window_us = kMaxCoalesceWindowUs + 1;
+  auto over = FleetRouter::Connect(fleet.manifest, fleet.Factory(), options);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), Status::Code::kInvalidArgument);
+
+  const char* prev = std::getenv("HIPADS_COALESCE_WINDOW_US");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
+  for (const char* value :
+       {"abc", "12x", "-5", "+5", " 5", "1000001", "18446744073709551616"}) {
+    ASSERT_EQ(setenv("HIPADS_COALESCE_WINDOW_US", value, 1), 0);
+    auto router = FleetRouter::Connect(fleet.manifest, fleet.Factory());
+    ASSERT_FALSE(router.ok()) << "'" << value << "'";
+    EXPECT_EQ(router.status().code(), Status::Code::kInvalidArgument)
+        << router.status().ToString();
+  }
+  ASSERT_EQ(setenv("HIPADS_COALESCE_WINDOW_US", "1000000", 1), 0);
+  auto at_bound = FleetRouter::Connect(fleet.manifest, fleet.Factory());
+  if (saved.has_value()) {
+    setenv("HIPADS_COALESCE_WINDOW_US", saved->c_str(), 1);
+  } else {
+    unsetenv("HIPADS_COALESCE_WINDOW_US");
+  }
+  EXPECT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+}
+
 // A plain client socket on a local TcpServer, for tests that control
 // exactly which bytes reach the server and when. TCP_NODELAY keeps each
 // Send its own segment; reads give up after 5 s, so a server that never
@@ -1347,6 +1383,47 @@ TEST(ServeTest, CliRemoteFailuresExitNonzeroWithNoOutput) {
   }
 }
 
+// A stats endpoint whose only trace span carries control bytes in its
+// label and name, as a peer's raw bytes may.
+class ControlByteSpanHandler : public FrameHandler {
+ public:
+  std::string HandleFrame(std::string_view, bool* close_connection) override {
+    *close_connection = false;
+    StatsResponseMsg stats;
+    TraceSpanMsg span;
+    span.label = "edge\x01\x1f";
+    span.name = "tab\there";
+    span.trace_lo = 1;
+    stats.spans.push_back(span);
+    return EncodeFrame(MessageType::kStatsResponse,
+                       EncodeStatsResponse(stats));
+  }
+};
+
+// trace-dump writes span labels and names off the wire as JSON strings
+// with every control byte escaped, so its output stays valid JSON.
+TEST(ServeTest, CliTraceDumpEscapesControlBytes) {
+  ScratchDir dir("hipads_serve_test_trace_dump");
+  ControlByteSpanHandler handler;
+  TcpServer server(&handler, {0, 1});
+  ASSERT_TRUE(server.Start().ok());
+  const std::string json = dir.file("trace.json");
+  ASSERT_EQ(RunCli("trace-dump --remote 127.0.0.1:" +
+                       std::to_string(server.port()) + " --out " + json,
+                   dir.file("stdout.txt")),
+            0);
+  server.Stop();
+  const std::string dumped = ReadFile(json);
+  EXPECT_NE(dumped.find("\"edge\\u0001\\u001f\""), std::string::npos)
+      << dumped;
+  EXPECT_NE(dumped.find("\"tab\\u0009here\""), std::string::npos) << dumped;
+  // No byte below 0x20 is left raw but the closing newline.
+  ASSERT_FALSE(dumped.empty());
+  for (size_t i = 0; i + 1 < dumped.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(dumped[i]), 0x20) << "byte " << i;
+  }
+}
+
 // Positive CLI end-to-end: `stats`/`query` print byte-identical output
 // from a flat file, from its 4-shard directory and with `--remote` against
 // an in-process TCP server — point queries included, which answer through
@@ -1599,6 +1676,7 @@ TEST(ServeTest, CliNumericFlagsFailClosed) {
       {"node-begin", "serve --sketches " + missing + " --node-begin 4294967296"},
       {"port", "route --fleet " + missing + " --port 70000"},
       {"retries", "route --fleet " + missing + " --retries=-1"},
+      {"coalesce-us", "route --fleet " + missing + " --coalesce-us 1000001"},
   };
   const std::string stdout_path = dir.file("stdout.txt");
   const std::string stderr_path = dir.file("stderr.txt");

@@ -24,14 +24,15 @@
 //
 // Robustness flags: every remote-speaking command (`query`/`stats`
 // `--remote`, `route`) accepts `--timeout-ms N` (overall request deadline,
-// propagated hop by hop on the wire; 0 = none), `--retries N` (transport-
-// failure retry budget with jittered backoff; attempts = N + 1),
-// `--hedge 1` (race a second fresh connection for point requests after
-// 50 ms of silence) and `--coalesce-us N` (batch concurrent same-server
-// point requests into batch frames, flushed every N microseconds;
-// mutually exclusive with hedging). `serve` and `route` accept `--timeout-ms N` as the
-// per-frame read stall bound on their listening sockets. Failures fail
-// closed with an exit status and an error naming the failing server.
+// propagated hop by hop on the wire; 0 = none; a budget above 2^40 ms
+// counts as 2^40 ms), `--retries N` (transport-failure retry budget with
+// jittered backoff; attempts = N + 1), `--hedge 1` (race a second fresh
+// connection for point requests after 50 ms of silence) and
+// `--coalesce-us N` (batch concurrent same-server point requests into
+// batch frames, flushed every N microseconds, at most 1000000; mutually
+// exclusive with hedging). `serve` and `route` accept `--timeout-ms N` as
+// the per-frame read stall bound on their listening sockets. Failures
+// fail closed with an exit status and an error naming the failing server.
 //
 // Storage: `sketch` writes hipads-ads-v2 unless `--format text` asks for an
 // archival v1 copy. `shard`, `query`, `stats` and `serve` open v2 only — a
@@ -238,8 +239,9 @@ int Fail(const Status& status) {
 //   --retries N       transport-failure retry budget (attempts = N + 1)
 //   --hedge 1         hedge point requests over a second fresh connection
 //   --coalesce-us N   coalesce concurrent same-server point requests into
-//                     batch frames, flushing every N microseconds (0 = off;
-//                     the HIPADS_COALESCE_WINDOW_US env var also sets it)
+//                     batch frames, flushing every N microseconds (0 = off,
+//                     at most kMaxCoalesceWindowUs; the
+//                     HIPADS_COALESCE_WINDOW_US env var also sets it)
 struct RemoteOptions {
   uint64_t timeout_ms = 0;
   uint32_t retries = 1;
@@ -252,7 +254,7 @@ RemoteOptions GetRemoteOptions(const Args& args) {
   remote.timeout_ms = args.GetInt("timeout-ms", 0);
   remote.retries = args.GetInt<uint32_t>("retries", 1);
   remote.hedge = args.GetInt("hedge", 0, 1) != 0;
-  remote.coalesce_us = args.GetInt("coalesce-us", 0);
+  remote.coalesce_us = args.GetInt("coalesce-us", 0, kMaxCoalesceWindowUs);
   return remote;
 }
 
@@ -662,7 +664,7 @@ int ExecuteSpec(const Args& args, const std::vector<CollectorSpec>& spec,
                                    RemoteDeadline(remote));
     if (!s.ok()) return Fail(s);
     out->num_nodes = router.num_nodes();
-    out->k = router.k();
+    out->k = router.info().k;
     out->total_entries = router.total_entries();
     return 0;
   }
@@ -954,11 +956,34 @@ int CmdStatsScrape(const Args& args) {
   }
 }
 
-void AppendJsonEscaped(const std::string& s, std::string* out) {
+// Appends `s` as a JSON string literal. Span labels and names arrive off
+// the wire as raw bytes, so every control byte is escaped, not only the
+// quote and the backslash.
+void AppendJsonString(const std::string& s, std::string* out) {
+  out->push_back('"');
   for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
   }
+  out->push_back('"');
 }
 
 // `trace-dump --remote ADDR [--out FILE]`: drains the endpoint's span
@@ -989,9 +1014,9 @@ int CmdTraceDump(const Args& args) {
       if (!first) json.push_back(',');
       first = false;
       json += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-              std::to_string(pid_it->second) + ",\"args\":{\"name\":\"";
-      AppendJsonEscaped(span.label, &json);
-      json += "\"}}";
+              std::to_string(pid_it->second) + ",\"args\":{\"name\":";
+      AppendJsonString(span.label, &json);
+      json += "}}";
     }
     char trace_id[48];
     std::snprintf(trace_id, sizeof(trace_id), "%016llx%016llx",
@@ -1001,9 +1026,9 @@ int CmdTraceDump(const Args& args) {
                                          static_cast<int>(tids.size()) + 1);
     if (!first) json.push_back(',');
     first = false;
-    json += "{\"name\":\"";
-    AppendJsonEscaped(span.name, &json);
-    json += "\",\"cat\":\"hipads\",\"ph\":\"X\",\"ts\":" +
+    json += "{\"name\":";
+    AppendJsonString(span.name, &json);
+    json += ",\"cat\":\"hipads\",\"ph\":\"X\",\"ts\":" +
             std::to_string(span.start_us) +
             ",\"dur\":" + std::to_string(span.dur_us) +
             ",\"pid\":" + std::to_string(pid_it->second) +
@@ -1107,7 +1132,8 @@ int CmdRoute(const Args& args) {
   if (!started.ok()) return Fail(started);
   std::printf("routing %zu range servers, %llu nodes (k=%u) on port %u\n",
               router.num_servers(),
-              static_cast<unsigned long long>(router.num_nodes()), router.k(),
+              static_cast<unsigned long long>(router.num_nodes()),
+              router.info().k,
               server.port());
   std::fflush(stdout);
   ServeForever(metrics_interval_s);
