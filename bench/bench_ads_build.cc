@@ -2,16 +2,24 @@
 // O(km log n) edge relaxations for PrunedDijkstra and DP; LocalUpdates pays
 // extra churn on weighted graphs which the (1+eps)-approximate mode caps.
 // google-benchmark timings plus relaxation/insertion counters; the
-// "relax/(km ln n)" counter should stay O(1) across scales.
+// "relax/(km ln n)" counter should stay O(1) across scales. BM_BuildPipeline
+// times the whole build -> flatten -> HIP -> shard-write path by stage.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "ads/builders.h"
 #include "ads/estimators.h"
 #include "ads/flat_ads.h"
+#include "ads/hip.h"
 #include "ads/queries.h"
+#include "ads/shard.h"
 #include "bench_common.h"
 #include "graph/generators.h"
 
@@ -142,6 +150,59 @@ BENCHMARK_CAPTURE(BM_PrunedDijkstraParallel, unweighted, /*weighted=*/false)
     ->Args({1, 8000})
     ->Args({4, 8000})
     ->Unit(benchmark::kMillisecond);
+
+// The whole build pipeline the end-to-end benchmark times as build_s, on
+// an undirected unit-weight R-MAT graph of 2^scale nodes: pruned build
+// (k = 16, 4 threads) -> FromAdsSet -> PrecomputeHipWeights -> 8-shard v2
+// write into a temp directory. The per-stage counters are milliseconds per
+// iteration; the flatten, HIP pass and shard write each size their own
+// pool (at most the hardware count).
+void BM_BuildPipeline(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  const uint32_t k = 16;
+  const uint32_t threads = 4;
+  const Graph g = Rmat(scale, 8, 5, /*undirected=*/true);
+  const auto ranks = RankAssignment::Uniform(1);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("hipads_bm_pipeline_" + std::to_string(::getpid())))
+          .string();
+  double build_ms = 0, to_flat_ms = 0, hip_ms = 0, write_ms = 0;
+  auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    state.ResumeTiming();
+    const auto t0 = Clock::now();
+    AdsSet set = BuildAdsPrunedDijkstraParallel(g, k, SketchFlavor::kBottomK,
+                                                ranks, threads);
+    const auto t1 = Clock::now();
+    FlatAdsSet flat = FlatAdsSet::FromAdsSet(set);
+    const auto t2 = Clock::now();
+    PrecomputeHipWeights(&flat, threads);
+    const auto t3 = Clock::now();
+    Status written = WriteShardedAdsSet(flat, dir, 8);
+    const auto t4 = Clock::now();
+    if (!written.ok()) {
+      state.SkipWithError(written.ToString().c_str());
+      break;
+    }
+    build_ms += ms(t1 - t0);
+    to_flat_ms += ms(t2 - t1);
+    hip_ms += ms(t3 - t2);
+    write_ms += ms(t4 - t3);
+  }
+  std::filesystem::remove_all(dir);
+  const auto per_iteration = benchmark::Counter::kAvgIterations;
+  state.counters["build_ms"] = benchmark::Counter(build_ms, per_iteration);
+  state.counters["to_flat_ms"] = benchmark::Counter(to_flat_ms, per_iteration);
+  state.counters["hip_ms"] = benchmark::Counter(hip_ms, per_iteration);
+  state.counters["write_ms"] = benchmark::Counter(write_ms, per_iteration);
+}
+BENCHMARK(BM_BuildPipeline)->Arg(15)->Unit(benchmark::kMillisecond);
 
 void BM_DpParallel(benchmark::State& state) {
   uint32_t threads = static_cast<uint32_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <numeric>
+#include <optional>
 
 #include "util/parallel.h"
 
@@ -12,7 +13,12 @@ AdsSet BuildAdsFromPasses(const Graph& g, uint32_t k, SketchFlavor flavor,
                           ThreadPool& pool,
                           const std::function<void(const BottomKPass&)>& pass) {
   assert(k >= 1);
-  const Graph gt = g.Transpose();
+  // An undirected graph stores both directions of every edge, so it equals
+  // its transpose as a multiset of arcs and is searched as it is. Arc order
+  // within a node changes no builder's output.
+  std::optional<Graph> transposed;
+  if (!g.undirected()) transposed.emplace(g.Transpose());
+  const Graph& gt = transposed ? *transposed : g;
   const NodeId n = g.num_nodes();
   std::vector<std::vector<AdsEntry>> out(n);
   ReserveExpectedAdsSize(out, k, flavor);

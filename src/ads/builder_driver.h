@@ -7,9 +7,10 @@
 //   * k-partition: k bottom-1 passes over rank index 0, pass h seeded only
 //     by the nodes of bucket h and labelled part h.
 // A builder supplies one bottom-k pass; BuildAdsFromPasses owns the rest:
-// the transpose the passes search, the Lemma 2.2 reservation of the
-// per-node outputs, each pass's source list, the pass loop and the AdsSet
-// assembly on the builder's pool. Internal to the builder sources.
+// the transpose the passes search (an undirected graph is its own), the
+// Lemma 2.2 reservation of the per-node outputs, each pass's source list,
+// the pass loop and the AdsSet assembly on the builder's pool. Internal to
+// the builder sources.
 
 #ifndef HIPADS_ADS_BUILDER_DRIVER_H_
 #define HIPADS_ADS_BUILDER_DRIVER_H_

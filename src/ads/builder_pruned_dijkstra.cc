@@ -12,7 +12,13 @@
 // unit-weight ones. Whether u passes at v depends only on ADS(v)'s keys and
 // on (d, u), never on the order in which the nodes at one distance settle,
 // so the FIFO search settles, expands and prunes exactly the nodes the heap
-// would, at the same distances.
+// would, at the same distances. The BFS reads only what it uses: a
+// heads-only CSR of the transpose (4 bytes per arc, built once per build)
+// and 32-bit levels, turned into a double distance only where a key is
+// formed. The prune state is flat: every node's k closest keys fill k
+// slots of one array, and the k-th key of every list (+inf while a list
+// is short), all that the prune test reads, sits in another. Both are
+// written only where a list changes.
 //
 // Sources are processed in windows of consecutive ranks. A window of one
 // source is Algorithm 1's loop: the search inserts as it goes. A larger
@@ -30,7 +36,10 @@
 // targets. See README.md's threading-model section.
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <queue>
+#include <span>
 #include <utility>
 
 #include "ads/builder_driver.h"
@@ -44,6 +53,15 @@ namespace {
 // The (distance, node id) keys of ADS(v)'s current entries, sorted. A test
 // only asks whether k keys are closer, so each list keeps the k closest.
 using LexKey = std::pair<double, NodeId>;
+
+// The padding of a list's empty slots, and its k-th key while it holds
+// fewer than k: every key at a finite distance is closer, so nothing is
+// pruned against it.
+constexpr LexKey kNoKthKey{kInfDist, 0};
+
+// A BFS level of a node the search has not reached. Levels stay below the
+// node count, which NodeId bounds.
+constexpr uint32_t kUnreached = std::numeric_limits<uint32_t>::max();
 
 // Replay buckets per pool thread: enough that a bucket holding a hub's
 // candidates does not hold up the window, few enough that the per-(task,
@@ -59,72 +77,85 @@ struct HeapItem {
   }
 };
 
-// One task's search state, reused across its searches. `dist` is +inf for
-// every node outside a search; `reached` lists the nodes a search gave a
-// distance (the BFS queue itself, Dijkstra's touched list), and Reset puts
-// exactly those back, so no O(n) re-initialization and no counter to wrap.
-// Cache-line aligned: the heap's and the list's pointers change on every
-// push and pop.
+// The transpose's arcs as heads only, in CSR form: all that a BFS reads of
+// an arc, in 4 bytes where an Arc takes 16.
+struct ArcHeads {
+  explicit ArcHeads(const Graph& gt) : begin(gt.num_nodes() + 1, 0) {
+    heads.reserve(gt.num_arcs());
+    for (NodeId v = 0; v < gt.num_nodes(); ++v) {
+      for (const Arc& a : gt.OutArcs(v)) heads.push_back(a.head);
+      begin[v + 1] = heads.size();
+    }
+  }
+  std::span<const NodeId> of(NodeId v) const {
+    return {heads.data() + begin[v], heads.data() + begin[v + 1]};
+  }
+
+  std::vector<uint64_t> begin;
+  std::vector<NodeId> heads;
+};
+
+// One task's search state, reused across its searches: BFS levels on unit
+// weights, Dijkstra distances otherwise (only the search's own array is
+// allocated), kUnreached / +inf for every node outside a search. `reached`
+// lists the nodes a search reached (the BFS queue itself, Dijkstra's
+// touched list), and each search puts exactly those back, so no O(n)
+// re-initialization and no counter to wrap. Cache-line aligned: the heap's
+// and the list's pointers change on every push and pop.
 struct alignas(64) Scratch {
-  explicit Scratch(NodeId n) : dist(n, kInfDist) {}
+  Scratch(NodeId n, bool unit_weight) {
+    if (unit_weight) {
+      level.assign(n, kUnreached);
+    } else {
+      dist.assign(n, kInfDist);
+    }
+  }
+  std::vector<uint32_t> level;
   std::vector<double> dist;
   std::vector<NodeId> reached;
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-
-  void Reset() {
-    for (NodeId v : reached) dist[v] = kInfDist;
-    reached.clear();
-  }
 };
 
-// True iff k keys of a key list are closer than `key`. A list keeps only
-// its k closest keys, so that is a test of its k-th key alone.
-bool Pruned(const std::vector<LexKey>& keys, uint32_t k, const LexKey& key) {
-  return keys.size() >= k && keys[k - 1] < key;
-}
-
-// How many keys in `keys` are closer than `key`: where `key` would go.
-size_t CloserKeys(const std::vector<LexKey>& keys, const LexKey& key) {
-  return static_cast<size_t>(std::lower_bound(keys.begin(), keys.end(), key) -
-                             keys.begin());
-}
-
 // The pruned searches from source `u` on the transpose. At each settled
-// node v, u passes iff fewer than k keys of ADS(v) are closer than (d, u);
-// then visit(v, d) runs and the search expands v, otherwise it prunes
-// there. Both return the relaxations (out-degrees of expanded nodes).
+// node v, u passes iff ADS(v)'s k-th key, kth[v], is not closer than
+// (d, u); then visit(v, d) runs and the search expands v, otherwise it
+// prunes there. Both return the relaxations (out-degrees of expanded
+// nodes).
 
-// Unit weights: nodes settle in FIFO order, one distance level at a time.
+// Unit weights: nodes settle in FIFO order, one level at a time.
 template <typename Visit>
-uint64_t PrunedBfs(const Graph& gt, uint32_t k, NodeId u,
-                   const std::vector<std::vector<LexKey>>& keys, Scratch& sc,
+uint64_t PrunedBfs(const ArcHeads& gt, NodeId u,
+                   const std::vector<LexKey>& kth, Scratch& sc,
                    const Visit& visit) {
   uint64_t relaxations = 0;
   std::vector<NodeId>& queue = sc.reached;
-  sc.dist[u] = 0.0;
+  sc.level[u] = 0;
   queue.push_back(u);
   for (size_t head = 0; head < queue.size(); ++head) {
     const NodeId v = queue[head];
-    const double d = sc.dist[v];
-    if (Pruned(keys[v], k, {d, u})) continue;  // settled but not expanded
+    const uint32_t level = sc.level[v];
+    const double d = level;
+    if (kth[v] < LexKey{d, u}) continue;  // settled but not expanded
     visit(v, d);
-    relaxations += gt.OutDegree(v);
-    for (const Arc& a : gt.OutArcs(v)) {
-      if (sc.dist[a.head] == kInfDist) {
-        sc.dist[a.head] = d + 1.0;
-        queue.push_back(a.head);
+    const std::span<const NodeId> heads = gt.of(v);
+    relaxations += heads.size();
+    for (NodeId w : heads) {
+      if (sc.level[w] == kUnreached) {
+        sc.level[w] = level + 1;
+        queue.push_back(w);
       }
     }
   }
-  sc.Reset();
+  for (NodeId v : queue) sc.level[v] = kUnreached;
+  queue.clear();
   return relaxations;
 }
 
 // Any non-negative weights.
 template <typename Visit>
-uint64_t PrunedDijkstra(const Graph& gt, uint32_t k, NodeId u,
-                        const std::vector<std::vector<LexKey>>& keys,
-                        Scratch& sc, const Visit& visit) {
+uint64_t PrunedDijkstra(const Graph& gt, NodeId u,
+                        const std::vector<LexKey>& kth, Scratch& sc,
+                        const Visit& visit) {
   uint64_t relaxations = 0;
   auto& heap = sc.heap;
   sc.dist[u] = 0.0;
@@ -134,7 +165,7 @@ uint64_t PrunedDijkstra(const Graph& gt, uint32_t k, NodeId u,
     auto [d, v] = heap.top();
     heap.pop();
     if (sc.dist[v] < d) continue;  // stale
-    if (Pruned(keys[v], k, {d, u})) continue;  // settled but not expanded
+    if (kth[v] < LexKey{d, u}) continue;  // settled but not expanded
     visit(v, d);
     relaxations += gt.OutDegree(v);
     for (const Arc& a : gt.OutArcs(v)) {
@@ -146,7 +177,8 @@ uint64_t PrunedDijkstra(const Graph& gt, uint32_t k, NodeId u,
       }
     }
   }
-  sc.Reset();
+  for (NodeId v : sc.reached) sc.dist[v] = kInfDist;
+  sc.reached.clear();
   return relaxations;
 }
 
@@ -169,15 +201,18 @@ size_t WindowSize(size_t pos, uint32_t num_threads, uint32_t k) {
   return std::max<size_t>({num_threads, k, pos});
 }
 
-// One bottom-k pass, searching by BFS iff `unit_weight`. Phase A deals a
-// window's sources to the pool's tasks round-robin (its j-th source ->
-// task j % T; earlier sources explore more), and each task counts its
-// candidates per bucket of consecutive targets. The grouping then scatters
-// every task's candidates to bucket-major offsets, and phase B sorts each
-// bucket by (target, rank, distance, source) and replays it, each bucket
-// mutating only its own targets' keys and outputs. Every step decomposes
-// by task or bucket index, never by thread identity.
-void RunPrunedDijkstraPass(const BottomKPass& pass, bool unit_weight,
+// One bottom-k pass, searching by BFS over `heads` when it is given and by
+// Dijkstra over pass.gt otherwise. Phase A deals a window's sources to the
+// pool's tasks round-robin (its j-th source -> task j % T; earlier sources
+// explore more), and each task counts its candidates per bucket of
+// consecutive targets. The grouping then scatters every task's candidates
+// to bucket-major offsets, and phase B sorts each bucket by (target,
+// source index) — source indices follow rank order, so only runs of equal
+// rank at one target need a second sort, by (distance, source) — and
+// replays it, each bucket mutating only its own targets' keys, k-th keys
+// and outputs. Every step decomposes by task or bucket index, never by
+// thread identity.
+void RunPrunedDijkstraPass(const BottomKPass& pass, const ArcHeads* heads,
                            ThreadPool& pool, std::vector<Scratch>& scratch) {
   const uint32_t num_threads = pool.num_threads();
   const uint32_t k = pass.k;
@@ -188,21 +223,28 @@ void RunPrunedDijkstraPass(const BottomKPass& pass, bool unit_weight,
     order.emplace_back(pass.ranks.rank(u, pass.perm), u);
   }
   std::sort(order.begin(), order.end());
-  std::vector<std::vector<LexKey>> keys(n);
+  // ADS(v)'s keys fill slots [v * width, (v + 1) * width), padded with
+  // kNoKthKey. No list holds more keys than there are sources, so a k past
+  // that gets no slots it could never fill, and its lists no k-th key.
+  const size_t width = std::min<size_t>(k, order.size());
+  std::vector<LexKey> keys(n * width, kNoKthKey);
+  std::vector<LexKey> kth(n, kNoKthKey);  // each list's k-th key, once held
 
   auto search = [&](size_t i, Scratch& sc, const auto& visit) {
     const NodeId u = order[i].second;
-    return unit_weight ? PrunedBfs(pass.gt, k, u, keys, sc, visit)
-                       : PrunedDijkstra(pass.gt, k, u, keys, sc, visit);
+    return heads != nullptr ? PrunedBfs(*heads, u, kth, sc, visit)
+                            : PrunedDijkstra(pass.gt, u, kth, sc, visit);
   };
   // Inserts source order[i] into ADS(v) at distance d, unless k keys of
   // ADS(v) are closer. Returns whether it did.
   auto insert = [&](NodeId v, double d, size_t i) {
     const LexKey key{d, order[i].second};
-    std::vector<LexKey>& kl = keys[v];
-    if (Pruned(kl, k, key)) return false;
-    kl.insert(kl.begin() + CloserKeys(kl, key), key);
-    if (kl.size() > k) kl.pop_back();
+    if (kth[v] < key) return false;
+    LexKey* kl = keys.data() + v * width;
+    LexKey* at = std::lower_bound(kl, kl + width, key);
+    std::copy_backward(at, kl + width - 1, kl + width);
+    *at = key;
+    if (width == k) kth[v] = kl[k - 1];
     pass.out[v].push_back(AdsEntry{order[i].second, pass.part, order[i].first,
                                    d});
     return true;
@@ -269,18 +311,33 @@ void RunPrunedDijkstraPass(const BottomKPass& pass, bool unit_weight,
     });
 
     // Phase B: replay the inclusion test per target in (rank, distance, id)
-    // order; source indices follow (rank, id).
+    // order. Equal ranks are consecutive source indices, and a window
+    // without any needs no rank lookup at all.
+    const bool ties =
+        std::adjacent_find(order.begin() + pos, order.begin() + stop,
+                           [](const auto& x, const auto& y) {
+                             return x.first == y.first;
+                           }) != order.begin() + stop;
     pool.RunTasks(num_buckets, [&](size_t b) {
       auto first = grouped.begin() + bucket_begin[b];
       auto last = grouped.begin() + bucket_begin[b + 1];
       std::sort(first, last,
-                [&](const WindowCandidate& x, const WindowCandidate& y) {
-                  if (x.target != y.target) return x.target < y.target;
-                  if (order[x.src].first != order[y.src].first) {
-                    return x.src < y.src;
-                  }
-                  return x.dist != y.dist ? x.dist < y.dist : x.src < y.src;
+                [](const WindowCandidate& x, const WindowCandidate& y) {
+                  return (uint64_t{x.target} << 32 | x.src) <
+                         (uint64_t{y.target} << 32 | y.src);
                 });
+      for (auto run = first; ties && run != last;) {
+        auto run_end = run + 1;
+        while (run_end != last && run_end->target == run->target &&
+               order[run_end->src].first == order[run->src].first) {
+          ++run_end;
+        }
+        std::sort(run, run_end,
+                  [](const WindowCandidate& x, const WindowCandidate& y) {
+                    return x.dist != y.dist ? x.dist < y.dist : x.src < y.src;
+                  });
+        run = run_end;
+      }
       uint64_t count = 0;
       for (; first != last; ++first) {
         if (insert(first->target, first->dist, first->src)) ++count;
@@ -299,12 +356,16 @@ AdsSet BuildAdsPrunedDijkstraParallel(const Graph& g, uint32_t k,
                                       uint32_t num_threads,
                                       AdsBuildStats* stats) {
   ThreadPool pool(num_threads);
-  std::vector<Scratch> scratch(pool.num_threads(), Scratch(g.num_nodes()));
   const bool unit_weight = g.IsUnitWeight();
+  std::vector<Scratch> scratch(pool.num_threads(),
+                               Scratch(g.num_nodes(), unit_weight));
+  std::optional<ArcHeads> heads;  // every pass searches the same transpose
   return BuildAdsFromPasses(g, k, flavor, ranks, stats, pool,
                             [&](const BottomKPass& pass) {
-                              RunPrunedDijkstraPass(pass, unit_weight, pool,
-                                                    scratch);
+                              if (unit_weight && !heads) heads.emplace(pass.gt);
+                              RunPrunedDijkstraPass(
+                                  pass, heads ? &*heads : nullptr, pool,
+                                  scratch);
                             });
 }
 

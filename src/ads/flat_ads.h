@@ -11,6 +11,11 @@
 // builders return the per-node-vector AdsSet; FromAdsSet flattens it once,
 // after which serialization, sharding, HIP precompute and every query
 // (through FlatAdsBackend, ads/backend.h) run off the arena.
+//
+// The arrays are DefaultInitVectors (util/default_init.h): a resize leaves
+// the new elements unwritten, so the flatten, HIP precompute and v2 loads
+// fill them on their pools without a serial zeroing pass first. Each of
+// those writes every element it resized, or fails and discards the set.
 
 #ifndef HIPADS_ADS_FLAT_ADS_H_
 #define HIPADS_ADS_FLAT_ADS_H_
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "ads/ads.h"
+#include "util/default_init.h"
 
 namespace hipads {
 
@@ -28,15 +34,15 @@ struct FlatAdsSet {
   SketchFlavor flavor = SketchFlavor::kBottomK;
   uint32_t k = 0;
   RankAssignment ranks = RankAssignment::Uniform(0);
-  std::vector<uint64_t> offsets{0};  // size num_nodes + 1
-  std::vector<AdsEntry> entries;     // canonical order per node, contiguous
+  DefaultInitVector<uint64_t> offsets{0};  // size num_nodes + 1
+  DefaultInitVector<AdsEntry> entries;     // canonical order per node
   // Optional precomputed HIP weights, aligned with `entries` (tau[i] /
   // weight[i] belong to entries[i]; k-mins runs store the group weight at
   // the first member, zeros at the rest — see hip.h). Either both empty or
   // both entries.size(); filled by PrecomputeHipWeights or loaded from a
   // file's HIP section, and serialized back out when present.
-  std::vector<double> hip_tau;
-  std::vector<double> hip_weight;
+  DefaultInitVector<double> hip_tau;
+  DefaultInitVector<double> hip_weight;
 
   size_t num_nodes() const { return offsets.size() - 1; }
   uint64_t TotalEntries() const { return entries.size(); }
@@ -54,8 +60,10 @@ struct FlatAdsSet {
     offsets.push_back(entries.size());
   }
 
-  /// Flattens a per-node-vector set into one arena. The entries are copied
-  /// in node order; the source is left untouched.
+  /// Flattens a per-node-vector set into one arena: the offsets are the
+  /// prefix sums of the node sizes, and ranges of nodes are copied on a
+  /// pool sized to the entries (one thread per 256 KiB, at most
+  /// HardwareThreads()). The source is left untouched.
   static FlatAdsSet FromAdsSet(const AdsSet& set);
 };
 

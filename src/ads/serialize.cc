@@ -166,9 +166,7 @@ uint32_t LoadThreads(const AdsBinaryHeader& h) {
   const uint64_t image_bytes =
       AdsBinaryFileSize(h.num_nodes, h.num_entries) +
       (h.has_hip ? AdsHipSectionBytes(h.num_entries) : 0);
-  return static_cast<uint32_t>(
-      std::clamp<uint64_t>(image_bytes / kLoadPieceBytes, 1,
-                           std::min(HardwareThreads(), kMaxLoadThreads)));
+  return ThreadsForWork(image_bytes, kLoadPieceBytes, kMaxLoadThreads);
 }
 
 // What one slice of the per-entry checks found: the lowest failing node or

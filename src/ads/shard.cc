@@ -15,6 +15,7 @@
 #include "util/annotations.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
+#include "util/parallel.h"
 
 namespace hipads {
 
@@ -251,21 +252,29 @@ Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
                            ec.message());
   }
 
-  std::vector<ShardInfo> shards;
-  for (size_t s = 0; s < split_begins.size(); ++s) {
-    ShardInfo info;
+  std::vector<ShardInfo> shards(split_begins.size());
+  for (size_t s = 0; s < shards.size(); ++s) {
+    ShardInfo& info = shards[s];
     info.begin = split_begins[s];
     info.end = s + 1 < split_begins.size()
                    ? split_begins[s + 1]
                    : static_cast<NodeId>(n);
     info.file = ShardFileName(static_cast<uint32_t>(s));
-
-    // Straight from the parent arena: only the shard's offsets are rebased.
     info.num_entries = set.offsets[info.end] - set.offsets[info.begin];
-    Status st = WriteAdsSetRangeFile(set, info.begin, info.end,
-                                     JoinPath(dir, info.file));
+  }
+  // Straight from the parent arena: only each shard's offsets are rebased.
+  // Every file's checksum chain is its own, so the files are written
+  // concurrently; the first failing shard in shard order decides the
+  // result.
+  std::vector<Status> written(shards.size());
+  ThreadPool pool(std::min<uint32_t>(static_cast<uint32_t>(shards.size()),
+                                     HardwareThreads()));
+  pool.RunTasks(shards.size(), [&](size_t s) {
+    written[s] = WriteAdsSetRangeFile(set, shards[s].begin, shards[s].end,
+                                      JoinPath(dir, shards[s].file));
+  });
+  for (const Status& st : written) {
     if (!st.ok()) return st;
-    shards.push_back(std::move(info));
   }
 
   // Manifest last: its presence marks the directory complete.

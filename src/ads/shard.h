@@ -76,8 +76,11 @@ std::vector<NodeId> BalancedShardSplits(const FlatAdsSet& set,
 
 /// Writes `set` into `dir` (created if needed) as one v2 binary file per
 /// shard plus the manifest; `split_begins` as from BalancedShardSplits
-/// (sorted, unique, first element 0). The manifest is written last, so a
-/// directory with a manifest is complete.
+/// (sorted, unique, first element 0). The shard files are written
+/// concurrently, on min(shards, HardwareThreads()) threads; a failure
+/// returns the first failing shard's status in shard order. The manifest
+/// is written last, and only when every shard was, so a directory with a
+/// manifest is complete.
 Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
                           const std::vector<NodeId>& split_begins);
 

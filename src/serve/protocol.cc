@@ -223,6 +223,19 @@ Status WriteAllBytes(int fd, const char* data, size_t size,
   return Status::Ok();
 }
 
+bool ReadPayload(std::string* buf, uint64_t n,
+                 const std::function<bool(char*, size_t)>& read_exact) {
+  const size_t base = buf->size();
+  for (uint64_t done = 0; done < n;) {
+    const uint64_t chunk = std::min<uint64_t>(
+        n - done, std::max<uint64_t>(kFirstPayloadChunk, done));
+    buf->resize(base + done + chunk);
+    if (!read_exact(buf->data() + base + done, chunk)) return false;
+    done += chunk;
+  }
+  return true;
+}
+
 StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
   char raw[kFrameHeaderBytes];
   Status s = ReadExact(fd, raw, kFrameHeaderBytes, deadline);
@@ -230,10 +243,13 @@ StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
   FrameHeader header;
   s = DecodeFrameHeaderPrefix(raw, kFrameHeaderBytes, &header);
   if (!s.ok()) return s;
-  std::string payload(header.payload_bytes, '\0');
-  if (!payload.empty()) {
-    s = ReadExact(fd, payload.data(), payload.size(), deadline);
-    if (!s.ok()) return s;
+  std::string payload;
+  if (!ReadPayload(&payload, header.payload_bytes,
+                   [&](char* dst, size_t len) {
+                     s = ReadExact(fd, dst, len, deadline);
+                     return s.ok();
+                   })) {
+    return s;
   }
   return FrameOf(header, std::move(payload));
 }

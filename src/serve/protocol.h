@@ -38,6 +38,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -216,6 +217,22 @@ Status DecodeFrameHeaderPrefix(const char* data, size_t size,
 /// magic/version/type, oversized lengths and checksum mismatches all fail
 /// with Corruption.
 StatusOr<Frame> DecodeFrame(std::string_view data);
+
+/// The most a frame reader allocates for a payload before any of its bytes
+/// have arrived; see ReadPayload.
+inline constexpr size_t kFirstPayloadChunk = size_t{1} << 16;
+
+/// Appends an `n`-byte payload to `*buf` through `read_exact(dst, len)`,
+/// which reads exactly `len` bytes into `dst` or returns false. The buffer
+/// grows only as bytes arrive: the first read is at most
+/// kFirstPayloadChunk bytes and each later one at most what has arrived,
+/// so a peer that claims a large payload and stalls costs one chunk, and
+/// the payload part of `*buf` never exceeds twice the bytes received (or
+/// the first chunk). A payload within the first chunk is one read. Both
+/// frame readers, ReadFrame and TcpServer's, read payloads through it.
+/// False as soon as a read fails.
+bool ReadPayload(std::string* buf, uint64_t n,
+                 const std::function<bool(char*, size_t)>& read_exact);
 
 // Frame I/O over a connected non-blocking socket: both poll the fd against
 // `deadline` (none = wait forever) and fail with DeadlineExceeded when the

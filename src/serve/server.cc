@@ -759,11 +759,13 @@ void TcpServer::ServeConnection(int fd) {
     FrameHeader header;
     if (DecodeFrameHeaderPrefix(request.data(), kFrameHeaderBytes, &header)
             .ok()) {
-      // Header is sane: the payload length can be trusted enough to read.
-      request.resize(kFrameHeaderBytes + header.payload_bytes);
-      if (header.payload_bytes > 0 &&
-          read_exact(request.data() + kFrameHeaderBytes, header.payload_bytes,
-                     &frame_deadline, /*at_frame_start=*/false) != 1) {
+      // Header is sane: read the payload it announces, allocating only as
+      // its bytes arrive.
+      if (!ReadPayload(&request, header.payload_bytes,
+                       [&](char* dst, size_t len) {
+                         return read_exact(dst, len, &frame_deadline,
+                                           /*at_frame_start=*/false) == 1;
+                       })) {
         return;
       }
     }

@@ -1,11 +1,23 @@
 #include "util/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace hipads {
 
 uint32_t HardwareThreads() {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<uint32_t>(std::max(1, CPU_COUNT(&mask)));
+  }
   return std::max(1u, std::thread::hardware_concurrency());
+}
+
+uint32_t ThreadsForWork(uint64_t work, uint64_t per_thread,
+                        uint32_t max_threads) {
+  return static_cast<uint32_t>(std::clamp<uint64_t>(
+      work / per_thread, 1, std::min(HardwareThreads(), max_threads)));
 }
 
 uint32_t ClampThreads(uint64_t requested) {

@@ -24,8 +24,17 @@
 
 namespace hipads {
 
-/// Number of hardware threads, at least 1.
+/// The CPUs this process may run on: the size of the calling thread's
+/// affinity mask (so a `taskset` or cpuset-pinned process sees its own
+/// width), or hardware_concurrency where the mask cannot be read. At
+/// least 1.
 uint32_t HardwareThreads();
+
+/// A pool width sized to its input: one thread per whole `per_thread`
+/// units of `work`, at least 1 and at most min(`max_threads`,
+/// HardwareThreads()). Work under two units runs on the calling thread.
+uint32_t ThreadsForWork(uint64_t work, uint64_t per_thread,
+                        uint32_t max_threads = UINT32_MAX);
 
 /// A thread count asked for from outside — a wire request or a
 /// command-line flag — bounded to min(requested, HardwareThreads()); 0

@@ -1,16 +1,19 @@
 // Determinism suite for the parallel ADS machinery: the rank-window
 // pruned-Dijkstra builder and the round-sharded DP builder must produce
 // entry-for-entry (bit-identical) copies of their one-thread entry points
-// for every thread count, flavor, seed, and weighted/unweighted graph; the
-// flat CSR storage must be an exact re-packaging of the per-node-vector
-// builder output.
+// for every thread count, flavor, seed, and weighted/unweighted graph, at
+// pinned work counts; the flat CSR storage, flattened on a pool, must be
+// an exact re-packaging of the per-node-vector builder output.
 
 #include "ads/builders.h"
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -129,6 +132,50 @@ TEST(ParallelPrunedDijkstraTest, InsertionCountMatchesSequential) {
   EXPECT_EQ(seq_stats.insertions, reference.TotalEntries());
   EXPECT_GE(par_stats.relaxations, seq_stats.relaxations);
   EXPECT_GT(par_stats.rounds, 0u);
+}
+
+// The work a build does, pinned: a faster search kernel may change how
+// long a build takes, never how many arcs it relaxes, entries it inserts
+// or windows it runs. Unit weights take the BFS, real weights Dijkstra;
+// bottom-k runs one pass and k-mins k of them.
+TEST(ParallelPrunedDijkstraTest, WorkCountersArePinned) {
+  const Graph unit = Rmat(10, 8, 5, /*undirected=*/true);
+  const Graph weighted = RandomizeWeights(
+      Rmat(10, 8, 5, /*undirected=*/false), 0.5, 2.0, 9);
+  ASSERT_TRUE(unit.IsUnitWeight());
+  ASSERT_FALSE(weighted.IsUnitWeight());
+  struct Pinned {
+    const Graph* g;
+    SketchFlavor flavor;
+    uint32_t k;
+    uint32_t threads;
+    AdsBuildStats stats;  // relaxations, insertions, deletions, rounds
+  };
+  const SketchFlavor kBottomK = SketchFlavor::kBottomK;
+  const SketchFlavor kKMins = SketchFlavor::kKMins;
+  const Pinned pinned[] = {
+      {&unit, kBottomK, 16, 1, {1122864, 55741, 0, 1024}},
+      {&unit, kBottomK, 16, 4, {1463816, 55741, 0, 7}},
+      {&unit, kKMins, 4, 1, {471169, 24346, 0, 4096}},
+      {&unit, kKMins, 4, 4, {676917, 24346, 0, 36}},
+      {&weighted, kBottomK, 16, 1, {551957, 48266, 0, 1024}},
+      {&weighted, kBottomK, 16, 4, {730904, 48266, 0, 7}},
+      {&weighted, kKMins, 4, 1, {242253, 22316, 0, 4096}},
+      {&weighted, kKMins, 4, 4, {346412, 22316, 0, 36}},
+  };
+  for (const Pinned& p : pinned) {
+    const std::string label = std::string(p.g == &unit ? "unit " : "weighted ") +
+                              FlavorName(p.flavor) + " threads " +
+                              std::to_string(p.threads);
+    AdsBuildStats stats;
+    AdsSet set = BuildAdsPrunedDijkstraParallel(
+        *p.g, p.k, p.flavor, RankAssignment::Uniform(3), p.threads, &stats);
+    EXPECT_EQ(stats.relaxations, p.stats.relaxations) << label;
+    EXPECT_EQ(stats.insertions, p.stats.insertions) << label;
+    EXPECT_EQ(stats.deletions, 0u) << label;
+    EXPECT_EQ(stats.rounds, p.stats.rounds) << label;
+    EXPECT_EQ(set.TotalEntries(), p.stats.insertions) << label;
+  }
 }
 
 // A unit-weight graph is searched by pruned BFS, the same topology with
@@ -293,6 +340,58 @@ TEST(FlatAdsSetTest, SerializationMatchesAndParsesFlat) {
   EXPECT_EQ(SerializeAdsSet(loaded), text);
 }
 
+// What FromAdsSet must equal: the nodes appended one by one, in order.
+FlatAdsSet SerialFlatten(const AdsSet& set) {
+  FlatAdsSet flat;
+  flat.flavor = set.flavor;
+  flat.k = set.k;
+  flat.ranks = set.ranks;
+  for (const Ads& ads : set.ads) flat.AppendNode(ads.entries());
+  return flat;
+}
+
+// An Ads of `size` synthetic entries at distinct distances.
+Ads SyntheticAds(uint32_t size, uint32_t salt) {
+  std::vector<AdsEntry> entries;
+  for (uint32_t i = 0; i < size; ++i) {
+    entries.push_back(AdsEntry{(i * 7 + salt) % 100003, 0,
+                               ((i * 61 + salt) % 1009) / 1009.0,
+                               static_cast<double>(i)});
+  }
+  return Ads(std::move(entries));
+}
+
+// FromAdsSet copies ranges of nodes on a pool sized to the entries. It
+// must equal the serial flatten with no nodes, one node, and fewer nodes
+// than pool threads: three nodes of ~940 KiB each get a pool of
+// min(11, HardwareThreads()) threads, more than three on a host with four
+// CPUs or more.
+TEST(FlatAdsSetTest, PooledFlattenEqualsSerialFlatten) {
+  std::vector<AdsSet> sets(4);
+  sets[1].ads.push_back(SyntheticAds(5, 1));
+  for (uint32_t v = 0; v < 3; ++v) {
+    sets[2].ads.push_back(SyntheticAds(40000, v));
+  }
+  sets[3] = BuildAdsPrunedDijkstra(ErdosRenyi(300, 1200, true, 3), 8,
+                                   SketchFlavor::kBottomK,
+                                   RankAssignment::Uniform(2));
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const FlatAdsSet pooled = FlatAdsSet::FromAdsSet(sets[i]);
+    const FlatAdsSet serial = SerialFlatten(sets[i]);
+    ASSERT_EQ(pooled.num_nodes(), sets[i].num_nodes()) << "set " << i;
+    EXPECT_EQ(pooled.k, serial.k) << "set " << i;
+    EXPECT_TRUE(pooled.offsets == serial.offsets) << "set " << i;
+    ASSERT_EQ(pooled.TotalEntries(), serial.TotalEntries()) << "set " << i;
+    if (!serial.entries.empty()) {  // memcmp takes no null pointer
+      EXPECT_EQ(std::memcmp(pooled.entries.data(), serial.entries.data(),
+                            serial.entries.size() * sizeof(AdsEntry)),
+                0)
+          << "set " << i;
+    }
+    EXPECT_FALSE(pooled.has_hip()) << "set " << i;
+  }
+}
+
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
@@ -349,6 +448,32 @@ TEST(ThreadPoolTest, ClampThreadsBoundsRequestsToTheHardwareCount) {
   EXPECT_EQ(ClampThreads(1), 1u);
   EXPECT_EQ(ClampThreads(uint64_t{hw} + 1), hw);
   EXPECT_EQ(ClampThreads(UINT64_MAX), hw);
+}
+
+// HardwareThreads() is the size of the calling thread's affinity mask, so
+// a process pinned with `taskset` or a cpuset sizes its pools to the CPUs
+// it may use. Pins this thread to one CPU of its mask, then restores it.
+TEST(ThreadPoolTest, HardwareThreadsFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  if (sched_getaffinity(0, sizeof(saved), &saved) != 0) {
+    GTEST_SKIP() << "the affinity mask cannot be read";
+  }
+  EXPECT_EQ(HardwareThreads(), static_cast<uint32_t>(CPU_COUNT(&saved)));
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+    GTEST_SKIP() << "this thread cannot be pinned";
+  }
+  const uint32_t pinned = HardwareThreads();
+  const uint32_t clamped = ClampThreads(8);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(clamped, 1u);
+  EXPECT_EQ(HardwareThreads(), static_cast<uint32_t>(CPU_COUNT(&saved)));
 }
 
 }  // namespace

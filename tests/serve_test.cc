@@ -1137,6 +1137,141 @@ TEST(ServeTest, TcpServerDropsAStalledHeaderAfterTheIdleTimeout) {
   EXPECT_EQ(next.Receive(expected.size()), expected);
 }
 
+// This process's resident set in KiB, from /proc/self/status; 0 where it
+// cannot be read.
+uint64_t ResidentKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+// A valid header of `type` that announces `payload_bytes` of payload, of
+// which none follows. The length field sits at byte 16, after the 8-byte
+// magic and the 32-bit version and type.
+std::string HeaderClaiming(MessageType type, uint64_t payload_bytes) {
+  std::string header = EncodeFrame(type, "");
+  std::memcpy(header.data() + 16, &payload_bytes, sizeof(payload_bytes));
+  FrameHeader decoded;
+  EXPECT_TRUE(
+      DecodeFrameHeaderPrefix(header.data(), header.size(), &decoded).ok());
+  EXPECT_EQ(decoded.payload_bytes, payload_bytes);
+  return header;
+}
+
+constexpr uint64_t kClaimedPayload = uint64_t{256} << 20;
+constexpr uint64_t kStallRssBoundKib = uint64_t{32} << 10;
+
+// A peer that announces a large frame and stalls costs the server what it
+// sent, not what it claimed: two connections each claim 256 MiB and send
+// no payload byte, and while they wait (with no idle timeout, as `serve`
+// defaults) the process grows by less than 32 MiB. A third worker still
+// answers a fresh connection.
+TEST(ServeTest, StalledFrameClaimsDoNotAllocateTheirPayload) {
+  FlatAdsSet full = BuildFlat(40, 45, 4);
+  FlatAdsBackend backend(&full);
+  AdsServerCore core(&backend, ServerOptions{});
+  TcpServer server(&core, TcpServerOptions{0, 3});
+  ASSERT_TRUE(server.Start().ok());
+  const std::string info = EncodeFrame(MessageType::kInfoRequest, "");
+  bool close_connection = false;
+  const std::string expected = core.HandleFrame(info, &close_connection);
+  {
+    RawConnection warm(server.port());
+    ASSERT_TRUE(warm.Send(info));
+    ASSERT_EQ(warm.Receive(expected.size()), expected);
+  }
+  const uint64_t before = ResidentKib();
+  if (before == 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+
+  RawConnection first(server.port());
+  RawConnection second(server.port());
+  ASSERT_TRUE(first.connected() && second.connected());
+  const std::string claim =
+      HeaderClaiming(MessageType::kPointRequest, kClaimedPayload);
+  ASSERT_TRUE(first.Send(claim));
+  ASSERT_TRUE(second.Send(claim));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const uint64_t during = ResidentKib();
+
+  RawConnection fresh(server.port());
+  ASSERT_TRUE(fresh.Send(info));
+  EXPECT_EQ(fresh.Receive(expected.size()), expected);
+  EXPECT_LT(during - std::min(during, before), kStallRssBoundKib)
+      << "VmRSS went from " << before << " to " << during << " KiB";
+}
+
+// The client's frame reader grows its buffer the same way: a server that
+// answers with a header claiming 256 MiB and then stalls costs the caller
+// no more than the first chunk until its 300 ms deadline fails the call.
+TEST(ServeTest, StalledResponseClaimDoesNotAllocateItsPayload) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const std::string claim =
+      HeaderClaiming(MessageType::kInfoResponse, kClaimedPayload);
+  std::atomic<bool> release{false};
+  std::thread peer([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    char request[kFrameHeaderBytes];
+    size_t got = 0;
+    while (got < sizeof(request)) {
+      const ssize_t n = ::read(fd, request + got, sizeof(request) - got);
+      if (n <= 0) break;
+      got += static_cast<size_t>(n);
+    }
+    if (got == sizeof(request)) {
+      (void)!::write(fd, claim.data(), claim.size());
+    }
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ::close(fd);
+  });
+
+  auto channel = TcpChannel::Connect("127.0.0.1", ntohs(addr.sin_port));
+  Status called = channel.status();
+  uint64_t before = 0;
+  uint64_t during = 0;
+  if (channel.ok()) {
+    before = ResidentKib();
+    std::thread caller([&] {
+      Frame response;
+      called = channel.value()->Call(
+          EncodeFrame(MessageType::kInfoRequest, ""), &response,
+          Deadline::AfterMs(300));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    during = ResidentKib();
+    caller.join();
+  }
+  // Joined on every path: shutting the listener down also ends an accept
+  // that never got its connection.
+  release = true;
+  ::shutdown(listener, SHUT_RDWR);
+  peer.join();
+  ::close(listener);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  if (before == 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  EXPECT_EQ(called.code(), Status::Code::kDeadlineExceeded)
+      << called.ToString();
+  EXPECT_LT(during - std::min(during, before), kStallRssBoundKib)
+      << "VmRSS went from " << before << " to " << during << " KiB";
+}
+
 // A channel whose sweep calls fail (the wire analog of a server dying
 // between handshake and query).
 class DyingChannel : public Channel {

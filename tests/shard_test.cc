@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -260,6 +261,70 @@ TEST(ShardTest, ShardFilesEqualSerializedSlices) {
                             std::istreambuf_iterator<char>());
     EXPECT_EQ(bytes, SerializeAdsSetBinary(slice)) << info.file;
   }
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string ShardName(size_t s) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "shard-%05zu.ads2", s);
+  return name;
+}
+
+// The shard files are written concurrently. Each must hold exactly the
+// bytes a one-range write of the same nodes produces, at every shard count
+// (17 is more shards than pool threads), with and without HIP weights.
+TEST(ShardTest, ConcurrentShardWritesEqualRangeWrites) {
+  FlatAdsSet plain = BuildFlat(120, 71, 4);
+  FlatAdsSet with_hip = plain;
+  PrecomputeHipWeights(&with_hip, 1);
+  for (const FlatAdsSet* set : {&plain, &with_hip}) {
+    for (uint32_t shards : {1u, 3u, 8u, 17u}) {
+      const std::string label = std::string(set->has_hip() ? "hip " : "") +
+                                std::to_string(shards) + " shards";
+      ScratchDir dir("hipads_shard_test_concurrent");
+      ScratchDir ranges("hipads_shard_test_ranges");
+      ASSERT_TRUE(WriteShardedAdsSet(*set, dir.path, shards).ok()) << label;
+      std::filesystem::create_directories(ranges.path);
+      const std::vector<NodeId> begins = BalancedShardSplits(*set, shards);
+      ASSERT_EQ(begins.size(), shards) << label;
+      for (size_t s = 0; s < begins.size(); ++s) {
+        const NodeId end = s + 1 < begins.size()
+                               ? begins[s + 1]
+                               : static_cast<NodeId>(set->num_nodes());
+        const std::string path = ranges.path + "/" + ShardName(s);
+        ASSERT_TRUE(WriteAdsSetRangeFile(*set, begins[s], end, path).ok());
+        const std::string written = FileBytes(dir.path + "/" + ShardName(s));
+        EXPECT_FALSE(written.empty()) << label << " " << ShardName(s);
+        EXPECT_EQ(written, FileBytes(path)) << label << " " << ShardName(s);
+      }
+      EXPECT_FALSE(std::filesystem::exists(
+          std::filesystem::path(dir.path) / ShardName(begins.size())))
+          << label;
+      EXPECT_TRUE(ShardedAdsSet::Open(dir.path).ok()) << label;
+    }
+  }
+}
+
+// A directory standing where a shard file goes fails that shard's write.
+// With two shards blocked, the call reports the first in shard order,
+// whichever thread failed first, and writes no manifest.
+TEST(ShardTest, BlockedShardPathFailsWithoutManifest) {
+  FlatAdsSet set = BuildFlat(120, 73, 4);
+  ScratchDir dir("hipads_shard_test_blocked");
+  const std::filesystem::path root(dir.path);
+  std::filesystem::create_directories(root / ShardName(5));
+  std::filesystem::create_directories(root / ShardName(2));
+  Status s = WriteShardedAdsSet(set, dir.path, 8);
+  EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+  EXPECT_NE(s.message().find(ShardName(2)), std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(std::filesystem::exists(root / kShardManifestName));
+  EXPECT_FALSE(IsShardedAdsPath(dir.path));
 }
 
 // The manifest marks a shard directory complete, so a manifest write that
