@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "ads/flat_ads.h"
 #include "ads/hip.h"
@@ -137,6 +138,11 @@ class FlatAdsBackend : public AdsBackend {
   explicit FlatAdsBackend(const FlatAdsSet* set) : set_(set) {}
 
   const FlatAdsSet& set() const { return set_ ? *set_ : owned_; }
+
+  /// Moves the owned set out, storage and all, leaving this backend owning
+  /// an empty set. The sharded loader recycles an evicted shard's arrays
+  /// this way.
+  FlatAdsSet TakeSet() { return std::exchange(owned_, FlatAdsSet()); }
 
   SketchFlavor flavor() const override { return set().flavor; }
   uint32_t k() const override { return set().k; }

@@ -45,23 +45,30 @@ std::vector<HipEntry> HipEstimator::CopyEntries() const {
   return out;
 }
 
-double HipEstimator::NeighborhoodCardinality(double d) const {
-  double sum = 0.0;
-  ForEachUntil([&sum, d](const HipEntry& e) {
-    if (e.dist > d) return false;
-    sum += e.weight;
+double HipEstimator::Sum(const HipSum& sum) const {
+  double acc = 0.0;
+  double run = 0.0;
+  double factor = 0.0;
+  bool fresh = true;
+  ForEachUntil([&](const HipEntry& e) {
+    if (fresh || e.dist != run) {  // a new run of equal distance
+      fresh = false;
+      run = e.dist;
+      factor = sum.Factor(e.dist);
+      if (sum.Stops(factor)) return false;
+    }
+    acc += sum.Term(factor, e.weight);
     return true;
   });
-  return sum;
+  return acc;
+}
+
+double HipEstimator::NeighborhoodCardinality(double d) const {
+  return Sum(HipSum::Neighborhood(d));
 }
 
 double HipEstimator::ReachableCount() const {
-  double sum = 0.0;
-  ForEachUntil([&sum](const HipEntry& e) {
-    sum += e.weight;
-    return true;
-  });
-  return sum;
+  return Sum(HipSum::Reachable());
 }
 
 double HipEstimator::Qg(
@@ -83,11 +90,11 @@ double HipEstimator::Closeness(
 }
 
 double HipEstimator::DistanceSum() const {
-  return Qg([](NodeId, double d) { return d; });
+  return Sum(HipSum::DistanceSum());
 }
 
 double HipEstimator::HarmonicCentrality() const {
-  return Qg([](NodeId, double d) { return d > 0.0 ? 1.0 / d : 0.0; });
+  return Sum(HipSum::Harmonic());
 }
 
 double HipEstimator::NeighborhoodWeight(

@@ -17,6 +17,9 @@
 #ifndef HIPADS_ADS_ESTIMATORS_H_
 #define HIPADS_ADS_ESTIMATORS_H_
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -25,6 +28,90 @@
 #include "ads/hip.h"
 
 namespace hipads {
+
+/// A built-in per-node statistic declared as the paper's HIP estimate
+/// Q_g(v) = sum_j a_vj g(j, d_vj) (Eq. 5) for a g from a closed set of
+/// distance functions. The sum starts at 0.0 and adds one term per HIP
+/// entry (distance d, adjusted weight w), in entry order:
+///
+///   kReachable      w                        reachable count
+///   kNeighborhood   w while !(d > param)     d-neighbourhood cardinality
+///   kDistanceSum    w * d                    sum of distances
+///   kHarmonic       w * (d > 0 ? 1/d : 0)    harmonic centrality
+///   kExpDecay       w * param^d              exp-decay Q_g
+///   kInverseSquare  w * 1/((1+d)(1+d))       inverse-square Q_g
+///
+/// g depends on d alone, so a walk computes Factor once per run of equal
+/// distance and Term once per entry. HipEstimator::Sum walks one sum and
+/// the sweep executor walks every sum of a plan at once (ads/sweep.h);
+/// both use Factor, Stops and Term, so a statistic has one definition
+/// wherever it is computed. A neighbourhood sum stops at the first entry
+/// past its bound (entries come in distance order) — and never stops for
+/// a NaN bound. The reachable and neighbourhood terms are the weight
+/// alone, so each of those sums is the running total of the weights up to
+/// where it stops, and one total serves them all.
+struct HipSum {
+  enum class Kind : uint8_t {
+    kReachable,
+    kNeighborhood,
+    kDistanceSum,
+    kHarmonic,
+    kExpDecay,
+    kInverseSquare,
+  };
+  Kind kind = Kind::kReachable;
+  double param = 0.0;  // the bound of kNeighborhood, the base of kExpDecay
+
+  static HipSum Reachable() { return {Kind::kReachable, 0.0}; }
+  static HipSum Neighborhood(double d) { return {Kind::kNeighborhood, d}; }
+  static HipSum DistanceSum() { return {Kind::kDistanceSum, 0.0}; }
+  static HipSum Harmonic() { return {Kind::kHarmonic, 0.0}; }
+  static HipSum ExpDecay(double base) { return {Kind::kExpDecay, base}; }
+  static HipSum InverseSquare() { return {Kind::kInverseSquare, 0.0}; }
+
+  /// g(d) for a run of entries at distance d; for kNeighborhood, 1 while
+  /// the run is within the bound and 0 past it.
+  double Factor(double d) const {
+    switch (kind) {
+      case Kind::kReachable:
+        return 1.0;
+      case Kind::kNeighborhood:
+        return d > param ? 0.0 : 1.0;
+      case Kind::kDistanceSum:
+        return d;
+      case Kind::kHarmonic:
+        return d > 0.0 ? 1.0 / d : 0.0;
+      case Kind::kExpDecay:
+        return std::pow(param, d);
+      case Kind::kInverseSquare:
+        return 1.0 / ((1.0 + d) * (1.0 + d));
+    }
+    return 0.0;
+  }
+
+  /// True when this run and every later one add no term: past a
+  /// neighbourhood's bound.
+  bool Stops(double factor) const {
+    return kind == Kind::kNeighborhood && factor == 0.0;
+  }
+
+  /// True when the term is the weight alone (reachable, neighbourhood).
+  bool SumsWeights() const {
+    return kind == Kind::kReachable || kind == Kind::kNeighborhood;
+  }
+
+  /// One entry's term, given its run's Factor and the entry's weight.
+  double Term(double factor, double w) const {
+    return SumsWeights() ? w : w * factor;
+  }
+
+  /// Same kind and the same parameter bits: equal at every node, so a
+  /// plan needs one accumulator for both (a NaN bound equals itself).
+  bool SameAs(const HipSum& other) const {
+    return kind == other.kind &&
+           std::memcmp(&param, &other.param, sizeof(param)) == 0;
+  }
+};
 
 /// HIP estimates over one ADS. The estimator walks the node's entries
 /// beside per-entry tau/weight arrays aligned with them (hip.h's layout:
@@ -44,7 +131,8 @@ namespace hipads {
 /// The last two borrow: the view's entries, the arrays and the scratch must
 /// stay valid, and the scratch unscanned, while the estimator or a copy of
 /// it is used. Queries are one ordered fold over the adjusted weights
-/// (cardinalities early-exit at the distance bound).
+/// (cardinalities early-exit at the distance bound); the built-in
+/// statistics are HipSums and walk through Sum.
 class HipEstimator {
  public:
   /// Scans an AdsView: one node's entries, owned by an Ads or sliced out
@@ -64,6 +152,9 @@ class HipEstimator {
   /// `ads` into `scratch` and borrows its arrays.
   HipEstimator(AdsView ads, HipView hip, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks, HipScratch* scratch);
+
+  /// The declared sum `sum` (see HipSum) over this node's HIP entries.
+  double Sum(const HipSum& sum) const;
 
   /// Estimate of the d-neighborhood cardinality n_d = |N_d(v)| — the sum of
   /// adjusted weights of sketched nodes within distance d (Section 5).

@@ -36,4 +36,32 @@ FlatAdsSet FlatAdsSet::FromAdsSet(const AdsSet& set) {
   return flat;
 }
 
+std::vector<size_t> EntryBalancedRanges(const uint64_t* offsets,
+                                        size_t num_nodes, uint32_t parts) {
+  parts = std::max<uint32_t>(parts, 1);
+  std::vector<size_t> bounds(parts + 1, num_nodes);
+  bounds[0] = 0;
+  // The work before node v is offsets[v] - offsets[0] + v, increasing in
+  // v; bound t is the first node at which it reaches t/parts of the total.
+  auto work_before = [offsets](size_t v) {
+    return offsets[v] - offsets[0] + v;
+  };
+  const uint64_t total = work_before(num_nodes);
+  for (uint32_t t = 1; t < parts; ++t) {
+    const uint64_t target = total / parts * t + total % parts * t / parts;
+    size_t lo = bounds[t - 1];
+    size_t hi = num_nodes;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (work_before(mid) < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    bounds[t] = lo;
+  }
+  return bounds;
+}
+
 }  // namespace hipads

@@ -67,6 +67,18 @@ struct FlatAdsSet {
   static FlatAdsSet FromAdsSet(const AdsSet& set);
 };
 
+/// Cuts the nodes of a CSR arena into `parts` contiguous ranges of about
+/// equal work, a node costing its entry count plus one (so nodes with
+/// empty sketches still spread): returns parts + 1 non-decreasing bounds
+/// from 0 to `num_nodes`, for ThreadPool::ParallelRanges (empty ranges are
+/// skipped there). `offsets` holds num_nodes + 1 values. Equal node counts
+/// are not equal work: R-MAT puts its hubs at low ids, so the first of
+/// four equal node ranges holds the most entries. The cut depends on the
+/// offsets alone, so a pass cut this way is as deterministic as a static
+/// split.
+std::vector<size_t> EntryBalancedRanges(const uint64_t* offsets,
+                                        size_t num_nodes, uint32_t parts);
+
 }  // namespace hipads
 
 #endif  // HIPADS_ADS_FLAT_ADS_H_

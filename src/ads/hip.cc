@@ -150,18 +150,19 @@ void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads) {
   if (set->num_nodes() == 0) return;
   ThreadPool pool(num_threads);
   std::vector<HipScratch> scratches(pool.num_threads());
-  pool.ParallelFor(set->num_nodes(),
-                   [&](size_t begin, size_t end, size_t chunk) {
-                     HipScratch& scratch = scratches[chunk];
-                     for (size_t v = begin; v < end; ++v) {
-                       uint64_t off = set->offsets[v];
-                       ComputeHipWeightsAligned(
-                           set->of(static_cast<NodeId>(v)), set->k,
-                           set->flavor, set->ranks, &scratch,
-                           set->hip_tau.data() + off,
-                           set->hip_weight.data() + off);
-                     }
-                   });
+  pool.ParallelRanges(
+      EntryBalancedRanges(set->offsets.data(), set->num_nodes(),
+                          pool.num_threads()),
+      [&](size_t begin, size_t end, uint32_t chunk) {
+        HipScratch& scratch = scratches[chunk];
+        for (size_t v = begin; v < end; ++v) {
+          uint64_t off = set->offsets[v];
+          ComputeHipWeightsAligned(set->of(static_cast<NodeId>(v)), set->k,
+                                   set->flavor, set->ranks, &scratch,
+                                   set->hip_tau.data() + off,
+                                   set->hip_weight.data() + off);
+        }
+      });
 }
 
 std::vector<HipEntry> ComputeModifiedHipWeights(AdsView ads, uint32_t k,

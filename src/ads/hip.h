@@ -90,8 +90,9 @@ void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
                               double* tau, double* weight);
 
 /// Fills `set`'s hip_tau/hip_weight arrays (one double per entry, aligned
-/// layout above) by scanning every node, parallelized over nodes with
-/// `num_threads` (0 = hardware count). Deterministic: each node's slice is
+/// layout above) by scanning every node, parallelized over node ranges of
+/// equal entry counts (EntryBalancedRanges) with `num_threads` (0 =
+/// hardware count). Deterministic: each node's slice is
 /// written independently, so the result is identical for any thread count
 /// and bitwise equal to per-node fresh scans.
 void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads = 0);

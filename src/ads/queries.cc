@@ -10,11 +10,13 @@ namespace {
 // prefetch hints). Callers wanting several statistics from one pass
 // should build their own SweepPlan instead of calling several of these.
 
-StatusOr<std::vector<double>> PerNodeQuery(
-    const AdsBackend& set, uint32_t num_threads,
-    std::function<double(const HipEstimator&)> fn) {
+// `what` is a HipSum or a per-node function (PerNodeCollector's two
+// constructors).
+template <typename What>
+StatusOr<std::vector<double>> PerNodeQuery(const AdsBackend& set,
+                                           uint32_t num_threads, What what) {
   SweepPlan plan;
-  PerNodeCollector* c = plan.Emplace<PerNodeCollector>(std::move(fn));
+  PerNodeCollector* c = plan.Emplace<PerNodeCollector>(std::move(what));
   Status status = RunSweep(set, plan, num_threads);
   if (!status.ok()) return status;
   return c->TakeValues();
@@ -58,30 +60,22 @@ StatusOr<std::vector<double>> EstimateClosenessAll(
 
 StatusOr<std::vector<double>> EstimateDistanceSumAll(const AdsBackend& set,
                                                      uint32_t num_threads) {
-  return PerNodeQuery(set, num_threads, [](const HipEstimator& est) {
-    return est.DistanceSum();
-  });
+  return PerNodeQuery(set, num_threads, HipSum::DistanceSum());
 }
 
 StatusOr<std::vector<double>> EstimateHarmonicCentralityAll(
     const AdsBackend& set, uint32_t num_threads) {
-  return PerNodeQuery(set, num_threads, [](const HipEstimator& est) {
-    return est.HarmonicCentrality();
-  });
+  return PerNodeQuery(set, num_threads, HipSum::Harmonic());
 }
 
 StatusOr<std::vector<double>> EstimateNeighborhoodSizeAll(
     const AdsBackend& set, double d, uint32_t num_threads) {
-  return PerNodeQuery(set, num_threads, [d](const HipEstimator& est) {
-    return est.NeighborhoodCardinality(d);
-  });
+  return PerNodeQuery(set, num_threads, HipSum::Neighborhood(d));
 }
 
 StatusOr<std::vector<double>> EstimateReachableCountAll(
     const AdsBackend& set, uint32_t num_threads) {
-  return PerNodeQuery(set, num_threads, [](const HipEstimator& est) {
-    return est.ReachableCount();
-  });
+  return PerNodeQuery(set, num_threads, HipSum::Reachable());
 }
 
 StatusOr<double> EstimateEffectiveDiameter(const AdsBackend& set,

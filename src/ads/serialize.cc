@@ -535,17 +535,29 @@ class PositionalFile {
   const int fd_;
 };
 
-// Reads one v2 image straight into a FlatAdsSet's arrays through
+// Resizes `v` to `n` elements, keeping its storage when the capacity
+// suffices. Clearing first means a growing vector copies no stale element
+// into its new storage; a DefaultInitVector's new elements stay unwritten.
+template <typename Vector>
+void ReuseAs(Vector& v, size_t n) {
+  v.clear();
+  v.resize(n);
+}
+
+// Reads one v2 image straight into the arrays of `*set` through
 // `read_at(offset, dst, n)` (false on a short read; called from several
 // threads at once) — the only copy the payload makes — and then runs the
 // validator MmapAdsSet::Open runs on its mapping. One pool, sized to the
 // image, does both: the sections are read as pieces of at most
 // kLoadPieceBytes in parallel, then hashed and checked (CheckSections).
-// `image_size` is the image's total byte length. The file reader and the
-// in-memory parser are this function over pread and memcpy.
+// `image_size` is the image's total byte length. The arrays reuse `*set`'s
+// storage (ReuseAs), and a failure leaves them holding unchecked bytes.
+// The file readers and the in-memory parser are this function over pread
+// and memcpy.
 template <typename ReadAtFn>
-StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
-                                     std::function<double(uint64_t)> beta) {
+Status ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
+                       std::function<double(uint64_t)> beta,
+                       FlatAdsSet* out) {
   auto short_read = [] {
     return Status::IOError("short read of a hipads-ads-v2 image");
   };
@@ -560,18 +572,18 @@ StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
 
   // CheckAdsBinaryHeader matched every section length to image_size, so
   // these allocations are backed by bytes the image really holds.
-  FlatAdsSet set;
+  FlatAdsSet& set = *out;
   set.flavor = h.flavor;
   set.k = h.k;
-  set.offsets.resize(h.num_nodes + 1);
-  set.entries.resize(h.num_entries);
+  ReuseAs(set.offsets, h.num_nodes + 1);
+  ReuseAs(set.entries, h.num_entries);
+  ReuseAs(set.hip_tau, h.has_hip ? h.num_entries : 0);
+  ReuseAs(set.hip_weight, h.has_hip ? h.num_entries : 0);
   char hip_header[kAdsHipSectionHeaderBytes] = {};
   AdsBinarySections sections;
   sections.offsets = set.offsets.data();
   sections.entries = set.entries.data();
   if (h.has_hip) {
-    set.hip_tau.resize(h.num_entries);
-    set.hip_weight.resize(h.num_entries);
     sections.hip_header = hip_header;
     sections.hip_tau = set.hip_tau.data();
     sections.hip_weight = set.hip_weight.data();
@@ -610,10 +622,8 @@ StatusOr<FlatAdsSet> ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
   }
   Status valid = CheckSections(h, sections, pool);
   if (!valid.ok()) return valid;
-  Status ranks_status = RanksFromStoredParams(h.rank_kind, h.seed, h.base,
-                                              std::move(beta), &set.ranks);
-  if (!ranks_status.ok()) return ranks_status;
-  return set;
+  return RanksFromStoredParams(h.rank_kind, h.seed, h.base, std::move(beta),
+                               &set.ranks);
 }
 
 }  // namespace
@@ -734,13 +744,16 @@ AdsBinarySections MappedAdsSections(const AdsBinaryHeader& h,
 
 StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
     const std::string& data, std::function<double(uint64_t)> beta) {
-  return ReadBinaryImage(
+  FlatAdsSet set;
+  Status read = ReadBinaryImage(
       data.size(),
       [&data](uint64_t at, void* dst, uint64_t n) {
         std::memcpy(dst, data.data() + at, n);
         return true;
       },
-      std::move(beta));
+      std::move(beta), &set);
+  if (!read.ok()) return read;
+  return set;
 }
 
 Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
@@ -835,6 +848,15 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
 
 StatusOr<FlatAdsSet> ReadFlatAdsSetFile(const std::string& path,
                                         std::function<double(uint64_t)> beta) {
+  FlatAdsSet set;
+  Status read = ReadFlatAdsSetFileInto(path, std::move(beta), &set);
+  if (!read.ok()) return read;
+  return set;
+}
+
+Status ReadFlatAdsSetFileInto(const std::string& path,
+                              std::function<double(uint64_t)> beta,
+                              FlatAdsSet* set) {
   const PositionalFile file(path);
   if (!file.is_open()) return Status::IOError("cannot open " + path);
   std::error_code ec;
@@ -845,7 +867,7 @@ StatusOr<FlatAdsSet> ReadFlatAdsSetFile(const std::string& path,
       [&file](uint64_t at, void* dst, uint64_t n) {
         return file.ReadAt(at, dst, n);
       },
-      std::move(beta));
+      std::move(beta), set);
 }
 
 }  // namespace hipads

@@ -218,6 +218,17 @@ StatusOr<FlatAdsSet> ReadFlatAdsSetFile(
     const std::string& path,
     std::function<double(uint64_t)> beta = nullptr);
 
+/// ReadFlatAdsSetFile into the storage of `*set`, which it replaces: each
+/// array is cleared and then resized, so one whose capacity suffices is
+/// refilled in place, a growing one copies nothing stale, and a file
+/// without the HIP section leaves the HIP arrays empty. The validation is
+/// ReadFlatAdsSetFile's, in full. On failure `*set` holds unchecked bytes
+/// and must be discarded. The sharded loader reloads shards into the
+/// storage of evicted ones this way.
+Status ReadFlatAdsSetFileInto(const std::string& path,
+                              std::function<double(uint64_t)> beta,
+                              FlatAdsSet* set);
+
 // ---------------------------------------------------------------------------
 // Shared sketch-parameter header lines (reused by the shard manifest)
 // ---------------------------------------------------------------------------

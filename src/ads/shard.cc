@@ -50,17 +50,66 @@ struct ShardedAdsSet::LoadContext {
   double base = 0.0;
   bool use_mmap = false;
   std::function<double(uint64_t)> beta;
+  // The largest shard's node and entry counts: a fresh copy-mode arena
+  // reserves them, so recycled storage never grows.
+  uint64_t max_nodes = 0;
+  uint64_t max_entries = 0;
+  // Spares kept at most: ShardedOptions::prefetch_depth, so the arenas
+  // alive never exceed the resident ones plus the prefetch window.
+  size_t max_spares = 1;
 
   // Shard-file loads performed through this context, whichever thread did
-  // them. Per-context so tests can observe that a K-statistic fused sweep
-  // costs exactly one load per shard; scrapes see the process total under
-  // "ads.shard.loads".
+  // them, and how many of them read into recycled storage. Per-context so
+  // tests can observe that a K-statistic fused sweep costs exactly one
+  // load per shard; scrapes see the process totals under
+  // "ads.shard.loads" and "ads.shard.loads_reused".
   mutable std::atomic<uint64_t> num_loads{0};
+  mutable std::atomic<uint64_t> num_reused{0};
+
+  // Copy mode: the storage of evicted arenas (and of staged ones the
+  // prefetcher dropped), which later loads read into instead of
+  // allocating — and faulting in — a fresh arena each.
+  mutable Mutex spares_mu;
+  mutable std::vector<FlatAdsSet> spares HIPADS_GUARDED_BY(spares_mu);
+
+  // Keeps a copy-mode arena's storage for a later load, up to max_spares;
+  // an mmap arena, or one past the cap, is released.
+  void Recycle(std::unique_ptr<AdsBackend> arena) const {
+    auto* flat = dynamic_cast<FlatAdsBackend*>(arena.get());
+    if (flat == nullptr) return;
+    MutexLock lock(spares_mu);
+    if (spares.size() < max_spares) spares.push_back(flat->TakeSet());
+  }
+
+  // A spare's storage, or a fresh set reserved for the largest shard when
+  // none is left.
+  FlatAdsSet TakeSpare() const {
+    {
+      MutexLock lock(spares_mu);
+      if (!spares.empty()) {
+        static MetricCounter* reused =
+            MetricsRegistry::Get().Counter("ads.shard.loads_reused");
+        num_reused.fetch_add(1, std::memory_order_relaxed);
+        reused->Add();
+        FlatAdsSet set = std::move(spares.back());
+        spares.pop_back();
+        return set;
+      }
+    }
+    FlatAdsSet set;
+    set.offsets.reserve(max_nodes + 1);
+    set.entries.reserve(max_entries);
+    set.hip_tau.reserve(max_entries);
+    set.hip_weight.reserve(max_entries);
+    return set;
+  }
 
   // Loads shard s (copying or mmap per use_mmap) and verifies it against
-  // its manifest entry. Pure function of the context (the load counters
-  // aside): safe to call from the prefetch worker and the consumer
-  // concurrently (for different s).
+  // its manifest entry. A copying load reads into recycled storage when
+  // there is some; a failed load discards the storage it read into. Pure
+  // function of the context (the counters and spares aside): safe to call
+  // from the prefetch worker and the consumer concurrently (for
+  // different s).
   StatusOr<std::unique_ptr<AdsBackend>> Load(uint32_t s) const {
     static MetricCounter* loads =
         MetricsRegistry::Get().Counter("ads.shard.loads");
@@ -74,9 +123,10 @@ struct ShardedAdsSet::LoadContext {
       if (!opened.ok()) return opened.status();
       arena = std::make_unique<MmapAdsSet>(std::move(opened).value());
     } else {
-      auto loaded = ReadFlatAdsSetFile(path, beta);
-      if (!loaded.ok()) return loaded.status();
-      arena = std::make_unique<FlatAdsBackend>(std::move(loaded).value());
+      FlatAdsSet set = TakeSpare();
+      Status read = ReadFlatAdsSetFileInto(path, beta, &set);
+      if (!read.ok()) return read;
+      arena = std::make_unique<FlatAdsBackend>(std::move(set));
     }
     if (arena->flavor() != flavor || arena->k() != k ||
         arena->ranks().kind() != rank_kind ||
@@ -113,15 +163,24 @@ class ShardedAdsSet::Prefetcher {
   // Asks the worker to load `wanted` (the sweep's lookahead window, in
   // consumption order) in the background. The window replaces any pending
   // queue and drops staged arenas outside it — the sweep has moved past
-  // them — so staged memory never exceeds the window size.
+  // them, and their storage is recycled — so staged memory never exceeds
+  // the window size.
   void Request(const std::vector<uint32_t>& wanted) {
+    std::vector<std::unique_ptr<AdsBackend>> dropped;
     {
       MutexLock lock(mu_);
       auto in_wanted = [&](uint32_t s) {
         return std::find(wanted.begin(), wanted.end(), s) != wanted.end();
       };
       for (auto it = staged_.begin(); it != staged_.end();) {
-        it = in_wanted(it->first) ? std::next(it) : staged_.erase(it);
+        if (in_wanted(it->first)) {
+          ++it;
+          continue;
+        }
+        if (it->second.ok()) {
+          dropped.push_back(std::move(it->second).value());
+        }
+        it = staged_.erase(it);
       }
       queue_.clear();
       for (uint32_t s : wanted) {
@@ -131,6 +190,7 @@ class ShardedAdsSet::Prefetcher {
       }
     }
     cv_.NotifyAll();
+    for (auto& arena : dropped) ctx_->Recycle(std::move(arena));
   }
 
   // Hands over shard s if this prefetcher was asked for it: waits for an
@@ -368,6 +428,11 @@ StatusOr<ShardedAdsSet> ShardedAdsSet::Open(const std::string& path,
   ctx->base = set.ranks_.base();
   ctx->use_mmap = options.use_mmap;
   ctx->beta = options.beta;
+  for (const ShardInfo& info : set.shards_) {
+    ctx->max_nodes = std::max<uint64_t>(ctx->max_nodes, info.end - info.begin);
+    ctx->max_entries = std::max(ctx->max_entries, info.num_entries);
+  }
+  ctx->max_spares = set.prefetch_depth_;
   set.load_ctx_ = std::move(ctx);
   if (options.prefetch) {
     set.prefetcher_ = std::make_unique<Prefetcher>(set.load_ctx_);
@@ -454,7 +519,7 @@ void ShardedAdsSet::EvictFor(uint32_t installing) const {
     static MetricCounter* evictions =
         MetricsRegistry::Get().Counter("ads.shard.evictions");
     evictions->Add();
-    resident_[victim].reset();
+    load_ctx_->Recycle(std::move(resident_[victim]));
   }
 }
 
@@ -531,6 +596,12 @@ uint64_t ShardedAdsSet::NumShardLoads() const {
   return load_ctx_ == nullptr
              ? 0
              : load_ctx_->num_loads.load(std::memory_order_relaxed);
+}
+
+uint64_t ShardedAdsSet::NumLoadsReused() const {
+  return load_ctx_ == nullptr
+             ? 0
+             : load_ctx_->num_reused.load(std::memory_order_relaxed);
 }
 
 uint32_t ShardedAdsSet::NumResident() const {

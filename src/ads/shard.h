@@ -115,6 +115,13 @@ struct ShardedOptions {
 /// LRU never evicts it while max_resident >= 2; with max_resident = 1,
 /// touching a second range invalidates the first range's views.
 ///
+/// In copy mode an evicted arena's storage is not freed but kept as a
+/// spare (at most prefetch_depth of them), and the next load — on the
+/// prefetch thread or inline — reads into it: a sweep that reloads its
+/// shards allocates and faults in no fresh arena once warm, while the
+/// arenas alive stay within max_resident plus the prefetch window. Every
+/// load, into a spare or not, is validated in full.
+///
 /// The consumer side is not thread-safe: concurrent Range()/ViewOf() calls
 /// must be externally serialized (the whole-graph sweeps in ads/queries.h
 /// do this naturally — they walk shards sequentially and parallelize
@@ -181,6 +188,10 @@ class ShardedAdsSet : public AdsBackend {
   /// many statistics its SweepPlan fuses — costs exactly num_shards()
   /// loads from cold.
   uint64_t NumShardLoads() const;
+
+  /// How many of those loads read into the storage of an evicted or
+  /// dropped arena instead of a fresh one (copy mode only).
+  uint64_t NumLoadsReused() const;
 
  private:
   struct LoadContext;

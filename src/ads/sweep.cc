@@ -55,19 +55,140 @@ struct ScopedSlot {
   SlotState saved;
 };
 
-// The fused sweep over one arena: the pool's static chunks each build
-// their nodes' HipEstimators once — wrapping the range's stored weights,
-// or scanning into the chunk's reusable scratch when it has none — and
-// feed every collector's Map under the chunk's slot. Each estimator lives
-// just long enough for the Map calls, so a sweep holds O(threads)
-// estimators whatever the plan. `global_begin` offsets the arena-local
-// node ids so a sharded backend's ranges chain seamlessly.
-void SweepArena(const ArenaSet& set, NodeId global_begin, SweepPlan& plan,
-                ThreadPool& pool, std::vector<HipScratch>& scratch) {
+// The plan as the one walk per node runs it, classified once per sweep:
+// the distinct declared sums — split into those that sum weights alone
+// (reachable, neighbourhood) and those that weigh them by g(d) — which sum
+// each declaring collector's values take, the declared histogram folds,
+// and the collectors left to Map.
+struct FusedPlan {
+  struct Output {
+    size_t sum;  // index into sums
+    double* values;
+  };
+  std::vector<HipSum> sums;
+  std::vector<size_t> weight_sums;
+  std::vector<size_t> product_sums;
+  std::vector<Output> outputs;
+  std::vector<DistanceHistogramCollector*> histograms;
+  std::vector<SweepCollector*> mapped;
+
+  bool walks() const { return !sums.empty() || !histograms.empty(); }
+};
+
+FusedPlan Classify(const SweepPlan& plan) {
+  FusedPlan fused;
+  for (SweepCollector* c : plan.collectors()) {
+    SweepFold fold = c->Declared();
+    if (fold.sum.has_value()) {
+      size_t i = 0;
+      while (i < fused.sums.size() && !fused.sums[i].SameAs(*fold.sum)) ++i;
+      if (i == fused.sums.size()) {
+        fused.sums.push_back(*fold.sum);
+        (fold.sum->SumsWeights() ? fused.weight_sums : fused.product_sums)
+            .push_back(i);
+      }
+      fused.outputs.push_back({i, fold.values});
+    } else if (fold.histogram != nullptr) {
+      fused.histograms.push_back(fold.histogram);
+    } else {
+      fused.mapped.push_back(c);
+    }
+  }
+  return fused;
+}
+
+// One chunk's state for the walk: per sum its value, per product sum its
+// run factor and running value, per weight sum whether it still takes
+// terms, per histogram its run cell.
+struct WalkState {
+  explicit WalkState(const FusedPlan& fused)
+      : value(fused.sums.size()),
+        factor(fused.product_sums.size()),
+        product(fused.product_sums.size()),
+        open(fused.weight_sums.size()),
+        cells(fused.histograms.size()) {}
+  std::vector<double> value;
+  std::vector<double> factor;
+  std::vector<double> product;
+  std::vector<char> open;
+  std::vector<ExactSum*> cells;
+};
+
+// The one walk over a node's HIP entries. Every declared sum adds its
+// terms from 0.0 in entry order (HipSum's definition, so the standalone
+// walk's arithmetic): a weight sum's terms are the weights, so all of
+// them share one running total, and each takes its value from the total
+// when it stops (at the first run past a neighbourhood's bound) or at the
+// end; a product sum adds w * g(d) into its own value. Every histogram
+// folds each weight too. Factors, stops and cells depend on the distance
+// alone, so they are settled once per run of equal distance.
+void Walk(const HipEstimator& est, const FusedPlan& fused, WalkState& w) {
+  const size_t num_weight_sums = fused.weight_sums.size();
+  const size_t num_products = fused.product_sums.size();
+  const size_t num_cells = w.cells.size();
+  double* factor = w.factor.data();
+  double* product = w.product.data();
+  ExactSum** cells = w.cells.data();
+  std::fill(w.open.begin(), w.open.end(), 1);
+  std::fill(w.product.begin(), w.product.end(), 0.0);
+  double weights = 0.0;
+  double run = 0.0;
+  bool fresh = true;
+  est.ForEachEntry([&](const HipEntry& e) {
+    if (fresh || e.dist != run) {
+      fresh = false;
+      run = e.dist;
+      for (size_t i = 0; i < num_weight_sums; ++i) {
+        const HipSum& sum = fused.sums[fused.weight_sums[i]];
+        if (w.open[i] && sum.Stops(sum.Factor(e.dist))) {
+          w.open[i] = 0;
+          w.value[fused.weight_sums[i]] = weights;
+        }
+      }
+      for (size_t i = 0; i < num_products; ++i) {
+        factor[i] = fused.sums[fused.product_sums[i]].Factor(e.dist);
+      }
+      for (size_t h = 0; h < num_cells; ++h) {
+        cells[h] =
+            e.dist > 0.0 ? &fused.histograms[h]->SlotCell(e.dist) : nullptr;
+      }
+    }
+    const double weight = e.weight;
+    weights += weight;
+    for (size_t i = 0; i < num_products; ++i) {
+      product[i] += weight * factor[i];  // HipSum::Term of a product sum
+    }
+    for (size_t h = 0; h < num_cells; ++h) {
+      if (cells[h] != nullptr) cells[h]->Add(weight);
+    }
+  });
+  for (size_t i = 0; i < num_weight_sums; ++i) {
+    if (w.open[i]) w.value[fused.weight_sums[i]] = weights;
+  }
+  for (size_t i = 0; i < num_products; ++i) {
+    w.value[fused.product_sums[i]] = product[i];
+  }
+}
+
+// The fused sweep over one arena: the pool's chunks (cut at equal entry
+// counts, one per thread) each build their nodes' HipEstimators once —
+// wrapping the range's stored weights, or scanning into the chunk's
+// reusable scratch when it has none — walk each node's entries once for
+// every declared fold, and feed the remaining collectors' Map, under the
+// chunk's slot. Each estimator lives just long enough for that, so a
+// sweep holds O(threads) estimators whatever the plan. `global_begin`
+// offsets the arena-local node ids so a sharded backend's ranges chain
+// seamlessly.
+void SweepArena(const ArenaSet& set, NodeId global_begin,
+                const FusedPlan& fused, ThreadPool& pool,
+                std::vector<HipScratch>& scratch) {
   size_t n = set.num_nodes();
   Counters().nodes->Add(n);
-  pool.ParallelFor(n, [&](size_t begin, size_t end, uint32_t chunk) {
+  std::vector<size_t> bounds =
+      EntryBalancedRanges(set.arena.offsets, n, pool.num_threads());
+  pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t chunk) {
     ScopedSlot slot(chunk, pool.num_threads());
+    WalkState walk(fused);
     uint64_t chunk_entries = 0;
     for (size_t i = begin; i < end; ++i) {
       NodeId local = static_cast<NodeId>(i);
@@ -76,7 +197,13 @@ void SweepArena(const ArenaSet& set, NodeId global_begin, SweepPlan& plan,
       chunk_entries += ads.size();
       HipEstimator est(ads, set.arena.hip_of_local(local), set.k, set.flavor,
                        set.ranks, &scratch[chunk]);
-      for (SweepCollector* c : plan.collectors()) c->Map(v, est);
+      if (fused.walks()) {
+        Walk(est, fused, walk);
+        for (const FusedPlan::Output& out : fused.outputs) {
+          out.values[v] = walk.value[out.sum];
+        }
+      }
+      for (SweepCollector* c : fused.mapped) c->Map(v, est);
     }
     Counters().entries->Add(chunk_entries);
   });
@@ -87,6 +214,7 @@ void SweepArena(const ArenaSet& set, NodeId global_begin, SweepPlan& plan,
 SweepCollector::~SweepCollector() = default;
 void SweepCollector::Begin(size_t /*num_nodes*/) {}
 void SweepCollector::Map(NodeId /*v*/, const HipEstimator& /*est*/) {}
+SweepFold SweepCollector::Declared() { return SweepFold{}; }
 void SweepCollector::Reduce(NodeId /*first*/,
                             std::span<const HipEstimator> /*ests*/) {}
 bool SweepCollector::NeedsReduce() const { return false; }
@@ -103,12 +231,25 @@ Status SweepCollector::AbsorbPartial(NodeId /*begin*/, NodeId /*end*/,
       "collector does not support distributed partial state");
 }
 
+PerNodeCollector::PerNodeCollector(HipSum sum)
+    : fn_([sum](const HipEstimator& est) { return est.Sum(sum); }),
+      sum_(sum) {}
+
 void PerNodeCollector::Begin(size_t num_nodes) {
   values_.assign(num_nodes, 0.0);
 }
 
 void PerNodeCollector::Map(NodeId v, const HipEstimator& est) {
   values_[v] = fn_(est);
+}
+
+SweepFold PerNodeCollector::Declared() {
+  SweepFold fold;
+  if (sum_.has_value()) {
+    fold.sum = sum_;
+    fold.values = values_.data();
+  }
+  return fold;
 }
 
 Status PerNodeCollector::EncodePartial(NodeId begin, NodeId end,
@@ -148,22 +289,16 @@ ClosenessCollector::ClosenessCollector(std::function<double(double)> alpha,
           }) {}
 
 DistanceSumCollector::DistanceSumCollector()
-    : PerNodeCollector(
-          [](const HipEstimator& est) { return est.DistanceSum(); }) {}
+    : PerNodeCollector(HipSum::DistanceSum()) {}
 
 HarmonicCentralityCollector::HarmonicCentralityCollector()
-    : PerNodeCollector([](const HipEstimator& est) {
-        return est.HarmonicCentrality();
-      }) {}
+    : PerNodeCollector(HipSum::Harmonic()) {}
 
 NeighborhoodSizeCollector::NeighborhoodSizeCollector(double d)
-    : PerNodeCollector([d](const HipEstimator& est) {
-        return est.NeighborhoodCardinality(d);
-      }) {}
+    : PerNodeCollector(HipSum::Neighborhood(d)) {}
 
 ReachableCountCollector::ReachableCountCollector()
-    : PerNodeCollector(
-          [](const HipEstimator& est) { return est.ReachableCount(); }) {}
+    : PerNodeCollector(HipSum::Reachable()) {}
 
 DistanceQuantileCollector::DistanceQuantileCollector(double q)
     : PerNodeCollector([q](const HipEstimator& est) {
@@ -200,19 +335,28 @@ void DistanceHistogramCollector::Begin(size_t /*num_nodes*/) {
   slots_.assign(SweepSlotCount(), Sums());
 }
 
+SweepFold DistanceHistogramCollector::Declared() {
+  SweepFold fold;
+  fold.histogram = this;
+  return fold;
+}
+
+ExactSum& DistanceHistogramCollector::SlotCell(double dist) {
+  assert(SweepSlot() < slots_.size());
+  return slots_[SweepSlot()][dist];
+}
+
 void DistanceHistogramCollector::Map(NodeId /*v*/, const HipEstimator& est) {
   // A node's entries arrive in distance order, so runs of one distance
   // (every hop count on a unit-weight graph) hit the cached cell instead
   // of the map.
-  assert(SweepSlot() < slots_.size());
-  Sums& sums = slots_[SweepSlot()];
   double last_dist = 0.0;
   ExactSum* last = nullptr;
   est.ForEachEntry([&](const HipEntry& e) {
     if (!(e.dist > 0.0)) return;
     if (last == nullptr || e.dist != last_dist) {
       last_dist = e.dist;
-      last = &sums[e.dist];
+      last = &SlotCell(e.dist);
     }
     last->Add(e.weight);
   });
@@ -359,9 +503,11 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
                 const std::function<Status()>& checkpoint) {
   if (plan.empty()) return Status::Ok();
   ThreadPool pool(num_threads);
+  FusedPlan fused;
   {
     ScopedSlot slot(0, pool.num_threads());
     for (SweepCollector* c : plan.collectors()) c->Begin(set.num_nodes());
+    fused = Classify(plan);
   }
   std::vector<HipScratch> scratch(pool.num_threads());  // one per chunk
   for (uint32_t r = 0; r < set.NumRanges(); ++r) {
@@ -373,7 +519,7 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
     if (!range.ok()) return range.status();
     if (r + 1 < set.NumRanges()) set.Prefetch(r + 1);
     ArenaSet arena{range.value(), set.flavor(), set.k(), set.ranks()};
-    SweepArena(arena, range.value().begin, plan, pool, scratch);
+    SweepArena(arena, range.value().begin, fused, pool, scratch);
   }
   return Status::Ok();
 }

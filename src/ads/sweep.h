@@ -13,18 +13,32 @@
 //   Collector  — a per-node visitor (SweepCollector below).
 //   Executor   — RunSweep: ONE parallel pass over an AdsBackend (in-memory,
 //                mmap, sharded with prefetch), constructing each node's
-//                HipEstimator ONCE and feeding every collector's Map
-//                from it.
+//                HipEstimator ONCE and walking its entries ONCE for the
+//                whole plan.
 //
-// So K statistics cost one shard sweep and one HIP scan per node instead
-// of K of each. The whole-graph query functions in ads/queries.h are thin
-// single-collector plans over this executor; multi-statistic callers (the
-// CLI `stats`/`query` paths, examples/sketch_pipeline) build their own
-// plans.
+//   once per plan (Classify)           per node v (one walk of est's entries)
+//   declared HipSums --dedupe--> sums  every sum's term    --> values[v]
+//   declared histogram folds           every histogram cell
+//   everything else: custom g,         then Map(v, est) for each of them
+//     quantile, wrappers --> Map list
+//
+// Every built-in per-node statistic is a HipSum (ads/estimators.h): the
+// paper's Q_g for a g from a closed set. A collector declares its sum (or,
+// for the distance histogram, its fold) through SweepCollector::Declared,
+// and the executor evaluates every declared sum and fold of the plan in
+// one walk per node — equal sums once, so a plan's harmonic centrality
+// and its top-k by harmonic share one accumulator. A collector that
+// declares nothing keeps Map. So K statistics cost one shard sweep, one
+// HIP scan and one entry walk per node instead of K of each. The
+// whole-graph query functions in ads/queries.h are thin single-collector
+// plans over this executor; multi-statistic callers (the CLI
+// `stats`/`query` paths, examples/sketch_pipeline) build their own plans.
 //
 // Determinism contract: results are bitwise identical to running each
 // statistic standalone, on every storage engine, for every thread count.
 // The executor and its collectors guarantee it by construction —
+//   * a declared sum adds the same terms in the same entry order as its
+//     standalone walk (HipEstimator::Sum), from 0.0;
 //   * per-node outputs are written indexed by node (never by thread);
 //   * accumulating collectors (the distance-distribution histogram) fold
 //     into per-slot state (SweepSlot below) with exact arithmetic, and
@@ -44,6 +58,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -70,17 +85,33 @@ namespace hipads {
 uint32_t SweepSlot();
 uint32_t SweepSlotCount();
 
+class DistanceHistogramCollector;
+
+/// What a collector's Map computes, declared so that RunSweep can evaluate
+/// it inside its one walk per node instead of calling Map
+/// (SweepCollector::Declared). At most one of the two is set; an empty
+/// fold keeps Map.
+struct SweepFold {
+  /// A per-node sum: the executor writes node v's value to values[v].
+  std::optional<HipSum> sum;
+  double* values = nullptr;
+  /// The distance histogram: the executor adds the weight of each HIP
+  /// entry at a distance d > 0 to histogram->SlotCell(d).
+  DistanceHistogramCollector* histogram = nullptr;
+};
+
 /// One fused statistic: a per-node visitor.
 ///
-/// RunSweep calls Begin(num_nodes) once, then Map(v, est) once per node
-/// from pool threads, in no particular order; `est` is node v's
-/// HipEstimator, shared by every collector in the plan and valid only for
-/// the duration of the call. Map may write only state indexed by v, or
-/// per-slot state indexed by SweepSlot() (sized from SweepSlotCount() in
-/// Begin) — never a shared accumulator. Collectors whose results depend
-/// on how nodes were split across slots must merge the slots exactly when
-/// read (DistanceHistogramCollector does); per-node collectors are
-/// independent of the split by construction.
+/// RunSweep calls Begin(num_nodes) once, then Declared() once, then — for
+/// a collector that declared nothing — Map(v, est) once per node from pool
+/// threads, in no particular order; `est` is node v's HipEstimator, shared
+/// by every collector in the plan and valid only for the duration of the
+/// call. Map may write only state indexed by v, or per-slot state indexed
+/// by SweepSlot() (sized from SweepSlotCount() in Begin) — never a shared
+/// accumulator. Collectors whose results depend on how nodes were split
+/// across slots must merge the slots exactly when read
+/// (DistanceHistogramCollector does); per-node collectors are independent
+/// of the split by construction.
 class SweepCollector {
  public:
   virtual ~SweepCollector();
@@ -90,6 +121,13 @@ class SweepCollector {
 
   /// Parallel phase; see the class comment for the threading contract.
   virtual void Map(NodeId v, const HipEstimator& est);
+
+  /// The fold Map computes, for the executor to run in its one walk per
+  /// node; called after Begin. The default declares nothing, so Map runs.
+  /// A collector that declares a fold must compute exactly that fold in
+  /// Map too (wrappers forward Map, not the declaration), and a subclass
+  /// that changes Map must change Declared with it.
+  virtual SweepFold Declared();
 
   /// No-op hooks the executor never calls: every collector does its work
   /// in Map. They remain so that existing wrappers overriding them still
@@ -132,14 +170,18 @@ class SweepCollector {
 /// Collector for any statistic of the form result[v] = fn(estimator of v):
 /// closeness, distance sum, harmonic centrality, neighborhood size,
 /// reachable count, or any custom HIP reduction. Outputs are independent
-/// per node, so everything happens in the parallel Map phase.
+/// per node. Built from a HipSum, it declares the sum, and the executor
+/// computes it in its one walk per node; built from a function, it runs
+/// that function in Map.
 class PerNodeCollector : public SweepCollector {
  public:
   explicit PerNodeCollector(std::function<double(const HipEstimator&)> fn)
       : fn_(std::move(fn)) {}
+  explicit PerNodeCollector(HipSum sum);
 
   void Begin(size_t num_nodes) override;
   void Map(NodeId v, const HipEstimator& est) override;
+  SweepFold Declared() override;
 
   /// Partial state: the raw little-endian doubles of values_[begin, end)
   /// in node order. Absorb copies them back into values_[begin, end) —
@@ -155,6 +197,7 @@ class PerNodeCollector : public SweepCollector {
 
  private:
   std::function<double(const HipEstimator&)> fn_;
+  std::optional<HipSum> sum_;  // set when built from a HipSum
   std::vector<double> values_;
 };
 
@@ -201,10 +244,12 @@ class DistanceQuantileCollector : public PerNodeCollector {
 /// HIP estimates of an arbitrary Q_g statistic (Eq. 1/5) for every node:
 /// values[v] ~ sum_{j reachable from v} g(j, d_vj). The paper's general
 /// distance-decaying workload; harmonic centrality, neighborhood sizes and
-/// distance sums are all special cases of g.
+/// distance sums are all special cases of g. A g from HipSum's closed set
+/// is declared; any other runs per entry in Map.
 class QgCollector : public PerNodeCollector {
  public:
   explicit QgCollector(std::function<double(NodeId, double)> g);
+  explicit QgCollector(HipSum g) : PerNodeCollector(g) {}
 };
 
 /// Node ids of the `count` largest values in `scores`, descending; ties
@@ -214,11 +259,14 @@ std::vector<NodeId> TopKNodes(const std::vector<double>& scores,
                               uint32_t count);
 
 /// Per-node scores plus the ids of the `count` best nodes (descending
-/// score, ties by id — the TopKNodes order).
+/// score, ties by id — the TopKNodes order). Scored by a HipSum, it shares
+/// the plan's accumulator for that sum.
 class TopKCollector : public PerNodeCollector {
  public:
   TopKCollector(uint32_t count, std::function<double(const HipEstimator&)> fn)
       : PerNodeCollector(std::move(fn)), count_(count) {}
+  TopKCollector(uint32_t count, HipSum score)
+      : PerNodeCollector(score), count_(count) {}
 
   /// The top `count` node ids by collected score; call after the sweep.
   std::vector<NodeId> TopNodes() const;
@@ -237,9 +285,11 @@ class TopKCollector : public PerNodeCollector {
 /// crucially for the distributed gather — of how node ranges were
 /// partitioned across servers.
 ///
-/// Map folds each node's entries into its sweep slot's own map, so the
-/// fold runs on every sweep thread with no shared writer; Distribution
-/// and EncodePartial merge the slots exactly in one streaming pass that
+/// The fold — each HIP entry at a distance d > 0 adds its weight to d's
+/// cell in the sweep slot's own map — is declared, so the executor runs it
+/// in its one walk per node (Map runs the same fold for wrappers). It runs
+/// on every sweep thread with no shared writer; Distribution and
+/// EncodePartial merge the slots exactly in one streaming pass that
 /// allocates nothing per distance. Memory is one cell of ~600 bytes (an
 /// ExactSum) per distance per slot that saw it: for D distinct distances
 /// among E HIP entries, at most min(SweepSlotCount() x D, E) cells, where
@@ -253,6 +303,12 @@ class DistanceHistogramCollector : public SweepCollector {
  public:
   void Begin(size_t num_nodes) override;
   void Map(NodeId v, const HipEstimator& est) override;
+  SweepFold Declared() override;
+
+  /// The cell of distance `dist` in the calling thread's sweep slot: the
+  /// fold adds each entry's weight to its distance's cell, looked up once
+  /// per run of equal distance.
+  ExactSum& SlotCell(double dist);
 
   /// Partial state for the distributed gather: O(distinct distances) —
   /// each distance with its exact superaccumulator digits, the slots

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <type_traits>
 
 #include <errno.h>
@@ -797,26 +798,28 @@ StatusOr<StatsResponseMsg> DecodeStatsResponse(std::string_view payload) {
 
 namespace {
 
-std::function<double(const HipEstimator&)> ScoreFn(ScoreKind kind) {
+// Every wire-named score and g is a declared sum (ads/estimators.h), so
+// the executor folds it into its one walk per node.
+std::optional<HipSum> ScoreSum(ScoreKind kind) {
   switch (kind) {
     case ScoreKind::kHarmonic:
-      return [](const HipEstimator& est) { return est.HarmonicCentrality(); };
+      return HipSum::Harmonic();
     case ScoreKind::kDistanceSum:
-      return [](const HipEstimator& est) { return est.DistanceSum(); };
+      return HipSum::DistanceSum();
     case ScoreKind::kReachable:
-      return [](const HipEstimator& est) { return est.ReachableCount(); };
+      return HipSum::Reachable();
   }
-  return nullptr;
+  return std::nullopt;
 }
 
-std::function<double(NodeId, double)> QgFn(QgKind kind, double param) {
+std::optional<HipSum> QgSum(QgKind kind, double param) {
   switch (kind) {
     case QgKind::kExpDecay:
-      return [param](NodeId, double d) { return std::pow(param, d); };
+      return HipSum::ExpDecay(param);
     case QgKind::kInverseSquare:
-      return [](NodeId, double d) { return 1.0 / ((1.0 + d) * (1.0 + d)); };
+      return HipSum::InverseSquare();
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -847,11 +850,11 @@ StatusOr<std::vector<SweepCollector*>> BuildPlanFromSpec(
         built.push_back(plan->Emplace<ReachableCountCollector>());
         break;
       case CollectorKind::kTopK: {
-        auto fn = ScoreFn(static_cast<ScoreKind>(c.aux));
-        if (fn == nullptr) {
+        auto score = ScoreSum(static_cast<ScoreKind>(c.aux));
+        if (!score.has_value()) {
           return Status::InvalidArgument("top-k spec names an unknown score");
         }
-        built.push_back(plan->Emplace<TopKCollector>(c.count, std::move(fn)));
+        built.push_back(plan->Emplace<TopKCollector>(c.count, *score));
         break;
       }
       case CollectorKind::kDistanceQuantile:
@@ -865,12 +868,12 @@ StatusOr<std::vector<SweepCollector*>> BuildPlanFromSpec(
         if (!std::isfinite(c.param)) {
           return Status::InvalidArgument("Qg parameter must be finite");
         }
-        auto g = QgFn(static_cast<QgKind>(c.aux), c.param);
-        if (g == nullptr) {
+        auto g = QgSum(static_cast<QgKind>(c.aux), c.param);
+        if (!g.has_value()) {
           return Status::InvalidArgument(
               "Qg spec names an unknown g function");
         }
-        built.push_back(plan->Emplace<QgCollector>(std::move(g)));
+        built.push_back(plan->Emplace<QgCollector>(*g));
         break;
       }
     }

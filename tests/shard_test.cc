@@ -16,6 +16,7 @@
 #include "ads/hip.h"
 #include "ads/queries.h"
 #include "graph/generators.h"
+#include "util/metrics.h"
 
 namespace hipads {
 namespace {
@@ -340,6 +341,201 @@ TEST(ShardTest, ManifestWriteErrorAtCloseIsReported) {
   Status s = WriteShardedAdsSet(set, dir.path, 2);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+}
+
+// The reload path a max_resident = 1 sweep takes once warm: every shard
+// load after the first two reads into the storage an eviction freed.
+// These pin its counter and check that recycled storage changes no
+// result, no failure and no HIP presence.
+
+// A sharded set at max_resident = 1, with or without the prefetch thread.
+ShardedAdsSet OpenOneResident(const std::string& dir, bool prefetch) {
+  ShardedOptions options;
+  options.max_resident = 1;
+  options.prefetch = prefetch;
+  auto opened = ShardedAdsSet::Open(dir, options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return std::move(opened).value();
+}
+
+uint64_t ReusedLoadsCounter() {
+  return MetricsRegistry::Get().Counter("ads.shard.loads_reused")->value();
+}
+
+TEST(ShardTest, ReloadsReuseEvictedStorage) {
+  FlatAdsSet set = BuildFlat(240, 71, 4);
+  PrecomputeHipWeights(&set, 2);
+  ScratchDir dir("hipads_shard_test_reuse");
+  ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 8).ok());
+  std::vector<double> expected =
+      EstimateHarmonicCentralityAll(FlatAdsBackend(&set), 1).value();
+  for (bool prefetch : {false, true}) {
+    ShardedAdsSet sharded = OpenOneResident(dir.path, prefetch);
+    ASSERT_EQ(sharded.num_shards(), 8u);
+    const uint64_t counter_before = ReusedLoadsCounter();
+    for (int sweep = 0; sweep < 3; ++sweep) {
+      auto scores = EstimateHarmonicCentralityAll(sharded, 2);
+      ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+      EXPECT_EQ(scores.value(), expected) << "sweep " << sweep;
+      EXPECT_LE(sharded.NumResident(), 1u);
+    }
+    // Shards 0 and 1 load while nothing has been evicted yet; each later
+    // load reads into the storage of the shard evicted before it.
+    EXPECT_EQ(sharded.NumShardLoads(), 24u) << "prefetch=" << prefetch;
+    EXPECT_EQ(sharded.NumLoadsReused(), 22u) << "prefetch=" << prefetch;
+    EXPECT_EQ(ReusedLoadsCounter() - counter_before, 22u);
+  }
+  // mmap arenas are mapped, not read: no storage to recycle.
+  ShardedOptions options;
+  options.max_resident = 1;
+  options.use_mmap = true;
+  auto mapped = ShardedAdsSet::Open(dir.path, options);
+  ASSERT_TRUE(mapped.ok());
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    EXPECT_EQ(EstimateHarmonicCentralityAll(mapped.value(), 2).value(),
+              expected);
+  }
+  EXPECT_EQ(mapped.value().NumLoadsReused(), 0u);
+}
+
+// A shard damaged in place (same size, one entry byte flipped) between two
+// sweeps of one open set: the load into recycled storage runs the full
+// validation and fails exactly as a fresh open does; once the byte is
+// restored, the next sweep succeeds again.
+TEST(ShardTest, ShardCorruptedBetweenSweepsFailsLikeAFreshOpen) {
+  FlatAdsSet set = BuildFlat(200, 73, 4);
+  ScratchDir dir("hipads_shard_test_reuse_corrupt");
+  ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 8).ok());
+  std::vector<double> expected =
+      EstimateHarmonicCentralityAll(FlatAdsBackend(&set), 1).value();
+
+  auto opened = ShardedAdsSet::Open(dir.path);
+  ASSERT_TRUE(opened.ok());
+  const ShardInfo& victim = opened.value().shards()[5];
+  const std::string victim_path =
+      (std::filesystem::path(dir.path) / victim.file).string();
+  // A byte of the victim's middle entry: past the header and offsets.
+  const uint64_t at = kAdsBinaryHeaderBytes +
+                      (victim.end - victim.begin + 1) * sizeof(uint64_t) +
+                      victim.num_entries / 2 * sizeof(AdsEntry) + 9;
+  auto flip = [&] {
+    std::fstream f(victim_path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(static_cast<std::streamoff>(at));
+    char c;
+    f.get(c);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.put(static_cast<char>(c ^ 0x01));
+  };
+  const uint64_t size = std::filesystem::file_size(victim_path);
+
+  for (bool prefetch : {false, true}) {
+    ShardedAdsSet sharded = OpenOneResident(dir.path, prefetch);
+    auto first = EstimateHarmonicCentralityAll(sharded, 2);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.value(), expected);
+
+    flip();
+    ASSERT_EQ(std::filesystem::file_size(victim_path), size);
+    ShardedAdsSet fresh = OpenOneResident(dir.path, prefetch);
+    Status fresh_status = EstimateHarmonicCentralityAll(fresh, 2).status();
+    ASSERT_EQ(fresh_status.code(), Status::Code::kCorruption);
+    EXPECT_EQ(fresh.NumLoadsReused(), 4u);  // shards 2..5, 5 failing
+    auto second = EstimateHarmonicCentralityAll(sharded, 2);
+    ASSERT_FALSE(second.ok()) << "prefetch=" << prefetch;
+    EXPECT_EQ(second.status().ToString(), fresh_status.ToString());
+    EXPECT_GT(sharded.NumLoadsReused(), 6u);
+
+    flip();  // restored
+    auto third = EstimateHarmonicCentralityAll(sharded, 2);
+    ASSERT_TRUE(third.ok()) << third.status().ToString();
+    EXPECT_EQ(third.value(), expected);
+  }
+}
+
+// Shards that mix files with and without the HIP section load into each
+// other's storage: a file without the section must come back without
+// weights, and every answer must equal the flat set's.
+TEST(ShardTest, MixedHipShardsReloadIntoEachOthersStorage) {
+  FlatAdsSet plain = BuildFlat(220, 79, 4);
+  FlatAdsSet with_hip = plain;
+  PrecomputeHipWeights(&with_hip, 2);
+  ScratchDir dir("hipads_shard_test_reuse_mixed");
+  ScratchDir plain_dir("hipads_shard_test_reuse_mixed_plain");
+  ASSERT_TRUE(WriteShardedAdsSet(with_hip, dir.path, 8).ok());
+  ASSERT_TRUE(WriteShardedAdsSet(plain, plain_dir.path, 8).ok());
+  // Shards 1, 2 and 5 lose their HIP section.
+  const std::vector<bool> has_hip = {true, false, false, true,
+                                     true, false, true, true};
+  for (uint32_t s = 0; s < 8; ++s) {
+    if (has_hip[s]) continue;
+    char name[32];
+    std::snprintf(name, sizeof(name), "shard-%05u.ads2", s);
+    std::filesystem::copy_file(
+        std::filesystem::path(plain_dir.path) / name,
+        std::filesystem::path(dir.path) / name,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+
+  FlatAdsBackend flat(&with_hip);
+  for (bool prefetch : {false, true}) {
+    ShardedAdsSet sharded = OpenOneResident(dir.path, prefetch);
+    EXPECT_FALSE(sharded.HipResident());
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      SCOPED_TRACE(testing::Message() << "prefetch=" << prefetch
+                                      << " sweep=" << sweep);
+      EXPECT_EQ(EstimateHarmonicCentralityAll(sharded, 2).value(),
+                EstimateHarmonicCentralityAll(flat, 1).value());
+      EXPECT_EQ(EstimateDistanceDistribution(sharded, 2).value(),
+                EstimateDistanceDistribution(flat, 1).value());
+      // Point reads walk the shards in order, loading each into the
+      // storage of the one before it.
+      for (NodeId v = 0; v < with_hip.num_nodes(); ++v) {
+        auto hip = sharded.HipOf(v);
+        ASSERT_TRUE(hip.ok());
+        ASSERT_EQ(hip.value().present(), has_hip[sharded.ShardOf(v)])
+            << "node " << v;
+        if (!hip.value().present()) continue;
+        const uint64_t off = with_hip.offsets[v];
+        const size_t len = with_hip.offsets[v + 1] - off;
+        EXPECT_EQ(std::memcmp(hip.value().tau, &with_hip.hip_tau[off],
+                              len * sizeof(double)),
+                  0);
+        EXPECT_EQ(std::memcmp(hip.value().weight, &with_hip.hip_weight[off],
+                              len * sizeof(double)),
+                  0);
+      }
+    }
+    EXPECT_GT(sharded.NumLoadsReused(), 0u);
+  }
+}
+
+// Uneven splits: a small shard reloads into a large one's storage and a
+// large one into a small one's. Results equal the flat set's.
+TEST(ShardTest, UnevenShardsReloadIntoEachOthersStorage) {
+  FlatAdsSet set = BuildFlat(200, 83, 4);
+  PrecomputeHipWeights(&set, 2);
+  FlatAdsBackend flat(&set);
+  std::vector<double> expected =
+      EstimateHarmonicCentralityAll(flat, 1).value();
+  auto expected_hist = EstimateDistanceDistribution(flat, 1).value();
+  for (const std::vector<NodeId>& splits :
+       {std::vector<NodeId>{0, 150, 155, 190, 192},
+        std::vector<NodeId>{0, 3, 160, 162, 199}}) {
+    ScratchDir dir("hipads_shard_test_reuse_uneven");
+    ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, splits).ok());
+    for (bool prefetch : {false, true}) {
+      ShardedAdsSet sharded = OpenOneResident(dir.path, prefetch);
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        EXPECT_EQ(EstimateHarmonicCentralityAll(sharded, 2).value(),
+                  expected);
+        EXPECT_EQ(EstimateDistanceDistribution(sharded, 2).value(),
+                  expected_hist);
+      }
+      EXPECT_EQ(sharded.NumLoadsReused(), 4u * splits.size() - 2);
+    }
+  }
 }
 
 TEST(ShardTest, ManifestGarbageRejected) {

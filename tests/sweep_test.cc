@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -23,6 +24,7 @@
 #include "ads/queries.h"
 #include "ads/shard.h"
 #include "graph/generators.h"
+#include "serve/protocol.h"
 
 namespace hipads {
 namespace {
@@ -522,6 +524,191 @@ TEST(SweepTest, WeightedHistogramIsIdenticalAtEveryThreadCount) {
       sweep(*backend, threads, &distribution, &partial);
       EXPECT_EQ(distribution, expected) << name << " threads=" << threads;
       EXPECT_EQ(partial, expected_partial) << name << " threads=" << threads;
+    }
+  }
+}
+
+// A collector that declares nothing and forwards to another, as a tracing
+// wrapper does: the executor must run the inner collector through Map.
+class ForwardingCollector : public SweepCollector {
+ public:
+  explicit ForwardingCollector(SweepCollector* inner) : inner_(inner) {}
+  void Begin(size_t num_nodes) override { inner_->Begin(num_nodes); }
+  void Map(NodeId v, const HipEstimator& est) override { inner_->Map(v, est); }
+
+ private:
+  SweepCollector* inner_;
+};
+
+// The per-statistic walks the executor ran before it fused them: each
+// statistic's own loop over a node's HIP entries, with its own g. Every
+// declared sum must reproduce these bit for bit.
+struct StandaloneWalks {
+  static double Reachable(const std::vector<HipEntry>& es) {
+    double sum = 0.0;
+    for (const HipEntry& e : es) sum += e.weight;
+    return sum;
+  }
+  static double Neighborhood(const std::vector<HipEntry>& es, double d) {
+    double sum = 0.0;
+    for (const HipEntry& e : es) {
+      if (e.dist > d) break;
+      sum += e.weight;
+    }
+    return sum;
+  }
+  template <typename G>
+  static double Qg(const std::vector<HipEntry>& es, G g) {
+    double sum = 0.0;
+    for (const HipEntry& e : es) sum += e.weight * g(e.node, e.dist);
+    return sum;
+  }
+};
+
+// The fusion matrix: every declared sum (the neighbourhood at D = 0, 1.5,
+// +inf and NaN, every wire score kind plain and as a top-k score, both
+// wire g's), the histogram fold, a Map-only quantile and two wrapped
+// collectors in ONE plan, on every flavour (k-mins with its tau = 0
+// filler slots), on unit and real weights, over flat, mmap and 8-shard
+// backends with and without stored HIP weights, at 1, 2 and 4 threads.
+// Every value equals its standalone walk bit for bit.
+TEST(SweepTest, FusedSumsMatchTheirStandaloneWalksBitwise) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> bounds = {0.0, 1.5, kInf, kNan};
+  auto harmonic_g = [](NodeId, double d) { return d > 0.0 ? 1.0 / d : 0.0; };
+  auto distance_g = [](NodeId, double d) { return d; };
+  auto exp_g = [](NodeId, double d) { return std::pow(0.5, d); };
+  auto invsq_g = [](NodeId, double d) {
+    return 1.0 / ((1.0 + d) * (1.0 + d));
+  };
+  const std::vector<CollectorSpec> spec = {
+      {CollectorKind::kDistanceHistogram, 0, 0, 0.0},
+      {CollectorKind::kHarmonic, 0, 0, 0.0},
+      {CollectorKind::kDistanceSum, 0, 0, 0.0},
+      {CollectorKind::kReachableCount, 0, 0, 0.0},
+      {CollectorKind::kTopK, static_cast<uint32_t>(ScoreKind::kHarmonic), 7,
+       0.0},
+      {CollectorKind::kTopK, static_cast<uint32_t>(ScoreKind::kDistanceSum),
+       7, 0.0},
+      {CollectorKind::kTopK, static_cast<uint32_t>(ScoreKind::kReachable), 7,
+       0.0},
+      {CollectorKind::kQg, static_cast<uint32_t>(QgKind::kExpDecay), 0, 0.5},
+      {CollectorKind::kQg, static_cast<uint32_t>(QgKind::kInverseSquare), 0,
+       0.5},
+      {CollectorKind::kDistanceQuantile, 0, 0, 0.5},
+  };
+
+  const Graph unit = ErdosRenyi(160, 480, true, 41);
+  const Graph weighted = RandomizeWeights(unit, 0.5, 2.0, 43);
+  for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
+                              SketchFlavor::kKPartition}) {
+    for (const Graph* g : {&unit, &weighted}) {
+      const FlatAdsSet scanned = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+          *g, 4, flavor, RankAssignment::Uniform(45)));
+      const FlatAdsSet stored = [&scanned] {
+        FlatAdsSet with_hip = scanned;
+        PrecomputeHipWeights(&with_hip, 2);
+        return with_hip;
+      }();
+      const size_t n = scanned.num_nodes();
+
+      // The standalone walks, node by node, over a scanning estimator.
+      std::vector<std::vector<double>> within(bounds.size(),
+                                              std::vector<double>(n));
+      std::vector<double> reach(n), harmonic(n), distsum(n), exp_decay(n),
+          invsq(n), quantile(n);
+      std::map<double, ExactSum> folded;
+      for (NodeId v = 0; v < n; ++v) {
+        HipEstimator est(scanned.of(v), scanned.k, flavor, scanned.ranks);
+        const std::vector<HipEntry> es = est.CopyEntries();
+        for (size_t b = 0; b < bounds.size(); ++b) {
+          within[b][v] = StandaloneWalks::Neighborhood(es, bounds[b]);
+        }
+        reach[v] = StandaloneWalks::Reachable(es);
+        harmonic[v] = StandaloneWalks::Qg(es, harmonic_g);
+        distsum[v] = StandaloneWalks::Qg(es, distance_g);
+        exp_decay[v] = StandaloneWalks::Qg(es, exp_g);
+        invsq[v] = StandaloneWalks::Qg(es, invsq_g);
+        quantile[v] = est.DistanceQuantile(0.5);
+        for (const HipEntry& e : es) {
+          if (e.dist > 0.0) folded[e.dist].Add(e.weight);
+        }
+      }
+      std::map<double, double> distribution;
+      for (const auto& [d, sum] : folded) distribution[d] = sum.Round();
+
+      for (const FlatAdsSet* set : {&scanned, &stored}) {
+        ScratchDir dir("hipads_sweep_test_fusion");
+        ASSERT_TRUE(
+            WriteAdsSetFile(*set, dir.file("set.ads2"), AdsFileFormat::kBinaryV2)
+                .ok());
+        ASSERT_TRUE(WriteShardedAdsSet(*set, dir.file("shards"), 8).ok());
+        auto mapped = MmapAdsSet::Open(dir.file("set.ads2"));
+        ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+        ShardedOptions options;
+        options.max_resident = 1;
+        options.prefetch = true;
+        auto sharded = ShardedAdsSet::Open(dir.file("shards"), options);
+        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+        ASSERT_EQ(sharded.value().num_shards(), 8u);
+        FlatAdsBackend flat(set);
+        const std::vector<std::pair<const char*, const AdsBackend*>> backends =
+            {{"flat", &flat},
+             {"mmap", &mapped.value()},
+             {"sharded", &sharded.value()}};
+        for (const auto& [name, backend] : backends) {
+          for (uint32_t threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "flavor=" << static_cast<int>(flavor)
+                         << " weighted=" << (g == &weighted)
+                         << " hip=" << set->has_hip() << " " << name
+                         << " threads=" << threads);
+            SweepPlan plan;
+            auto built = BuildPlanFromSpec(spec, &plan);
+            ASSERT_TRUE(built.ok()) << built.status().ToString();
+            const auto& c = built.value();
+            std::vector<NeighborhoodSizeCollector*> nsize;
+            for (double d : bounds) {
+              nsize.push_back(plan.Emplace<NeighborhoodSizeCollector>(d));
+            }
+            // Wrapped: a declared sum and the histogram, both through Map.
+            NeighborhoodSizeCollector wrapped_nsize(1.5);
+            DistanceHistogramCollector wrapped_hist;
+            ForwardingCollector wrap_nsize(&wrapped_nsize);
+            ForwardingCollector wrap_hist(&wrapped_hist);
+            plan.Add(&wrap_nsize).Add(&wrap_hist);
+            ASSERT_TRUE(RunSweep(*backend, plan, threads).ok());
+
+            auto values = [&c](size_t i) {
+              return static_cast<PerNodeCollector*>(c[i])->values();
+            };
+            auto top = [&c](size_t i) {
+              return static_cast<TopKCollector*>(c[i])->TopNodes();
+            };
+            EXPECT_EQ(
+                static_cast<DistanceHistogramCollector*>(c[0])->Distribution(),
+                distribution);
+            EXPECT_EQ(values(1), harmonic);
+            EXPECT_EQ(values(2), distsum);
+            EXPECT_EQ(values(3), reach);
+            EXPECT_EQ(values(4), harmonic);
+            EXPECT_EQ(top(4), TopKNodes(harmonic, 7));
+            EXPECT_EQ(values(5), distsum);
+            EXPECT_EQ(top(5), TopKNodes(distsum, 7));
+            EXPECT_EQ(values(6), reach);
+            EXPECT_EQ(top(6), TopKNodes(reach, 7));
+            EXPECT_EQ(values(7), exp_decay);
+            EXPECT_EQ(values(8), invsq);
+            EXPECT_EQ(values(9), quantile);
+            for (size_t b = 0; b < bounds.size(); ++b) {
+              EXPECT_EQ(nsize[b]->values(), within[b]) << "D=" << bounds[b];
+            }
+            EXPECT_EQ(wrapped_nsize.values(), within[1]);
+            EXPECT_EQ(wrapped_hist.Distribution(), distribution);
+          }
+        }
+      }
     }
   }
 }
