@@ -46,21 +46,13 @@ std::vector<HipEntry> HipEstimator::CopyEntries() const {
 }
 
 double HipEstimator::Sum(const HipSum& sum) const {
-  double acc = 0.0;
-  double run = 0.0;
-  double factor = 0.0;
-  bool fresh = true;
-  ForEachUntil([&](const HipEntry& e) {
-    if (fresh || e.dist != run) {  // a new run of equal distance
-      fresh = false;
-      run = e.dist;
-      factor = sum.Factor(e.dist);
-      if (sum.Stops(factor)) return false;
-    }
-    acc += sum.Term(factor, e.weight);
-    return true;
-  });
-  return acc;
+  HipSumState state;
+  WalkSums(std::span<const HipSum>(&sum, 1),
+           std::span<HipSumState>(&state, 1),
+           [](double, std::span<const double>, std::span<const double>) {
+             return false;
+           });
+  return state.value;
 }
 
 double HipEstimator::NeighborhoodCardinality(double d) const {

@@ -17,11 +17,14 @@
 #ifndef HIPADS_ADS_ESTIMATORS_H_
 #define HIPADS_ADS_ESTIMATORS_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ads/ads.h"
@@ -42,14 +45,11 @@ namespace hipads {
 ///   kInverseSquare  w * 1/((1+d)(1+d))       inverse-square Q_g
 ///
 /// g depends on d alone, so a walk computes Factor once per run of equal
-/// distance and Term once per entry. HipEstimator::Sum walks one sum and
-/// the sweep executor walks every sum of a plan at once (ads/sweep.h);
-/// both use Factor, Stops and Term, so a statistic has one definition
-/// wherever it is computed. A neighbourhood sum stops at the first entry
-/// past its bound (entries come in distance order) — and never stops for
-/// a NaN bound. The reachable and neighbourhood terms are the weight
-/// alone, so each of those sums is the running total of the weights up to
-/// where it stops, and one total serves them all.
+/// distance (entries come in distance order) and Term once per entry.
+/// HipEstimator::WalkSums is that walk, for one sum (HipEstimator::Sum) or
+/// for every sum of a sweep plan at once (ads/sweep.h), so a statistic has
+/// one definition wherever it is computed. A neighbourhood sum stops at
+/// the first run past its bound — and never stops for a NaN bound.
 struct HipSum {
   enum class Kind : uint8_t {
     kReachable,
@@ -95,15 +95,10 @@ struct HipSum {
     return kind == Kind::kNeighborhood && factor == 0.0;
   }
 
-  /// True when the term is the weight alone (reachable, neighbourhood).
-  bool SumsWeights() const {
-    return kind == Kind::kReachable || kind == Kind::kNeighborhood;
-  }
-
-  /// One entry's term, given its run's Factor and the entry's weight.
-  double Term(double factor, double w) const {
-    return SumsWeights() ? w : w * factor;
-  }
+  /// One entry's term, given its run's Factor and the entry's weight. A
+  /// reachable or open neighbourhood sum has factor 1.0, so its term is
+  /// the weight itself, bit for bit.
+  double Term(double factor, double w) const { return w * factor; }
 
   /// Same kind and the same parameter bits: equal at every node, so a
   /// plan needs one accumulator for both (a NaN bound equals itself).
@@ -111,6 +106,13 @@ struct HipSum {
     return kind == other.kind &&
            std::memcmp(&param, &other.param, sizeof(param)) == 0;
   }
+};
+
+/// One HipSum's running state in a walk over a node's entries
+/// (HipEstimator::WalkSums).
+struct HipSumState {
+  double value = 0.0;  // the terms added so far
+  bool open = true;    // false once Stops: no later entry adds a term
 };
 
 /// HIP estimates over one ADS. The estimator walks the node's entries
@@ -153,8 +155,54 @@ class HipEstimator {
   HipEstimator(AdsView ads, HipView hip, uint32_t k, SketchFlavor flavor,
                const RankAssignment& ranks, HipScratch* scratch);
 
-  /// The declared sum `sum` (see HipSum) over this node's HIP entries.
+  /// The declared sum `sum` (see HipSum) over this node's HIP entries:
+  /// WalkSums with one sum.
   double Sum(const HipSum& sum) const;
+
+  /// Walks this node's entries once, a run of equal distance at a time,
+  /// for every sum of `sums`, leaving sums[i]'s value in state[i].value
+  /// (`state` holds sums.size() slots and is reset first). At each run an
+  /// open sum takes its Factor, closes if Stops says so, and otherwise adds
+  /// Term for each of the run's HIP entries. So every sum adds its terms
+  /// from 0.0 in entry order, and its value is the same bits whichever sums
+  /// walk beside it. fold(d, tau, weight) then sees the run: its distance
+  /// and its entries' tau and weight slots, where tau == 0 marks a slot
+  /// that holds no HIP entry (k-mins fillers). It lets a fold ride the same
+  /// walk (the sweep's histograms); the walk goes on while a sum is open
+  /// or fold returns true.
+  template <typename Fold>
+  void WalkSums(std::span<const HipSum> sums, std::span<HipSumState> state,
+                Fold&& fold) const {
+    assert(state.size() >= sums.size());
+    std::fill_n(state.begin(), sums.size(), HipSumState{});
+    size_t open = sums.size();
+    for (size_t begin = 0; begin < size_;) {
+      const double d = entries_[begin].dist;
+      size_t end = begin + 1;
+      while (end < size_ && entries_[end].dist == d) ++end;
+      for (size_t i = 0; i < sums.size(); ++i) {
+        HipSumState& s = state[i];
+        if (!s.open) continue;
+        const double factor = sums[i].Factor(d);
+        if (sums[i].Stops(factor)) {
+          s.open = false;
+          --open;
+          continue;
+        }
+        double value = s.value;
+        for (size_t j = begin; j < end; ++j) {
+          if (tau_[j] != 0.0) value += sums[i].Term(factor, weight_[j]);
+        }
+        s.value = value;
+      }
+      if (!fold(d, std::span<const double>(tau_ + begin, end - begin),
+                std::span<const double>(weight_ + begin, end - begin)) &&
+          open == 0) {
+        return;
+      }
+      begin = end;
+    }
+  }
 
   /// Estimate of the d-neighborhood cardinality n_d = |N_d(v)| — the sum of
   /// adjusted weights of sketched nodes within distance d (Section 5).

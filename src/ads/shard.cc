@@ -54,8 +54,10 @@ struct ShardedAdsSet::LoadContext {
   // reserves them, so recycled storage never grows.
   uint64_t max_nodes = 0;
   uint64_t max_entries = 0;
-  // Spares kept at most: ShardedOptions::prefetch_depth, so the arenas
-  // alive never exceed the resident ones plus the prefetch window.
+  // Spares kept at most: the one arena an inline load evicts before it
+  // reads into its storage, plus the prefetch window when prefetching.
+  // Storage is allocated only when no spare is left, so the arenas alive
+  // never exceed what the resident and staged ones needed at once.
   size_t max_spares = 1;
 
   // Shard-file loads performed through this context, whichever thread did
@@ -432,7 +434,7 @@ StatusOr<ShardedAdsSet> ShardedAdsSet::Open(const std::string& path,
     ctx->max_nodes = std::max<uint64_t>(ctx->max_nodes, info.end - info.begin);
     ctx->max_entries = std::max(ctx->max_entries, info.num_entries);
   }
-  ctx->max_spares = set.prefetch_depth_;
+  ctx->max_spares = 1 + (options.prefetch ? set.prefetch_depth_ : 0);
   set.load_ctx_ = std::move(ctx);
   if (options.prefetch) {
     set.prefetcher_ = std::make_unique<Prefetcher>(set.load_ctx_);
@@ -536,10 +538,13 @@ StatusOr<const AdsBackend*> ShardedAdsSet::Resident(uint32_t s) const {
         MetricsRegistry::Get().Counter("ads.shard.prefetch_misses");
     (staged.has_value() ? hits : misses)->Add();
   }
+  if (staged.has_value() && !staged->ok()) return staged->status();
+  // Evict first: an inline copy-mode load then reads into the storage of
+  // the arena it replaces instead of holding both.
+  EvictFor(s);
   StatusOr<std::unique_ptr<AdsBackend>> loaded =
       staged.has_value() ? std::move(*staged) : load_ctx_->Load(s);
   if (!loaded.ok()) return loaded.status();
-  EvictFor(s);
   resident_[s] = std::move(loaded).value();
   return resident_[s].get();
 }

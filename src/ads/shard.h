@@ -93,10 +93,15 @@ struct ShardedOptions {
   /// Required for exponential/priority rank kinds, as in ParseFlatAdsSet.
   std::function<double(uint64_t)> beta = nullptr;
   /// Max shard arenas resident at once (LRU eviction past the bound).
+  /// Without prefetch these are all the arenas the set holds: a load
+  /// evicts first and, in copy mode, reads into the evicted storage.
   uint32_t max_resident = 1;
   /// Load hinted shards on a background thread. Staged arenas are
-  /// heap-held until the sweep reaches them, so prefetching transiently
-  /// keeps up to prefetch_depth arenas beyond max_resident in memory.
+  /// heap-held until the sweep reaches them, so prefetching keeps up to
+  /// prefetch_depth arenas beyond max_resident in memory. In copy mode
+  /// their storage outlives the sweep as spares for the next one's loads:
+  /// between sweeps the set still holds up to prefetch_depth arenas
+  /// beside the resident ones.
   bool prefetch = false;
   /// Lookahead of the prefetch pipeline: a Prefetch(r) hint enqueues
   /// shards [r, r + prefetch_depth) that are not yet resident. 1 (the
@@ -113,14 +118,18 @@ struct ShardedOptions {
 /// access; at most max_resident stay live (least-recently-used eviction).
 /// The range a caller is consuming is its most recently touched one, so
 /// LRU never evicts it while max_resident >= 2; with max_resident = 1,
-/// touching a second range invalidates the first range's views.
+/// touching a second range invalidates the first range's views (whether
+/// or not the second range loads).
 ///
-/// In copy mode an evicted arena's storage is not freed but kept as a
-/// spare (at most prefetch_depth of them), and the next load — on the
-/// prefetch thread or inline — reads into it: a sweep that reloads its
-/// shards allocates and faults in no fresh arena once warm, while the
-/// arenas alive stay within max_resident plus the prefetch window. Every
-/// load, into a spare or not, is validated in full.
+/// In copy mode an evicted arena's storage (or a staged arena's that the
+/// prefetcher dropped) is not freed but kept as a spare, and the next
+/// load — on the prefetch thread or inline — reads into it: a sweep that
+/// reloads its shards allocates and faults in no fresh arena once warm.
+/// An inline load evicts before it reads, so without prefetch the set
+/// holds at most max_resident arenas and no spare between loads. With
+/// prefetch the arenas alive stay within max_resident plus
+/// prefetch_depth, and those not resident stay as spares between sweeps.
+/// Every load, into a spare or not, is validated in full.
 ///
 /// The consumer side is not thread-safe: concurrent Range()/ViewOf() calls
 /// must be externally serialized (the whole-graph sweeps in ads/queries.h

@@ -56,18 +56,14 @@ struct ScopedSlot {
 };
 
 // The plan as the one walk per node runs it, classified once per sweep:
-// the distinct declared sums — split into those that sum weights alone
-// (reachable, neighbourhood) and those that weigh them by g(d) — which sum
-// each declaring collector's values take, the declared histogram folds,
-// and the collectors left to Map.
+// the distinct declared sums, which sum each declaring collector's values
+// take, the declared histogram folds, and the collectors left to Map.
 struct FusedPlan {
   struct Output {
     size_t sum;  // index into sums
     double* values;
   };
   std::vector<HipSum> sums;
-  std::vector<size_t> weight_sums;
-  std::vector<size_t> product_sums;
   std::vector<Output> outputs;
   std::vector<DistanceHistogramCollector*> histograms;
   std::vector<SweepCollector*> mapped;
@@ -82,11 +78,7 @@ FusedPlan Classify(const SweepPlan& plan) {
     if (fold.sum.has_value()) {
       size_t i = 0;
       while (i < fused.sums.size() && !fused.sums[i].SameAs(*fold.sum)) ++i;
-      if (i == fused.sums.size()) {
-        fused.sums.push_back(*fold.sum);
-        (fold.sum->SumsWeights() ? fused.weight_sums : fused.product_sums)
-            .push_back(i);
-      }
+      if (i == fused.sums.size()) fused.sums.push_back(*fold.sum);
       fused.outputs.push_back({i, fold.values});
     } else if (fold.histogram != nullptr) {
       fused.histograms.push_back(fold.histogram);
@@ -97,77 +89,19 @@ FusedPlan Classify(const SweepPlan& plan) {
   return fused;
 }
 
-// One chunk's state for the walk: per sum its value, per product sum its
-// run factor and running value, per weight sum whether it still takes
-// terms, per histogram its run cell.
-struct WalkState {
-  explicit WalkState(const FusedPlan& fused)
-      : value(fused.sums.size()),
-        factor(fused.product_sums.size()),
-        product(fused.product_sums.size()),
-        open(fused.weight_sums.size()),
-        cells(fused.histograms.size()) {}
-  std::vector<double> value;
-  std::vector<double> factor;
-  std::vector<double> product;
-  std::vector<char> open;
-  std::vector<ExactSum*> cells;
-};
-
-// The one walk over a node's HIP entries. Every declared sum adds its
-// terms from 0.0 in entry order (HipSum's definition, so the standalone
-// walk's arithmetic): a weight sum's terms are the weights, so all of
-// them share one running total, and each takes its value from the total
-// when it stops (at the first run past a neighbourhood's bound) or at the
-// end; a product sum adds w * g(d) into its own value. Every histogram
-// folds each weight too. Factors, stops and cells depend on the distance
-// alone, so they are settled once per run of equal distance.
-void Walk(const HipEstimator& est, const FusedPlan& fused, WalkState& w) {
-  const size_t num_weight_sums = fused.weight_sums.size();
-  const size_t num_products = fused.product_sums.size();
-  const size_t num_cells = w.cells.size();
-  double* factor = w.factor.data();
-  double* product = w.product.data();
-  ExactSum** cells = w.cells.data();
-  std::fill(w.open.begin(), w.open.end(), 1);
-  std::fill(w.product.begin(), w.product.end(), 0.0);
-  double weights = 0.0;
-  double run = 0.0;
-  bool fresh = true;
-  est.ForEachEntry([&](const HipEntry& e) {
-    if (fresh || e.dist != run) {
-      fresh = false;
-      run = e.dist;
-      for (size_t i = 0; i < num_weight_sums; ++i) {
-        const HipSum& sum = fused.sums[fused.weight_sums[i]];
-        if (w.open[i] && sum.Stops(sum.Factor(e.dist))) {
-          w.open[i] = 0;
-          w.value[fused.weight_sums[i]] = weights;
-        }
-      }
-      for (size_t i = 0; i < num_products; ++i) {
-        factor[i] = fused.sums[fused.product_sums[i]].Factor(e.dist);
-      }
-      for (size_t h = 0; h < num_cells; ++h) {
-        cells[h] =
-            e.dist > 0.0 ? &fused.histograms[h]->SlotCell(e.dist) : nullptr;
-      }
-    }
-    const double weight = e.weight;
-    weights += weight;
-    for (size_t i = 0; i < num_products; ++i) {
-      product[i] += weight * factor[i];  // HipSum::Term of a product sum
-    }
-    for (size_t h = 0; h < num_cells; ++h) {
-      if (cells[h] != nullptr) cells[h]->Add(weight);
-    }
-  });
-  for (size_t i = 0; i < num_weight_sums; ++i) {
-    if (w.open[i]) w.value[fused.weight_sums[i]] = weights;
-  }
-  for (size_t i = 0; i < num_products; ++i) {
-    w.value[fused.product_sums[i]] = product[i];
-  }
+// The one walk over a node's entries: HipEstimator::WalkSums adds every
+// declared sum's terms, each from 0.0 in entry order as Sum does alone,
+// and hands each run of equal distance to every histogram's fold.
+void Walk(const HipEstimator& est, const FusedPlan& fused,
+          std::vector<HipSumState>& sums) {
+  est.WalkSums(fused.sums, sums,
+               [&fused](double d, std::span<const double> tau,
+                        std::span<const double> weight) {
+                 for (DistanceHistogramCollector* h : fused.histograms) {
+                   h->FoldRun(d, tau, weight);
+                 }
+                 return !fused.histograms.empty();  // they fold every run
+               });
 }
 
 // The fused sweep over one arena: the pool's chunks (cut at equal entry
@@ -188,7 +122,7 @@ void SweepArena(const ArenaSet& set, NodeId global_begin,
       EntryBalancedRanges(set.arena.offsets, n, pool.num_threads());
   pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t chunk) {
     ScopedSlot slot(chunk, pool.num_threads());
-    WalkState walk(fused);
+    std::vector<HipSumState> sums(fused.sums.size());
     uint64_t chunk_entries = 0;
     for (size_t i = begin; i < end; ++i) {
       NodeId local = static_cast<NodeId>(i);
@@ -198,9 +132,9 @@ void SweepArena(const ArenaSet& set, NodeId global_begin,
       HipEstimator est(ads, set.arena.hip_of_local(local), set.k, set.flavor,
                        set.ranks, &scratch[chunk]);
       if (fused.walks()) {
-        Walk(est, fused, walk);
+        Walk(est, fused, sums);
         for (const FusedPlan::Output& out : fused.outputs) {
-          out.values[v] = walk.value[out.sum];
+          out.values[v] = sums[out.sum].value;
         }
       }
       for (SweepCollector* c : fused.mapped) c->Map(v, est);
@@ -341,25 +275,26 @@ SweepFold DistanceHistogramCollector::Declared() {
   return fold;
 }
 
-ExactSum& DistanceHistogramCollector::SlotCell(double dist) {
+void DistanceHistogramCollector::FoldRun(double dist,
+                                         std::span<const double> tau,
+                                         std::span<const double> weight) {
+  if (!(dist > 0.0)) return;
   assert(SweepSlot() < slots_.size());
-  return slots_[SweepSlot()][dist];
+  ExactSum* cell = nullptr;  // looked up at the run's first HIP entry
+  for (size_t j = 0; j < tau.size(); ++j) {
+    if (tau[j] == 0.0) continue;
+    if (cell == nullptr) cell = &slots_[SweepSlot()][dist];
+    cell->Add(weight[j]);
+  }
 }
 
 void DistanceHistogramCollector::Map(NodeId /*v*/, const HipEstimator& est) {
-  // A node's entries arrive in distance order, so runs of one distance
-  // (every hop count on a unit-weight graph) hit the cached cell instead
-  // of the map.
-  double last_dist = 0.0;
-  ExactSum* last = nullptr;
-  est.ForEachEntry([&](const HipEntry& e) {
-    if (!(e.dist > 0.0)) return;
-    if (last == nullptr || e.dist != last_dist) {
-      last_dist = e.dist;
-      last = &SlotCell(e.dist);
-    }
-    last->Add(e.weight);
-  });
+  est.WalkSums({}, {},
+               [this](double d, std::span<const double> tau,
+                      std::span<const double> weight) {
+                 FoldRun(d, tau, weight);
+                 return true;
+               });
 }
 
 template <typename Fn>

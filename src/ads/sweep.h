@@ -95,8 +95,8 @@ struct SweepFold {
   /// A per-node sum: the executor writes node v's value to values[v].
   std::optional<HipSum> sum;
   double* values = nullptr;
-  /// The distance histogram: the executor adds the weight of each HIP
-  /// entry at a distance d > 0 to histogram->SlotCell(d).
+  /// The distance histogram: the executor hands each run of equal
+  /// distance to histogram->FoldRun.
   DistanceHistogramCollector* histogram = nullptr;
 };
 
@@ -305,10 +305,12 @@ class DistanceHistogramCollector : public SweepCollector {
   void Map(NodeId v, const HipEstimator& est) override;
   SweepFold Declared() override;
 
-  /// The cell of distance `dist` in the calling thread's sweep slot: the
-  /// fold adds each entry's weight to its distance's cell, looked up once
-  /// per run of equal distance.
-  ExactSum& SlotCell(double dist);
+  /// The fold of one run of a node's entries at distance `dist`, as
+  /// HipEstimator::WalkSums hands it over: when dist > 0, each HIP entry
+  /// (tau != 0) adds its weight to the cell of `dist` in the calling
+  /// thread's sweep slot, looked up once per run.
+  void FoldRun(double dist, std::span<const double> tau,
+               std::span<const double> weight);
 
   /// Partial state for the distributed gather: O(distinct distances) —
   /// each distance with its exact superaccumulator digits, the slots

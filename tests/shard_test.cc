@@ -344,9 +344,12 @@ TEST(ShardTest, ManifestWriteErrorAtCloseIsReported) {
 }
 
 // The reload path a max_resident = 1 sweep takes once warm: every shard
-// load after the first two reads into the storage an eviction freed.
-// These pin its counter and check that recycled storage changes no
-// result, no failure and no HIP presence.
+// load after the first reads into the storage an eviction freed, except
+// that with prefetch the first shard the worker stages while another is
+// resident needs a fresh arena too (unless the consumer loaded every
+// shard inline before the worker got to it). These pin its counter and
+// check that recycled storage changes no result, no failure and no HIP
+// presence.
 
 // A sharded set at max_resident = 1, with or without the prefetch thread.
 ShardedAdsSet OpenOneResident(const std::string& dir, bool prefetch) {
@@ -379,11 +382,11 @@ TEST(ShardTest, ReloadsReuseEvictedStorage) {
       EXPECT_EQ(scores.value(), expected) << "sweep " << sweep;
       EXPECT_LE(sharded.NumResident(), 1u);
     }
-    // Shards 0 and 1 load while nothing has been evicted yet; each later
-    // load reads into the storage of the shard evicted before it.
+    const uint64_t reused = sharded.NumLoadsReused();
     EXPECT_EQ(sharded.NumShardLoads(), 24u) << "prefetch=" << prefetch;
-    EXPECT_EQ(sharded.NumLoadsReused(), 22u) << "prefetch=" << prefetch;
-    EXPECT_EQ(ReusedLoadsCounter() - counter_before, 22u);
+    EXPECT_LE(reused, 23u) << "prefetch=" << prefetch;
+    EXPECT_GE(reused, prefetch ? 22u : 23u) << "prefetch=" << prefetch;
+    EXPECT_EQ(ReusedLoadsCounter() - counter_before, reused);
   }
   // mmap arenas are mapped, not read: no storage to recycle.
   ShardedOptions options;
@@ -441,7 +444,9 @@ TEST(ShardTest, ShardCorruptedBetweenSweepsFailsLikeAFreshOpen) {
     ShardedAdsSet fresh = OpenOneResident(dir.path, prefetch);
     Status fresh_status = EstimateHarmonicCentralityAll(fresh, 2).status();
     ASSERT_EQ(fresh_status.code(), Status::Code::kCorruption);
-    EXPECT_EQ(fresh.NumLoadsReused(), 4u);  // shards 2..5, 5 failing
+    // Shards 1..5 reuse storage, 5 failing (one fewer with prefetch).
+    EXPECT_LE(fresh.NumLoadsReused(), 5u);
+    EXPECT_GE(fresh.NumLoadsReused(), prefetch ? 4u : 5u);
     auto second = EstimateHarmonicCentralityAll(sharded, 2);
     ASSERT_FALSE(second.ok()) << "prefetch=" << prefetch;
     EXPECT_EQ(second.status().ToString(), fresh_status.ToString());
@@ -533,7 +538,9 @@ TEST(ShardTest, UnevenShardsReloadIntoEachOthersStorage) {
         EXPECT_EQ(EstimateDistanceDistribution(sharded, 2).value(),
                   expected_hist);
       }
-      EXPECT_EQ(sharded.NumLoadsReused(), 4u * splits.size() - 2);
+      EXPECT_LE(sharded.NumLoadsReused(), 4u * splits.size() - 1);
+      EXPECT_GE(sharded.NumLoadsReused(),
+                4u * splits.size() - (prefetch ? 2 : 1));
     }
   }
 }
