@@ -5,21 +5,24 @@
 // on a pool of one thread per 256 KiB of image, up to 8 and the hardware
 // count (every image here is over 1 MiB: 4 threads on 4 vCPUs). In the
 // recorded baseline (BENCH_serialize.json: Release build, 4 vCPUs,
-// --benchmark_repetitions=5) the n=4000 binary parse takes 2.97 ms against
-// 271 ms for the text parse, ~78x its byte throughput (medians of
+// --benchmark_repetitions=5) the n=4000 binary parse takes 1.98 ms against
+// 287 ms for the text parse, ~132x its byte throughput (medians of
 // BM_ParseBinaryV2/4000 and BM_ParseTextV1/4000) — the number that
-// justifies v2 as the serving format. Also measured: serialization cost
-// both ways and the sharded whole-graph sweep overhead vs the single
-// arena.
+// justifies v2 as the serving format. The *Hip rows load the same set
+// with its HIP section (tau stored, weights derived by the validator).
+// Also measured: serialization cost both ways and the sharded whole-graph
+// sweep overhead vs the single arena.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <utility>
 
 #include "ads/builders.h"
 #include "ads/flat_ads.h"
+#include "ads/hip.h"
 #include "ads/queries.h"
 #include "ads/serialize.h"
 #include "ads/shard.h"
@@ -41,6 +44,19 @@ const FlatAdsSet& SharedSet(uint32_t n) {
                              g, 16, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(1))))
              .first;
+  }
+  return it->second;
+}
+
+// SharedSet(n) with its HIP weights precomputed, as `sketch --hip 1`
+// writes it.
+const FlatAdsSet& SharedHipSet(uint32_t n) {
+  static std::map<uint32_t, FlatAdsSet> cache;
+  auto it = cache.find(n);
+  if (it == cache.end()) {
+    FlatAdsSet set = SharedSet(n);
+    PrecomputeHipWeights(&set);
+    it = cache.emplace(n, std::move(set)).first;
   }
   return it->second;
 }
@@ -91,8 +107,9 @@ void BM_ParseTextV1(benchmark::State& state) {
 BENCHMARK(BM_ParseTextV1)->Arg(1000)->Arg(4000)->Unit(
     benchmark::kMillisecond);
 
-void BM_ParseBinaryV2(benchmark::State& state) {
-  const FlatAdsSet& set = SharedSet(static_cast<uint32_t>(state.range(0)));
+// The v2 parse and file read of `set`, as the BM_ParseBinaryV2* and
+// BM_ReadFileBinaryV2* rows time them.
+void ParseBinary(benchmark::State& state, const FlatAdsSet& set) {
   std::string blob = SerializeAdsSetBinary(set);
   for (auto _ : state) {
     auto parsed = ParseFlatAdsSetBinary(blob);
@@ -103,13 +120,10 @@ void BM_ParseBinaryV2(benchmark::State& state) {
   state.counters["entries"] =
       benchmark::Counter(static_cast<double>(set.TotalEntries()));
 }
-BENCHMARK(BM_ParseBinaryV2)->Arg(1000)->Arg(4000)->Unit(
-    benchmark::kMillisecond);
 
 // File-level round trip including the OS: what `hipads_cli query` pays
 // before the first estimate.
-void BM_ReadFileBinaryV2(benchmark::State& state) {
-  const FlatAdsSet& set = SharedSet(static_cast<uint32_t>(state.range(0)));
+void ReadFileBinary(benchmark::State& state, const FlatAdsSet& set) {
   std::string path =
       (std::filesystem::temp_directory_path() / "bench_serialize.ads2")
           .string();
@@ -120,7 +134,27 @@ void BM_ReadFileBinaryV2(benchmark::State& state) {
   }
   std::remove(path.c_str());
 }
+
+void BM_ParseBinaryV2(benchmark::State& state) {
+  ParseBinary(state, SharedSet(static_cast<uint32_t>(state.range(0))));
+}
+BENCHMARK(BM_ParseBinaryV2)->Arg(1000)->Arg(4000)->Unit(
+    benchmark::kMillisecond);
+
+void BM_ParseBinaryV2Hip(benchmark::State& state) {
+  ParseBinary(state, SharedHipSet(static_cast<uint32_t>(state.range(0))));
+}
+BENCHMARK(BM_ParseBinaryV2Hip)->Arg(4000)->Unit(benchmark::kMillisecond);
+
+void BM_ReadFileBinaryV2(benchmark::State& state) {
+  ReadFileBinary(state, SharedSet(static_cast<uint32_t>(state.range(0))));
+}
 BENCHMARK(BM_ReadFileBinaryV2)->Arg(4000)->Unit(benchmark::kMillisecond);
+
+void BM_ReadFileBinaryV2Hip(benchmark::State& state) {
+  ReadFileBinary(state, SharedHipSet(static_cast<uint32_t>(state.range(0))));
+}
+BENCHMARK(BM_ReadFileBinaryV2Hip)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 // Sharded sweep vs single arena: the price of bounded resident memory is
 // re-loading each shard arena once per sweep.

@@ -112,6 +112,7 @@ MmapAdsSet& MmapAdsSet::operator=(MmapAdsSet&& other) noexcept {
   flavor_ = other.flavor_;
   k_ = other.k_;
   ranks_ = std::move(other.ranks_);
+  hip_weight_ = std::move(other.hip_weight_);
   arena_ = std::exchange(other.arena_, kEmptyArena);
   return *this;
 }
@@ -157,7 +158,11 @@ StatusOr<MmapAdsSet> MmapAdsSet::Open(const std::string& path,
   auto header = CheckAdsBinaryHeader(data, len);
   if (!header.ok()) return header.status();
   const AdsBinaryHeader& h = header.value();
-  const AdsBinarySections sections = MappedAdsSections(h, data);
+  AdsBinarySections sections = MappedAdsSections(h, data);
+  if (h.has_hip) {
+    set.hip_weight_.resize(h.num_entries);
+    sections.hip_weight = set.hip_weight_.data();
+  }
   Status valid = CheckAdsBinarySections(h, sections);
   if (!valid.ok()) return valid;
   Status ranks_status = RanksFromStoredParams(h.rank_kind, h.seed, h.base,

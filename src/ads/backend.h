@@ -6,8 +6,9 @@
 //     builder hands over or the copying loader materializes.
 //   * MmapAdsSet     — a hipads-ads-v2 file mapped read-only into the
 //     address space. The v2 layout (fixed header + raw offsets[] +
-//     AdsEntry[] sections) is consumed in place: open is validation only,
-//     with zero allocation and zero copying of the payload.
+//     AdsEntry[] sections, optionally tau[]) is consumed in place: open is
+//     validation, with zero copying of the payload. Its one allocation is
+//     the HIP weight array the validator derives from a stored tau.
 //   * ShardedAdsSet  — a directory of v2 shard files (ads/shard.h), loaded
 //     lazily with bounded residency and, optionally, a background prefetch
 //     thread that loads (or maps) shard s+1 while a sweep consumes shard s.
@@ -35,6 +36,7 @@
 
 #include "ads/flat_ads.h"
 #include "ads/hip.h"
+#include "util/default_init.h"
 #include "util/status.h"
 
 namespace hipads {
@@ -163,9 +165,12 @@ class FlatAdsBackend : public AdsBackend {
 
 /// A hipads-ads-v2 file opened zero-copy: the file is mapped read-only and
 /// validated in place by the copying readers' validator (header, chained
-/// section checksums, structure, canonical order); AdsViews point directly
-/// into the mapping, so open allocates nothing and copies nothing. Every
-/// input the copying readers reject fails here with the same Status.
+/// section checksums, structure, canonical order); AdsViews and the HIP tau
+/// point directly into the mapping, so open copies nothing. A file without
+/// the HIP section allocates nothing either; with it, open allocates the
+/// one array the file does not store, the HIP weights (8 bytes per entry),
+/// which the validator fills as it checks each tau. Every input the
+/// copying readers reject fails here with the same Status.
 class MmapAdsSet : public AdsBackend {
  public:
   MmapAdsSet();
@@ -202,8 +207,12 @@ class MmapAdsSet : public AdsBackend {
   SketchFlavor flavor_ = SketchFlavor::kBottomK;
   uint32_t k_ = 0;
   RankAssignment ranks_ = RankAssignment::Uniform(0);
+  // The HIP weights derived from the mapped tau (empty without the
+  // section); a move keeps their storage, so arena_ stays valid.
+  DefaultInitVector<double> hip_weight_;
   // The mapped arena, HIP arrays included when the file carries the
-  // optional section; an empty arena while map_ is null.
+  // optional section (tau mapped, weight in hip_weight_); an empty arena
+  // while map_ is null.
   AdsArenaView arena_;
 };
 

@@ -124,8 +124,9 @@ struct HipSumState {
 ///
 ///   * (ads, k, flavor, ranks) scans, and owns a copy of the entries and
 ///     the arrays, so it may outlive `ads`; its copies share them.
-///   * (ads, tau, weight) wraps stored arrays (a file's HIP section or
-///     PrecomputeHipWeights output): no scan, no allocation.
+///   * (ads, tau, weight) wraps stored arrays (a loaded HIP section's tau
+///     and the weights derived from it, or PrecomputeHipWeights output):
+///     no scan, no allocation.
 ///   * (ads, hip, k, flavor, ranks, scratch) wraps `hip` when present and
 ///     otherwise scans into `scratch` (allocation-free once warm). It is
 ///     the one place the stored-or-scan choice is made.

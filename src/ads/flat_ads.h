@@ -40,7 +40,8 @@ struct FlatAdsSet {
   // weight[i] belong to entries[i]; k-mins runs store the group weight at
   // the first member, zeros at the rest — see hip.h). Either both empty or
   // both entries.size(); filled by PrecomputeHipWeights or loaded from a
-  // file's HIP section, and serialized back out when present.
+  // file's HIP section (tau read, weight derived from it), and tau is
+  // serialized back out when present.
   DefaultInitVector<double> hip_tau;
   DefaultInitVector<double> hip_weight;
 

@@ -23,10 +23,11 @@
 // parameters, they can be computed ONCE and stored. The one scan,
 // ComputeHipWeightsAligned, writes them as per-entry tau/weight arrays
 // aligned with the canonical entry sequence — the hipads-ads-v2 optional
-// HIP section's layout — and PrecomputeHipWeights fills a whole
-// FlatAdsSet's arrays in parallel. HipEstimator (ads/estimators.h) walks
-// the same layout whether the arrays were stored or just scanned, so every
-// path is bitwise identical.
+// HIP section stores the tau array, and every reader derives the weights
+// from it — and PrecomputeHipWeights fills a whole FlatAdsSet's arrays in
+// parallel. HipEstimator (ads/estimators.h) walks the same layout whether
+// the arrays were stored or just scanned, so every path is bitwise
+// identical.
 
 #ifndef HIPADS_ADS_HIP_H_
 #define HIPADS_ADS_HIP_H_
@@ -80,7 +81,8 @@ struct HipView {
 /// same-(dist, node) run of entries, the run's values are stored at its
 /// FIRST entry and the remaining members get explicit zeros, so iterating
 /// the arrays and skipping tau == 0 visits one weight per sketched node.
-/// This is the layout of the binary format's optional HIP section. `tau`
+/// The binary format's optional HIP section stores `tau` in this layout;
+/// its readers derive `weight` from it (0 where tau is 0). `tau`
 /// and `weight` must each have room for ads.size() doubles. `k`, `flavor`
 /// and `ranks` must match the parameters the ADS was built with. Works for
 /// uniform, base-b, exponential and priority ranks (permutation ranks use

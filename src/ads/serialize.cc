@@ -61,12 +61,15 @@ static_assert(std::endian::native == std::endian::little,
               "need byte swapping");
 
 // Optional HIP section, appended after the entry arena: this header, then
-// tau[num_entries] + weight[num_entries] doubles (hip.h's aligned layout).
-// Every preceding section is a multiple of 8 bytes, so the double arrays
-// stay 8-byte aligned in any mapping of the file. Section version 2 is the
-// XXH64 layout.
+// tau[num_entries] doubles (hip.h's aligned layout). Every preceding
+// section is a multiple of 8 bytes, so tau stays 8-byte aligned in any
+// mapping of the file. Section version 3 stores tau alone: the weight is
+// 1 / tau by definition, and the validator derives it as it checks tau.
+// Version 2 stored weight[num_entries] after tau; such files fail closed
+// with RetiredHipSection's message.
 constexpr char kMagicHip[8] = {'h', 'i', 'p', 'a', 'd', 's', 'h', 'w'};
-constexpr uint32_t kHipSectionVersion = 2;
+constexpr uint32_t kHipSectionVersion = 3;
+constexpr uint32_t kRetiredHipSectionVersion = 2;
 
 struct HipSectionHeader {
   char magic[8];
@@ -74,7 +77,7 @@ struct HipSectionHeader {
   uint32_t reserved;     // must be zero
   uint64_t num_entries;  // must equal the main header's num_entries
   uint64_t checksum;     // XXH64 chain: this header (field zeroed, seed 0)
-                         // -> tau -> weight
+                         // -> tau
 };
 static_assert(sizeof(HipSectionHeader) == kAdsHipSectionHeaderBytes,
               "HIP section header layout drifted");
@@ -148,6 +151,18 @@ bool ValidEntry(const AdsEntry& e, uint32_t k) {
          e.rank >= 0.0;
 }
 
+// What every reader returns for a file whose HIP section is the retired
+// version 2. Its base image (`base_bytes` long) is still valid, so
+// truncating the file to it and recomputing the section migrates it.
+Status RetiredHipSection(uint64_t base_bytes) {
+  return Status::Corruption(
+      "HIP section version 2 (tau and weight) is retired; truncate the file "
+      "to its " +
+      std::to_string(base_bytes) +
+      "-byte base image, then store a version 3 section with `hipads_cli "
+      "convert --hip 1`");
+}
+
 // The unit of a v2 load's work. The copying readers read the sections in
 // pieces of at most this size, and a load's pool gets one thread per whole
 // piece of image, so an image smaller than two pieces loads on the calling
@@ -176,7 +191,7 @@ struct SliceFindings {
   uint64_t nonmonotone = kNone;
   uint64_t bad_entry = kNone;
   uint64_t noncanonical = kNone;
-  uint64_t bad_weight = kNone;
+  uint64_t bad_tau = kNone;
 };
 
 // The per-entry checks over nodes [node_begin, node_end) and entries
@@ -208,16 +223,18 @@ SliceFindings CheckSlice(const AdsBinaryHeader& h, const AdsBinarySections& s,
     }
   }
   if (!h.has_hip) return f;
-  // Per-entry integrity: a slot is either a k-mins run filler (both zero)
-  // or a probability in (0, 1] with weight exactly its inverse. NaNs fail
-  // every comparison, so they are rejected too.
+  // Per-entry integrity: a tau is either a k-mins run filler (zero, weight
+  // zero) or a probability in (0, 1] (weight its inverse), and the weight
+  // is written as the HIP scan writes it. NaN fails every comparison, so
+  // it is rejected too.
   for (uint64_t i = entry_begin; i < entry_end; ++i) {
     const double tau = s.hip_tau[i];
-    const double weight = s.hip_weight[i];
-    const bool filler = tau == 0.0 && weight == 0.0;
-    const bool valid = tau > 0.0 && tau <= 1.0 && weight == 1.0 / tau;
-    if (!filler && !valid) {
-      f.bad_weight = i;
+    if (tau == 0.0) {
+      s.hip_weight[i] = 0.0;
+    } else if (tau > 0.0 && tau <= 1.0) {
+      s.hip_weight[i] = 1.0 / tau;
+    } else {
+      f.bad_tau = i;
       break;
     }
   }
@@ -232,9 +249,11 @@ SliceFindings CheckSlice(const AdsBinaryHeader& h, const AdsBinarySections& s,
 Status CheckSections(const AdsBinaryHeader& h, const AdsBinarySections& s,
                      ThreadPool& pool) {
   const uint64_t n = h.num_nodes;
-  const uint64_t array_bytes = h.num_entries * sizeof(double);
   HipSectionHeader sh{};
-  if (h.has_hip) std::memcpy(&sh, s.hip_header, sizeof(HipSectionHeader));
+  if (h.has_hip) {
+    assert(s.hip_weight != nullptr || h.num_entries == 0);
+    std::memcpy(&sh, s.hip_header, sizeof(HipSectionHeader));
+  }
   uint64_t base_sum = 0;
   uint64_t hip_sum = 0;
   const uint64_t slices = 4 * uint64_t{pool.num_threads()};
@@ -245,8 +264,8 @@ Status CheckSections(const AdsBinaryHeader& h, const AdsBinarySections& s,
                        s.entries, h.entries_bytes());
     } else if (task == 1) {
       if (h.has_hip) {
-        hip_sum = Chain(Chain(HeaderHash(sh), s.hip_tau, array_bytes),
-                        s.hip_weight, array_bytes);
+        hip_sum = Chain(HeaderHash(sh), s.hip_tau,
+                        h.num_entries * sizeof(double));
       }
     } else {
       const uint64_t j = task - 2;
@@ -283,6 +302,12 @@ Status CheckSections(const AdsBinaryHeader& h, const AdsBinarySections& s,
   if (std::memcmp(sh.magic, kMagicHip, sizeof(sh.magic)) != 0) {
     return Status::Corruption("missing HIP section magic");
   }
+  // A retired section with no entries is as long as a current one, so
+  // only this field tells them apart (CheckAdsBinaryLength catches the
+  // longer ones).
+  if (sh.version == kRetiredHipSectionVersion) {
+    return RetiredHipSection(AdsBinaryFileSize(n, h.num_entries));
+  }
   if (sh.version != kHipSectionVersion) {
     return Status::Corruption("unsupported HIP section version " +
                               std::to_string(sh.version));
@@ -297,9 +322,9 @@ Status CheckSections(const AdsBinaryHeader& h, const AdsBinarySections& s,
     return Status::Corruption("HIP section checksum mismatch");
   }
   for (const SliceFindings& f : found) {
-    if (f.bad_weight != kNone) {
-      return Status::Corruption("invalid HIP weight at index " +
-                                std::to_string(f.bad_weight));
+    if (f.bad_tau != kNone) {
+      return Status::Corruption("invalid HIP tau at index " +
+                                std::to_string(f.bad_tau));
     }
   }
   return Status::Ok();
@@ -477,20 +502,16 @@ void WriteBinaryImage(const FlatAdsSet& set, NodeId begin, NodeId end,
   write(entries, h.entries_bytes);
 
   if (set.has_hip()) {
-    assert(set.hip_tau.size() == set.entries.size() &&
-           set.hip_weight.size() == set.entries.size());
+    assert(set.hip_tau.size() == set.entries.size());
     const double* tau = set.hip_tau.data() + first;
-    const double* weight = set.hip_weight.data() + first;
-    const uint64_t array_bytes = h.num_entries * sizeof(double);
+    const uint64_t tau_bytes = h.num_entries * sizeof(double);
     HipSectionHeader sh{};
     std::memcpy(sh.magic, kMagicHip, sizeof(sh.magic));
     sh.version = kHipSectionVersion;
     sh.num_entries = h.num_entries;
-    sh.checksum =
-        Chain(Chain(HeaderHash(sh), tau, array_bytes), weight, array_bytes);
+    sh.checksum = Chain(HeaderHash(sh), tau, tau_bytes);
     write(&sh, sizeof(HipSectionHeader));
-    write(tau, array_bytes);
-    write(weight, array_bytes);
+    write(tau, tau_bytes);
   }
 }
 
@@ -553,7 +574,8 @@ void ReuseAs(Vector& v, size_t n) {
 // `image_size` is the image's total byte length. The arrays reuse `*set`'s
 // storage (ReuseAs), and a failure leaves them holding unchecked bytes.
 // The file readers and the in-memory parser are this function over pread
-// and memcpy.
+// and memcpy. With the HIP section, hip_weight is not read but derived:
+// the validator writes it from tau.
 template <typename ReadAtFn>
 Status ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
                        std::function<double(uint64_t)> beta,
@@ -610,7 +632,6 @@ Status ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
   if (h.has_hip) {
     add(hip_header, sizeof(hip_header));
     add(set.hip_tau.data(), h.num_entries * sizeof(double));
-    add(set.hip_weight.data(), h.num_entries * sizeof(double));
   }
   ThreadPool pool(LoadThreads(h));
   std::vector<char> read_ok(pieces.size(), 0);  // indexed by piece
@@ -650,7 +671,25 @@ uint64_t AdsBinaryFileSize(uint64_t num_nodes, uint64_t num_entries) {
 }
 
 uint64_t AdsHipSectionBytes(uint64_t num_entries) {
-  return sizeof(HipSectionHeader) + 2 * num_entries * sizeof(double);
+  return sizeof(HipSectionHeader) + num_entries * sizeof(double);
+}
+
+StatusOr<bool> CheckAdsBinaryLength(uint64_t num_nodes, uint64_t num_entries,
+                                    uint64_t image_size) {
+  const uint64_t base = AdsBinaryFileSize(num_nodes, num_entries);
+  const uint64_t with_hip = base + AdsHipSectionBytes(num_entries);
+  if (image_size == base || image_size == with_hip) {
+    return image_size == with_hip;
+  }
+  // A retired section's weight[] followed its tau[].
+  if (image_size == with_hip + num_entries * sizeof(double)) {
+    return RetiredHipSection(base);
+  }
+  return Status::Corruption(
+      "image is " + std::to_string(image_size) + " bytes; its sections take " +
+      std::to_string(base) + ", or " + std::to_string(with_hip) +
+      " with the HIP section" +
+      (image_size < base ? " (truncated?)" : " (trailing data?)"));
 }
 
 StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
@@ -700,11 +739,8 @@ StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
   // Exactly two lengths are valid: the base sections alone, or base plus
   // the optional HIP section. Anything else — including truncation at any
   // byte of the section — is corruption.
-  const uint64_t base_size = AdsBinaryFileSize(h.num_nodes, h.num_entries);
-  const bool has_hip = image_size != base_size;
-  if (has_hip && image_size != base_size + AdsHipSectionBytes(h.num_entries)) {
-    return Status::Corruption("file length does not match header sections");
-  }
+  auto has_hip = CheckAdsBinaryLength(h.num_nodes, h.num_entries, image_size);
+  if (!has_hip.ok()) return has_hip.status();
   AdsBinaryHeader out;
   out.flavor = static_cast<SketchFlavor>(h.flavor);
   out.rank_kind = static_cast<RankKind>(h.rank_kind);
@@ -713,7 +749,7 @@ StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
   out.base = h.base;
   out.num_nodes = h.num_nodes;
   out.num_entries = h.num_entries;
-  out.has_hip = has_hip;
+  out.has_hip = has_hip.value();
   out.checksum = h.checksum;
   out.header_hash = HeaderHash(h);
   return out;
@@ -737,7 +773,6 @@ AdsBinarySections MappedAdsSections(const AdsBinaryHeader& h,
     s.hip_header = p;
     p += sizeof(HipSectionHeader);
     s.hip_tau = reinterpret_cast<const double*>(p);
-    s.hip_weight = s.hip_tau + h.num_entries;
   }
   return s;
 }

@@ -10,14 +10,16 @@
 //   * hipads-ads-v2 — binary, the one format every serving reader opens:
 //     a fixed little-endian header carrying the sketch parameters and
 //     per-section byte lengths, followed by the raw offsets[] + AdsEntry[]
-//     CSR arena and an optional HIP weight section.
+//     CSR arena and an optional HIP section holding each entry's tau.
 //     Header version 3: each part is guarded by XXH64 (util/hash.h)
 //     chained section by section. The writer streams every section
 //     straight from the arena, and the reader reads each section straight
 //     into its array and then verifies every byte with the same validator
 //     the zero-copy mmap open runs in place — memory speed rather than
 //     re-tokenizing %.17g doubles, which is what the serving path wants.
-//     A large image is read and verified on a pool sized to it.
+//     The HIP weight 1/tau is not stored: the validator derives it while
+//     it checks each tau. A large image is read and verified on a pool
+//     sized to it.
 //
 // Every v2 reader rejects v1 text with one Corruption that names
 // `hipads_cli convert`. A stored sketch is in canonical (dist, node, part)
@@ -67,7 +69,7 @@ Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
 
 /// Writes nodes [begin, end) of `set` to `path` as a self-contained
 /// hipads-ads-v2 file whose local node i is node begin + i (entry target
-/// ids stay global). Entries and HIP weights are written straight from
+/// ids stay global). Entries and HIP tau are written straight from
 /// `set`'s arena; only the offsets are rebased to start at zero. The shard
 /// writer calls this once per shard; WriteAdsSetFile's binary format is
 /// the whole range.
@@ -115,13 +117,14 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
 // HardwareThreads(), so small images load on the calling thread. The width does not follow
 // any caller's sweep or build thread count. The copying readers read the
 // sections as pieces in parallel, and the section checks run as two
-// checksum tasks (the base chain offsets -> entries and the HIP chain
-// tau -> weight, each sequential by definition) beside the per-entry
-// checks cut into slices. Every byte is checked at every width, and
-// failures are reported in one fixed order — checksum, offset span,
-// offset order, entries, canonical entry order, then the HIP header
-// fields, checksum and weights — each naming the lowest failing index, so
-// a damaged image gets the same Status from every reader at every width.
+// checksum tasks (the base chain offsets -> entries and the HIP chain over
+// tau, each sequential by definition) beside the per-entry checks cut into
+// slices, which also derive the HIP weights. Every byte is checked at
+// every width, and failures are reported in one fixed order — checksum,
+// offset span, offset order, entries, canonical entry order, then the HIP
+// header fields, checksum and tau — each naming the lowest failing index,
+// so a damaged image gets the same Status from every reader at every
+// width.
 
 /// Fixed byte size of the hipads-ads-v2 header.
 inline constexpr size_t kAdsBinaryHeaderBytes = 88;
@@ -137,13 +140,24 @@ inline constexpr size_t kAdsHipSectionHeaderBytes = 32;
 uint64_t AdsBinaryFileSize(uint64_t num_nodes, uint64_t num_entries);
 
 /// Byte size of the optional HIP section for `num_entries` entries: a
-/// 32-byte header ("hipadshw" magic, version, entry count, checksum)
-/// followed by tau[num_entries] then weight[num_entries] doubles — +16
-/// bytes per entry, aligned with the entry arena (see hip.h for the k-mins
-/// zero-slot convention). The base image checksum does NOT cover the
-/// section (so base files are bit-identical with or without it); the
-/// section carries its own.
+/// 32-byte header ("hipadshw" magic, version 3, entry count, checksum)
+/// followed by tau[num_entries] doubles — +8 bytes per entry, aligned with
+/// the entry arena (see hip.h for the k-mins zero-slot convention). The
+/// weights 1/tau are not stored: every reader derives them on load. The
+/// base image checksum does NOT cover the section (so base files are
+/// bit-identical with or without it); the section carries its own.
 uint64_t AdsHipSectionBytes(uint64_t num_entries);
+
+/// Checks that an image of `image_size` bytes is exactly the base sections
+/// of `num_nodes` nodes and `num_entries` entries, or those plus the HIP
+/// section, and returns whether it carries the section. An image as long
+/// as the base plus a retired version-2 HIP section (tau and weight, +16
+/// bytes per entry) fails with the message every reader gives such a file:
+/// it names the version and the base-image length to truncate the file to
+/// before `hipads_cli convert --hip 1` stores a current section. Every
+/// failure is Corruption.
+StatusOr<bool> CheckAdsBinaryLength(uint64_t num_nodes, uint64_t num_entries,
+                                    uint64_t image_size);
 
 /// The header fields of a v2 image, as validated by CheckAdsBinaryHeader.
 struct AdsBinaryHeader {
@@ -174,32 +188,37 @@ struct AdsBinarySections {
   const AdsEntry* entries = nullptr;   // num_entries values
   const char* hip_header = nullptr;    // kAdsHipSectionHeaderBytes bytes
   const double* hip_tau = nullptr;     // num_entries values
-  const double* hip_weight = nullptr;  // num_entries values
+  /// Not a section but the validator's output: num_entries values the
+  /// caller supplies, into which CheckAdsBinarySections writes each
+  /// entry's HIP weight — 0 for a k-mins filler (tau == 0), 1 / tau
+  /// otherwise, bitwise what the HIP scan computes. Unchecked on failure.
+  double* hip_weight = nullptr;
 };
 
 /// Step one: checks the header of an image that is `image_size` bytes long
 /// — magic, version, parameter fields and section lengths — and that the
-/// image is exactly the base sections, or the base plus the HIP section.
-/// `header` must hold the image's first min(image_size,
-/// kAdsBinaryHeaderBytes) bytes. v1 text is recognised by its magic and
-/// rejected with a message that names `hipads_cli convert`; any other
-/// shorter-than-header image is rejected as truncated. No section size a
-/// header accepts exceeds `image_size`, so callers may size their reads
-/// and allocations from it. Every failure is Corruption.
+/// image is exactly the base sections, or the base plus the HIP section
+/// (CheckAdsBinaryLength). `header` must hold the image's first
+/// min(image_size, kAdsBinaryHeaderBytes) bytes. v1 text is recognised by
+/// its magic and rejected with a message that names `hipads_cli convert`;
+/// any other shorter-than-header image is rejected as truncated. No
+/// section size a header accepts exceeds `image_size`, so callers may size
+/// their reads and allocations from it. Every failure is Corruption.
 StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
                                                uint64_t image_size);
 
 /// Step two: verifies every section byte against `header` — the chained
 /// checksum, offsets spanning the arena monotonically, entry sanity, every
 /// node block in canonical (dist, node, part) order and, with the HIP
-/// section, its header, own checksum and per-entry integrity — on a pool
-/// sized to the image, failures in the order described above.
+/// section, its header, own checksum and every tau in {0} ∪ (0, 1] — on a
+/// pool sized to the image, failures in the order described above. With
+/// the HIP section it also fills `sections.hip_weight`.
 Status CheckAdsBinarySections(const AdsBinaryHeader& header,
                               const AdsBinarySections& sections);
 
 /// The section pointers of a contiguous v2 image at `image` (8-byte
 /// aligned, as heap buffers and mmap regions are) whose header passed
-/// CheckAdsBinaryHeader.
+/// CheckAdsBinaryHeader. hip_weight stays null: the caller supplies it.
 AdsBinarySections MappedAdsSections(const AdsBinaryHeader& header,
                                     const char* image);
 
@@ -221,7 +240,8 @@ StatusOr<FlatAdsSet> ReadFlatAdsSetFile(
 /// ReadFlatAdsSetFile into the storage of `*set`, which it replaces: each
 /// array is cleared and then resized, so one whose capacity suffices is
 /// refilled in place, a growing one copies nothing stale, and a file
-/// without the HIP section leaves the HIP arrays empty. The validation is
+/// without the HIP section leaves the HIP arrays empty (with it, tau is
+/// read and hip_weight is the validator's output). The validation is
 /// ReadFlatAdsSetFile's, in full. On failure `*set` holds unchecked bytes
 /// and must be discarded. The sharded loader reloads shards into the
 /// storage of evicted ones this way.

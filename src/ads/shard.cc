@@ -465,17 +465,13 @@ Status ShardedAdsSet::ValidateFiles() const {
       return Status::IOError("manifest references missing shard file " +
                              path + ": " + ec.message());
     }
-    uint64_t expected =
-        AdsBinaryFileSize(info.end - info.begin, info.num_entries);
     // Exactly two sizes are valid per shard: the base v2 image or base +
     // the optional HIP section (shards may mix — the section is per-file).
-    uint64_t expected_hip = expected + AdsHipSectionBytes(info.num_entries);
-    if (actual != expected && actual != expected_hip) {
-      return Status::Corruption(
-          "shard file " + path + " is " + std::to_string(actual) +
-          " bytes; manifest implies " + std::to_string(expected) + " or " +
-          std::to_string(expected_hip) +
-          (actual < expected ? " (truncated?)" : " (trailing data?)"));
+    auto length =
+        CheckAdsBinaryLength(info.end - info.begin, info.num_entries, actual);
+    if (!length.ok()) {
+      return Status::Corruption("shard file " + path + ": " +
+                                length.status().message());
     }
   }
   return Status::Ok();
@@ -488,10 +484,9 @@ bool ShardedAdsSet::HipResident() const {
       std::error_code ec;
       uint64_t actual =
           std::filesystem::file_size(JoinPath(dir_, info.file), ec);
-      if (ec ||
-          actual != AdsBinaryFileSize(info.end - info.begin,
-                                      info.num_entries) +
-                        AdsHipSectionBytes(info.num_entries)) {
+      auto has_hip = CheckAdsBinaryLength(info.end - info.begin,
+                                          info.num_entries, actual);
+      if (ec || !has_hip.ok() || !has_hip.value()) {
         all = false;
         break;
       }

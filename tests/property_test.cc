@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -300,13 +301,21 @@ TEST_P(AdsPropertyTest, IsolatedNodesSketchOnlyThemselves) {
   }
 }
 
+// True iff n doubles at a and b are the same bits.
+bool SameDoubles(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
 TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
   // The storage contract of the precomputed HIP section, across random
-  // sketches and every servable rank kind (including the weighted
-  // exponential/priority ranks, whose beta must round-trip consistently):
-  // weights written once, mmapped back and served — from a plain file and
-  // from a sharded directory with a hip-less shard mixed in — are bitwise
-  // equal to a fresh per-node scan of the same sketch.
+  // sketches, every flavor (k-mins with its zero filler slots) and every
+  // servable rank kind (including the weighted exponential/priority ranks,
+  // whose beta must round-trip consistently): PrecomputeHipWeights' arrays
+  // equal a fresh per-node scan, and the file keeps only tau, so every
+  // reader derives the weights — the copying readers (into a fresh set and
+  // into a recycled one), the mmap open, and sharded directories in copy
+  // and mmap mode with a hip-less shard mixed in. Every tau and weight
+  // served must be bitwise the in-memory one.
   const PropertyCase& c = GetParam();
   Graph g = MakeGraph(c);
   auto beta = [](uint64_t v) { return 0.5 + static_cast<double>(v % 5) * 0.4; };
@@ -316,69 +325,123 @@ TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
   };
   const RankCase rank_cases[] = {
       {"uniform", RankAssignment::Uniform(c.seed)},
+      {"base-b", RankAssignment::BaseB(c.seed, 2.0)},
       {"exponential", RankAssignment::Exponential(c.seed, beta)},
       {"priority", RankAssignment::Priority(c.seed, beta)},
   };
-  for (const RankCase& rc : rank_cases) {
-    FlatAdsSet set = FlatAdsSet::FromAdsSet(
-        BuildAdsPrunedDijkstra(g, c.k, SketchFlavor::kBottomK, rc.ranks));
-    PrecomputeHipWeights(&set, 2);
+  // Read into by every case in turn, so each load lands in the storage of
+  // the one before, with stale weights left in it.
+  FlatAdsSet recycled;
+  for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
+                              SketchFlavor::kKPartition}) {
+    for (const RankCase& rc : rank_cases) {
+      const std::string what =
+          std::string(rc.name) + " flavor " +
+          std::to_string(static_cast<int>(flavor));
+      FlatAdsSet set = FlatAdsSet::FromAdsSet(
+          BuildAdsPrunedDijkstra(g, c.k, flavor, rc.ranks));
+      PrecomputeHipWeights(&set, 2);
+      const size_t m = set.TotalEntries();
+      ASSERT_EQ(set.hip_weight.size(), m) << what;
+      if (flavor == SketchFlavor::kKMins && c.k > 1) {
+        // Each owner enters its own sketch once per permutation: k - 1
+        // fillers per node at least.
+        EXPECT_GE(std::count(set.hip_tau.begin(), set.hip_tau.end(), 0.0),
+                  static_cast<std::ptrdiff_t>(set.num_nodes() * (c.k - 1)))
+            << what;
+      }
 
-    ScratchDir dir(std::string("hipads_property_test_hip_") + rc.name + "_" +
-                   std::to_string(c.seed) + "_" + std::to_string(c.graph_kind));
-    std::string path = dir.file("set.ads2");
-    std::string shard_dir = dir.file("shards");
-    ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2).ok());
-    ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
-    // Strip one shard's section: the mixed set must still serve the rest.
-    std::string victim =
-        (std::filesystem::path(shard_dir) / "shard-00002.ads2").string();
-    auto loaded = ReadFlatAdsSetFile(victim, beta);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    loaded.value().hip_tau.clear();
-    loaded.value().hip_weight.clear();
-    ASSERT_TRUE(
-        WriteAdsSetFile(loaded.value(), victim, AdsFileFormat::kBinaryV2)
-            .ok());
+      HipScratch scratch;
+      std::vector<double> tau, weight;
+      for (NodeId v = 0; v < set.num_nodes(); ++v) {
+        AdsView ads = set.of(v);
+        tau.assign(ads.size(), -1.0);
+        weight.assign(ads.size(), -1.0);
+        ComputeHipWeightsAligned(ads, c.k, flavor, rc.ranks, &scratch,
+                                 tau.data(), weight.data());
+        const uint64_t off = set.offsets[v];
+        ASSERT_TRUE(SameDoubles(tau.data(), &set.hip_tau[off], ads.size()))
+            << what << " v=" << v;
+        ASSERT_TRUE(
+            SameDoubles(weight.data(), &set.hip_weight[off], ads.size()))
+            << what << " v=" << v;
+      }
 
-    auto mapped = MmapAdsSet::Open(path, beta);
-    ASSERT_TRUE(mapped.ok()) << rc.name << ": " << mapped.status().ToString();
-    ASSERT_TRUE(mapped.value().HipResident()) << rc.name;
-    ShardedOptions options;
-    options.beta = beta;
-    options.max_resident = 2;
-    options.use_mmap = true;
-    auto sharded = ShardedAdsSet::Open(shard_dir, options);
-    ASSERT_TRUE(sharded.ok()) << rc.name << ": "
-                              << sharded.status().ToString();
-    EXPECT_FALSE(sharded.value().HipResident()) << rc.name;  // mixed
+      ScratchDir dir(std::string("hipads_property_test_hip_") + rc.name +
+                     "_" + std::to_string(static_cast<int>(flavor)) + "_" +
+                     std::to_string(c.seed) + "_" +
+                     std::to_string(c.graph_kind));
+      std::string path = dir.file("set.ads2");
+      std::string shard_dir = dir.file("shards");
+      ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2).ok());
+      ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
+      // Strip one shard's section: the mixed set must still serve the rest.
+      std::string victim =
+          (std::filesystem::path(shard_dir) / "shard-00002.ads2").string();
+      auto stripped = ReadFlatAdsSetFile(victim, beta);
+      ASSERT_TRUE(stripped.ok()) << stripped.status().ToString();
+      stripped.value().hip_tau.clear();
+      stripped.value().hip_weight.clear();
+      ASSERT_TRUE(
+          WriteAdsSetFile(stripped.value(), victim, AdsFileFormat::kBinaryV2)
+              .ok());
 
-    HipScratch scratch;
-    std::vector<double> tau, weight;
-    for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      AdsView ads = set.of(v);
-      tau.assign(ads.size(), -1.0);
-      weight.assign(ads.size(), -1.0);
-      ComputeHipWeightsAligned(ads, c.k, SketchFlavor::kBottomK, rc.ranks,
-                               &scratch, tau.data(), weight.data());
-      auto from_map = mapped.value().HipOf(v);
-      ASSERT_TRUE(from_map.ok());
-      ASSERT_TRUE(from_map.value().present()) << rc.name << " v=" << v;
-      auto from_shards = sharded.value().HipOf(v);
-      ASSERT_TRUE(from_shards.ok());
-      const bool stripped = sharded.value().ShardOf(v) == 2;
-      EXPECT_EQ(from_shards.value().present(), !stripped)
-          << rc.name << " v=" << v;
-      for (size_t i = 0; i < ads.size(); ++i) {
-        EXPECT_EQ(from_map.value().tau[i], tau[i])
-            << rc.name << " v=" << v << " i=" << i;
-        EXPECT_EQ(from_map.value().weight[i], weight[i])
-            << rc.name << " v=" << v << " i=" << i;
-        if (!stripped) {
-          EXPECT_EQ(from_shards.value().tau[i], tau[i])
-              << rc.name << " v=" << v << " i=" << i;
-          EXPECT_EQ(from_shards.value().weight[i], weight[i])
-              << rc.name << " v=" << v << " i=" << i;
+      // The whole arrays, from each single-file reader.
+      auto copied = ReadFlatAdsSetFile(path, beta);
+      ASSERT_TRUE(copied.ok()) << what << ": " << copied.status().ToString();
+      std::fill(recycled.hip_weight.begin(), recycled.hip_weight.end(), -3.0);
+      Status into = ReadFlatAdsSetFileInto(path, beta, &recycled);
+      ASSERT_TRUE(into.ok()) << what << ": " << into.ToString();
+      auto mapped = MmapAdsSet::Open(path, beta);
+      ASSERT_TRUE(mapped.ok()) << what << ": " << mapped.status().ToString();
+      ASSERT_TRUE(mapped.value().HipResident()) << what;
+      auto arena = mapped.value().Range(0);
+      ASSERT_TRUE(arena.ok());
+      struct Loaded {
+        const char* reader;
+        const double* tau;
+        const double* weight;
+        size_t size;
+      };
+      for (const Loaded& l :
+           {Loaded{"file", copied.value().hip_tau.data(),
+                   copied.value().hip_weight.data(),
+                   copied.value().hip_weight.size()},
+            Loaded{"recycled", recycled.hip_tau.data(),
+                   recycled.hip_weight.data(), recycled.hip_weight.size()},
+            Loaded{"mmap", arena.value().hip_tau, arena.value().hip_weight,
+                   arena.value().num_entries()}}) {
+        ASSERT_EQ(l.size, m) << what << " " << l.reader;
+        EXPECT_TRUE(SameDoubles(l.tau, set.hip_tau.data(), m))
+            << what << " " << l.reader;
+        EXPECT_TRUE(SameDoubles(l.weight, set.hip_weight.data(), m))
+            << what << " " << l.reader;
+      }
+
+      // Node by node, from sharded sets in both modes.
+      for (bool use_mmap : {true, false}) {
+        ShardedOptions options;
+        options.beta = beta;
+        options.max_resident = use_mmap ? 2 : 1;
+        options.use_mmap = use_mmap;
+        auto sharded = ShardedAdsSet::Open(shard_dir, options);
+        ASSERT_TRUE(sharded.ok())
+            << what << ": " << sharded.status().ToString();
+        EXPECT_FALSE(sharded.value().HipResident()) << what;  // mixed
+        for (NodeId v = 0; v < set.num_nodes(); ++v) {
+          const size_t size = set.of(v).size();
+          const uint64_t off = set.offsets[v];
+          auto hip = sharded.value().HipOf(v);
+          ASSERT_TRUE(hip.ok()) << what << ": " << hip.status().ToString();
+          const bool stripped_shard = sharded.value().ShardOf(v) == 2;
+          ASSERT_EQ(hip.value().present(), !stripped_shard)
+              << what << " v=" << v;
+          if (stripped_shard) continue;
+          EXPECT_TRUE(SameDoubles(hip.value().tau, &set.hip_tau[off], size))
+              << what << " mmap=" << use_mmap << " v=" << v;
+          EXPECT_TRUE(
+              SameDoubles(hip.value().weight, &set.hip_weight[off], size))
+              << what << " mmap=" << use_mmap << " v=" << v;
         }
       }
     }

@@ -3,14 +3,16 @@
 // and corruption handling (every structural damage returns
 // Status::Corruption and never crashes — these suites run under the asan
 // `serialize` ctest lane). The hostile-byte corpora run through every
-// reader: the in-memory parser, the file reader and the mmap open must
+// reader: the in-memory parser, the file readers and the mmap open must
 // agree on each image, v1 text and non-canonical blocks included.
 
 #include "ads/serialize.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -24,6 +26,7 @@
 #include "ads/builders.h"
 #include "ads/estimators.h"
 #include "ads/hip.h"
+#include "ads/shard.h"
 #include "graph/generators.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -185,17 +188,19 @@ void RestampBaseChecksum(std::string* bytes) {
 }
 
 // Re-stamps the HIP section checksum of an image whose section starts at
-// `base`, as the format defines it: XXH64 of the section header with its
-// checksum field zeroed (seed 0), chained into tau[], chained into
-// weight[].
-void RestampHipChecksum(std::string* bytes, size_t base) {
+// `base` and runs to its end, as the format defines it: XXH64 of the
+// section header with its checksum field zeroed (seed 0), chained into
+// each array that follows it — tau[] in a version 3 section, tau[] then
+// weight[] in a retired version 2 one.
+void RestampHipChecksum(std::string* bytes, size_t base, int arrays = 1) {
   const size_t tau_at = base + kAdsHipSectionHeaderBytes;
-  const size_t array_bytes = (bytes->size() - tau_at) / 2;
+  const size_t array_bytes = (bytes->size() - tau_at) / arrays;
   std::string header(*bytes, base, kAdsHipSectionHeaderBytes);
   std::memset(header.data() + kHipChecksumAt, 0, 8);
   uint64_t sum = Xxh64(header.data(), header.size(), 0);
-  sum = Xxh64(bytes->data() + tau_at, array_bytes, sum);
-  sum = Xxh64(bytes->data() + tau_at + array_bytes, array_bytes, sum);
+  for (int a = 0; a < arrays; ++a) {
+    sum = Xxh64(bytes->data() + tau_at + a * array_bytes, array_bytes, sum);
+  }
   std::memcpy(bytes->data() + base + kHipChecksumAt, &sum, sizeof(uint64_t));
 }
 
@@ -365,13 +370,15 @@ TEST(SerializeBinaryTest, HipSectionLeavesBaseImageBitIdentical) {
   FlatAdsSet set = BuildFlat(50, 17, 8, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(23));
   std::string base = SerializeAdsSetBinary(set);
+  ASSERT_EQ(base.size(),
+            AdsBinaryFileSize(set.num_nodes(), set.TotalEntries()));
   PrecomputeHipWeights(&set, 1);
   std::string with_hip = SerializeAdsSetBinary(set);
   ASSERT_GT(with_hip.size(), base.size());
   EXPECT_EQ(with_hip.substr(0, base.size()), base);
-  // +16 bytes per entry plus the 32-byte section header.
+  // +8 bytes per entry (tau alone) plus the 32-byte section header.
   EXPECT_EQ(with_hip.size() - base.size(),
-            kAdsHipSectionHeaderBytes + 16 * set.TotalEntries());
+            kAdsHipSectionHeaderBytes + 8 * set.TotalEntries());
   // Truncating the section off yields a valid hip-less file again.
   auto stripped = ParseFlatAdsSetBinary(with_hip.substr(0, base.size()));
   ASSERT_TRUE(stripped.ok()) << stripped.status().ToString();
@@ -392,13 +399,13 @@ TEST(SerializeBinaryTest, HipSectionRejectsTruncationAtEveryBoundary) {
   std::string bytes = HipBytes();
   const size_t base = ValidBytes().size();
   // Every structural boundary of the section, plus off-by-one around each:
-  // inside the header, at the header end, inside tau[], at the tau/weight
-  // seam, inside weight[], one short of complete.
+  // inside the header, at the header end, inside tau[], one tau short of
+  // complete, one byte short.
   const size_t header_end = base + kAdsHipSectionHeaderBytes;
-  const size_t seam = header_end + (bytes.size() - header_end) / 2;
+  const size_t middle = header_end + (bytes.size() - header_end) / 2;
   for (size_t len :
        {base + 1, base + kAdsHipSectionHeaderBytes / 2, header_end - 1,
-        header_end, header_end + 1, seam - 1, seam, seam + 1,
+        header_end, header_end + 1, middle - 1, middle, middle + 1,
         bytes.size() - 8, bytes.size() - 1}) {
     ExpectCorruption(bytes.substr(0, len), "truncated HIP section");
   }
@@ -434,49 +441,161 @@ TEST(SerializeBinaryTest, HipSectionRejectsHeaderAndPayloadCorruption) {
   }
   {
     std::string bytes = HipBytes();
-    bytes[bytes.size() - 3] ^= 0x40;  // a weight[] payload bit
+    bytes[bytes.size() - 3] ^= 0x40;  // a tau[] payload bit
     ExpectCorruption(bytes, "HIP payload bit flip");
   }
 }
 
-TEST(SerializeBinaryTest, HipSectionRejectsInconsistentWeights) {
-  // A section that passes its checksum but stores tau/weight pairs
-  // violating weight == 1/tau (or tau outside (0, 1]) must be rejected:
-  // serving trusts these values blindly on the hot path. Corrupt the
-  // doubles, then re-stamp the section checksum so only the per-entry
-  // validation can catch it. The checksum field lives at section + 24.
-  auto corrupt_first_tau = [](double tau, double weight) {
-    std::string bytes = HipBytes();
-    const size_t base = ValidBytes().size();
-    const size_t tau_at = base + kAdsHipSectionHeaderBytes;
-    const uint64_t n = (bytes.size() - tau_at) / (2 * sizeof(double));
-    std::memcpy(bytes.data() + tau_at, &tau, sizeof(double));
-    std::memcpy(bytes.data() + tau_at + n * sizeof(double), &weight,
-                sizeof(double));
-    // Recompute the section checksum as the format defines it, not by
-    // calling the writer.
-    RestampHipChecksum(&bytes, base);
-    return bytes;
-  };
+// A section that passes its checksum but stores a tau outside {0} ∪ (0, 1]
+// must be rejected: serving trusts the weights derived from it blindly on
+// the hot path. Corrupt the first tau, then re-stamp the section checksum
+// (computed here as the format defines it, not by calling the writer) so
+// only the per-entry validation can catch it.
+std::string HipBytesWithFirstTau(double tau) {
+  std::string bytes = HipBytes();
+  const size_t base = ValidBytes().size();
+  std::memcpy(bytes.data() + base + kAdsHipSectionHeaderBytes, &tau,
+              sizeof(double));
+  RestampHipChecksum(&bytes, base);
+  return bytes;
+}
+
+TEST(SerializeBinaryTest, HipSectionRejectsInvalidTau) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  ExpectCorruption(corrupt_first_tau(0.5, 3.0), "weight != 1/tau");
-  ExpectCorruption(corrupt_first_tau(1.5, 1.0 / 1.5), "tau > 1");
-  ExpectCorruption(corrupt_first_tau(-0.5, -2.0), "tau < 0");
-  ExpectCorruption(corrupt_first_tau(0.0, 1.0), "zero tau, nonzero weight");
-  ExpectCorruption(corrupt_first_tau(nan, nan), "NaN pair");
-  // Sanity: the re-stamping helper itself round-trips a legal pair.
-  auto untouched = ParseFlatAdsSetBinary(corrupt_first_tau(1.0, 1.0));
-  EXPECT_TRUE(untouched.ok()) << untouched.status().ToString();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double tau : {std::nextafter(1.0, 2.0), 1.5, -0.5,
+                     -std::numeric_limits<double>::denorm_min(), nan, inf,
+                     -inf}) {
+    auto result = ParseWithEveryReader(HipBytesWithFirstTau(tau),
+                                       "tau " + std::to_string(tau), true);
+    ASSERT_FALSE(result.ok()) << tau;
+    EXPECT_EQ(result.status().message(), "invalid HIP tau at index 0");
+  }
+  // Sanity: the re-stamping helper itself round-trips a legal tau, and the
+  // weight every reader derives is its inverse.
+  auto one = ParseWithEveryReader(HipBytesWithFirstTau(1.0), "tau 1");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one.value().hip_weight[0], 1.0);
+}
+
+// A file written before the HIP section stored tau alone carries section
+// version 2: tau[] then weight[], +16 bytes per entry. This builds one by
+// hand, as that layout defined it: `set`'s base image, the section header,
+// both arrays, and the section checksum chained over both.
+std::string WithRetiredHipSection(const FlatAdsSet& set) {
+  FlatAdsSet base = set;
+  base.hip_tau.clear();
+  base.hip_weight.clear();
+  std::string bytes = SerializeAdsSetBinary(base);
+  const size_t section_at = bytes.size();
+  const uint64_t m = set.TotalEntries();
+  const uint32_t version = 2;
+  char header[kAdsHipSectionHeaderBytes] = {};
+  std::memcpy(header, "hipadshw", 8);
+  std::memcpy(header + 8, &version, sizeof(version));
+  std::memcpy(header + 16, &m, sizeof(m));
+  bytes.append(header, sizeof(header));
+  bytes.append(reinterpret_cast<const char*>(set.hip_tau.data()),
+               m * sizeof(double));
+  bytes.append(reinterpret_cast<const char*>(set.hip_weight.data()),
+               m * sizeof(double));
+  RestampHipChecksum(&bytes, section_at, 2);
+  return bytes;
+}
+
+void ExpectRetiredHipMessage(const Status& status, uint64_t base_bytes,
+                             const std::string& what) {
+  EXPECT_EQ(status.code(), Status::Code::kCorruption) << what;
+  const std::string& message = status.message();
+  EXPECT_NE(message.find("HIP section version 2"), std::string::npos)
+      << what << ": " << message;
+  EXPECT_NE(message.find(std::to_string(base_bytes) + "-byte base image"),
+            std::string::npos)
+      << what << ": " << message;
+  EXPECT_NE(message.find("hipads_cli convert --hip 1"), std::string::npos)
+      << what << ": " << message;
+}
+
+// Every reader refuses a version-2 section with one message naming the
+// version and the base-image length to truncate to — also with no entries,
+// where both layouts are 32 bytes long and only the section header's
+// version field tells them apart. The migration the message names works:
+// the truncated file loads without the section, and recomputing it gives
+// the current writer's file.
+TEST(SerializeBinaryTest, RetiredHipSectionFailsClosedNamingTheVersion) {
+  FlatAdsSet set = BuildFlat(40, 7, 4, SketchFlavor::kKMins,
+                             RankAssignment::Uniform(3));
+  PrecomputeHipWeights(&set, 1);
+  FlatAdsSet no_entries;
+  no_entries.k = 4;
+  no_entries.ranks = RankAssignment::Uniform(3);
+  no_entries.offsets = {0, 0, 0, 0};
+  for (const FlatAdsSet* s : {&set, &no_entries}) {
+    const uint64_t m = s->TotalEntries();
+    const std::string what = std::to_string(m) + " entries";
+    const std::string bytes = WithRetiredHipSection(*s);
+    const uint64_t base = AdsBinaryFileSize(s->num_nodes(), m);
+    ASSERT_EQ(bytes.size(), base + kAdsHipSectionHeaderBytes + 16 * m);
+    auto result = ParseWithEveryReader(bytes, what, true);
+    ASSERT_FALSE(result.ok()) << what;
+    ExpectRetiredHipMessage(result.status(), base, what);
+
+    auto migrated = ParseFlatAdsSetBinary(bytes.substr(0, base));
+    ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+    EXPECT_FALSE(migrated.value().has_hip());
+    PrecomputeHipWeights(&migrated.value(), 1);
+    EXPECT_EQ(SerializeAdsSetBinary(migrated.value()),
+              SerializeAdsSetBinary(*s))
+        << what;
+  }
+}
+
+// A shard directory holding a version-2 section fails at the size check
+// every sharded open runs, before any sweep, naming the file and the old
+// section.
+TEST(SerializeBinaryTest, ShardWithRetiredHipSectionFailsValidateFiles) {
+  FlatAdsSet set = BuildFlat(60, 7, 4, SketchFlavor::kBottomK,
+                             RankAssignment::Uniform(3));
+  PrecomputeHipWeights(&set, 1);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hipads_retired_hip_shards_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(WriteShardedAdsSet(set, dir.string(), 3).ok());
+  const std::string victim = (dir / "shard-00001.ads2").string();
+  auto shard = ReadFlatAdsSetFile(victim);
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  {
+    std::ofstream f(victim, std::ios::binary | std::ios::trunc);
+    f << WithRetiredHipSection(shard.value());
+  }
+  const uint64_t base =
+      AdsBinaryFileSize(shard.value().num_nodes(), shard.value().TotalEntries());
+
+  auto sharded = ShardedAdsSet::Open(dir.string());
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_FALSE(sharded.value().HipResident());
+  Status valid = sharded.value().ValidateFiles();
+  ASSERT_FALSE(valid.ok());
+  EXPECT_NE(valid.message().find("shard-00001.ads2"), std::string::npos)
+      << valid.message();
+  ExpectRetiredHipMessage(valid, base, "ValidateFiles");
+  for (BackendMode mode : {BackendMode::kCopy, BackendMode::kMmap}) {
+    AdsBackendOptions options;
+    options.mode = mode;
+    auto opened = OpenAdsBackend(dir.string(), options);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().message(), valid.message());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- images loaded on a pool -----------------------------------------------
 
 // A v2+HIP image of ~2.6 MB, so every reader loads and checks it on a
 // pool (one thread per 256 KiB of image, up to 8 and the host's count):
-// 4096 nodes of 16 canonical entries, each slot a valid (tau, 1 / tau)
-// pair.
-// Returns the image and the byte offsets of its entries, tau and weight
-// arrays.
+// 4096 nodes of 16 canonical entries, each slot a valid tau.
+// Returns the image and the byte offsets of its entries and tau arrays.
 struct LargeImage {
   static constexpr uint32_t kPerNode = 16;
   std::string bytes;
@@ -484,7 +603,6 @@ struct LargeImage {
   size_t entries_at = 0;
   size_t hip_at = 0;  // the HIP section header
   size_t tau_at = 0;
-  size_t weight_at = 0;
 };
 
 const LargeImage& LargeHipImage() {
@@ -513,7 +631,6 @@ const LargeImage& LargeHipImage() {
     out.entries_at = kAdsBinaryHeaderBytes + (kNodes + 1) * sizeof(uint64_t);
     out.hip_at = out.entries_at + out.num_entries * sizeof(AdsEntry);
     out.tau_at = out.hip_at + kAdsHipSectionHeaderBytes;
-    out.weight_at = out.tau_at + out.num_entries * sizeof(double);
     return out;
   }();
   return image;
@@ -534,7 +651,7 @@ TEST(SerializeBinaryTest, LargeImageLoadsIdenticallyThroughEveryReader) {
 // are what object. Every reader must return the same Status code and
 // message, naming the lowest failing index — and the fixed precedence
 // (checksum, offsets, entries, canonical order, HIP header, HIP checksum,
-// HIP weights) must hold across arrays.
+// HIP tau) must hold across arrays.
 TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
   const LargeImage& image = LargeHipImage();
   const uint64_t n = image.num_entries;
@@ -548,12 +665,12 @@ TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
   auto bad_entry = [&](std::string* bytes, uint64_t i) {
     put(bytes, image.entries_at + i * sizeof(AdsEntry) + 16, nan);  // dist
   };
-  auto bad_tau = [&](std::string* bytes, uint64_t i) {
-    put(bytes, image.tau_at + i * sizeof(double), 1.5);
+  auto tau_of = [&](double tau) {
+    return [&image, &put, tau](std::string* bytes, uint64_t i) {
+      put(bytes, image.tau_at + i * sizeof(double), tau);
+    };
   };
-  auto bad_weight = [&](std::string* bytes, uint64_t i) {
-    put(bytes, image.weight_at + i * sizeof(double), 3.0);
-  };
+  auto bad_tau = tau_of(1.5);
   auto expect = [](const std::string& bytes, const std::string& message,
                    const std::string& what) {
     auto result = ParseWithEveryReader(bytes, what, true);
@@ -561,11 +678,17 @@ TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
     EXPECT_EQ(result.status().code(), Status::Code::kCorruption) << what;
     EXPECT_EQ(result.status().message(), message) << what;
   };
+  // Every tau outside {0} ∪ (0, 1] is refused: just past 1, negative, NaN
+  // and infinite.
   using Damage = std::function<void(std::string*, uint64_t)>;
   const std::vector<std::tuple<const char*, Damage, std::string>> arrays = {
       {"entries", bad_entry, "invalid entry at index "},
-      {"tau", bad_tau, "invalid HIP weight at index "},
-      {"weight", bad_weight, "invalid HIP weight at index "},
+      {"tau 1 + ulp", tau_of(std::nextafter(1.0, 2.0)),
+       "invalid HIP tau at index "},
+      {"tau -0.25", tau_of(-0.25), "invalid HIP tau at index "},
+      {"tau NaN", tau_of(nan), "invalid HIP tau at index "},
+      {"tau +inf", tau_of(std::numeric_limits<double>::infinity()),
+       "invalid HIP tau at index "},
   };
   const std::vector<std::vector<uint64_t>> index_sets = {
       {first}, {middle}, {last}, {middle, last}, {last, first, middle}};
@@ -583,18 +706,33 @@ TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
     }
   }
   {
-    // Entry damage outranks weight damage at a lower index.
+    // A -0.0 tau is a filler like +0.0: accepted, with weight +0.0 (the
+    // value the HIP scan writes for a filler), in every slice.
     std::string bytes = image.bytes;
-    bad_weight(&bytes, first);
+    for (uint64_t i : {first, middle, last}) tau_of(-0.0)(&bytes, i);
+    RestampHipChecksum(&bytes, image.hip_at);
+    auto loaded = ParseWithEveryReader(bytes, "tau -0.0", true);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    for (uint64_t i : {first, middle, last}) {
+      const double tau = loaded.value().hip_tau[i];
+      const double weight = loaded.value().hip_weight[i];
+      EXPECT_TRUE(tau == 0.0 && std::signbit(tau)) << i;
+      EXPECT_TRUE(weight == 0.0 && !std::signbit(weight)) << i;
+    }
+  }
+  {
+    // Entry damage outranks tau damage at a lower index.
+    std::string bytes = image.bytes;
+    bad_tau(&bytes, first);
     bad_entry(&bytes, last);
     RestampBaseChecksum(&bytes);
     RestampHipChecksum(&bytes, image.hip_at);
     expect(bytes, "invalid entry at index " + std::to_string(last),
-           "entries before HIP weights");
+           "entries before HIP tau");
   }
   {
     // Blocks out of canonical order in a middle and the last slice: the
-    // lower node is named, after entry damage and before weight damage.
+    // lower node is named, after entry damage and before tau damage.
     auto swap_first_two = [&](std::string* bytes, uint64_t node) {
       char* at = bytes->data() + image.entries_at +
                  node * LargeImage::kPerNode * sizeof(AdsEntry);
@@ -603,11 +741,11 @@ TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
     std::string bytes = image.bytes;
     swap_first_two(&bytes, 4095);
     swap_first_two(&bytes, 2049);
-    bad_weight(&bytes, first);
+    bad_tau(&bytes, first);
     RestampBaseChecksum(&bytes);
     RestampHipChecksum(&bytes, image.hip_at);
     expect(bytes, "entries of node 2049 not in canonical order",
-           "order before HIP weights");
+           "order before HIP tau");
     bad_entry(&bytes, last);
     RestampBaseChecksum(&bytes);
     expect(bytes, "invalid entry at index " + std::to_string(last),
@@ -628,10 +766,10 @@ TEST(SerializeBinaryTest, LargeImageReportsTheLowestFailingIndex) {
     // Without re-stamping, each chain's checksum objects first.
     std::string bytes = image.bytes;
     bad_entry(&bytes, last);
-    bad_weight(&bytes, first);
+    bad_tau(&bytes, first);
     expect(bytes, "checksum mismatch", "base checksum");
     bytes = image.bytes;
-    bad_weight(&bytes, middle);
+    bad_tau(&bytes, middle);
     expect(bytes, "HIP section checksum mismatch", "HIP checksum");
   }
 }
@@ -661,7 +799,7 @@ TEST(SerializeBinaryTest, HipSectionFuzzRandomMutationsNeverCrash) {
 
 // Both chained checksums together cover every bit of an image: flip any
 // single bit of a small image carrying the HIP section — header, offsets,
-// entries, section header, tau or weight — and every reader refuses it.
+// entries, section header or tau — and every reader refuses it.
 TEST(SerializeBinaryTest, RejectsEverySingleBitFlipWithHipSection) {
   FlatAdsSet set = BuildFlat(6, 5, 2, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(9));

@@ -69,10 +69,11 @@
 // are requested.
 //
 // HIP-resident storage: `sketch --hip 1` and `convert --hip 1` precompute
-// the HIP estimator weights and store them in the v2 binary's optional HIP
-// section (+16 bytes/entry); `convert --strip-hip 1` removes the section.
+// the HIP estimator weights and store their tau in the v2 binary's optional
+// HIP section (+8 bytes/entry; every reader derives the weight 1/tau on
+// load); `convert --strip-hip 1` removes the section.
 // Serving a HIP-resident file turns every point estimator into a pointer
-// wrap over the mapped weights — `stats` and `serve` report which mode is
+// wrap over the loaded weights — `stats` and `serve` report which mode is
 // active as `hip=resident|scan` (`stats` on stderr, keeping its stdout
 // bitwise interchangeable with `--remote` runs). Answers are bitwise
 // identical either way.
