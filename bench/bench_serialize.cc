@@ -5,13 +5,17 @@
 // on a pool of one thread per 256 KiB of image, up to 8 and the hardware
 // count (every image here is over 1 MiB: 4 threads on 4 vCPUs). In the
 // recorded baseline (BENCH_serialize.json: Release build, 4 vCPUs,
-// --benchmark_repetitions=5) the n=4000 binary parse takes 1.98 ms against
-// 287 ms for the text parse, ~132x its byte throughput (medians of
+// --benchmark_repetitions=5) the n=4000 binary parse takes 2.21 ms against
+// 297 ms for the text parse, ~121x its byte throughput (medians of
 // BM_ParseBinaryV2/4000 and BM_ParseTextV1/4000) — the number that
 // justifies v2 as the serving format. The *Hip rows load the same set
 // with its HIP section (tau stored, weights derived by the validator).
-// Also measured: serialization cost both ways and the sharded whole-graph
-// sweep overhead vs the single arena.
+// Also measured: serialization cost both ways, the sharded whole-graph
+// sweep overhead vs the single arena, and graph input: BM_GenerateRmat
+// builds the scale-16 undirected R-MAT graph hipads_bench starts from, and
+// BM_ParseEdgeList reads the scale-16 R-MAT list as `hipads_cli generate
+// --model rmat --nodes 65536 --seed 3` writes it (5.4 MB, 524K edges),
+// as `sketch` does (undirected).
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +32,7 @@
 #include "ads/shard.h"
 #include "bench_common.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 
 namespace hipads {
 namespace {
@@ -185,6 +190,38 @@ BENCHMARK(BM_HarmonicAllSharded)
     ->Arg(2)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void BM_GenerateRmat(benchmark::State& state) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  uint64_t arcs = 0;
+  for (auto _ : state) {
+    Graph g = Rmat(scale, 8, 3, /*undirected=*/true);
+    arcs = g.num_arcs();
+    benchmark::DoNotOptimize(arcs);
+  }
+  state.counters["arcs"] = benchmark::Counter(static_cast<double>(arcs));
+}
+BENCHMARK(BM_GenerateRmat)->Arg(16)->Unit(benchmark::kMillisecond);
+
+void BM_ParseEdgeList(benchmark::State& state) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  std::string path =
+      (std::filesystem::temp_directory_path() / "bench_serialize_edges.txt")
+          .string();
+  WriteEdgeListFile(Rmat(scale, 8, 3), path);
+  uint64_t arcs = 0;
+  for (auto _ : state) {
+    auto read = ReadEdgeListFile(path, /*undirected=*/true);
+    arcs = read.value().num_arcs();
+    benchmark::DoNotOptimize(arcs);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(std::filesystem::file_size(path)) *
+      state.iterations());
+  state.counters["arcs"] = benchmark::Counter(static_cast<double>(arcs));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_ParseEdgeList)->Arg(16)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hipads

@@ -173,8 +173,12 @@ StatusOr<MmapAdsSet> MmapAdsSet::Open(const std::string& path,
   set.arena_.end = static_cast<NodeId>(h.num_nodes);
   set.arena_.offsets = sections.offsets;
   set.arena_.entries = sections.entries;
-  set.arena_.hip_tau = sections.hip_tau;  // null without a HIP section
-  set.arena_.hip_weight = sections.hip_weight;
+  // Null without a HIP section, and with an empty one: a copying reader
+  // loads that as a set without HIP arrays, and so must this one.
+  if (h.num_entries > 0) {
+    set.arena_.hip_tau = sections.hip_tau;
+    set.arena_.hip_weight = sections.hip_weight;
+  }
   return set;
 }
 

@@ -108,8 +108,11 @@ class AdsBackend {
   /// rules as ViewOf.
   virtual StatusOr<HipView> HipOf(NodeId /*v*/) const { return HipView{}; }
 
-  /// True when EVERY node of the backend serves precomputed HIP weights
-  /// (HipOf never falls back to the scan). Observability for operators
+  /// True when the backend holds at least one entry and serves EVERY
+  /// entry's precomputed HIP weight (no entry is ever scanned). A store
+  /// with no entries is never resident, whatever its file holds: the same
+  /// rule in every engine, since an in-memory FlatAdsSet cannot tell an
+  /// empty HIP section from none. Observability for operators
   /// (`stats`/`serve` report hip=resident|scan); never affects results.
   virtual bool HipResident() const { return false; }
 

@@ -479,8 +479,11 @@ Status ShardedAdsSet::ValidateFiles() const {
 
 bool ShardedAdsSet::HipResident() const {
   if (hip_resident_ < 0) {
-    bool all = !shards_.empty();
+    bool any = false;
+    bool all = true;
     for (const ShardInfo& info : shards_) {
+      if (info.num_entries == 0) continue;
+      any = true;
       std::error_code ec;
       uint64_t actual =
           std::filesystem::file_size(JoinPath(dir_, info.file), ec);
@@ -491,7 +494,7 @@ bool ShardedAdsSet::HipResident() const {
         break;
       }
     }
-    hip_resident_ = all ? 1 : 0;
+    hip_resident_ = any && all ? 1 : 0;
   }
   return hip_resident_ == 1;
 }

@@ -179,10 +179,11 @@ class ShardedAdsSet : public AdsBackend {
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  /// True iff EVERY shard file carries the HIP section (size-probed once,
-  /// lazily, without loading arenas). A mixed set reports false but still
-  /// serves precomputed weights from the shards that have them — each
-  /// range's arena view carries its own hip pointers.
+  /// True iff some shard holds entries and EVERY shard that does carries
+  /// the HIP section (size-probed once, lazily, without loading arenas);
+  /// shards without entries have nothing to store. A mixed set reports
+  /// false but still serves precomputed weights from the shards that have
+  /// them — each range's arena view carries its own hip pointers.
   bool HipResident() const override;
   void Prefetch(uint32_t r) const override;
   // Lazy loading + LRU eviction mutate residency state on reads, so the

@@ -72,24 +72,23 @@ Graph Rmat(uint32_t scale, uint64_t edges_per_node, uint64_t seed,
   NodeId n = NodeId{1} << scale;
   uint64_t m = edges_per_node * n;
   Rng rng(seed);
+  // One draw p per bit picks a quadrant: top-left if p < a, top-right if
+  // p < a + b, bottom-left if p < a + b + c, else bottom-right. The three
+  // comparisons become bits, so no branch depends on p; the bits equal
+  // that if-chain's for any a, b and c, NaN included.
+  const double ab = a + b;
+  const double abc = ab + c;
   std::vector<Edge> edges;
   edges.reserve(m);
   for (uint64_t e = 0; e < m; ++e) {
     NodeId u = 0, v = 0;
     for (uint32_t bit = 0; bit < scale; ++bit) {
-      double p = rng.NextUnit();
-      u <<= 1;
-      v <<= 1;
-      if (p < a) {
-        // top-left quadrant: no bits set
-      } else if (p < a + b) {
-        v |= 1;
-      } else if (p < a + b + c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      const double p = rng.NextUnit();
+      const NodeId past_a = !(p < a);
+      const NodeId past_ab = !(p < ab);
+      const NodeId past_abc = !(p < abc);
+      u = (u << 1) | (past_a & past_ab);
+      v = (v << 1) | (past_a & ((past_ab ^ 1) | past_abc));
     }
     if (u == v) continue;  // drop self loops
     edges.push_back(Edge{u, v, 1.0});

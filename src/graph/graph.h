@@ -11,6 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "util/default_init.h"
+
 namespace hipads {
 
 using NodeId = uint32_t;
@@ -38,7 +40,11 @@ class Graph {
 
   /// Builds a CSR graph from an edge list. If `undirected`, every edge is
   /// inserted in both directions. Self loops are kept; parallel arcs are
-  /// kept (they are harmless for shortest-path computations).
+  /// kept (they are harmless for shortest-path computations). Each node's
+  /// arcs keep the order of `edges` (an undirected edge gives its tail's
+  /// arc before its head's). The build runs on a pool of one thread per
+  /// 64K arcs (at most HardwareThreads()); the result does not depend on
+  /// the pool's width.
   Graph(NodeId num_nodes, const std::vector<Edge>& edges, bool undirected);
 
   NodeId num_nodes() const { return static_cast<NodeId>(offsets_.size() - 1); }
@@ -57,16 +63,23 @@ class Graph {
   /// True if every arc has weight exactly 1.
   bool IsUnitWeight() const;
 
-  /// The transpose graph (all arcs reversed). For undirected graphs this is
-  /// an identical copy.
+  /// The transpose graph (all arcs reversed): node v's arcs are the arcs
+  /// into v, ordered by tail and then by their place in the tail's list.
+  /// For undirected graphs this holds the same arcs, possibly reordered.
+  /// Built like the constructor's graph, on the same pool.
   Graph Transpose() const;
 
   /// Recovers the arc list (tail, head, weight) — mostly for tests and IO.
   std::vector<Edge> ToEdgeList() const;
 
  private:
-  std::vector<uint64_t> offsets_{0};  // size num_nodes + 1
-  std::vector<Arc> arcs_;
+  // Lays out the CSR arrays over `num_nodes` nodes from `arcs`, a source of
+  // (tail, Arc) pairs in the order each tail keeps them (graph.cc).
+  template <typename ArcSource>
+  void Build(NodeId num_nodes, const ArcSource& arcs);
+
+  DefaultInitVector<uint64_t> offsets_{0};  // size num_nodes + 1
+  DefaultInitVector<Arc> arcs_;
   bool undirected_ = false;
 };
 

@@ -6,10 +6,6 @@
 
 namespace hipads {
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   // SplitMix64-expand the seed into the four state words, as recommended by
   // the xoshiro authors. Guarantees a nonzero state for every seed.
@@ -19,20 +15,6 @@ Rng::Rng(uint64_t seed) {
     s = Mix64(x);
   }
 }
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextUnit() { return ToUnitInterval(Next()); }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
   // Rejection-free in the common case; falls back to rejection to remove

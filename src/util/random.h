@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/hash.h"
+
 namespace hipads {
 
 /// xoshiro256** PRNG (Blackman & Vigna), seeded via SplitMix64.
@@ -19,11 +21,22 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  /// Next raw 64-bit value.
-  uint64_t Next();
+  /// Next raw 64-bit value. Defined here so that the generators' draw
+  /// loops inline it.
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double NextUnit();
+  double NextUnit() { return ToUnitInterval(Next()); }
 
   /// Uniform integer in [0, bound). Requires bound > 0. Unbiased
   /// (Lemire's nearly-divisionless method).
@@ -39,6 +52,10 @@ class Rng {
   std::vector<uint32_t> NextPermutation(uint32_t n);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

@@ -479,6 +479,85 @@ TEST(BackendTest, EveryEngineServesStoredHipWeights) {
   }
 }
 
+// An empty node range of a HIP set writes a file with an empty HIP
+// section. Such a store holds no entry, so every engine — the copying
+// reader, mmap, and either kind of sharded set holding it as a shard —
+// loads it without HIP arrays, and none reports it resident: a shard
+// without entries neither makes nor breaks a sharded set's residency.
+TEST(BackendTest, EmptyHipStoreIsNotResidentInAnyEngine) {
+  FlatAdsSet set = BuildFlat(60, 17, 4);
+  PrecomputeHipWeights(&set, 1);
+  ScratchDir dir("hipads_backend_test_hip_empty");
+  const std::string path = dir.file("empty.ads2");
+  ASSERT_TRUE(WriteAdsSetRangeFile(set, 20, 20, path).ok());
+  ASSERT_EQ(std::filesystem::file_size(path),
+            AdsBinaryFileSize(0, 0) + AdsHipSectionBytes(0));
+
+  auto read = ReadFlatAdsSetFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_FALSE(read.value().has_hip());
+  FlatAdsBackend copied(&read.value());
+  auto mapped = MmapAdsSet::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  for (const AdsBackend* backend :
+       {static_cast<const AdsBackend*>(&copied),
+        static_cast<const AdsBackend*>(&mapped.value())}) {
+    EXPECT_EQ(backend->num_nodes(), 0u);
+    EXPECT_FALSE(backend->HipResident());
+    auto range = backend->Range(0);
+    ASSERT_TRUE(range.ok());
+    EXPECT_FALSE(range.value().has_hip());
+  }
+  for (BackendMode mode : {BackendMode::kCopy, BackendMode::kMmap}) {
+    AdsBackendOptions options;
+    options.mode = mode;
+    auto opened = OpenAdsBackend(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_FALSE(opened.value()->HipResident());
+  }
+
+  // Shard 2 is the empty range [60, 60), with its empty HIP section.
+  const std::string shard_dir = dir.file("shards");
+  ASSERT_TRUE(
+      WriteShardedAdsSet(set, shard_dir, std::vector<NodeId>{0, 30, 60}).ok());
+  ASSERT_EQ(std::filesystem::file_size(
+                std::filesystem::path(shard_dir) / "shard-00002.ads2"),
+            AdsBinaryFileSize(0, 0) + AdsHipSectionBytes(0));
+  // The same shards with shard 1 stripped of its section: one shard that
+  // holds entries scans, so the set is not resident.
+  const std::string mixed_dir = dir.file("mixed");
+  ASSERT_TRUE(
+      WriteShardedAdsSet(set, mixed_dir, std::vector<NodeId>{0, 30, 60}).ok());
+  const std::string victim =
+      (std::filesystem::path(mixed_dir) / "shard-00001.ads2").string();
+  auto stripped = ReadFlatAdsSetFile(victim);
+  ASSERT_TRUE(stripped.ok());
+  stripped.value().hip_tau.clear();
+  stripped.value().hip_weight.clear();
+  ASSERT_TRUE(
+      WriteAdsSetFile(stripped.value(), victim, AdsFileFormat::kBinaryV2).ok());
+  for (bool use_mmap : {false, true}) {
+    ShardedOptions options;
+    options.use_mmap = use_mmap;
+    for (const auto& [shards, resident] :
+         {std::pair{shard_dir, true}, std::pair{mixed_dir, false}}) {
+      const std::string what =
+          shards + (use_mmap ? " (mmap)" : " (copy)");
+      auto sharded = ShardedAdsSet::Open(shards, options);
+      ASSERT_TRUE(sharded.ok()) << what << ": " << sharded.status().ToString();
+      EXPECT_TRUE(sharded.value().ValidateFiles().ok()) << what;
+      EXPECT_EQ(sharded.value().HipResident(), resident) << what;
+      auto empty = sharded.value().Range(2);
+      ASSERT_TRUE(empty.ok()) << what;
+      EXPECT_EQ(empty.value().num_nodes(), 0u) << what;
+      EXPECT_FALSE(empty.value().has_hip()) << what;
+      auto first = sharded.value().Range(0);
+      ASSERT_TRUE(first.ok()) << what;
+      EXPECT_TRUE(first.value().has_hip()) << what;
+    }
+  }
+}
+
 TEST(BackendTest, MixedShardedSetServesResidentShardsAndScansTheRest) {
   FlatAdsSet set = BuildFlat(160, 53, 4);
   PrecomputeHipWeights(&set, 1);

@@ -1,11 +1,121 @@
 #include "graph/generators.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
+
+#include <bit>
+#include <functional>
+#include <string>
 
 #include "graph/traversal.h"
+#include "util/hash.h"
+#include "util/parallel.h"
 
 namespace hipads {
 namespace {
+
+// XXH64 of every node's arcs in order: the node count, the direction
+// flag, then per node its degree and each arc's head and weight bits.
+uint64_t ArcDigest(const Graph& g) {
+  std::string bytes;
+  auto put = [&bytes](auto x) {
+    bytes.append(reinterpret_cast<const char*>(&x), sizeof(x));
+  };
+  put(g.num_nodes());
+  put(static_cast<uint8_t>(g.undirected()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    put(g.OutDegree(v));
+    for (const Arc& a : g.OutArcs(v)) {
+      put(a.head);
+      put(std::bit_cast<uint64_t>(a.weight));
+    }
+  }
+  return Xxh64(bytes.data(), bytes.size(), 0);
+}
+
+// Every generator at a fixed seed, with the arc count and digest its graph
+// had when each node's arcs were placed by one sequential pass over the
+// edge list. The CLI's `generate` output and every sketch built from it
+// follow from these arcs, so none of them may move. The scale-15 R-MAT
+// graphs (262K and 524K arcs) and their transposes are large enough to
+// build on a pool of several threads.
+struct DigestCase {
+  const char* name;
+  std::function<Graph()> make;
+  uint64_t arcs;
+  uint64_t digest;
+};
+
+const std::vector<DigestCase>& DigestCases() {
+  static const std::vector<DigestCase> cases = {
+      {"Rmat(10, 8, 5)", [] { return Rmat(10, 8, 5); }, 8125u,
+       0xf460597bfc762793ULL},
+      {"Rmat(10, 8, 5, undirected)", [] { return Rmat(10, 8, 5, true); },
+       16250u, 0xd02b3acd050738c4ULL},
+      {"Rmat(15, 8, 7)", [] { return Rmat(15, 8, 7); }, 261939u,
+       0xdfb36baa0a5ebb15ULL},
+      {"Rmat(15, 8, 7, undirected)", [] { return Rmat(15, 8, 7, true); },
+       523878u, 0x69806f79b91aadb8ULL},
+      {"Rmat(15, 8, 7).Transpose()", [] { return Rmat(15, 8, 7).Transpose(); },
+       261939u, 0x2bb09ff607c515e4ULL},
+      {"Rmat(15, 8, 7, undirected).Transpose()",
+       [] { return Rmat(15, 8, 7, true).Transpose(); }, 523878u,
+       0x422636782f82476bULL},
+      {"ErdosRenyi(2000, 8000, undirected)",
+       [] { return ErdosRenyi(2000, 8000, true, 11); }, 16000u,
+       0x301d289ee4f1d067ULL},
+      {"ErdosRenyi(2000, 8000, directed)",
+       [] { return ErdosRenyi(2000, 8000, false, 12); }, 8000u,
+       0x60899c2850c755faULL},
+      {"BarabasiAlbert(5000, 3)", [] { return BarabasiAlbert(5000, 3, 13); },
+       29988u, 0xe1e0e97ed11b3b37ULL},
+      {"Grid2D(40, 50)", [] { return Grid2D(40, 50); }, 7820u,
+       0x75aac7fd41b50c1aULL},
+      {"RandomizeWeights(Rmat(12, 8, 3, undirected))",
+       [] { return RandomizeWeights(Rmat(12, 8, 3, true), 0.5, 2.0, 17); },
+       65322u, 0x704e321aa123b177ULL},
+      {"RandomizeWeights(ErdosRenyi(2000, 8000, directed))",
+       [] {
+         return RandomizeWeights(ErdosRenyi(2000, 8000, false, 12), 0.5, 2.0,
+                                 19);
+       },
+       8000u, 0xa6cc9e04c23fa290ULL},
+  };
+  return cases;
+}
+
+void ExpectRecordedDigests(const std::string& where) {
+  for (const DigestCase& c : DigestCases()) {
+    Graph g = c.make();
+    EXPECT_EQ(g.num_arcs(), c.arcs) << c.name << " " << where;
+    EXPECT_EQ(ArcDigest(g), c.digest) << c.name << " " << where;
+  }
+}
+
+// The pool width follows the affinity mask (HardwareThreads()), so the
+// same graphs are built at the full mask and again pinned to one CPU,
+// where every build runs on the calling thread alone.
+TEST(GeneratorsTest, EveryGeneratorBuildsTheRecordedArcsAtAnyPoolWidth) {
+  ExpectRecordedDigests("at the full affinity mask (" +
+                        std::to_string(HardwareThreads()) + " CPUs)");
+  cpu_set_t saved;
+  if (sched_getaffinity(0, sizeof(saved), &saved) != 0) {
+    GTEST_SKIP() << "the affinity mask cannot be read";
+  }
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+    GTEST_SKIP() << "this thread cannot be pinned";
+  }
+  const uint32_t pinned = HardwareThreads();
+  ExpectRecordedDigests("pinned to one CPU");
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+}
 
 TEST(GeneratorsTest, ErdosRenyiEdgeCount) {
   Graph g = ErdosRenyi(100, 300, /*undirected=*/true, 1);

@@ -1694,6 +1694,30 @@ TEST(ServeTest, CliSketchRejectsInvalidK) {
   EXPECT_TRUE(std::filesystem::exists(out));
 }
 
+// `sketch` fails closed on a malformed edge list: exit 1, the offending
+// line named on stderr, and no output file. Each of these lines loaded at
+// one time (as weight 1, as node 2^64 - 1, and without its fourth column).
+TEST(ServeTest, CliSketchRejectsMalformedEdgeLists) {
+  ScratchDir dir("hipads_serve_test_cli_malformed");
+  const std::string graph = dir.file("g.txt");
+  const std::string out = dir.file("s.ads2");
+  const std::string err = dir.file("stderr.txt");
+  for (const char* line : {"0 1 nan", "-1 2", "0 1 2 3"}) {
+    {
+      std::ofstream f(graph, std::ios::trunc);
+      f << "# edges\n0 1\n1 2 0.5\n" << line << "\n2 3\n";
+    }
+    EXPECT_EQ(RunCli("sketch --graph " + graph + " --k 4 --out " + out,
+                     dir.file("stdout.txt"), err),
+              1)
+        << line;
+    const std::string message = ReadFile(err);
+    EXPECT_NE(message.find("at line 4"), std::string::npos)
+        << line << ": " << message;
+    EXPECT_FALSE(std::filesystem::exists(out)) << line;
+  }
+}
+
 // The largest `--k` builds bottom-k sketches without reserving k ranks up
 // front: on a 50-node graph every sketch holds all reachable nodes, so the
 // entries and HIP weights equal a `--k 50` build — through DP (unit
