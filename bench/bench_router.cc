@@ -230,19 +230,21 @@ BENCHMARK(BM_PointLoopbackRouter);
 // node order, sharing one estimator materialization across same-node
 // entries and reusing the computed response outright for identical
 // entries. The workload models a hot working set (entries rotate over 8
-// distinct nodes; response caches are off so every request pays real
-// compute). requests/sec = items_per_second. Arg 0: batch size (1 = the
-// single kPointRequest baseline; 512 exceeds kMaxPointBatchEntries so the
-// client splits it into two frames). Arg 1: transport (0 = loopback,
-// 1 = TCP on 127.0.0.1). The TCP server thread shares the host with the
-// client, so the TCP rows depend on the core count (BENCH_router.json is
-// a 4-vCPU recording); the loopback rows are the honest protocol-tax
-// comparison.
+// distinct nodes). requests/sec = items_per_second. Arg 0: batch size
+// (1 = the single kPointRequest baseline; 512 exceeds
+// kMaxPointBatchEntries so the client splits it into two frames). Arg 1:
+// transport (0 = loopback, 1 = TCP on 127.0.0.1). Arg 2: point-cache
+// entries — 0, so every request pays real compute, or 1024 (the `serve`
+// default), where the hot set answers from the cache: one probe under one
+// lock per batch and the cached bytes copied into the response. The TCP
+// server thread shares the host with the client, so the TCP rows depend
+// on the core count (BENCH_router.json is a 4-vCPU recording); the
+// loopback rows are the honest protocol-tax comparison.
 void BM_PointThroughputBatched(benchmark::State& state) {
   const FlatAdsSet& set = SharedSet(4000);
   FlatAdsBackend backend(&set);
   ServerOptions options;
-  options.point_cache_entries = 0;
+  options.point_cache_entries = static_cast<uint32_t>(state.range(2));
   options.sweep_cache_entries = 0;
   AdsServerCore core(&backend, options);
 
@@ -288,14 +290,18 @@ void BM_PointThroughputBatched(benchmark::State& state) {
   if (server) server->Stop();
 }
 BENCHMARK(BM_PointThroughputBatched)
-    ->Args({1, 0})
-    ->Args({8, 0})
-    ->Args({64, 0})
-    ->Args({512, 0})
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({64, 1})
-    ->Args({512, 1});
+    ->Args({1, 0, 0})
+    ->Args({8, 0, 0})
+    ->Args({64, 0, 0})
+    ->Args({512, 0, 0})
+    ->Args({1, 1, 0})
+    ->Args({8, 1, 0})
+    ->Args({64, 1, 0})
+    ->Args({512, 1, 0})
+    ->Args({1, 0, 1024})
+    ->Args({64, 0, 1024})
+    ->Args({1, 1, 1024})
+    ->Args({64, 1, 1024});
 
 // CLAIM-SERVE-MIXED: closed-loop point-query latency (p50/p99 counters,
 // microseconds) through the loopback router against a lock-free immutable

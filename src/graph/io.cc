@@ -12,6 +12,7 @@
 #include <fstream>
 #include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "util/default_init.h"
 
@@ -199,20 +200,38 @@ Status WriteEdgeListFile(const Graph& g, const std::string& path) {
   if (!f) return Status::IOError("cannot open " + path + " for writing");
   f << "# hipads edge list: " << g.num_nodes() << " nodes, "
     << (g.undirected() ? g.num_arcs() / 2 : g.num_arcs()) << " edges\n";
+  // Lines are formatted with to_chars into a block, written a block at a
+  // time. A line is at most two 10-digit ids, a 24-character weight, two
+  // tabs and a newline.
+  constexpr size_t kBlock = size_t{1} << 16;
+  constexpr size_t kMaxLine = 64;
+  std::vector<char> block(kBlock);
+  char* const begin = block.data();
+  char* const end = begin + kBlock;
+  char* p = begin;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (const Arc& a : g.OutArcs(v)) {
       if (g.undirected() && a.head < v) continue;  // emit each edge once
-      f << v << '\t' << a.head;
+      if (end - p < static_cast<ptrdiff_t>(kMaxLine)) {
+        f.write(begin, p - begin);
+        p = begin;
+      }
+      p = std::to_chars(p, end, v).ptr;
+      *p++ = '\t';
+      p = std::to_chars(p, end, a.head).ptr;
       if (a.weight != 1.0) {
         // The shortest form that reads back as the same double.
-        char w[32];
-        char* w_end = std::to_chars(w, w + sizeof(w), a.weight).ptr;
-        f << '\t' << std::string_view(w, w_end - w);
+        *p++ = '\t';
+        p = std::to_chars(p, end, a.weight).ptr;
       }
-      f << '\n';
+      *p++ = '\n';
     }
   }
-  if (!f.good()) return Status::IOError("write failed for " + path);
+  f.write(begin, p - begin);
+  // Close before reporting: a write error can surface only when close
+  // flushes the last buffer (a full disk).
+  f.close();
+  if (!f) return Status::IOError("write failed for " + path);
   return Status::Ok();
 }
 

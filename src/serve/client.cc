@@ -238,11 +238,9 @@ StatusOr<std::vector<PointBatchResponseEntry>> AdsClient::PointBatch(
   size_t begin = 0;
   do {
     size_t count = std::min(kMaxPointBatchEntries, requests.size() - begin);
-    PointBatchRequestMsg chunk;
-    chunk.entries.assign(requests.begin() + begin,
-                         requests.begin() + begin + count);
     auto frame = Call(MessageType::kPointBatchRequest,
-                      EncodePointBatchRequest(chunk),
+                      EncodePointBatchRequest(std::span<const PointRequestMsg>(
+                          requests.data() + begin, count)),
                       MessageType::kPointBatchResponse);
     if (!frame.ok()) return frame.status();
     auto decoded = DecodePointBatchResponse(frame.value().payload);
@@ -251,8 +249,8 @@ StatusOr<std::vector<PointBatchResponseEntry>> AdsClient::PointBatch(
       return Status::Corruption(
           "batch response entry count does not match the request");
     }
-    for (PointBatchResponseEntry& e : decoded.value().entries) {
-      entries.push_back(std::move(e));
+    for (PointBatchEntryView& e : decoded.value().entries) {
+      entries.push_back({std::move(e.status), std::string(e.payload)});
     }
     begin += count;
   } while (begin < requests.size());

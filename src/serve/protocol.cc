@@ -115,15 +115,19 @@ Status DecodeFrameHeaderPrefix(const char* data, size_t size,
 
 namespace {
 
-// Checks `payload` against a validated header's length and checksum, and
-// assembles the decoded frame.
-StatusOr<Frame> FrameOf(const FrameHeader& header, std::string payload) {
+// Checks `payload` against a validated header's length and checksum.
+Status CheckPayload(const FrameHeader& header, std::string_view payload) {
   if (payload.size() != header.payload_bytes) {
     return Status::Corruption("frame payload size mismatch");
   }
   if (FrameChecksum(header.raw, payload) != header.checksum) {
     return Status::Corruption("frame checksum mismatch");
   }
+  return Status::Ok();
+}
+
+// Assembles the decoded frame of a validated header and its payload.
+Frame FrameOf(const FrameHeader& header, std::string payload) {
   Frame frame;
   frame.type = header.type;
   frame.payload = std::move(payload);
@@ -135,14 +139,23 @@ StatusOr<Frame> FrameOf(const FrameHeader& header, std::string payload) {
 
 }  // namespace
 
-StatusOr<Frame> DecodeFrame(std::string_view data) {
-  FrameHeader header;
-  Status s = DecodeFrameHeaderPrefix(data.data(), data.size(), &header);
+Status DecodeFrameView(std::string_view data, FrameHeader* header,
+                       std::string_view* payload) {
+  Status s = DecodeFrameHeaderPrefix(data.data(), data.size(), header);
   if (!s.ok()) return s;
-  if (data.size() != kFrameHeaderBytes + header.payload_bytes) {
+  if (data.size() != kFrameHeaderBytes + header->payload_bytes) {
     return Status::Corruption("frame length does not match its header");
   }
-  return FrameOf(header, std::string(data.substr(kFrameHeaderBytes)));
+  *payload = data.substr(kFrameHeaderBytes);
+  return CheckPayload(*header, *payload);
+}
+
+StatusOr<Frame> DecodeFrame(std::string_view data) {
+  FrameHeader header;
+  std::string_view payload;
+  Status s = DecodeFrameView(data, &header, &payload);
+  if (!s.ok()) return s;
+  return FrameOf(header, std::string(payload));
 }
 
 namespace {
@@ -238,6 +251,12 @@ bool ReadPayload(std::string* buf, uint64_t n,
 }
 
 StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
+  // The caller has just sent its request, so the response has rarely
+  // arrived yet: wait first instead of after a read that would fail. The
+  // wait's own result is not needed — ReadExact reads whatever has
+  // arrived, and when nothing has it waits again and reports the deadline
+  // or the error itself.
+  (void)WaitFd(fd, POLLIN, deadline);
   char raw[kFrameHeaderBytes];
   Status s = ReadExact(fd, raw, kFrameHeaderBytes, deadline);
   if (!s.ok()) return s;
@@ -252,6 +271,8 @@ StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
                    })) {
     return s;
   }
+  s = CheckPayload(header, payload);
+  if (!s.ok()) return s;
   return FrameOf(header, std::move(payload));
 }
 
@@ -259,48 +280,19 @@ StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline) {
 // Payload readers/writers
 // ---------------------------------------------------------------------------
 
-void WireWriter::U32(uint32_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WireWriter::U64(uint64_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WireWriter::F64(double v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WireWriter::Bytes(std::string_view data) {
-  U64(data.size());
-  if (!data.empty()) out_.append(data.data(), data.size());
+Status WireReader::Truncated() {
+  return Status::Corruption("truncated message payload");
 }
 
-Status WireReader::Raw(void* out, size_t n) {
-  if (data_.size() - pos_ < n) {
-    return Status::Corruption("truncated message payload");
-  }
-  std::memcpy(out, data_.data() + pos_, n);
-  pos_ += n;
-  return Status::Ok();
+Status WireReader::Trailing() {
+  return Status::Corruption("trailing bytes after message payload");
 }
-
-Status WireReader::U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-Status WireReader::U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-Status WireReader::F64(double* v) { return Raw(v, sizeof(*v)); }
 
 Status WireReader::Bytes(std::string* out) {
-  uint64_t len = 0;
-  Status s = U64(&len);
-  if (!s.ok()) return s;
-  if (len > data_.size() - pos_) {
-    return Status::Corruption("byte string length exceeds payload");
-  }
-  out->assign(data_.data() + pos_, len);
-  pos_ += len;
-  return Status::Ok();
-}
-
-Status WireReader::ExpectDone() const {
-  return Done() ? Status::Ok()
-                : Status::Corruption("trailing bytes after message payload");
+  std::string_view view;
+  Status s = Bytes(&view);
+  if (s.ok()) out->assign(view);
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +300,7 @@ Status WireReader::ExpectDone() const {
 // ---------------------------------------------------------------------------
 
 std::string EncodeServerInfo(const ServerInfoMsg& msg) {
-  WireWriter w;
+  WireWriter w(8 + 8 + 8 + 4 + 4 + 8);
   w.U64(msg.node_begin);
   w.U64(msg.node_end);
   w.U64(msg.total_entries);
@@ -344,61 +336,78 @@ StatusOr<ServerInfoMsg> DecodeServerInfo(std::string_view payload) {
   return msg;
 }
 
+namespace {
+
+// Byte size of a point request's encoding.
+size_t PointRequestBytes(const PointRequestMsg& msg) {
+  return 4 + 8 + 8 + 8 + 8 + 8 * msg.targets.size();
+}
+
+void WritePointRequest(const PointRequestMsg& msg, WireWriter* w) {
+  w->U32(static_cast<uint32_t>(msg.kind));
+  w->U64(msg.node);
+  w->U64(msg.other);
+  w->F64(msg.d);
+  w->U64(msg.targets.size());
+  if (!msg.targets.empty()) {
+    w->Raw(msg.targets.data(), msg.targets.size() * sizeof(uint64_t));
+  }
+}
+
+}  // namespace
+
 std::string EncodePointRequest(const PointRequestMsg& msg) {
-  WireWriter w;
-  w.U32(static_cast<uint32_t>(msg.kind));
-  w.U64(msg.node);
-  w.U64(msg.other);
-  w.F64(msg.d);
-  w.U64(msg.targets.size());
-  for (uint64_t t : msg.targets) w.U64(t);
+  WireWriter w(PointRequestBytes(msg));
+  WritePointRequest(msg, &w);
   return w.Take();
 }
 
 StatusOr<PointRequestMsg> DecodePointRequest(std::string_view payload) {
+  // The fields sit at fixed offsets: kind u32 at 0, node u64 at 4, other
+  // u64 at 12, d f64 at 20, the target count u64 at 28 and the targets
+  // from 36. They are checked in that order, so a payload fails at the
+  // first field it lacks or breaks, as a field-by-field WireReader would.
+  auto field = [payload](size_t at, auto* out) {
+    if (payload.size() < at + sizeof(*out)) return false;
+    std::memcpy(out, payload.data() + at, sizeof(*out));
+    return true;
+  };
   PointRequestMsg msg;
-  WireReader r(payload);
-  Status s;
   uint32_t kind = 0;
-  if (!(s = r.U32(&kind)).ok()) return s;
+  if (!field(0, &kind)) return WireReader::Truncated();
   if (kind < static_cast<uint32_t>(PointKind::kNodeStats) ||
       kind > static_cast<uint32_t>(PointKind::kFetchSketch)) {
     return Status::Corruption("unknown point request kind");
   }
   msg.kind = static_cast<PointKind>(kind);
-  if (!(s = r.U64(&msg.node)).ok()) return s;
-  if (!(s = r.U64(&msg.other)).ok()) return s;
-  if (!(s = r.F64(&msg.d)).ok()) return s;
+  if (!field(4, &msg.node) || !field(12, &msg.other) || !field(20, &msg.d)) {
+    return WireReader::Truncated();
+  }
   if (std::isnan(msg.d)) {
     return Status::Corruption("point request distance is NaN");
   }
   uint64_t count = 0;
-  if (!(s = r.U64(&count)).ok()) return s;
+  if (!field(28, &count)) return WireReader::Truncated();
   if (count > payload.size() / sizeof(uint64_t)) {
     return Status::Corruption("point request target count exceeds payload");
   }
-  msg.targets.resize(count);
-  for (uint64_t& t : msg.targets) {
-    if (!(s = r.U64(&t)).ok()) return s;
+  const size_t target_bytes = payload.size() - 36;
+  if (target_bytes < count * sizeof(uint64_t)) return WireReader::Truncated();
+  if (target_bytes > count * sizeof(uint64_t)) return WireReader::Trailing();
+  if (count > 0) {
+    msg.targets.resize(count);
+    std::memcpy(msg.targets.data(), payload.data() + 36, target_bytes);
   }
-  if (!(s = r.ExpectDone()).ok()) return s;
   return msg;
 }
 
-std::string EncodePointResponse(const PointResponseMsg& msg) {
-  WireWriter w;
-  w.U64(msg.values.size());
-  for (double v : msg.values) w.F64(v);
-  w.Bytes(msg.entries.empty()
-              ? std::string_view()
-              : std::string_view(
-                    reinterpret_cast<const char*>(msg.entries.data()),
-                    msg.entries.size() * sizeof(AdsEntry)));
-  return w.Take();
-}
+namespace {
 
-StatusOr<PointResponseMsg> DecodePointResponse(std::string_view payload) {
-  PointResponseMsg msg;
+// The one reading of a point response payload: its value bytes and its
+// sketch bytes, as views. DecodePointResponse copies them out;
+// ValidatePointResponse stops here, so the two accept the same bytes.
+Status ReadPointResponse(std::string_view payload, std::string_view* values,
+                         std::string_view* entries) {
   WireReader r(payload);
   Status s;
   uint64_t count = 0;
@@ -406,15 +415,51 @@ StatusOr<PointResponseMsg> DecodePointResponse(std::string_view payload) {
   if (count > payload.size() / sizeof(double)) {
     return Status::Corruption("point response value count exceeds payload");
   }
-  msg.values.resize(count);
-  for (double& v : msg.values) {
-    if (!(s = r.F64(&v)).ok()) return s;
-  }
-  std::string entries;
-  if (!(s = r.Bytes(&entries)).ok()) return s;
+  if (!(s = r.Skip(count * sizeof(double), values)).ok()) return s;
+  if (!(s = r.Bytes(entries)).ok()) return s;
   if (!(s = r.ExpectDone()).ok()) return s;
-  if (entries.size() % sizeof(AdsEntry) != 0) {
+  if (entries->size() % sizeof(AdsEntry) != 0) {
     return Status::Corruption("sketch bytes are not whole AdsEntry records");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+void AppendPointResponse(std::span<const double> values,
+                         std::span<const AdsEntry> entries, std::string* out) {
+  auto append = [out](const void* data, size_t n) {
+    out->append(static_cast<const char*>(data), n);
+  };
+  const uint64_t count = values.size();
+  const uint64_t sketch_bytes = entries.size_bytes();
+  append(&count, sizeof(count));
+  if (!values.empty()) append(values.data(), values.size_bytes());
+  append(&sketch_bytes, sizeof(sketch_bytes));
+  if (!entries.empty()) append(entries.data(), entries.size_bytes());
+}
+
+std::string EncodePointResponse(const PointResponseMsg& msg) {
+  std::string out;
+  out.reserve(8 + 8 * msg.values.size() + 8 +
+              sizeof(AdsEntry) * msg.entries.size());
+  AppendPointResponse(msg.values, msg.entries, &out);
+  return out;
+}
+
+Status ValidatePointResponse(std::string_view payload) {
+  std::string_view values, entries;
+  return ReadPointResponse(payload, &values, &entries);
+}
+
+StatusOr<PointResponseMsg> DecodePointResponse(std::string_view payload) {
+  std::string_view values, entries;
+  Status s = ReadPointResponse(payload, &values, &entries);
+  if (!s.ok()) return s;
+  PointResponseMsg msg;
+  msg.values.resize(values.size() / sizeof(double));
+  if (!values.empty()) {
+    std::memcpy(msg.values.data(), values.data(), values.size());
   }
   msg.entries.resize(entries.size() / sizeof(AdsEntry));
   if (!entries.empty()) {
@@ -459,22 +504,33 @@ bool StatusFromWire(uint32_t code, std::string message, Status* out) {
 }  // namespace
 
 std::string EncodePointBatchRequestRaw(
-    const std::vector<std::string>& encoded_entries) {
-  WireWriter w;
+    std::span<const std::string_view> encoded_entries) {
+  size_t bytes = 8;
+  for (std::string_view e : encoded_entries) bytes += 8 + e.size();
+  WireWriter w(bytes);
   w.U64(encoded_entries.size());
-  for (const std::string& e : encoded_entries) w.Bytes(e);
+  for (std::string_view e : encoded_entries) w.Bytes(e);
   return w.Take();
 }
 
 std::string EncodePointBatchRequest(const PointBatchRequestMsg& msg) {
-  WireWriter w;
-  w.U64(msg.entries.size());
-  for (const PointRequestMsg& e : msg.entries) w.Bytes(EncodePointRequest(e));
+  return EncodePointBatchRequest(std::span<const PointRequestMsg>(msg.entries));
+}
+
+std::string EncodePointBatchRequest(std::span<const PointRequestMsg> entries) {
+  size_t bytes = 8;
+  for (const PointRequestMsg& e : entries) bytes += 8 + PointRequestBytes(e);
+  WireWriter w(bytes);
+  w.U64(entries.size());
+  for (const PointRequestMsg& e : entries) {
+    w.U64(PointRequestBytes(e));
+    WritePointRequest(e, &w);
+  }
   return w.Take();
 }
 
 StatusOr<PointBatchRequestMsg> DecodePointBatchRequest(
-    std::string_view payload) {
+    std::string_view payload, std::vector<std::string_view>* raw) {
   PointBatchRequestMsg msg;
   WireReader r(payload);
   Status s;
@@ -488,24 +544,34 @@ StatusOr<PointBatchRequestMsg> DecodePointBatchRequest(
     return Status::Corruption("point batch entry count exceeds payload");
   }
   msg.entries.reserve(count);
+  if (raw != nullptr) {
+    raw->clear();
+    raw->reserve(count);
+  }
   for (uint64_t i = 0; i < count; ++i) {
-    std::string entry;
+    std::string_view entry;
     if (!(s = r.Bytes(&entry)).ok()) return s;
     StatusOr<PointRequestMsg> decoded = DecodePointRequest(entry);
     if (!decoded.ok()) return decoded.status();
     msg.entries.push_back(std::move(decoded).value());
+    if (raw != nullptr) raw->push_back(entry);
   }
   if (!(s = r.ExpectDone()).ok()) return s;
   return msg;
 }
 
 std::string EncodePointBatchResponse(const PointBatchResponseMsg& msg) {
-  WireWriter w;
+  size_t bytes = 8;
+  for (const PointBatchEntryView& e : msg.entries) {
+    bytes += 4 + 8 + e.status.message().size() + 8 +
+             (e.status.ok() ? e.payload.size() : 0);
+  }
+  WireWriter w(bytes);
   w.U64(msg.entries.size());
-  for (const PointBatchResponseEntry& e : msg.entries) {
+  for (const PointBatchEntryView& e : msg.entries) {
     w.U32(static_cast<uint32_t>(e.status.code()));
     w.Bytes(e.status.message());
-    w.Bytes(e.status.ok() ? std::string_view(e.payload) : std::string_view());
+    w.Bytes(e.status.ok() ? e.payload : std::string_view());
   }
   return w.Take();
 }
@@ -525,10 +591,10 @@ StatusOr<PointBatchResponseMsg> DecodePointBatchResponse(
     return Status::Corruption("point batch entry count exceeds payload");
   }
   msg.entries.resize(count);
-  for (PointBatchResponseEntry& e : msg.entries) {
+  for (PointBatchEntryView& e : msg.entries) {
     uint32_t code = 0;
-    std::string message;
-    std::string body;
+    std::string_view message;
+    std::string_view body;
     if (!(s = r.U32(&code)).ok()) return s;
     if (!(s = r.Bytes(&message)).ok()) return s;
     if (!(s = r.Bytes(&body)).ok()) return s;
@@ -539,15 +605,14 @@ StatusOr<PointBatchResponseMsg> DecodePointBatchResponse(
       return Status::Corruption(
           "failed batch entry carries a response payload");
     }
-    if (!StatusFromWire(code, std::move(message), &e.status)) {
-      return Status::Corruption("batch entry names an unknown status code");
-    }
-    if (e.status.ok()) {
+    if (code == static_cast<uint32_t>(Status::Code::kOk)) {
       // Validate the inner payload now — consumers forward these bytes as
-      // single-response payloads and must be able to trust them.
-      StatusOr<PointResponseMsg> decoded = DecodePointResponse(body);
-      if (!decoded.ok()) return decoded.status();
-      e.payload = std::move(body);
+      // single-response payloads and must be able to trust them. (The
+      // entry's status is already Ok.)
+      if (!(s = ValidatePointResponse(body)).ok()) return s;
+      e.payload = body;
+    } else if (!StatusFromWire(code, std::string(message), &e.status)) {
+      return Status::Corruption("batch entry names an unknown status code");
     }
   }
   if (!(s = r.ExpectDone()).ok()) return s;
@@ -555,7 +620,7 @@ StatusOr<PointBatchResponseMsg> DecodePointBatchResponse(
 }
 
 std::string EncodeSweepRequest(const SweepRequestMsg& msg) {
-  WireWriter w;
+  WireWriter w(4 + 8 + 20 * msg.collectors.size());
   w.U32(msg.num_threads);
   w.U64(msg.collectors.size());
   for (const CollectorSpec& c : msg.collectors) {
@@ -595,7 +660,9 @@ StatusOr<SweepRequestMsg> DecodeSweepRequest(std::string_view payload) {
 }
 
 std::string EncodeSweepResponse(const SweepResponseMsg& msg) {
-  WireWriter w;
+  size_t bytes = 8 + 8 + 8;
+  for (const std::string& p : msg.partials) bytes += 8 + p.size();
+  WireWriter w(bytes);
   w.U64(msg.begin);
   w.U64(msg.end);
   w.U64(msg.partials.size());
@@ -626,7 +693,7 @@ StatusOr<SweepResponseMsg> DecodeSweepResponse(std::string_view payload) {
 }
 
 std::string EncodeError(const Status& status) {
-  WireWriter w;
+  WireWriter w(4 + 8 + status.message().size());
   w.U32(static_cast<uint32_t>(status.code()));
   w.Bytes(status.message());
   return w.Take();
@@ -652,7 +719,7 @@ Status DecodeError(std::string_view payload) {
 }
 
 std::string EncodeStatsRequest(const StatsRequestMsg& msg) {
-  WireWriter w;
+  WireWriter w(4);
   w.U32(msg.flags);
   return w.Take();
 }
@@ -882,7 +949,7 @@ StatusOr<std::vector<SweepCollector*>> BuildPlanFromSpec(
 }
 
 std::string SweepSpecCacheKey(const std::vector<CollectorSpec>& spec) {
-  WireWriter w;
+  WireWriter w(8 + 20 * spec.size());
   w.U64(spec.size());
   for (const CollectorSpec& c : spec) {
     w.U32(static_cast<uint32_t>(c.kind));

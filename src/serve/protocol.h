@@ -38,7 +38,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -217,6 +219,10 @@ Status DecodeFrameHeaderPrefix(const char* data, size_t size,
 /// magic/version/type, oversized lengths and checksum mismatches all fail
 /// with Corruption.
 StatusOr<Frame> DecodeFrame(std::string_view data);
+/// DecodeFrame without the copy: accepts exactly what DecodeFrame accepts,
+/// with the same Status, and leaves the payload as a view into `data`.
+Status DecodeFrameView(std::string_view data, FrameHeader* header,
+                       std::string_view* payload);
 
 /// The most a frame reader allocates for a payload before any of its bytes
 /// have arrived; see ReadPayload.
@@ -237,7 +243,8 @@ bool ReadPayload(std::string* buf, uint64_t n,
 // Frame I/O over a connected non-blocking socket: both poll the fd against
 // `deadline` (none = wait forever) and fail with DeadlineExceeded when the
 // budget runs out mid-transfer, or IOError on EOF / socket errors.
-// ReadFrame rejects a malformed header before reading the payload.
+// ReadFrame waits before its first read (it reads a response to a request
+// just sent) and rejects a malformed header before reading the payload.
 StatusOr<Frame> ReadFrame(int fd, const Deadline& deadline);
 
 /// Writes all of `data` to `fd`, retrying partial writes and EINTR.
@@ -249,13 +256,24 @@ Status WriteAllBytes(int fd, const char* data, size_t size,
 // ---------------------------------------------------------------------------
 
 /// Appends little-endian scalars / length-prefixed blobs to a payload.
+/// Encoders that know their exact size reserve it up front, so a payload
+/// is one allocation.
 class WireWriter {
  public:
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void F64(double v);
+  WireWriter() = default;
+  explicit WireWriter(size_t reserve) { out_.reserve(reserve); }
+
+  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
+  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
+  void F64(double v) { Raw(&v, sizeof(v)); }
   /// Length-prefixed (u64) byte string.
-  void Bytes(std::string_view data);
+  void Bytes(std::string_view data) {
+    U64(data.size());
+    if (!data.empty()) Raw(data.data(), data.size());
+  }
+  void Raw(const void* data, size_t n) {
+    out_.append(static_cast<const char*>(data), n);
+  }
 
   std::string Take() { return std::move(out_); }
   const std::string& data() const { return out_; }
@@ -271,19 +289,48 @@ class WireReader {
  public:
   explicit WireReader(std::string_view data) : data_(data) {}
 
-  Status U32(uint32_t* v);
-  Status U64(uint64_t* v);
-  Status F64(double* v);
+  Status U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
+  Status U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
+  Status F64(double* v) { return Raw(v, sizeof(*v)); }
   /// Length-prefixed byte string; the length must fit the remaining bytes.
+  /// The view points into the payload the reader was built on.
+  Status Bytes(std::string_view* out) {
+    uint64_t len = 0;
+    Status s = U64(&len);
+    if (!s.ok()) return s;
+    if (len > data_.size() - pos_) {
+      return Status::Corruption("byte string length exceeds payload");
+    }
+    *out = data_.substr(pos_, len);
+    pos_ += len;
+    return Status::Ok();
+  }
+  /// Bytes, copied out.
   Status Bytes(std::string* out);
+  /// The next `n` bytes as a view, or Corruption when fewer remain.
+  Status Skip(size_t n, std::string_view* out) {
+    if (data_.size() - pos_ < n) return Truncated();
+    *out = data_.substr(pos_, n);
+    pos_ += n;
+    return Status::Ok();
+  }
 
   bool Done() const { return pos_ == data_.size(); }
   /// Fails unless the payload was consumed exactly (trailing garbage is
   /// corruption, mirroring the v1/v2 file parsers).
-  Status ExpectDone() const;
+  Status ExpectDone() const { return Done() ? Status::Ok() : Trailing(); }
+
+  /// The errors of a read past the end and of unread trailing bytes.
+  static Status Truncated();
+  static Status Trailing();
 
  private:
-  Status Raw(void* out, size_t n);
+  Status Raw(void* out, size_t n) {
+    if (data_.size() - pos_ < n) return Truncated();
+    std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
+    return Status::Ok();
+  }
 
   std::string_view data_;
   size_t pos_ = 0;
@@ -333,6 +380,11 @@ struct PointRequestMsg {
 };
 
 std::string EncodePointRequest(const PointRequestMsg& msg);
+/// Decode then encode is the identity on every payload this accepts: each
+/// field is read as its bytes and written back as the same bytes (d is
+/// never NaN, the one double whose bits a round trip could change). So an
+/// accepted payload IS its request's canonical encoding, and forwards and
+/// keys caches as it stands.
 StatusOr<PointRequestMsg> DecodePointRequest(std::string_view payload);
 
 struct PointResponseMsg {
@@ -341,7 +393,14 @@ struct PointResponseMsg {
 };
 
 std::string EncodePointResponse(const PointResponseMsg& msg);
+/// Appends the EncodePointResponse bytes of {values, entries} to `*out`.
+void AppendPointResponse(std::span<const double> values,
+                         std::span<const AdsEntry> entries, std::string* out);
 StatusOr<PointResponseMsg> DecodePointResponse(std::string_view payload);
+/// Accepts and rejects exactly the payloads DecodePointResponse does, with
+/// the same Status, without decoding them: what a hop runs on a response
+/// payload it forwards as it stands.
+Status ValidatePointResponse(std::string_view payload);
 
 /// Hard cap on entries per point-batch frame. Bounded so a hostile count
 /// cannot amplify into unbounded per-entry work, and small enough that the
@@ -360,30 +419,47 @@ struct PointBatchRequestMsg {
 };
 
 std::string EncodePointBatchRequest(const PointBatchRequestMsg& msg);
+std::string EncodePointBatchRequest(std::span<const PointRequestMsg> entries);
 /// Same frame payload built from already-encoded single-request payloads
-/// (the router coalesces pre-encoded requests without a decode/re-encode
+/// (a router forwards its callers' entry bytes without a decode/re-encode
 /// round trip).
 std::string EncodePointBatchRequestRaw(
-    const std::vector<std::string>& encoded_entries);
+    std::span<const std::string_view> encoded_entries);
+/// Decodes every entry as DecodePointRequest does. With `raw`, also
+/// returns each entry's own bytes as views into `payload`: by
+/// DecodePointRequest's identity they are the entries' canonical
+/// encodings.
 StatusOr<PointBatchRequestMsg> DecodePointBatchRequest(
-    std::string_view payload);
+    std::string_view payload, std::vector<std::string_view>* raw = nullptr);
 
-/// One entry of a kPointBatchResponse, in request order. Entries carry
-/// their own status so one bad node doesn't poison the batch: an Ok entry
-/// holds the encoded PointResponseMsg payload (exactly the bytes a lone
+/// One answer of a point batch, in request order. Entries carry their own
+/// status so one bad node doesn't poison the batch: an Ok entry holds the
+/// encoded PointResponseMsg payload (exactly the bytes a lone
 /// kPointResponse would carry — a batching router hands them back to each
 /// caller unmodified, which is what makes batch answers bitwise-identical
-/// to single calls), a failed entry holds the status and no payload.
+/// to single calls), a failed entry holds the status and no payload. The
+/// owning form, returned by the client and router batch calls.
 struct PointBatchResponseEntry {
   Status status;
   std::string payload;  // encoded PointResponseMsg; empty unless ok
 };
 
+/// A PointBatchResponseEntry whose payload is a view: into the frame
+/// payload it was decoded from, or into whatever buffer an encoder reads.
+struct PointBatchEntryView {
+  Status status;
+  std::string_view payload;  // empty unless ok
+};
+
+/// kPointBatchResponse. A decoded message's payloads view the bytes it was
+/// decoded from, which must outlive it.
 struct PointBatchResponseMsg {
-  std::vector<PointBatchResponseEntry> entries;
+  std::vector<PointBatchEntryView> entries;
 };
 
 std::string EncodePointBatchResponse(const PointBatchResponseMsg& msg);
+/// Checks every Ok entry's payload in place (ValidatePointResponse) and
+/// copies none of them.
 StatusOr<PointBatchResponseMsg> DecodePointBatchResponse(
     std::string_view payload);
 

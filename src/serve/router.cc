@@ -62,7 +62,7 @@ void CountServerError(const std::string& address) {
 // Encodes a downstream request frame carrying the handling thread's trace
 // id (zero when untraced) — the hop that propagates a traced request's id
 // across the fleet.
-std::string EncodeDownstreamFrame(MessageType type, const std::string& payload,
+std::string EncodeDownstreamFrame(MessageType type, std::string_view payload,
                                   const Deadline& deadline) {
   const TraceId trace = CurrentTraceId();
   return EncodeFrame(type, payload, deadline.ToWireMs(), trace.hi, trace.lo);
@@ -329,7 +329,7 @@ void FleetRouter::InvalidateChannel(size_t idx,
 }
 
 StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
-                                        const std::string& payload,
+                                        std::string_view payload,
                                         MessageType expected_response,
                                         const Deadline& deadline) {
   const std::string& address = manifest_.servers[idx].address;
@@ -402,7 +402,7 @@ StatusOr<Frame> FleetRouter::CallServer(size_t idx, MessageType type,
 }
 
 StatusOr<Frame> FleetRouter::HedgeAttempt(size_t idx,
-                                          const std::string& payload,
+                                          std::string_view payload,
                                           const Deadline& deadline) {
   // Deliberately NOT the slot channel: the point of the hedge is to route
   // around whatever is wrong with the established connection.
@@ -420,32 +420,21 @@ StatusOr<Frame> FleetRouter::HedgeAttempt(size_t idx,
   return frame;
 }
 
-std::vector<std::optional<PointBatchResponseEntry>>
-FleetRouter::SendPointBatch(size_t idx,
-                            const std::vector<std::string>& payloads,
-                            const Deadline& deadline) {
-  std::vector<std::optional<PointBatchResponseEntry>> answers(
-      payloads.size());
+StatusOr<PointBatchResponseMsg> FleetRouter::SendPointBatch(
+    size_t idx, std::span<const std::string_view> payloads,
+    const Deadline& deadline, std::string* response) {
   auto frame = CallServer(idx, MessageType::kPointBatchRequest,
                           EncodePointBatchRequestRaw(payloads),
                           MessageType::kPointBatchResponse, deadline);
-  StatusOr<PointBatchResponseMsg> decoded =
-      frame.ok() ? DecodePointBatchResponse(frame.value().payload)
-                 : frame.status();
-  if (!decoded.ok() || decoded.value().entries.size() != payloads.size()) {
-    // Whole-batch failure (transport, protocol, count mismatch): every
-    // entry re-sends alone — the batch was an optimization, never a
-    // change to any caller's contract.
-    return answers;
+  if (!frame.ok()) return frame.status();
+  *response = std::move(frame.value().payload);
+  auto decoded = DecodePointBatchResponse(*response);
+  if (!decoded.ok()) return decoded.status();
+  if (decoded.value().entries.size() != payloads.size()) {
+    return Status::Corruption(
+        "batch response entry count does not match the request");
   }
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    // A shed/retryable entry re-sends alone through the single-request
-    // retry policy; semantic errors are final and byte-identical to the
-    // unbatched answer.
-    PointBatchResponseEntry& entry = decoded.value().entries[i];
-    if (!Retryable(entry.status)) answers[i] = std::move(entry);
-  }
-  return answers;
+  return decoded;
 }
 
 void FleetRouter::ExecuteCoalescedBatch(
@@ -461,13 +450,24 @@ void FleetRouter::ExecuteCoalescedBatch(
     // own budget is looser re-sends alone if that tight bound fails the
     // whole frame.
     Deadline batch_deadline;
-    std::vector<std::string> encoded;
-    encoded.reserve(batch.size());
+    std::vector<std::string_view> payloads;
+    payloads.reserve(batch.size());
     for (const PendingPoint* p : batch) {
       batch_deadline = Deadline::Min(batch_deadline, p->deadline);
-      encoded.push_back(*p->payload);
+      payloads.push_back(p->payload);
     }
-    answers = SendPointBatch(idx, encoded, batch_deadline);
+    std::string response;
+    auto decoded = SendPointBatch(idx, payloads, batch_deadline, &response);
+    for (size_t i = 0; decoded.ok() && i < batch.size(); ++i) {
+      // A shed/retryable entry re-sends alone through the single-request
+      // retry policy; semantic errors are final and byte-identical to the
+      // unbatched answer.
+      const PointBatchEntryView& entry = decoded.value().entries[i];
+      if (!Retryable(entry.status)) {
+        answers[i] = PointBatchResponseEntry{entry.status,
+                                             std::string(entry.payload)};
+      }
+    }
   }
   MutexLock lock(batcher.mu);
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -478,11 +478,11 @@ void FleetRouter::ExecuteCoalescedBatch(
 }
 
 StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
-                                                const std::string& payload,
+                                                std::string_view payload,
                                                 const Deadline& deadline) {
   PointBatcher& batcher = *batchers_[idx];
   PendingPoint me;
-  me.payload = &payload;
+  me.payload = payload;
   me.deadline = deadline;
   bool leader = false;
   std::vector<PendingPoint*> batch;
@@ -538,7 +538,7 @@ StatusOr<Frame> FleetRouter::CallPointCoalesced(size_t idx,
                     MessageType::kPointResponse, deadline);
 }
 
-StatusOr<Frame> FleetRouter::CallPoint(size_t idx, const std::string& payload,
+StatusOr<Frame> FleetRouter::CallPoint(size_t idx, std::string_view payload,
                                        const Deadline& deadline) {
   if (!options_.hedge) {
     if (options_.coalesce_window_us > 0) {
@@ -621,7 +621,15 @@ StatusOr<std::vector<AdsEntry>> FleetRouter::FetchSketch(
 }
 
 StatusOr<PointResponseMsg> FleetRouter::Point(const PointRequestMsg& request,
-                                              const Deadline& deadline_in) {
+                                              const Deadline& deadline) {
+  auto payload = PointPayload(request, EncodePointRequest(request), deadline);
+  if (!payload.ok()) return payload.status();
+  return DecodePointResponse(payload.value());
+}
+
+StatusOr<std::string> FleetRouter::PointPayload(const PointRequestMsg& request,
+                                                std::string_view payload,
+                                                const Deadline& deadline_in) {
   Deadline deadline = EffectiveDeadline(deadline_in);
   auto owner = OwnerOf(request.node);
   if (!owner.ok()) return owner.status();
@@ -643,30 +651,59 @@ StatusOr<PointResponseMsg> FleetRouter::Point(const PointRequestMsg& request,
                                            info_.k, info_.rank_sup),
                          UnionCardinality(u_view, v_view, request.d, info_.k,
                                           info_.rank_sup)};
-      return response;
+      return EncodePointResponse(response);
     }
   }
-  auto frame =
-      CallPoint(owner.value(), EncodePointRequest(request), deadline);
+  auto frame = CallPoint(owner.value(), payload, deadline);
   if (!frame.ok()) return frame.status();
-  return DecodePointResponse(frame.value().payload);
+  Status valid = ValidatePointResponse(frame.value().payload);
+  if (!valid.ok()) return valid;
+  return std::move(frame.value().payload);
 }
 
 std::vector<PointBatchResponseEntry> FleetRouter::PointBatch(
-    const std::vector<PointRequestMsg>& requests,
-    const Deadline& deadline_in) {
-  Deadline deadline = EffectiveDeadline(deadline_in);
+    const std::vector<PointRequestMsg>& requests, const Deadline& deadline) {
+  std::vector<std::string> encoded;
+  encoded.reserve(requests.size());
+  for (const PointRequestMsg& r : requests) {
+    encoded.push_back(EncodePointRequest(r));
+  }
+  std::vector<std::string_view> raw(encoded.begin(), encoded.end());
+  RoutedBatch routed = RouteBatch(requests, raw, deadline);
   std::vector<PointBatchResponseEntry> entries(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    entries[i].status = std::move(routed.entries[i].status);
+    entries[i].payload.assign(routed.entries[i].payload);
+  }
+  return entries;
+}
+
+std::string FleetRouter::PointBatchPayload(
+    std::span<const PointRequestMsg> requests,
+    std::span<const std::string_view> raw, const Deadline& deadline) {
+  RoutedBatch routed = RouteBatch(requests, raw, deadline);
+  PointBatchResponseMsg response;
+  response.entries = std::move(routed.entries);
+  return EncodePointBatchResponse(response);
+}
+
+FleetRouter::RoutedBatch FleetRouter::RouteBatch(
+    std::span<const PointRequestMsg> requests,
+    std::span<const std::string_view> raw, const Deadline& deadline_in) {
+  Deadline deadline = EffectiveDeadline(deadline_in);
+  RoutedBatch routed;
+  routed.entries.resize(requests.size());
   // Any entry the batched wire path cannot answer identically goes
-  // through the single-request Point path — which is also the fallback
+  // through the single-request path — which is also the fallback
   // whenever a batched answer comes back retryable, so every entry's
   // bytes equal a lone Point call's.
   auto fill_single = [&](size_t i) {
-    auto response = Point(requests[i], deadline_in);
-    if (response.ok()) {
-      entries[i].payload = EncodePointResponse(response.value());
+    auto payload = PointPayload(requests[i], raw[i], deadline_in);
+    if (payload.ok()) {
+      routed.entries[i].payload =
+          routed.owned.emplace_back(std::move(payload).value());
     } else {
-      entries[i].status = response.status();
+      routed.entries[i].status = payload.status();
     }
   };
   std::vector<std::vector<size_t>> groups(slots_.size());
@@ -674,13 +711,13 @@ std::vector<PointBatchResponseEntry> FleetRouter::PointBatch(
     const PointRequestMsg& request = requests[i];
     auto owner = OwnerOf(request.node);
     if (!owner.ok()) {
-      entries[i].status = owner.status();
+      routed.entries[i].status = owner.status();
       continue;
     }
     if (request.kind == PointKind::kJaccard) {
       auto other_owner = OwnerOf(request.other);
       if (!other_owner.ok()) {
-        entries[i].status = other_owner.status();
+        routed.entries[i].status = other_owner.status();
         continue;
       }
       if (other_owner.value() != owner.value()) {
@@ -690,29 +727,37 @@ std::vector<PointBatchResponseEntry> FleetRouter::PointBatch(
     }
     groups[owner.value()].push_back(i);
   }
+  std::vector<std::string_view> payloads;
   for (size_t s = 0; s < groups.size(); ++s) {
     const std::vector<size_t>& group = groups[s];
     for (size_t begin = 0; begin < group.size();
          begin += kMaxPointBatchEntries) {
       size_t count = std::min(kMaxPointBatchEntries, group.size() - begin);
-      std::vector<std::string> encoded;
-      encoded.reserve(count);
+      payloads.clear();
       for (size_t j = 0; j < count; ++j) {
-        encoded.push_back(EncodePointRequest(requests[group[begin + j]]));
+        payloads.push_back(raw[group[begin + j]]);
       }
-      auto answers = SendPointBatch(s, encoded, deadline);
+      auto answers = SendPointBatch(s, payloads, deadline,
+                                    &routed.responses.emplace_back());
       for (size_t j = 0; j < count; ++j) {
         size_t i = group[begin + j];
-        std::optional<PointBatchResponseEntry>& answer = answers[j];
-        if (answer.has_value()) {
-          entries[i] = std::move(*answer);
+        // A shed/retryable entry, or any entry of a failed batch, re-sends
+        // alone through the single-request retry policy; semantic errors
+        // are final and byte-identical to the unbatched answer.
+        PointBatchEntryView* answer =
+            answers.ok() ? &answers.value().entries[j] : nullptr;
+        if (answer != nullptr && !Retryable(answer->status)) {
+          if (!answer->status.ok()) {
+            routed.entries[i].status = std::move(answer->status);
+          }
+          routed.entries[i].payload = answer->payload;
         } else {
           fill_single(i);
         }
       }
     }
   }
-  return entries;
+  return routed;
 }
 
 Status FleetRouter::ExecuteSweep(
@@ -822,18 +867,15 @@ std::string RouterCore::AnswerInfo() {
 }
 
 StatusOr<std::string> RouterCore::AnswerPoint(const PointRequestMsg& msg,
-                                              const std::string&,
+                                              std::string_view payload,
                                               const Deadline& deadline) {
-  auto response = router_->Point(msg, deadline);
-  if (!response.ok()) return response.status();
-  return EncodePointResponse(response.value());
+  return router_->PointPayload(msg, payload, deadline);
 }
 
 StatusOr<std::string> RouterCore::AnswerPointBatch(
-    const PointBatchRequestMsg& msg, const Deadline& deadline) {
-  PointBatchResponseMsg response;
-  response.entries = router_->PointBatch(msg.entries, deadline);
-  return EncodePointBatchResponse(response);
+    const PointBatchRequestMsg& msg, std::span<const std::string_view> raw,
+    const Deadline& deadline) {
+  return router_->PointBatchPayload(msg.entries, raw, deadline);
 }
 
 StatusOr<std::string> RouterCore::AnswerSweep(const SweepRequestMsg& msg,

@@ -47,10 +47,13 @@
 #define HIPADS_SERVE_ROUTER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/client.h"
@@ -187,6 +190,13 @@ class FleetRouter {
   /// Jaccard pairs are computed router-side from fetched sketches.
   StatusOr<PointResponseMsg> Point(const PointRequestMsg& request,
                                    const Deadline& deadline = Deadline());
+  /// Point answered as its encoded response payload. `payload` is the
+  /// request's own bytes, its canonical encoding: it goes to the owner as
+  /// it stands, and the owner's response payload comes back validated
+  /// (ValidatePointResponse), not decoded and re-encoded.
+  StatusOr<std::string> PointPayload(const PointRequestMsg& request,
+                                     std::string_view payload,
+                                     const Deadline& deadline = Deadline());
 
   /// N point requests in as few downstream frames as possible: grouped by
   /// owning server, each group sent as kPointBatchRequest frames (split at
@@ -199,6 +209,12 @@ class FleetRouter {
   std::vector<PointBatchResponseEntry> PointBatch(
       const std::vector<PointRequestMsg>& requests,
       const Deadline& deadline = Deadline());
+  /// PointBatch answered as an encoded kPointBatchResponse payload. raw[i]
+  /// is requests[i]'s own bytes: each group forwards them as they stand,
+  /// and each server's Ok entries reach the response as the bytes it sent.
+  std::string PointBatchPayload(std::span<const PointRequestMsg> requests,
+                                std::span<const std::string_view> raw,
+                                const Deadline& deadline = Deadline());
 
   /// Scrapes the whole fleet: this process's ProcessStats (labeled
   /// "router") followed by every server's, gathered over the wire and
@@ -227,7 +243,7 @@ class FleetRouter {
   /// and the caller reads them back under it, so no field outlives its
   /// caller's wait.
   struct PendingPoint {
-    const std::string* payload = nullptr;  // encoded single point request
+    std::string_view payload;  // encoded single point request
     Deadline deadline;
     /// The batched answer, or nullopt for "re-send alone" (see
     /// SendPointBatch; a batch of one also re-sends alone): the caller then
@@ -247,10 +263,23 @@ class FleetRouter {
     bool leader_active HIPADS_GUARDED_BY(mu) = false;
   };
 
+  /// A routed batch's answers, in request order. Ok payloads view the
+  /// servers' response payloads in `responses` or the answers computed or
+  /// re-sent alone in `owned` (deques: elements never move).
+  struct RoutedBatch {
+    std::vector<PointBatchEntryView> entries;
+    std::deque<std::string> responses;
+    std::deque<std::string> owned;
+  };
+
   /// Index of the fleet entry owning global node v, or an error.
   StatusOr<size_t> OwnerOf(uint64_t v) const;
   StatusOr<std::vector<AdsEntry>> FetchSketch(uint64_t node,
                                               const Deadline& deadline);
+  /// The batch engine behind PointBatch and PointBatchPayload.
+  RoutedBatch RouteBatch(std::span<const PointRequestMsg> requests,
+                         std::span<const std::string_view> raw,
+                         const Deadline& deadline);
 
   /// The caller's deadline tightened by the router's default timeout.
   Deadline EffectiveDeadline(const Deadline& deadline) const;
@@ -263,26 +292,28 @@ class FleetRouter {
   /// One request to server `idx` with the full retry/backoff/reconnect
   /// policy. Transport errors come back naming the server's address.
   StatusOr<Frame> CallServer(size_t idx, MessageType type,
-                             const std::string& payload,
+                             std::string_view payload,
                              MessageType expected_response,
                              const Deadline& deadline);
   /// A point call with the hedging race layered on top of CallServer.
-  StatusOr<Frame> CallPoint(size_t idx, const std::string& payload,
+  StatusOr<Frame> CallPoint(size_t idx, std::string_view payload,
                             const Deadline& deadline);
   /// The single-shot fresh-connection attempt a hedge runs.
-  StatusOr<Frame> HedgeAttempt(size_t idx, const std::string& payload,
+  StatusOr<Frame> HedgeAttempt(size_t idx, std::string_view payload,
                                const Deadline& deadline);
-  /// The one batch sender: `payloads` (encoded single point requests,
-  /// all owned by server `idx`) go out as one kPointBatchRequest under the
-  /// full retry policy. Returns one answer per payload — its response
-  /// payload or its final semantic error — or nullopt for "re-send alone":
-  /// the whole frame failed, or the entry came back retryable (a shed).
-  std::vector<std::optional<PointBatchResponseEntry>> SendPointBatch(
-      size_t idx, const std::vector<std::string>& payloads,
-      const Deadline& deadline);
+  /// The one batch sender: `payloads` (encoded single point requests, all
+  /// owned by server `idx`) go out as one kPointBatchRequest under the
+  /// full retry policy. Returns the decoded response, one entry per
+  /// payload, whose payloads view `*response` (the frame payload, which
+  /// the caller keeps). A failure — transport, protocol, count mismatch —
+  /// means every entry re-sends alone; so does each entry that came back
+  /// retryable (a shed).
+  StatusOr<PointBatchResponseMsg> SendPointBatch(
+      size_t idx, std::span<const std::string_view> payloads,
+      const Deadline& deadline, std::string* response);
   /// The coalescing point path (coalesce_window_us > 0, hedge off): joins
   /// or leads the server's batch, then waits for its entry's answer.
-  StatusOr<Frame> CallPointCoalesced(size_t idx, const std::string& payload,
+  StatusOr<Frame> CallPointCoalesced(size_t idx, std::string_view payload,
                                      const Deadline& deadline);
   /// Leader side: sends every queued request through SendPointBatch
   /// (deadline = the members' minimum) and hands each member its answer.
@@ -312,9 +343,10 @@ class RouterCore : public ServingCore {
  private:
   std::string AnswerInfo() override;
   StatusOr<std::string> AnswerPoint(const PointRequestMsg& msg,
-                                    const std::string& payload,
+                                    std::string_view payload,
                                     const Deadline& deadline) override;
   StatusOr<std::string> AnswerPointBatch(const PointBatchRequestMsg& msg,
+                                         std::span<const std::string_view> raw,
                                          const Deadline& deadline) override;
   StatusOr<std::string> AnswerSweep(const SweepRequestMsg& msg,
                                     const Deadline& deadline) override;

@@ -19,6 +19,7 @@
 #include "ads/estimators.h"
 #include "ads/similarity.h"
 #include "serve/trace.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 
@@ -116,30 +117,33 @@ std::string ServingCore::HandleFrame(std::string_view request,
                                      bool* close_connection) {
   bytes_in_->Add(request.size());
   *close_connection = false;
-  auto frame = DecodeFrame(request);
-  if (!frame.ok()) {
+  // The payload stays a view into the request bytes: decoders read it in
+  // place, and point entries forward and key caches as those bytes.
+  FrameHeader header;
+  std::string_view payload;
+  Status decoded = DecodeFrameView(request, &header, &payload);
+  if (!decoded.ok()) {
     // Undecodable bytes: answer with the reason, then drop the stream —
     // after a framing failure there is no trustworthy record boundary.
     *close_connection = true;
     undecodable_->Add();
-    std::string err =
-        EncodeFrame(MessageType::kError, EncodeError(frame.status()));
+    std::string err = EncodeFrame(MessageType::kError, EncodeError(decoded));
     bytes_out_->Add(err.size());
     return err;
   }
   // The request's trace id is echoed back and installed for the handling
   // thread, so the instrumented sections below Dispatch (and every
   // downstream hop a router makes) record spans against it.
-  const uint64_t trace_hi = frame.value().trace_hi;
-  const uint64_t trace_lo = frame.value().trace_lo;
+  const uint64_t trace_hi = header.trace_hi;
+  const uint64_t trace_lo = header.trace_lo;
   ScopedTraceContext trace_context(trace_hi, trace_lo);
-  const RequestKind kind = RequestKindOf(frame.value().type);
+  const RequestKind kind = RequestKindOf(header.type);
   requests_[kind]->Add();
-  Deadline deadline = Deadline::FromWireMs(frame.value().deadline_ms);
+  Deadline deadline = Deadline::FromWireMs(header.deadline_ms);
   StatusOr<Frame> response = [&] {
     ScopedLatencyTimer timer(latency_us_[kind]);
     ScopedTraceSpan span(dispatch_span_.c_str());
-    return Dispatch(frame.value(), deadline);
+    return Dispatch(header.type, payload, deadline);
   }();
   std::string encoded;
   {
@@ -156,7 +160,8 @@ std::string ServingCore::HandleFrame(std::string_view request,
   return encoded;
 }
 
-StatusOr<Frame> ServingCore::Dispatch(const Frame& request,
+StatusOr<Frame> ServingCore::Dispatch(MessageType type,
+                                      std::string_view payload,
                                       const Deadline& deadline) {
   if (deadline.Expired()) {
     // Nobody is waiting for this answer anymore: shed before any compute.
@@ -164,37 +169,38 @@ StatusOr<Frame> ServingCore::Dispatch(const Frame& request,
     return Status::DeadlineExceeded("request deadline expired; shed");
   }
   // The answer to a decoded request, as a frame of `type`.
-  auto respond = [](MessageType type,
-                    StatusOr<std::string> payload) -> StatusOr<Frame> {
-    if (!payload.ok()) return payload.status();
-    return Frame{type, std::move(payload).value()};
+  auto respond = [](MessageType response_type,
+                    StatusOr<std::string> answer) -> StatusOr<Frame> {
+    if (!answer.ok()) return answer.status();
+    return Frame{response_type, std::move(answer).value()};
   };
-  switch (request.type) {
+  switch (type) {
     case MessageType::kInfoRequest:
-      if (!request.payload.empty()) {
+      if (!payload.empty()) {
         return Status::Corruption("info request carries a payload");
       }
       return Frame{MessageType::kInfoResponse, AnswerInfo()};
     case MessageType::kPointRequest: {
-      auto msg = DecodePointRequest(request.payload);
+      auto msg = DecodePointRequest(payload);
       if (!msg.ok()) return msg.status();
       return respond(MessageType::kPointResponse,
-                     AnswerPoint(msg.value(), request.payload, deadline));
+                     AnswerPoint(msg.value(), payload, deadline));
     }
     case MessageType::kPointBatchRequest: {
-      auto msg = DecodePointBatchRequest(request.payload);
+      std::vector<std::string_view> raw;
+      auto msg = DecodePointBatchRequest(payload, &raw);
       if (!msg.ok()) return msg.status();
       return respond(MessageType::kPointBatchResponse,
-                     AnswerPointBatch(msg.value(), deadline));
+                     AnswerPointBatch(msg.value(), raw, deadline));
     }
     case MessageType::kSweepRequest: {
-      auto msg = DecodeSweepRequest(request.payload);
+      auto msg = DecodeSweepRequest(payload);
       if (!msg.ok()) return msg.status();
       return respond(MessageType::kSweepResponse,
                      AnswerSweep(msg.value(), deadline));
     }
     case MessageType::kStatsRequest: {
-      auto msg = DecodeStatsRequest(request.payload);
+      auto msg = DecodeStatsRequest(payload);
       if (!msg.ok()) return msg.status();
       return respond(MessageType::kStatsResponse,
                      AnswerStats(msg.value(), deadline));
@@ -232,41 +238,151 @@ StatsResponseMsg ProcessStats(const std::string& label, uint32_t flags) {
 ResponseCache::ResponseCache(size_t capacity, const std::string& metric_prefix)
     : hit_counter_(MetricsRegistry::Get().Counter(metric_prefix + ".hits")),
       miss_counter_(MetricsRegistry::Get().Counter(metric_prefix + ".misses")),
-      capacity_(capacity) {}
+      // Slot indices are 32-bit, and home positions come from 32 hash
+      // bits; no cache could fill 2^31 slots anyway.
+      capacity_(std::min<size_t>(capacity, size_t{1} << 30)) {}
 
 uint64_t ResponseCache::hits() const {
   MutexLock lock(mu_);
   return hits_;
 }
 
-bool ResponseCache::Get(const std::string& key, std::string* value) {
-  MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    miss_counter_->Add();
-    return false;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  *value = it->second->second;
-  ++hits_;
-  hit_counter_->Add();
-  return true;
+void ResponseCache::CountLookups(size_t hits, size_t misses) {
+  if (hits > 0) hit_counter_->Add(hits);
+  if (misses > 0) miss_counter_->Add(misses);
 }
 
-void ResponseCache::Put(const std::string& key, std::string value) {
-  if (capacity_ == 0) return;  // capacity_ is const: lock-free fast path
-  MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = std::move(value);
-    lru_.splice(lru_.begin(), lru_, it->second);
+bool ResponseCache::Get(std::string_view key, std::string* value) {
+  bool hit = false;
+  GetEach({&key, 1}, [&](size_t, std::string_view cached) {
+    value->assign(cached);
+    hit = true;
+  });
+  return hit;
+}
+
+void ResponseCache::Put(std::string_view key, std::string_view value) {
+  PutEach(1, [&](size_t) { return std::make_pair(key, value); });
+}
+
+namespace {
+
+// An index entry: the hash's low 32 bits (which also give a key's home
+// position, the index being smaller than 2^32) over slot + 1.
+uint64_t IndexEntry(uint64_t hash, uint32_t s) {
+  return (hash << 32) | (uint64_t{s} + 1);
+}
+uint32_t SlotOf(uint64_t entry) { return static_cast<uint32_t>(entry) - 1; }
+uint64_t HashBitsOf(uint64_t entry) { return entry >> 32; }
+
+}  // namespace
+
+size_t ResponseCache::ProbeLocked(std::string_view key, uint64_t hash) const {
+  const size_t mask = index_.size() - 1;
+  const uint64_t bits = hash & 0xffffffffu;
+  for (size_t at = hash & mask;; at = (at + 1) & mask) {
+    const uint64_t entry = index_[at];
+    if (entry == 0) return at;
+    if (HashBitsOf(entry) != bits) continue;
+    const Slot& slot = slots_[SlotOf(entry)];
+    if (slot.hash == hash && slot.key == key) return at;
+  }
+}
+
+size_t ResponseCache::PositionLocked(uint32_t s) const {
+  const size_t mask = index_.size() - 1;
+  size_t at = slots_[s].hash & mask;
+  while (SlotOf(index_[at]) != s) at = (at + 1) & mask;
+  return at;
+}
+
+const ResponseCache::Slot* ResponseCache::FindLocked(std::string_view key) {
+  if (slots_.empty()) return nullptr;
+  const uint64_t entry =
+      index_[ProbeLocked(key, Xxh64(key.data(), key.size(), 0))];
+  if (entry == 0) return nullptr;
+  const uint32_t s = SlotOf(entry);
+  if (newest_ != s) {
+    UnlinkLocked(s);
+    LinkFrontLocked(s);
+  }
+  return &slots_[s];
+}
+
+void ResponseCache::PutLocked(std::string_view key, std::string_view value) {
+  const uint64_t hash = Xxh64(key.data(), key.size(), 0);
+  if (slots_.size() < capacity_ && 2 * (slots_.size() + 1) > index_.size()) {
+    RehashLocked(std::max<size_t>(16, 2 * index_.size()));
+  }
+  size_t at = ProbeLocked(key, hash);
+  if (index_[at] != 0) {  // a cached key: replace its response
+    const uint32_t s = SlotOf(index_[at]);
+    slots_[s].value.assign(value);
+    if (newest_ != s) {
+      UnlinkLocked(s);
+      LinkFrontLocked(s);
+    }
     return;
   }
-  lru_.emplace_front(key, std::move(value));
-  index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
+  uint32_t s;
+  if (slots_.size() < capacity_) {
+    s = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    // Full: the least recently used slot leaves the index and takes the
+    // new key, strings reused in place.
+    s = oldest_;
+    EraseIndexLocked(PositionLocked(s));
+    UnlinkLocked(s);
+    at = ProbeLocked(key, hash);  // the erase may have shifted the probe
+  }
+  Slot& slot = slots_[s];
+  slot.key.assign(key);
+  slot.value.assign(value);
+  slot.hash = hash;
+  index_[at] = IndexEntry(hash, s);
+  LinkFrontLocked(s);
+}
+
+void ResponseCache::UnlinkLocked(uint32_t s) {
+  Slot& slot = slots_[s];
+  (slot.newer == kNone ? newest_ : slots_[slot.newer].older) = slot.older;
+  (slot.older == kNone ? oldest_ : slots_[slot.older].newer) = slot.newer;
+  slot.newer = slot.older = kNone;
+}
+
+void ResponseCache::LinkFrontLocked(uint32_t s) {
+  Slot& slot = slots_[s];
+  slot.newer = kNone;
+  slot.older = newest_;
+  (newest_ == kNone ? oldest_ : slots_[newest_].newer) = s;
+  newest_ = s;
+}
+
+void ResponseCache::EraseIndexLocked(size_t at) {
+  const size_t mask = index_.size() - 1;
+  index_[at] = 0;
+  for (size_t next = (at + 1) & mask; index_[next] != 0;
+       next = (next + 1) & mask) {
+    // The entry at `next` stays unless the hole lies on its probe path:
+    // between its home position and `next`, cyclically.
+    const size_t home = HashBitsOf(index_[next]) & mask;
+    const bool stays = at <= next ? (at < home && home <= next)
+                                  : (at < home || home <= next);
+    if (stays) continue;
+    index_[at] = index_[next];
+    index_[next] = 0;
+    at = next;
+  }
+}
+
+void ResponseCache::RehashLocked(size_t size) {
+  index_.assign(size, 0);
+  const size_t mask = size - 1;
+  for (uint32_t s = 0; s < slots_.size(); ++s) {
+    size_t at = slots_[s].hash & mask;
+    while (index_[at] != 0) at = (at + 1) & mask;
+    index_[at] = IndexEntry(slots_[s].hash, s);
   }
 }
 
@@ -302,14 +418,16 @@ StatusOr<std::string> AdsServerCore::AnswerStats(const StatsRequestMsg& msg,
 }
 
 StatusOr<std::string> AdsServerCore::AnswerPoint(const PointRequestMsg& msg,
-                                                 const std::string& payload,
+                                                 std::string_view payload,
                                                  const Deadline&) {
   // A lone point is a batch of one. Its payload is a canonical encoding
-  // of the question, so it is the cache key as it stands.
-  PointBatchResponseEntry answer;
-  AnswerPoints({&msg, 1}, {&payload, 1}, {&answer, 1});
+  // of the question, so it is the cache key as it stands, and its answer
+  // is the whole answer buffer.
+  PointAnswer answer;
+  std::string bytes;
+  AnswerPoints({&msg, 1}, {&payload, 1}, {&answer, 1}, &bytes);
   if (!answer.status.ok()) return answer.status;
-  return std::move(answer.payload);
+  return bytes;
 }
 
 StatusOr<NodeId> AdsServerCore::LocalIdOf(uint64_t node) const {
@@ -322,12 +440,13 @@ StatusOr<NodeId> AdsServerCore::LocalIdOf(uint64_t node) const {
   return static_cast<NodeId>(node - begin);
 }
 
-StatusOr<std::string> AdsServerCore::ComputePointWithView(
-    const PointRequestMsg& msg, const AdsView& view, const HipView& hip,
-    std::optional<HipEstimator>* est) const {
+Status AdsServerCore::AppendPointAnswer(const PointRequestMsg& msg,
+                                        const AdsView& view,
+                                        const HipView& hip,
+                                        std::optional<HipEstimator>* est,
+                                        std::string* out) const {
   uint64_t begin = options_.node_begin;
   uint64_t end = begin + backend_->num_nodes();
-  PointResponseMsg response;
   switch (msg.kind) {
     case PointKind::kNodeStats: {
       if (!est->has_value()) {
@@ -343,27 +462,38 @@ StatusOr<std::string> AdsServerCore::ComputePointWithView(
                      backend_->ranks(), &scratch);
       }
       if (std::isinf(msg.d)) {
-        response.values = {(*est)->ReachableCount(),
-                           (*est)->HarmonicCentrality(),
-                           (*est)->DistanceSum()};
+        // Reachable count, harmonic centrality and distance sum from one
+        // walk. Each sum adds its own terms from 0.0 in entry order, so
+        // each is the same bits as its standalone walk.
+        static const HipSum kSums[] = {HipSum::Reachable(),
+                                       HipSum::Harmonic(),
+                                       HipSum::DistanceSum()};
+        HipSumState state[std::size(kSums)];
+        (*est)->WalkSums(kSums, state,
+                         [](double, std::span<const double>,
+                            std::span<const double>) { return false; });
+        const double values[] = {state[0].value, state[1].value,
+                                 state[2].value};
+        AppendPointResponse(values, {}, out);
       } else {
-        response.values = {(*est)->NeighborhoodCardinality(msg.d)};
+        const double value = (*est)->NeighborhoodCardinality(msg.d);
+        AppendPointResponse({&value, 1}, {}, out);
       }
-      break;
+      return Status::Ok();
     }
     case PointKind::kLookup: {
       // Entry target ids are global, so lookups need no translation.
       AdsNodeIndex index(view);
-      response.values.reserve(msg.targets.size());
+      std::vector<double> distances;
+      distances.reserve(msg.targets.size());
       for (uint64_t target : msg.targets) {
-        if (target > std::numeric_limits<NodeId>::max()) {
-          response.values.push_back(-1.0);
-        } else {
-          response.values.push_back(
-              index.DistanceOf(static_cast<NodeId>(target)));
-        }
+        distances.push_back(
+            target > std::numeric_limits<NodeId>::max()
+                ? -1.0
+                : index.DistanceOf(static_cast<NodeId>(target)));
       }
-      break;
+      AppendPointResponse(distances, {}, out);
+      return Status::Ok();
     }
     case PointKind::kJaccard: {
       if (msg.other < begin || msg.other >= end) {
@@ -381,19 +511,19 @@ StatusOr<std::string> AdsServerCore::ComputePointWithView(
           backend_->ViewOf(static_cast<NodeId>(msg.other - begin));
       if (!other_view.ok()) return other_view.status();
       double sup = backend_->ranks().sup();
-      double jaccard = JaccardSimilarity(u_view, other_view.value(), msg.d,
-                                         backend_->k(), sup);
-      double uni = UnionCardinality(u_view, other_view.value(), msg.d,
-                                    backend_->k(), sup);
-      response.values = {jaccard, uni};
-      break;
+      const double values[] = {
+          JaccardSimilarity(u_view, other_view.value(), msg.d, backend_->k(),
+                            sup),
+          UnionCardinality(u_view, other_view.value(), msg.d, backend_->k(),
+                           sup)};
+      AppendPointResponse(values, {}, out);
+      return Status::Ok();
     }
-    case PointKind::kFetchSketch: {
-      response.entries.assign(view.entries().begin(), view.entries().end());
-      break;
-    }
+    case PointKind::kFetchSketch:
+      AppendPointResponse({}, view.entries(), out);
+      return Status::Ok();
   }
-  return EncodePointResponse(response);
+  return Status::InvalidArgument("unknown point request kind");
 }
 
 namespace {
@@ -411,25 +541,38 @@ bool SamePointRequest(const PointRequestMsg& a, const PointRequestMsg& b) {
 }  // namespace
 
 void AdsServerCore::AnswerPoints(std::span<const PointRequestMsg> requests,
-                                 std::span<const std::string> keys,
-                                 std::span<PointBatchResponseEntry> out) {
+                                 std::span<const std::string_view> keys,
+                                 std::span<PointAnswer> out,
+                                 std::string* bytes) {
   const bool use_cache = options_.point_cache_entries > 0;
   std::vector<size_t> misses;
   misses.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    // A hit bypasses backend and locks entirely (entry status stays Ok).
-    if (use_cache && point_cache_.Get(keys[i], &out[i].payload)) continue;
-    misses.push_back(i);
+  if (use_cache) {
+    // Hits come back in request order: every index skipped between two
+    // hits is a miss. A hit bypasses backend and locks entirely (its
+    // status stays Ok).
+    size_t next = 0;
+    point_cache_.GetEach(keys, [&](size_t i, std::string_view cached) {
+      for (; next < i; ++next) misses.push_back(next);
+      ++next;
+      out[i].begin = bytes->size();
+      out[i].size = cached.size();
+      bytes->append(cached);
+    });
+    for (; next < requests.size(); ++next) misses.push_back(next);
+  } else {
+    for (size_t i = 0; i < requests.size(); ++i) misses.push_back(i);
   }
   if (misses.empty()) return;
-  // One pass in node order. stable_sort keeps equal-node entries in
-  // request order; results land by original index either way, so the
-  // reorder is invisible on the wire.
+  // One pass in node order, equal-node entries in request order; results
+  // land by original index either way, so the reorder is invisible on the
+  // wire.
   if (misses.size() > 1) {
-    std::stable_sort(misses.begin(), misses.end(),
-                     [&requests](size_t a, size_t b) {
-                       return requests[a].node < requests[b].node;
-                     });
+    std::sort(misses.begin(), misses.end(), [&requests](size_t a, size_t b) {
+      return requests[a].node != requests[b].node
+                 ? requests[a].node < requests[b].node
+                 : a < b;
+    });
   }
   auto compute = [&] {
     // The node whose view, HIP weights and estimator the pass holds.
@@ -441,10 +584,12 @@ void AdsServerCore::AnswerPoints(std::span<const PointRequestMsg> requests,
     for (size_t i : misses) {
       const PointRequestMsg& entry = requests[i];
       // Identical entries are adjacent after the sort, and responses are
-      // deterministic, so the previous result (payload or status) IS this
-      // entry's result: one copy instead of a recomputed scan.
+      // deterministic, so the previous answer (bytes or status) IS this
+      // entry's answer: shared, not recomputed.
       if (prev.has_value() && SamePointRequest(entry, requests[*prev])) {
-        out[i] = out[*prev];
+        out[i].begin = out[*prev].begin;
+        out[i].size = out[*prev].size;
+        if (!out[*prev].status.ok()) out[i].status = out[*prev].status;
         continue;
       }
       prev = i;
@@ -473,12 +618,11 @@ void AdsServerCore::AnswerPoints(std::span<const PointRequestMsg> requests,
         out[i].status = view.status();
         continue;
       }
-      auto result = ComputePointWithView(entry, view.value(), hip, &est);
-      if (result.ok()) {
-        out[i].payload = std::move(result).value();
-      } else {
-        out[i].status = result.status();
-      }
+      out[i].begin = bytes->size();
+      Status answered =
+          AppendPointAnswer(entry, view.value(), hip, &est, bytes);
+      if (!answered.ok()) out[i].status = std::move(answered);
+      out[i].size = bytes->size() - out[i].begin;
       // A Jaccard entry's second fetch may evict the shard backing `view`
       // (bounded residency), so the share ends with it.
       if (entry.kind == PointKind::kJaccard) shared_node.reset();
@@ -500,30 +644,37 @@ void AdsServerCore::AnswerPoints(std::span<const PointRequestMsg> requests,
     compute();
   }
   if (use_cache) {
-    for (size_t i : misses) {
-      if (out[i].status.ok()) point_cache_.Put(keys[i], out[i].payload);
-    }
+    // Fill in the pass's order, as Puts one miss at a time would.
+    std::erase_if(misses, [&out](size_t i) { return !out[i].status.ok(); });
+    const std::string_view answers = *bytes;
+    point_cache_.PutEach(misses.size(), [&](size_t j) {
+      const PointAnswer& answer = out[misses[j]];
+      return std::make_pair(keys[misses[j]],
+                            answers.substr(answer.begin, answer.size));
+    });
   }
 }
 
 StatusOr<std::string> AdsServerCore::AnswerPointBatch(
-    const PointBatchRequestMsg& msg, const Deadline&) {
+    const PointBatchRequestMsg& msg, std::span<const std::string_view> raw,
+    const Deadline&) {
   const size_t n = msg.entries.size();
   Metrics().batch_entries->Record(n);
-  // Per-entry cache keys are the canonical single-request bytes: a batch
-  // reads and fills exactly the cache lone kPointRequests use, so either
-  // shape warms the other. With the cache disabled the keys are never
-  // consulted, so skip the per-entry re-encode entirely.
-  std::vector<std::string> keys;
-  if (options_.point_cache_entries > 0) {
-    keys.reserve(n);
-    for (const PointRequestMsg& entry : msg.entries) {
-      keys.push_back(EncodePointRequest(entry));
-    }
-  }
+  // Per-entry cache keys are the entries' own bytes, the canonical
+  // single-request encodings: a batch reads and fills exactly the cache
+  // lone kPointRequests use, so either shape warms the other.
+  std::vector<PointAnswer> answers(n);
+  std::string bytes;
+  AnswerPoints(msg.entries, raw, answers, &bytes);
   PointBatchResponseMsg response;
   response.entries.resize(n);
-  AnswerPoints(msg.entries, keys, response.entries);
+  for (size_t i = 0; i < n; ++i) {
+    if (!answers[i].status.ok()) {
+      response.entries[i].status = std::move(answers[i].status);
+    }
+    response.entries[i].payload =
+        std::string_view(bytes).substr(answers[i].begin, answers[i].size);
+  }
   return EncodePointBatchResponse(response);
 }
 
@@ -600,6 +751,11 @@ TcpServer::~TcpServer() { Stop(); }
 
 Status TcpServer::Start() {
   if (listen_fd_ >= 0) return Status::InvalidArgument("server already started");
+  if (options_.num_workers > kMaxTcpWorkers) {
+    return Status::InvalidArgument(
+        "worker count " + std::to_string(options_.num_workers) +
+        " exceeds the bound of " + std::to_string(kMaxTcpWorkers));
+  }
   if (::pipe(stop_pipe_) != 0) {
     return Status::IOError("pipe failed: " + std::string(std::strerror(errno)));
   }
@@ -729,11 +885,16 @@ void TcpServer::ServeConnection(int fd) {
   auto read_exact = [&](char* buf, size_t n, Deadline* frame_deadline,
                         bool at_frame_start) -> int {
     size_t done = 0;
+    // A frame's first bytes are waited for. The rest of it has usually
+    // arrived with them, so a payload read goes first and waits only once
+    // a read comes up short.
+    bool wait = at_frame_start;
     while (done < n) {
-      if (!WaitReadable(fd, *frame_deadline)) return -1;
+      if (wait && !WaitReadable(fd, *frame_deadline)) return -1;
       ssize_t got = ::read(fd, buf + done, n - done);
       if (got == 0) return (at_frame_start && done == 0) ? 0 : -1;
       if (got < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK) wait = true;
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
           continue;
         }
@@ -743,6 +904,7 @@ void TcpServer::ServeConnection(int fd) {
         *frame_deadline = Deadline::AfterMs(options_.idle_timeout_ms);
       }
       done += static_cast<size_t>(got);
+      wait = true;
     }
     return 1;
   };

@@ -43,14 +43,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,17 +106,21 @@ class ServingCore : public FrameHandler {
   virtual std::string AnswerInfo() = 0;
   /// `payload` is the request's own bytes, the canonical encoding of `msg`.
   virtual StatusOr<std::string> AnswerPoint(const PointRequestMsg& msg,
-                                            const std::string& payload,
+                                            std::string_view payload,
                                             const Deadline& deadline) = 0;
+  /// raw[i] is msg.entries[i]'s own bytes, its canonical encoding (a view
+  /// into the request frame).
   virtual StatusOr<std::string> AnswerPointBatch(
-      const PointBatchRequestMsg& msg, const Deadline& deadline) = 0;
+      const PointBatchRequestMsg& msg, std::span<const std::string_view> raw,
+      const Deadline& deadline) = 0;
   virtual StatusOr<std::string> AnswerSweep(const SweepRequestMsg& msg,
                                             const Deadline& deadline) = 0;
   virtual StatusOr<std::string> AnswerStats(const StatsRequestMsg& msg,
                                             const Deadline& deadline) = 0;
 
  private:
-  StatusOr<Frame> Dispatch(const Frame& request, const Deadline& deadline);
+  StatusOr<Frame> Dispatch(MessageType type, std::string_view payload,
+                           const Deadline& deadline);
 
   // Indexed by request kind: info, point, point_batch, sweep, stats, other.
   static constexpr size_t kNumKinds = 6;
@@ -144,6 +146,15 @@ StatsResponseMsg ProcessStats(const std::string& label, uint32_t flags);
 /// exists so a repeated cheap lookup is served without touching the
 /// backend — including while a whole-graph sweep holds a serialized
 /// backend busy. Capacity 0 disables it.
+///
+/// The cache is a slab of at most `capacity` slots, each a key and its
+/// response, linked by slot index in recency order and found through an
+/// open-addressed index. Slots are added as entries arrive; once all are
+/// in use, a new key takes the least recently used slot and reuses its
+/// strings in place, so a warm cache allocates only for a response longer
+/// than any its slot held before. A run of lookups (GetEach) or of fills
+/// (PutEach) takes the lock once, and behaves exactly as that many Gets or
+/// Puts in order.
 class ResponseCache {
  public:
   /// `metric_prefix` names this cache in the metrics registry: hits and
@@ -152,8 +163,40 @@ class ResponseCache {
   ResponseCache(size_t capacity, const std::string& metric_prefix);
 
   /// Copies the cached response into *value and refreshes recency.
-  bool Get(const std::string& key, std::string* value);
-  void Put(const std::string& key, std::string value);
+  bool Get(std::string_view key, std::string* value);
+  void Put(std::string_view key, std::string_view value);
+
+  /// Get for each of `keys`, in order, under one lock: a hit refreshes the
+  /// key's recency and calls on_hit(i, response), where the view is valid
+  /// only during the call; a miss calls nothing. on_hit must not call into
+  /// this cache.
+  template <typename OnHit>
+  void GetEach(std::span<const std::string_view> keys, OnHit&& on_hit) {
+    size_t hits = 0;
+    {
+      MutexLock lock(mu_);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const Slot* slot = FindLocked(keys[i]);
+        if (slot == nullptr) continue;
+        ++hits;
+        on_hit(i, std::string_view(slot->value));
+      }
+      hits_ += hits;
+    }
+    CountLookups(hits, keys.size() - hits);
+  }
+
+  /// Put for each of `n` pairs, in order, under one lock: pair_at(j)
+  /// returns the j-th (key, value), which are copied into the cache.
+  template <typename PairAt>
+  void PutEach(size_t n, PairAt&& pair_at) {
+    if (capacity_ == 0 || n == 0) return;  // capacity_ is const
+    MutexLock lock(mu_);
+    for (size_t j = 0; j < n; ++j) {
+      const std::pair<std::string_view, std::string_view> kv = pair_at(j);
+      PutLocked(kv.first, kv.second);
+    }
+  }
 
   /// This cache's lifetime hit count — observability for tests asserting
   /// that batched and single-request paths share one cache. Counted
@@ -161,19 +204,51 @@ class ResponseCache {
   uint64_t hits() const;
 
  private:
-  using Entry = std::pair<std::string, std::string>;  // key, response
+  static constexpr uint32_t kNone = ~uint32_t{0};
+  struct Slot {
+    std::string key;
+    std::string value;
+    uint64_t hash = 0;
+    uint32_t newer = kNone;  // toward the most recently used slot
+    uint32_t older = kNone;  // toward the least recently used slot
+  };
+
+  /// The slot holding `key`, made the most recently used; null if absent.
+  const Slot* FindLocked(std::string_view key) HIPADS_REQUIRES(mu_);
+  void PutLocked(std::string_view key, std::string_view value)
+      HIPADS_REQUIRES(mu_);
+  /// The index position of the slot holding `key` (hashing to `hash`), or
+  /// of the empty position that ends its probe when no slot holds it.
+  size_t ProbeLocked(std::string_view key, uint64_t hash) const
+      HIPADS_REQUIRES(mu_);
+  /// The index position of slot `s`, which is in the index.
+  size_t PositionLocked(uint32_t s) const HIPADS_REQUIRES(mu_);
+  void UnlinkLocked(uint32_t s) HIPADS_REQUIRES(mu_);
+  void LinkFrontLocked(uint32_t s) HIPADS_REQUIRES(mu_);
+  /// Empties index position `at`, shifting back the entries after it that
+  /// its occupant displaced, so probes never need tombstones.
+  void EraseIndexLocked(size_t at) HIPADS_REQUIRES(mu_);
+  /// Rebuilds the index at `size` positions (a power of two).
+  void RehashLocked(size_t size) HIPADS_REQUIRES(mu_);
+  void CountLookups(size_t hits, size_t misses);
 
   mutable Mutex mu_;
   uint64_t hits_ HIPADS_GUARDED_BY(mu_) = 0;
   MetricCounter* const hit_counter_;
   MetricCounter* const miss_counter_;
-  // Immutable after construction: Put reads it before taking mu_ for its
-  // capacity-0 fast path, which is only race-free because nothing ever
+  // Immutable after construction: PutEach reads it before taking mu_ for
+  // its capacity-0 fast path, which is only race-free because nothing ever
   // writes it again (const makes that a compiler guarantee, not a habit).
   const size_t capacity_;
-  std::list<Entry> lru_ HIPADS_GUARDED_BY(mu_);  // front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
-      HIPADS_GUARDED_BY(mu_);
+  std::vector<Slot> slots_ HIPADS_GUARDED_BY(mu_);  // grows to capacity_
+  // Open addressing with linear probing. An entry holds its slot's index
+  // + 1 in the low 32 bits and the low 32 bits of its key's hash above
+  // them, so a probe reads only the slots whose hash bits match, and an
+  // erase shifts entries back without reading any; 0 is an empty
+  // position. At most half full, so every probe ends at an empty position.
+  std::vector<uint64_t> index_ HIPADS_GUARDED_BY(mu_);
+  uint32_t newest_ HIPADS_GUARDED_BY(mu_) = kNone;
+  uint32_t oldest_ HIPADS_GUARDED_BY(mu_) = kNone;
 };
 
 /// Serving options for AdsServerCore.
@@ -212,9 +287,10 @@ class AdsServerCore : public ServingCore {
  private:
   std::string AnswerInfo() override;
   StatusOr<std::string> AnswerPoint(const PointRequestMsg& msg,
-                                    const std::string& payload,
+                                    std::string_view payload,
                                     const Deadline& deadline) override;
   StatusOr<std::string> AnswerPointBatch(const PointBatchRequestMsg& msg,
+                                         std::span<const std::string_view> raw,
                                          const Deadline& deadline) override;
   StatusOr<std::string> AnswerSweep(const SweepRequestMsg& msg,
                                     const Deadline& deadline) override;
@@ -226,30 +302,41 @@ class AdsServerCore : public ServingCore {
   /// out-of-range answer — single and batched paths must fail with
   /// identical bytes).
   StatusOr<NodeId> LocalIdOf(uint64_t node) const;
-  /// The one point engine: fills out[i] with the answer to requests[i]
-  /// (a lone request is a batch of one). keys[i] is requests[i]'s
-  /// point-cache key, its canonical single-request encoding — a lone
-  /// request's own payload bytes; `keys` is read only when the cache is
-  /// on. Hits bypass the backend and its lock. The misses are computed in
-  /// one pass in node order: consecutive same-node entries share one
-  /// backend fetch and one estimator — until a Jaccard entry, whose second
-  /// fetch can evict the shared view's shard — and consecutive identical
-  /// entries reuse the previous result (responses are deterministic, so
-  /// the copy is bitwise-equal to a recompute). A serialized backend is
-  /// locked once for the pass or, while a sweep holds it, every miss is
-  /// shed with Unavailable.
+
+  /// One answer of AnswerPoints: its status and, when Ok, its encoded
+  /// PointResponseMsg at [begin, begin + size) of the answer buffer.
+  struct PointAnswer {
+    Status status;
+    size_t begin = 0;
+    size_t size = 0;
+  };
+  /// The one point engine: answers requests[i] into out[i], appending
+  /// every Ok answer's bytes to `*bytes` (a lone request is a batch of
+  /// one, whose bytes are exactly its answer). keys[i] is requests[i]'s
+  /// point-cache key, its canonical single-request encoding — the
+  /// request's own bytes; `keys` is read only when the cache is on. The
+  /// cache is probed under one lock, and hits bypass the backend and its
+  /// lock. The misses are computed in one pass in node order, each encoded
+  /// once into `*bytes`: consecutive same-node entries share one backend
+  /// fetch and one estimator — until a Jaccard entry, whose second fetch
+  /// can evict the shared view's shard — and consecutive identical entries
+  /// share the previous answer (responses are deterministic, so it is
+  /// bitwise-equal to a recompute). A serialized backend is locked once
+  /// for the pass or, while a sweep holds it, every miss is shed with
+  /// Unavailable. The Ok misses then fill the cache under one lock.
   void AnswerPoints(std::span<const PointRequestMsg> requests,
-                    std::span<const std::string> keys,
-                    std::span<PointBatchResponseEntry> out);
-  /// One entry's answer from its node's fetched view. `hip` carries the
-  /// node's storage-resident HIP weights when the backend has them
-  /// (estimator materialization is then a pointer wrap); when absent the
-  /// scan runs into a per-thread scratch — both produce byte-identical
-  /// responses. `est` caches the node's HipEstimator across the node's
-  /// consecutive entries.
-  StatusOr<std::string> ComputePointWithView(
-      const PointRequestMsg& msg, const AdsView& view, const HipView& hip,
-      std::optional<HipEstimator>* est) const;
+                    std::span<const std::string_view> keys,
+                    std::span<PointAnswer> out, std::string* bytes);
+  /// Appends one entry's encoded answer from its node's fetched view to
+  /// `*out`. `hip` carries the node's storage-resident HIP weights when the
+  /// backend has them (estimator materialization is then a pointer wrap);
+  /// when absent the scan runs into a per-thread scratch — both produce
+  /// byte-identical responses. `est` caches the node's HipEstimator across
+  /// the node's consecutive entries. On an error nothing is appended.
+  Status AppendPointAnswer(const PointRequestMsg& msg, const AdsView& view,
+                           const HipView& hip,
+                           std::optional<HipEstimator>* est,
+                           std::string* out) const;
 
   const AdsBackend* backend_;
   ServerOptions options_;
@@ -268,12 +355,18 @@ class AdsServerCore : public ServingCore {
   ResponseCache sweep_cache_;
 };
 
+/// The most worker threads a TcpServer starts: each is a thread with its
+/// own stack, so a mistyped count must fail instead of exhausting the
+/// host. `serve` and `route` bound --workers by it.
+inline constexpr uint32_t kMaxTcpWorkers = 1024;
+
 /// Options for TcpServer.
 struct TcpServerOptions {
   /// Port to bind (0 = ephemeral; read the chosen one back via port()).
   uint16_t port = 0;
   /// Concurrent connections served (worker threads accepting on the shared
   /// listening socket); further connections wait in the listen backlog.
+  /// 0 starts one; more than kMaxTcpWorkers fails Start.
   uint32_t num_workers = 4;
   /// Mid-frame stall bound: once the first byte of a frame has arrived,
   /// the rest of it (and the response write) must complete within this
@@ -297,6 +390,8 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
+  /// Binds and spawns the workers. InvalidArgument, having created no
+  /// thread or socket, when num_workers exceeds kMaxTcpWorkers.
   Status Start();
   void Stop();
 

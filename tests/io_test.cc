@@ -157,6 +157,14 @@ TEST(IoTest, WriteReadRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A write error that surfaces only when close flushes the last buffer
+// still fails the write: /dev/full takes the open and a 10-node list into
+// the stream buffer, then fails the final flush.
+TEST(IoTest, WriteToAFullDeviceFails) {
+  Status s = WriteEdgeListFile(BarabasiAlbert(10, 3, 1), "/dev/full");
+  EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+}
+
 // Every edge comes back with its weight's exact bits: the writer prints
 // the shortest form that reads back as the same double. The reader
 // renumbers nodes in first-seen order, so the expected graph is `g`'s

@@ -419,7 +419,7 @@ class BatchSheddingHandler : public FrameHandler {
       auto msg = DecodePointBatchRequest(frame.value().payload);
       PointBatchResponseMsg response;
       response.entries.resize(msg.value().entries.size());
-      for (PointBatchResponseEntry& entry : response.entries) {
+      for (PointBatchEntryView& entry : response.entries) {
         entry.status = Status::Unavailable(
             "backend busy with a sweep; point lookup shed, retry");
       }

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -602,11 +604,13 @@ TEST(ServeFuzzTest, PointBatchResponsePerEntryStatusesAreValidated) {
   PointBatchResponseMsg mixed;
   PointBatchResponseEntry ok_entry;
   ok_entry.payload = EncodePointResponse(ok_response);
-  mixed.entries.push_back(ok_entry);
+  mixed.entries.push_back({ok_entry.status, ok_entry.payload});
   PointBatchResponseEntry failed;
   failed.status = Status::NotFound("node 99 is outside the served range");
-  mixed.entries.push_back(failed);
-  auto decoded = DecodePointBatchResponse(EncodePointBatchResponse(mixed));
+  mixed.entries.push_back({failed.status, failed.payload});
+  // Decoded payloads view the encoded bytes, which must outlive them.
+  const std::string encoded = EncodePointBatchResponse(mixed);
+  auto decoded = DecodePointBatchResponse(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded.value().entries.size(), 2u);
   EXPECT_TRUE(decoded.value().entries[0].status.ok());
@@ -646,6 +650,372 @@ TEST(ServeFuzzTest, PointBatchResponsePerEntryStatusesAreValidated) {
     w.Bytes(ok_entry.payload);
     EXPECT_FALSE(DecodePointBatchResponse(w.Take()).ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Codec differential: the point decoders read fields as views into the
+// payload and check an Ok batch entry's payload in place. The references
+// below are the copying decoders they replaced, kept verbatim with their
+// own reader, so every byte sequence must get the same verdict and Status
+// from both.
+// ---------------------------------------------------------------------------
+
+// The reader the copying decoders used: every field copied out.
+class RefReader {
+ public:
+  explicit RefReader(std::string_view data) : data_(data) {}
+  Status Raw(void* out, size_t n) {
+    if (data_.size() - pos_ < n) {
+      return Status::Corruption("truncated message payload");
+    }
+    std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
+    return Status::Ok();
+  }
+  Status U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
+  Status U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
+  Status F64(double* v) { return Raw(v, sizeof(*v)); }
+  Status Bytes(std::string* out) {
+    uint64_t len = 0;
+    Status s = U64(&len);
+    if (!s.ok()) return s;
+    if (len > data_.size() - pos_) {
+      return Status::Corruption("byte string length exceeds payload");
+    }
+    out->assign(data_.data() + pos_, len);
+    pos_ += len;
+    return Status::Ok();
+  }
+  Status ExpectDone() const {
+    return pos_ == data_.size()
+               ? Status::Ok()
+               : Status::Corruption("trailing bytes after message payload");
+  }
+
+ private:
+  std::string_view data_;
+  size_t pos_ = 0;
+};
+
+StatusOr<PointRequestMsg> RefDecodePointRequest(std::string_view payload) {
+  PointRequestMsg msg;
+  RefReader r(payload);
+  Status s;
+  uint32_t kind = 0;
+  if (!(s = r.U32(&kind)).ok()) return s;
+  if (kind < static_cast<uint32_t>(PointKind::kNodeStats) ||
+      kind > static_cast<uint32_t>(PointKind::kFetchSketch)) {
+    return Status::Corruption("unknown point request kind");
+  }
+  msg.kind = static_cast<PointKind>(kind);
+  if (!(s = r.U64(&msg.node)).ok()) return s;
+  if (!(s = r.U64(&msg.other)).ok()) return s;
+  if (!(s = r.F64(&msg.d)).ok()) return s;
+  if (std::isnan(msg.d)) {
+    return Status::Corruption("point request distance is NaN");
+  }
+  uint64_t count = 0;
+  if (!(s = r.U64(&count)).ok()) return s;
+  if (count > payload.size() / sizeof(uint64_t)) {
+    return Status::Corruption("point request target count exceeds payload");
+  }
+  msg.targets.resize(count);
+  for (uint64_t& t : msg.targets) {
+    if (!(s = r.U64(&t)).ok()) return s;
+  }
+  if (!(s = r.ExpectDone()).ok()) return s;
+  return msg;
+}
+
+StatusOr<PointResponseMsg> RefDecodePointResponse(std::string_view payload) {
+  PointResponseMsg msg;
+  RefReader r(payload);
+  Status s;
+  uint64_t count = 0;
+  if (!(s = r.U64(&count)).ok()) return s;
+  if (count > payload.size() / sizeof(double)) {
+    return Status::Corruption("point response value count exceeds payload");
+  }
+  msg.values.resize(count);
+  for (double& v : msg.values) {
+    if (!(s = r.F64(&v)).ok()) return s;
+  }
+  std::string entries;
+  if (!(s = r.Bytes(&entries)).ok()) return s;
+  if (!(s = r.ExpectDone()).ok()) return s;
+  if (entries.size() % sizeof(AdsEntry) != 0) {
+    return Status::Corruption("sketch bytes are not whole AdsEntry records");
+  }
+  msg.entries.resize(entries.size() / sizeof(AdsEntry));
+  if (!entries.empty()) {
+    std::memcpy(msg.entries.data(), entries.data(), entries.size());
+  }
+  return msg;
+}
+
+StatusOr<PointBatchRequestMsg> RefDecodePointBatchRequest(
+    std::string_view payload) {
+  PointBatchRequestMsg msg;
+  RefReader r(payload);
+  Status s;
+  uint64_t count = 0;
+  if (!(s = r.U64(&count)).ok()) return s;
+  if (count > kMaxPointBatchEntries) {
+    return Status::Corruption(
+        "point batch entry count exceeds the protocol bound");
+  }
+  if (count > payload.size() / sizeof(uint64_t)) {
+    return Status::Corruption("point batch entry count exceeds payload");
+  }
+  msg.entries.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string entry;
+    if (!(s = r.Bytes(&entry)).ok()) return s;
+    StatusOr<PointRequestMsg> decoded = RefDecodePointRequest(entry);
+    if (!decoded.ok()) return decoded.status();
+    msg.entries.push_back(std::move(decoded).value());
+  }
+  if (!(s = r.ExpectDone()).ok()) return s;
+  return msg;
+}
+
+bool RefStatusFromWire(uint32_t code, std::string message, Status* out) {
+  switch (static_cast<Status::Code>(code)) {
+    case Status::Code::kOk:
+      *out = Status::Ok();
+      return true;
+    case Status::Code::kInvalidArgument:
+      *out = Status::InvalidArgument(std::move(message));
+      return true;
+    case Status::Code::kNotFound:
+      *out = Status::NotFound(std::move(message));
+      return true;
+    case Status::Code::kIOError:
+      *out = Status::IOError(std::move(message));
+      return true;
+    case Status::Code::kCorruption:
+      *out = Status::Corruption(std::move(message));
+      return true;
+    case Status::Code::kDeadlineExceeded:
+      *out = Status::DeadlineExceeded(std::move(message));
+      return true;
+    case Status::Code::kUnavailable:
+      *out = Status::Unavailable(std::move(message));
+      return true;
+  }
+  return false;
+}
+
+StatusOr<std::vector<PointBatchResponseEntry>> RefDecodePointBatchResponse(
+    std::string_view payload) {
+  std::vector<PointBatchResponseEntry> entries;
+  RefReader r(payload);
+  Status s;
+  uint64_t count = 0;
+  if (!(s = r.U64(&count)).ok()) return s;
+  if (count > kMaxPointBatchEntries) {
+    return Status::Corruption(
+        "point batch entry count exceeds the protocol bound");
+  }
+  if (count > payload.size() / 20) {
+    return Status::Corruption("point batch entry count exceeds payload");
+  }
+  entries.resize(count);
+  for (PointBatchResponseEntry& e : entries) {
+    uint32_t code = 0;
+    std::string message;
+    std::string body;
+    if (!(s = r.U32(&code)).ok()) return s;
+    if (!(s = r.Bytes(&message)).ok()) return s;
+    if (!(s = r.Bytes(&body)).ok()) return s;
+    if (code == static_cast<uint32_t>(Status::Code::kOk) && !message.empty()) {
+      return Status::Corruption("ok batch entry carries an error message");
+    }
+    if (code != static_cast<uint32_t>(Status::Code::kOk) && !body.empty()) {
+      return Status::Corruption(
+          "failed batch entry carries a response payload");
+    }
+    if (!RefStatusFromWire(code, std::move(message), &e.status)) {
+      return Status::Corruption("batch entry names an unknown status code");
+    }
+    if (e.status.ok()) {
+      StatusOr<PointResponseMsg> decoded = RefDecodePointResponse(body);
+      if (!decoded.ok()) return decoded.status();
+      e.payload = std::move(body);
+    }
+  }
+  if (!(s = r.ExpectDone()).ok()) return s;
+  return entries;
+}
+
+bool SameRequest(const PointRequestMsg& a, const PointRequestMsg& b) {
+  return a.kind == b.kind && a.node == b.node && a.other == b.other &&
+         std::memcmp(&a.d, &b.d, sizeof(double)) == 0 &&
+         a.targets == b.targets;
+}
+
+// Runs `check` on every payload in `corpus`, on every truncation of each,
+// and on each with any one of its first `flip_bytes` bytes XORed by every
+// nonzero value. With `truncate_flips`, also on every truncation of each
+// flip XORed by 0x01, 0x80 or 0xff: two kinds of damage at once reach
+// checks whose order matters (a NaN distance in a short payload).
+template <typename Check>
+void ForEachDamagedPayload(const std::vector<std::string>& corpus,
+                           Check check_one, bool truncate_flips = false,
+                           size_t flip_bytes = std::string::npos) {
+  // Stops checking at the first failure instead of repeating it.
+  auto check = [&check_one](std::string_view x) {
+    if (!::testing::Test::HasFailure()) check_one(x);
+  };
+  for (const std::string& valid : corpus) {
+    for (size_t len = 0; len <= valid.size(); ++len) {
+      check(std::string_view(valid).substr(0, len));
+    }
+    std::string damaged = valid;
+    for (size_t at = 0; at < std::min(flip_bytes, damaged.size()); ++at) {
+      for (int m = 1; m < 256; ++m) {
+        damaged[at] = static_cast<char>(valid[at] ^ m);
+        check(damaged);
+        if (truncate_flips && (m == 0x01 || m == 0x80 || m == 0xff)) {
+          for (size_t len = at + 1; len < damaged.size(); ++len) {
+            check(std::string_view(damaged).substr(0, len));
+          }
+        }
+      }
+      damaged[at] = valid[at];
+    }
+  }
+}
+
+std::vector<PointRequestMsg> RequestCorpus() {
+  std::vector<PointRequestMsg> requests(5);
+  requests[0].kind = PointKind::kNodeStats;
+  requests[0].node = 5;
+  requests[0].d = std::numeric_limits<double>::infinity();
+  requests[1].kind = PointKind::kLookup;
+  requests[1].node = 3;
+  requests[1].targets = {1, 2, 1ull << 40};
+  requests[2].kind = PointKind::kJaccard;
+  requests[2].node = 7;
+  requests[2].other = 9;
+  requests[2].d = -0.0;
+  requests[3].kind = PointKind::kFetchSketch;
+  requests[3].node = 11;
+  requests[4].kind = PointKind::kNodeStats;
+  requests[4].node = 2;
+  requests[4].d = 2.5;
+  return requests;
+}
+
+std::vector<std::string> ResponseCorpus() {
+  PointResponseMsg values;
+  values.values = {1.5, -2.5, std::numeric_limits<double>::infinity()};
+  PointResponseMsg sketch;
+  sketch.entries = {AdsEntry{3, 0, 0.25, 1.0}, AdsEntry{8, 1, 0.5, 2.0}};
+  PointResponseMsg both = sketch;
+  both.values = {0.0};
+  // A value whose bits read as 56: flip the count from 1 to 0 and the
+  // sketch length is that value, which spans exactly the rest of the
+  // payload but is not whole 24-byte records — one flip from a valid
+  // payload to the whole-record check.
+  PointResponseMsg misaligned = sketch;
+  misaligned.values = {std::bit_cast<double>(uint64_t{56})};
+  return {EncodePointResponse(PointResponseMsg{}), EncodePointResponse(values),
+          EncodePointResponse(sketch), EncodePointResponse(both),
+          EncodePointResponse(misaligned)};
+}
+
+TEST(ServeFuzzTest, PointDecodersMatchTheCopyingReferenceOnDamagedBytes) {
+  std::vector<std::string> requests;
+  for (const PointRequestMsg& r : RequestCorpus()) {
+    requests.push_back(EncodePointRequest(r));
+  }
+  size_t accepted = 0;
+  ForEachDamagedPayload(requests, [&](std::string_view x) {
+    auto got = DecodePointRequest(x);
+    auto want = RefDecodePointRequest(x);
+    ASSERT_EQ(got.status().ToString(), want.status().ToString());
+    if (!got.ok()) return;
+    ++accepted;
+    ASSERT_TRUE(SameRequest(got.value(), want.value()));
+    // Decode then encode is the identity on every accepted request: what
+    // raw forwarding and raw cache keys rest on.
+    ASSERT_EQ(EncodePointRequest(got.value()), x);
+  }, /*truncate_flips=*/true);
+  EXPECT_GT(accepted, requests.size());  // flips that stay valid count too
+
+  accepted = 0;
+  ForEachDamagedPayload(ResponseCorpus(), [&](std::string_view x) {
+    auto got = DecodePointResponse(x);
+    auto want = RefDecodePointResponse(x);
+    ASSERT_EQ(got.status().ToString(), want.status().ToString());
+    ASSERT_EQ(ValidatePointResponse(x).ToString(), want.status().ToString());
+    if (!got.ok()) return;
+    ++accepted;
+    ASSERT_EQ(EncodePointResponse(got.value()), x);
+    ASSERT_EQ(EncodePointResponse(want.value()), x);
+  }, /*truncate_flips=*/true);
+  EXPECT_GT(accepted, 4u);
+}
+
+TEST(ServeFuzzTest, BatchDecodersMatchTheCopyingReferenceOnDamagedBytes) {
+  const std::vector<PointRequestMsg> corpus = RequestCorpus();
+  PointBatchRequestMsg one, mixed, maxed;
+  one.entries = {corpus[0]};
+  mixed.entries = corpus;
+  for (size_t i = 0; i < kMaxPointBatchEntries; ++i) {
+    maxed.entries.push_back(corpus[i % corpus.size()]);
+  }
+  auto check_request = [](std::string_view x) {
+    std::vector<std::string_view> raw;
+    auto got = DecodePointBatchRequest(x, &raw);
+    auto want = RefDecodePointBatchRequest(x);
+    ASSERT_EQ(got.status().ToString(), want.status().ToString());
+    ASSERT_EQ(DecodePointBatchRequest(x).status().ToString(),
+              want.status().ToString());
+    if (!got.ok()) return;
+    ASSERT_EQ(got.value().entries.size(), want.value().entries.size());
+    ASSERT_EQ(raw.size(), want.value().entries.size());
+    for (size_t i = 0; i < raw.size(); ++i) {
+      ASSERT_TRUE(SameRequest(got.value().entries[i], want.value().entries[i]));
+      ASSERT_EQ(raw[i], EncodePointRequest(want.value().entries[i]));
+      ASSERT_GE(raw[i].data(), x.data());
+      ASSERT_LE(raw[i].data() + raw[i].size(), x.data() + x.size());
+    }
+    ASSERT_EQ(EncodePointBatchRequestRaw(raw), x);
+  };
+  ForEachDamagedPayload({EncodePointBatchRequest(PointBatchRequestMsg{}),
+                         EncodePointBatchRequest(one),
+                         EncodePointBatchRequest(mixed)},
+                        check_request);
+  // The full batch: every truncation, and flips of its entry count.
+  ForEachDamagedPayload({EncodePointBatchRequest(maxed)}, check_request,
+                        /*truncate_flips=*/false, /*flip_bytes=*/8);
+
+  const std::vector<std::string> responses = ResponseCorpus();
+  PointBatchResponseMsg ok_and_failed;
+  ok_and_failed.entries = {
+      {Status::Ok(), responses[1]},
+      {Status::NotFound("node 99 is outside the served range"), {}},
+      {Status::Ok(), responses[4]},
+      {Status::Unavailable("shed"), {}}};
+  PointBatchResponseMsg empty;
+  auto check_response = [](std::string_view x) {
+    auto got = DecodePointBatchResponse(x);
+    auto want = RefDecodePointBatchResponse(x);
+    ASSERT_EQ(got.status().ToString(), want.status().ToString());
+    if (!got.ok()) return;
+    ASSERT_EQ(got.value().entries.size(), want.value().size());
+    for (size_t i = 0; i < want.value().size(); ++i) {
+      ASSERT_EQ(got.value().entries[i].status.ToString(),
+                want.value()[i].status.ToString());
+      ASSERT_EQ(got.value().entries[i].payload, want.value()[i].payload);
+    }
+    ASSERT_EQ(EncodePointBatchResponse(got.value()), x);
+  };
+  ForEachDamagedPayload(
+      {EncodePointBatchResponse(empty), EncodePointBatchResponse(ok_and_failed)},
+      check_response);
 }
 
 // The deadline budget is wire-controlled too: a budget past what the

@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -28,8 +29,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <list>
 #include <memory>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -49,6 +52,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/parallel.h"
@@ -706,6 +710,294 @@ TEST(ServeTest, PointBatchSharesTheSingleRequestCache) {
   EXPECT_EQ(core.point_cache_hits(), 3u);
 }
 
+// A batch that carries one request twice misses once per copy, answers
+// both with the same bytes and fills one cache entry, which the next
+// batch hits for both copies.
+TEST(ServeTest, PointBatchCarryingOneKeyTwiceFillsOneEntry) {
+  FlatAdsSet full = BuildFlat(120, 23, 8);
+  FlatAdsBackend backend(&full);
+  AdsServerCore core(&backend, ServerOptions{});
+  LoopbackChannel channel(&core);
+  AdsClient client(&channel);
+  PointRequestMsg a;
+  a.kind = PointKind::kNodeStats;
+  a.node = 9;
+  a.d = 2.0;
+  auto first = client.PointBatch({a, a});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(core.point_cache_hits(), 0u);
+  auto second = client.PointBatch({a, a});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(core.point_cache_hits(), 2u);
+  auto lone = client.Point(a);
+  ASSERT_TRUE(lone.ok()) << lone.status().ToString();
+  for (const auto* batch : {&first.value(), &second.value()}) {
+    ASSERT_EQ(batch->size(), 2u);
+    for (const PointBatchResponseEntry& entry : *batch) {
+      ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
+      EXPECT_EQ(entry.payload, EncodePointResponse(lone.value()));
+    }
+  }
+}
+
+// ResponseCache against a list model of the LRU it replaced (front = most
+// recently used; a Put of a new key goes to the front and the back leaves
+// once the list outgrows the capacity). Random Gets, Puts and their
+// one-lock runs, with a key universe a little larger than the capacity so
+// entries keep being evicted, must see the same hit or miss, the same
+// response and the same hit count at every step. Values vary in length,
+// so recycled slots both grow and shrink.
+TEST(ServeTest, ResponseCacheKeepsTheListModelsOrderAndCounts) {
+  for (size_t capacity : {0, 1, 2, 3, 64}) {
+    ResponseCache cache(capacity, "test.response_cache");
+    std::list<std::pair<std::string, std::string>> model;
+    uint64_t model_hits = 0;
+    auto model_get = [&](const std::string& key, std::string* value) {
+      for (auto it = model.begin(); it != model.end(); ++it) {
+        if (it->first != key) continue;
+        model.splice(model.begin(), model, it);
+        *value = model.front().second;
+        ++model_hits;
+        return true;
+      }
+      return false;
+    };
+    auto model_put = [&](const std::string& key, const std::string& value) {
+      if (capacity == 0) return;
+      for (auto it = model.begin(); it != model.end(); ++it) {
+        if (it->first != key) continue;
+        it->second = value;
+        model.splice(model.begin(), model, it);
+        return;
+      }
+      model.emplace_front(key, value);
+      while (model.size() > capacity) model.pop_back();
+    };
+    std::mt19937_64 rng(0xcac4e + capacity);
+    const uint64_t universe = 2 * capacity + 3;
+    auto key_of = [](uint64_t k) {
+      // Keys shaped like point requests: equal length, equal prefixes.
+      return std::string(32, 'k') + std::to_string(1000 + k);
+    };
+    auto value_of = [&rng](size_t step) {
+      return std::to_string(step) + std::string(rng() % 80, 'v');
+    };
+    for (size_t step = 0; step < 50000; ++step) {
+      switch (rng() % 8) {
+        case 0:
+        case 1:
+        case 2: {
+          const std::string key = key_of(rng() % universe);
+          std::string got, want;
+          ASSERT_EQ(cache.Get(key, &got), model_get(key, &want))
+              << "capacity " << capacity << " step " << step;
+          ASSERT_EQ(got, want) << "capacity " << capacity << " step " << step;
+          break;
+        }
+        case 3:
+        case 4:
+        case 5: {
+          const std::string key = key_of(rng() % universe);
+          const std::string value = value_of(step);
+          cache.Put(key, value);
+          model_put(key, value);
+          break;
+        }
+        case 6: {  // a run of Gets under one lock, keys possibly repeated
+          std::vector<std::string> keys(1 + rng() % 5);
+          for (std::string& k : keys) k = key_of(rng() % universe);
+          std::vector<std::string_view> views(keys.begin(), keys.end());
+          std::vector<std::string> got(keys.size());
+          std::vector<bool> hit(keys.size(), false);
+          cache.GetEach(views, [&](size_t i, std::string_view cached) {
+            got[i].assign(cached);
+            hit[i] = true;
+          });
+          for (size_t i = 0; i < keys.size(); ++i) {
+            std::string want;
+            ASSERT_EQ(hit[i], model_get(keys[i], &want))
+                << "capacity " << capacity << " step " << step << " key " << i;
+            ASSERT_EQ(got[i], want) << "capacity " << capacity << " step "
+                                    << step << " key " << i;
+          }
+          break;
+        }
+        case 7: {  // a run of Puts under one lock, keys possibly repeated
+          std::vector<std::pair<std::string, std::string>> pairs(1 +
+                                                                 rng() % 5);
+          for (auto& [k, v] : pairs) {
+            k = key_of(rng() % universe);
+            v = value_of(step);
+          }
+          cache.PutEach(pairs.size(), [&](size_t j) {
+            return std::make_pair(std::string_view(pairs[j].first),
+                                  std::string_view(pairs[j].second));
+          });
+          for (const auto& [k, v] : pairs) model_put(k, v);
+          break;
+        }
+      }
+      ASSERT_EQ(cache.hits(), model_hits)
+          << "capacity " << capacity << " step " << step;
+    }
+    if (capacity >= 3) {
+      EXPECT_GT(model_hits, 1000u) << capacity;
+    }
+  }
+}
+
+// The byte-identity matrix. Every point kind, lone and batched, through
+// the owning range server and through a router, answers with the pinned
+// bytes: XXH64 digests of the whole response frames, recorded from the
+// build whose codec still decoded and re-encoded every entry at each hop.
+// Each path runs twice, so the second run reads the point caches the first
+// filled; each batch carries its first entry twice. The servers differ in
+// storage (a scanning estimator, then stored HIP weights), which is
+// invisible too.
+TEST(ServeTest, PointAnswersMatchPinnedBytesOnEveryPath) {
+  FlatAdsSet full = BuildFlat(160, 29, 8);
+  ScratchDir dir("hipads_serve_test_matrix");
+  LoopbackFleet fleet;
+  fleet.manifest.num_nodes = full.num_nodes();
+  for (NodeId begin : {0u, 80u}) {
+    fleet.servers.push_back(MakeRangeServer(full, begin, begin + 80,
+                                            Engine::kCopy, dir, "m", 1,
+                                            /*hip=*/begin > 0));
+    fleet.manifest.servers.push_back(
+        FleetEntry{"loop:" + std::to_string(begin), begin, begin + 80});
+  }
+  auto router = FleetRouter::Connect(fleet.manifest, fleet.Factory());
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  RouterCore router_core(&router.value());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  auto point = [](PointKind kind, uint64_t node, double d,
+                  uint64_t other = 0, std::vector<uint64_t> targets = {}) {
+    PointRequestMsg r;
+    r.kind = kind;
+    r.node = node;
+    r.d = d;
+    r.other = other;
+    r.targets = std::move(targets);
+    return r;
+  };
+  const PointKind stats = PointKind::kNodeStats;
+  struct Kind {
+    const char* name;
+    std::vector<PointRequestMsg> requests;
+  };
+  const std::vector<Kind> kinds = {
+      {"stats_inf",
+       {point(stats, 0, inf), point(stats, 17, inf), point(stats, 79, inf),
+        point(stats, 80, inf), point(stats, 159, inf)}},
+      {"stats_neg_inf", {point(stats, 3, -inf), point(stats, 90, -inf)}},
+      {"stats_finite",
+       {point(stats, 5, 0.0), point(stats, 5, 1.0), point(stats, 5, 2.5),
+        point(stats, 100, 0.0), point(stats, 100, 1.0),
+        point(stats, 100, 2.5)}},
+      {"lookup",
+       {point(PointKind::kLookup, 30, 0.0, 0, {0, 5, 91, 159, 1ull << 40}),
+        point(PointKind::kLookup, 120, 0.0, 0, {1, 120}),
+        point(PointKind::kLookup, 60, 0.0)}},
+      {"jaccard_same",
+       {point(PointKind::kJaccard, 3, 3.0, 40),
+        point(PointKind::kJaccard, 85, 2.0, 150),
+        point(PointKind::kJaccard, 9, inf, 9)}},
+      {"jaccard_cross",
+       {point(PointKind::kJaccard, 17, 3.0, 140),
+        point(PointKind::kJaccard, 100, inf, 10)}},
+      {"fetch",
+       {point(PointKind::kFetchSketch, 130, 0.0),
+        point(PointKind::kFetchSketch, 7, 0.0)}},
+      {"not_found",
+       {point(stats, 5000, inf), point(PointKind::kLookup, 160, 0.0, 0, {1}),
+        point(PointKind::kJaccard, 4, 1.0, 999)}},
+  };
+  // Digests recorded per kind: server lone, server batch, router lone,
+  // router batch.
+  const std::vector<std::array<const char*, 4>> pinned = {
+      {"198d330e47ce31ef", "68fd6ac07052a0fa", "198d330e47ce31ef",
+       "c872e83aade7d209"},  // stats_inf
+      {"b6b2008222696fb0", "63874c7b6da4cbf7", "b6b2008222696fb0",
+       "80b76f48794628b8"},  // stats_neg_inf
+      {"34938c781aae9ba9", "63e020eb4308099e", "34938c781aae9ba9",
+       "1fddd78b79c5958d"},  // stats_finite
+      {"e4c553ef0864de77", "dd87b19c8aba31d0", "e4c553ef0864de77",
+       "781f1b21f7f9f972"},  // lookup
+      {"633769c69d6d4cf1", "e212c706fa38f308", "633769c69d6d4cf1",
+       "cc82a00538245008"},  // jaccard_same
+      {"9aba978b194514bc", "31410142030763c9", "8271968b1e6da2ef",
+       "827a4c634032177a"},  // jaccard_cross
+      {"237d38494b76492e", "c665551dc99bdc08", "237d38494b76492e",
+       "c6fc86758847a6fd"},  // fetch
+      {"d53a00caa332452a", "bfaefe18dc79c6f4", "01ae3176045883ef",
+       "ba5cb134d65760a8"},  // not_found
+  };
+  ASSERT_EQ(pinned.size(), kinds.size());
+
+  auto handle = [](FrameHandler* handler, MessageType type,
+                   const std::string& payload) {
+    bool close = false;
+    return handler->HandleFrame(EncodeFrame(type, payload), &close);
+  };
+  // The server a request goes to: its node's owner (server 0 past the
+  // end of the node space).
+  auto owner = [&](const PointRequestMsg& r) -> FrameHandler* {
+    return fleet.servers[r.node >= 80 && r.node < 160 ? 1 : 0].core.get();
+  };
+  auto digest = [](const std::vector<std::string>& frames) {
+    std::string all;
+    for (const std::string& f : frames) {
+      all += std::to_string(f.size()) + ":" + f;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(
+                      Xxh64(all.data(), all.size(), 0)));
+    return std::string(hex);
+  };
+  for (size_t k = 0; k < kinds.size(); ++k) {
+    std::vector<PointRequestMsg> batch = kinds[k].requests;
+    batch.push_back(batch.front());  // one key twice in a batch
+    std::array<std::string, 4> got;
+    for (int run = 0; run < 2; ++run) {
+      std::array<std::vector<std::string>, 4> frames;
+      for (const PointRequestMsg& r : kinds[k].requests) {
+        frames[0].push_back(handle(owner(r), MessageType::kPointRequest,
+                                   EncodePointRequest(r)));
+        frames[2].push_back(handle(&router_core, MessageType::kPointRequest,
+                                   EncodePointRequest(r)));
+      }
+      for (FrameHandler* server :
+           {fleet.servers[0].core.get(), fleet.servers[1].core.get()}) {
+        PointBatchRequestMsg own;
+        for (const PointRequestMsg& r : batch) {
+          if (owner(r) == server) own.entries.push_back(r);
+        }
+        if (own.entries.empty()) continue;
+        frames[1].push_back(handle(server, MessageType::kPointBatchRequest,
+                                   EncodePointBatchRequest(own)));
+      }
+      PointBatchRequestMsg all;
+      all.entries = batch;
+      frames[3].push_back(handle(&router_core,
+                                 MessageType::kPointBatchRequest,
+                                 EncodePointBatchRequest(all)));
+      for (size_t p = 0; p < 4; ++p) {
+        if (run == 0) {
+          got[p] = digest(frames[p]);
+        } else {
+          EXPECT_EQ(digest(frames[p]), got[p])
+              << kinds[k].name << " path " << p << " changed on a warm cache";
+        }
+      }
+    }
+    for (size_t p = 0; p < 4; ++p) {
+      EXPECT_EQ(got[p], pinned[k][p]) << kinds[k].name << " path " << p;
+    }
+  }
+}
+
 // A serialized batch shares one fetch across a node's consecutive
 // entries, but a Jaccard entry's second fetch evicts the first node's
 // shard at max_resident = 1, so the share must end there: the entries
@@ -1074,11 +1366,11 @@ class RawConnection {
   bool eof_ = false;
 };
 
-// TcpServer reads each fixed-size header in one piece however its bytes
-// arrive: a request split in two at every offset inside its header, the
-// halves 1 ms apart, is answered exactly as the core answers the whole
-// frame.
-TEST(ServeTest, TcpServerReassemblesHeadersSplitAtEveryOffset) {
+// TcpServer reads each frame in one piece however its bytes arrive: a
+// request split in two at every offset — inside its header, and inside
+// its payload, where the server reads before it waits — the halves 1 ms
+// apart, is answered exactly as the core answers the whole frame.
+TEST(ServeTest, TcpServerReassemblesFramesSplitAtEveryOffset) {
   FlatAdsSet full = BuildFlat(80, 41, 4);
   FlatAdsBackend backend(&full);
   AdsServerCore core(&backend, ServerOptions{});
@@ -1098,11 +1390,28 @@ TEST(ServeTest, TcpServerReassemblesHeadersSplitAtEveryOffset) {
   RawConnection conn(server.port());
   ASSERT_TRUE(conn.connected());
   const std::string_view whole(frame);
-  for (size_t split = 1; split < kFrameHeaderBytes; ++split) {
+  for (size_t split = 1; split < whole.size(); ++split) {
     ASSERT_TRUE(conn.Send(whole.substr(0, split)));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ASSERT_TRUE(conn.Send(whole.substr(split)));
     ASSERT_EQ(conn.Receive(expected.size()), expected) << "split at " << split;
+  }
+}
+
+// A worker count above kMaxTcpWorkers fails Start before any thread or
+// socket exists: nothing is bound, and Stop has nothing to join.
+TEST(ServeTest, TcpServerRejectsMoreWorkersThanItsBound) {
+  FlatAdsSet full = BuildFlat(20, 3, 4);
+  FlatAdsBackend backend(&full);
+  AdsServerCore core(&backend, ServerOptions{});
+  for (uint32_t workers :
+       {kMaxTcpWorkers + 1, std::numeric_limits<uint32_t>::max()}) {
+    TcpServer server(&core, {0, workers});
+    Status started = server.Start();
+    EXPECT_EQ(started.code(), Status::Code::kInvalidArgument)
+        << workers << ": " << started.ToString();
+    EXPECT_EQ(server.port(), 0) << workers;
+    server.Stop();
   }
 }
 
@@ -1795,6 +2104,21 @@ TEST(ServeTest, CliShardPrintsTheShardCountItWrote) {
   }
 }
 
+// `generate` reports a write error that surfaces only when its output is
+// closed: /dev/full takes a 10-node list into the stream buffer and fails
+// the final flush, so the command must exit 1 and print no "wrote" line.
+TEST(ServeTest, CliGenerateFailsOnAFullDevice) {
+  ScratchDir dir("hipads_serve_test_cli_full");
+  const std::string out = dir.file("stdout.txt");
+  const std::string err = dir.file("stderr.txt");
+  EXPECT_EQ(RunCli("generate --model ba --nodes 10 --out /dev/full", out, err),
+            1);
+  EXPECT_EQ(FileSize(out), 0u) << ReadFile(out);
+  EXPECT_NE(ReadFile(err).find("write failed for /dev/full"),
+            std::string::npos)
+      << ReadFile(err);
+}
+
 // Numeric flags fail closed: a sign, non-digits, trailing bytes or a
 // value above what the option holds exit 2 with a message naming the
 // flag, print nothing and write nothing. The `serve` and `route` cases
@@ -1832,6 +2156,8 @@ TEST(ServeTest, CliNumericFlagsFailClosed) {
       {"distance", query + " --node 1 --distance 2x"},
       {"port", "serve --sketches " + missing + " --port 65536"},
       {"workers", "serve --sketches " + missing + " --workers +4"},
+      {"workers", "serve --sketches " + missing + " --workers 1025"},
+      {"workers", "route --fleet " + missing + " --workers 1025"},
       {"node-begin", "serve --sketches " + missing + " --node-begin 4294967296"},
       {"port", "route --fleet " + missing + " --port 70000"},
       {"retries", "route --fleet " + missing + " --retries=-1"},

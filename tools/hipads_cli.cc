@@ -1046,8 +1046,12 @@ int CmdTraceDump(const Args& args) {
     if (f == nullptr) {
       return Fail(Status::IOError("cannot write " + out_path));
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    const bool written =
+        std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    // fclose flushes the last buffer, so its result counts too.
+    if (std::fclose(f) != 0 || !written) {
+      return Fail(Status::IOError("write failed for " + out_path));
+    }
   }
   std::fprintf(stderr, "%zu spans from %zu sources\n", spans.size(),
                pids.size());
@@ -1084,7 +1088,7 @@ int CmdServe(const Args& args) {
   options.num_threads = ClampThreads(args.GetInt("threads", 0));
   TcpServerOptions tcp;
   tcp.port = args.GetInt<uint16_t>("port", 7470);
-  tcp.num_workers = args.GetInt<uint32_t>("workers", 4);
+  tcp.num_workers = args.GetInt<uint32_t>("workers", 4, kMaxTcpWorkers);
   // --timeout-ms bounds how long a connection may dribble one frame in
   // (slow-loris defense); idle connections between frames are unbounded.
   tcp.idle_timeout_ms = args.GetInt("timeout-ms", 0);
@@ -1115,7 +1119,7 @@ int CmdRoute(const Args& args) {
   RemoteOptions remote = GetRemoteOptions(args);
   TcpServerOptions tcp;
   tcp.port = args.GetInt<uint16_t>("port", 7480);
-  tcp.num_workers = args.GetInt<uint32_t>("workers", 4);
+  tcp.num_workers = args.GetInt<uint32_t>("workers", 4, kMaxTcpWorkers);
   tcp.idle_timeout_ms = args.GetInt("timeout-ms", 0);
   const unsigned metrics_interval_s =
       args.GetInt<unsigned>("metrics-interval-s", 0);
