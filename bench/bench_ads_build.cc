@@ -119,7 +119,8 @@ BENCHMARK(BM_LocalUpdates)
 // BM_DpParallel uses, so the two unit-weight builders compare on one input.
 // Run with --benchmark_out for the JSON baseline. The frozen-window
 // searches relax more arcs than the one-thread run (the `relaxations`
-// counter), the price of their independence.
+// counter), the price of their independence; `candidates` counts the
+// entries they propose, the replay's input.
 void BM_PrunedDijkstraParallel(benchmark::State& state, bool weighted) {
   uint32_t threads = static_cast<uint32_t>(state.range(0));
   uint32_t n = static_cast<uint32_t>(state.range(1));
@@ -134,6 +135,8 @@ void BM_PrunedDijkstraParallel(benchmark::State& state, bool weighted) {
     benchmark::DoNotOptimize(set.TotalEntries());
   }
   Counters(state, g, k, stats);
+  state.counters["candidates"] =
+      benchmark::Counter(static_cast<double>(stats.candidates));
   state.counters["exp entries/node"] = benchmark::Counter(
       ExpectedBottomKAdsSize(k, g.num_nodes()));
 }

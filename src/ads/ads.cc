@@ -149,7 +149,8 @@ uint64_t AdsSet::TotalEntries() const {
 }
 
 void ReserveExpectedAdsSize(std::vector<std::vector<AdsEntry>>& out,
-                            uint32_t k, SketchFlavor flavor) {
+                            const Graph& g, uint32_t k, SketchFlavor flavor) {
+  assert(out.size() == g.num_nodes());
   uint64_t n = out.size();
   double expected = 0.0;
   switch (flavor) {
@@ -164,8 +165,11 @@ void ReserveExpectedAdsSize(std::vector<std::vector<AdsEntry>>& out,
       expected = ExpectedKPartitionAdsSize(k, n);
       break;
   }
-  size_t capacity = static_cast<size_t>(expected) + 1;
-  for (auto& entries : out) entries.reserve(capacity);
+  const size_t capacity = static_cast<size_t>(expected) + 1;
+  const size_t alone = flavor == SketchFlavor::kKMins ? k : 1;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    out[v].reserve(g.OutDegree(v) == 0 ? alone : capacity);
+  }
 }
 
 double ExpectedBottomKAdsSize(uint32_t k, uint64_t n) {

@@ -199,12 +199,15 @@ struct AdsSet {
 /// (Lemma 2.2).
 double ExpectedBottomKAdsSize(uint32_t k, uint64_t n);
 
-/// Reserves each per-node builder output vector at the Lemma 2.2 expected
-/// final ADS size for `flavor` (plus one margin entry), cutting the
-/// reallocation churn of growing n vectors entry by entry. Vectors still
-/// grow past the reservation when a node's sketch lands above expectation.
+/// Reserves each per-node builder output vector (one per node of `g`) at
+/// the Lemma 2.2 expected final ADS size for `flavor` (plus one margin
+/// entry), cutting the reallocation churn of growing n vectors entry by
+/// entry. A node without out-arcs in `g` reaches only itself, so its
+/// vector gets exactly what its sketch holds: k entries for k-mins, one
+/// otherwise. Vectors still grow past the reservation when a node's
+/// sketch lands above expectation.
 void ReserveExpectedAdsSize(std::vector<std::vector<AdsEntry>>& out,
-                            uint32_t k, SketchFlavor flavor);
+                            const Graph& g, uint32_t k, SketchFlavor flavor);
 
 /// Expected k-partition ADS size ~ k (H_{n/k}) ~ k ln(n/k) (Lemma 2.2).
 double ExpectedKPartitionAdsSize(uint32_t k, uint64_t n);

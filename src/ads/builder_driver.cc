@@ -21,7 +21,7 @@ AdsSet BuildAdsFromPasses(const Graph& g, uint32_t k, SketchFlavor flavor,
   const Graph& gt = transposed ? *transposed : g;
   const NodeId n = g.num_nodes();
   std::vector<std::vector<AdsEntry>> out(n);
-  ReserveExpectedAdsSize(out, k, flavor);
+  ReserveExpectedAdsSize(out, g, k, flavor);
   AdsBuildStats discarded;
   AdsBuildStats& counted = stats != nullptr ? *stats : discarded;
 

@@ -32,10 +32,12 @@
 // an equal-rank source that is closer to v must be counted before u is
 // tested at v, which only the replay's order guarantees. The candidates are
 // grouped by target on the pool (a counting sort into buckets of
-// consecutive target ids), and each bucket sorts and replays its own
+// consecutive target ids), and each bucket counting-sorts its candidates by
+// target, orders each target's candidates by source and replays its own
 // targets. See README.md's threading-model section.
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -190,28 +192,43 @@ struct WindowCandidate {
   double dist;
 };
 
+// After the first window, a window holds 1/kWindowShare as many sources as
+// all windows before it. Its searches prune against a state that lacks its
+// own sources' entries, so smaller windows explore less past where the
+// live state would prune, at the cost of more windows (three pool rounds
+// each). Of 1, 2, 4 and 8, 4 built scale-16 R-MAT graphs fastest at 4
+// threads on a 4-vCPU VM.
+constexpr size_t kWindowShare = 4;
+
 // Sources in the window starting at rank position `pos`. One thread gains
 // nothing from batching, so its windows hold one source and keep the live
 // pruning. T threads start at max(T, k) sources, the k cheapest unpruned
-// searches, and then each window holds as many sources as all earlier
-// ones, so the frozen state is at most one doubling stale and the extra
-// exploration stays a constant factor.
+// searches, and then each window holds a quarter as many sources as all
+// earlier ones: the sources processed grow by 5/4 per window, so a build
+// runs O(log n) windows and the extra exploration stays a constant factor.
 size_t WindowSize(size_t pos, uint32_t num_threads, uint32_t k) {
   if (num_threads < 2) return 1;
-  return std::max<size_t>({num_threads, k, pos});
+  return std::max<size_t>({num_threads, k, pos / kWindowShare});
 }
 
 // One bottom-k pass, searching by BFS over `heads` when it is given and by
-// Dijkstra over pass.gt otherwise. Phase A deals a window's sources to the
-// pool's tasks round-robin (its j-th source -> task j % T; earlier sources
-// explore more), and each task counts its candidates per bucket of
-// consecutive targets. The grouping then scatters every task's candidates
-// to bucket-major offsets, and phase B sorts each bucket by (target,
-// source index) — source indices follow rank order, so only runs of equal
-// rank at one target need a second sort, by (distance, source) — and
-// replays it, each bucket mutating only its own targets' keys, k-th keys
-// and outputs. Every step decomposes by task or bucket index, never by
-// thread identity.
+// Dijkstra over pass.gt otherwise. In phase A the pool's T tasks claim a
+// window's sources in increasing index from a shared counter (searches
+// differ widely in cost, so a fixed deal leaves tasks idle), and each task
+// counts its candidates per bucket of consecutive targets. The grouping
+// then scatters every task's candidates to bucket-major offsets: within a
+// bucket, task 0's candidates, then task 1's, each task's in increasing
+// source index. Phase B orders each bucket by (target, source index)
+// without comparing whole keys: a stable counting sort by target (a bucket
+// spans bucket_width consecutive targets) leaves each target's candidates
+// as at most T runs of increasing source index, and a target whose runs
+// interleave is sorted by source alone. Source indices follow rank order,
+// so only runs of equal rank at one target need a second sort, by
+// (distance, source). Each bucket then replays its candidates, mutating
+// only its own targets' keys, k-th keys and outputs. Which task searched
+// which source depends on timing; nothing else does: (target, source
+// index) is unique, so the replay order, the counters and the output are
+// the same for every schedule and every thread count.
 void RunPrunedDijkstraPass(const BottomKPass& pass, const ArcHeads* heads,
                            ThreadPool& pool, std::vector<Scratch>& scratch) {
   const uint32_t num_threads = pool.num_threads();
@@ -258,7 +275,11 @@ void RunPrunedDijkstraPass(const BottomKPass& pass, const ArcHeads* heads,
   std::vector<size_t> cursor(size_t{num_threads} * num_buckets);
   std::vector<size_t> bucket_begin(num_buckets + 1);
   std::vector<uint64_t> inserted(num_buckets);
-  std::vector<WindowCandidate> grouped;
+  // Bucket b's per-target counts, then cursors, at row b. Only a bucket
+  // that holds candidates touches its row, so a window spends at most O(n)
+  // on them beyond its candidates, and a build runs O(log n) windows.
+  std::vector<size_t> target_at(num_buckets * (size_t{bucket_width} + 1));
+  std::vector<WindowCandidate> grouped, replayed;
   for (size_t pos = 0, stop = 0; pos < order.size(); pos = stop) {
     stop = std::min(order.size(), pos + WindowSize(pos, num_threads, k));
     while (stop < order.size() && order[stop].first == order[stop - 1].first) {
@@ -274,11 +295,13 @@ void RunPrunedDijkstraPass(const BottomKPass& pass, const ArcHeads* heads,
     }
 
     // Phase A: frozen-state searches, candidates and bucket counts per task.
+    std::atomic<size_t> next_source{pos};
     pool.RunTasks(num_threads, [&](size_t t) {
       std::vector<WindowCandidate>& cands = task_cands[t];
       cands.clear();
       task_relax[t] = 0;
-      for (size_t i = pos + t; i < stop; i += num_threads) {
+      for (size_t i; (i = next_source.fetch_add(1, std::memory_order_relaxed)) <
+                     stop;) {
         task_relax[t] += search(i, scratch[t], [&](NodeId v, double d) {
           cands.push_back(WindowCandidate{v, static_cast<uint32_t>(i), d});
         });
@@ -302,7 +325,9 @@ void RunPrunedDijkstraPass(const BottomKPass& pass, const ArcHeads* heads,
       }
     }
     bucket_begin[num_buckets] = total;
+    pass.stats.candidates += total;
     grouped.resize(total);
+    replayed.resize(total);
     pool.RunTasks(num_threads, [&](size_t t) {
       size_t* at = cursor.data() + t * num_buckets;
       for (const WindowCandidate& c : task_cands[t]) {
@@ -319,13 +344,38 @@ void RunPrunedDijkstraPass(const BottomKPass& pass, const ArcHeads* heads,
                              return x.first == y.first;
                            }) != order.begin() + stop;
     pool.RunTasks(num_buckets, [&](size_t b) {
-      auto first = grouped.begin() + bucket_begin[b];
-      auto last = grouped.begin() + bucket_begin[b + 1];
-      std::sort(first, last,
-                [](const WindowCandidate& x, const WindowCandidate& y) {
-                  return (uint64_t{x.target} << 32 | x.src) <
-                         (uint64_t{y.target} << 32 | y.src);
-                });
+      const size_t begin = bucket_begin[b];
+      const size_t end = bucket_begin[b + 1];
+      inserted[b] = 0;
+      if (begin == end) return;
+      // Stable counting sort by target into `replayed`: at[j + 1] counts
+      // target base + j, then at[j] is where its next candidate goes, and
+      // after the scatter at[j] ends its range.
+      const NodeId base = static_cast<NodeId>(b) * bucket_width;
+      size_t* at = target_at.data() + b * (size_t{bucket_width} + 1);
+      std::fill(at, at + bucket_width + 1, 0);
+      for (size_t i = begin; i < end; ++i) ++at[grouped[i].target - base + 1];
+      at[0] = begin;
+      for (NodeId j = 1; j <= bucket_width; ++j) at[j] += at[j - 1];
+      for (size_t i = begin; i < end; ++i) {
+        replayed[at[grouped[i].target - base]++] = grouped[i];
+      }
+      auto first = replayed.begin() + begin;
+      auto last = replayed.begin() + end;
+      // Each target's candidates are the tasks' runs, one after another,
+      // each in increasing source index; a hub's runs interleave.
+      const auto by_src = [](const WindowCandidate& x,
+                             const WindowCandidate& y) {
+        return x.src < y.src;
+      };
+      size_t from = 0;
+      for (NodeId j = 0; j < bucket_width; ++j) {
+        const size_t to = at[j] - begin;
+        if (!std::is_sorted(first + from, first + to, by_src)) {
+          std::sort(first + from, first + to, by_src);
+        }
+        from = to;
+      }
       for (auto run = first; ties && run != last;) {
         auto run_end = run + 1;
         while (run_end != last && run_end->target == run->target &&

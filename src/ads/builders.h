@@ -41,12 +41,15 @@ namespace hipads {
 /// Work counters used to validate the paper's cost claims (CLAIM-BUILD):
 /// expected relaxations O(k m log n), insertions O(k n log n); LocalUpdates
 /// deletions measure its extra churn; rounds <= hop diameter for the
-/// synchronous algorithms.
+/// synchronous algorithms. `candidates` is the windowed pruned builder's
+/// replay input, the entries its frozen-state searches proposed (0 at one
+/// thread, where every search inserts as it goes).
 struct AdsBuildStats {
   uint64_t relaxations = 0;
   uint64_t insertions = 0;
   uint64_t deletions = 0;
   uint64_t rounds = 0;
+  uint64_t candidates = 0;
 };
 
 /// Algorithm 1. Weighted or unweighted graphs, all three flavors. The
@@ -59,17 +62,17 @@ AdsSet BuildAdsPrunedDijkstra(const Graph& g, uint32_t k, SketchFlavor flavor,
 /// BFS on a unit-weight graph and Dijkstra otherwise; both settle the same
 /// nodes at the same distances. At one thread a window is one source whose
 /// search inserts as it goes. At T threads the first window holds max(T, k)
-/// sources and each later one as many as all earlier ones; its sources
-/// search in parallel against the frozen state of the previous windows, and
-/// the candidate entries are then grouped by target on the pool and
-/// replayed per target in (rank, distance, node id) order through the
-/// inclusion test.
+/// sources and each later one a quarter as many as all earlier ones; its
+/// sources search in parallel against the frozen state of the previous
+/// windows, and the candidate entries are then grouped by target on the
+/// pool and replayed per target in (rank, distance, node id) order through
+/// the inclusion test.
 /// No window splits a run of equal ranks. The frozen-state pruning explores
 /// a bounded amount more, but the replay makes the same decisions, so the
 /// output is bit-identical for every thread count. `num_threads` = 0 uses
 /// the hardware count. `stats->relaxations` counts the actual exploration
 /// (larger at T > 1); insertions do not depend on T; `rounds` counts
-/// windows.
+/// windows and `candidates` the entries the windows replayed.
 AdsSet BuildAdsPrunedDijkstraParallel(const Graph& g, uint32_t k,
                                       SketchFlavor flavor,
                                       const RankAssignment& ranks,

@@ -15,21 +15,36 @@ namespace {
 // space. For uniform and base-b ranks P(r < tau) = tau exactly (tau is
 // always an attainable rank value or the supremum 1); for exponential ranks
 // with rate beta, P(Exp(beta) < tau) = 1 - exp(-beta tau); for priority
-// (Sequential Poisson) ranks, P(U/beta < tau) = min(1, beta tau).
+// (Sequential Poisson) ranks, P(U/beta < tau) = min(1, beta tau). One
+// instantiation per rank kind, so a scan that hoists the kind out of its
+// loop computes the same bits as one that switches per entry.
+template <RankKind kKind>
+double InclusionProbability(double tau, double beta) {
+  if constexpr (kKind == RankKind::kUniform || kKind == RankKind::kBaseB) {
+    return std::min(tau, 1.0);
+  } else if constexpr (kKind == RankKind::kExponential) {
+    if (std::isinf(tau)) return 1.0;
+    return -std::expm1(-beta * tau);
+  } else if constexpr (kKind == RankKind::kPriority) {
+    if (std::isinf(tau)) return 1.0;
+    return std::min(1.0, beta * tau);
+  } else {
+    assert(false && "use PermutationCardinalityEstimator");
+    return 1.0;
+  }
+}
+
 double InclusionProbability(double tau, double beta, RankKind kind) {
   switch (kind) {
     case RankKind::kUniform:
     case RankKind::kBaseB:
-      return std::min(tau, 1.0);
+      return InclusionProbability<RankKind::kUniform>(tau, beta);
     case RankKind::kExponential:
-      if (std::isinf(tau)) return 1.0;
-      return -std::expm1(-beta * tau);
+      return InclusionProbability<RankKind::kExponential>(tau, beta);
     case RankKind::kPriority:
-      if (std::isinf(tau)) return 1.0;
-      return std::min(1.0, beta * tau);
+      return InclusionProbability<RankKind::kPriority>(tau, beta);
     case RankKind::kPermutation:
-      assert(false && "use PermutationCardinalityEstimator");
-      return 1.0;
+      return InclusionProbability<RankKind::kPermutation>(tau, beta);
   }
   return 1.0;
 }
@@ -39,16 +54,32 @@ double InclusionProbability(double tau, double beta, RankKind kind) {
 // covers: every entry for bottom-k and k-partition, the first of each
 // same-(dist, node) run for k-mins, whose other members get zeros.
 
-void BottomKHip(std::span<const AdsEntry> ads, const RankAssignment& ranks,
-                BottomKSketch* closer, double* tau, double* weight) {
-  // closer holds the ranks of nodes scanned so far.
+// The bottom-k scan, one instantiation per rank kind. `held` has room for
+// min(k, ads.size()) ranks and keeps the k smallest ranks scanned so far,
+// sorted ascending: BottomKSketch's state, updated inline as
+// BottomKSketch::Update does it (a rank below the threshold enters before
+// any equal ranks; once k are held, the largest leaves). The entering rank
+// moves down past the larger ones a slot at a time: an ADS's ranks come in
+// no order, so a binary search would mispredict at every step.
+template <RankKind kKind>
+void BottomKHip(std::span<const AdsEntry> ads, uint32_t k,
+                const RankAssignment& ranks, double* held, double* tau,
+                double* weight) {
+  double threshold = ranks.sup();  // the k-th held rank, sup() until then
+  size_t size = 0;
   for (size_t i = 0; i < ads.size(); ++i) {
-    double p = InclusionProbability(closer->Threshold(),
-                                    ranks.beta(ads[i].node), ranks.kind());
+    const double p = InclusionProbability<kKind>(
+        threshold, kKind == RankKind::kUniform ? 1.0 : ranks.beta(ads[i].node));
     assert(p > 0.0);
     tau[i] = p;
     weight[i] = 1.0 / p;
-    closer->Update(ads[i].rank);
+    const double rank = ads[i].rank;
+    if (!(rank < threshold)) continue;
+    if (size < k) ++size;
+    size_t at = size - 1;
+    for (; at > 0 && !(held[at - 1] < rank); --at) held[at] = held[at - 1];
+    held[at] = rank;
+    if (size == k) threshold = held[k - 1];
   }
 }
 
@@ -129,10 +160,30 @@ void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
                               double* tau, double* weight) {
   assert(ranks.kind() != RankKind::kPermutation);
   switch (flavor) {
-    case SketchFlavor::kBottomK:
-      scratch->closer.Reset(k, ranks.sup());
-      BottomKHip(ads.entries(), ranks, &scratch->closer, tau, weight);
+    case SketchFlavor::kBottomK: {
+      scratch->mins.resize(std::min<size_t>(k, ads.size()));
+      double* held = scratch->mins.data();
+      switch (ranks.kind()) {
+        case RankKind::kUniform:
+        case RankKind::kBaseB:
+          BottomKHip<RankKind::kUniform>(ads.entries(), k, ranks, held, tau,
+                                         weight);
+          return;
+        case RankKind::kExponential:
+          BottomKHip<RankKind::kExponential>(ads.entries(), k, ranks, held,
+                                             tau, weight);
+          return;
+        case RankKind::kPriority:
+          BottomKHip<RankKind::kPriority>(ads.entries(), k, ranks, held, tau,
+                                          weight);
+          return;
+        case RankKind::kPermutation:
+          BottomKHip<RankKind::kPermutation>(ads.entries(), k, ranks, held,
+                                             tau, weight);
+          return;
+      }
       return;
+    }
     case SketchFlavor::kKMins:
       scratch->mins.assign(k, ranks.sup());
       KMinsHip(ads.entries(), k, ranks, scratch->mins, tau, weight);

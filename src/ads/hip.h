@@ -54,8 +54,9 @@ struct HipEntry {
 /// consecutive scans (one per node of a sweep, say); after warm-up no scan
 /// allocates. Not thread-safe — use one per thread.
 struct HipScratch {
-  BottomKSketch closer{1};   ///< bottom-k running threshold
-  std::vector<double> mins;  ///< k-mins / k-partition bucket minima
+  /// bottom-k: the k smallest ranks scanned so far; k-mins / k-partition:
+  /// the bucket minima
+  std::vector<double> mins;
   /// The aligned arrays HipEstimator's scan fallback writes and borrows:
   /// tau in [0, n), weight in [n, 2n) for an n-entry sketch.
   std::vector<double> arrays;

@@ -34,17 +34,6 @@ class BottomKSketch {
   /// filtered by the caller if elements can repeat).
   bool Update(double rank);
 
-  /// Reinitializes to an empty sketch with new parameters, keeping the
-  /// rank buffer's capacity. Lets scan loops (HipScratch) reuse one sketch
-  /// across nodes with zero steady-state allocation; the update sequence
-  /// after a Reset is bitwise identical to a freshly constructed sketch's.
-  void Reset(uint32_t k, double sup) {
-    k_ = k;
-    sup_ = sup;
-    ranks_.clear();
-    ranks_.reserve(InitialCapacity(k));
-  }
-
   /// kth smallest rank seen, or sup() while the sketch holds < k ranks.
   /// This is the inclusion threshold: a new rank enters iff rank < it.
   double Threshold() const;

@@ -6,8 +6,11 @@
 // decomposed into an explicit, input-dependent-only list of tasks (static
 // chunks or target-aligned ranges), so which thread executes a task never
 // affects any output — the property the bit-identical builder guarantees
-// rest on. Threads are spawned once and reused across rounds/windows,
-// avoiding the per-round std::thread churn of a naive implementation.
+// rest on. The one exception, the pruned builder's window searches, claims
+// sources dynamically and then orders every result by (target, source)
+// alone before anything reads it. Threads are spawned once and reused
+// across rounds/windows, avoiding the per-round std::thread churn of a
+// naive implementation.
 
 #ifndef HIPADS_UTIL_PARALLEL_H_
 #define HIPADS_UTIL_PARALLEL_H_
@@ -16,6 +19,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,9 +31,43 @@ namespace hipads {
 
 /// The CPUs this process may run on: the size of the calling thread's
 /// affinity mask (so a `taskset` or cpuset-pinned process sees its own
-/// width), or hardware_concurrency where the mask cannot be read. At
+/// width), or hardware_concurrency where the mask cannot be read, bounded
+/// by the process's cgroup CPU quota (CgroupCpuLimit) when it has one. At
 /// least 1.
 uint32_t HardwareThreads();
+
+/// The tightest cgroup CPU quota on the path from this process's own cgroup
+/// up to the root of its hierarchy, as whole CPUs (quota / period rounded
+/// up): cgroup v2 `cpu.max`, v1 `cpu.cfs_quota_us` / `cpu.cfs_period_us`.
+/// 0 when no level sets a quota or none can be read. Read once per process.
+uint32_t CgroupCpuLimit();
+
+/// Whole CPUs a quota of `quota` per `period` grants (rounded up, at most
+/// UINT32_MAX); 0, meaning no quota, for a quota or period that is not
+/// positive.
+uint32_t CpusFromQuota(int64_t quota, int64_t period);
+
+/// The CPUs a cgroup v2 `cpu.max` text grants ("<quota> <period>"), or 0
+/// for "max <period>" and for text that does not parse.
+uint32_t ParseCgroupV2CpuMax(std::string_view cpu_max);
+
+/// The CPUs cgroup v1 `cpu.cfs_quota_us` and `cpu.cfs_period_us` texts
+/// grant, or 0 for a quota of -1 and for text that does not parse.
+uint32_t ParseCgroupV1CpuQuota(std::string_view quota, std::string_view period);
+
+/// A cgroup directory whose CPU quota bounds the process.
+struct CgroupCpuDir {
+  std::string path;
+  // Read cpu.max; otherwise cpu.cfs_quota_us / cpu.cfs_period_us.
+  bool v2 = false;
+};
+
+/// The directories CgroupCpuLimit reads, from the process's own cgroup up
+/// to each hierarchy's mount point, given the texts of /proc/self/cgroup
+/// and /proc/self/mountinfo: the cgroup v2 hierarchy and the v1 hierarchy
+/// that carries the `cpu` controller, wherever each is mounted.
+std::vector<CgroupCpuDir> CgroupCpuDirs(std::string_view proc_self_cgroup,
+                                        std::string_view mountinfo);
 
 /// A pool width sized to its input: one thread per whole `per_thread`
 /// units of `work`, at least 1 and at most min(`max_threads`,

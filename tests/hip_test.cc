@@ -9,6 +9,9 @@
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ads/ads.h"
 #include "ads/estimators.h"
@@ -454,6 +457,105 @@ TEST(HipVariantsTest, PrecomputeMatchesFreshScansForAnyThreadCount) {
         EXPECT_EQ(single.hip_tau[off + i], tau[i]) << "node " << v;
         EXPECT_EQ(single.hip_weight[off + i], weight[i]) << "node " << v;
       }
+    }
+  }
+}
+
+// The bottom-k HIP scan as the sketch classes state it: the inclusion
+// probability of each entry under the threshold of a BottomKSketch of the
+// ranks before it, per rank kind (Lemma 5.1 and Section 9). Returns how
+// many entries the sketch did not take.
+size_t SketchBottomKHip(std::span<const AdsEntry> entries, uint32_t k,
+                        const RankAssignment& ranks, std::vector<double>* tau,
+                        std::vector<double>* weight) {
+  BottomKSketch closer(k, ranks.sup());
+  size_t refused = 0;
+  for (const AdsEntry& e : entries) {
+    const double threshold = closer.Threshold();
+    const double beta = ranks.beta(e.node);
+    double p = 1.0;
+    switch (ranks.kind()) {
+      case RankKind::kUniform:
+      case RankKind::kBaseB:
+        p = std::min(threshold, 1.0);
+        break;
+      case RankKind::kExponential:
+        p = std::isinf(threshold) ? 1.0 : -std::expm1(-beta * threshold);
+        break;
+      case RankKind::kPriority:
+        p = std::isinf(threshold) ? 1.0 : std::min(1.0, beta * threshold);
+        break;
+      case RankKind::kPermutation:
+        ADD_FAILURE() << "permutation ranks have no HIP scan";
+        break;
+    }
+    tau->push_back(p);
+    weight->push_back(1.0 / p);
+    if (!closer.Update(e.rank)) ++refused;
+  }
+  return refused;
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The bottom-k scan keeps its k smallest ranks in a local sorted array,
+// with one kernel per rank kind. It must write the sketch-class scan's
+// tau and weight bit for bit under every rank kind: on a node shorter than
+// k, on runs of equal ranks (base-2 ranks, and ranks copied between
+// nodes), and on a modified (Appendix A) ADS whose distance groups share
+// one rank, so a group keeps copies of the running threshold, which the
+// scan refuses.
+TEST(HipVariantsTest, BottomKKernelMatchesTheSketchScanBitwise) {
+  const uint32_t k = 8;
+  auto beta = [](uint64_t v) { return 0.5 + static_cast<double>(v % 4); };
+  const std::vector<std::pair<std::string, RankAssignment>> kinds = {
+      {"uniform", RankAssignment::Uniform(61)},
+      {"base-2", RankAssignment::BaseB(61, 2.0)},
+      {"exponential", RankAssignment::Exponential(61, beta)},
+      {"priority", RankAssignment::Priority(61, beta)},
+  };
+  HipScratch scratch;  // shared by every case, long nodes and short
+  for (const auto& [kind, ranks] : kinds) {
+    std::vector<std::pair<std::string, Ads>> cases;
+    cases.emplace_back("stream", StreamAds(400, k, ranks,
+                                           SketchFlavor::kBottomK));
+    cases.emplace_back("shorter than k",
+                       StreamAds(k - 3, k, ranks, SketchFlavor::kBottomK));
+    std::vector<AdsEntry> copied;  // every third node takes the rank before
+    for (uint32_t i = 0; i < 300; ++i) {
+      const double rank = i % 3 == 2 ? copied.back().rank : ranks.rank(i);
+      copied.push_back(AdsEntry{i, 0, rank, static_cast<double>(i)});
+    }
+    cases.emplace_back("copied ranks", Ads(std::move(copied)));
+    std::vector<AdsEntry> grouped;  // groups of 6 share a distance and a rank
+    for (uint32_t i = 0; i < 600; ++i) {
+      grouped.push_back(AdsEntry{i, 0, ranks.rank(i - i % 6),
+                                 static_cast<double>(i / 6)});
+    }
+    cases.emplace_back("modified",
+                       Ads::ModifiedBottomK(std::move(grouped), k,
+                                            ranks.sup()));
+    for (const auto& [name, ads] : cases) {
+      const std::string label = kind + " " + name;
+      std::vector<double> want_tau, want_weight;
+      const size_t refused =
+          SketchBottomKHip(ads.entries(), k, ranks, &want_tau, &want_weight);
+      if (name == "modified") {
+        EXPECT_GT(refused, 0u) << label;
+      }
+      std::vector<double> tau(ads.size()), weight(ads.size());
+      ComputeHipWeightsAligned(ads, k, SketchFlavor::kBottomK, ranks,
+                               &scratch, tau.data(), weight.data());
+      EXPECT_TRUE(BitwiseEqual(tau, want_tau)) << label;
+      EXPECT_TRUE(BitwiseEqual(weight, want_weight)) << label;
     }
   }
 }

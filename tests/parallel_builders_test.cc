@@ -11,6 +11,7 @@
 
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -134,10 +135,42 @@ TEST(ParallelPrunedDijkstraTest, InsertionCountMatchesSequential) {
   EXPECT_GT(par_stats.rounds, 0u);
 }
 
+// A hub that every source reaches: a star's center joined to an R-MAT
+// graph, so in every window the center takes candidates from every task,
+// and its per-task runs interleave. Base-2 ranks tie in long runs, which
+// windows never split and the replay orders by (distance, node id).
+TEST(ParallelPrunedDijkstraTest, HubTargetIsBitIdenticalAtEveryThreadCount) {
+  const Graph rmat = Rmat(10, 4, 7, /*undirected=*/true);
+  std::vector<Edge> edges = rmat.ToEdgeList();
+  const std::vector<Edge> star = Star(rmat.num_nodes()).ToEdgeList();
+  edges.insert(edges.end(), star.begin(), star.end());
+  const Graph hub(rmat.num_nodes(), edges, /*undirected=*/false);
+  const auto ranks = RankAssignment::BaseB(11, 2.0);
+  for (SketchFlavor flavor : AllFlavors()) {
+    const uint32_t k = flavor == SketchFlavor::kBottomK ? 16 : 4;
+    AdsBuildStats one_stats;
+    const AdsSet one_thread =
+        BuildAdsPrunedDijkstraParallel(hub, k, flavor, ranks, 1, &one_stats);
+    for (uint32_t threads : {2u, 3u, 4u, 8u}) {
+      const std::string label = std::string(FlavorName(flavor)) +
+                                " threads " + std::to_string(threads);
+      AdsBuildStats stats;
+      const AdsSet parallel = BuildAdsPrunedDijkstraParallel(
+          hub, k, flavor, ranks, threads, &stats);
+      ExpectIdenticalAdsSet(one_thread, parallel, label);
+      EXPECT_EQ(stats.insertions, one_stats.insertions) << label;
+      EXPECT_GT(stats.candidates, 0u) << label;
+    }
+  }
+}
+
 // The work a build does, pinned: a faster search kernel may change how
 // long a build takes, never how many arcs it relaxes, entries it inserts
 // or windows it runs. Unit weights take the BFS, real weights Dijkstra;
-// bottom-k runs one pass and k-mins k of them.
+// bottom-k runs one pass and k-mins k of them. The 4-thread rows follow
+// the window rule (a window holds a quarter as many sources as all before
+// it): a rule with smaller windows relaxes fewer arcs in more rounds, and
+// the replay keeps every insertion count.
 TEST(ParallelPrunedDijkstraTest, WorkCountersArePinned) {
   const Graph unit = Rmat(10, 8, 5, /*undirected=*/true);
   const Graph weighted = RandomizeWeights(
@@ -149,19 +182,20 @@ TEST(ParallelPrunedDijkstraTest, WorkCountersArePinned) {
     SketchFlavor flavor;
     uint32_t k;
     uint32_t threads;
-    AdsBuildStats stats;  // relaxations, insertions, deletions, rounds
+    // relaxations, insertions, deletions, rounds, candidates
+    AdsBuildStats stats;
   };
   const SketchFlavor kBottomK = SketchFlavor::kBottomK;
   const SketchFlavor kKMins = SketchFlavor::kKMins;
   const Pinned pinned[] = {
-      {&unit, kBottomK, 16, 1, {1122864, 55741, 0, 1024}},
-      {&unit, kBottomK, 16, 4, {1463816, 55741, 0, 7}},
-      {&unit, kKMins, 4, 1, {471169, 24346, 0, 4096}},
-      {&unit, kKMins, 4, 4, {676917, 24346, 0, 36}},
-      {&weighted, kBottomK, 16, 1, {551957, 48266, 0, 1024}},
-      {&weighted, kBottomK, 16, 4, {730904, 48266, 0, 7}},
-      {&weighted, kKMins, 4, 1, {242253, 22316, 0, 4096}},
-      {&weighted, kKMins, 4, 4, {346412, 22316, 0, 36}},
+      {&unit, kBottomK, 16, 1, {1122864, 55741, 0, 1024, 0}},
+      {&unit, kBottomK, 16, 4, {1245148, 55741, 0, 17, 61745}},
+      {&unit, kKMins, 4, 1, {471169, 24346, 0, 4096, 0}},
+      {&unit, kKMins, 4, 4, {617972, 24346, 0, 92, 31240}},
+      {&weighted, kBottomK, 16, 1, {551957, 48266, 0, 1024, 0}},
+      {&weighted, kBottomK, 16, 4, {611332, 48266, 0, 17, 53475}},
+      {&weighted, kKMins, 4, 1, {242253, 22316, 0, 4096, 0}},
+      {&weighted, kKMins, 4, 4, {305109, 22316, 0, 92, 27898}},
   };
   for (const Pinned& p : pinned) {
     const std::string label = std::string(p.g == &unit ? "unit " : "weighted ") +
@@ -174,6 +208,7 @@ TEST(ParallelPrunedDijkstraTest, WorkCountersArePinned) {
     EXPECT_EQ(stats.insertions, p.stats.insertions) << label;
     EXPECT_EQ(stats.deletions, 0u) << label;
     EXPECT_EQ(stats.rounds, p.stats.rounds) << label;
+    EXPECT_EQ(stats.candidates, p.stats.candidates) << label;
     EXPECT_EQ(set.TotalEntries(), p.stats.insertions) << label;
   }
 }
@@ -450,6 +485,13 @@ TEST(ThreadPoolTest, ClampThreadsBoundsRequestsToTheHardwareCount) {
   EXPECT_EQ(ClampThreads(UINT64_MAX), hw);
 }
 
+// The mask's width bounded by the cgroup CPU quota, if one is set.
+uint32_t QuotaBounded(const cpu_set_t& mask) {
+  const uint32_t cpus = static_cast<uint32_t>(CPU_COUNT(&mask));
+  const uint32_t quota = CgroupCpuLimit();
+  return quota != 0 ? std::min(cpus, quota) : cpus;
+}
+
 // HardwareThreads() is the size of the calling thread's affinity mask, so
 // a process pinned with `taskset` or a cpuset sizes its pools to the CPUs
 // it may use. Pins this thread to one CPU of its mask, then restores it.
@@ -458,7 +500,7 @@ TEST(ThreadPoolTest, HardwareThreadsFollowsTheAffinityMask) {
   if (sched_getaffinity(0, sizeof(saved), &saved) != 0) {
     GTEST_SKIP() << "the affinity mask cannot be read";
   }
-  EXPECT_EQ(HardwareThreads(), static_cast<uint32_t>(CPU_COUNT(&saved)));
+  EXPECT_EQ(HardwareThreads(), QuotaBounded(saved));
   int cpu = 0;
   while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
   ASSERT_LT(cpu, CPU_SETSIZE);
@@ -473,7 +515,100 @@ TEST(ThreadPoolTest, HardwareThreadsFollowsTheAffinityMask) {
   ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
   EXPECT_EQ(pinned, 1u);
   EXPECT_EQ(clamped, 1u);
-  EXPECT_EQ(HardwareThreads(), static_cast<uint32_t>(CPU_COUNT(&saved)));
+  EXPECT_EQ(HardwareThreads(), QuotaBounded(saved));
+}
+
+// A CPU quota bounds every default pool: quota / period CPUs, rounded up.
+// These read strings only; no cgroup is created, changed or read.
+TEST(CgroupQuotaTest, QuotasRoundUpToWholeCpus) {
+  EXPECT_EQ(CpusFromQuota(200000, 100000), 2u);
+  EXPECT_EQ(CpusFromQuota(150000, 100000), 2u);
+  EXPECT_EQ(CpusFromQuota(1000, 100000), 1u);
+  EXPECT_EQ(CpusFromQuota(100000, 100000), 1u);
+  EXPECT_EQ(CpusFromQuota(100001, 100000), 2u);
+  EXPECT_EQ(CpusFromQuota(-1, 100000), 0u);
+  EXPECT_EQ(CpusFromQuota(0, 100000), 0u);
+  EXPECT_EQ(CpusFromQuota(100000, 0), 0u);
+  EXPECT_EQ(CpusFromQuota(INT64_MAX, 1), UINT32_MAX);
+
+  EXPECT_EQ(ParseCgroupV2CpuMax("200000 100000\n"), 2u);
+  EXPECT_EQ(ParseCgroupV2CpuMax("250000 100000"), 3u);
+  EXPECT_EQ(ParseCgroupV2CpuMax("max 100000\n"), 0u);
+  EXPECT_EQ(ParseCgroupV2CpuMax(""), 0u);
+  EXPECT_EQ(ParseCgroupV2CpuMax("200000\n"), 0u);
+  EXPECT_EQ(ParseCgroupV2CpuMax("2e5 100000"), 0u);
+  EXPECT_EQ(ParseCgroupV2CpuMax("200000 100000 7"), 0u);
+
+  EXPECT_EQ(ParseCgroupV1CpuQuota("-1\n", "100000\n"), 0u);
+  EXPECT_EQ(ParseCgroupV1CpuQuota("200000\n", "100000\n"), 2u);
+  EXPECT_EQ(ParseCgroupV1CpuQuota("50000", "100000"), 1u);
+  EXPECT_EQ(ParseCgroupV1CpuQuota("", "100000"), 0u);
+  EXPECT_EQ(ParseCgroupV1CpuQuota("200000", "junk"), 0u);
+}
+
+std::vector<std::string> Paths(const std::vector<CgroupCpuDir>& dirs,
+                               bool v2) {
+  std::vector<std::string> paths;
+  for (const CgroupCpuDir& dir : dirs) {
+    if (dir.v2 == v2) paths.push_back(dir.path);
+  }
+  return paths;
+}
+
+// The quota is read at every level from the process's own cgroup up to
+// the mount point of its hierarchy: cgroup v2, and the v1 hierarchy that
+// carries the cpu controller (alone or joined with cpuacct).
+TEST(CgroupQuotaTest, DirectoriesRunFromTheOwnCgroupToTheMountPoint) {
+  const std::string cgroup =
+      "12:cpu,cpuacct:/jobs/a7\n"
+      "4:memory:/jobs/a7\n"
+      "1:name=systemd:/\n"
+      "0::/user.slice/app.scope\n";
+  const std::string mountinfo =
+      "24 1 0:22 / /sys/fs/cgroup rw - cgroup2 cgroup2 rw,nsdelegate\n"
+      "33 32 0:29 / /sys/fs/cgroup/cpu,cpuacct rw,relatime shared:9 - cgroup "
+      "cgroup rw,cpu,cpuacct\n"
+      "36 32 0:32 / /sys/fs/cgroup/memory rw,relatime - cgroup cgroup "
+      "rw,memory\n"
+      "41 32 0:37 / /sys/fs/cgroup/systemd rw - cgroup cgroup "
+      "rw,name=systemd\n";
+  const std::vector<CgroupCpuDir> dirs = CgroupCpuDirs(cgroup, mountinfo);
+  EXPECT_EQ(Paths(dirs, true),
+            (std::vector<std::string>{"/sys/fs/cgroup/user.slice/app.scope",
+                                      "/sys/fs/cgroup/user.slice",
+                                      "/sys/fs/cgroup"}));
+  EXPECT_EQ(Paths(dirs, false),
+            (std::vector<std::string>{"/sys/fs/cgroup/cpu,cpuacct/jobs/a7",
+                                      "/sys/fs/cgroup/cpu,cpuacct/jobs",
+                                      "/sys/fs/cgroup/cpu,cpuacct"}));
+
+  // A mount of a subtree maps the path below its root; a cgroup namespace
+  // shows the process at "/", its mount point.
+  EXPECT_EQ(Paths(CgroupCpuDirs("0::/jobs/a7/task\n",
+                                "50 1 0:40 /jobs /cg rw - cgroup2 none rw\n"),
+                  true),
+            (std::vector<std::string>{"/cg/a7/task", "/cg/a7", "/cg"}));
+  EXPECT_EQ(Paths(CgroupCpuDirs("0::/\n",
+                                "50 1 0:40 / /sys/fs/cgroup rw - cgroup2 "
+                                "cgroup2 rw\n"),
+                  true),
+            (std::vector<std::string>{"/sys/fs/cgroup"}));
+  EXPECT_EQ(Paths(CgroupCpuDirs("0::/other\n",
+                                "50 1 0:40 /jobs /cg rw - cgroup2 none rw\n"),
+                  true),
+            (std::vector<std::string>{"/cg"}));
+
+  // No cpu hierarchy, a cpuacct-only one or malformed lines: nothing to
+  // read, so no quota.
+  EXPECT_TRUE(CgroupCpuDirs("3:cpuacct:/a\n",
+                            "34 32 0:30 / /c rw - cgroup cgroup rw,cpuacct\n")
+                  .empty());
+  EXPECT_TRUE(CgroupCpuDirs("", "").empty());
+  EXPECT_TRUE(CgroupCpuDirs("garbage\n0::\n", "1 2 3\n- - -\n").empty());
+  // A path that is empty or not absolute names no directory to walk up.
+  const std::string mount = "50 1 0:40 / /cg rw - cgroup2 none rw\n";
+  EXPECT_TRUE(CgroupCpuDirs("0::\n", mount).empty());
+  EXPECT_TRUE(CgroupCpuDirs("0::jobs/a7\n", mount).empty());
 }
 
 }  // namespace

@@ -463,11 +463,12 @@ int CmdSketch(const Args& args) {
   if (!s.ok()) return Fail(s);
   std::printf(
       "sketched %u nodes (k=%u, %s, %u threads): %llu entries (%.1f/node), "
-      "%llu relaxations -> %s%s\n",
+      "%llu relaxations, %llu candidates -> %s%s\n",
       g.num_nodes(), k, flavor_name.c_str(), threads,
       static_cast<unsigned long long>(flat.TotalEntries()),
       static_cast<double>(flat.TotalEntries()) / g.num_nodes(),
-      static_cast<unsigned long long>(stats.relaxations), out.c_str(),
+      static_cast<unsigned long long>(stats.relaxations),
+      static_cast<unsigned long long>(stats.candidates), out.c_str(),
       shards > 0 ? " (sharded)" : "");
   return 0;
 }
