@@ -265,8 +265,10 @@ void BM_NeighborhoodFunctionStorage(benchmark::State& state) {
   Graph g = MakeEr(8000, 8, /*weighted=*/false);
   uint32_t k = 16;
   auto ranks = RankAssignment::Uniform(1);
-  FlatAdsBackend backend(FlatAdsSet::FromAdsSet(
-      BuildAdsDp(g, k, SketchFlavor::kBottomK, ranks)));
+  FlatAdsSet flat =
+      FlatAdsSet::FromAdsSet(BuildAdsDp(g, k, SketchFlavor::kBottomK, ranks));
+  PrecomputeHipWeights(&flat);
+  FlatAdsBackend backend(std::move(flat));
   for (auto _ : state) {
     auto nf = EstimateNeighborhoodFunction(backend, threads);
     benchmark::DoNotOptimize(&nf);

@@ -108,8 +108,10 @@ void TopTenRecovery(bool quick) {
     exact[v] = ExactHarmonicCentrality(g, v);
   }
   auto exact_top = TopKNodes(exact, 10);
-  FlatAdsBackend set(FlatAdsSet::FromAdsSet(
-      BuildAdsDp(g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(3))));
+  FlatAdsSet flat = FlatAdsSet::FromAdsSet(
+      BuildAdsDp(g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(3)));
+  PrecomputeHipWeights(&flat);
+  FlatAdsBackend set(std::move(flat));
   auto est_top = TopKNodes(EstimateHarmonicCentralityAll(set).value(), 10);
   uint32_t overlap = 0;
   for (NodeId v : est_top) {

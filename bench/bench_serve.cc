@@ -16,8 +16,8 @@
 //   * CLAIM-SWEEP-FUSION: K statistics as one fused SweepPlan vs K
 //     standalone whole-graph queries over a resident-limited sharded
 //     backend. Sequential cost grows ~linearly in K (K shard sweeps, K
-//     HIP scans per node); the fused plan pays one sweep plus only the
-//     per-collector reduction — the recorded baseline justifies routing
+//     entry walks per node); the fused plan pays one sweep plus only the
+//     per-collector terms — the recorded baseline justifies routing
 //     every multi-statistic caller (CLI stats, examples) through one plan.
 
 #include <benchmark/benchmark.h>
@@ -49,18 +49,18 @@
 namespace hipads {
 namespace {
 
-// One sketch set per graph size, shared across iterations (building at
-// n=8000 dominates the bench run otherwise).
+// One sketch set per graph size with its HIP weights, as `sketch` writes
+// it, shared across iterations (building at n=8000 dominates the bench run
+// otherwise).
 const FlatAdsSet& SharedSet(uint32_t n) {
   static std::map<uint32_t, FlatAdsSet> cache;
   auto it = cache.find(n);
   if (it == cache.end()) {
     Graph g = ErdosRenyi(n, 4ULL * n, /*undirected=*/true, 42);
-    it = cache
-             .emplace(n, FlatAdsSet::FromAdsSet(BuildAdsDp(
-                             g, 16, SketchFlavor::kBottomK,
-                             RankAssignment::Uniform(1))))
-             .first;
+    FlatAdsSet set = FlatAdsSet::FromAdsSet(
+        BuildAdsDp(g, 16, SketchFlavor::kBottomK, RankAssignment::Uniform(1)));
+    PrecomputeHipWeights(&set, 0);
+    it = cache.emplace(n, std::move(set)).first;
   }
   return it->second;
 }
@@ -235,25 +235,13 @@ BENCHMARK(BM_MultiStatSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Unit(
 
 // ---------------------------------------------------------------------------
 // CLAIM-HIP-RESIDENT: the per-node HIP estimator cost, per entry, for the
-// three ways of obtaining the adjusted weights — the owning scan (copies
-// the entries and allocates its arrays per node), the scan into a reused
-// scratch (the sweep's and server's fallback when a store has no HIP
-// section), and wrapping precomputed storage-resident arrays (no scan at
-// all, just pointer arithmetic). All three produce bitwise identical
-// statistics; the recorded baseline quantifies what precomputation saves
-// per query.
+// two ways of obtaining the adjusted weights — the owning scan (copies
+// the entries and allocates its arrays per node; what in-memory Ads and
+// streams pay) and wrapping stored arrays (no scan at all, just pointer
+// arithmetic; what every store serves). Both produce bitwise identical
+// statistics; the recorded baseline quantifies what storing saves per
+// query.
 // ---------------------------------------------------------------------------
-
-const FlatAdsSet& SharedHipSet(uint32_t n) {
-  static std::map<uint32_t, FlatAdsSet> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    FlatAdsSet set = SharedSet(n);  // copy, then attach the weights
-    PrecomputeHipWeights(&set, 0);
-    it = cache.emplace(n, std::move(set)).first;
-  }
-  return it->second;
-}
 
 void BM_HipScanOwned(benchmark::State& state) {
   const FlatAdsSet& set = SharedSet(4000);
@@ -270,25 +258,8 @@ void BM_HipScanOwned(benchmark::State& state) {
 }
 BENCHMARK(BM_HipScanOwned)->Unit(benchmark::kMillisecond);
 
-void BM_HipScanScratch(benchmark::State& state) {
-  const FlatAdsSet& set = SharedSet(4000);
-  HipScratch scratch;
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (NodeId v = 0; v < set.num_nodes(); ++v) {
-      HipEstimator est(set.of(v), HipView{}, set.k, set.flavor, set.ranks,
-                       &scratch);
-      sum += est.HarmonicCentrality();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(set.TotalEntries()));
-}
-BENCHMARK(BM_HipScanScratch)->Unit(benchmark::kMillisecond);
-
 void BM_HipPrecomputed(benchmark::State& state) {
-  const FlatAdsSet& set = SharedHipSet(4000);
+  const FlatAdsSet& set = SharedSet(4000);
   for (auto _ : state) {
     double sum = 0.0;
     for (NodeId v = 0; v < set.num_nodes(); ++v) {
@@ -303,35 +274,6 @@ void BM_HipPrecomputed(benchmark::State& state) {
                           static_cast<int64_t>(set.TotalEntries()));
 }
 BENCHMARK(BM_HipPrecomputed)->Unit(benchmark::kMillisecond);
-
-// The fused battery again, over the same sharded layout but with the HIP
-// section resident in every shard file: the sweep consumes the stored
-// weights instead of re-scanning each node per collector pass.
-const ShardedAdsSet& SharedShardedHipSet() {
-  static ShardedAdsSet* set = [] {
-    std::string dir = TempPath("bench_serve_fusion_hip_shards");
-    WriteShardedAdsSet(SharedHipSet(4000), dir, 8);
-    ShardedOptions options;
-    options.max_resident = 1;
-    auto opened = ShardedAdsSet::Open(dir, options);
-    return new ShardedAdsSet(std::move(opened).value());
-  }();
-  return *set;
-}
-
-void BM_MultiStatFusedHip(benchmark::State& state) {
-  const ShardedAdsSet& set = SharedShardedHipSet();
-  for (auto _ : state) {
-    SweepPlan plan;
-    AddCollectors(plan, state.range(0));
-    Status swept = RunSweep(set, plan, 1);
-    benchmark::DoNotOptimize(swept.ok());
-  }
-  state.counters["stats"] =
-      benchmark::Counter(static_cast<double>(state.range(0)));
-}
-BENCHMARK(BM_MultiStatFusedHip)->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Unit(
-    benchmark::kMillisecond);
 
 // Point lookups: the (dist, node) canonical order forces AdsView into a
 // linear scan per probe; AdsNodeIndex answers by binary search.
@@ -368,9 +310,8 @@ BENCHMARK(BM_PointLookupIndexed);
 
 // ---------------------------------------------------------------------------
 // --perf-smoke <baseline.json>: the CI regression guard. Times the fused
-// K=1 and K=6 sweeps (scan and hip-resident) directly — seconds, not the
-// full benchmark run — and compares the K=6/K=1 CPU *ratios* against the
-// recorded baseline's. Ratios cancel out absolute machine speed, so the
+// K=1 and K=6 sweeps directly — seconds, not the full benchmark run — and
+// compares the K=6/K=1 CPU *ratio* against the recorded baseline's. Ratios cancel out absolute machine speed, so the
 // check is safe on a slow 1-core CI box; a >30% ratio regression means the
 // per-statistic sweep cost genuinely grew and the step fails.
 // ---------------------------------------------------------------------------
@@ -415,48 +356,30 @@ int PerfSmoke(const char* baseline_path) {
   const std::string json = buffer.str();
   const double b1 = BaselineCpuMs(json, "BM_MultiStatFused/1");
   const double b6 = BaselineCpuMs(json, "BM_MultiStatFused/6");
-  const double bh6 = BaselineCpuMs(json, "BM_MultiStatFusedHip/6");
-  if (b1 <= 0.0 || b6 <= 0.0 || bh6 <= 0.0) {
+  if (b1 <= 0.0 || b6 <= 0.0) {
     std::fprintf(stderr,
-                 "perf-smoke: baseline %s lacks BM_MultiStatFused/"
-                 "BM_MultiStatFusedHip entries\n",
+                 "perf-smoke: baseline %s lacks BM_MultiStatFused entries\n",
                  baseline_path);
     return 2;
   }
 
-  const ShardedAdsSet& scan = SharedShardedSet();
-  const ShardedAdsSet& hip = SharedShardedHipSet();
-  TimeFusedSweepMs(scan, 1);  // warm the page cache and shard arenas
-  TimeFusedSweepMs(hip, 1);
-  const double t1 = TimeFusedSweepMs(scan, 1);
-  const double t6 = TimeFusedSweepMs(scan, 6);
-  const double th6 = TimeFusedSweepMs(hip, 6);
-  if (t1 <= 0.0 || t6 <= 0.0 || th6 <= 0.0) {
+  const ShardedAdsSet& set = SharedShardedSet();
+  TimeFusedSweepMs(set, 1);  // warm the page cache and shard arenas
+  const double t1 = TimeFusedSweepMs(set, 1);
+  const double t6 = TimeFusedSweepMs(set, 6);
+  if (t1 <= 0.0 || t6 <= 0.0) {
     std::fprintf(stderr, "perf-smoke: fused sweep failed\n");
     return 2;
   }
 
   constexpr double kTolerance = 1.30;  // fail past a 30% ratio regression
-  int failures = 0;
-  struct Check {
-    const char* name;
-    double measured;
-    double baseline;
-  };
-  const Check checks[] = {
-      {"fused6/fused1", t6 / t1, b6 / b1},
-      {"fusedhip6/fused1", th6 / t1, bh6 / b1},
-  };
-  for (const Check& c : checks) {
-    const bool ok = c.measured <= c.baseline * kTolerance;
-    std::printf("perf-smoke: %-18s measured %.3f baseline %.3f  %s\n",
-                c.name, c.measured, c.baseline, ok ? "ok" : "REGRESSION");
-    if (!ok) ++failures;
-  }
-  std::printf(
-      "perf-smoke: fused1 %.2fms fused6 %.2fms fusedhip6 %.2fms (wall)\n",
-      t1, t6, th6);
-  return failures == 0 ? 0 : 1;
+  const double measured = t6 / t1;
+  const double baseline = b6 / b1;
+  const bool ok = measured <= baseline * kTolerance;
+  std::printf("perf-smoke: fused6/fused1 measured %.3f baseline %.3f  %s\n",
+              measured, baseline, ok ? "ok" : "REGRESSION");
+  std::printf("perf-smoke: fused1 %.2fms fused6 %.2fms (wall)\n", t1, t6);
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "ads/backend.h"
 #include "ads/builders.h"
 #include "ads/estimators.h"
+#include "ads/hip.h"
 #include "ads/serialize.h"
 #include "ads/shard.h"
 #include "ads/similarity.h"
@@ -60,11 +61,13 @@ int Serve(const char* label, const AdsBackend& set) {
   }
   std::printf("\n");
 
-  // Per-node queries.
+  // Per-node queries, over the node's stored HIP weights.
   for (NodeId v : {100u, 4000u}) {
     auto view = set.ViewOf(v);
     if (!view.ok()) return 1;
-    HipEstimator est(view.value(), set.k(), set.flavor(), set.ranks());
+    auto hip = set.HipOf(v);
+    if (!hip.ok()) return 1;
+    HipEstimator est(view.value(), hip.value().tau, hip.value().weight);
     std::printf("  node %u: |N_10| ~ %.0f, |N_20| ~ %.0f, harmonic ~ %.0f\n",
                 v, est.NeighborhoodCardinality(10.0),
                 est.NeighborhoodCardinality(20.0), est.HarmonicCentrality());
@@ -95,6 +98,8 @@ int main() {
                             /*seed=*/5);
     FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsDp(
         g, /*k=*/24, SketchFlavor::kBottomK, RankAssignment::Uniform(99)));
+    // The HIP weights, computed once here; every v2 file stores them.
+    PrecomputeHipWeights(&set);
     Status s = WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2);
     Status sh = WriteShardedAdsSet(set, shard_dir, 4);
     std::printf("offline: sketched %u nodes -> %s (%s), 4 shards -> %s (%s)\n",

@@ -12,8 +12,10 @@
 
 #include <cstdio>
 #include <map>
+#include <utility>
 
 #include "ads/builders.h"
+#include "ads/hip.h"
 #include "ads/queries.h"
 #include "graph/exact.h"
 #include "graph/generators.h"
@@ -48,15 +50,18 @@ int main() {
   std::printf("social graph: %u users, %llu friendships\n", g.num_nodes(),
               static_cast<unsigned long long>(g.num_arcs() / 2));
 
-  // The builder's per-node sets are flattened once into the in-memory
-  // backend every whole-graph query reads. An in-memory backend never
-  // fails a load, so the queries' StatusOr values are always ok.
-  FlatAdsBackend sketches(FlatAdsSet::FromAdsSet(
-      BuildAdsDp(g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(7))));
+  // The builder's per-node sets are flattened once, given their HIP
+  // weights, and held by the in-memory backend every whole-graph query
+  // reads. An in-memory backend over a set with its weights never fails a
+  // load, so the queries' StatusOr values are always ok.
+  FlatAdsSet flat = FlatAdsSet::FromAdsSet(
+      BuildAdsDp(g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(7)));
+  PrecomputeHipWeights(&flat);
+  FlatAdsBackend sketches(std::move(flat));
   std::printf("sketches built: %.1f entries/user\n",
               static_cast<double>(sketches.TotalEntries()) / g.num_nodes());
 
-  // Query 1: harmonic centrality of everyone (one sketch scan per user).
+  // Query 1: harmonic centrality of everyone (one sketch walk per user).
   std::vector<double> harmonic =
       EstimateHarmonicCentralityAll(sketches).value();
 

@@ -32,11 +32,17 @@ AdsArenaView ArenaOf(const FlatAdsSet& s) {
   arena.end = static_cast<NodeId>(s.num_nodes());
   arena.offsets = s.offsets.data();
   arena.entries = s.entries.data();
-  if (s.has_hip()) {
-    arena.hip_tau = s.hip_tau.data();
-    arena.hip_weight = s.hip_weight.data();
-  }
+  arena.hip_tau = s.hip_tau.data();
+  arena.hip_weight = s.hip_weight.data();
   return arena;
+}
+
+// What FlatAdsBackend answers for HIP weights it does not hold.
+Status CheckHipWeights(const FlatAdsSet& s) {
+  if (s.has_hip()) return Status::Ok();
+  return Status::FailedPrecondition(
+      "the in-memory set carries no HIP weights; run PrecomputeHipWeights "
+      "on it before serving it");
 }
 
 StatusOr<AdsArenaView> RangeOf(const AdsArenaView& arena, uint32_t r) {
@@ -70,6 +76,8 @@ StatusOr<HipView> HipIn(const AdsArenaView& arena, NodeId v) {
 }  // namespace
 
 StatusOr<AdsArenaView> FlatAdsBackend::Range(uint32_t r) const {
+  Status weighted = CheckHipWeights(set());
+  if (!weighted.ok()) return weighted;
   return RangeOf(ArenaOf(set()), r);
 }
 
@@ -78,6 +86,8 @@ StatusOr<AdsView> FlatAdsBackend::ViewOf(NodeId v) const {
 }
 
 StatusOr<HipView> FlatAdsBackend::HipOf(NodeId v) const {
+  Status weighted = CheckHipWeights(set());
+  if (!weighted.ok()) return weighted;
   return HipIn(ArenaOf(set()), v);
 }
 
@@ -112,6 +122,7 @@ MmapAdsSet& MmapAdsSet::operator=(MmapAdsSet&& other) noexcept {
   flavor_ = other.flavor_;
   k_ = other.k_;
   ranks_ = std::move(other.ranks_);
+  hip_tau_ = std::move(other.hip_tau_);
   hip_weight_ = std::move(other.hip_weight_);
   arena_ = std::exchange(other.arena_, kEmptyArena);
   return *this;
@@ -159,26 +170,26 @@ StatusOr<MmapAdsSet> MmapAdsSet::Open(const std::string& path,
   if (!header.ok()) return header.status();
   const AdsBinaryHeader& h = header.value();
   AdsBinarySections sections = MappedAdsSections(h, data);
-  if (h.has_hip) {
-    set.hip_weight_.resize(h.num_entries);
-    sections.hip_weight = set.hip_weight_.data();
-  }
+  set.hip_weight_.resize(h.num_entries);
+  sections.hip_weight = set.hip_weight_.data();
   Status valid = CheckAdsBinarySections(h, sections);
   if (!valid.ok()) return valid;
   Status ranks_status = RanksFromStoredParams(h.rank_kind, h.seed, h.base,
                                               std::move(beta), &set.ranks_);
   if (!ranks_status.ok()) return ranks_status;
+  if (!h.has_hip) {
+    set.hip_tau_.resize(h.num_entries);
+    sections.hip_tau = set.hip_tau_.data();
+    DeriveAdsHipWeights(h, sections, set.ranks_, set.hip_tau_.data(),
+                        set.hip_weight_.data());
+  }
   set.flavor_ = h.flavor;
   set.k_ = h.k;
   set.arena_.end = static_cast<NodeId>(h.num_nodes);
   set.arena_.offsets = sections.offsets;
   set.arena_.entries = sections.entries;
-  // Null without a HIP section, and with an empty one: a copying reader
-  // loads that as a set without HIP arrays, and so must this one.
-  if (h.num_entries > 0) {
-    set.arena_.hip_tau = sections.hip_tau;
-    set.arena_.hip_weight = sections.hip_weight;
-  }
+  set.arena_.hip_tau = sections.hip_tau;
+  set.arena_.hip_weight = sections.hip_weight;
   return set;
 }
 

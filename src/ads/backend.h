@@ -6,9 +6,9 @@
 //     builder hands over or the copying loader materializes.
 //   * MmapAdsSet     — a hipads-ads-v2 file mapped read-only into the
 //     address space. The v2 layout (fixed header + raw offsets[] +
-//     AdsEntry[] sections, optionally tau[]) is consumed in place: open is
+//     AdsEntry[] + tau[] sections) is consumed in place: open is
 //     validation, with zero copying of the payload. Its one allocation is
-//     the HIP weight array the validator derives from a stored tau.
+//     the HIP weight array the validator derives from the stored tau.
 //   * ShardedAdsSet  — a directory of v2 shard files (ads/shard.h), loaded
 //     lazily with bounded residency and, optionally, a background prefetch
 //     thread that loads (or maps) shard s+1 while a sweep consumes shard s.
@@ -50,14 +50,12 @@ struct AdsArenaView {
   NodeId end = 0;  // exclusive
   const uint64_t* offsets = nullptr;  // end - begin + 1 values
   const AdsEntry* entries = nullptr;
-  // Precomputed HIP weight arrays aligned with `entries` (same indexing),
-  // or null when the range's store has no HIP section.
+  // The HIP weight arrays, aligned with `entries` (same indexing).
   const double* hip_tau = nullptr;
   const double* hip_weight = nullptr;
 
   size_t num_nodes() const { return end - begin; }
   uint64_t num_entries() const { return offsets[end - begin]; }
-  bool has_hip() const { return hip_tau != nullptr; }
 
   /// View of the range-local node i's ADS.
   AdsView of_local(size_t i) const {
@@ -65,9 +63,8 @@ struct AdsArenaView {
   }
   /// View of global node v's ADS (begin <= v < end).
   AdsView of_global(NodeId v) const { return of_local(v - begin); }
-  /// Precomputed weights of the range-local node i (absent when !has_hip).
+  /// HIP weights of the range-local node i.
   HipView hip_of_local(size_t i) const {
-    if (hip_tau == nullptr) return HipView{};
     return HipView{hip_tau + offsets[i], hip_weight + offsets[i]};
   }
 };
@@ -101,20 +98,13 @@ class AdsBackend {
   /// View of ADS(v), loading whatever range owns v on demand.
   virtual StatusOr<AdsView> ViewOf(NodeId v) const = 0;
 
-  /// Precomputed HIP weights of node v, aligned with ViewOf(v)'s entries.
-  /// Absent (present() == false) when the backing store carries no HIP
-  /// section — the caller scans instead; both paths are bitwise identical.
-  /// The default is the conservative "absent". Same residency/validity
-  /// rules as ViewOf.
-  virtual StatusOr<HipView> HipOf(NodeId /*v*/) const { return HipView{}; }
+  /// HIP weights of node v, aligned with ViewOf(v)'s entries. Same
+  /// residency/validity rules as ViewOf.
+  virtual StatusOr<HipView> HipOf(NodeId v) const = 0;
 
-  /// True when the backend holds at least one entry and serves EVERY
-  /// entry's precomputed HIP weight (no entry is ever scanned). A store
-  /// with no entries is never resident, whatever its file holds: the same
-  /// rule in every engine, since an in-memory FlatAdsSet cannot tell an
-  /// empty HIP section from none. Observability for operators
-  /// (`stats`/`serve` report hip=resident|scan); never affects results.
-  virtual bool HipResident() const { return false; }
+  /// Always true: every engine serves stored HIP weights. Nothing in the
+  /// library reads it; it remains only for a decorator that forwards it.
+  virtual bool HipResident() const { return true; }
 
   /// Residency hint: a sweep consuming ranges in order will need range r
   /// next. Backends may start loading it in the background; the default is
@@ -130,7 +120,9 @@ class AdsBackend {
   virtual bool ImmutableReads() const { return false; }
 };
 
-/// In-memory backend over a FlatAdsSet arena: one range, no failure paths.
+/// In-memory backend over a FlatAdsSet arena: one range. Over a set
+/// without HIP weights (a built one before PrecomputeHipWeights), Range
+/// and HipOf fail with FailedPrecondition; ViewOf still serves.
 class FlatAdsBackend : public AdsBackend {
  public:
   FlatAdsBackend() = default;
@@ -158,7 +150,6 @@ class FlatAdsBackend : public AdsBackend {
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  bool HipResident() const override { return set().has_hip(); }
   bool ImmutableReads() const override { return true; }
 
  private:
@@ -169,11 +160,11 @@ class FlatAdsBackend : public AdsBackend {
 /// A hipads-ads-v2 file opened zero-copy: the file is mapped read-only and
 /// validated in place by the copying readers' validator (header, chained
 /// section checksums, structure, canonical order); AdsViews and the HIP tau
-/// point directly into the mapping, so open copies nothing. A file without
-/// the HIP section allocates nothing either; with it, open allocates the
-/// one array the file does not store, the HIP weights (8 bytes per entry),
-/// which the validator fills as it checks each tau. Every input the
-/// copying readers reject fails here with the same Status.
+/// point directly into the mapping, so open copies nothing. Open allocates
+/// the one array the file does not store, the HIP weights (8 bytes per
+/// entry), which the validator fills as it checks each tau; a file without
+/// the HIP section gets both computed (16 bytes per entry). Every input
+/// the copying readers reject fails here with the same Status.
 class MmapAdsSet : public AdsBackend {
  public:
   MmapAdsSet();
@@ -199,7 +190,6 @@ class MmapAdsSet : public AdsBackend {
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  bool HipResident() const override { return arena_.has_hip(); }
   bool ImmutableReads() const override { return true; }
 
  private:
@@ -210,12 +200,12 @@ class MmapAdsSet : public AdsBackend {
   SketchFlavor flavor_ = SketchFlavor::kBottomK;
   uint32_t k_ = 0;
   RankAssignment ranks_ = RankAssignment::Uniform(0);
-  // The HIP weights derived from the mapped tau (empty without the
+  // The HIP arrays the file does not store (tau only without the
   // section); a move keeps their storage, so arena_ stays valid.
+  DefaultInitVector<double> hip_tau_;
   DefaultInitVector<double> hip_weight_;
-  // The mapped arena, HIP arrays included when the file carries the
-  // optional section (tau mapped, weight in hip_weight_); an empty arena
-  // while map_ is null.
+  // The mapped arena with its HIP arrays (tau mapped or in hip_tau_,
+  // weight in hip_weight_); an empty arena while map_ is null.
   AdsArenaView arena_;
 };
 

@@ -10,30 +10,23 @@ namespace hipads {
 
 struct HipEstimator::Owned {
   std::vector<AdsEntry> entries;
-  HipScratch scan;  // its arrays are the estimator's
+  HipScratch scan;
+  std::vector<double> arrays;  // tau in [0, n), weight in [n, 2n)
 };
 
 HipEstimator::HipEstimator(AdsView ads, uint32_t k, SketchFlavor flavor,
-                           const RankAssignment& ranks) {
+                           const RankAssignment& ranks)
+    : size_(ads.size()) {
   auto owned = std::make_shared<Owned>();
   owned->entries.assign(ads.entries().begin(), ads.entries().end());
-  *this = HipEstimator(AdsView(owned->entries), HipView{}, k, flavor, ranks,
-                       &owned->scan);
+  owned->arrays.resize(2 * size_);
+  entries_ = owned->entries.data();
+  tau_ = owned->arrays.data();
+  weight_ = tau_ + size_;
+  ComputeHipWeightsAligned(AdsView(owned->entries), k, flavor, ranks,
+                           &owned->scan, owned->arrays.data(),
+                           owned->arrays.data() + size_);
   owned_ = std::move(owned);
-}
-
-HipEstimator::HipEstimator(AdsView ads, HipView hip, uint32_t k,
-                           SketchFlavor flavor, const RankAssignment& ranks,
-                           HipScratch* scratch)
-    : entries_(ads.entries().data()), size_(ads.size()) {
-  if (!hip.present()) {
-    scratch->arrays.resize(2 * size_);
-    double* tau = scratch->arrays.data();
-    ComputeHipWeightsAligned(ads, k, flavor, ranks, scratch, tau, tau + size_);
-    hip = HipView{tau, tau + size_};
-  }
-  tau_ = hip.tau;
-  weight_ = hip.weight;
 }
 
 std::vector<HipEntry> HipEstimator::CopyEntries() const {

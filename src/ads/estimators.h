@@ -119,23 +119,20 @@ struct HipSumState {
 /// beside per-entry tau/weight arrays aligned with them (hip.h's layout:
 /// a k-mins run's weight sits at its first entry, zeros at the rest) and
 /// skips tau == 0 slots, so it visits one adjusted weight per sketched node
-/// in increasing distance order. Three constructors supply the arrays, and
-/// all three give bitwise-identical estimates:
+/// in increasing distance order. Two constructors supply the arrays, and
+/// both give bitwise-identical estimates:
 ///
 ///   * (ads, k, flavor, ranks) scans, and owns a copy of the entries and
-///     the arrays, so it may outlive `ads`; its copies share them.
-///   * (ads, tau, weight) wraps stored arrays (a loaded HIP section's tau
-///     and the weights derived from it, or PrecomputeHipWeights output):
-///     no scan, no allocation.
-///   * (ads, hip, k, flavor, ranks, scratch) wraps `hip` when present and
-///     otherwise scans into `scratch` (allocation-free once warm). It is
-///     the one place the stored-or-scan choice is made.
+///     the arrays, so it may outlive `ads`; its copies share them. In-memory
+///     Ads and streams, which no store holds, use it.
+///   * (ads, tau, weight) wraps stored arrays (a loaded store's, or
+///     PrecomputeHipWeights output): no scan, no allocation. It borrows:
+///     the view's entries and the arrays must stay valid while the
+///     estimator or a copy of it is used.
 ///
-/// The last two borrow: the view's entries, the arrays and the scratch must
-/// stay valid, and the scratch unscanned, while the estimator or a copy of
-/// it is used. Queries are one ordered fold over the adjusted weights
-/// (cardinalities early-exit at the distance bound); the built-in
-/// statistics are HipSums and walk through Sum.
+/// Queries are one ordered fold over the adjusted weights (cardinalities
+/// early-exit at the distance bound); the built-in statistics are HipSums
+/// and walk through Sum.
 class HipEstimator {
  public:
   /// Scans an AdsView: one node's entries, owned by an Ads or sliced out
@@ -150,11 +147,6 @@ class HipEstimator {
         tau_(tau),
         weight_(weight),
         size_(ads.size()) {}
-
-  /// Wraps the node's stored weights when `hip.present()`, else scans
-  /// `ads` into `scratch` and borrows its arrays.
-  HipEstimator(AdsView ads, HipView hip, uint32_t k, SketchFlavor flavor,
-               const RankAssignment& ranks, HipScratch* scratch);
 
   /// The declared sum `sum` (see HipSum) over this node's HIP entries:
   /// WalkSums with one sum.

@@ -8,9 +8,10 @@
 //
 // so a whole-graph sweep is one linear pass over memory. Per-node access
 // returns an AdsView (a span), the query surface shared with Ads. The
-// builders return the per-node-vector AdsSet; FromAdsSet flattens it once,
-// after which serialization, sharding, HIP precompute and every query
-// (through FlatAdsBackend, ads/backend.h) run off the arena.
+// builders return the per-node-vector AdsSet; FromAdsSet flattens it once
+// and PrecomputeHipWeights (ads/hip.h) adds its HIP weights, after which
+// serialization, sharding and every query (through FlatAdsBackend,
+// ads/backend.h) run off the arena.
 //
 // The arrays are DefaultInitVectors (util/default_init.h): a resize leaves
 // the new elements unwritten, so the flatten, HIP precompute and v2 loads
@@ -36,18 +37,20 @@ struct FlatAdsSet {
   RankAssignment ranks = RankAssignment::Uniform(0);
   DefaultInitVector<uint64_t> offsets{0};  // size num_nodes + 1
   DefaultInitVector<AdsEntry> entries;     // canonical order per node
-  // Optional precomputed HIP weights, aligned with `entries` (tau[i] /
-  // weight[i] belong to entries[i]; k-mins runs store the group weight at
-  // the first member, zeros at the rest — see hip.h). Either both empty or
-  // both entries.size(); filled by PrecomputeHipWeights or loaded from a
-  // file's HIP section (tau read, weight derived from it), and tau is
-  // serialized back out when present.
+  // The HIP weights, aligned with `entries` (tau[i] / weight[i] belong to
+  // entries[i]; k-mins runs store the group weight at the first member,
+  // zeros at the rest — see hip.h). Every reader fills them; a built set
+  // gets them from PrecomputeHipWeights before it is written or served.
   DefaultInitVector<double> hip_tau;
   DefaultInitVector<double> hip_weight;
 
   size_t num_nodes() const { return offsets.size() - 1; }
   uint64_t TotalEntries() const { return entries.size(); }
-  bool has_hip() const { return !hip_tau.empty(); }
+  /// True when the HIP arrays hold one weight per entry.
+  bool has_hip() const {
+    return hip_tau.size() == entries.size() &&
+           hip_weight.size() == entries.size();
+  }
 
   /// View of ADS(v).
   AdsView of(NodeId v) const {

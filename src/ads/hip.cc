@@ -195,25 +195,34 @@ void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
   }
 }
 
-void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads) {
-  set->hip_tau.resize(set->entries.size());
-  set->hip_weight.resize(set->entries.size());
-  if (set->num_nodes() == 0) return;
+void ComputeArenaHipWeights(const uint64_t* offsets, size_t num_nodes,
+                            const AdsEntry* entries, uint32_t k,
+                            SketchFlavor flavor, const RankAssignment& ranks,
+                            uint32_t num_threads, double* tau,
+                            double* weight) {
+  if (num_nodes == 0) return;
   ThreadPool pool(num_threads);
   std::vector<HipScratch> scratches(pool.num_threads());
   pool.ParallelRanges(
-      EntryBalancedRanges(set->offsets.data(), set->num_nodes(),
-                          pool.num_threads()),
+      EntryBalancedRanges(offsets, num_nodes, pool.num_threads()),
       [&](size_t begin, size_t end, uint32_t chunk) {
         HipScratch& scratch = scratches[chunk];
         for (size_t v = begin; v < end; ++v) {
-          uint64_t off = set->offsets[v];
-          ComputeHipWeightsAligned(set->of(static_cast<NodeId>(v)), set->k,
-                                   set->flavor, set->ranks, &scratch,
-                                   set->hip_tau.data() + off,
-                                   set->hip_weight.data() + off);
+          const uint64_t off = offsets[v];
+          ComputeHipWeightsAligned(
+              AdsView({entries + off, entries + offsets[v + 1]}), k, flavor,
+              ranks, &scratch, tau + off, weight + off);
         }
       });
+}
+
+void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads) {
+  set->hip_tau.resize(set->entries.size());
+  set->hip_weight.resize(set->entries.size());
+  ComputeArenaHipWeights(set->offsets.data(), set->num_nodes(),
+                         set->entries.data(), set->k, set->flavor, set->ranks,
+                         num_threads, set->hip_tau.data(),
+                         set->hip_weight.data());
 }
 
 std::vector<HipEntry> ComputeModifiedHipWeights(AdsView ads, uint32_t k,

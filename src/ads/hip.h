@@ -20,14 +20,13 @@
 //   k-partition: tau = (1/k) sum_h min_h, Eq. (8).
 //
 // Because the weights are a pure function of the sketch and its build
-// parameters, they can be computed ONCE and stored. The one scan,
+// parameters, they are computed ONCE and stored. The one scan,
 // ComputeHipWeightsAligned, writes them as per-entry tau/weight arrays
-// aligned with the canonical entry sequence — the hipads-ads-v2 optional
-// HIP section stores the tau array, and every reader derives the weights
-// from it — and PrecomputeHipWeights fills a whole FlatAdsSet's arrays in
-// parallel. HipEstimator (ads/estimators.h) walks the same layout whether
-// the arrays were stored or just scanned, so every path is bitwise
-// identical.
+// aligned with the canonical entry sequence, and ComputeArenaHipWeights
+// runs it over a whole arena: for PrecomputeHipWeights, and for every
+// reader of a store without the hipads-ads-v2 HIP section (which holds
+// tau). HipEstimator (ads/estimators.h) walks that layout, so every path
+// is bitwise identical.
 
 #ifndef HIPADS_ADS_HIP_H_
 #define HIPADS_ADS_HIP_H_
@@ -51,27 +50,21 @@ struct HipEntry {
 };
 
 /// Reusable buffers for the HIP scan. One scratch serves any number of
-/// consecutive scans (one per node of a sweep, say); after warm-up no scan
-/// allocates. Not thread-safe — use one per thread.
+/// consecutive scans (one per node of an arena pass, say); after warm-up
+/// no scan allocates. Not thread-safe — use one per thread.
 struct HipScratch {
   /// bottom-k: the k smallest ranks scanned so far; k-mins / k-partition:
   /// the bucket minima
   std::vector<double> mins;
-  /// The aligned arrays HipEstimator's scan fallback writes and borrows:
-  /// tau in [0, n), weight in [n, 2n) for an n-entry sketch.
-  std::vector<double> arrays;
 };
 
-/// Pointers to one node's precomputed HIP weights: tau[i]/weight[i] belong
-/// to entry i of the node's AdsView (the aligned layout below, including
-/// the k-mins zero-slot convention). present() is false when the backing
-/// store carries no HIP section — HipEstimator then scans instead. Pointer
-/// validity follows the producing backend's residency rules.
+/// Pointers to one node's HIP weights: tau[i]/weight[i] belong to entry i
+/// of the node's AdsView (the aligned layout below, including the k-mins
+/// zero-slot convention). Pointer validity follows the producing
+/// backend's residency rules.
 struct HipView {
   const double* tau = nullptr;
   const double* weight = nullptr;
-
-  bool present() const { return tau != nullptr; }
 };
 
 /// The HIP scan: computes the adjusted weight of every node of an ADS
@@ -82,8 +75,8 @@ struct HipView {
 /// same-(dist, node) run of entries, the run's values are stored at its
 /// FIRST entry and the remaining members get explicit zeros, so iterating
 /// the arrays and skipping tau == 0 visits one weight per sketched node.
-/// The binary format's optional HIP section stores `tau` in this layout;
-/// its readers derive `weight` from it (0 where tau is 0). `tau`
+/// The binary format's HIP section stores `tau` in this layout; its
+/// readers derive `weight` from it (0 where tau is 0). `tau`
 /// and `weight` must each have room for ads.size() doubles. `k`, `flavor`
 /// and `ranks` must match the parameters the ADS was built with. Works for
 /// uniform, base-b, exponential and priority ranks (permutation ranks use
@@ -92,12 +85,21 @@ void ComputeHipWeightsAligned(AdsView ads, uint32_t k, SketchFlavor flavor,
                               const RankAssignment& ranks, HipScratch* scratch,
                               double* tau, double* weight);
 
-/// Fills `set`'s hip_tau/hip_weight arrays (one double per entry, aligned
-/// layout above) by scanning every node, parallelized over node ranges of
-/// equal entry counts (EntryBalancedRanges) with `num_threads` (0 =
-/// hardware count). Deterministic: each node's slice is
-/// written independently, so the result is identical for any thread count
-/// and bitwise equal to per-node fresh scans.
+/// ComputeHipWeightsAligned over every node of a CSR arena (node v owns
+/// entries [offsets[v], offsets[v+1])) into `tau` and `weight`, aligned
+/// with `entries`, parallelized over node ranges of equal entry counts
+/// (EntryBalancedRanges) with `num_threads` (0 = hardware count). Each
+/// node's slice is written independently, so the result is bitwise equal
+/// to per-node fresh scans for any thread count.
+void ComputeArenaHipWeights(const uint64_t* offsets, size_t num_nodes,
+                            const AdsEntry* entries, uint32_t k,
+                            SketchFlavor flavor, const RankAssignment& ranks,
+                            uint32_t num_threads, double* tau,
+                            double* weight);
+
+/// Fills `set`'s hip_tau/hip_weight arrays (one double per entry) with
+/// ComputeArenaHipWeights: run it once on a built set before writing or
+/// serving it (the readers fill them on load).
 void PrecomputeHipWeights(FlatAdsSet* set, uint32_t num_threads = 0);
 
 /// HIP adjusted weights for an Appendix-A modified bottom-k ADS (built by

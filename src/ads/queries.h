@@ -16,7 +16,7 @@
 // Calling K of these functions costs K full backend sweeps. A caller that
 // wants several statistics from the same sketches should build one
 // SweepPlan with K collectors and RunSweep it instead: same results,
-// bitwise, for one shard sweep and one HIP scan per node.
+// bitwise, for one shard sweep and one entry walk per node.
 //
 // Every query returns StatusOr because a lazy range load can fail
 // (missing, truncated or corrupt shard file).

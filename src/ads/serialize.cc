@@ -17,6 +17,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "ads/hip.h"
 #include "util/hash.h"
 #include "util/parallel.h"
 
@@ -60,7 +61,7 @@ static_assert(std::endian::native == std::endian::little,
               "the hipads-ads-v2 format is little-endian; big-endian hosts "
               "need byte swapping");
 
-// Optional HIP section, appended after the entry arena: this header, then
+// The HIP section, appended after the entry arena: this header, then
 // tau[num_entries] doubles (hip.h's aligned layout). Every preceding
 // section is a multiple of 8 bytes, so tau stays 8-byte aligned in any
 // mapping of the file. Section version 3 stores tau alone: the weight is
@@ -160,7 +161,7 @@ Status RetiredHipSection(uint64_t base_bytes) {
       "to its " +
       std::to_string(base_bytes) +
       "-byte base image, then store a version 3 section with `hipads_cli "
-      "convert --hip 1`");
+      "convert`");
 }
 
 // The unit of a v2 load's work. The copying readers read the sections in
@@ -463,10 +464,10 @@ namespace {
 // Writes one v2 image of nodes [begin, end) of `set` through
 // `write(data, n)`: the header, then each section straight from the arena
 // (only the offsets are rebased, and only when the range starts past the
-// first entry), then the optional HIP section. Each checksum is computed
+// first entry), then the HIP section. Each checksum is computed
 // over the same spans before its header goes out, so the image is never
 // assembled in memory. The file, shard and string writers are this
-// function over different sinks.
+// function over different sinks; each first checks CheckHipWeightsWritable.
 template <typename WriteFn>
 void WriteBinaryImage(const FlatAdsSet& set, NodeId begin, NodeId end,
                       WriteFn&& write) {
@@ -501,18 +502,16 @@ void WriteBinaryImage(const FlatAdsSet& set, NodeId begin, NodeId end,
   write(offsets, h.offsets_bytes);
   write(entries, h.entries_bytes);
 
-  if (set.has_hip()) {
-    assert(set.hip_tau.size() == set.entries.size());
-    const double* tau = set.hip_tau.data() + first;
-    const uint64_t tau_bytes = h.num_entries * sizeof(double);
-    HipSectionHeader sh{};
-    std::memcpy(sh.magic, kMagicHip, sizeof(sh.magic));
-    sh.version = kHipSectionVersion;
-    sh.num_entries = h.num_entries;
-    sh.checksum = Chain(HeaderHash(sh), tau, tau_bytes);
-    write(&sh, sizeof(HipSectionHeader));
-    write(tau, tau_bytes);
-  }
+  assert(set.has_hip());
+  const double* tau = set.hip_tau.data() + first;
+  const uint64_t tau_bytes = h.num_entries * sizeof(double);
+  HipSectionHeader sh{};
+  std::memcpy(sh.magic, kMagicHip, sizeof(sh.magic));
+  sh.version = kHipSectionVersion;
+  sh.num_entries = h.num_entries;
+  sh.checksum = Chain(HeaderHash(sh), tau, tau_bytes);
+  write(&sh, sizeof(HipSectionHeader));
+  write(tau, tau_bytes);
 }
 
 // Closes `f` and reports any write error, including one that surfaces only
@@ -575,7 +574,8 @@ void ReuseAs(Vector& v, size_t n) {
 // storage (ReuseAs), and a failure leaves them holding unchecked bytes.
 // The file readers and the in-memory parser are this function over pread
 // and memcpy. With the HIP section, hip_weight is not read but derived:
-// the validator writes it from tau.
+// the validator writes it from tau. Without it, DeriveAdsHipWeights
+// computes both once the image is validated.
 template <typename ReadAtFn>
 Status ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
                        std::function<double(uint64_t)> beta,
@@ -599,17 +599,15 @@ Status ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
   set.k = h.k;
   ReuseAs(set.offsets, h.num_nodes + 1);
   ReuseAs(set.entries, h.num_entries);
-  ReuseAs(set.hip_tau, h.has_hip ? h.num_entries : 0);
-  ReuseAs(set.hip_weight, h.has_hip ? h.num_entries : 0);
+  ReuseAs(set.hip_tau, h.num_entries);
+  ReuseAs(set.hip_weight, h.num_entries);
   char hip_header[kAdsHipSectionHeaderBytes] = {};
   AdsBinarySections sections;
   sections.offsets = set.offsets.data();
   sections.entries = set.entries.data();
-  if (h.has_hip) {
-    sections.hip_header = hip_header;
-    sections.hip_tau = set.hip_tau.data();
-    sections.hip_weight = set.hip_weight.data();
-  }
+  sections.hip_header = hip_header;
+  sections.hip_tau = set.hip_tau.data();
+  sections.hip_weight = set.hip_weight.data();
 
   // Every section in file order, cut into pieces.
   struct Piece {
@@ -643,21 +641,36 @@ Status ReadBinaryImage(uint64_t image_size, ReadAtFn&& read_at,
   }
   Status valid = CheckSections(h, sections, pool);
   if (!valid.ok()) return valid;
-  return RanksFromStoredParams(h.rank_kind, h.seed, h.base, std::move(beta),
-                               &set.ranks);
+  Status ranks = RanksFromStoredParams(h.rank_kind, h.seed, h.base,
+                                       std::move(beta), &set.ranks);
+  if (!ranks.ok()) return ranks;
+  if (!h.has_hip) {
+    DeriveAdsHipWeights(h, sections, set.ranks, set.hip_tau.data(),
+                        set.hip_weight.data());
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
-std::string SerializeAdsSetBinary(const FlatAdsSet& set) {
+StatusOr<std::string> SerializeAdsSetBinary(const FlatAdsSet& set) {
+  Status writable = CheckHipWeightsWritable(set);
+  if (!writable.ok()) return writable;
   std::string out;
   out.reserve(AdsBinaryFileSize(set.num_nodes(), set.TotalEntries()) +
-              (set.has_hip() ? AdsHipSectionBytes(set.TotalEntries()) : 0));
+              AdsHipSectionBytes(set.TotalEntries()));
   WriteBinaryImage(set, 0, static_cast<NodeId>(set.num_nodes()),
                    [&out](const void* data, size_t n) {
                      out.append(static_cast<const char*>(data), n);
                    });
   return out;
+}
+
+Status CheckHipWeightsWritable(const FlatAdsSet& set) {
+  if (set.has_hip()) return Status::Ok();
+  return Status::InvalidArgument(
+      "the set carries no HIP weights (one tau and weight per entry); run "
+      "PrecomputeHipWeights on it before writing it");
 }
 
 bool IsBinaryAdsData(std::string_view data) {
@@ -737,8 +750,8 @@ StatusOr<AdsBinaryHeader> CheckAdsBinaryHeader(const char* header,
     return Status::Corruption("entries section length mismatch");
   }
   // Exactly two lengths are valid: the base sections alone, or base plus
-  // the optional HIP section. Anything else — including truncation at any
-  // byte of the section — is corruption.
+  // the HIP section. Anything else — including truncation at any byte of
+  // the section — is corruption.
   auto has_hip = CheckAdsBinaryLength(h.num_nodes, h.num_entries, image_size);
   if (!has_hip.ok()) return has_hip.status();
   AdsBinaryHeader out;
@@ -759,6 +772,13 @@ Status CheckAdsBinarySections(const AdsBinaryHeader& h,
                               const AdsBinarySections& s) {
   ThreadPool pool(LoadThreads(h));
   return CheckSections(h, s, pool);
+}
+
+void DeriveAdsHipWeights(const AdsBinaryHeader& h, const AdsBinarySections& s,
+                         const RankAssignment& ranks, double* tau,
+                         double* weight) {
+  ComputeArenaHipWeights(s.offsets, h.num_nodes, s.entries, h.k, h.flavor,
+                         ranks, LoadThreads(h), tau, weight);
 }
 
 AdsBinarySections MappedAdsSections(const AdsBinaryHeader& h,
@@ -808,6 +828,8 @@ Status WriteAdsSetRangeFile(const FlatAdsSet& set, NodeId begin, NodeId end,
   if (begin > end || end > set.num_nodes()) {
     return Status::InvalidArgument("node range outside the set");
   }
+  Status writable = CheckHipWeightsWritable(set);
+  if (!writable.ok()) return writable;
   std::ofstream f(path, std::ios::binary);
   if (!f) return Status::IOError("cannot open " + path + " for writing");
   WriteBinaryImage(set, begin, end, [&f](const void* data, size_t n) {
@@ -878,6 +900,8 @@ StatusOr<FlatAdsSet> ParseFlatAdsSet(const std::string& text,
       std::sort(begin, end, AdsEntryCloser);
     }
   }
+  // One thread: the scan costs a small share of the text parse.
+  PrecomputeHipWeights(&set, 1);
   return set;
 }
 

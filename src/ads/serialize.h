@@ -10,7 +10,7 @@
 //   * hipads-ads-v2 — binary, the one format every serving reader opens:
 //     a fixed little-endian header carrying the sketch parameters and
 //     per-section byte lengths, followed by the raw offsets[] + AdsEntry[]
-//     CSR arena and an optional HIP section holding each entry's tau.
+//     CSR arena and the HIP section holding each entry's tau.
 //     Header version 3: each part is guarded by XXH64 (util/hash.h)
 //     chained section by section. The writer streams every section
 //     straight from the arena, and the reader reads each section straight
@@ -21,10 +21,15 @@
 //     it checks each tau. A large image is read and verified on a pool
 //     sized to it.
 //
+// Every v2 writer refuses, with InvalidArgument, a set without one HIP
+// weight per entry (see PrecomputeHipWeights, ads/hip.h). Every reader
+// hands out tau and weight, computed on load for an image without the
+// section (an older file, or one cut to its base image).
+//
 // Every v2 reader rejects v1 text with one Corruption that names
 // `hipads_cli convert`. A stored sketch is in canonical (dist, node, part)
-// order: HIP reads it in one increasing-distance scan, and the optional
-// HIP section is aligned to that order. The v1 parser restores the order
+// order: HIP reads it in one increasing-distance scan, and the HIP
+// section is aligned to that order. The v1 parser restores the order
 // of a text file; a v2 image whose node block is out of order is corrupt.
 // Both formats round-trip the sketches bit-identically.
 //
@@ -56,10 +61,9 @@ enum class AdsFileFormat { kTextV1, kBinaryV2 };
 /// Serializes `set` into the hipads-ads-v1 text format.
 std::string SerializeAdsSet(const FlatAdsSet& set);
 
-/// Serializes `set` into the hipads-ads-v2 binary format, with the
-/// optional HIP section when `set` carries precomputed weights. The same
-/// writer as WriteAdsSetFile, over a string.
-std::string SerializeAdsSetBinary(const FlatAdsSet& set);
+/// Serializes `set` into the hipads-ads-v2 binary format, HIP section
+/// included. The same writer as WriteAdsSetFile, over a string.
+StatusOr<std::string> SerializeAdsSetBinary(const FlatAdsSet& set);
 
 /// Writes `set` to `path` in `format`. The stream is closed before
 /// returning, so a write error that surfaces only when the last buffer is
@@ -76,6 +80,10 @@ Status WriteAdsSetFile(const FlatAdsSet& set, const std::string& path,
 Status WriteAdsSetRangeFile(const FlatAdsSet& set, NodeId begin, NodeId end,
                             const std::string& path);
 
+/// Ok when `set` holds one HIP weight per entry, else the InvalidArgument
+/// every v2 writer returns before it creates a file.
+Status CheckHipWeightsWritable(const FlatAdsSet& set);
+
 /// True iff `data` begins with the hipads-ads-v2 binary magic.
 bool IsBinaryAdsData(std::string_view data);
 
@@ -88,7 +96,7 @@ bool IsBinaryAdsData(std::string_view data);
 /// block, and any entry with an out-of-range part, a negative or
 /// non-finite distance or a negative rank, is rejected as corruption.
 /// Entries of a node block may come in any order; the parser restores
-/// canonical order.
+/// canonical order. The parser computes the HIP weights.
 StatusOr<FlatAdsSet> ParseFlatAdsSet(
     const std::string& text,
     std::function<double(uint64_t)> beta = nullptr);
@@ -129,17 +137,18 @@ StatusOr<FlatAdsSet> ParseFlatAdsSetBinary(
 /// Fixed byte size of the hipads-ads-v2 header.
 inline constexpr size_t kAdsBinaryHeaderBytes = 88;
 
-/// Fixed byte size of the optional HIP section's header.
+/// Fixed byte size of the HIP section's header.
 inline constexpr size_t kAdsHipSectionHeaderBytes = 32;
 
-/// Exact byte size of a v2 file holding `num_nodes` nodes and `num_entries`
-/// entries, WITHOUT the optional HIP section. Manifest-driven integrity
-/// checks (sharded serving) use this to detect missing or truncated shard
-/// files without opening them; a file with the HIP section is exactly
-/// AdsHipSectionBytes(num_entries) longer — no other size is valid.
+/// Exact byte size of the base image of a v2 file holding `num_nodes`
+/// nodes and `num_entries` entries: the file WITHOUT its HIP section.
+/// Manifest-driven integrity checks (sharded serving) use this to detect
+/// missing or truncated shard files without opening them; a file with the
+/// HIP section is exactly AdsHipSectionBytes(num_entries) longer — no
+/// other size is valid.
 uint64_t AdsBinaryFileSize(uint64_t num_nodes, uint64_t num_entries);
 
-/// Byte size of the optional HIP section for `num_entries` entries: a
+/// Byte size of the HIP section for `num_entries` entries: a
 /// 32-byte header ("hipadshw" magic, version 3, entry count, checksum)
 /// followed by tau[num_entries] doubles — +8 bytes per entry, aligned with
 /// the entry arena (see hip.h for the k-mins zero-slot convention). The
@@ -154,8 +163,8 @@ uint64_t AdsHipSectionBytes(uint64_t num_entries);
 /// as the base plus a retired version-2 HIP section (tau and weight, +16
 /// bytes per entry) fails with the message every reader gives such a file:
 /// it names the version and the base-image length to truncate the file to
-/// before `hipads_cli convert --hip 1` stores a current section. Every
-/// failure is Corruption.
+/// before `hipads_cli convert` stores a current section. Every failure is
+/// Corruption.
 StatusOr<bool> CheckAdsBinaryLength(uint64_t num_nodes, uint64_t num_entries,
                                     uint64_t image_size);
 
@@ -168,7 +177,7 @@ struct AdsBinaryHeader {
   double base = 0.0;  // base-b ranks only, 0 otherwise
   uint64_t num_nodes = 0;
   uint64_t num_entries = 0;
-  /// True iff the image length includes the optional HIP section.
+  /// True iff the image length includes the HIP section.
   bool has_hip = false;
   /// The stored base-image checksum, and the XXH64 of the header with that
   /// field zeroed: the seed the offsets and entries sections chain from.
@@ -181,8 +190,8 @@ struct AdsBinaryHeader {
 
 /// Where the sections of one v2 image live: consecutive in one mapping
 /// (MappedAdsSections) or in separate arrays (the copying readers). The
-/// array pointers must be 8-byte aligned; the hip_* pointers are used only
-/// when the header has_hip.
+/// array pointers must be 8-byte aligned; the validator reads the hip_*
+/// pointers only when the header has_hip.
 struct AdsBinarySections {
   const uint64_t* offsets = nullptr;   // num_nodes + 1 values
   const AdsEntry* entries = nullptr;   // num_entries values
@@ -222,6 +231,15 @@ Status CheckAdsBinarySections(const AdsBinaryHeader& header,
 AdsBinarySections MappedAdsSections(const AdsBinaryHeader& header,
                                     const char* image);
 
+/// Step three, for an image without the HIP section: computes each entry's
+/// tau and weight (num_entries values each) from the validated sections
+/// and the image's `ranks` with ComputeArenaHipWeights (hip.h), on a pool
+/// as wide as the load's — bitwise what PrecomputeHipWeights writes.
+void DeriveAdsHipWeights(const AdsBinaryHeader& header,
+                         const AdsBinarySections& sections,
+                         const RankAssignment& ranks, double* tau,
+                         double* weight);
+
 /// Reconstructs a RankAssignment from the stored (kind, seed, base) triple.
 /// Weighted kinds (exponential/priority) require `beta`; permutation ranks
 /// are not round-trippable and are rejected. Shared by the v1/v2 readers,
@@ -239,9 +257,9 @@ StatusOr<FlatAdsSet> ReadFlatAdsSetFile(
 
 /// ReadFlatAdsSetFile into the storage of `*set`, which it replaces: each
 /// array is cleared and then resized, so one whose capacity suffices is
-/// refilled in place, a growing one copies nothing stale, and a file
-/// without the HIP section leaves the HIP arrays empty (with it, tau is
-/// read and hip_weight is the validator's output). The validation is
+/// refilled in place and a growing one copies nothing stale. With the HIP
+/// section tau is read and hip_weight is the validator's output; without
+/// it both are DeriveAdsHipWeights' output. The validation is
 /// ReadFlatAdsSetFile's, in full. On failure `*set` holds unchecked bytes
 /// and must be discarded. The sharded loader reloads shards into the
 /// storage of evicted ones this way.

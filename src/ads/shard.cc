@@ -307,6 +307,8 @@ Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
           "range");
     }
   }
+  Status writable = CheckHipWeightsWritable(set);  // before the directory
+  if (!writable.ok()) return writable;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -465,8 +467,9 @@ Status ShardedAdsSet::ValidateFiles() const {
       return Status::IOError("manifest references missing shard file " +
                              path + ": " + ec.message());
     }
-    // Exactly two sizes are valid per shard: the base v2 image or base +
-    // the optional HIP section (shards may mix — the section is per-file).
+    // Exactly two sizes are valid per shard: the base v2 image (an older
+    // or cut file, whose weights its load computes) or base + the HIP
+    // section. Shards may mix: the section is per-file.
     auto length =
         CheckAdsBinaryLength(info.end - info.begin, info.num_entries, actual);
     if (!length.ok()) {
@@ -475,28 +478,6 @@ Status ShardedAdsSet::ValidateFiles() const {
     }
   }
   return Status::Ok();
-}
-
-bool ShardedAdsSet::HipResident() const {
-  if (hip_resident_ < 0) {
-    bool any = false;
-    bool all = true;
-    for (const ShardInfo& info : shards_) {
-      if (info.num_entries == 0) continue;
-      any = true;
-      std::error_code ec;
-      uint64_t actual =
-          std::filesystem::file_size(JoinPath(dir_, info.file), ec);
-      auto has_hip = CheckAdsBinaryLength(info.end - info.begin,
-                                          info.num_entries, actual);
-      if (ec || !has_hip.ok() || !has_hip.value()) {
-        all = false;
-        break;
-      }
-    }
-    hip_resident_ = any && all ? 1 : 0;
-  }
-  return hip_resident_ == 1;
 }
 
 void ShardedAdsSet::EvictFor(uint32_t installing) const {

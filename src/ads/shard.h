@@ -34,7 +34,8 @@
 // Each shard file is a complete, independently loadable hipads-ads-v2 file
 // whose local node i is global node begin + i; entry target ids stay
 // global. Shards load through the same v2 readers as a single file
-// (ReadFlatAdsSetFile or MmapAdsSet), so they accept exactly what those do.
+// (ReadFlatAdsSetFile or MmapAdsSet), so they accept exactly what those do:
+// a shard without the HIP section has its weights computed on load.
 
 #ifndef HIPADS_ADS_SHARD_H_
 #define HIPADS_ADS_SHARD_H_
@@ -80,7 +81,8 @@ std::vector<NodeId> BalancedShardSplits(const FlatAdsSet& set,
 /// concurrently, on min(shards, HardwareThreads()) threads; a failure
 /// returns the first failing shard's status in shard order. The manifest
 /// is written last, and only when every shard was, so a directory with a
-/// manifest is complete.
+/// manifest is complete. A set without HIP weights is refused, as every
+/// v2 writer refuses it, before the directory is created.
 Status WriteShardedAdsSet(const FlatAdsSet& set, const std::string& dir,
                           const std::vector<NodeId>& split_begins);
 
@@ -179,12 +181,6 @@ class ShardedAdsSet : public AdsBackend {
   StatusOr<AdsArenaView> Range(uint32_t r) const override;
   StatusOr<AdsView> ViewOf(NodeId v) const override;
   StatusOr<HipView> HipOf(NodeId v) const override;
-  /// True iff some shard holds entries and EVERY shard that does carries
-  /// the HIP section (size-probed once, lazily, without loading arenas);
-  /// shards without entries have nothing to store. A mixed set reports
-  /// false but still serves precomputed weights from the shards that have
-  /// them — each range's arena view carries its own hip pointers.
-  bool HipResident() const override;
   void Prefetch(uint32_t r) const override;
   // Lazy loading + LRU eviction mutate residency state on reads, so the
   // sharded engine keeps the base-class contract: external serialization.
@@ -232,9 +228,6 @@ class ShardedAdsSet : public AdsBackend {
   mutable std::vector<uint64_t> last_used_;
   mutable uint64_t tick_ = 0;
   mutable std::unique_ptr<Prefetcher> prefetcher_;
-  // Lazily computed HipResident() answer (-1 = unknown). Consumer-side
-  // state like the residency cache: externally serialized.
-  mutable int8_t hip_resident_ = -1;
 };
 
 }  // namespace hipads

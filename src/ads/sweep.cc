@@ -27,18 +27,6 @@ SweepCounters& Counters() {
   return c;
 }
 
-// One backend range as the executor sees it: the range's arena view plus
-// the sketch parameters every node's HIP scan needs (node ids local to the
-// range). Every backend — flat, mmap, sharded — is swept through this one
-// shape, which is what makes results bitwise identical across engines.
-struct ArenaSet {
-  AdsArenaView arena;
-  SketchFlavor flavor;
-  uint32_t k;
-  const RankAssignment& ranks;
-  size_t num_nodes() const { return arena.num_nodes(); }
-};
-
 // The slot the calling thread publishes to collectors (SweepSlot).
 struct SlotState {
   uint32_t slot = 0;
@@ -104,33 +92,31 @@ void Walk(const HipEstimator& est, const FusedPlan& fused,
                });
 }
 
-// The fused sweep over one arena: the pool's chunks (cut at equal entry
-// counts, one per thread) each build their nodes' HipEstimators once —
-// wrapping the range's stored weights, or scanning into the chunk's
-// reusable scratch when it has none — walk each node's entries once for
-// every declared fold, and feed the remaining collectors' Map, under the
-// chunk's slot. Each estimator lives just long enough for that, so a
-// sweep holds O(threads) estimators whatever the plan. `global_begin`
-// offsets the arena-local node ids so a sharded backend's ranges chain
-// seamlessly.
-void SweepArena(const ArenaSet& set, NodeId global_begin,
-                const FusedPlan& fused, ThreadPool& pool,
-                std::vector<HipScratch>& scratch) {
-  size_t n = set.num_nodes();
+// The fused sweep over one backend range: the pool's chunks (cut at equal
+// entry counts, one per thread) each wrap their nodes' stored weights in
+// a HipEstimator once, walk each node's entries once for every declared
+// fold, and feed the remaining collectors' Map, under the chunk's slot.
+// Each estimator lives just long enough for that, so a sweep holds
+// O(threads) estimators whatever the plan. Every backend — flat, mmap,
+// sharded — is swept through this one shape, which is what makes results
+// bitwise identical across engines; arena.begin offsets the range-local
+// node ids so a sharded backend's ranges chain seamlessly.
+void SweepArena(const AdsArenaView& arena, const FusedPlan& fused,
+                ThreadPool& pool) {
+  size_t n = arena.num_nodes();
   Counters().nodes->Add(n);
   std::vector<size_t> bounds =
-      EntryBalancedRanges(set.arena.offsets, n, pool.num_threads());
+      EntryBalancedRanges(arena.offsets, n, pool.num_threads());
   pool.ParallelRanges(bounds, [&](size_t begin, size_t end, uint32_t chunk) {
     ScopedSlot slot(chunk, pool.num_threads());
     std::vector<HipSumState> sums(fused.sums.size());
     uint64_t chunk_entries = 0;
     for (size_t i = begin; i < end; ++i) {
-      NodeId local = static_cast<NodeId>(i);
-      NodeId v = global_begin + local;
-      AdsView ads = set.arena.of_local(local);
+      NodeId v = arena.begin + static_cast<NodeId>(i);
+      AdsView ads = arena.of_local(i);
       chunk_entries += ads.size();
-      HipEstimator est(ads, set.arena.hip_of_local(local), set.k, set.flavor,
-                       set.ranks, &scratch[chunk]);
+      HipView hip = arena.hip_of_local(i);
+      HipEstimator est(ads, hip.tau, hip.weight);
       if (fused.walks()) {
         Walk(est, fused, sums);
         for (const FusedPlan::Output& out : fused.outputs) {
@@ -429,9 +415,9 @@ SweepPlan& SweepPlan::Add(SweepCollector* collector) {
   return *this;
 }
 
-void RunSweep(const FlatAdsSet& set, SweepPlan& plan, uint32_t num_threads) {
-  // One in-memory range: the backend sweep cannot fail.
-  (void)RunSweep(FlatAdsBackend(&set), plan, num_threads);
+Status RunSweep(const FlatAdsSet& set, SweepPlan& plan,
+                uint32_t num_threads) {
+  return RunSweep(FlatAdsBackend(&set), plan, num_threads);
 }
 
 Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
@@ -444,7 +430,6 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
     for (SweepCollector* c : plan.collectors()) c->Begin(set.num_nodes());
     fused = Classify(plan);
   }
-  std::vector<HipScratch> scratch(pool.num_threads());  // one per chunk
   for (uint32_t r = 0; r < set.NumRanges(); ++r) {
     if (checkpoint) {
       Status abort = checkpoint();
@@ -453,8 +438,7 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan, uint32_t num_threads,
     auto range = set.Range(r);
     if (!range.ok()) return range.status();
     if (r + 1 < set.NumRanges()) set.Prefetch(r + 1);
-    ArenaSet arena{range.value(), set.flavor(), set.k(), set.ranks()};
-    SweepArena(arena, range.value().begin, fused, pool, scratch);
+    SweepArena(range.value(), fused, pool);
   }
   return Status::Ok();
 }

@@ -5,8 +5,8 @@
 // per-node reduction over the same sketch data: visit each node once,
 // build its HIP estimator, fold a value into a result. Running K such
 // statistics as K separate whole-graph queries costs K backend sweeps
-// (for a sharded set: K reads of every shard file) and K HIP scans per
-// node. This engine fuses them — the operator-fusion idea of columnar
+// (for a sharded set: K reads of every shard file) and K walks of every
+// node's entries. This engine fuses them — the operator-fusion idea of columnar
 // query engines applied to sketch serving:
 //
 //   SweepPlan  — an ordered list of collectors (the statistics to fuse).
@@ -28,8 +28,8 @@
 // and the executor evaluates every declared sum and fold of the plan in
 // one walk per node — equal sums once, so a plan's harmonic centrality
 // and its top-k by harmonic share one accumulator. A collector that
-// declares nothing keeps Map. So K statistics cost one shard sweep, one
-// HIP scan and one entry walk per node instead of K of each. The
+// declares nothing keeps Map. So K statistics cost one shard sweep and
+// one entry walk per node instead of K of each. The
 // whole-graph query functions in ads/queries.h are thin single-collector
 // plans over this executor; multi-statistic callers (the CLI
 // `stats`/`query` paths, examples/sketch_pipeline) build their own plans.
@@ -396,10 +396,11 @@ Status RunSweep(const AdsBackend& set, SweepPlan& plan,
                 uint32_t num_threads = 0,
                 const std::function<Status()>& checkpoint = {});
 
-/// Sweeps an in-memory arena: RunSweep over FlatAdsBackend(&set), which
-/// cannot fail.
-void RunSweep(const FlatAdsSet& set, SweepPlan& plan,
-              uint32_t num_threads = 0);
+/// Sweeps an in-memory arena: RunSweep over FlatAdsBackend(&set). Fails
+/// only with the FailedPrecondition of a set without HIP weights (run
+/// PrecomputeHipWeights on a built set first).
+Status RunSweep(const FlatAdsSet& set, SweepPlan& plan,
+                uint32_t num_threads = 0);
 
 }  // namespace hipads
 

@@ -497,6 +497,9 @@ bool StatusFromWire(uint32_t code, std::string message, Status* out) {
     case Status::Code::kUnavailable:
       *out = Status::Unavailable(std::move(message));
       return true;
+    case Status::Code::kFailedPrecondition:
+      *out = Status::FailedPrecondition(std::move(message));
+      return true;
   }
   return false;
 }

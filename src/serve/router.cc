@@ -94,6 +94,8 @@ Status WithMessage(const Status& s, std::string msg) {
       return Status::NotFound(std::move(msg));
     case Status::Code::kInvalidArgument:
       return Status::InvalidArgument(std::move(msg));
+    case Status::Code::kFailedPrecondition:
+      return Status::FailedPrecondition(std::move(msg));
     default:
       return Status::IOError(std::move(msg));
   }

@@ -64,8 +64,6 @@ constexpr const char* kRequestKindNames[] = {
 // registry owns the instruments and never frees them).
 struct ServeMetrics {
   MetricCounter* shed_busy;
-  MetricCounter* hip_resident;
-  MetricCounter* hip_scan;
   MetricGauge* active_sweeps;
   MetricHistogram* batch_entries;
   MetricCounter* tcp_accepted;
@@ -76,8 +74,6 @@ ServeMetrics& Metrics() {
     auto* mm = new ServeMetrics();
     MetricsRegistry& reg = MetricsRegistry::Get();
     mm->shed_busy = reg.Counter("serve.shed.busy");
-    mm->hip_resident = reg.Counter("serve.point.hip_resident");
-    mm->hip_scan = reg.Counter("serve.point.hip_scan");
     mm->active_sweeps = reg.Gauge("serve.active_sweeps");
     mm->batch_entries = reg.Histogram("serve.batch.entries");
     mm->tcp_accepted = reg.Counter("serve.tcp.accepted");
@@ -451,15 +447,7 @@ Status AdsServerCore::AppendPointAnswer(const PointRequestMsg& msg,
     case PointKind::kNodeStats: {
       if (!est->has_value()) {
         ScopedTraceSpan estimator_span("server.estimator");
-        (hip.present() ? Metrics().hip_resident : Metrics().hip_scan)->Add();
-        // Storage-resident weights make this a pointer wrap; without them
-        // the estimator scans into a per-thread scratch, allocation-free
-        // once warm. It borrows the scratch, which is safe: an estimator
-        // never outlives the pass that created it, and the pass resets it
-        // before the scratch is scanned again.
-        thread_local HipScratch scratch;
-        est->emplace(view, hip, backend_->k(), backend_->flavor(),
-                     backend_->ranks(), &scratch);
+        est->emplace(view, hip.tau, hip.weight);  // a pointer wrap
       }
       if (std::isinf(msg.d)) {
         // Reachable count, harmonic centrality and distance sum from one
@@ -604,13 +592,13 @@ void AdsServerCore::AnswerPoints(std::span<const PointRequestMsg> requests,
           ScopedTraceSpan span("server.backend_fetch");
           view = backend_->ViewOf(local.value());
         }
-        hip = HipView{};
         if (view.ok()) {
-          // A HipOf failure is served by the scan fallback instead of
-          // erroring: precomputed weights are an optimization, never an
-          // answer change.
           auto hip_or = backend_->HipOf(local.value());
-          if (hip_or.ok()) hip = hip_or.value();
+          if (hip_or.ok()) {
+            hip = hip_or.value();
+          } else {
+            view = hip_or.status();
+          }
         }
         shared_node = entry.node;
       }

@@ -328,11 +328,9 @@ class AdsServerCore : public ServingCore {
                     std::span<const std::string_view> keys,
                     std::span<PointAnswer> out, std::string* bytes);
   /// Appends one entry's encoded answer from its node's fetched view to
-  /// `*out`. `hip` carries the node's storage-resident HIP weights when the
-  /// backend has them (estimator materialization is then a pointer wrap);
-  /// when absent the scan runs into a per-thread scratch — both produce
-  /// byte-identical responses. `est` caches the node's HipEstimator across
-  /// the node's consecutive entries. On an error nothing is appended.
+  /// `*out`. `hip` carries the node's stored HIP weights, which the
+  /// estimator wraps. `est` caches the node's HipEstimator across the
+  /// node's consecutive entries. On an error nothing is appended.
   Status AppendPointAnswer(const PointRequestMsg& msg, const AdsView& view,
                            const HipView& hip,
                            std::optional<HipEstimator>* est,

@@ -19,6 +19,8 @@ const char* CodeName(Status::Code code) {
       return "DEADLINE_EXCEEDED";
     case Status::Code::kUnavailable:
       return "UNAVAILABLE";
+    case Status::Code::kFailedPrecondition:
+      return "FAILED_PRECONDITION";
   }
   return "UNKNOWN";
 }

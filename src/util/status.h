@@ -22,6 +22,7 @@ class Status {
     kCorruption,
     kDeadlineExceeded,
     kUnavailable,
+    kFailedPrecondition,
   };
 
   Status() : code_(Code::kOk) {}
@@ -44,6 +45,9 @@ class Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(Code::kUnavailable, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(Code::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == Code::kOk; }

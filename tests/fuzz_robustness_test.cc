@@ -99,26 +99,25 @@ TEST(FuzzTest, TruncationsAlwaysFailCleanly) {
   }
 }
 
-TEST(FuzzTest, BinaryHipTruncationsFailCleanlyOrDropTheSection) {
-  // v2 image carrying the optional HIP section: any truncation either
-  // fails with a Status or — at exactly the base-image length, where the
-  // file is a complete hip-less v2 image — parses with the section absent.
-  // Never a crash, never a partially adopted section.
+TEST(FuzzTest, BinaryHipTruncationsFailCleanlyOrComputeTheSection) {
+  // v2 image carrying the HIP section: any truncation either fails with a
+  // Status or — at exactly the base-image length, where the file is a
+  // complete v2 image without the section — parses with the weights
+  // computed on load, bitwise the stored ones. Never a crash, never a
+  // partially adopted section.
   Graph g = ErdosRenyi(25, 75, true, 7);
   FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, 3, SketchFlavor::kBottomK, RankAssignment::Uniform(9)));
   PrecomputeHipWeights(&set, 1);
-  std::string with_hip = SerializeAdsSetBinary(set);
+  std::string with_hip = SerializeAdsSetBinary(set).value();
   const size_t base = with_hip.size() - AdsHipSectionBytes(set.TotalEntries());
   for (size_t len = 0; len <= with_hip.size(); ++len) {
     auto result = ParseWithEveryReader(with_hip.substr(0, len),
                                        "truncation at " + std::to_string(len));
-    if (len == with_hip.size()) {
+    if (len == with_hip.size() || len == base) {
       ASSERT_TRUE(result.ok());
-      EXPECT_TRUE(result.value().has_hip());
-    } else if (len == base) {
-      ASSERT_TRUE(result.ok());
-      EXPECT_FALSE(result.value().has_hip());
+      EXPECT_TRUE(result.value().hip_tau == set.hip_tau);
+      EXPECT_TRUE(result.value().hip_weight == set.hip_weight);
     } else {
       EXPECT_FALSE(result.ok()) << "truncation at " << len << " parsed";
     }
@@ -130,7 +129,7 @@ TEST(FuzzTest, BinaryHipMutationsNeverCrashOrCorruptStructure) {
   FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, 4, SketchFlavor::kBottomK, RankAssignment::Uniform(13)));
   PrecomputeHipWeights(&set, 1);
-  std::string valid = SerializeAdsSetBinary(set);
+  std::string valid = SerializeAdsSetBinary(set).value();
   const size_t base = valid.size() - AdsHipSectionBytes(set.TotalEntries());
   Rng rng(17);
   for (int trial = 0; trial < 300; ++trial) {
@@ -148,10 +147,8 @@ TEST(FuzzTest, BinaryHipMutationsNeverCrashOrCorruptStructure) {
         ParseWithEveryReader(mutated, "mutation " + std::to_string(trial));
     if (result.ok()) {
       const FlatAdsSet& s = result.value();
-      if (s.has_hip()) {
-        ASSERT_EQ(s.hip_tau.size(), s.TotalEntries());
-        ASSERT_EQ(s.hip_weight.size(), s.TotalEntries());
-      }
+      ASSERT_EQ(s.hip_tau.size(), s.TotalEntries());
+      ASSERT_EQ(s.hip_weight.size(), s.TotalEntries());
     }
   }
 }

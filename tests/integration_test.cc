@@ -110,8 +110,10 @@ TEST(IntegrationTest, NeighborhoodFunctionTracksExactOnGrid) {
   auto exact_hist = ExactDistanceDistribution(g);
   std::map<double, RunningStat> est_at;
   for (uint64_t seed = 0; seed < 25; ++seed) {
-    FlatAdsBackend set(FlatAdsSet::FromAdsSet(BuildAdsDp(
-        g, 12, SketchFlavor::kBottomK, RankAssignment::Uniform(seed))));
+    FlatAdsSet flat = FlatAdsSet::FromAdsSet(BuildAdsDp(
+        g, 12, SketchFlavor::kBottomK, RankAssignment::Uniform(seed)));
+    PrecomputeHipWeights(&flat, 1);
+    FlatAdsBackend set(std::move(flat));
     auto nf = EstimateNeighborhoodFunction(set).value();
     double running = 0.0;
     auto it = nf.begin();

@@ -35,10 +35,13 @@
 namespace hipads {
 namespace {
 
+// A built set with its HIP weights, ready to write and serve.
 FlatAdsSet BuildFlat(uint32_t n, uint64_t graph_seed, uint32_t k) {
   Graph g = ErdosRenyi(n, 3ULL * n, true, graph_seed);
-  return FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(graph_seed + 1)));
+  PrecomputeHipWeights(&set, 1);
+  return set;
 }
 
 uint64_t CounterOf(const MetricsSnapshot& snap, const std::string& name) {
@@ -244,6 +247,7 @@ TEST(ObservabilityTest, RouterScrapeAccountsExactlyForIssuedRequests) {
       auto entries = full.of(v).entries();
       s.AppendNode(std::vector<AdsEntry>(entries.begin(), entries.end()));
     }
+    PrecomputeHipWeights(&s, 1);  // as a range server holds them
     return s;
   };
   FlatAdsSet lower = slice(0, 30), upper = slice(30, 60);
@@ -480,6 +484,7 @@ TEST(ObservabilityTest, TcpFleetScrapeAggregatesEveryServer) {
       auto entries = full.of(v).entries();
       s.AppendNode(std::vector<AdsEntry>(entries.begin(), entries.end()));
     }
+    PrecomputeHipWeights(&s, 1);  // as a range server holds them
     return s;
   };
   FlatAdsSet set_a = slice(0, 30), set_b = slice(30, 60);

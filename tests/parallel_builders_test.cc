@@ -423,7 +423,9 @@ TEST(FlatAdsSetTest, PooledFlattenEqualsSerialFlatten) {
                 0)
           << "set " << i;
     }
-    EXPECT_FALSE(pooled.has_hip()) << "set " << i;
+    // The flatten carries no HIP weights: PrecomputeHipWeights adds them.
+    EXPECT_TRUE(pooled.hip_tau.empty() && pooled.hip_weight.empty())
+        << "set " << i;
   }
 }
 

@@ -314,8 +314,9 @@ TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
   // equal a fresh per-node scan, and the file keeps only tau, so every
   // reader derives the weights — the copying readers (into a fresh set and
   // into a recycled one), the mmap open, and sharded directories in copy
-  // and mmap mode with a hip-less shard mixed in. Every tau and weight
-  // served must be bitwise the in-memory one.
+  // and mmap mode. A copy of the file and one shard are cut to their base
+  // images, whose readers compute tau too. Every tau and weight served
+  // must be bitwise PrecomputeHipWeights' in-memory one.
   const PropertyCase& c = GetParam();
   Graph g = MakeGraph(c);
   auto beta = [](uint64_t v) { return 0.5 + static_cast<double>(v % 5) * 0.4; };
@@ -375,50 +376,61 @@ TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
       std::string shard_dir = dir.file("shards");
       ASSERT_TRUE(WriteAdsSetFile(set, path, AdsFileFormat::kBinaryV2).ok());
       ASSERT_TRUE(WriteShardedAdsSet(set, shard_dir, 3).ok());
-      // Strip one shard's section: the mixed set must still serve the rest.
-      std::string victim =
-          (std::filesystem::path(shard_dir) / "shard-00002.ads2").string();
-      auto stripped = ReadFlatAdsSetFile(victim, beta);
-      ASSERT_TRUE(stripped.ok()) << stripped.status().ToString();
-      stripped.value().hip_tau.clear();
-      stripped.value().hip_weight.clear();
-      ASSERT_TRUE(
-          WriteAdsSetFile(stripped.value(), victim, AdsFileFormat::kBinaryV2)
-              .ok());
+      // A copy of the file cut to its base image, as an older build wrote
+      // it: its readers compute the weights on load.
+      const std::string base = dir.file("base.ads2");
+      std::filesystem::copy_file(path, base);
+      std::filesystem::resize_file(base,
+                                   AdsBinaryFileSize(set.num_nodes(), m));
+      // Cut one shard the same way: the mixed directory serves stored
+      // weights from two shards and computed ones from the third.
+      auto layout = ShardedAdsSet::Open(shard_dir, ShardedOptions{beta});
+      ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+      const ShardInfo& cut = layout.value().shards()[2];
+      std::filesystem::resize_file(
+          std::filesystem::path(shard_dir) / cut.file,
+          AdsBinaryFileSize(cut.end - cut.begin, cut.num_entries));
 
-      // The whole arrays, from each single-file reader.
-      auto copied = ReadFlatAdsSetFile(path, beta);
-      ASSERT_TRUE(copied.ok()) << what << ": " << copied.status().ToString();
-      std::fill(recycled.hip_weight.begin(), recycled.hip_weight.end(), -3.0);
-      Status into = ReadFlatAdsSetFileInto(path, beta, &recycled);
-      ASSERT_TRUE(into.ok()) << what << ": " << into.ToString();
-      auto mapped = MmapAdsSet::Open(path, beta);
-      ASSERT_TRUE(mapped.ok()) << what << ": " << mapped.status().ToString();
-      ASSERT_TRUE(mapped.value().HipResident()) << what;
-      auto arena = mapped.value().Range(0);
-      ASSERT_TRUE(arena.ok());
-      struct Loaded {
-        const char* reader;
-        const double* tau;
-        const double* weight;
-        size_t size;
-      };
-      for (const Loaded& l :
-           {Loaded{"file", copied.value().hip_tau.data(),
-                   copied.value().hip_weight.data(),
-                   copied.value().hip_weight.size()},
-            Loaded{"recycled", recycled.hip_tau.data(),
-                   recycled.hip_weight.data(), recycled.hip_weight.size()},
-            Loaded{"mmap", arena.value().hip_tau, arena.value().hip_weight,
-                   arena.value().num_entries()}}) {
-        ASSERT_EQ(l.size, m) << what << " " << l.reader;
-        EXPECT_TRUE(SameDoubles(l.tau, set.hip_tau.data(), m))
-            << what << " " << l.reader;
-        EXPECT_TRUE(SameDoubles(l.weight, set.hip_weight.data(), m))
-            << what << " " << l.reader;
+      // The whole arrays, from each single-file reader, with and without
+      // the stored section.
+      for (const std::string& file : {path, base}) {
+        const std::string image = what + (file == base ? " base" : " full");
+        auto copied = ReadFlatAdsSetFile(file, beta);
+        ASSERT_TRUE(copied.ok())
+            << image << ": " << copied.status().ToString();
+        std::fill(recycled.hip_tau.begin(), recycled.hip_tau.end(), -3.0);
+        std::fill(recycled.hip_weight.begin(), recycled.hip_weight.end(),
+                  -3.0);
+        Status into = ReadFlatAdsSetFileInto(file, beta, &recycled);
+        ASSERT_TRUE(into.ok()) << image << ": " << into.ToString();
+        auto mapped = MmapAdsSet::Open(file, beta);
+        ASSERT_TRUE(mapped.ok())
+            << image << ": " << mapped.status().ToString();
+        auto arena = mapped.value().Range(0);
+        ASSERT_TRUE(arena.ok());
+        struct Loaded {
+          const char* reader;
+          const double* tau;
+          const double* weight;
+          size_t size;
+        };
+        for (const Loaded& l :
+             {Loaded{"file", copied.value().hip_tau.data(),
+                     copied.value().hip_weight.data(),
+                     copied.value().hip_weight.size()},
+              Loaded{"recycled", recycled.hip_tau.data(),
+                     recycled.hip_weight.data(), recycled.hip_weight.size()},
+              Loaded{"mmap", arena.value().hip_tau, arena.value().hip_weight,
+                     arena.value().num_entries()}}) {
+          ASSERT_EQ(l.size, m) << image << " " << l.reader;
+          EXPECT_TRUE(SameDoubles(l.tau, set.hip_tau.data(), m))
+              << image << " " << l.reader;
+          EXPECT_TRUE(SameDoubles(l.weight, set.hip_weight.data(), m))
+              << image << " " << l.reader;
+        }
       }
 
-      // Node by node, from sharded sets in both modes.
+      // Node by node, from the mixed sharded set in both modes.
       for (bool use_mmap : {true, false}) {
         ShardedOptions options;
         options.beta = beta;
@@ -427,16 +439,11 @@ TEST_P(AdsPropertyTest, ResidentHipSurvivesStorageBitwiseForEveryRankKind) {
         auto sharded = ShardedAdsSet::Open(shard_dir, options);
         ASSERT_TRUE(sharded.ok())
             << what << ": " << sharded.status().ToString();
-        EXPECT_FALSE(sharded.value().HipResident()) << what;  // mixed
         for (NodeId v = 0; v < set.num_nodes(); ++v) {
           const size_t size = set.of(v).size();
           const uint64_t off = set.offsets[v];
           auto hip = sharded.value().HipOf(v);
           ASSERT_TRUE(hip.ok()) << what << ": " << hip.status().ToString();
-          const bool stripped_shard = sharded.value().ShardOf(v) == 2;
-          ASSERT_EQ(hip.value().present(), !stripped_shard)
-              << what << " v=" << v;
-          if (stripped_shard) continue;
           EXPECT_TRUE(SameDoubles(hip.value().tau, &set.hip_tau[off], size))
               << what << " mmap=" << use_mmap << " v=" << v;
           EXPECT_TRUE(

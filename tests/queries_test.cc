@@ -10,9 +10,12 @@
 namespace hipads {
 namespace {
 
-// The builders return per-node AdsSets; the queries read an AdsBackend.
+// The builders return per-node AdsSets; the queries read an AdsBackend
+// over the flat arena with its HIP weights.
 FlatAdsBackend Backend(const AdsSet& set) {
-  return FlatAdsBackend(FlatAdsSet::FromAdsSet(set));
+  FlatAdsSet flat = FlatAdsSet::FromAdsSet(set);
+  PrecomputeHipWeights(&flat, 1);
+  return FlatAdsBackend(std::move(flat));
 }
 
 TEST(QueriesTest, DistanceDistributionUnbiasedOnCycle) {

@@ -35,11 +35,14 @@
 namespace hipads {
 namespace {
 
+// A built set with its HIP weights, as every v2 writer needs it.
 FlatAdsSet BuildFlat(uint32_t n, uint64_t graph_seed, uint32_t k,
                      SketchFlavor flavor, const RankAssignment& ranks) {
   Graph g = ErdosRenyi(n, 3ULL * n, true, graph_seed);
-  return FlatAdsSet::FromAdsSet(
-      BuildAdsPrunedDijkstra(g, k, flavor, ranks));
+  FlatAdsSet set =
+      FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(g, k, flavor, ranks));
+  PrecomputeHipWeights(&set, 1);
+  return set;
 }
 
 void ExpectBitIdentical(const FlatAdsSet& a, const FlatAdsSet& b) {
@@ -51,16 +54,27 @@ void ExpectBitIdentical(const FlatAdsSet& a, const FlatAdsSet& b) {
   ASSERT_EQ(a.offsets, b.offsets);
   ASSERT_EQ(a.entries.size(), b.entries.size());
   // Bitwise, not value, comparison: the format must preserve every double
-  // exactly.
+  // exactly, and every reader hands out the HIP weights PrecomputeHipWeights
+  // computes, read or computed on load.
   ASSERT_EQ(std::memcmp(a.entries.data(), b.entries.data(),
                         a.entries.size() * sizeof(AdsEntry)),
+            0);
+  ASSERT_EQ(a.hip_tau.size(), a.entries.size());
+  ASSERT_EQ(b.hip_tau.size(), b.entries.size());
+  ASSERT_EQ(a.hip_weight.size(), a.entries.size());
+  ASSERT_EQ(b.hip_weight.size(), b.entries.size());
+  ASSERT_EQ(std::memcmp(a.hip_tau.data(), b.hip_tau.data(),
+                        a.hip_tau.size() * sizeof(double)),
+            0);
+  ASSERT_EQ(std::memcmp(a.hip_weight.data(), b.hip_weight.data(),
+                        a.hip_weight.size() * sizeof(double)),
             0);
 }
 
 TEST(SerializeBinaryTest, RoundTripBitIdentical) {
   FlatAdsSet set = BuildFlat(120, 3, 8, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(7));
-  auto back = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set));
+  auto back = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set).value());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectBitIdentical(set, back.value());
 }
@@ -70,7 +84,7 @@ TEST(SerializeBinaryTest, RoundTripAllFlavors) {
                               SketchFlavor::kKPartition}) {
     FlatAdsSet set =
         BuildFlat(60, 11, 4, flavor, RankAssignment::Uniform(13));
-    auto back = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set));
+    auto back = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set).value());
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectBitIdentical(set, back.value());
   }
@@ -80,7 +94,8 @@ TEST(SerializeBinaryTest, RoundTripBaseBAndWeighted) {
   Graph g = RandomizeWeights(ErdosRenyi(80, 240, true, 17), 0.3, 2.7, 3);
   FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, 4, SketchFlavor::kBottomK, RankAssignment::BaseB(5, 2.0)));
-  auto back = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set));
+  PrecomputeHipWeights(&set, 1);
+  auto back = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set).value());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value().ranks.base(), 2.0);
   ExpectBitIdentical(set, back.value());
@@ -100,7 +115,7 @@ TEST(SerializeBinaryTest, PropertyBothFormatsRoundTripAndAgree) {
 
     auto from_text = ParseFlatAdsSet(SerializeAdsSet(set));
     ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-    auto from_binary = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set));
+    auto from_binary = ParseFlatAdsSetBinary(SerializeAdsSetBinary(set).value());
     ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
     ExpectBitIdentical(set, from_text.value());
     ExpectBitIdentical(from_text.value(), from_binary.value());
@@ -137,7 +152,8 @@ TEST(SerializeBinaryTest, ExponentialNeedsBeta) {
   auto beta = [](uint64_t v) { return v % 2 ? 2.0 : 1.0; };
   FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, 4, SketchFlavor::kBottomK, RankAssignment::Exponential(5, beta)));
-  std::string bytes = SerializeAdsSetBinary(set);
+  PrecomputeHipWeights(&set, 1);
+  std::string bytes = SerializeAdsSetBinary(set).value();
   auto without = ParseFlatAdsSetBinary(bytes);
   EXPECT_FALSE(without.ok());
   EXPECT_EQ(without.status().code(), Status::Code::kInvalidArgument);
@@ -149,11 +165,23 @@ TEST(SerializeBinaryTest, ExponentialNeedsBeta) {
 
 // --- corruption handling ---------------------------------------------------
 
-std::string ValidBytes() {
-  static const std::string bytes = SerializeAdsSetBinary(
-      BuildFlat(40, 7, 4, SketchFlavor::kBottomK,
-                RankAssignment::Uniform(3)));
+// A small set and its image as `sketch` writes it, HIP section included.
+const FlatAdsSet& SmallSet() {
+  static const FlatAdsSet set =
+      BuildFlat(40, 7, 4, SketchFlavor::kBottomK, RankAssignment::Uniform(3));
+  return set;
+}
+
+std::string HipBytes() {
+  static const std::string bytes = SerializeAdsSetBinary(SmallSet()).value();
   return bytes;
+}
+
+// The base image of HipBytes(): the file an older build wrote without the
+// HIP section, still a valid input (its readers compute the weights).
+std::string ValidBytes() {
+  return HipBytes().substr(
+      0, AdsBinaryFileSize(SmallSet().num_nodes(), SmallSet().TotalEntries()));
 }
 
 void ExpectCorruption(const std::string& bytes, const std::string& what) {
@@ -305,7 +333,7 @@ TEST(SerializeBinaryTest, RejectsNonFiniteAndNegativeEntryFields) {
     FlatAdsSet bad = valid;
     // The last entry of node 1: past the owner's own distance-0 entry.
     bad.entries[bad.offsets[2] - 1].*c.field = c.value;
-    const std::string bytes = SerializeAdsSetBinary(bad);
+    const std::string bytes = SerializeAdsSetBinary(bad).value();
     auto parsed = ParseFlatAdsSetBinary(bytes);
     ASSERT_FALSE(parsed.ok()) << c.name;
     EXPECT_EQ(parsed.status().code(), Status::Code::kCorruption) << c.name;
@@ -342,57 +370,43 @@ TEST(SerializeBinaryTest, FuzzRandomMutationsNeverCrash) {
   }
 }
 
-// --- the optional HIP section ----------------------------------------------
+// --- the HIP section ---------------------------------------------------------
 
 TEST(SerializeBinaryTest, HipSectionRoundTripsBitIdentical) {
   for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
                               SketchFlavor::kKPartition}) {
     FlatAdsSet set =
         BuildFlat(70, 13, 4, flavor, RankAssignment::Uniform(19));
-    PrecomputeHipWeights(&set, 1);
-    std::string bytes = SerializeAdsSetBinary(set);
+    std::string bytes = SerializeAdsSetBinary(set).value();
     EXPECT_EQ(bytes.size(),
               AdsBinaryFileSize(set.num_nodes(), set.TotalEntries()) +
                   AdsHipSectionBytes(set.TotalEntries()));
     auto back = ParseFlatAdsSetBinary(bytes);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectBitIdentical(set, back.value());
-    ASSERT_TRUE(back.value().has_hip());
-    EXPECT_EQ(set.hip_tau, back.value().hip_tau);
-    EXPECT_EQ(set.hip_weight, back.value().hip_weight);
   }
 }
 
-TEST(SerializeBinaryTest, HipSectionLeavesBaseImageBitIdentical) {
-  // The main checksum excludes the section, so a file is the SAME bytes
-  // with the section appended — stripping is a truncation, and files
-  // without the section load exactly as before the section existed.
-  FlatAdsSet set = BuildFlat(50, 17, 8, SketchFlavor::kBottomK,
-                             RankAssignment::Uniform(23));
-  std::string base = SerializeAdsSetBinary(set);
-  ASSERT_EQ(base.size(),
-            AdsBinaryFileSize(set.num_nodes(), set.TotalEntries()));
-  PrecomputeHipWeights(&set, 1);
-  std::string with_hip = SerializeAdsSetBinary(set);
-  ASSERT_GT(with_hip.size(), base.size());
-  EXPECT_EQ(with_hip.substr(0, base.size()), base);
-  // +8 bytes per entry (tau alone) plus the 32-byte section header.
-  EXPECT_EQ(with_hip.size() - base.size(),
-            kAdsHipSectionHeaderBytes + 8 * set.TotalEntries());
-  // Truncating the section off yields a valid hip-less file again.
-  auto stripped = ParseFlatAdsSetBinary(with_hip.substr(0, base.size()));
-  ASSERT_TRUE(stripped.ok()) << stripped.status().ToString();
-  EXPECT_FALSE(stripped.value().has_hip());
-}
-
-std::string HipBytes() {
-  static const std::string bytes = [] {
-    FlatAdsSet set = BuildFlat(40, 7, 4, SketchFlavor::kBottomK,
-                               RankAssignment::Uniform(3));
-    PrecomputeHipWeights(&set, 1);
-    return SerializeAdsSetBinary(set);
-  }();
-  return bytes;
+TEST(SerializeBinaryTest, HipSectionFollowsABaseImageThatLoadsAlone) {
+  // The main checksum excludes the section, so a file is its base image
+  // with the section appended: cutting the section off is a truncation,
+  // and the cut file loads with its weights computed — bitwise the stored
+  // ones — and writes back as the whole file.
+  for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
+                              SketchFlavor::kKPartition}) {
+    FlatAdsSet set =
+        BuildFlat(50, 17, 8, flavor, RankAssignment::Uniform(23));
+    std::string with_hip = SerializeAdsSetBinary(set).value();
+    const size_t base =
+        AdsBinaryFileSize(set.num_nodes(), set.TotalEntries());
+    // +8 bytes per entry (tau alone) plus the 32-byte section header.
+    EXPECT_EQ(with_hip.size() - base,
+              kAdsHipSectionHeaderBytes + 8 * set.TotalEntries());
+    auto cut = ParseWithEveryReader(with_hip.substr(0, base), "base image");
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    ExpectBitIdentical(set, cut.value());
+    EXPECT_EQ(SerializeAdsSetBinary(cut.value()).value(), with_hip);
+  }
 }
 
 TEST(SerializeBinaryTest, HipSectionRejectsTruncationAtEveryBoundary) {
@@ -483,12 +497,10 @@ TEST(SerializeBinaryTest, HipSectionRejectsInvalidTau) {
 // hand, as that layout defined it: `set`'s base image, the section header,
 // both arrays, and the section checksum chained over both.
 std::string WithRetiredHipSection(const FlatAdsSet& set) {
-  FlatAdsSet base = set;
-  base.hip_tau.clear();
-  base.hip_weight.clear();
-  std::string bytes = SerializeAdsSetBinary(base);
-  const size_t section_at = bytes.size();
   const uint64_t m = set.TotalEntries();
+  std::string bytes = SerializeAdsSetBinary(set).value();
+  bytes.resize(AdsBinaryFileSize(set.num_nodes(), m));  // the base image
+  const size_t section_at = bytes.size();
   const uint32_t version = 2;
   char header[kAdsHipSectionHeaderBytes] = {};
   std::memcpy(header, "hipadshw", 8);
@@ -512,7 +524,7 @@ void ExpectRetiredHipMessage(const Status& status, uint64_t base_bytes,
   EXPECT_NE(message.find(std::to_string(base_bytes) + "-byte base image"),
             std::string::npos)
       << what << ": " << message;
-  EXPECT_NE(message.find("hipads_cli convert --hip 1"), std::string::npos)
+  EXPECT_NE(message.find("`hipads_cli convert`"), std::string::npos)
       << what << ": " << message;
 }
 
@@ -520,12 +532,11 @@ void ExpectRetiredHipMessage(const Status& status, uint64_t base_bytes,
 // version and the base-image length to truncate to — also with no entries,
 // where both layouts are 32 bytes long and only the section header's
 // version field tells them apart. The migration the message names works:
-// the truncated file loads without the section, and recomputing it gives
+// the truncated file loads with its weights computed, and writing it gives
 // the current writer's file.
 TEST(SerializeBinaryTest, RetiredHipSectionFailsClosedNamingTheVersion) {
   FlatAdsSet set = BuildFlat(40, 7, 4, SketchFlavor::kKMins,
                              RankAssignment::Uniform(3));
-  PrecomputeHipWeights(&set, 1);
   FlatAdsSet no_entries;
   no_entries.k = 4;
   no_entries.ranks = RankAssignment::Uniform(3);
@@ -542,10 +553,8 @@ TEST(SerializeBinaryTest, RetiredHipSectionFailsClosedNamingTheVersion) {
 
     auto migrated = ParseFlatAdsSetBinary(bytes.substr(0, base));
     ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
-    EXPECT_FALSE(migrated.value().has_hip());
-    PrecomputeHipWeights(&migrated.value(), 1);
-    EXPECT_EQ(SerializeAdsSetBinary(migrated.value()),
-              SerializeAdsSetBinary(*s))
+    EXPECT_EQ(SerializeAdsSetBinary(migrated.value()).value(),
+              SerializeAdsSetBinary(*s).value())
         << what;
   }
 }
@@ -556,7 +565,6 @@ TEST(SerializeBinaryTest, RetiredHipSectionFailsClosedNamingTheVersion) {
 TEST(SerializeBinaryTest, ShardWithRetiredHipSectionFailsValidateFiles) {
   FlatAdsSet set = BuildFlat(60, 7, 4, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(3));
-  PrecomputeHipWeights(&set, 1);
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("hipads_retired_hip_shards_" + std::to_string(::getpid()));
@@ -574,7 +582,6 @@ TEST(SerializeBinaryTest, ShardWithRetiredHipSectionFailsValidateFiles) {
 
   auto sharded = ShardedAdsSet::Open(dir.string());
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_FALSE(sharded.value().HipResident());
   Status valid = sharded.value().ValidateFiles();
   ASSERT_FALSE(valid.ok());
   EXPECT_NE(valid.message().find("shard-00001.ads2"), std::string::npos)
@@ -626,7 +633,7 @@ const LargeImage& LargeHipImage() {
       set.hip_weight.push_back(1.0 / set.hip_tau.back());
     }
     LargeImage out;
-    out.bytes = SerializeAdsSetBinary(set);
+    out.bytes = SerializeAdsSetBinary(set).value();
     out.num_entries = set.TotalEntries();
     out.entries_at = kAdsBinaryHeaderBytes + (kNodes + 1) * sizeof(uint64_t);
     out.hip_at = out.entries_at + out.num_entries * sizeof(AdsEntry);
@@ -642,8 +649,7 @@ TEST(SerializeBinaryTest, LargeImageLoadsIdenticallyThroughEveryReader) {
   auto loaded = ParseWithEveryReader(image.bytes, "large image", true);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().TotalEntries(), image.num_entries);
-  EXPECT_TRUE(loaded.value().has_hip());
-  EXPECT_EQ(SerializeAdsSetBinary(loaded.value()), image.bytes);
+  EXPECT_EQ(SerializeAdsSetBinary(loaded.value()).value(), image.bytes);
 }
 
 // Damage in the first, a middle and the last slice of each checked array,
@@ -803,8 +809,7 @@ TEST(SerializeBinaryTest, HipSectionFuzzRandomMutationsNeverCrash) {
 TEST(SerializeBinaryTest, RejectsEverySingleBitFlipWithHipSection) {
   FlatAdsSet set = BuildFlat(6, 5, 2, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(9));
-  PrecomputeHipWeights(&set, 1);
-  const std::string valid = SerializeAdsSetBinary(set);
+  const std::string valid = SerializeAdsSetBinary(set).value();
   ASSERT_EQ(valid.size(),
             AdsBinaryFileSize(set.num_nodes(), set.TotalEntries()) +
                 AdsHipSectionBytes(set.TotalEntries()));
@@ -824,10 +829,9 @@ TEST(SerializeBinaryTest, RejectsEverySingleBitFlipWithHipSection) {
 TEST(SerializeBinaryTest, NonCanonicalBlockFailsInEveryReader) {
   FlatAdsSet set = BuildFlat(40, 7, 4, SketchFlavor::kBottomK,
                              RankAssignment::Uniform(3));
-  PrecomputeHipWeights(&set, 1);
   NodeId v = 0;
   while (set.of(v).size() < 2) ++v;
-  std::string bytes = SerializeAdsSetBinary(set);
+  std::string bytes = SerializeAdsSetBinary(set).value();
   char* first = bytes.data() + kAdsBinaryHeaderBytes +
                 (set.num_nodes() + 1) * sizeof(uint64_t) +
                 set.offsets[v] * sizeof(AdsEntry);

@@ -31,10 +31,13 @@
 namespace hipads {
 namespace {
 
+// A built set with its HIP weights, ready to write and serve.
 FlatAdsSet BuildFlat(uint32_t n, uint64_t graph_seed, uint32_t k) {
   Graph g = ErdosRenyi(n, 3ULL * n, true, graph_seed);
-  return FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(graph_seed + 1)));
+  PrecomputeHipWeights(&set, 1);
+  return set;
 }
 
 // The sketches of global nodes [begin, end) as a standalone set.
@@ -47,6 +50,7 @@ FlatAdsSet SliceSet(const FlatAdsSet& set, NodeId begin, NodeId end) {
     auto entries = set.of(v).entries();
     slice.AppendNode(std::vector<AdsEntry>(entries.begin(), entries.end()));
   }
+  PrecomputeHipWeights(&slice, 1);  // as a range server holds them
   return slice;
 }
 

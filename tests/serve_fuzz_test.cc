@@ -34,6 +34,12 @@
 namespace hipads {
 namespace {
 
+// `set` with its HIP weights, as every store holds them.
+FlatAdsSet WithHipWeights(FlatAdsSet set) {
+  PrecomputeHipWeights(&set, 1);
+  return set;
+}
+
 // The sketches of nodes [begin, end) of `set`, as a range server holds
 // them.
 FlatAdsSet SliceOf(const FlatAdsSet& set, NodeId begin, NodeId end) {
@@ -45,6 +51,7 @@ FlatAdsSet SliceOf(const FlatAdsSet& set, NodeId begin, NodeId end) {
     auto entries = set.of(v).entries();
     slice.AppendNode(std::vector<AdsEntry>(entries.begin(), entries.end()));
   }
+  PrecomputeHipWeights(&slice, 1);  // as a range server holds them
   return slice;
 }
 
@@ -61,9 +68,9 @@ struct Fixture {
   RouterCore router_core;
 
   Fixture()
-      : set(FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+      : set(WithHipWeights(FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
             ErdosRenyi(60, 180, true, 5), 4, SketchFlavor::kBottomK,
-            RankAssignment::Uniform(6)))),
+            RankAssignment::Uniform(6))))),
         backend(&set),
         core(&backend, ServerOptions{}),
         lower_set(SliceOf(set, 0, 30)),
@@ -801,6 +808,9 @@ bool RefStatusFromWire(uint32_t code, std::string message, Status* out) {
       return true;
     case Status::Code::kUnavailable:
       *out = Status::Unavailable(std::move(message));
+      return true;
+    case Status::Code::kFailedPrecondition:
+      *out = Status::FailedPrecondition(std::move(message));
       return true;
   }
   return false;

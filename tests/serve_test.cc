@@ -60,10 +60,13 @@
 namespace hipads {
 namespace {
 
+// A built set with its HIP weights, ready to write and serve.
 FlatAdsSet BuildFlat(uint32_t n, uint64_t graph_seed, uint32_t k) {
   Graph g = ErdosRenyi(n, 3ULL * n, true, graph_seed);
-  return FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(graph_seed + 1)));
+  PrecomputeHipWeights(&set, 1);
+  return set;
 }
 
 struct ScratchDir {
@@ -91,6 +94,7 @@ FlatAdsSet SliceSet(const FlatAdsSet& set, NodeId begin, NodeId end) {
     auto entries = set.of(v).entries();
     slice.AppendNode(std::vector<AdsEntry>(entries.begin(), entries.end()));
   }
+  PrecomputeHipWeights(&slice, 1);  // as a range server holds them
   return slice;
 }
 
@@ -158,21 +162,33 @@ struct RangeServer {
   std::unique_ptr<AdsServerCore> core;
 };
 
+// With `base_images`, the server's store is cut to its base image (as an
+// older build wrote it), so it serves the weights its load computes.
 RangeServer MakeRangeServer(const FlatAdsSet& full, NodeId begin, NodeId end,
                             Engine engine, const ScratchDir& dir,
                             const std::string& name, uint32_t threads,
-                            bool hip = false) {
+                            bool base_images = false) {
   RangeServer server;
   FlatAdsSet slice = SliceSet(full, begin, end);
-  if (hip) PrecomputeHipWeights(&slice, 1);
+  const uint64_t base =
+      AdsBinaryFileSize(slice.num_nodes(), slice.TotalEntries());
   switch (engine) {
-    case Engine::kCopy:
+    case Engine::kCopy: {
+      if (base_images) {
+        std::string bytes = SerializeAdsSetBinary(slice).value();
+        bytes.resize(base);
+        auto parsed = ParseFlatAdsSetBinary(bytes);
+        EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+        slice = std::move(parsed).value();
+      }
       server.backend = std::make_unique<FlatAdsBackend>(std::move(slice));
       break;
+    }
     case Engine::kMmap: {
       std::string path = dir.file(name + ".ads2");
       EXPECT_TRUE(
           WriteAdsSetFile(slice, path, AdsFileFormat::kBinaryV2).ok());
+      if (base_images) std::filesystem::resize_file(path, base);
       auto mapped = MmapAdsSet::Open(path);
       EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
       server.backend =
@@ -182,6 +198,15 @@ RangeServer MakeRangeServer(const FlatAdsSet& full, NodeId begin, NodeId end,
     case Engine::kSharded: {
       std::string shard_dir = dir.file(name + "-shards");
       EXPECT_TRUE(WriteShardedAdsSet(slice, shard_dir, 2).ok());
+      if (base_images) {
+        auto layout = ShardedAdsSet::Open(shard_dir);
+        EXPECT_TRUE(layout.ok()) << layout.status().ToString();
+        for (const ShardInfo& info : layout.value().shards()) {
+          std::filesystem::resize_file(
+              std::filesystem::path(shard_dir) / info.file,
+              AdsBinaryFileSize(info.end - info.begin, info.num_entries));
+        }
+      }
       ShardedOptions options;
       options.prefetch = true;
       options.prefetch_depth = 2;
@@ -224,7 +249,7 @@ LoopbackFleet MakeFleet(const FlatAdsSet& full,
                         const std::vector<NodeId>& splits,
                         const std::vector<Engine>& engines,
                         const ScratchDir& dir, uint32_t threads,
-                        bool hip = false) {
+                        bool base_images = false) {
   LoopbackFleet fleet;
   fleet.manifest.num_nodes = full.num_nodes();
   for (size_t i = 0; i + 1 < splits.size(); ++i) {
@@ -232,7 +257,7 @@ LoopbackFleet MakeFleet(const FlatAdsSet& full,
         "rs" + std::to_string(i) + "-" + EngineName(engines[i]);
     fleet.servers.push_back(MakeRangeServer(full, splits[i], splits[i + 1],
                                             engines[i], dir, name, threads,
-                                            hip));
+                                            base_images));
     fleet.manifest.servers.push_back(
         FleetEntry{"loop:" + std::to_string(i), splits[i], splits[i + 1]});
   }
@@ -600,42 +625,41 @@ TEST(ServeTest, PointBatchMatchesSingleCallsBitwise) {
   EXPECT_TRUE(empty.value().empty());
 }
 
-// HIP-resident storage is invisible on the wire: a fleet whose every
-// server carries the precomputed section answers sweeps, lone points and
-// batches with bytes identical to a fleet that scans every estimator.
-TEST(ServeTest, ResidentHipFleetMatchesScanFleetByteForByte) {
+// Where the HIP weights come from is invisible on the wire: a fleet whose
+// every store was cut to its base image (weights computed on load)
+// answers sweeps, lone points and batches with bytes identical to a fleet
+// serving the stored section.
+TEST(ServeTest, BaseImageFleetMatchesStoredHipFleetByteForByte) {
   FlatAdsSet full = BuildFlat(180, 29, 8);
   const std::vector<NodeId> splits = {0, 60, 120, 180};
   const std::vector<Engine> engines = {Engine::kCopy, Engine::kMmap,
                                        Engine::kSharded};
-  ScratchDir scan_dir("hipads_serve_test_hip_scan");
-  ScratchDir hip_dir("hipads_serve_test_hip_resident");
-  LoopbackFleet scan = MakeFleet(full, splits, engines, scan_dir, 2, false);
-  LoopbackFleet hip = MakeFleet(full, splits, engines, hip_dir, 2, true);
-  for (const RangeServer& server : hip.servers) {
-    EXPECT_TRUE(server.backend->HipResident());
-  }
-  for (const RangeServer& server : scan.servers) {
-    EXPECT_FALSE(server.backend->HipResident());
-  }
-  auto scan_router = FleetRouter::Connect(scan.manifest, scan.Factory());
-  auto hip_router = FleetRouter::Connect(hip.manifest, hip.Factory());
-  ASSERT_TRUE(scan_router.ok());
-  ASSERT_TRUE(hip_router.ok());
+  ScratchDir base_dir("hipads_serve_test_hip_base");
+  ScratchDir stored_dir("hipads_serve_test_hip_stored");
+  LoopbackFleet base = MakeFleet(full, splits, engines, base_dir, 2, true);
+  LoopbackFleet stored = MakeFleet(full, splits, engines, stored_dir, 2, false);
+  auto base_router = FleetRouter::Connect(base.manifest, base.Factory());
+  auto stored_router = FleetRouter::Connect(stored.manifest, stored.Factory());
+  ASSERT_TRUE(base_router.ok());
+  ASSERT_TRUE(stored_router.ok());
 
   // Sweep: every wire-expressible collector, merged across the three
-  // engines, bitwise equal to the single-process scan reference.
+  // engines, bitwise equal to the single-process reference.
   std::vector<CollectorSpec> spec = FullSpec();
   Reference ref;
   RunReference(full, spec, &ref);
-  SweepPlan plan;
-  auto built = BuildPlanFromSpec(spec, &plan);
-  ASSERT_TRUE(built.ok());
   SweepRequestMsg sweep;
   sweep.collectors = spec;
   sweep.num_threads = 2;
-  ASSERT_TRUE(hip_router.value().ExecuteSweep(sweep, built.value()).ok());
-  ExpectCollectorsIdentical(spec, ref.collectors, built.value(), "hip sweep");
+  for (FleetRouter* router : {&base_router.value(), &stored_router.value()}) {
+    SweepPlan plan;
+    auto built = BuildPlanFromSpec(spec, &plan);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(router->ExecuteSweep(sweep, built.value()).ok());
+    ExpectCollectorsIdentical(spec, ref.collectors, built.value(),
+                              router == &base_router.value() ? "base sweep"
+                                                             : "stored sweep");
+  }
 
   // Lone points and one mixed batch: identical payload bytes.
   std::vector<PointRequestMsg> requests;
@@ -660,22 +684,22 @@ TEST(ServeTest, ResidentHipFleetMatchesScanFleetByteForByte) {
     requests.push_back(r);
   }
   for (const PointRequestMsg& r : requests) {
-    auto a = scan_router.value().Point(r);
-    auto b = hip_router.value().Point(r);
+    auto a = base_router.value().Point(r);
+    auto b = stored_router.value().Point(r);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     EXPECT_EQ(EncodePointResponse(a.value()), EncodePointResponse(b.value()))
         << "node " << r.node;
   }
-  std::vector<PointBatchResponseEntry> scan_batch =
-      scan_router.value().PointBatch(requests);
-  std::vector<PointBatchResponseEntry> hip_batch =
-      hip_router.value().PointBatch(requests);
-  ASSERT_EQ(scan_batch.size(), hip_batch.size());
-  for (size_t i = 0; i < scan_batch.size(); ++i) {
-    ASSERT_TRUE(scan_batch[i].status.ok()) << "entry " << i;
-    ASSERT_TRUE(hip_batch[i].status.ok()) << "entry " << i;
-    EXPECT_EQ(scan_batch[i].payload, hip_batch[i].payload) << "entry " << i;
+  std::vector<PointBatchResponseEntry> base_batch =
+      base_router.value().PointBatch(requests);
+  std::vector<PointBatchResponseEntry> stored_batch =
+      stored_router.value().PointBatch(requests);
+  ASSERT_EQ(base_batch.size(), stored_batch.size());
+  for (size_t i = 0; i < base_batch.size(); ++i) {
+    ASSERT_TRUE(base_batch[i].status.ok()) << "entry " << i;
+    ASSERT_TRUE(stored_batch[i].status.ok()) << "entry " << i;
+    EXPECT_EQ(base_batch[i].payload, stored_batch[i].payload) << "entry " << i;
   }
 }
 
@@ -852,7 +876,7 @@ TEST(ServeTest, ResponseCacheKeepsTheListModelsOrderAndCounts) {
 // build whose codec still decoded and re-encoded every entry at each hop.
 // Each path runs twice, so the second run reads the point caches the first
 // filled; each batch carries its first entry twice. The servers differ in
-// storage (a scanning estimator, then stored HIP weights), which is
+// storage (weights computed from a base image, then stored ones), which is
 // invisible too.
 TEST(ServeTest, PointAnswersMatchPinnedBytesOnEveryPath) {
   FlatAdsSet full = BuildFlat(160, 29, 8);
@@ -862,7 +886,7 @@ TEST(ServeTest, PointAnswersMatchPinnedBytesOnEveryPath) {
   for (NodeId begin : {0u, 80u}) {
     fleet.servers.push_back(MakeRangeServer(full, begin, begin + 80,
                                             Engine::kCopy, dir, "m", 1,
-                                            /*hip=*/begin > 0));
+                                            /*base_images=*/begin == 0));
     fleet.manifest.servers.push_back(
         FleetEntry{"loop:" + std::to_string(begin), begin, begin + 80});
   }
@@ -1066,6 +1090,7 @@ class ParkingBackend : public AdsBackend {
   StatusOr<AdsView> ViewOf(NodeId v) const override {
     return inner_.ViewOf(v);
   }
+  StatusOr<HipView> HipOf(NodeId v) const override { return inner_.HipOf(v); }
   StatusOr<AdsArenaView> Range(uint32_t r) const override {
     MutexLock lock(mu_);
     parked_ = true;
@@ -2030,8 +2055,7 @@ TEST(ServeTest, CliSketchRejectsMalformedEdgeLists) {
 // The largest `--k` builds bottom-k sketches without reserving k ranks up
 // front: on a 50-node graph every sketch holds all reachable nodes, so the
 // entries and HIP weights equal a `--k 50` build — through DP (unit
-// weights) and pruned Dijkstra (weighted), with and without the HIP
-// section.
+// weights) and pruned Dijkstra (weighted).
 TEST(ServeTest, CliSketchHugeKMatchesKEqualToTheNodeCount) {
   ScratchDir dir("hipads_serve_test_cli_huge_k");
   const std::string unit = dir.file("unit.txt");
@@ -2041,35 +2065,31 @@ TEST(ServeTest, CliSketchHugeKMatchesKEqualToTheNodeCount) {
   ASSERT_TRUE(
       WriteEdgeListFile(RandomizeWeights(g, 0.5, 2.0, 5), weighted).ok());
   for (const std::string& graph : {unit, weighted}) {
-    for (const char* hip : {"0", "1"}) {
-      const std::string what = graph + " --hip " + hip;
-      auto sketch = [&](const std::string& k) {
-        const std::string out = dir.file("k" + k + ".ads2");
-        EXPECT_EQ(RunCli("sketch --graph " + graph + " --k " + k +
-                             " --format binary --hip " + hip + " --out " +
-                             out,
-                         dir.file("stdout.txt")),
-                  0)
-            << what << " --k " << k;
-        return ReadFlatAdsSetFile(out);
-      };
-      auto huge = sketch("4294967295");
-      auto exact = sketch("50");
-      ASSERT_TRUE(huge.ok()) << what << ": " << huge.status().ToString();
-      ASSERT_TRUE(exact.ok()) << what << ": " << exact.status().ToString();
-      const FlatAdsSet& a = huge.value();
-      const FlatAdsSet& b = exact.value();
-      EXPECT_EQ(a.k, 4294967295u) << what;
-      EXPECT_EQ(a.offsets, b.offsets) << what;
-      ASSERT_EQ(a.entries.size(), b.entries.size()) << what;
-      EXPECT_EQ(std::memcmp(a.entries.data(), b.entries.data(),
-                            a.entries.size() * sizeof(AdsEntry)),
+    const std::string& what = graph;
+    auto sketch = [&](const std::string& k) {
+      const std::string out = dir.file("k" + k + ".ads2");
+      EXPECT_EQ(RunCli("sketch --graph " + graph + " --k " + k +
+                           " --format binary --out " + out,
+                       dir.file("stdout.txt")),
                 0)
-          << what;
-      EXPECT_EQ(a.has_hip(), hip[0] == '1') << what;
-      EXPECT_EQ(a.hip_tau, b.hip_tau) << what;
-      EXPECT_EQ(a.hip_weight, b.hip_weight) << what;
-    }
+          << what << " --k " << k;
+      return ReadFlatAdsSetFile(out);
+    };
+    auto huge = sketch("4294967295");
+    auto exact = sketch("50");
+    ASSERT_TRUE(huge.ok()) << what << ": " << huge.status().ToString();
+    ASSERT_TRUE(exact.ok()) << what << ": " << exact.status().ToString();
+    const FlatAdsSet& a = huge.value();
+    const FlatAdsSet& b = exact.value();
+    EXPECT_EQ(a.k, 4294967295u) << what;
+    EXPECT_EQ(a.offsets, b.offsets) << what;
+    ASSERT_EQ(a.entries.size(), b.entries.size()) << what;
+    EXPECT_EQ(std::memcmp(a.entries.data(), b.entries.data(),
+                          a.entries.size() * sizeof(AdsEntry)),
+              0)
+        << what;
+    EXPECT_EQ(a.hip_tau, b.hip_tau) << what;
+    EXPECT_EQ(a.hip_weight, b.hip_weight) << what;
   }
 }
 
@@ -2119,12 +2139,13 @@ TEST(ServeTest, CliGenerateFailsOnAFullDevice) {
       << ReadFile(err);
 }
 
-// Numeric flags fail closed: a sign, non-digits, trailing bytes or a
-// value above what the option holds exit 2 with a message naming the
-// flag, print nothing and write nothing. The `serve` and `route` cases
+// Flags fail closed: a flag the command does not take (a typo, or one of
+// the retired `--hip`/`--strip-hip`), and for numeric flags a sign,
+// non-digits, trailing bytes or a value above what the option holds, exit
+// 2 with a message naming the flag, print nothing and write nothing. The `serve` and `route` cases
 // name missing inputs, so a CLI that let the bad value through fails to
 // open them instead of binding a socket.
-TEST(ServeTest, CliNumericFlagsFailClosed) {
+TEST(ServeTest, CliFlagsFailClosed) {
   FlatAdsSet full = BuildFlat(5, 23, 4);
   ScratchDir dir("hipads_serve_test_cli_flags");
   const std::string set_path = dir.file("set.ads2");
@@ -2162,6 +2183,9 @@ TEST(ServeTest, CliNumericFlagsFailClosed) {
       {"port", "route --fleet " + missing + " --port 70000"},
       {"retries", "route --fleet " + missing + " --retries=-1"},
       {"coalesce-us", "route --fleet " + missing + " --coalesce-us 1000001"},
+      {"shard", "shard --in " + set_path + " --shard 8 --out-dir " + out},
+      {"treads", "stats --sketches " + set_path + " --treads 2"},
+      {"strip-hip", "convert --in " + set_path + " --strip-hip 1 --out " + out},
   };
   const std::string stdout_path = dir.file("stdout.txt");
   const std::string stderr_path = dir.file("stderr.txt");

@@ -21,10 +21,13 @@
 namespace hipads {
 namespace {
 
+// A built set with its HIP weights, ready to write and serve.
 FlatAdsSet BuildFlat(uint32_t n, uint64_t graph_seed, uint32_t k) {
   Graph g = ErdosRenyi(n, 3ULL * n, true, graph_seed);
-  return FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(graph_seed + 1)));
+  PrecomputeHipWeights(&set, 1);
+  return set;
 }
 
 // Unique scratch dir per test; removed on destruction.
@@ -235,7 +238,6 @@ TEST(ShardTest, ShardInconsistentWithManifestRejected) {
 // slice of the set — the arena, HIP weights and all.
 TEST(ShardTest, ShardFilesEqualSerializedSlices) {
   FlatAdsSet set = BuildFlat(90, 67, 4);
-  PrecomputeHipWeights(&set, 1);
   ScratchDir dir("hipads_shard_test_slices");
   ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 3).ok());
   auto opened = ShardedAdsSet::Open(dir.path);
@@ -260,7 +262,7 @@ TEST(ShardTest, ShardFilesEqualSerializedSlices) {
                     std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(f)),
                             std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes, SerializeAdsSetBinary(slice)) << info.file;
+    EXPECT_EQ(bytes, SerializeAdsSetBinary(slice).value()) << info.file;
   }
 }
 
@@ -278,15 +280,18 @@ std::string ShardName(size_t s) {
 
 // The shard files are written concurrently. Each must hold exactly the
 // bytes a one-range write of the same nodes produces, at every shard count
-// (17 is more shards than pool threads), with and without HIP weights.
+// (17 is more shards than pool threads), k-mins filler slots included.
 TEST(ShardTest, ConcurrentShardWritesEqualRangeWrites) {
-  FlatAdsSet plain = BuildFlat(120, 71, 4);
-  FlatAdsSet with_hip = plain;
-  PrecomputeHipWeights(&with_hip, 1);
-  for (const FlatAdsSet* set : {&plain, &with_hip}) {
+  FlatAdsSet bottom_k = BuildFlat(120, 71, 4);
+  Graph g = ErdosRenyi(120, 360, true, 71);
+  FlatAdsSet k_mins = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+      g, 4, SketchFlavor::kKMins, RankAssignment::Uniform(72)));
+  PrecomputeHipWeights(&k_mins, 1);
+  for (const FlatAdsSet* set : {&bottom_k, &k_mins}) {
     for (uint32_t shards : {1u, 3u, 8u, 17u}) {
-      const std::string label = std::string(set->has_hip() ? "hip " : "") +
-                                std::to_string(shards) + " shards";
+      const std::string label =
+          std::string(set == &k_mins ? "k-mins " : "bottom-k ") +
+          std::to_string(shards) + " shards";
       ScratchDir dir("hipads_shard_test_concurrent");
       ScratchDir ranges("hipads_shard_test_ranges");
       ASSERT_TRUE(WriteShardedAdsSet(*set, dir.path, shards).ok()) << label;
@@ -367,7 +372,6 @@ uint64_t ReusedLoadsCounter() {
 
 TEST(ShardTest, ReloadsReuseEvictedStorage) {
   FlatAdsSet set = BuildFlat(240, 71, 4);
-  PrecomputeHipWeights(&set, 2);
   ScratchDir dir("hipads_shard_test_reuse");
   ASSERT_TRUE(WriteShardedAdsSet(set, dir.path, 8).ok());
   std::vector<double> expected =
@@ -459,34 +463,28 @@ TEST(ShardTest, ShardCorruptedBetweenSweepsFailsLikeAFreshOpen) {
   }
 }
 
-// Shards that mix files with and without the HIP section load into each
-// other's storage: a file without the section must come back without
-// weights, and every answer must equal the flat set's.
+// Shards that mix files with and without the HIP section (cut to their
+// base images, as older builds wrote them) load into each other's storage:
+// a file without the section must come back with the weights its load
+// computed — bitwise the stored ones — and every answer must equal the
+// flat set's.
 TEST(ShardTest, MixedHipShardsReloadIntoEachOthersStorage) {
-  FlatAdsSet plain = BuildFlat(220, 79, 4);
-  FlatAdsSet with_hip = plain;
-  PrecomputeHipWeights(&with_hip, 2);
+  FlatAdsSet with_hip = BuildFlat(220, 79, 4);
   ScratchDir dir("hipads_shard_test_reuse_mixed");
-  ScratchDir plain_dir("hipads_shard_test_reuse_mixed_plain");
   ASSERT_TRUE(WriteShardedAdsSet(with_hip, dir.path, 8).ok());
-  ASSERT_TRUE(WriteShardedAdsSet(plain, plain_dir.path, 8).ok());
   // Shards 1, 2 and 5 lose their HIP section.
-  const std::vector<bool> has_hip = {true, false, false, true,
-                                     true, false, true, true};
-  for (uint32_t s = 0; s < 8; ++s) {
-    if (has_hip[s]) continue;
-    char name[32];
-    std::snprintf(name, sizeof(name), "shard-%05u.ads2", s);
-    std::filesystem::copy_file(
-        std::filesystem::path(plain_dir.path) / name,
-        std::filesystem::path(dir.path) / name,
-        std::filesystem::copy_options::overwrite_existing);
+  auto layout = ShardedAdsSet::Open(dir.path);
+  ASSERT_TRUE(layout.ok());
+  for (uint32_t s : {1u, 2u, 5u}) {
+    const ShardInfo& info = layout.value().shards()[s];
+    std::filesystem::resize_file(
+        std::filesystem::path(dir.path) / info.file,
+        AdsBinaryFileSize(info.end - info.begin, info.num_entries));
   }
 
   FlatAdsBackend flat(&with_hip);
   for (bool prefetch : {false, true}) {
     ShardedAdsSet sharded = OpenOneResident(dir.path, prefetch);
-    EXPECT_FALSE(sharded.HipResident());
     for (int sweep = 0; sweep < 2; ++sweep) {
       SCOPED_TRACE(testing::Message() << "prefetch=" << prefetch
                                       << " sweep=" << sweep);
@@ -499,9 +497,6 @@ TEST(ShardTest, MixedHipShardsReloadIntoEachOthersStorage) {
       for (NodeId v = 0; v < with_hip.num_nodes(); ++v) {
         auto hip = sharded.HipOf(v);
         ASSERT_TRUE(hip.ok());
-        ASSERT_EQ(hip.value().present(), has_hip[sharded.ShardOf(v)])
-            << "node " << v;
-        if (!hip.value().present()) continue;
         const uint64_t off = with_hip.offsets[v];
         const size_t len = with_hip.offsets[v + 1] - off;
         EXPECT_EQ(std::memcmp(hip.value().tau, &with_hip.hip_tau[off],
@@ -520,7 +515,6 @@ TEST(ShardTest, MixedHipShardsReloadIntoEachOthersStorage) {
 // large one into a small one's. Results equal the flat set's.
 TEST(ShardTest, UnevenShardsReloadIntoEachOthersStorage) {
   FlatAdsSet set = BuildFlat(200, 83, 4);
-  PrecomputeHipWeights(&set, 2);
   FlatAdsBackend flat(&set);
   std::vector<double> expected =
       EstimateHarmonicCentralityAll(flat, 1).value();

@@ -23,6 +23,8 @@ TEST(StatusTest, AllConstructors) {
   EXPECT_EQ(Status::NotFound("x").code(), Status::Code::kNotFound);
   EXPECT_EQ(Status::IOError("x").code(), Status::Code::kIOError);
   EXPECT_EQ(Status::Corruption("x").code(), Status::Code::kCorruption);
+  EXPECT_EQ(Status::FailedPrecondition("x").ToString(),
+            "FAILED_PRECONDITION: x");
 }
 
 TEST(StatusOrTest, HoldsValue) {

@@ -29,10 +29,30 @@
 namespace hipads {
 namespace {
 
+// A built set with its HIP weights, ready to write and serve.
 FlatAdsSet BuildFlat(uint32_t n, uint64_t graph_seed, uint32_t k) {
   Graph g = ErdosRenyi(n, 3ULL * n, true, graph_seed);
-  return FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+  FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, k, SketchFlavor::kBottomK, RankAssignment::Uniform(graph_seed + 1)));
+  PrecomputeHipWeights(&set, 1);
+  return set;
+}
+
+// Cuts the v2 file `path` and every shard of `shard_dir` to their base
+// images: the files an older build wrote without the HIP section.
+void CutToBaseImages(const std::string& path, const std::string& shard_dir) {
+  auto file = ReadFlatAdsSetFile(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  std::filesystem::resize_file(
+      path,
+      AdsBinaryFileSize(file.value().num_nodes(), file.value().TotalEntries()));
+  auto layout = ShardedAdsSet::Open(shard_dir);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  for (const ShardInfo& info : layout.value().shards()) {
+    std::filesystem::resize_file(
+        std::filesystem::path(shard_dir) / info.file,
+        AdsBinaryFileSize(info.end - info.begin, info.num_entries));
+  }
 }
 
 // Unique scratch dir per test; removed on destruction.
@@ -104,7 +124,7 @@ TEST(SweepTest, FusedPlanMatchesStandaloneOnSingleArenas) {
   FlatAdsSet flat = BuildFlat(180, 3, 8);
   for (uint32_t threads : {1u, 2u, 4u}) {
     SixStatPlan fused;
-    RunSweep(flat, fused.plan, threads);
+    ASSERT_TRUE(RunSweep(flat, fused.plan, threads).ok());
     fused.ExpectMatchesStandalone(flat);
   }
 }
@@ -152,32 +172,31 @@ TEST(SweepTest, FusedPlanBitwiseIdenticalAcrossBackends) {
   }
 }
 
-// Storage-resident HIP weights feed the same fused plan: every engine
-// serving the precomputed section, at every thread count, stays bitwise
-// identical to the standalone scan-path queries on the hip-less reference.
-TEST(SweepTest, FusedPlanBitwiseIdenticalWithResidentHipWeights) {
+// Files cut to their base images (as older builds wrote them) feed the
+// same fused plan with the weights their loads compute: every engine, at
+// every thread count, stays bitwise identical to the standalone queries
+// over the in-memory set.
+TEST(SweepTest, FusedPlanBitwiseIdenticalOverBaseImages) {
   FlatAdsSet reference = BuildFlat(230, 7, 8);  // same set as the matrix test
-  FlatAdsSet with_hip = BuildFlat(230, 7, 8);
-  PrecomputeHipWeights(&with_hip, 2);
   ScratchDir dir("hipads_sweep_test_hip");
   std::string file_path = dir.file("set.ads2");
   std::string shard_dir = dir.file("shards");
   ASSERT_TRUE(
-      WriteAdsSetFile(with_hip, file_path, AdsFileFormat::kBinaryV2).ok());
-  ASSERT_TRUE(WriteShardedAdsSet(with_hip, shard_dir, 5).ok());
+      WriteAdsSetFile(reference, file_path, AdsFileFormat::kBinaryV2).ok());
+  ASSERT_TRUE(WriteShardedAdsSet(reference, shard_dir, 5).ok());
+  CutToBaseImages(file_path, shard_dir);
 
   for (uint32_t threads : {1u, 2u, 4u}) {
     {
-      FlatAdsBackend flat(&with_hip);
-      ASSERT_TRUE(flat.HipResident());
+      auto read = ReadFlatAdsSetFile(file_path);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
       SixStatPlan fused;
-      ASSERT_TRUE(RunSweep(flat, fused.plan, threads).ok());
+      ASSERT_TRUE(RunSweep(read.value(), fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(reference);
     }
     {
       auto mapped = MmapAdsSet::Open(file_path);
       ASSERT_TRUE(mapped.ok());
-      ASSERT_TRUE(mapped.value().HipResident());
       SixStatPlan fused;
       ASSERT_TRUE(RunSweep(mapped.value(), fused.plan, threads).ok());
       fused.ExpectMatchesStandalone(reference);
@@ -188,7 +207,6 @@ TEST(SweepTest, FusedPlanBitwiseIdenticalWithResidentHipWeights) {
       options.use_mmap = use_mmap;
       auto sharded = ShardedAdsSet::Open(shard_dir, options);
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      ASSERT_TRUE(sharded.value().HipResident());
       SixStatPlan fused;
       ASSERT_TRUE(RunSweep(sharded.value(), fused.plan, threads).ok())
           << "mmap=" << use_mmap;
@@ -326,50 +344,47 @@ TEST(SweepTest, DeepPrefetchSweepsAreDeterministic) {
 // executor itself. Every per-node collector must equal the scanning
 // HipEstimator evaluated node by node, and the distance histogram must
 // equal an exact per-distance fold of every node's HIP entries — over
-// FlatAdsBackend with and without precomputed HIP weights, and with and
-// without the histogram in the plan.
+// FlatAdsBackend with its precomputed HIP weights, with and without the
+// histogram in the plan.
 TEST(SweepTest, QuantileAndQgCollectorsMatchPerNodeEstimators) {
-  FlatAdsSet scanned = BuildFlat(150, 31, 8);
-  FlatAdsSet resident = scanned;
-  PrecomputeHipWeights(&resident, 2);
+  const FlatAdsSet stored = BuildFlat(150, 31, 8);
+  const FlatAdsSet* set = &stored;
   auto g = [](NodeId, double d) { return std::pow(0.5, d); };
-  for (const FlatAdsSet* set : {&scanned, &resident}) {
-    for (bool with_histogram : {false, true}) {
-      SweepPlan plan;
-      auto* median = plan.Emplace<DistanceQuantileCollector>(0.5);
-      auto* q90 = plan.Emplace<DistanceQuantileCollector>(0.9);
-      auto* qg = plan.Emplace<QgCollector>(g);
-      auto* closeness = plan.Emplace<ClosenessCollector>(AlphaFn, BetaFn);
-      auto* distsum = plan.Emplace<DistanceSumCollector>();
-      auto* harmonic = plan.Emplace<HarmonicCentralityCollector>();
-      auto* nsize = plan.Emplace<NeighborhoodSizeCollector>(2.0);
-      auto* reach = plan.Emplace<ReachableCountCollector>();
-      DistanceHistogramCollector hist;
-      if (with_histogram) plan.Add(&hist);
-      ASSERT_TRUE(RunSweep(FlatAdsBackend(set), plan, 2).ok());
+  for (bool with_histogram : {false, true}) {
+    SweepPlan plan;
+    auto* median = plan.Emplace<DistanceQuantileCollector>(0.5);
+    auto* q90 = plan.Emplace<DistanceQuantileCollector>(0.9);
+    auto* qg = plan.Emplace<QgCollector>(g);
+    auto* closeness = plan.Emplace<ClosenessCollector>(AlphaFn, BetaFn);
+    auto* distsum = plan.Emplace<DistanceSumCollector>();
+    auto* harmonic = plan.Emplace<HarmonicCentralityCollector>();
+    auto* nsize = plan.Emplace<NeighborhoodSizeCollector>(2.0);
+    auto* reach = plan.Emplace<ReachableCountCollector>();
+    DistanceHistogramCollector hist;
+    if (with_histogram) plan.Add(&hist);
+    ASSERT_TRUE(RunSweep(FlatAdsBackend(set), plan, 2).ok());
 
-      std::map<double, ExactSum> folded;
-      for (NodeId v = 0; v < set->num_nodes(); ++v) {
-        HipEstimator est(set->of(v), set->k, set->flavor, set->ranks);
-        EXPECT_EQ(median->values()[v], est.DistanceQuantile(0.5)) << v;
-        EXPECT_EQ(q90->values()[v], est.DistanceQuantile(0.9)) << v;
-        EXPECT_EQ(qg->values()[v], est.Qg(g)) << v;
-        EXPECT_EQ(closeness->values()[v], est.Closeness(AlphaFn, BetaFn))
-            << v;
-        EXPECT_EQ(distsum->values()[v], est.DistanceSum()) << v;
-        EXPECT_EQ(harmonic->values()[v], est.HarmonicCentrality()) << v;
-        EXPECT_EQ(nsize->values()[v], est.NeighborhoodCardinality(2.0)) << v;
-        EXPECT_EQ(reach->values()[v], est.ReachableCount()) << v;
-        est.ForEachEntry([&folded](const HipEntry& e) {
-          if (e.dist > 0.0) folded[e.dist].Add(e.weight);
-        });
-      }
-      if (with_histogram) {
-        std::map<double, double> expected;
-        for (const auto& [d, sum] : folded) expected[d] = sum.Round();
-        EXPECT_FALSE(expected.empty());
-        EXPECT_EQ(hist.Distribution(), expected);
-      }
+    std::map<double, ExactSum> folded;
+    for (NodeId v = 0; v < set->num_nodes(); ++v) {
+      HipEstimator est(set->of(v), set->k, set->flavor, set->ranks);
+      EXPECT_EQ(median->values()[v], est.DistanceQuantile(0.5)) << v;
+      EXPECT_EQ(q90->values()[v], est.DistanceQuantile(0.9)) << v;
+      EXPECT_EQ(qg->values()[v], est.Qg(g)) << v;
+      EXPECT_EQ(closeness->values()[v], est.Closeness(AlphaFn, BetaFn))
+          << v;
+      EXPECT_EQ(distsum->values()[v], est.DistanceSum()) << v;
+      EXPECT_EQ(harmonic->values()[v], est.HarmonicCentrality()) << v;
+      EXPECT_EQ(nsize->values()[v], est.NeighborhoodCardinality(2.0)) << v;
+      EXPECT_EQ(reach->values()[v], est.ReachableCount()) << v;
+      est.ForEachEntry([&folded](const HipEntry& e) {
+        if (e.dist > 0.0) folded[e.dist].Add(e.weight);
+      });
+    }
+    if (with_histogram) {
+      std::map<double, double> expected;
+      for (const auto& [d, sum] : folded) expected[d] = sum.Round();
+      EXPECT_FALSE(expected.empty());
+      EXPECT_EQ(hist.Distribution(), expected);
     }
   }
 }
@@ -386,7 +401,7 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
   SweepPlan full_plan;
   auto* full_hist = full_plan.Emplace<DistanceHistogramCollector>();
   auto* full_harmonic = full_plan.Emplace<HarmonicCentralityCollector>();
-  RunSweep(set, full_plan, 1);
+  ASSERT_TRUE(RunSweep(set, full_plan, 1).ok());
 
   for (std::vector<NodeId> splits :
        {std::vector<NodeId>{0, 85, 170}, {0, 40, 90, 170}}) {
@@ -405,10 +420,11 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
         slice.AppendNode(
             std::vector<AdsEntry>(entries.begin(), entries.end()));
       }
+      PrecomputeHipWeights(&slice, 1);
       SweepPlan range_plan;
       auto* hist = range_plan.Emplace<DistanceHistogramCollector>();
       auto* harmonic = range_plan.Emplace<HarmonicCentralityCollector>();
-      RunSweep(slice, range_plan, 2);
+      ASSERT_TRUE(RunSweep(slice, range_plan, 2).ok());
 
       NodeId slice_nodes = splits[r + 1] - splits[r];
       std::string hist_partial, harmonic_partial;
@@ -440,7 +456,7 @@ TEST(SweepTest, EncodedPartialsReplayToTheSingleProcessResultBitwise) {
   // merges them first, into the same bytes.
   SweepPlan wide_plan;
   auto* wide_hist = wide_plan.Emplace<DistanceHistogramCollector>();
-  RunSweep(set, wide_plan, 8);
+  ASSERT_TRUE(RunSweep(set, wide_plan, 8).ok());
   std::string wide_partial;
   ASSERT_TRUE(
       wide_hist->EncodePartial(0, static_cast<NodeId>(n), &wide_partial).ok());
@@ -478,6 +494,7 @@ TEST(SweepTest, WeightedHistogramIsIdenticalAtEveryThreadCount) {
   Graph g = RandomizeWeights(ErdosRenyi(600, 2400, true, 9), 0.5, 2.0, 4);
   FlatAdsSet set = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
       g, 16, SketchFlavor::kBottomK, RankAssignment::Uniform(3)));
+  PrecomputeHipWeights(&set, 2);
   // 43,459 entries at 35,379 distinct positive distances.
   std::set<double> distances;
   for (const AdsEntry& e : set.entries) {
@@ -604,14 +621,13 @@ TEST(SweepTest, FusedSumsMatchTheirStandaloneWalksBitwise) {
   for (SketchFlavor flavor : {SketchFlavor::kBottomK, SketchFlavor::kKMins,
                               SketchFlavor::kKPartition}) {
     for (const Graph* g : {&unit, &weighted}) {
-      const FlatAdsSet scanned = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
-          *g, 4, flavor, RankAssignment::Uniform(45)));
-      const FlatAdsSet stored = [&scanned] {
-        FlatAdsSet with_hip = scanned;
+      const FlatAdsSet stored = [g, flavor] {
+        FlatAdsSet with_hip = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstra(
+            *g, 4, flavor, RankAssignment::Uniform(45)));
         PrecomputeHipWeights(&with_hip, 2);
         return with_hip;
       }();
-      const size_t n = scanned.num_nodes();
+      const size_t n = stored.num_nodes();
 
       // The standalone walks, node by node, over a scanning estimator.
       std::vector<std::vector<double>> within(bounds.size(),
@@ -620,7 +636,7 @@ TEST(SweepTest, FusedSumsMatchTheirStandaloneWalksBitwise) {
           invsq(n), quantile(n);
       std::map<double, ExactSum> folded;
       for (NodeId v = 0; v < n; ++v) {
-        HipEstimator est(scanned.of(v), scanned.k, flavor, scanned.ranks);
+        HipEstimator est(stored.of(v), stored.k, flavor, stored.ranks);
         const std::vector<HipEntry> es = est.CopyEntries();
         for (size_t b = 0; b < bounds.size(); ++b) {
           within[b][v] = StandaloneWalks::Neighborhood(es, bounds[b]);
@@ -638,12 +654,17 @@ TEST(SweepTest, FusedSumsMatchTheirStandaloneWalksBitwise) {
       std::map<double, double> distribution;
       for (const auto& [d, sum] : folded) distribution[d] = sum.Round();
 
-      for (const FlatAdsSet* set : {&scanned, &stored}) {
+      // The files as written, and cut to their base images: stored weights
+      // and weights computed on load.
+      for (bool cut : {false, true}) {
         ScratchDir dir("hipads_sweep_test_fusion");
-        ASSERT_TRUE(
-            WriteAdsSetFile(*set, dir.file("set.ads2"), AdsFileFormat::kBinaryV2)
-                .ok());
-        ASSERT_TRUE(WriteShardedAdsSet(*set, dir.file("shards"), 8).ok());
+        ASSERT_TRUE(WriteAdsSetFile(stored, dir.file("set.ads2"),
+                                    AdsFileFormat::kBinaryV2)
+                        .ok());
+        ASSERT_TRUE(WriteShardedAdsSet(stored, dir.file("shards"), 8).ok());
+        if (cut) CutToBaseImages(dir.file("set.ads2"), dir.file("shards"));
+        auto read = ReadFlatAdsSetFile(dir.file("set.ads2"));
+        ASSERT_TRUE(read.ok()) << read.status().ToString();
         auto mapped = MmapAdsSet::Open(dir.file("set.ads2"));
         ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
         ShardedOptions options;
@@ -652,7 +673,7 @@ TEST(SweepTest, FusedSumsMatchTheirStandaloneWalksBitwise) {
         auto sharded = ShardedAdsSet::Open(dir.file("shards"), options);
         ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
         ASSERT_EQ(sharded.value().num_shards(), 8u);
-        FlatAdsBackend flat(set);
+        FlatAdsBackend flat(&read.value());
         const std::vector<std::pair<const char*, const AdsBackend*>> backends =
             {{"flat", &flat},
              {"mmap", &mapped.value()},
@@ -662,7 +683,7 @@ TEST(SweepTest, FusedSumsMatchTheirStandaloneWalksBitwise) {
             SCOPED_TRACE(testing::Message()
                          << "flavor=" << static_cast<int>(flavor)
                          << " weighted=" << (g == &weighted)
-                         << " hip=" << set->has_hip() << " " << name
+                         << " cut=" << cut << " " << name
                          << " threads=" << threads);
             SweepPlan plan;
             auto built = BuildPlanFromSpec(spec, &plan);
@@ -721,10 +742,11 @@ TEST(SweepTest, CollectorsResetBetweenSweeps) {
   HarmonicCentralityCollector harmonic;
   SweepPlan plan;
   plan.Add(&hist).Add(&harmonic);
-  RunSweep(set, plan, 1);
+  ASSERT_TRUE(RunSweep(set, plan, 1).ok());
   auto first_hist = hist.Distribution();
   auto first_harmonic = harmonic.values();
-  RunSweep(set, plan, 2);  // rerun: Begin must clear, not accumulate
+  // Rerun: Begin must clear, not accumulate.
+  ASSERT_TRUE(RunSweep(set, plan, 2).ok());
   EXPECT_EQ(hist.Distribution(), first_hist);
   EXPECT_EQ(harmonic.values(), first_harmonic);
 }

@@ -2,7 +2,9 @@
 // in-memory parser, the file reader (into a fresh set and into a recycled
 // one) and the zero-copy mmap open — and checks that they agree. The four
 // share one validator but not one source of bytes, so the hostile-input
-// corpora run through all of them.
+// corpora run through all of them. Every reader hands out tau and weight,
+// read or (for a base-only image) computed on load, so those are compared
+// too, bit for bit, and a base-only image's against PrecomputeHipWeights.
 
 #ifndef HIPADS_TESTS_V2_READERS_H_
 #define HIPADS_TESTS_V2_READERS_H_
@@ -17,6 +19,7 @@
 #include <string>
 
 #include "ads/backend.h"
+#include "ads/hip.h"
 #include "ads/serialize.h"
 
 namespace hipads {
@@ -43,8 +46,10 @@ inline void ExpectSameLoad(const FlatAdsSet& got, const FlatAdsSet& want,
 /// set whose storage holds stale values, and by MmapAdsSet::Open. Expects
 /// all four to agree on acceptance and Status code — and with
 /// `same_message`, on the failure message too — and, when they accept, on
-/// the loaded nodes, entries, tau and derived HIP weights, bit for bit.
-/// Returns the parser's result.
+/// the loaded nodes, entries, tau and weights, bit for bit. An accepted
+/// base-only image (no HIP section) must load the weights
+/// PrecomputeHipWeights computes for its entries. Returns the parser's
+/// result.
 inline StatusOr<FlatAdsSet> ParseWithEveryReader(const std::string& bytes,
                                                  const std::string& what,
                                                  bool same_message = false) {
@@ -87,13 +92,20 @@ inline StatusOr<FlatAdsSet> ParseWithEveryReader(const std::string& bytes,
     return parsed;
   }
   const FlatAdsSet& p = parsed.value();
+  EXPECT_TRUE(p.has_hip()) << what;
   if (read.ok()) ExpectSameLoad(read.value(), p, what + " (file reader)");
   if (into.ok()) ExpectSameLoad(recycled, p, what + " (recycled reader)");
+  if (bytes.size() == AdsBinaryFileSize(p.num_nodes(), p.TotalEntries())) {
+    FlatAdsSet fresh = p;
+    fresh.hip_tau.clear();
+    fresh.hip_weight.clear();
+    PrecomputeHipWeights(&fresh);
+    ExpectSameLoad(p, fresh, what + " (base image vs PrecomputeHipWeights)");
+  }
   if (mapped.ok()) {
     const MmapAdsSet& m = mapped.value();
     EXPECT_EQ(m.num_nodes(), p.num_nodes()) << what;
     EXPECT_EQ(m.TotalEntries(), p.TotalEntries()) << what;
-    EXPECT_EQ(m.HipResident(), p.has_hip()) << what;
     auto range = m.Range(0);
     EXPECT_TRUE(range.ok()) << what;
     if (range.ok() && m.TotalEntries() == p.TotalEntries() &&
@@ -104,16 +116,13 @@ inline StatusOr<FlatAdsSet> ParseWithEveryReader(const std::string& bytes,
                             n * sizeof(AdsEntry)),
                 0)
           << what;
-      if (arena.has_hip() && p.has_hip()) {
-        EXPECT_EQ(std::memcmp(arena.hip_tau, p.hip_tau.data(),
-                              n * sizeof(double)),
-                  0)
-            << what << ": mapped tau";
-        EXPECT_EQ(std::memcmp(arena.hip_weight, p.hip_weight.data(),
-                              n * sizeof(double)),
-                  0)
-            << what << ": derived weights (mmap)";
-      }
+      EXPECT_EQ(
+          std::memcmp(arena.hip_tau, p.hip_tau.data(), n * sizeof(double)), 0)
+          << what << ": tau (mmap)";
+      EXPECT_EQ(std::memcmp(arena.hip_weight, p.hip_weight.data(),
+                            n * sizeof(double)),
+                0)
+          << what << ": weights (mmap)";
     }
   }
   return parsed;

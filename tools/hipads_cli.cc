@@ -54,11 +54,13 @@
 // `--threads N` (0 = hardware count) is clamped to the hardware count, as
 // a server clamps a sweep request's thread count; no output depends on it.
 //
-// Flags fail closed: an integer flag that is not plain decimal digits, or
-// exceeds what its option holds (`--port` 65535, `--shards` 2^32 - 1, ...),
-// and a number flag with trailing bytes exit 2 with a message naming the
-// flag and nothing on stdout; `serve` and `route` read every flag before
-// they open their input or bind a socket.
+// Flags fail closed: a flag the command does not take, an integer flag
+// that is not plain decimal digits, or exceeds what its option holds
+// (`--port` 65535, `--shards` 2^32 - 1, ...), and a number flag with
+// trailing bytes exit 2 with a message naming the flag and nothing on
+// stdout. Every command checks its flag names before it reads input or
+// writes anything; `serve` and `route` read every flag before they open
+// their input or bind a socket.
 //
 // Whole-graph statistics run on the fused sweep engine (ads/sweep.h): all
 // statistics a command needs are collected in ONE pass over the backend —
@@ -68,15 +70,13 @@
 // sharded set reads every shard file exactly once however many statistics
 // are requested.
 //
-// HIP-resident storage: `sketch --hip 1` and `convert --hip 1` precompute
-// the HIP estimator weights and store their tau in the v2 binary's optional
-// HIP section (+8 bytes/entry; every reader derives the weight 1/tau on
-// load); `convert --strip-hip 1` removes the section.
-// Serving a HIP-resident file turns every point estimator into a pointer
-// wrap over the loaded weights — `stats` and `serve` report which mode is
-// active as `hip=resident|scan` (`stats` on stderr, keeping its stdout
-// bitwise interchangeable with `--remote` runs). Answers are bitwise
-// identical either way.
+// HIP weights: `sketch` precomputes the HIP estimator weights once and
+// every v2 file it writes stores their tau in the HIP section (+8
+// bytes/entry; every reader derives the weight 1/tau on load), so every
+// estimator is a pointer wrap over the loaded weights. A v2 file without
+// the section (written by an older build, or cut to its base image) is
+// still read: its reader computes the weights on load, and `convert`
+// stores them, just by reading and writing the file.
 //
 // Observability: every process keeps a registry of named counters, gauges
 // and latency histograms (util/metrics.h). `stats-scrape --remote ADDR`
@@ -95,11 +95,9 @@
 // Examples:
 //   hipads_cli generate --model ba --nodes 100000 --out graph.txt
 //   hipads_cli sketch --graph graph.txt --k 32 --out s.ads2
-//   hipads_cli sketch --graph g.txt --hip 1 --out sh.ads2
 //   hipads_cli convert --in s.ads2 --format text --out s.ads
 //   hipads_cli convert --in old.ads --out old.ads2
-//   hipads_cli convert --in s.ads2 --hip 1 --out s-hip.ads2
-//   hipads_cli convert --in s-hip.ads2 --strip-hip 1 --out s.ads2
+//   hipads_cli convert --in base-only.ads2 --out s.ads2
 //   hipads_cli shard --in s.ads2 --shards 8 --out-dir shards/
 //   hipads_cli query --sketches s.ads2 --backend=mmap --node 17 --distance 3
 //   hipads_cli query --sketches s.ads2 --node 17 --lookup 4,8,15
@@ -225,6 +223,15 @@ class Args {
     return value;
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  // The first flag given that `flags` (" name name ... ") does not list,
+  // or "" when it lists them all.
+  std::string FirstFlagNotIn(const std::string& flags) const {
+    for (const auto& [key, value] : values_) {
+      if (flags.find(" " + key + " ") == std::string::npos) return key;
+    }
+    return "";
+  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -426,7 +433,7 @@ int CmdSketch(const Args& args) {
       ClampThreads(args.GetInt("threads", HardwareThreads()));
   const uint32_t shards = args.GetInt<uint32_t>("shards", 0);
   std::string format_name = args.Get("format", "binary");
-  AdsFileFormat format;
+  AdsFileFormat format = AdsFileFormat::kBinaryV2;
   if (!ParseFormatFlag(format_name, &format)) return 2;
   // A v1 text copy is not a serving input, so it never takes the default
   // --sketches name.
@@ -441,23 +448,13 @@ int CmdSketch(const Args& args) {
                  format_name.c_str());
     return 2;
   }
-  // --hip 1: precompute the HIP estimator weights once, at build time, and
-  // store them in the v2 binary's optional HIP section so every serving
-  // engine materializes estimators as a pointer wrap instead of a scan.
-  const bool add_hip = args.GetInt("hip", 0, 1) != 0;
-  if (add_hip && shards == 0 && format != AdsFileFormat::kBinaryV2) {
-    std::fprintf(stderr,
-                 "--hip requires the v2 binary format (the text format has "
-                 "no HIP section)\n");
-    return 2;
-  }
   // Flatten the builder output once and free it; every writer (and the
   // HIP precompute, whose weight arrays align with the arena) takes the
-  // flat arena.
+  // flat arena. The HIP weights are computed once, here, and stored.
   AdsBuildStats stats;
   FlatAdsSet flat = FlatAdsSet::FromAdsSet(BuildAdsPrunedDijkstraParallel(
       g, k, flavor, ranks, threads, &stats));
-  if (add_hip) PrecomputeHipWeights(&flat, threads);
+  PrecomputeHipWeights(&flat, threads);
   Status s = shards > 0 ? WriteShardedAdsSet(flat, out, shards)
                         : WriteAdsSetFile(flat, out, format);
   if (!s.ok()) return Fail(s);
@@ -496,6 +493,9 @@ StatusOr<FlatAdsSet> ReadEitherFormat(const std::string& path) {
   return ParseFlatAdsSet(text);
 }
 
+// Every reader hands out the HIP weights (computing them for a v2 file
+// without the section and for v1 text), so a v2 output always carries the
+// section: reading and writing a file is its whole migration.
 int CmdConvert(const Args& args) {
   std::string in = args.Get("in", "");
   std::string out = args.Get("out", "");
@@ -503,40 +503,19 @@ int CmdConvert(const Args& args) {
     std::fprintf(stderr, "convert requires --in FILE --out FILE\n");
     return 2;
   }
-  AdsFileFormat format;
+  AdsFileFormat format = AdsFileFormat::kBinaryV2;
   if (!ParseFormatFlag(args.Get("format", "binary"), &format)) return 2;
-  const bool add_hip = args.GetInt("hip", 0, 1) != 0;
-  const bool strip_hip = args.GetInt("strip-hip", 0, 1) != 0;
-  if (add_hip && strip_hip) {
-    std::fprintf(stderr, "--hip and --strip-hip conflict\n");
-    return 2;
-  }
-  if (add_hip && format != AdsFileFormat::kBinaryV2) {
-    std::fprintf(stderr,
-                 "--hip requires the v2 binary format (the text format has "
-                 "no HIP section)\n");
-    return 2;
-  }
   auto loaded = ReadEitherFormat(in);
   if (!loaded.ok()) return Fail(loaded.status());
-  FlatAdsSet set = std::move(loaded).value();
-  if (strip_hip) {
-    set.hip_tau.clear();
-    set.hip_weight.clear();
-  } else if (add_hip && !set.has_hip()) {
-    PrecomputeHipWeights(&set, ClampThreads(args.GetInt("threads", 0)));
-  }
+  const FlatAdsSet& set = loaded.value();
   Status s = WriteAdsSetFile(set, out, format);
   if (!s.ok()) return Fail(s);
-  std::printf("converted %s -> %s (%s, %zu nodes, %llu entries, hip=%s)\n",
+  std::printf("converted %s -> %s (%s, %zu nodes, %llu entries)\n",
               in.c_str(), out.c_str(),
               format == AdsFileFormat::kBinaryV2 ? "hipads-ads-v2 binary"
                                                  : "hipads-ads-v1 text",
               set.num_nodes(),
-              static_cast<unsigned long long>(set.TotalEntries()),
-              set.has_hip() && format == AdsFileFormat::kBinaryV2
-                  ? "resident"
-                  : "scan");
+              static_cast<unsigned long long>(set.TotalEntries()));
   return 0;
 }
 
@@ -885,16 +864,6 @@ int CmdStats(const Args& args) {
       break;
     }
   }
-  // hip=resident means every point estimator materializes from storage-
-  // resident weights (a pointer wrap); scan recomputes them per node. The
-  // answers are bitwise identical either way — this is about speed, so it
-  // goes to stderr as engine diagnostics: stdout stays bitwise
-  // interchangeable between local and --remote runs (a tested guarantee),
-  // and a remote sweep has no local backend to probe anyway.
-  if (backend != nullptr) {
-    std::fprintf(stderr, "hip=%s\n",
-                 backend->HipResident() ? "resident" : "scan");
-  }
   std::printf("nodes: %zu, k=%u, entries=%llu\n", out.num_nodes, out.k,
               static_cast<unsigned long long>(out.total_entries));
   std::printf("effective diameter (%g): %.1f\n", quantile, eff_diameter);
@@ -1102,12 +1071,11 @@ int CmdServe(const Args& args) {
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
   ServerInfoMsg info = core.Info();
-  std::printf(
-      "serving nodes [%llu, %llu) (k=%u, %llu entries, hip=%s) on port %u\n",
-      static_cast<unsigned long long>(info.node_begin),
-      static_cast<unsigned long long>(info.node_end), info.k,
-      static_cast<unsigned long long>(info.total_entries),
-      opened.value()->HipResident() ? "resident" : "scan", server.port());
+  std::printf("serving nodes [%llu, %llu) (k=%u, %llu entries) on port %u\n",
+              static_cast<unsigned long long>(info.node_begin),
+              static_cast<unsigned long long>(info.node_end), info.k,
+              static_cast<unsigned long long>(info.total_entries),
+              server.port());
   std::fflush(stdout);
   ServeForever(metrics_interval_s);
 }
@@ -1153,20 +1121,45 @@ int Main(int argc, char** argv) {
                  "[--flag value]...\n");
     return 2;
   }
-  std::string cmd = argv[1];
+  // Each command and the flags it takes: GetRemoteOptions reads `remote`,
+  // OpenServingBackend reads `backend`. A flag a command does not take
+  // exits 2 before the command reads input or writes anything.
+  const std::string remote = "timeout-ms retries hedge coalesce-us ";
+  const std::string backend = "sketches backend resident prefetch ";
+  const std::string sweep = "threads remote trace " + remote + backend;
+  const std::map<std::string, std::pair<int (*)(const Args&), std::string>>
+      commands = {
+          {"generate", {CmdGenerate, "model nodes seed out attach edges "}},
+          {"sketch", {CmdSketch, "graph k directed seed flavor base threads "
+                                 "shards format out "}},
+          {"convert", {CmdConvert, "in out format "}},
+          {"shard", {CmdShard, "in out-dir shards "}},
+          {"query", {CmdQuery, "top centrality node lookup jaccard distance " +
+                                   sweep}},
+          {"stats", {CmdStats, "quantile centrality top distance-quantile qg "
+                               "qg-param " + sweep}},
+          {"serve", {CmdServe, "node-begin threads port workers timeout-ms "
+                               "metrics-interval-s " + backend}},
+          {"route", {CmdRoute, "port workers metrics-interval-s fleet " +
+                                   remote}},
+          {"stats-scrape", {CmdStatsScrape, "remote watch " + remote}},
+          {"trace-dump", {CmdTraceDump, "remote out " + remote}},
+      };
+  const std::string cmd = argv[1];
+  auto command = commands.find(cmd);
+  if (command == commands.end()) {
+    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
+    return 2;
+  }
   Args args(argc - 2, argv + 2);
-  if (cmd == "generate") return CmdGenerate(args);
-  if (cmd == "sketch") return CmdSketch(args);
-  if (cmd == "convert") return CmdConvert(args);
-  if (cmd == "shard") return CmdShard(args);
-  if (cmd == "query") return CmdQuery(args);
-  if (cmd == "stats") return CmdStats(args);
-  if (cmd == "serve") return CmdServe(args);
-  if (cmd == "route") return CmdRoute(args);
-  if (cmd == "stats-scrape") return CmdStatsScrape(args);
-  if (cmd == "trace-dump") return CmdTraceDump(args);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 2;
+  const std::string unknown =
+      args.FirstFlagNotIn(" " + command->second.second);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "--%s is not a flag of `%s`\n", unknown.c_str(),
+                 cmd.c_str());
+    return 2;
+  }
+  return command->second.first(args);
 }
 
 }  // namespace
